@@ -7,9 +7,12 @@ Azimuthal symmetry makes N block diagonal in m, and each m-block is
 truncated at orbital order l; the per-l truncations converge
 exponentially and are extrapolated to the exact value.
 
-All internal quantities are assembled in signed-log form so that deep
-multipole orders at small and large kappa stay representable; the
-exponentials recombine only inside the final O(1) determinants.
+T-matrix diagonals arrive in signed-log form and translation blocks as
+bounded floats times a logged k-factor (see `translation`), so deep
+multipole orders at small and large kappa stay representable.  Every
+m-independent log of a quadrature node is summed and exponentiated once
+per sphere pair, and the per-m work is a product of O(1) floats feeding
+the final determinants.
 """
 
 import math
@@ -25,7 +28,9 @@ from .tmatrix import (
     t_em_log,
     t_scalar_log,
 )
-from .translation import em_log_blocks, u_log_block
+# u_log_block stays importable from here: bench/spans.py traces it at
+# every import site
+from .translation import node_kernel, u_log_block  # noqa: F401
 
 __all__ = [
     "DomainError",
@@ -247,103 +252,60 @@ def _accumulate_block(history, nmat, l_lo, weight, stride=1):
     history[l_lo:l_lo + len(cut)] += weight * cut
 
 
-def _history_two_scalar(geometry, kappa, l_max):
+def _t_log(sphere, fld, l_max, kappa):
+    """(sign, log) of the scaled T diagonal, l-major with polarizations
+    (M, E) interleaved for the EM field."""
+    if not fld.is_em:
+        return t_scalar_log(sphere, l_max, kappa)
+    blocks = t_em_log(sphere, l_max, kappa)
+    return tuple(np.stack([blocks["M"][i], blocks["E"][i]], axis=1).ravel()
+                 for i in (0, 1))
+
+
+def _per_pol(arr, pol):
+    """Repeat an l-indexed array over the interleaved polarizations."""
+    for axis in range(arr.ndim):
+        arr = np.repeat(arr, pol, axis)
+    return arr
+
+
+def _history_pair(geometry, fld, kappa, l_max):
     sp1, sp2 = geometry.spheres
     d = geometry.d
-    x = kappa * d
+    pol = 2 if fld.is_em else 1
     logkb = 0.5 * (math.log(kappa * 0.5 * (sp1.radius + sp2.radius))
                    + math.log(kappa * d))
     lv = np.arange(l_max + 1, dtype=float)
-    peel_t = -(2.0 * lv + 1.0) * logkb
-    peel_u = (lv[:, None] + lv[None, :] + 1.0) * logkb
-    s1, g1 = t_scalar_log(sp1, l_max, kappa)
-    s2, g2 = t_scalar_log(sp2, l_max, kappa)
-    hist = np.zeros(l_max + 1)
+    peel_t = _per_pol(-(2.0 * lv + 1.0) * logkb, pol)
+    peel_u = _per_pol((lv[:, None] + lv[None, :] + 1.0) * logkb, pol)
+    kern = node_kernel(l_max, kappa * d, fld.is_em)
     # damping split over the two one-bounce factors
     rd = math.exp(-kappa * geometry.surface_gap)
     with np.errstate(under="ignore"):
-        for m in range(l_max + 1):
-            s12, g12 = u_log_block(l_max, m, x, "12")
-            p = (s1[:, None] * s12) * np.exp(
-                (g1 + peel_t)[:, None] + g12 + peel_u)
-            q = (s2[:, None] * s12.T) * np.exp(
-                (g2 + peel_t)[:, None] + g12.T + peel_u)
-            # alternant embedding: the order-l cut of
-            # det([[1, -P],[-Q, 1]]) is det(1 - P_l Q_l) with the
-            # internal partial-wave sums truncated consistently
-            k = l_max + 1 - m
-            big = np.zeros((2 * k, 2 * k))
-            big[0::2, 1::2] = rd * p[m:, m:]
-            big[1::2, 0::2] = rd * q[m:, m:]
-            _accumulate_block(hist, big, m, 1.0 if m == 0 else 2.0,
-                              stride=2)
-    return hist
-
-
-def _em_super(blocks, peel, l_lo, l_max):
-    """Interleave polarization blocks into a (2n, 2n) matrix of floats."""
-    n = l_max + 1 - l_lo
-    sup = np.empty((2 * n, 2 * n))
-    sl = slice(l_lo, l_max + 1)
-    with np.errstate(under="ignore"):
-        for i, prow in enumerate("MN"):
-            for j, pcol in enumerate("MN"):
-                s, g = blocks[prow + pcol]
-                sup[i::2, j::2] = s[sl, sl] * np.exp(g[sl, sl] + peel[sl, sl])
-    return sup
-
-
-def _history_two_em(geometry, kappa, l_max):
-    sp1, sp2 = geometry.spheres
-    d = geometry.d
-    x = kappa * d
-    logkb = 0.5 * (math.log(kappa * 0.5 * (sp1.radius + sp2.radius))
-                   + math.log(kappa * d))
-    lv = np.arange(l_max + 1, dtype=float)
-    peel_t = -(2.0 * lv + 1.0) * logkb
-    peel_u = (lv[:, None] + lv[None, :] + 1.0) * logkb
-    t1 = t_em_log(sp1, l_max, kappa)
-    t2 = t_em_log(sp2, l_max, kappa)
+        # every m-independent factor of the two one-bounce blocks
+        scale = []
+        for sp in (sp1, sp2):
+            s, g = _t_log(sp, fld, l_max, kappa)
+            scale.append(rd * s[:, None] * np.exp(
+                (g + peel_t)[:, None] + kern.log_scale + peel_u))
+    u12, u21 = kern.oriented("12"), kern.oriented("21")
     hist = np.zeros(l_max + 1)
-    rd = math.exp(-kappa * geometry.surface_gap)
-    jv = np.arange(l_max + 1)
-    parity = np.where((jv[:, None] + jv[None, :]) % 2 == 0, 1.0, -1.0)
-    with np.errstate(under="ignore"):
-        for m in range(l_max + 1):
-            l_lo = max(1, m)
-            blocks12 = em_log_blocks(l_max, m, x, "12")
-            # reversed direction by entrywise parity; mixing blocks flip sign
-            blocks21 = {key: (s * parity * (-1.0 if key in ("MN", "NM")
-                                            else 1.0), g)
-                        for key, (s, g) in blocks12.items()}
-            u12 = _em_super(blocks12, peel_u, l_lo, l_max)
-            u21 = _em_super(blocks21, peel_u, l_lo, l_max)
-            k = l_max + 1 - l_lo
-            tdiag1 = np.empty(2 * k)
-            tdiag2 = np.empty(2 * k)
-            for i, pol in enumerate("MN"):
-                key = "M" if pol == "M" else "E"
-                sa, ga = t1[key]
-                sb, gb = t2[key]
-                tdiag1[i::2] = (sa * np.exp(ga + peel_t))[l_lo:]
-                tdiag2[i::2] = (sb * np.exp(gb + peel_t))[l_lo:]
-            # alternant embedding with four rows per l: both one-bounce
-            # factors and both polarizations truncated at the cut
-            half = np.arange(k)[:, None] * 4 + np.array([0, 1])
-            rows_p = half.ravel()
-            rows_q = (half + 2).ravel()
-            big = np.zeros((4 * k, 4 * k))
-            big[np.ix_(rows_p, rows_q)] = rd * (tdiag1[:, None] * u12)
-            big[np.ix_(rows_q, rows_p)] = rd * (tdiag2[:, None] * u21)
-            _accumulate_block(hist, big, l_lo, 1.0 if m == 0 else 2.0,
-                              stride=4)
+    l_min = 1 if fld.is_em else 0
+    for m in range(l_max + 1):
+        l_lo = max(m, l_min)
+        k = l_max + 1 - l_lo
+        sl = slice(pol * l_lo, None)
+        # alternant embedding with 2*pol rows per l: the order-l cut of
+        # det([[1, -P],[-Q, 1]]) is det(1 - P_l Q_l) with both one-bounce
+        # factors and all polarizations truncated consistently
+        big = np.zeros((k, 2, pol, k, 2, pol))
+        big[:, 0, :, :, 1, :] = (scale[0][sl, sl] * u12[m][sl, sl]).reshape(
+            k, pol, k, pol)
+        big[:, 1, :, :, 0, :] = (scale[1][sl, sl] * u21[m][sl, sl]).reshape(
+            k, pol, k, pol)
+        _accumulate_block(hist, big.reshape(2 * pol * k, 2 * pol * k), l_lo,
+                          1.0 if m == 0 else 2.0, stride=2 * pol)
     return hist
-
-
-def _history_vector(geometry, fld, kappa, l_max):
-    if fld.is_em:
-        return _history_two_em(geometry, kappa, l_max)
-    return _history_two_scalar(geometry, kappa, l_max)
 
 
 def integrand(geometry, field_kind, kappa, l_max):
@@ -361,7 +323,7 @@ def integrand(geometry, field_kind, kappa, l_max):
     l_min = 1 if fld.is_em else 0
     if l_max < l_min:
         raise ValueError("l_max must be >= %d" % l_min)
-    return float(_history_vector(geometry, fld, kappa, l_max)[l_max])
+    return float(_history_pair(geometry, fld, kappa, l_max)[l_max])
 
 
 def extrapolate(history, geometry):
@@ -446,7 +408,7 @@ def casimir_energy(geometry, field_kind, l_max, quad=QuadSpec()):
     l_min = 1 if fld.is_em else 0
     if l_max < l_min:
         raise ValueError("l_max must be >= %d" % l_min)
-    return _integrate_history(geometry, fld, l_max, quad, _history_vector)
+    return _integrate_history(geometry, fld, l_max, quad, _history_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -458,77 +420,57 @@ def _history_nbody(geometry, fld, kappa, l_max):
 
     The block matrix runs over (sphere, l, polarization); a diagonal
     similarity e^{-kappa R_a} (kappa c)^{-l} balances every entry, with
-    the same determinant.
+    the same determinant.  Pairs at the same distance share one
+    translation kernel.
     """
     spheres = geometry.spheres
     centers = geometry.centers
     nsph = len(spheres)
-    em = fld.is_em
-    p = 2 if em else 1
+    p = 2 if fld.is_em else 1
     c_len = max(sp.radius for sp in spheres)
-    logkc = math.log(kappa * c_len)
     lv = np.arange(l_max + 1, dtype=float)
-    tlogs = []
-    for sp in spheres:
-        if em:
-            blocks = t_em_log(sp, l_max, kappa)
-            sgn = np.empty((l_max + 1, 2))
-            lg = np.empty((l_max + 1, 2))
-            for i, key in enumerate(("M", "E")):
-                sgn[:, i], lg[:, i] = blocks[key]
-        else:
-            s, g = t_scalar_log(sp, l_max, kappa)
-            sgn, lg = s[:, None], g[:, None]
-        tlogs.append((sgn, lg))
-    hist = np.zeros(l_max + 1)
-    l_min = 1 if em else 0
+    pw = _per_pol((lv[None, :] - lv[:, None]) * math.log(kappa * c_len), p)
+    tlogs = [_t_log(sp, fld, l_max, kappa) for sp in spheres]
+    kernels = {}
+    pairs = []
     with np.errstate(under="ignore"):
-        for m in range(l_max + 1):
-            l_lo = max(m, l_min)
-            nl = l_max + 1 - l_lo
-            if nl <= 0:
-                break
-            nb = nl * p
-            big = np.zeros((nsph * nb, nsph * nb))
-            for a in range(nsph):
-                for b in range(nsph):
-                    if a == b:
-                        continue
-                    dab = abs(centers[b] - centers[a])
-                    x = kappa * dab
-                    direction = "12" if centers[b] > centers[a] else "21"
-                    sa, ga = tlogs[a]
-                    # exponent: T(scaled)*e^{2 z_a} * U(scaled)*e^{-x},
-                    # similarity e^{-k R_a + k R_b} (kc)^{l'-l}
-                    expo = kappa * (spheres[a].radius + spheres[b].radius
-                                    - dab)
-                    pw = (lv[None, :] - lv[:, None]) * logkc
-                    if em:
-                        blocks = em_log_blocks(l_max, m, x, direction)
-                        blk = np.empty((nb, nb))
-                        sl = slice(l_lo, l_max + 1)
-                        for i, prow in enumerate("MN"):
-                            tkey = 0 if prow == "M" else 1
-                            for j, pcol in enumerate("MN"):
-                                s, g = blocks[prow + pcol]
-                                val = (sa[sl, tkey, None] * s[sl, sl]) \
-                                    * np.exp(ga[sl, tkey, None] + g[sl, sl]
-                                             + pw[sl, sl] + expo)
-                                blk[i::2, j::2] = val
-                    else:
-                        s, g = u_log_block(l_max, m, x, direction)
-                        sl = slice(l_lo, l_max + 1)
-                        blk = (sa[sl, 0, None] * s[sl, sl]) \
-                            * np.exp(ga[sl, 0, None] + g[sl, sl]
-                                     + pw[sl, sl] + expo)
-                    big[a * nb:(a + 1) * nb, b * nb:(b + 1) * nb] = blk
-            # l-major reordering turns "every sphere restricted to
-            # l <= cut" into a leading principal submatrix
-            perm = np.concatenate([
-                np.arange(a * nb + li * p, a * nb + (li + 1) * p)
-                for li in range(nl) for a in range(nsph)])
-            _accumulate_block(hist, big[np.ix_(perm, perm)], l_lo,
-                              1.0 if m == 0 else 2.0, stride=nsph * p)
+        for a in range(nsph):
+            for b in range(nsph):
+                if a == b:
+                    continue
+                dab = abs(centers[b] - centers[a])
+                kern = kernels.get(dab)
+                if kern is None:
+                    kern = kernels[dab] = node_kernel(l_max, kappa * dab,
+                                                      fld.is_em)
+                sa, ga = tlogs[a]
+                # exponent: T(scaled)*e^{2 z_a} * U(scaled)*e^{-x},
+                # similarity e^{-k R_a + k R_b} (kc)^{l'-l}
+                expo = kappa * (spheres[a].radius + spheres[b].radius - dab)
+                scale = sa[:, None] * np.exp(ga[:, None] + kern.log_scale
+                                             + pw + expo)
+                direction = "12" if centers[b] > centers[a] else "21"
+                pairs.append((a, b, scale, kern.oriented(direction)))
+    hist = np.zeros(l_max + 1)
+    l_min = 1 if fld.is_em else 0
+    for m in range(l_max + 1):
+        l_lo = max(m, l_min)
+        nl = l_max + 1 - l_lo
+        if nl <= 0:
+            break
+        nb = nl * p
+        sl = slice(p * l_lo, None)
+        big = np.zeros((nsph * nb, nsph * nb))
+        for a, b, scale, u in pairs:
+            big[a * nb:(a + 1) * nb, b * nb:(b + 1) * nb] = \
+                scale[sl, sl] * u[m][sl, sl]
+        # l-major reordering turns "every sphere restricted to
+        # l <= cut" into a leading principal submatrix
+        perm = np.concatenate([
+            np.arange(a * nb + li * p, a * nb + (li + 1) * p)
+            for li in range(nl) for a in range(nsph)])
+        _accumulate_block(hist, big[np.ix_(perm, perm)], l_lo,
+                          1.0 if m == 0 else 2.0, stride=nsph * p)
     return hist
 
 

@@ -14,6 +14,24 @@ Electromagnetic (vector) multipoles translate through the same scalar
 matrices after recoupling orbital and spin angular momentum, giving a
 2x2 polarization structure per (l', l) pair in which the magnetic/electric
 mixing terms vanish for m = 0.
+
+Ratio-scaled form.  With x = kappa d,
+
+    U_{l'l}(m) e^{x} = S_{l'l}(m) k_{l'+l}(x) e^{x},
+    S_{l'l}(m) = sum_{l''} W(m, l', l, l'') k_{l''}(x) / k_{l'+l}(x),
+
+where W holds the 3j products, the (2l''+1) weight and the prefactor
+-(-1)^{l+m} sqrt((2l+1)(2l'+1)).  Only l'' = l'+l, l'+l-2, ... contribute
+and k_l(x) increases with l, so every ratio lies in (0, 1]; with the 3j
+orthogonality sum_{l''} (2l''+1) 3j^2 = 1 this bounds |S_{l'l}| by
+sqrt((2l+1)(2l'+1)) at every x.  Plain floats therefore hold S without
+overflow, and the huge or tiny factor k_{l'+l}(x) e^{x} stays a log until
+it meets the T-matrices.  `node_kernel` builds one Bessel chain and S for
+every m at once; the EM blocks recouple the same S stack with
+k_{J'+J+1} factored out, so their ratios are again <= 1.  The accuracy of
+S is absolute, ~1e-12 of the largest entry of a block: at large x the
+high-m entries cancel to far below their terms, and only their absolute
+error is meaningful.
 """
 
 import math
@@ -25,7 +43,9 @@ import numpy as np
 from .specfun import ThreeJArgs, bessel_ik_half_chain, threej_family, wigner3j
 
 __all__ = [
+    "NodeKernel",
     "TranslationBlock",
+    "node_kernel",
     "u_scalar",
     "u_em",
     "translation_block",
@@ -59,37 +79,155 @@ def _check_direction(direction):
         raise ValueError("direction must be '12' or '21', got %r" % (direction,))
 
 
-# cache of 3j product tensors: (l_max, m) -> (sign int8, log|W|) arrays of
-# shape (l_max+1, l_max+1, 2*l_max+1) indexed [l_out, l_in, l''].
-_W_CACHE = {}
+def _mixing_sign(n):
+    """+1 on same-polarization entries, -1 on M-E mixing entries.
+
+    Rows and columns are l-major with polarizations (M, E) interleaved.
+    """
+    v = np.tile([1.0, -1.0], n)
+    return v[:, None] * v[None, :]
 
 
-def _w_tensor(l_max, m):
-    """W[l', l, l''] = (2l''+1) 3j(l l' l''; 0 0 0) 3j(l l' l''; m -m 0)."""
-    key = (l_max, m)
-    hit = _W_CACHE.get(key)
-    if hit is not None:
-        return hit
+@dataclass(frozen=True)
+class NodeKernel:
+    """Ratio-scaled translation blocks of every m at one x = kappa d.
+
+    Attributes
+    ----------
+    pol : int
+        Polarizations per orbital order: 1 (scalar) or 2 (EM, order M, E).
+    blocks : ndarray, shape (l_max+1, pol*(l_max+1), pol*(l_max+1))
+        blocks[m] in direction "12", rows and columns l-major with the
+        polarizations interleaved; EM entries below max(1, m) are zero.
+    log_scale : ndarray, shape (pol*(l_max+1), pol*(l_max+1))
+        blocks[m] * exp(log_scale) is the block times e^{+x}: log of
+        k_{l'+l}(x) e^{x} for scalar and of k_{J'+J+1}(x) e^{x} for EM.
+    """
+
+    pol: int
+    blocks: np.ndarray
+    log_scale: np.ndarray
+
+    def oriented(self, direction):
+        """The blocks with the given center as the source.
+
+        Reversing the direction transposes a scalar block.  An EM block
+        picks up (-1)^{J'+J} entrywise (each scalar element of composite
+        order L+L' gains (-1)^{L+L'}) and the mixing blocks flip sign.
+        """
+        _check_direction(direction)
+        if direction == "12":
+            return self.blocks
+        if self.pol == 1:
+            return self.blocks.swapaxes(1, 2)
+        n = self.blocks.shape[1] // 2
+        jv = np.repeat(np.arange(n), 2)
+        par = np.where((jv[:, None] + jv[None, :]) % 2 == 0, 1.0, -1.0)
+        return self.blocks * (par * _mixing_sign(n))
+
+
+# W[m, l', l, k] at l'' = l' + l - 2k for the largest order built so far;
+# entries do not depend on the order, so smaller orders read leading slices
+_W_KERNEL = np.zeros((0, 0, 0, 0))
+
+
+def _w_kernel(l_max):
+    """3j kernel W[m, l', l, k] for orders up to l_max (a read-only view).
+
+    W = -(-1)^{l+m} sqrt((2l+1)(2l'+1)) (2l''+1) 3j(l l' l''; 0 0 0)
+    3j(l l' l''; m -m 0) at l'' = l' + l - 2k; zero for m or k above
+    min(l', l).  The l'' of the other parity have 3j(l l' l''; 0 0 0) = 0
+    and are not stored.
+    """
+    global _W_KERNEL
     n = l_max + 1
-    nw = 2 * l_max + 1
-    sgn = np.zeros((n, n, nw), dtype=np.int8)
-    logw = np.full((n, n, nw), -np.inf)
-    for l_in in range(m, n):
-        for l_out in range(m, n):
-            jmin, f000 = threej_family(l_in, l_out, 0, 0)
-            if m == 0:
-                fm = f000
-            else:
-                jmin_m, fm = threej_family(l_in, l_out, m, -m)
-                assert jmin_m == jmin  # both families start at |l_in - l_out|
-            w = f000 * fm
-            idx = np.arange(jmin, l_in + l_out + 1)
-            vals = w * (2.0 * idx + 1.0)
-            nz = vals != 0.0
-            sgn[l_out, l_in, idx[nz]] = np.sign(vals[nz]).astype(np.int8)
-            logw[l_out, l_in, idx[nz]] = np.log(np.abs(vals[nz]))
-    _W_CACHE[key] = (sgn, logw)
-    return sgn, logw
+    old = _W_KERNEL.shape[0]
+    if n > old:
+        w = np.zeros((n, n, n, n))
+        w[:old, :old, :old, :old] = _W_KERNEL
+        for l_in in range(n):
+            for l_out in range(old if l_in < old else 0, n):
+                lo = min(l_in, l_out)
+                # families run over l'' = |l_in - l_out| .. l_in + l_out;
+                # every other entry, reversed, is k = 0 .. lo
+                _, f000 = threej_family(l_in, l_out, 0, 0)
+                lpp = l_in + l_out - 2 * np.arange(lo + 1)
+                base = f000[::-2] * (2.0 * lpp + 1.0) * math.sqrt(
+                    (2.0 * l_in + 1.0) * (2.0 * l_out + 1.0))
+                if l_in % 2 == 0:
+                    base = -base
+                w[0, l_out, l_in, :lo + 1] = base * f000[::-2]
+                for m in range(1, lo + 1):
+                    _, fm = threej_family(l_in, l_out, m, -m)
+                    w[m, l_out, l_in, :lo + 1] = \
+                        (base if m % 2 == 0 else -base) * fm[::-2]
+        w.setflags(write=False)
+        _W_KERNEL = w
+    return _W_KERNEL[:n, :n, :n, :n]
+
+
+def _s_blocks(l_max, sigma):
+    """S[m, l', l] for m, l', l = 0..l_max.
+
+    sigma[l] = k_{l+1}(x)/k_l(x) for l = 0..2*l_max - 1 at least.
+    """
+    n = l_max + 1
+    # ratio table R[L, k] = k_{L-2k}/k_L for L = 0..2 l_max, 0 for 2k > L,
+    # built by products of ratios <= 1 (relative error ~ k ulp)
+    step = 1.0 / (sigma[:2 * n - 3] * sigma[1:2 * n - 2])
+    r = np.zeros((2 * n - 1, n))
+    r[:, 0] = 1.0
+    with np.errstate(under="ignore"):
+        for k in range(1, n):
+            r[2 * k:, k] = r[2 * k:, k - 1] * step[:2 * n - 1 - 2 * k]
+    lv = np.arange(n)
+    ratios = r[lv[:, None] + lv[None, :]]
+    return np.einsum("mabk,abk->mab", _w_kernel(l_max), ratios)
+
+
+def _log_k(chain, x):
+    """log of k_l(x) e^{x} for the orders of the chain."""
+    return chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
+
+
+def node_kernel(l_max, x, em=False):
+    """Translation blocks of every m = 0..l_max at separation x = kappa d.
+
+    Builds one Bessel-K chain and one 3j contraction; see the module
+    notes for the ratio-scaled form.  Scalar blocks cover l = 0..l_max;
+    EM blocks cover J = 0..l_max with the rows and columns below
+    max(1, m) zero and the m = 0 mixing blocks exactly zero.
+
+    Returns
+    -------
+    NodeKernel
+    """
+    if not x > 0.0:
+        raise ValueError("x = kappa*d must be positive, got %r" % (x,))
+    n = l_max + 1
+    lv = np.arange(n)
+    lsum = lv[:, None] + lv[None, :]
+    if not em:
+        chain = bessel_ik_half_chain(2 * l_max, x)
+        return NodeKernel(pol=1, blocks=_s_blocks(l_max, chain.sigma),
+                          log_scale=_log_k(chain, x)[lsum])
+    chain = bessel_ik_half_chain(2 * l_max + 2, x)
+    s = _s_blocks(l_max + 1, chain.sigma)
+    # k_{J'+J+d}/k_{J'+J+1} for d = 1, 0, -1, -2 (entries with J'+J < 2
+    # lie in the zeroed J = 0 rows and columns)
+    inv = np.concatenate([[0.0, 0.0], 1.0 / chain.sigma])
+    ratio = {1: 1.0, 0: inv[lsum + 2]}
+    ratio[-1] = ratio[0] * inv[lsum + 1]
+    ratio[-2] = ratio[-1] * inv[lsum]
+    blocks = _em_recouple(s, l_max, ratio)
+    log_scale = np.repeat(np.repeat(_log_k(chain, x)[lsum + 1], 2, 0), 2, 1)
+    return NodeKernel(pol=2, blocks=blocks, log_scale=log_scale)
+
+
+def _signed_log_view(block, log_scale):
+    """(sign, logmag) of block * exp(log_scale); -inf where block is 0."""
+    with np.errstate(divide="ignore"):
+        return np.sign(block), np.log(np.abs(block)) + log_scale
 
 
 def u_log_block(l_max, m, x, direction="12"):
@@ -102,33 +240,12 @@ def u_log_block(l_max, m, x, direction="12"):
     it against the rest of their exponentials.
     """
     _check_direction(direction)
-    if direction == "21":
-        s, lg = u_log_block(l_max, m, x, "12")
-        return s.T.copy(), lg.T.copy()
     m = abs(m)
-    chain = bessel_ik_half_chain(2 * l_max, x)
-    # log of k_{l''}(x) e^{+x} with the spherical normalization
-    logkt = chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
-    sgn, logw = _w_tensor(l_max, m)
-    terms = logw + logkt[None, None, :]
-    peak = np.max(terms, axis=2)
-    ok = np.isfinite(peak)
-    acc = np.zeros_like(peak)
-    safe_peak = np.where(ok, peak, 0.0)
-    with np.errstate(under="ignore"):
-        acc[ok] = np.sum(sgn * np.exp(terms - safe_peak[:, :, None]),
-                         axis=2)[ok]
-    # global prefactor -(-1)^{l_in} (-1)^m sqrt((2 l_in + 1)(2 l_out + 1))
-    lvec = np.arange(l_max + 1)
-    pref_sign = -np.where(lvec % 2 == 0, 1.0, -1.0) * (1.0 if m % 2 == 0 else -1.0)
-    halflog = 0.5 * np.log(2.0 * lvec + 1.0)
-    sign = np.sign(acc) * pref_sign[None, :]
-    with np.errstate(divide="ignore"):
-        logmag = np.where(acc != 0.0, np.log(np.abs(acc)), -np.inf) \
-            + peak + halflog[:, None] + halflog[None, :]
-    logmag[~ok] = -np.inf
-    sign[~ok] = 0.0
-    return sign, logmag
+    n = l_max + 1
+    if m > l_max:
+        return np.zeros((n, n)), np.full((n, n), -np.inf)
+    kern = node_kernel(l_max, x)
+    return _signed_log_view(kern.oriented(direction)[m], kern.log_scale)
 
 
 def u_scalar(l_out, l_in, m, kappa_d, direction="12"):
@@ -153,7 +270,7 @@ def u_scalar(l_out, l_in, m, kappa_d, direction="12"):
     Notes
     -----
     The element decays like e^{-kappa_d} at large separation; for the
-    scaled form used in determinant assembly see `u_log_block`.
+    scaled form used in determinant assembly see `node_kernel`.
     """
     _check_direction(direction)
     if l_out < 0 or l_in < 0:
@@ -211,7 +328,6 @@ def _cg(j1, m1, j2, m2, jj, mm):
     return s * math.sqrt(2.0 * jj + 1.0) * w
 
 
-@lru_cache(maxsize=1024)
 def _em_weights(l_max, m):
     """Recoupling weight vectors for the four polarization blocks.
 
@@ -241,28 +357,61 @@ def _em_weights(l_max, m):
     return w0, wm, wp, a_r, b_r
 
 
-def _signed_log_sum(parts):
-    """Sum [(coef, sign, logmag)] -> (sign, logmag) elementwise."""
-    peak = None
-    for coef, sgn, lg in parts:
-        with np.errstate(invalid="ignore"):
-            cand = np.where(coef != 0.0, lg + np.log(np.abs(np.where(
-                coef != 0.0, coef, 1.0))), -np.inf)
-        peak = cand if peak is None else np.maximum(peak, cand)
-    ok = np.isfinite(peak)
-    safe = np.where(ok, peak, 0.0)
-    acc = np.zeros_like(peak)
-    for coef, sgn, lg in parts:
-        with np.errstate(under="ignore", invalid="ignore"):
-            term = np.where(sgn != 0, coef * sgn * np.exp(lg - safe), 0.0)
-        acc += term
-    sign = np.sign(acc)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(acc != 0.0, np.log(np.abs(np.where(
-            acc != 0.0, acc, 1.0))) + peak, -np.inf)
-    logmag[~ok] = -np.inf
-    sign[~ok] = 0.0
-    return sign, logmag
+@lru_cache(maxsize=8)
+def _em_weight_stack(l_max):
+    """`_em_weights` of m = 0..l_max stacked as (m, q, J) arrays, J <= l_max.
+
+    Returns (t_m, t_e, c_lo, c_hi): target weights of the magnetic and
+    electric rows and source weights of the electric columns' J-1 and J+1
+    channels (the magnetic columns share t_m).
+    """
+    n = l_max + 1
+    parts = [_em_weights(l_max, m) for m in range(n)]
+    w0 = np.stack([p[0][:, :n] for p in parts])
+    wm = np.stack([p[1][:, :n] for p in parts])
+    wp = np.stack([p[2][:, :n] for p in parts])
+    a_r, b_r = parts[0][3][:n], parts[0][4][:n]
+    out = (w0, wm / a_r, -a_r * wm, -b_r * wp)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _em_recouple(s, l_max, ratio):
+    """Interleaved EM blocks G[m] / k_{J'+J+1} for m = 0..l_max.
+
+    s is the scalar S stack at order l_max+1.  A scalar block U(mu)[a, b]
+    carries the factor k_{a+b}, so the channel read at rows J'+dr and
+    columns J+dc takes ratio[dr + dc][J', J] = k_{J'+J+dr+dc}/k_{J'+J+1}.
+    """
+    n = l_max + 1
+    t_m, t_e, c_lo, c_hi = _em_weight_stack(l_max)
+    # front-pad one zero row/column so that J-1 = -1 slices read as zero
+    sp = np.zeros((n + 1, n + 2, n + 2))
+    sp[:, 1:, 1:] = s
+    ms = np.arange(n)
+    g = np.zeros((n, n, 2, n, 2))
+    for iq, q in enumerate((-1, 0, 1)):
+        u = sp[np.abs(ms - q)]
+
+        def part(dr, dc):
+            return u[:, 1 + dr:1 + dr + n, 1 + dc:1 + dc + n] * ratio[dr + dc]
+
+        tm, te = t_m[:, iq, :, None], t_e[:, iq, :, None]
+        cm, clo, chi = (w[:, iq, None, :] for w in (t_m, c_lo, c_hi))
+        # electric rows read the orbital J'-1 channel, electric columns
+        # the J-1 and J+1 channels
+        g[:, :, 0, :, 0] += tm * cm * part(0, 0)
+        g[:, :, 1, :, 0] += te * cm * part(-1, 0)
+        g[:, :, 0, :, 1] += tm * (clo * part(0, -1) + chi * part(0, 1))
+        g[:, :, 1, :, 1] += te * (clo * part(-1, -1) + chi * part(-1, 1))
+    # exact selection rule: the q and -q contributions cancel identically
+    # at m = 0, so suppress the rounding residue
+    g[0, :, 0, :, 1] = 0.0
+    g[0, :, 1, :, 0] = 0.0
+    live = np.arange(n)[None, :] >= np.maximum(1, ms)[:, None]
+    g *= (live[:, :, None, None, None] & live[:, None, None, :, None])
+    return g.reshape(n, 2 * n, 2 * n)
 
 
 def em_log_blocks(l_max, m, x, direction="12"):
@@ -274,78 +423,18 @@ def em_log_blocks(l_max, m, x, direction="12"):
     zero.  "MN" and "NM" vanish identically for m = 0.
     """
     _check_direction(direction)
-    if direction == "21":
-        # source on the -z side: every scalar element of composite order
-        # L+L' picks up (-1)^{L+L'}, which reduces to an entrywise parity
-        # factor together with a sign flip of the polarization-mixing blocks
-        fwd = em_log_blocks(l_max, m, x, "12")
-        jv = np.arange(l_max + 1)
-        par = np.where((jv[:, None] + jv[None, :]) % 2 == 0, 1.0, -1.0)
-        out = {}
-        for key, flip in (("MM", 1.0), ("MN", -1.0), ("NM", -1.0), ("NN", 1.0)):
-            s, lg = fwd[key]
-            out[key] = (s * par * flip, lg)
-        return out
-    m = int(m)
     n = l_max + 1
-    w0, wm, wp, a_r, b_r = _em_weights(l_max, m)
-    # scalar blocks at shifted projections, one order deeper for J+-1 slices,
-    # front-padded with a zero row/column so J-1 = -1 slices read as zero
-    ublocks = {}
-    for mu in {abs(m - 1), abs(m), abs(m + 1)}:
-        s, lg = u_log_block(l_max + 1, mu, x, "12")
-        sp = np.zeros((l_max + 3, l_max + 3))
-        lp = np.full((l_max + 3, l_max + 3), -np.inf)
-        sp[1:, 1:] = s
-        lp[1:, 1:] = lg
-        ublocks[mu] = (sp, lp)
-    jlo = max(1, abs(m))
-
-    def upart(mu, roff, coff):
-        s, lg = ublocks[abs(mu)]
-        return (s[1 + roff:1 + roff + n, 1 + coff:1 + coff + n],
-                lg[1 + roff:1 + roff + n, 1 + coff:1 + coff + n])
-
-    jv = np.arange(n, dtype=float)
-    a_o = -a_r[:n]
-    b_o = -b_r[:n]
-    blocks = {}
-    for key in ("MM", "MN", "NM", "NN"):
-        parts = []
-        for iq, q in enumerate((-1, 0, 1)):
-            mu = m - q
-            if key == "MM":
-                w_t = w0[iq, :n]
-                s, lg = upart(mu, 0, 0)
-                parts.append((np.outer(w_t, w0[iq, :n]), s, lg))
-            elif key == "NM":
-                w_t = wm[iq, :n] / np.where(a_r[:n] > 0, a_r[:n], 1.0)
-                s, lg = upart(mu, -1, 0)  # rows J'-1
-                parts.append((np.outer(w_t, w0[iq, :n]), s, lg))
-            elif key == "MN":
-                w_t = w0[iq, :n]
-                s, lg = upart(mu, 0, -1)  # cols J-1
-                parts.append((np.outer(w_t, a_o * wm[iq, :n]), s, lg))
-                s, lg = upart(mu, 0, +1)  # cols J+1
-                parts.append((np.outer(w_t, b_o * wp[iq, :n]), s, lg))
-            else:  # NN
-                w_t = wm[iq, :n] / np.where(a_r[:n] > 0, a_r[:n], 1.0)
-                s, lg = upart(mu, -1, -1)
-                parts.append((np.outer(w_t, a_o * wm[iq, :n]), s, lg))
-                s, lg = upart(mu, -1, +1)
-                parts.append((np.outer(w_t, b_o * wp[iq, :n]), s, lg))
-        sign, logmag = _signed_log_sum(parts)
-        if m == 0 and key in ("MN", "NM"):
-            # exact selection rule: the q and -q contributions cancel
-            # identically at m = 0, so suppress the rounding residue
-            sign = np.zeros_like(sign)
-            logmag = np.full_like(logmag, -np.inf)
-        sign[:jlo, :] = 0.0
-        sign[:, :jlo] = 0.0
-        logmag[:jlo, :] = -np.inf
-        logmag[:, :jlo] = -np.inf
-        blocks[key] = (sign, logmag)
-    return blocks
+    if abs(m) > l_max:
+        zero = (np.zeros((n, n)), np.full((n, n), -np.inf))
+        return {key: zero for key in ("MM", "MN", "NM", "NN")}
+    kern = node_kernel(l_max, x, em=True)
+    g = kern.oriented(direction)[abs(m)]
+    if m < 0:
+        # same-polarization blocks are even in m, mixing blocks odd
+        g = g * _mixing_sign(n)
+    return {prow + pcol: _signed_log_view(g[i::2, j::2],
+                                          kern.log_scale[i::2, j::2])
+            for i, prow in enumerate("MN") for j, pcol in enumerate("MN")}
 
 
 def u_em(l_out, l_in, m, kappa_d, direction="12"):

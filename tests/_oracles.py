@@ -256,3 +256,173 @@ def t_em_ref(eps, mu, l, z):
             den = eta * kt(zm) * wi(n * zm) - n * it(n * zm) * wk(zm)
             out.append(float(-(-1) ** l * (-num / den)))
         return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Translation blocks in signed-log form: a direct per-(l_max, m) evaluation
+# of the 3j sum over k_{l''}, with the electromagnetic blocks recoupled by
+# peak-shifted signed-log sums.  The production kernel must match these.
+# ---------------------------------------------------------------------------
+
+# (l_max, m) -> (sign int8, log|W|) arrays of shape (l_max+1, l_max+1,
+# 2*l_max+1) indexed [l_out, l_in, l'']; clear with translation_oracle_reset
+_W_LOG = {}
+
+
+def translation_oracle_reset():
+    _W_LOG.clear()
+
+
+def _w_log_tensor(l_max, m):
+    """W[l', l, l''] = (2l''+1) 3j(l l' l''; 0 0 0) 3j(l l' l''; m -m 0)."""
+    import numpy as np
+    from casphere.specfun import threej_family
+    key = (l_max, m)
+    hit = _W_LOG.get(key)
+    if hit is not None:
+        return hit
+    n = l_max + 1
+    nw = 2 * l_max + 1
+    sgn = np.zeros((n, n, nw), dtype=np.int8)
+    logw = np.full((n, n, nw), -np.inf)
+    for l_in in range(m, n):
+        for l_out in range(m, n):
+            jmin, f000 = threej_family(l_in, l_out, 0, 0)
+            if m == 0:
+                fm = f000
+            else:
+                jmin_m, fm = threej_family(l_in, l_out, m, -m)
+                assert jmin_m == jmin
+            w = f000 * fm
+            idx = np.arange(jmin, l_in + l_out + 1)
+            vals = w * (2.0 * idx + 1.0)
+            nz = vals != 0.0
+            sgn[l_out, l_in, idx[nz]] = np.sign(vals[nz]).astype(np.int8)
+            logw[l_out, l_in, idx[nz]] = np.log(np.abs(vals[nz]))
+    _W_LOG[key] = (sgn, logw)
+    return sgn, logw
+
+
+def u_log_block_ref(l_max, m, x, direction="12"):
+    """(sign, logmag) with sign * exp(logmag) = U^{direction}(m) e^{+x}."""
+    import numpy as np
+    from casphere.specfun import bessel_ik_half_chain
+    if direction == "21":
+        s, lg = u_log_block_ref(l_max, m, x, "12")
+        return s.T.copy(), lg.T.copy()
+    m = abs(m)
+    chain = bessel_ik_half_chain(2 * l_max, x)
+    logkt = chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
+    sgn, logw = _w_log_tensor(l_max, m)
+    terms = logw + logkt[None, None, :]
+    peak = np.max(terms, axis=2)
+    ok = np.isfinite(peak)
+    acc = np.zeros_like(peak)
+    safe_peak = np.where(ok, peak, 0.0)
+    with np.errstate(under="ignore"):
+        acc[ok] = np.sum(sgn * np.exp(terms - safe_peak[:, :, None]),
+                         axis=2)[ok]
+    # global prefactor -(-1)^{l_in} (-1)^m sqrt((2 l_in + 1)(2 l_out + 1))
+    lvec = np.arange(l_max + 1)
+    pref_sign = -np.where(lvec % 2 == 0, 1.0, -1.0) \
+        * (1.0 if m % 2 == 0 else -1.0)
+    halflog = 0.5 * np.log(2.0 * lvec + 1.0)
+    sign = np.sign(acc) * pref_sign[None, :]
+    with np.errstate(divide="ignore"):
+        logmag = np.where(acc != 0.0, np.log(np.abs(acc)), -np.inf) \
+            + peak + halflog[:, None] + halflog[None, :]
+    logmag[~ok] = -np.inf
+    sign[~ok] = 0.0
+    return sign, logmag
+
+
+def _signed_log_sum(parts):
+    """Sum [(coef, sign, logmag)] -> (sign, logmag) elementwise."""
+    import numpy as np
+    peak = None
+    for coef, sgn, lg in parts:
+        with np.errstate(invalid="ignore"):
+            cand = np.where(coef != 0.0, lg + np.log(np.abs(np.where(
+                coef != 0.0, coef, 1.0))), -np.inf)
+        peak = cand if peak is None else np.maximum(peak, cand)
+    ok = np.isfinite(peak)
+    safe = np.where(ok, peak, 0.0)
+    acc = np.zeros_like(peak)
+    for coef, sgn, lg in parts:
+        with np.errstate(under="ignore", invalid="ignore"):
+            term = np.where(sgn != 0, coef * sgn * np.exp(lg - safe), 0.0)
+        acc += term
+    sign = np.sign(acc)
+    with np.errstate(divide="ignore"):
+        logmag = np.where(acc != 0.0, np.log(np.abs(np.where(
+            acc != 0.0, acc, 1.0))) + peak, -np.inf)
+    logmag[~ok] = -np.inf
+    sign[~ok] = 0.0
+    return sign, logmag
+
+
+def em_log_blocks_ref(l_max, m, x, direction="12"):
+    """{"MM", "MN", "NM", "NN"} -> (sign, logmag) of G^{PP'} e^{+x}."""
+    import numpy as np
+    from casphere.translation import _em_weights
+    if direction == "21":
+        fwd = em_log_blocks_ref(l_max, m, x, "12")
+        jv = np.arange(l_max + 1)
+        par = np.where((jv[:, None] + jv[None, :]) % 2 == 0, 1.0, -1.0)
+        return {key: (fwd[key][0] * par * flip, fwd[key][1])
+                for key, flip in (("MM", 1.0), ("MN", -1.0), ("NM", -1.0),
+                                  ("NN", 1.0))}
+    m = int(m)
+    n = l_max + 1
+    w0, wm, wp, a_r, b_r = _em_weights(l_max, m)
+    ublocks = {}
+    for mu in {abs(m - 1), abs(m), abs(m + 1)}:
+        s, lg = u_log_block_ref(l_max + 1, mu, x, "12")
+        sp = np.zeros((l_max + 3, l_max + 3))
+        lp = np.full((l_max + 3, l_max + 3), -np.inf)
+        sp[1:, 1:] = s
+        lp[1:, 1:] = lg
+        ublocks[mu] = (sp, lp)
+    jlo = max(1, abs(m))
+
+    def upart(mu, roff, coff):
+        s, lg = ublocks[abs(mu)]
+        return (s[1 + roff:1 + roff + n, 1 + coff:1 + coff + n],
+                lg[1 + roff:1 + roff + n, 1 + coff:1 + coff + n])
+
+    a_o = -a_r[:n]
+    b_o = -b_r[:n]
+    blocks = {}
+    for key in ("MM", "MN", "NM", "NN"):
+        parts = []
+        for iq, q in enumerate((-1, 0, 1)):
+            mu = m - q
+            if key == "MM":
+                s, lg = upart(mu, 0, 0)
+                parts.append((np.outer(w0[iq, :n], w0[iq, :n]), s, lg))
+            elif key == "NM":
+                s, lg = upart(mu, -1, 0)
+                parts.append((np.outer(wm[iq, :n] / a_r[:n], w0[iq, :n]),
+                              s, lg))
+            elif key == "MN":
+                w_t = w0[iq, :n]
+                s, lg = upart(mu, 0, -1)
+                parts.append((np.outer(w_t, a_o * wm[iq, :n]), s, lg))
+                s, lg = upart(mu, 0, +1)
+                parts.append((np.outer(w_t, b_o * wp[iq, :n]), s, lg))
+            else:
+                w_t = wm[iq, :n] / a_r[:n]
+                s, lg = upart(mu, -1, -1)
+                parts.append((np.outer(w_t, a_o * wm[iq, :n]), s, lg))
+                s, lg = upart(mu, -1, +1)
+                parts.append((np.outer(w_t, b_o * wp[iq, :n]), s, lg))
+        sign, logmag = _signed_log_sum(parts)
+        if m == 0 and key in ("MN", "NM"):
+            sign = np.zeros_like(sign)
+            logmag = np.full_like(logmag, -np.inf)
+        sign[:jlo, :] = 0.0
+        sign[:, :jlo] = 0.0
+        logmag[:jlo, :] = -np.inf
+        logmag[:, :jlo] = -np.inf
+        blocks[key] = (sign, logmag)
+    return blocks

@@ -15,6 +15,7 @@ from casphere.energy import (
     QuadSpec,
     REAL_SCALAR,
     _accumulate_block,
+    _history_nbody,
     _leading_lndets,
     casimir_energy,
     casimir_energy_nbody,
@@ -31,6 +32,7 @@ from casphere.tmatrix import (
     SphereSpec,
     t_scalar_imag,
 )
+import casphere.translation as translation
 from casphere.translation import u_log_block
 
 R = 1.0
@@ -382,3 +384,46 @@ def test_suggest_l_max_bounds_and_ordering():
     near = suggest_l_max(pair(DIR, DIR, 3.0), "scalar-real")
     far = suggest_l_max(pair(DIR, DIR, 10.0), "scalar-real")
     assert 6 <= far <= near <= 40
+
+
+# ---------------------------------------------------------------------------
+# translation work per quadrature node
+# ---------------------------------------------------------------------------
+
+def _count_translation_chains(monkeypatch):
+    calls = []
+    chain = translation.bessel_ik_half_chain
+
+    def counted(l_max, z):
+        calls.append((l_max, z))
+        return chain(l_max, z)
+    monkeypatch.setattr(translation, "bessel_ik_half_chain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field,sphere", [("scalar-real", DIR), ("em", PEC)])
+def test_one_translation_chain_per_node(monkeypatch, field, sphere):
+    calls = _count_translation_chains(monkeypatch)
+    integrand(pair(sphere, sphere, 3.0), field, 0.8, 8)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field,law", [("scalar-real", Dirichlet()),
+                                       ("em", PerfectConductor())])
+def test_nbody_node_builds_one_chain_per_distance(monkeypatch, field, law):
+    sph = SphereSpec(R, law)
+    calls = _count_translation_chains(monkeypatch)
+    _history_nbody(Geometry((sph, sph, sph), (0.0, 3.0, 6.0)),
+                   FieldKind(field), 0.8, 4)
+    assert sorted(z for _, z in calls) == [0.8 * 3.0, 0.8 * 6.0]
+
+
+def test_w_kernel_is_one_array_for_the_largest_order(monkeypatch):
+    monkeypatch.setattr(translation, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+    g = pair(DIR, DIR, 3.0)
+    for l_max in (5, 33, 9):
+        integrand(g, REAL_SCALAR, 0.8, l_max)
+    caches = [k for k, v in vars(translation).items()
+              if not k.startswith("__") and isinstance(v, (np.ndarray, dict))]
+    assert caches == ["_W_KERNEL"]
+    assert translation._W_KERNEL.shape == (34, 34, 34, 34)

@@ -11,6 +11,7 @@ from casphere.specfun import bessel_ik_half_chain
 from casphere.translation import (
     TranslationBlock,
     em_log_blocks,
+    node_kernel,
     translation_block,
     translation_block_em,
     u_em,
@@ -113,6 +114,88 @@ def test_scalar_finite_and_decay(l_out, l_in, m, x):
     assert math.isfinite(v)
     if abs(m) > min(l_out, l_in):
         assert v == 0.0
+
+
+# ---------------------------------------------------------------------------
+# node kernel against the direct signed-log evaluation
+# ---------------------------------------------------------------------------
+#
+# Compared in scaled form, S = U e^x / (k_{l'+l}(x) e^x) (EM: divided by
+# k_{J'+J+1}), with an absolute tolerance: at large x the high-m entries
+# cancel to ~1e-16 of their terms in both evaluations, so their relative
+# difference is rounding noise.  An EM entry is a sum of scalar entries
+# with O(1) weights and ratios <= 1, so its scale is the largest scalar
+# entry feeding the block.
+
+KERNEL_X = (1e-6, 1e-3, 0.1, 1.0, 30.0, 800.0)
+
+
+@pytest.fixture
+def oracle_cache():
+    yield
+    orc.translation_oracle_reset()
+
+
+def _scaled(sign, logmag, log_scale):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        return np.where(sign != 0.0, sign * np.exp(logmag - log_scale), 0.0)
+
+
+def _assert_close(new, ref, scale):
+    tol = max(1e-12 * scale, 1e-14)
+    assert np.max(np.abs(new - ref)) <= tol
+
+
+@pytest.mark.parametrize("l_max", [1, 8, 33, 40])
+def test_scalar_kernel_matches_signed_log_oracle(l_max, oracle_cache):
+    for x in KERNEL_X:
+        kern = node_kernel(l_max, x)
+        assert kern.blocks.shape == (l_max + 1,) * 3
+        for direction in ("12", "21"):
+            blocks = kern.oriented(direction)
+            for m in range(l_max + 1):
+                ref = _scaled(*orc.u_log_block_ref(l_max, m, x, direction),
+                              kern.log_scale)
+                _assert_close(blocks[m], ref, np.max(np.abs(blocks[m])))
+
+
+@pytest.mark.parametrize("l_max", [1, 8, 33, 40])
+def test_em_kernel_matches_signed_log_oracle(l_max, oracle_cache):
+    for x in KERNEL_X:
+        kern = node_kernel(l_max, x, em=True)
+        feed = np.max(np.abs(node_kernel(l_max + 1, x).blocks), axis=(1, 2))
+        for direction in ("12", "21"):
+            blocks = kern.oriented(direction)
+            for m in range(l_max + 1):
+                # the oracle's np.where also evaluates (and discards) exp
+                # of entries with a zero sign, which may overflow
+                with np.errstate(over="ignore"):
+                    ref = orc.em_log_blocks_ref(l_max, m, x, direction)
+                scale = np.max(feed[abs(m - 1):m + 2])
+                for i, prow in enumerate("MN"):
+                    for j, pcol in enumerate("MN"):
+                        _assert_close(
+                            blocks[m][i::2, j::2],
+                            _scaled(*ref[prow + pcol],
+                                    kern.log_scale[i::2, j::2]), scale)
+
+
+def test_kernel_views_and_bounded_scale():
+    # the public signed-log views are the kernel's entries, and the 3j
+    # orthogonality bounds |S_{l'l}| by sqrt((2l+1)(2l'+1)) at every x
+    lv = np.arange(13)
+    bound = np.sqrt(np.outer(2 * lv + 1, 2 * lv + 1)) * (1 + 1e-12)
+    for x in KERNEL_X:
+        kern = node_kernel(12, x)
+        assert np.all(np.abs(kern.blocks) <= bound)
+        s, lg = u_log_block(12, 3, x, "21")
+        assert np.allclose(_scaled(s, lg, kern.log_scale),
+                           kern.oriented("21")[3], rtol=1e-13, atol=0)
+        kem = node_kernel(12, x, em=True)
+        assert np.all(np.isfinite(kem.blocks))
+        s, lg = em_log_blocks(12, -2, x, "12")["NM"]
+        assert np.allclose(_scaled(s, lg, kem.log_scale[1::2, 0::2]),
+                           -kem.blocks[2][1::2, 0::2], rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
