@@ -23,6 +23,7 @@ from .energy import (
     EnergyEstimate,
     FieldKind,
     Geometry,
+    PivotFallbackWarning,
     QuadSpec,
     casimir_energy,
     casimir_energy_nbody,
@@ -66,6 +67,7 @@ __all__ = [
     "PHI0_LIKE",
     "PHI0_UNLIKE",
     "PerfectConductor",
+    "PivotFallbackWarning",
     "QuadSpec",
     "RatioCurve",
     "REAL_SCALAR",

@@ -13,9 +13,19 @@ multipole orders at small and large kappa stay representable.  Every
 m-independent log of a quadrature node is summed and exponentiated once
 per sphere pair, and the per-m work is a product of O(1) floats feeding
 the final determinants.
+
+The per-l cuts of every m-block are leading principal minors of 1 - N_m,
+and all m-blocks of a node are eliminated together.  They are written
+into one zero-padded stack, largest first, each in the trailing
+(bottom-right) corner of its slot: the padding then acts as identity
+rows, the blocks still being eliminated at any row form a prefix of the
+stack, and each one's update window is exactly its own trailing
+submatrix, so no work is spent on padding.  One loop over rows serves
+every m.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +44,7 @@ from .translation import node_kernel, u_log_block  # noqa: F401
 
 __all__ = [
     "DomainError",
+    "PivotFallbackWarning",
     "FieldKind",
     "REAL_SCALAR",
     "COMPLEX_SCALAR",
@@ -51,6 +62,16 @@ __all__ = [
 
 class DomainError(RuntimeError):
     """det(1 - N) lost positivity: overlap or convention breakage."""
+
+
+class PivotFallbackWarning(RuntimeWarning):
+    """A block's leading minors came from the pivoted slogdet fallback.
+
+    The unpivoted elimination met a pivot of 1 - N below 1e-13 or not
+    finite; the block's minors were recomputed by pivoted slogdet, one
+    leading minor at a time.  Never raised in the physical regime, where
+    1 - N is strongly diagonally dominated.
+    """
 
 
 _PREFACTORS = {
@@ -192,33 +213,60 @@ def _check_field_laws(geometry, fld):
                             "got %r" % (sp.law,))
 
 
-def _leading_lndets(nmat):
-    """(signs, lndets) of the leading principal minors of 1 - nmat.
+def _stack_lndets(stack, sizes, rebuild):
+    """(signs, lndets) of the leading principal minors of 1 - B for
+    every block B of a padded stack, each of shape (len(stack), n).
 
-    Pivot-free elimination carried in the small matrix B ~ N: the k-th
-    pivot is 1 - b_kk, accumulated through log1p so the result keeps
-    full relative accuracy even when N is ~1e-12 (far separations).
-    The k-th pivot product is exactly the k-th leading minor.  Falls
-    back to pivoted slogdet if a pivot degenerates (never happens in
-    the physical regime, where 1 - N is strongly diagonally dominated).
+    Block i of size sizes[i] sits in the trailing (bottom-right) corner
+    of stack[i]; sizes never increase along the stack.  The padding
+    rows and columns in front of a block are never read: they act as
+    identity rows of 1 - B, so the blocks still being eliminated at row
+    k are a prefix of the stack and each one's update window is exactly
+    its own trailing submatrix.  The leading rows of the result belong
+    to the padding (sign 1, lndet 0).
+
+    The elimination is pivot-free and carried in B ~ N: the k-th pivot
+    is 1 - b_kk, accumulated through log1p so the result keeps full
+    relative accuracy even when N is ~1e-12 (far separations).  The
+    stack is overwritten.  A block meeting a degenerate pivot is zeroed,
+    rebuilt alone by `rebuild(i)` and handed to the pivoted fallback
+    with a PivotFallbackWarning.
     """
-    n = nmat.shape[0]
-    b = nmat.copy()
-    signs = np.empty(n)
-    lndets = np.empty(n)
-    sign = 1.0
-    acc = 0.0
+    nb, n, _ = stack.shape
+    first = n - np.asarray(sizes)
+    active = np.searchsorted(first, np.arange(n), side="right")
+    fallback = []
     for k in range(n):
-        bkk = b[k, k]
-        piv = 1.0 - bkk
-        if not np.isfinite(piv) or abs(piv) < 1e-13:
-            return _leading_lndets_pivoted(nmat)
-        sign *= 1.0 if piv > 0 else -1.0
-        acc += math.log1p(-bkk) if piv > 0 else math.log(-piv)
-        signs[k] = sign
-        lndets[k] = acc
+        act = stack[:active[k]]
+        piv = 1.0 - act[:, k, k]
+        bad = ~np.isfinite(piv) | (np.abs(piv) < 1e-13)
+        if bad.any():
+            # the zeroed block eliminates as the identity from here on
+            act[bad] = 0.0
+            piv[bad] = 1.0
+            fallback.extend(np.flatnonzero(bad).tolist())
         if k + 1 < n:
-            b[k + 1:, k + 1:] += np.outer(b[k + 1:, k], b[k, k + 1:]) / piv
+            # the elementwise order of outer(col, row) / piv
+            act[:, k + 1:, k + 1:] += (act[:, k + 1:, k, None]
+                                       * act[:, None, k, k + 1:]) \
+                / piv[:, None, None]
+    bkk = np.diagonal(stack, axis1=1, axis2=2)
+    piv = 1.0 - bkk
+    own = np.arange(n) >= first[:, None]
+    terms = np.zeros((nb, n))
+    # math.log1p, not np.log1p: numpy's SIMD log1p differs in the last ulp
+    terms[own] = [math.log1p(-b) if p > 0 else math.log(-p)
+                  for b, p in zip(bkk[own].tolist(), piv[own].tolist())]
+    signs = np.where(np.cumsum((piv < 0.0) & own, axis=1) % 2 == 1,
+                     -1.0, 1.0)
+    lndets = np.cumsum(terms, axis=1)
+    for i in fallback:
+        warnings.warn("pivot fallback in block %d of %d (size %d)"
+                      % (i, nb, sizes[i]), PivotFallbackWarning)
+        signs[i], lndets[i] = 1.0, 0.0
+        own_rows = slice(first[i], None)
+        signs[i, own_rows], lndets[i, own_rows] = \
+            _leading_lndets_pivoted(rebuild(i)[own_rows, own_rows])
     return signs, lndets
 
 
@@ -234,22 +282,28 @@ def _leading_lndets_pivoted(nmat):
     return signs, lndets
 
 
-def _accumulate_block(history, nmat, l_lo, weight, stride=1):
-    """Add weighted lndets of the per-l cuts of 1 - nmat to history.
+def _m_history(signs, lndets, stride, l_min):
+    """History vector sum_m w_m lndet(1 - N_m) at every cut l.
 
-    nmat is ordered l-major with `stride` rows per orbital order, so
-    the cut at order l is the leading principal minor of size
-    stride*(l - l_lo + 1); positivity is asserted at those cuts only
-    (staircase minors in between carry no physical meaning).
+    Row m of signs and lndets is the m-block of `_stack_lndets`, l-major
+    with `stride` rows per orbital order and padded to the size of the
+    largest block, so the cut at order l is the leading minor of size
+    stride*(l - l_min + 1) in every row.  Positivity is asserted at
+    those cuts only (staircase minors in between carry no physical
+    meaning).  The +-m blocks are equal: m > 0 is weighted twice.
     """
-    signs, lndets = _leading_lndets(nmat)
-    cut = lndets[stride - 1::stride]
-    if np.any(signs[stride - 1::stride] <= 0.0) \
+    cut = lndets[:, stride - 1::stride]
+    if np.any(signs[:, stride - 1::stride] <= 0.0) \
             or not np.all(np.isfinite(cut)):
         raise DomainError(
             "det(1 - N) lost positivity; spectral radius >= 1 "
             "(check for overlap or invalid parameters)")
-    history[l_lo:l_lo + len(cut)] += weight * cut
+    weights = np.full((len(cut), 1), 2.0)
+    weights[0] = 1.0
+    hist = np.zeros(l_min + cut.shape[1])
+    # accumulate runs sequentially over m, the order of per-block sums
+    hist[l_min:] += np.add.accumulate(weights * cut)[-1]
+    return hist
 
 
 def _t_log(sphere, fld, l_max, kappa):
@@ -267,6 +321,43 @@ def _per_pol(arr, pol):
     for axis in range(arr.ndim):
         arr = np.repeat(arr, pol, axis)
     return arr
+
+
+def _node_stack(pairs, nsph, pol, l_min, ms):
+    """The m-blocks N_m of one node for m in the slice ms, padded.
+
+    pairs holds (a, b, scale, u): the (sphere a, sphere b) block of N_m
+    is scale * u[m].  Rows and columns run l-major over l >= l_min with
+    (sphere, polarization) inside each order, so every sphere cut at
+    order l is a leading principal submatrix.  Block m proper covers
+    l >= max(m, l_min), the trailing corner of its slot; the orders
+    below it are padding (see `_stack_lndets`).
+    """
+    l_max = pairs[0][2].shape[0] // pol - 1
+    nl = l_max + 1 - l_min
+    lo = pol * l_min
+    nm = len(range(l_max + 1)[ms])
+    stack = np.zeros((nm, nl, nsph, pol, nl, nsph, pol))
+    for a, b, scale, u in pairs:
+        np.multiply(scale[lo:, lo:].reshape(nl, pol, nl, pol),
+                    u[ms, lo:, lo:].reshape(-1, nl, pol, nl, pol),
+                    out=stack[:, :, a, :, :, b, :])
+    n = nl * nsph * pol
+    return stack.reshape(nm, n, n)
+
+
+def _node_history(pairs, nsph, pol, l_max, l_min):
+    """History vector of one node from its (sphere, sphere) blocks.
+
+    Every m-block is eliminated at once in one padded stack; a block
+    sent to the pivoted fallback is rebuilt alone from `pairs`.
+    """
+    stride = nsph * pol
+    sizes = stride * (l_max + 1 - np.maximum(np.arange(l_max + 1), l_min))
+    signs, lndets = _stack_lndets(
+        _node_stack(pairs, nsph, pol, l_min, slice(None)), sizes,
+        lambda m: _node_stack(pairs, nsph, pol, l_min, slice(m, m + 1))[0])
+    return _m_history(signs, lndets, stride, l_min)
 
 
 def _history_pair(geometry, fld, kappa, l_max):
@@ -288,24 +379,12 @@ def _history_pair(geometry, fld, kappa, l_max):
             s, g = _t_log(sp, fld, l_max, kappa)
             scale.append(rd * s[:, None] * np.exp(
                 (g + peel_t)[:, None] + kern.log_scale + peel_u))
-    u12, u21 = kern.oriented("12"), kern.oriented("21")
-    hist = np.zeros(l_max + 1)
-    l_min = 1 if fld.is_em else 0
-    for m in range(l_max + 1):
-        l_lo = max(m, l_min)
-        k = l_max + 1 - l_lo
-        sl = slice(pol * l_lo, None)
-        # alternant embedding with 2*pol rows per l: the order-l cut of
-        # det([[1, -P],[-Q, 1]]) is det(1 - P_l Q_l) with both one-bounce
-        # factors and all polarizations truncated consistently
-        big = np.zeros((k, 2, pol, k, 2, pol))
-        big[:, 0, :, :, 1, :] = (scale[0][sl, sl] * u12[m][sl, sl]).reshape(
-            k, pol, k, pol)
-        big[:, 1, :, :, 0, :] = (scale[1][sl, sl] * u21[m][sl, sl]).reshape(
-            k, pol, k, pol)
-        _accumulate_block(hist, big.reshape(2 * pol * k, 2 * pol * k), l_lo,
-                          1.0 if m == 0 else 2.0, stride=2 * pol)
-    return hist
+    # alternant embedding with 2*pol rows per l: the order-l cut of
+    # det([[1, -P],[-Q, 1]]) is det(1 - P_l Q_l) with both one-bounce
+    # factors and all polarizations truncated consistently
+    pairs = [(0, 1, scale[0], kern.oriented("12")),
+             (1, 0, scale[1], kern.oriented("21"))]
+    return _node_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)
 
 
 def integrand(geometry, field_kind, kappa, l_max):
@@ -451,27 +530,7 @@ def _history_nbody(geometry, fld, kappa, l_max):
                                              + pw + expo)
                 direction = "12" if centers[b] > centers[a] else "21"
                 pairs.append((a, b, scale, kern.oriented(direction)))
-    hist = np.zeros(l_max + 1)
-    l_min = 1 if fld.is_em else 0
-    for m in range(l_max + 1):
-        l_lo = max(m, l_min)
-        nl = l_max + 1 - l_lo
-        if nl <= 0:
-            break
-        nb = nl * p
-        sl = slice(p * l_lo, None)
-        big = np.zeros((nsph * nb, nsph * nb))
-        for a, b, scale, u in pairs:
-            big[a * nb:(a + 1) * nb, b * nb:(b + 1) * nb] = \
-                scale[sl, sl] * u[m][sl, sl]
-        # l-major reordering turns "every sphere restricted to
-        # l <= cut" into a leading principal submatrix
-        perm = np.concatenate([
-            np.arange(a * nb + li * p, a * nb + (li + 1) * p)
-            for li in range(nl) for a in range(nsph)])
-        _accumulate_block(hist, big[np.ix_(perm, perm)], l_lo,
-                          1.0 if m == 0 else 2.0, stride=nsph * p)
-    return hist
+    return _node_history(pairs, nsph, p, l_max, 1 if fld.is_em else 0)
 
 
 def casimir_energy_nbody(geometry, field_kind, l_max, quad=QuadSpec()):

@@ -426,3 +426,37 @@ def em_log_blocks_ref(l_max, m, x, direction="12"):
         logmag[:, :jlo] = -np.inf
         blocks[key] = (sign, logmag)
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# leading-minor determinants: the per-matrix rank-1 elimination
+# ---------------------------------------------------------------------------
+
+def leading_lndets_ref(nmat):
+    """(signs, lndets) of the leading principal minors of 1 - nmat.
+
+    One matrix at a time, one rank-1 `np.outer` update per row, with the
+    pivot logs accumulated through math.log1p; a pivot below 1e-13 or
+    not finite falls back to slogdet of every leading minor.
+    """
+    import numpy as np
+    n = nmat.shape[0]
+    b = nmat.copy()
+    signs = np.empty(n)
+    lndets = np.empty(n)
+    sign = 1.0
+    acc = 0.0
+    for k in range(n):
+        bkk = b[k, k]
+        piv = 1.0 - bkk
+        if not np.isfinite(piv) or abs(piv) < 1e-13:
+            a = np.eye(n) - nmat
+            return tuple(np.array(v) for v in zip(*(
+                np.linalg.slogdet(a[:j + 1, :j + 1]) for j in range(n))))
+        sign *= 1.0 if piv > 0 else -1.0
+        acc += math.log1p(-bkk) if piv > 0 else math.log(-piv)
+        signs[k] = sign
+        lndets[k] = acc
+        if k + 1 < n:
+            b[k + 1:, k + 1:] += np.outer(b[k + 1:, k], b[k, k + 1:]) / piv
+    return signs, lndets

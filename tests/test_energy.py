@@ -1,10 +1,13 @@
 """Tests for the energy module: assembly, quadrature, extrapolation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import _oracles as orc
+import casphere.energy as energy
 from casphere.energy import (
     COMPLEX_SCALAR,
     DomainError,
@@ -12,11 +15,14 @@ from casphere.energy import (
     EnergyEstimate,
     FieldKind,
     Geometry,
+    PivotFallbackWarning,
     QuadSpec,
     REAL_SCALAR,
-    _accumulate_block,
     _history_nbody,
-    _leading_lndets,
+    _history_pair,
+    _m_history,
+    _node_stack,
+    _stack_lndets,
     casimir_energy,
     casimir_energy_nbody,
     extrapolate,
@@ -204,11 +210,36 @@ def test_block_decomposition_full_det():
 # leading-minor determinants
 # ---------------------------------------------------------------------------
 
+def _one_block(a):
+    """_stack_lndets of a stack holding the single block a."""
+    signs, lndets = _stack_lndets(a[None].copy(), [a.shape[0]], None)
+    return signs[0], lndets[0]
+
+
+def _padded_stack(blocks):
+    """Blocks of non-increasing size in the trailing corners of a stack;
+    the padding, which must never be read, is NaN."""
+    n = blocks[0].shape[0]
+    stack = np.full((len(blocks), n, n), np.nan)
+    for slot, b in zip(stack, blocks):
+        slot[n - len(b):, n - len(b):] = b
+    return stack
+
+
+def _assert_equals_oracle(signs, lndets, block):
+    first = len(signs) - len(block)
+    ref_signs, ref_lndets = orc.leading_lndets_ref(block)
+    assert np.all(signs[first:] == ref_signs)
+    assert np.all(lndets[first:] == ref_lndets)
+    # the padding rows are identity rows of 1 - B
+    assert np.all(signs[:first] == 1.0) and np.all(lndets[:first] == 0.0)
+
+
 def test_leading_lndets_matches_slogdet():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((8, 8))
     a *= 0.9 / max(abs(np.linalg.eigvals(a)))
-    signs, lndets = _leading_lndets(a)
+    signs, lndets = _one_block(a)
     for k in range(8):
         sgn, ld = np.linalg.slogdet(np.eye(k + 1) - a[:k + 1, :k + 1])
         assert signs[k] == sgn
@@ -219,14 +250,94 @@ def test_leading_lndets_tiny_matrix_precision():
     # lndet(1 - eps A) ~ -eps tr A must keep full relative accuracy
     rng = np.random.default_rng(11)
     a = 1e-12 * rng.standard_normal((6, 6))
-    _, lndets = _leading_lndets(a)
+    _, lndets = _one_block(a)
     assert lndets[-1] == pytest.approx(-np.trace(a), rel=1e-9)
 
 
+@pytest.mark.parametrize("stride", [1, 2, 4, 6])
+def test_stack_lndets_equals_per_matrix_oracle(stride):
+    rng = np.random.default_rng(stride)
+    orders = (6, 6, 5, 3, 3, 1)
+    scales = (0.3, 1e-12, 0.3, 2.0, 1e-12, 0.3)
+    blocks = [scale / math.sqrt(stride * k)
+              * rng.standard_normal((stride * k, stride * k))
+              for k, scale in zip(orders, scales)]
+    # a negative first pivot takes the log(-piv) branch
+    blocks[2][0, 0] = 1.5
+    signs, lndets = _stack_lndets(_padded_stack(blocks),
+                                  [len(b) for b in blocks], None)
+    assert np.any(signs < 0.0)
+    for i, b in enumerate(blocks):
+        _assert_equals_oracle(signs[i], lndets[i], b)
+
+
+def test_pivot_fallback_is_per_block_and_loud():
+    rng = np.random.default_rng(5)
+    blocks = [0.1 * rng.standard_normal((k, k)) for k in (6, 4, 2)]
+    # 1 - B with an exactly zero first pivot and positive minors at the
+    # stride-2 cuts (block lower triangular: det = 1 * det of the rest)
+    a = np.eye(4)
+    a[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    a[2:, :] += 0.1 * rng.standard_normal((2, 4))
+    blocks[1] = np.eye(4) - a
+    padded = _padded_stack(blocks)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="warn"):
+            signs, lndets = _stack_lndets(padded.copy(), [6, 4, 2],
+                                          lambda i: padded[i].copy())
+    assert [w.category for w in caught] == [PivotFallbackWarning]
+    for k in range(4):
+        sgn, ld = np.linalg.slogdet(a[:k + 1, :k + 1])
+        assert signs[1, 2 + k] == sgn and lndets[1, 2 + k] == ld
+    assert signs[1, 3] > 0.0 and signs[1, 5] > 0.0
+    for i in (0, 2):
+        _assert_equals_oracle(signs[i], lndets[i], blocks[i])
+
+
 def test_domain_error_on_lost_positivity():
-    hist = np.zeros(1)
     with pytest.raises(DomainError):
-        _accumulate_block(hist, np.array([[2.0]]), 0, 1.0)
+        _m_history(*_stack_lndets(np.array([[[2.0]]]), [1], None), 1, 0)
+
+
+def test_domain_error_when_only_the_last_block_loses_positivity():
+    rng = np.random.default_rng(3)
+    blocks = [0.1 * rng.standard_normal((k, k)) for k in (6, 4, 2)]
+    # cut minor (1 - 0.1) * (1 - 3) < 0 in the smallest block only
+    blocks[2] = np.diag([0.1, 3.0])
+    signs, lndets = _stack_lndets(_padded_stack(blocks), [6, 4, 2], None)
+    _m_history(signs[:2], lndets[:2], 2, 0)
+    with pytest.raises(DomainError):
+        _m_history(signs, lndets, 2, 0)
+
+
+@pytest.mark.parametrize("history,field,geometry,l_max", [
+    (_history_pair, "scalar-real", pair(DIR, NEU, 3.0), 6),
+    (_history_pair, "em", pair(PEC, SphereSpec(0.6, Dielectric(4.0, 1.0)),
+                               2.5), 5),
+    (_history_nbody, "scalar-real",
+     Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)), 4),
+    (_history_nbody, "em", Geometry((PEC, PEC, PEC), (0.0, 3.0, 6.0)), 2),
+])
+def test_node_history_equals_per_block_oracle(monkeypatch, history, field,
+                                              geometry, l_max):
+    calls = []
+    node_history = energy._node_history
+    monkeypatch.setattr(energy, "_node_history",
+                        lambda *args: calls.append(args)
+                        or node_history(*args))
+    hist = history(geometry, FieldKind(field), 0.8, l_max)
+    (pairs, nsph, pol, l_max, l_min), = calls
+    stride = nsph * pol
+    # one m-block at a time, summed in m order as the weighted cuts
+    ref = np.zeros(l_max + 1)
+    for m in range(l_max + 1):
+        lo = max(m, l_min)
+        first = stride * (lo - l_min)
+        block = _node_stack(pairs, nsph, pol, l_min, slice(m, m + 1))[0]
+        _, lndets = orc.leading_lndets_ref(block[first:, first:])
+        ref[lo:] += (1.0 if m == 0 else 2.0) * lndets[stride - 1::stride]
+    assert np.array_equal(hist, ref)
 
 
 # ---------------------------------------------------------------------------
