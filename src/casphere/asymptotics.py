@@ -43,6 +43,9 @@ from .tmatrix import (
     Neumann,
     PerfectConductor,
     Robin,
+    _alpha_hat,
+    _gamma13_hat,
+    _gamma14_hat,
     is_scalar_law,
     t_scalar_series_fractions,
 )
@@ -494,19 +497,6 @@ def _em_t_slots_pec(r_cap, l_cut):
             slots[(jj, pol)] = {(lead + k, lead + k): c
                                 for k, c in enumerate(coeffs) if c != 0}
     return slots
-
-
-def _alpha_hat(x, l):
-    """Static multipole response (x-1)/(x+(l+1)/l), radius scaled out."""
-    return (x - 1) / (x + Fraction(l + 1, l))
-
-
-def _gamma13_hat(x, y):
-    return -Fraction(4 + x * (y * x + x - 6)) / (5 * (x + 2) ** 2)
-
-
-def _gamma14_hat(x):
-    return Fraction(4, 9) * ((x - 1) / (x + 2)) ** 2
 
 
 def _em_t_slots_dielectric(eps, mu):

@@ -1,11 +1,14 @@
 """Exact Casimir interaction energies between spheres.
 
 The energy is an integral over imaginary wavenumber kappa of
-ln det(1 - N(kappa)), where the round-trip operator N chains the
-spheres' T-matrices with translation blocks between their centers.
-Azimuthal symmetry makes N block diagonal in m, and each m-block is
-truncated at orbital order l; the per-l truncations converge
-exponentially and are extrapolated to the exact value.
+ln det(1 - N(kappa)), where N couples every pair of spheres a != b
+through the T-matrix of sphere a and the translation block from b to a.
+Each sphere's shape and material enter only through its T-matrix, so
+two spheres are the N = 2 case of the same block determinant, and one
+assembly serves every sphere count.  Azimuthal symmetry makes N block
+diagonal in m, and each m-block is truncated at orbital order l; the
+per-l truncations converge exponentially and are extrapolated to the
+exact value.
 
 T-matrix diagonals arrive in signed-log form and translation blocks as
 bounded floats times a logged k-factor (see `translation`), so deep
@@ -203,7 +206,16 @@ class EnergyEstimate:
     extrap_error: float = math.nan
 
 
-def _check_field_laws(geometry, fld):
+def _l_min(fld):
+    """Lowest orbital order: EM multipoles start at l = 1."""
+    return 1 if fld.is_em else 0
+
+
+def _checked_field(geometry, field_kind, l_max):
+    """The FieldKind of an energy request, after the checks every entry
+    point shares: each sphere's law suits the field, and l_max reaches
+    the lowest orbital order."""
+    fld = _as_field(field_kind)
     for sp in geometry.spheres:
         if fld.is_em and not is_em_law(sp.law):
             raise TypeError("EM field requires dielectric/PEC spheres, "
@@ -211,6 +223,9 @@ def _check_field_laws(geometry, fld):
         if not fld.is_em and not is_scalar_law(sp.law):
             raise TypeError("scalar field requires Robin-family spheres, "
                             "got %r" % (sp.law,))
+    if l_max < _l_min(fld):
+        raise ValueError("l_max must be >= %d" % _l_min(fld))
+    return fld
 
 
 def _stack_lndets(stack, sizes, rebuild):
@@ -360,31 +375,45 @@ def _node_history(pairs, nsph, pol, l_max, l_min):
     return _m_history(signs, lndets, stride, l_min)
 
 
-def _history_pair(geometry, fld, kappa, l_max):
-    sp1, sp2 = geometry.spheres
-    d = geometry.d
+def _history(geometry, fld, kappa, l_max):
+    """History vector of one node: lndet of 1 - K at every cut l.
+
+    K_ab = T^a U^ab for spheres a != b; the block matrix runs l-major
+    over (l, sphere, polarization), and two spheres are its N = 2 case.
+    A diagonal similarity e^{-kappa R_a} (kappa c)^{-l} balances every
+    entry, with the same determinant.  Pairs at the same distance share
+    one translation kernel, read in either direction through
+    `NodeKernel.oriented`.
+    """
+    spheres = geometry.spheres
+    centers = geometry.centers
+    nsph = len(spheres)
     pol = 2 if fld.is_em else 1
-    logkb = 0.5 * (math.log(kappa * 0.5 * (sp1.radius + sp2.radius))
-                   + math.log(kappa * d))
+    c_len = max(sp.radius for sp in spheres)
     lv = np.arange(l_max + 1, dtype=float)
-    peel_t = _per_pol(-(2.0 * lv + 1.0) * logkb, pol)
-    peel_u = _per_pol((lv[:, None] + lv[None, :] + 1.0) * logkb, pol)
-    kern = node_kernel(l_max, kappa * d, fld.is_em)
-    # damping split over the two one-bounce factors
-    rd = math.exp(-kappa * geometry.surface_gap)
+    pw = _per_pol((lv[None, :] - lv[:, None]) * math.log(kappa * c_len), pol)
+    tlogs = [_t_log(sp, fld, l_max, kappa) for sp in spheres]
+    kernels = {}
+    pairs = []
     with np.errstate(under="ignore"):
-        # every m-independent factor of the two one-bounce blocks
-        scale = []
-        for sp in (sp1, sp2):
-            s, g = _t_log(sp, fld, l_max, kappa)
-            scale.append(rd * s[:, None] * np.exp(
-                (g + peel_t)[:, None] + kern.log_scale + peel_u))
-    # alternant embedding with 2*pol rows per l: the order-l cut of
-    # det([[1, -P],[-Q, 1]]) is det(1 - P_l Q_l) with both one-bounce
-    # factors and all polarizations truncated consistently
-    pairs = [(0, 1, scale[0], kern.oriented("12")),
-             (1, 0, scale[1], kern.oriented("21"))]
-    return _node_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)
+        for a in range(nsph):
+            for b in range(nsph):
+                if a == b:
+                    continue
+                dab = abs(centers[b] - centers[a])
+                kern = kernels.get(dab)
+                if kern is None:
+                    kern = kernels[dab] = node_kernel(l_max, kappa * dab,
+                                                      fld.is_em)
+                sa, ga = tlogs[a]
+                # exponent: T(scaled)*e^{2 z_a} * U(scaled)*e^{-x},
+                # similarity e^{-k R_a + k R_b} (kc)^{l'-l}
+                expo = kappa * (spheres[a].radius + spheres[b].radius - dab)
+                scale = sa[:, None] * np.exp(ga[:, None] + kern.log_scale
+                                             + pw + expo)
+                direction = "12" if centers[b] > centers[a] else "21"
+                pairs.append((a, b, scale, kern.oriented(direction)))
+    return _node_history(pairs, nsph, pol, l_max, _l_min(fld))
 
 
 def integrand(geometry, field_kind, kappa, l_max):
@@ -393,16 +422,12 @@ def integrand(geometry, field_kind, kappa, l_max):
     The +-m blocks are equal; m > 0 is computed once and doubled.  A
     spectral radius of N_m at or above 1 raises DomainError.
     """
-    fld = _as_field(field_kind)
     if geometry.n_spheres != 2:
         raise ValueError("integrand is defined for two-sphere geometries")
-    _check_field_laws(geometry, fld)
+    fld = _checked_field(geometry, field_kind, l_max)
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    l_min = 1 if fld.is_em else 0
-    if l_max < l_min:
-        raise ValueError("l_max must be >= %d" % l_min)
-    return float(_history_pair(geometry, fld, kappa, l_max)[l_max])
+    return float(_history(geometry, fld, kappa, l_max)[l_max])
 
 
 def extrapolate(history, geometry):
@@ -439,15 +464,15 @@ def extrapolate(history, geometry):
     return e_inf, delta
 
 
-def _integrate_history(geometry, fld, l_max, quad, history_fn):
+def _integrate_history(geometry, fld, l_max, quad):
     gap = geometry.surface_gap
-    l_min = 1 if fld.is_em else 0
+    l_min = _l_min(fld)
 
     def f(t):
         if t <= 0.0:
             return np.zeros(l_max + 1)
         kappa = t / (2.0 * gap)
-        return history_fn(geometry, fld, kappa, l_max)
+        return _history(geometry, fld, kappa, l_max)
 
     # epsabs acts only as the floor for identically-zero integrands
     res, err = quad_vec(f, 0.0, quad.t_max, epsabs=1e-280,
@@ -474,78 +499,30 @@ def _integrate_history(geometry, fld, l_max, quad, history_fn):
 def casimir_energy(geometry, field_kind, l_max, quad=QuadSpec()):
     """Casimir interaction energy of two spheres, extrapolated in l.
 
-    Integrates the m-summed log-determinant over t = 2 kappa L with
-    adaptive vector quadrature (every truncation l shares one node set),
-    then extrapolates the exponentially converging per-l estimates.
-    Value and history are in units of hbar c / R_1.
+    The N = 2 case of the block determinant of `casimir_energy_nbody`,
+    restricted to exactly two spheres.  Integrates the m-summed
+    log-determinant over t = 2 kappa L with adaptive vector quadrature
+    (every truncation l shares one node set), then extrapolates the
+    exponentially converging per-l estimates.  Value and history are in
+    units of hbar c / R_1.
     """
-    fld = _as_field(field_kind)
     if geometry.n_spheres != 2:
         raise ValueError("casimir_energy expects exactly two spheres; "
                          "use casimir_energy_nbody for more")
-    _check_field_laws(geometry, fld)
-    l_min = 1 if fld.is_em else 0
-    if l_max < l_min:
-        raise ValueError("l_max must be >= %d" % l_min)
-    return _integrate_history(geometry, fld, l_max, quad, _history_pair)
-
-
-# ---------------------------------------------------------------------------
-# N collinear spheres
-# ---------------------------------------------------------------------------
-
-def _history_nbody(geometry, fld, kappa, l_max):
-    """History vector for N spheres: lndet of 1 - K, K_ab = T^a U^ab.
-
-    The block matrix runs over (sphere, l, polarization); a diagonal
-    similarity e^{-kappa R_a} (kappa c)^{-l} balances every entry, with
-    the same determinant.  Pairs at the same distance share one
-    translation kernel.
-    """
-    spheres = geometry.spheres
-    centers = geometry.centers
-    nsph = len(spheres)
-    p = 2 if fld.is_em else 1
-    c_len = max(sp.radius for sp in spheres)
-    lv = np.arange(l_max + 1, dtype=float)
-    pw = _per_pol((lv[None, :] - lv[:, None]) * math.log(kappa * c_len), p)
-    tlogs = [_t_log(sp, fld, l_max, kappa) for sp in spheres]
-    kernels = {}
-    pairs = []
-    with np.errstate(under="ignore"):
-        for a in range(nsph):
-            for b in range(nsph):
-                if a == b:
-                    continue
-                dab = abs(centers[b] - centers[a])
-                kern = kernels.get(dab)
-                if kern is None:
-                    kern = kernels[dab] = node_kernel(l_max, kappa * dab,
-                                                      fld.is_em)
-                sa, ga = tlogs[a]
-                # exponent: T(scaled)*e^{2 z_a} * U(scaled)*e^{-x},
-                # similarity e^{-k R_a + k R_b} (kc)^{l'-l}
-                expo = kappa * (spheres[a].radius + spheres[b].radius - dab)
-                scale = sa[:, None] * np.exp(ga[:, None] + kern.log_scale
-                                             + pw + expo)
-                direction = "12" if centers[b] > centers[a] else "21"
-                pairs.append((a, b, scale, kern.oriented(direction)))
-    return _node_history(pairs, nsph, p, l_max, 1 if fld.is_em else 0)
+    return _integrate_history(
+        geometry, _checked_field(geometry, field_kind, l_max), l_max, quad)
 
 
 def casimir_energy_nbody(geometry, field_kind, l_max, quad=QuadSpec()):
     """Casimir energy of N >= 2 collinear spheres.
 
     Evaluates prefactor * int dkappa ln[det M / det M_inf] with M the
-    block matrix of inverse T-matrices and translations; reduces to
-    `casimir_energy` for N = 2.
+    block matrix of inverse T-matrices and translations, i.e. of
+    ln det(1 - T U) over every sphere pair.  Two spheres are its N = 2
+    case, which `casimir_energy` computes with the same assembly.
     """
-    fld = _as_field(field_kind)
-    _check_field_laws(geometry, fld)
-    l_min = 1 if fld.is_em else 0
-    if l_max < l_min:
-        raise ValueError("l_max must be >= %d" % l_min)
-    return _integrate_history(geometry, fld, l_max, quad, _history_nbody)
+    return _integrate_history(
+        geometry, _checked_field(geometry, field_kind, l_max), l_max, quad)
 
 
 def suggest_l_max(geometry, field_kind, quad=QuadSpec(rel_tol=1e-7),
@@ -557,8 +534,8 @@ def suggest_l_max(geometry, field_kind, quad=QuadSpec(rel_tol=1e-7),
     of the leading correction; clamped to [lo, hi].
     """
     fld = _as_field(field_kind)
-    l_min = 1 if fld.is_em else 0
-    probe = casimir_energy(geometry, fld, max(probe_l, l_min + 3), quad)
+    probe = casimir_energy(geometry, fld, max(probe_l, _l_min(fld) + 3),
+                           quad)
     es = [e for _, e in probe.history]
     diffs = np.abs(np.diff(es))
     if probe.delta_fit != probe.delta_fit or diffs[-1] == 0.0:

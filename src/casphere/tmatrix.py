@@ -30,11 +30,9 @@ __all__ = [
     "PerfectConductor",
     "Dispersive",
     "SphereSpec",
-    "TDiagonal",
     "phase_shift",
     "t_scalar_imag",
     "t_em_imag",
-    "t_diagonal",
     "t_low_kappa_series",
 ]
 
@@ -124,19 +122,6 @@ class SphereSpec:
                 raise ValueError("Dispersive.eps_mu must be callable")
         elif not isinstance(law, (Dirichlet, Neumann, PerfectConductor)):
             raise ValueError("unsupported law %r" % (law,))
-
-
-@dataclass(frozen=True)
-class TDiagonal:
-    """Diagonal T-matrix of one sphere at fixed imaginary wavenumber.
-
-    entries maps (l, polarization) to the real value T_l; polarization is
-    "scalar" for Robin-family laws and "M"/"E" for electromagnetic ones.
-    A single value per (l, polarization) serves all |m| <= l.
-    """
-
-    kappa: float
-    entries: dict
 
 
 def _effective_zeta(law):
@@ -352,28 +337,6 @@ def t_em_imag(spec, l, kappa):
     return tuple(out)
 
 
-def t_diagonal(spec, l_max, kappa):
-    """All diagonal entries up to l_max as a TDiagonal container."""
-    entries = {}
-    if is_scalar_law(spec.law):
-        sign, logmag = t_scalar_log(spec, l_max, kappa)
-        z = kappa * spec.radius
-        for l in range(l_max + 1):
-            pref = -1.0 if l % 2 == 0 else 1.0
-            entries[(l, "scalar")] = pref * float(sign[l]) \
-                * math.exp(float(logmag[l]) + 2.0 * z)
-    else:
-        blocks = t_em_log(spec, l_max, kappa)
-        z = kappa * spec.radius
-        for pol in ("M", "E"):
-            sign, logmag = blocks[pol]
-            for l in range(1, l_max + 1):
-                pref = -1.0 if l % 2 == 0 else 1.0
-                entries[(l, pol)] = pref * float(sign[l]) \
-                    * math.exp(float(logmag[l]) + 2.0 * z)
-    return TDiagonal(kappa=kappa, entries=entries)
-
-
 # ---------------------------------------------------------------------------
 # exact low-frequency series (Robin family and PEC are rational)
 # ---------------------------------------------------------------------------
@@ -484,18 +447,21 @@ def t_scalar_series_fractions(law, l, n_terms, channel=None):
     return [-c for c in series[:n_terms]]
 
 
-def _alpha_em(eps_like, l, radius):
-    """Static multipole polarizability [(x-1)/(x + (l+1)/l)] R^{2l+1}."""
-    return (eps_like - 1.0) / (eps_like + (l + 1.0) / l) * radius ** (2 * l + 1)
+# Static dielectric response coefficients with the radius scaled out,
+# exact for Fraction arguments (x is eps for the electric channel and mu
+# for the magnetic one, y the other)
+
+def _alpha_hat(x, l):
+    """Static multipole response (x-1)/(x+(l+1)/l), radius scaled out."""
+    return (x - 1) / (x + Fraction(l + 1, l))
 
 
-def _gamma13(mu_like, eps_like, radius):
-    return -(4.0 + mu_like * (eps_like * mu_like + mu_like - 6.0)) \
-        / (5.0 * (mu_like + 2.0) ** 2) * radius ** 5
+def _gamma13_hat(x, y):
+    return -Fraction(4 + x * (y * x + x - 6)) / (5 * (x + 2) ** 2)
 
 
-def _gamma14(mu_like, radius):
-    return (4.0 / 9.0) * ((mu_like - 1.0) / (mu_like + 2.0)) ** 2 * radius ** 6
+def _gamma14_hat(x):
+    return Fraction(4, 9) * ((x - 1) / (x + 2)) ** 2
 
 
 def t_low_kappa_series(spec, l, order):
@@ -544,22 +510,13 @@ def t_low_kappa_series(spec, l, order):
     if order > (3 if l == 1 else 1):
         raise ValueError("unsupported order %r for dielectric l=%d"
                          % (order, l))
-    alpha = {"E": _alpha_em(law.eps, l, spec.radius),
-             "M": _alpha_em(law.mu, l, spec.radius)}
-    g13 = {"M": _gamma13(law.mu, law.eps, spec.radius),
-           "E": _gamma13(law.eps, law.mu, spec.radius)}
-    g14 = {"M": _gamma14(law.mu, spec.radius),
-           "E": _gamma14(law.eps, spec.radius)}
-    lead_sign = -1.0 if l % 2 == 0 else 1.0  # (-1)^{l-1}
+    lead_sign = -1 if l % 2 == 0 else 1  # (-1)^{l-1}
     out = {}
-    for pol in ("M", "E"):
-        coeffs = {base: lead_sign * (l + 1.0) * alpha[pol]
-                  / (l * _dfact(2 * l + 1) * _dfact(2 * l - 1))}
-        if order >= 1:
-            coeffs[base + 1] = 0.0
-        if order >= 2:
-            coeffs[base + 2] = g13[pol]
-        if order >= 3:
-            coeffs[base + 3] = g14[pol]
-        out[pol] = coeffs
+    for pol, x, y in (("M", law.mu, law.eps), ("E", law.eps, law.mu)):
+        x, y = Fraction(x), Fraction(y)
+        hats = [lead_sign * Fraction(l + 1, l * _dfact(2 * l + 1)
+                                     * _dfact(2 * l - 1)) * _alpha_hat(x, l),
+                0, _gamma13_hat(x, y), _gamma14_hat(x)]
+        out[pol] = {base + k: float(c) * spec.radius ** (base + k)
+                    for k, c in enumerate(hats[:order + 1])}
     return out

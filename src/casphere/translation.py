@@ -44,34 +44,8 @@ from .specfun import ThreeJArgs, bessel_ik_half_chain, threej_family, wigner3j
 
 __all__ = [
     "NodeKernel",
-    "TranslationBlock",
     "node_kernel",
-    "u_scalar",
-    "u_em",
-    "translation_block",
-    "translation_block_em",
 ]
-
-
-@dataclass(frozen=True)
-class TranslationBlock:
-    """Dense translation matrix at fixed azimuthal index m.
-
-    Attributes
-    ----------
-    m : int
-        Azimuthal index (entries depend on |m| only).
-    entries : ndarray
-        U[l_out - l_lo, l_in - l_lo] with l_lo = |m| for scalar blocks and
-        l_lo = max(1, |m|) for electromagnetic ones; for the latter the
-        array has shape (n, n, 2, 2) with polarization order (M, E).
-    direction : str
-        "12" or "21"; which center plays the source role.
-    """
-
-    m: int
-    entries: np.ndarray
-    direction: str
 
 
 def _check_direction(direction):
@@ -248,59 +222,6 @@ def u_log_block(l_max, m, x, direction="12"):
     return _signed_log_view(kern.oriented(direction)[m], kern.log_scale)
 
 
-def u_scalar(l_out, l_in, m, kappa_d, direction="12"):
-    """Scalar translation matrix element U^{direction}_{l_out,l_in}(m).
-
-    Parameters
-    ----------
-    l_out, l_in : int
-        Target (regular-wave) and source (outgoing-wave) orbital indices.
-    m : int
-        Common azimuthal index; the element depends on |m| only.
-    kappa_d : float
-        Dimensionless center separation kappa*d > 0.
-    direction : str
-        "12" or "21".  The two are transposes of each other.
-
-    Returns
-    -------
-    float
-        Real matrix element; exactly 0.0 when |m| exceeds either order.
-
-    Notes
-    -----
-    The element decays like e^{-kappa_d} at large separation; for the
-    scaled form used in determinant assembly see `node_kernel`.
-    """
-    _check_direction(direction)
-    if l_out < 0 or l_in < 0:
-        raise ValueError("orbital indices must be non-negative")
-    if not kappa_d > 0.0:
-        raise ValueError("kappa_d must be positive, got %r" % (kappa_d,))
-    if abs(m) > min(l_out, l_in):
-        return 0.0
-    lm = max(l_out, l_in)
-    sign, logmag = u_log_block(lm, abs(m), kappa_d, direction)
-    return float(sign[l_out, l_in] * np.exp(logmag[l_out, l_in] - kappa_d))
-
-
-def translation_block(l_max, m, kappa_d, direction="12"):
-    """Dense scalar translation block over l = |m| .. l_max.
-
-    Returns a TranslationBlock whose entries are the unscaled matrix
-    elements; intended for moderate kappa_d where e^{-kappa_d} is
-    representable.
-    """
-    _check_direction(direction)
-    m_abs = abs(m)
-    if l_max < m_abs:
-        raise ValueError("l_max=%r below |m|=%r" % (l_max, m_abs))
-    sign, logmag = u_log_block(l_max, m_abs, kappa_d, direction)
-    with np.errstate(under="ignore"):
-        full = sign * np.exp(logmag - kappa_d)
-    return TranslationBlock(m=m, entries=full[m_abs:, m_abs:], direction=direction)
-
-
 # ---------------------------------------------------------------------------
 # Electromagnetic (vector multipole) translation
 # ---------------------------------------------------------------------------
@@ -435,62 +356,3 @@ def em_log_blocks(l_max, m, x, direction="12"):
     return {prow + pcol: _signed_log_view(g[i::2, j::2],
                                           kern.log_scale[i::2, j::2])
             for i, prow in enumerate("MN") for j, pcol in enumerate("MN")}
-
-
-def u_em(l_out, l_in, m, kappa_d, direction="12"):
-    """Electromagnetic translation matrix element as a 2x2 block.
-
-    Parameters
-    ----------
-    l_out, l_in : int
-        Target and source total angular momenta, both >= max(1, |m|).
-    m : int
-        Azimuthal index.
-    kappa_d : float
-        Dimensionless separation kappa*d > 0.
-    direction : str
-        "12" or "21".
-
-    Returns
-    -------
-    ndarray, shape (2, 2)
-        [[MM, MN], [NM, NN]] coupling source polarization (columns, order
-        magnetic/electric) to target polarization (rows).  The magnetic-
-        electric mixing entries are exactly zero for m = 0.
-    """
-    _check_direction(direction)
-    jlo = max(1, abs(m))
-    if l_out < jlo or l_in < jlo:
-        raise ValueError("l_out and l_in must be >= max(1, |m|)")
-    if not kappa_d > 0.0:
-        raise ValueError("kappa_d must be positive, got %r" % (kappa_d,))
-    lm = max(l_out, l_in)
-    blocks = em_log_blocks(lm, m, kappa_d, direction)
-    out = np.empty((2, 2))
-    with np.errstate(under="ignore"):
-        for i, prow in enumerate("MN"):
-            for j, pcol in enumerate("MN"):
-                s, lg = blocks[prow + pcol]
-                out[i, j] = s[l_out, l_in] * np.exp(lg[l_out, l_in] - kappa_d)
-    return out
-
-
-def translation_block_em(l_max, m, kappa_d, direction="12"):
-    """Dense EM translation block over J = max(1,|m|) .. l_max.
-
-    Entries have shape (n, n, 2, 2) with the same polarization layout as
-    `u_em`; unscaled, so intended for moderate kappa_d.
-    """
-    _check_direction(direction)
-    jlo = max(1, abs(m))
-    if l_max < jlo:
-        raise ValueError("l_max=%r below max(1, |m|)=%r" % (l_max, jlo))
-    blocks = em_log_blocks(l_max, m, kappa_d, direction)
-    n = l_max + 1 - jlo
-    ent = np.zeros((n, n, 2, 2))
-    with np.errstate(under="ignore"):
-        for i, prow in enumerate("MN"):
-            for j, pcol in enumerate("MN"):
-                s, lg = blocks[prow + pcol]
-                ent[:, :, i, j] = (s * np.exp(lg - kappa_d))[jlo:, jlo:]
-    return TranslationBlock(m=m, entries=ent, direction=direction)

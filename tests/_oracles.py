@@ -460,3 +460,76 @@ def leading_lndets_ref(nmat):
         if k + 1 < n:
             b[k + 1:, k + 1:] += np.outer(b[k + 1:, k], b[k, k + 1:]) / piv
     return signs, lndets
+
+
+# ---------------------------------------------------------------------------
+# unscaled translation elements, read off the signed-log block views
+# ---------------------------------------------------------------------------
+
+def u_scalar_element(l_out, l_in, m, x, direction="12"):
+    """Scalar translation element U^{direction}_{l_out,l_in}(m) at x = kappa d.
+
+    Unscaled, so only for moderate x; exactly 0 when |m| > min(l_out, l_in)
+    by the kernel's own selection rule.
+    """
+    import numpy as np
+    from casphere.translation import u_log_block
+    sign, logmag = u_log_block(max(l_out, l_in), m, x, direction)
+    with np.errstate(under="ignore"):
+        return float(sign[l_out, l_in] * np.exp(logmag[l_out, l_in] - x))
+
+
+def u_em_element(l_out, l_in, m, x, direction="12"):
+    """EM translation element [[MM, MN], [NM, NN]] at (J' = l_out, J = l_in).
+
+    Columns are the source polarization, rows the target one, in the
+    order magnetic, electric; unscaled, so only for moderate x.
+    """
+    import numpy as np
+    from casphere.translation import em_log_blocks
+    blocks = em_log_blocks(max(l_out, l_in), m, x, direction)
+    out = np.empty((2, 2))
+    with np.errstate(under="ignore"):
+        for i, prow in enumerate("MN"):
+            for j, pcol in enumerate("MN"):
+                s, lg = blocks[prow + pcol]
+                out[i, j] = s[l_out, l_in] * np.exp(lg[l_out, l_in] - x)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# two-sphere round trip: the dedicated pair assembly the N-sphere one replaced
+# ---------------------------------------------------------------------------
+
+def history_pair_ref(geometry, fld, kappa, l_max):
+    """History vector of one two-sphere node, assembled pair-wise.
+
+    Both one-bounce factors are balanced symmetrically by the mean radius
+    and the centre distance (a different similarity from the N-sphere
+    assembly's, with the same determinant); the order-l cut of
+    det([[1, -P], [-Q, 1]]) is det(1 - P_l Q_l) with both factors and all
+    polarizations truncated consistently.
+    """
+    import numpy as np
+    from casphere.energy import _node_history, _per_pol, _t_log
+    from casphere.translation import node_kernel
+    sp1, sp2 = geometry.spheres
+    d = geometry.d
+    pol = 2 if fld.is_em else 1
+    logkb = 0.5 * (math.log(kappa * 0.5 * (sp1.radius + sp2.radius))
+                   + math.log(kappa * d))
+    lv = np.arange(l_max + 1, dtype=float)
+    peel_t = _per_pol(-(2.0 * lv + 1.0) * logkb, pol)
+    peel_u = _per_pol((lv[:, None] + lv[None, :] + 1.0) * logkb, pol)
+    kern = node_kernel(l_max, kappa * d, fld.is_em)
+    # damping split over the two one-bounce factors
+    rd = math.exp(-kappa * geometry.surface_gap)
+    with np.errstate(under="ignore"):
+        scale = []
+        for sp in (sp1, sp2):
+            s, g = _t_log(sp, fld, l_max, kappa)
+            scale.append(rd * s[:, None] * np.exp(
+                (g + peel_t)[:, None] + kern.log_scale + peel_u))
+    pairs = [(0, 1, scale[0], kern.oriented("12")),
+             (1, 0, scale[1], kern.oriented("21"))]
+    return _node_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)

@@ -28,7 +28,8 @@ from casphere.tmatrix import (
     Robin,
     SphereSpec,
 )
-from casphere.translation import u_scalar
+
+from _oracles import u_scalar_element
 
 D = SphereSpec(1.0, Dirichlet())
 N = SphereSpec(1.0, Neumann())
@@ -86,7 +87,8 @@ def test_translation_factor_matches_block():
                         val = sum(float(c) * x ** k for k, c in g.items())
                         val *= math.sqrt(_w_int(l_out, m) * _w_int(l_in, m))
                         val *= math.exp(-x)
-                        ref = u_scalar(l_out, l_in, m, x, direction)
+                        ref = u_scalar_element(l_out, l_in, m, x,
+                                               direction)
                         assert val == pytest.approx(ref, rel=1e-12,
                                                     abs=1e-300)
 

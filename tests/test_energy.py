@@ -18,8 +18,7 @@ from casphere.energy import (
     PivotFallbackWarning,
     QuadSpec,
     REAL_SCALAR,
-    _history_nbody,
-    _history_pair,
+    _history,
     _m_history,
     _node_stack,
     _stack_lndets,
@@ -311,22 +310,20 @@ def test_domain_error_when_only_the_last_block_loses_positivity():
         _m_history(signs, lndets, 2, 0)
 
 
-@pytest.mark.parametrize("history,field,geometry,l_max", [
-    (_history_pair, "scalar-real", pair(DIR, NEU, 3.0), 6),
-    (_history_pair, "em", pair(PEC, SphereSpec(0.6, Dielectric(4.0, 1.0)),
-                               2.5), 5),
-    (_history_nbody, "scalar-real",
-     Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)), 4),
-    (_history_nbody, "em", Geometry((PEC, PEC, PEC), (0.0, 3.0, 6.0)), 2),
+@pytest.mark.parametrize("field,geometry,l_max", [
+    ("scalar-real", pair(DIR, NEU, 3.0), 6),
+    ("em", pair(PEC, SphereSpec(0.6, Dielectric(4.0, 1.0)), 2.5), 5),
+    ("scalar-real", Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)), 4),
+    ("em", Geometry((PEC, PEC, PEC), (0.0, 3.0, 6.0)), 2),
 ])
-def test_node_history_equals_per_block_oracle(monkeypatch, history, field,
-                                              geometry, l_max):
+def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
+                                              l_max):
     calls = []
     node_history = energy._node_history
     monkeypatch.setattr(energy, "_node_history",
                         lambda *args: calls.append(args)
                         or node_history(*args))
-    hist = history(geometry, FieldKind(field), 0.8, l_max)
+    hist = _history(geometry, FieldKind(field), 0.8, l_max)
     (pairs, nsph, pol, l_max, l_min), = calls
     stride = nsph * pol
     # one m-block at a time, summed in m order as the weighted cuts
@@ -338,6 +335,28 @@ def test_node_history_equals_per_block_oracle(monkeypatch, history, field,
         _, lndets = orc.leading_lndets_ref(block[first:, first:])
         ref[lo:] += (1.0 if m == 0 else 2.0) * lndets[stride - 1::stride]
     assert np.array_equal(hist, ref)
+
+
+PAIR_LAWS = [("scalar-real", Dirichlet()), ("scalar-real", Neumann()),
+             ("scalar-real", Robin(10.0)), ("em", PerfectConductor()),
+             ("em", Dielectric(4.0, 1.0))]
+
+
+@pytest.mark.parametrize("field,law", PAIR_LAWS)
+def test_history_equals_pair_oracle(field, law):
+    # two spheres through the N-sphere assembly against the dedicated
+    # pair assembly it replaced: equal and 20:1 radii, near contact to
+    # d/R = 1000, kappa from the static limit to deep damping
+    fld = FieldKind(field)
+    l_max = 6 if fld.is_em else 8
+    for r2 in (1.0, 0.05):
+        for d in (2.1, 3.0, 100.0, 1000.0):
+            g = pair(SphereSpec(1.0, law), SphereSpec(r2, law), d)
+            for kappa in (1e-6, 1e-3, 1.0, 1e3):
+                hist = _history(g, fld, kappa, l_max)
+                ref = orc.history_pair_ref(g, fld, kappa, l_max)
+                assert np.all(np.abs(hist - ref) <= 1e-12 * np.abs(ref)), \
+                    (r2, d, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +543,8 @@ def test_one_translation_chain_per_node(monkeypatch, field, sphere):
 def test_nbody_node_builds_one_chain_per_distance(monkeypatch, field, law):
     sph = SphereSpec(R, law)
     calls = _count_translation_chains(monkeypatch)
-    _history_nbody(Geometry((sph, sph, sph), (0.0, 3.0, 6.0)),
-                   FieldKind(field), 0.8, 4)
+    _history(Geometry((sph, sph, sph), (0.0, 3.0, 6.0)),
+             FieldKind(field), 0.8, 4)
     assert sorted(z for _, z in calls) == [0.8 * 3.0, 0.8 * 6.0]
 
 

@@ -14,9 +14,7 @@ from casphere.tmatrix import (
     PerfectConductor,
     Robin,
     SphereSpec,
-    TDiagonal,
     phase_shift,
-    t_diagonal,
     t_em_imag,
     t_em_log,
     t_low_kappa_series,
@@ -253,27 +251,6 @@ def test_dispersive_extension_point():
         t_em_imag(bad, 1, 1.0)
     with pytest.raises(ValueError):
         t_low_kappa_series(disp, 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# diagonal container
-# ---------------------------------------------------------------------------
-
-def test_t_diagonal_scalar():
-    td = t_diagonal(DIR, 5, 0.7)
-    assert isinstance(td, TDiagonal)
-    assert td.kappa == 0.7
-    assert set(td.entries) == {(l, "scalar") for l in range(6)}
-    assert td.entries[(2, "scalar")] == pytest.approx(
-        t_scalar_imag(DIR, 2, 0.7), rel=1e-14)
-
-
-def test_t_diagonal_em():
-    td = t_diagonal(PEC, 3, 1.2)
-    assert set(td.entries) == {(l, p) for l in (1, 2, 3) for p in ("M", "E")}
-    tm, te = t_em_imag(PEC, 2, 1.2)
-    assert td.entries[(2, "M")] == pytest.approx(tm, rel=1e-14)
-    assert td.entries[(2, "E")] == pytest.approx(te, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

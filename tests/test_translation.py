@@ -8,18 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 from casphere.specfun import bessel_ik_half_chain
-from casphere.translation import (
-    TranslationBlock,
-    em_log_blocks,
-    node_kernel,
-    translation_block,
-    translation_block_em,
-    u_em,
-    u_log_block,
-    u_scalar,
-)
+from casphere.translation import em_log_blocks, node_kernel, u_log_block
 
 import _oracles as orc
+from _oracles import u_em_element, u_scalar_element
 
 
 def _sph_i(l_arr, z):
@@ -40,7 +32,7 @@ def test_monopole_anchor():
     # U_{00,00} = -e^{-kappa d}/(kappa d), both directions
     for x in (0.37, 1.0, 6.5):
         for direction in ("12", "21"):
-            assert u_scalar(0, 0, 0, x, direction) == pytest.approx(
+            assert u_scalar_element(0, 0, 0, x, direction) == pytest.approx(
                 -math.exp(-x) / x, rel=1e-13)
 
 
@@ -85,21 +77,13 @@ def test_direction_transpose_and_parity():
 
 
 def test_m_parity_and_selection_rules():
-    assert u_scalar(3, 2, -2, 1.7) == pytest.approx(
-        u_scalar(3, 2, 2, 1.7), rel=1e-14)
-    assert u_scalar(1, 3, 2, 1.7) == 0.0  # |m| > l_out
+    assert u_scalar_element(3, 2, -2, 1.7) == pytest.approx(
+        u_scalar_element(3, 2, 2, 1.7), rel=1e-14)
+    assert u_scalar_element(1, 3, 2, 1.7) == 0.0  # |m| > l_out
     with pytest.raises(ValueError):
-        u_scalar(1, 1, 0, -1.0)
+        u_log_block(1, 0, -1.0)
     with pytest.raises(ValueError):
-        u_scalar(1, 1, 0, 1.0, "13")
-
-
-def test_translation_block_layout():
-    blk = translation_block(6, 2, 3.1, "12")
-    assert isinstance(blk, TranslationBlock)
-    assert blk.entries.shape == (5, 5)
-    assert blk.direction == "12"
-    assert blk.entries[1, 0] == pytest.approx(u_scalar(3, 2, 2, 3.1), rel=1e-13)
+        u_log_block(1, 0, 1.0, "13")
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,7 +94,7 @@ def test_translation_block_layout():
     x=st.floats(min_value=0.05, max_value=50.0),
 )
 def test_scalar_finite_and_decay(l_out, l_in, m, x):
-    v = u_scalar(l_out, l_in, m, x)
+    v = u_scalar_element(l_out, l_in, m, x)
     assert math.isfinite(v)
     if abs(m) > min(l_out, l_in):
         assert v == 0.0
@@ -245,7 +229,7 @@ def test_em_mixing_vanishes_at_m0():
     for key in ("MN", "NM"):
         s, lg = blocks[key]
         assert np.all(s == 0.0)
-    out = u_em(2, 3, 0, 2.0)
+    out = u_em_element(2, 3, 0, 2.0)
     assert out[0, 1] == 0.0 and out[1, 0] == 0.0
     assert out[0, 0] != 0.0 and out[1, 1] != 0.0
 
@@ -268,7 +252,7 @@ def test_em_electric_extraction_route_consistency():
                 mu = m - q
                 if abs(mu) > jp + 1 or abs(mu) > j:
                     continue
-                u = u_scalar(jp + 1, j, mu, x)
+                u = u_scalar_element(jp + 1, j, mu, x)
                 tot += wp[iq, jp] * w0[iq, j] * u / b_r[jp]
             alt[jp, j] = tot
     ref = s_ref * np.exp(lg_ref - x)
@@ -276,12 +260,13 @@ def test_em_electric_extraction_route_consistency():
 
 
 def test_em_block_layout_and_m_parity():
-    blk = translation_block_em(5, 2, 2.9, "12")
-    assert blk.entries.shape == (4, 4, 2, 2)
-    assert blk.entries[1, 2, 0, 0] == pytest.approx(
-        u_em(3, 4, 2, 2.9)[0, 0], rel=1e-12)
-    a = u_em(2, 3, 1, 1.9)
-    b = u_em(2, 3, -1, 1.9)
+    # every block is indexed [J_out, J_in] from J = 0, zero below max(1, |m|)
+    for key, (s, lg) in em_log_blocks(5, 2, 2.9, "12").items():
+        assert s.shape == lg.shape == (6, 6)
+        assert np.all(s[:2] == 0.0) and np.all(s[:, :2] == 0.0)
+        assert np.all(s[2:, 2:] != 0.0), key
+    a = u_em_element(2, 3, 1, 1.9)
+    b = u_em_element(2, 3, -1, 1.9)
     # same-polarization entries even in m; mixing entries odd
     assert a[0, 0] == pytest.approx(b[0, 0], rel=1e-13)
     assert a[1, 1] == pytest.approx(b[1, 1], rel=1e-13)
@@ -291,8 +276,8 @@ def test_em_block_layout_and_m_parity():
 
 def test_em_validation_errors():
     with pytest.raises(ValueError):
-        u_em(0, 1, 0, 1.0)
+        em_log_blocks(1, 0, 0.0)
     with pytest.raises(ValueError):
-        u_em(1, 1, 2, 1.0)
+        em_log_blocks(1, 0, 1.0, "13")
     with pytest.raises(ValueError):
-        u_em(1, 1, 0, 0.0)
+        node_kernel(1, -1.0, em=True)
