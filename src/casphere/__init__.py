@@ -23,6 +23,7 @@ from .energy import (
     EnergyEstimate,
     FieldKind,
     Geometry,
+    LMaxClampWarning,
     PivotFallbackWarning,
     QuadSpec,
     casimir_energy,
@@ -63,6 +64,7 @@ __all__ = [
     "EnergyEstimate",
     "FieldKind",
     "Geometry",
+    "LMaxClampWarning",
     "Neumann",
     "PHI0_LIKE",
     "PHI0_UNLIKE",

@@ -47,6 +47,7 @@ from .translation import node_kernel, u_log_block  # noqa: F401
 
 __all__ = [
     "DomainError",
+    "LMaxClampWarning",
     "PivotFallbackWarning",
     "FieldKind",
     "REAL_SCALAR",
@@ -65,6 +66,16 @@ __all__ = [
 
 class DomainError(RuntimeError):
     """det(1 - N) lost positivity: overlap or convention breakage."""
+
+
+class LMaxClampWarning(RuntimeWarning):
+    """`suggest_l_max` returned its upper bound `hi`, not a measured need.
+
+    Either the probe's truncation errors did not decay usably (no
+    accepted fit or a non-positive rate), or the order they call for
+    exceeds `hi`.  The returned l_max may then leave a truncation error
+    above the target.
+    """
 
 
 class PivotFallbackWarning(RuntimeWarning):
@@ -392,7 +403,13 @@ def _history(geometry, fld, kappa, l_max):
     c_len = max(sp.radius for sp in spheres)
     lv = np.arange(l_max + 1, dtype=float)
     pw = _per_pol((lv[None, :] - lv[:, None]) * math.log(kappa * c_len), pol)
-    tlogs = [_t_log(sp, fld, l_max, kappa) for sp in spheres]
+    # equal spheres share one T-matrix log (found by ==, so a law need
+    # not be hashable)
+    tlogs = []
+    for a, sp in enumerate(spheres):
+        first = spheres.index(sp)
+        tlogs.append(tlogs[first] if first < a
+                     else _t_log(sp, fld, l_max, kappa))
     kernels = {}
     pairs = []
     with np.errstate(under="ignore"):
@@ -531,18 +548,26 @@ def suggest_l_max(geometry, field_kind, quad=QuadSpec(rel_tol=1e-7),
 
     Probes at l = probe_l, reads the fitted decay rate of the
     truncation error, and sizes l_max so the residual is ~e^{-target}
-    of the leading correction; clamped to [lo, hi].
+    of the leading correction; clamped to [lo, hi].  Returning `hi`
+    because the decay rate is unusable or the need exceeds `hi` warns
+    with LMaxClampWarning.
     """
     fld = _as_field(field_kind)
     probe = casimir_energy(geometry, fld, max(probe_l, _l_min(fld) + 3),
                            quad)
     es = [e for _, e in probe.history]
     diffs = np.abs(np.diff(es))
-    if probe.delta_fit != probe.delta_fit or diffs[-1] == 0.0:
-        return lo if diffs[-1] == 0.0 else hi
+    if diffs[-1] == 0.0:
+        return lo
     # per-l decay rate from the last two differences
     rate = math.log(diffs[-2] / diffs[-1]) if diffs[-1] < diffs[-2] else 0.0
-    if rate <= 0.0:
+    if probe.delta_fit != probe.delta_fit or rate <= 0.0:
+        warnings.warn("suggest_l_max: the probe's truncation errors do not "
+                      "decay usably; returning hi=%d" % hi, LMaxClampWarning,
+                      stacklevel=2)
         return hi
     need = int(math.ceil(probe.l_max + target / rate))
+    if need > hi:
+        warnings.warn("suggest_l_max: need l_max=%d, clamped to hi=%d"
+                      % (need, hi), LMaxClampWarning, stacklevel=2)
     return max(lo, min(hi, need))

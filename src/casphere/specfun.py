@@ -249,104 +249,157 @@ def threej_000(l1, l2, l3):
     return -val if g % 2 else val
 
 
-def _sg_coeff_a(j, l1, l2, m3):
-    x = (j * j - (l1 - l2) ** 2) * ((l1 + l2 + 1) ** 2 - j * j) * (j * j - m3 * m3)
-    return math.sqrt(x) if x > 0 else 0.0
+def _sg_tables(j, l1, l2, m1, m2):
+    """Coefficients of the j-recursion at the integer array j, per row.
 
+    Returns (b, p, q) with b = B(j), p = (j+1) A(j) and q = j A(j+1).  A
+    zero p or q lies outside its row's family and reads 1.0, so padded
+    lanes divide cleanly.
+    """
+    m3 = -(m1 + m2)
 
-def _sg_coeff_b(j, l1, l2, m1, m2, m3):
+    def a_of(jj):
+        # a float product: exact below 2^53 (l1 + l2 up to ~460), and
+        # unlike int64 it cannot wrap at deeper orders
+        x = (jj * jj - (l1 - l2) ** 2).astype(float) \
+            * ((l1 + l2 + 1) ** 2 - jj * jj) * (jj * jj - m3 * m3)
+        return np.sqrt(np.maximum(x, 0.0))
+
     # pinned against exact rational 3j values (see tests): the middle
     # coefficient of the j-recursion is -(2j+1)[m3 X + (m1-m2) j(j+1)]
-    return -(2 * j + 1) * (m3 * (l1 * (l1 + 1) - l2 * (l2 + 1))
-                           + (m1 - m2) * j * (j + 1))
+    b = (-(2 * j + 1) * (m3 * (l1 * (l1 + 1) - l2 * (l2 + 1))
+                         + (m1 - m2) * j * (j + 1))).astype(float)
+    p = (j + 1) * a_of(j)
+    q = j * a_of(j + 1)
+    return b, np.where(p == 0.0, 1.0, p), np.where(q == 0.0, 1.0, q)
 
 
 _RESCALE = 1e250
 
 
-def _sg_family(l1, l2, m1, m2):
-    """f[j - jmin] = 3j(l1 l2 j; m1 m2 m3), j = jmin..l1+l2, m3 = -(m1+m2).
+def _sg_recursion(l1, l2, m1, m2, jmin, npts, sign_top, width):
+    """Families of rows with npts >= 2 and (m1, m2) != (0, 0), top-aligned.
 
-    Two-sided three-term recursion in j, matched at the forward maximum and
-    normalized with sum (2j+1) f^2 = 1, sign (-1)^{l1-l2-m3} at j = l1+l2.
-    Both passes run in their direction of growth, so every entry keeps full
-    relative accuracy including the exponentially small edge tails.
+    Every row runs the same steps as a lone family: lanes that have
+    stopped or ended are masked, never mixed with live ones.
     """
-    m3 = -(m1 + m2)
-    jmin = max(abs(l1 - l2), abs(m3))
-    jmax = l1 + l2
-    sign_top = -1.0 if (l1 - l2 - m3) % 2 else 1.0
-    npts = jmax - jmin + 1
-    if npts == 1:
-        return jmin, np.array([sign_top / math.sqrt(2.0 * jmin + 1.0)])
-    if m1 == 0 and m2 == 0:
-        # degenerate recursion (all B vanish); use the closed form per j
-        return jmin, np.array([threej_000(l1, l2, j) for j in range(jmin, jmax + 1)])
+    rows = len(l1)
+    lanes = np.arange(rows)
+    jmax = jmin + npts - 1
+    col = np.arange(width)[:, None]
 
-    f = np.zeros(npts)
-
-    def a_of(j):
-        return _sg_coeff_a(j, l1, l2, m3)
-
-    def b_of(j):
-        return _sg_coeff_b(j, l1, l2, m1, m2, m3)
-
-    # forward pass from jmin
+    # forward pass from jmin: f[i] at j = jmin + i
+    b, p, q = _sg_tables(jmin + col, l1, l2, m1, m2)
+    f = np.zeros((width, rows))
     f[0] = 1.0
-    if jmin == 0:
+    # A(jmin) = 0, so the three-term relation at j = jmin is two-term
+    f[1] = -b[0] * f[0] / q[0]
+    zero = np.flatnonzero(jmin == 0)
+    if len(zero):
         # only possible for l1 == l2, m3 == 0; seed f(1) from the closed form
-        l, m = l1, m1
-        f[0] = (1.0 if (l - m) % 2 == 0 else -1.0) / math.sqrt(2.0 * l + 1.0)
-        f[1] = (1.0 if (l - m) % 2 == 0 else -1.0) * 2.0 * m \
-            / math.sqrt((2.0 * l + 2.0) * (2.0 * l + 1.0) * 2.0 * l)
-    else:
-        # A(jmin) = 0, so the three-term relation at j = jmin is two-term
-        f[1] = -b_of(jmin) * f[0] / (jmin * a_of(jmin + 1))
+        l, m = l1[zero], m1[zero]
+        s = np.where((l - m) % 2 == 0, 1.0, -1.0)
+        f[0, zero] = s / np.sqrt(2.0 * l + 1.0)
+        f[1, zero] = s * 2.0 * m \
+            / np.sqrt((2.0 * l + 2.0) * (2.0 * l + 1.0) * 2.0 * l)
     i_stop = npts - 1
-    drops = 0
-    for i in range(1, npts - 1):
-        j = jmin + i
-        f[i + 1] = -(b_of(j) * f[i] + (j + 1) * a_of(j) * f[i - 1]) \
-            / (j * a_of(j + 1))
-        if abs(f[i + 1]) > _RESCALE:
-            f[:i + 2] /= _RESCALE
-        if abs(f[i + 1]) < abs(f[i]):
-            drops += 1
-            if drops >= 2:  # safely inside the oscillatory region
-                i_stop = i + 1
-                break
-        else:
-            drops = 0
-    i_match = int(np.argmax(np.abs(f[:i_stop + 1])))
-    if i_match == i_stop and i_stop < npts - 1:
-        i_stop += 1  # keep one backward point beyond the match index
+    running = np.ones(rows, dtype=bool)
+    drops = np.zeros(rows, dtype=np.int64)
+    for i in range(1, width - 1):
+        act = running & (npts > i + 1)
+        if not act.any():
+            break
+        f[i + 1] = np.where(act, -(b[i] * f[i] + p[i] * f[i - 1]) / q[i], 0.0)
+        big = act & (np.abs(f[i + 1]) > _RESCALE)
+        if big.any():
+            f[:i + 2, big] /= _RESCALE
+        drops = np.where(np.abs(f[i + 1]) < np.abs(f[i]), drops + 1, 0)
+        # two drops in a row: safely inside the oscillatory region
+        done = act & (drops >= 2)
+        i_stop[done] = i + 1
+        running &= ~done
+    i_match = np.argmax(np.where(col <= i_stop, np.abs(f), -1.0), axis=0)
+    t_match = npts - 1 - i_match
 
-    # backward pass from jmax down to the match index
-    g = np.zeros(npts)
-    g[-1] = 1.0
-    g[-2] = -b_of(jmax) * g[-1] / ((jmax + 1) * a_of(jmax))
-    for i in range(npts - 3, i_match - 1, -1):
-        j = jmin + i + 1
-        g[i] = -(j * a_of(j + 1) * g[i + 2] + b_of(j) * g[i + 1]) \
-            / ((j + 1) * a_of(j))
-        if abs(g[i]) > _RESCALE:
-            g[i:] /= _RESCALE
-    scale = f[i_match] / g[i_match]
-    f[i_match:] = g[i_match:] * scale
+    # backward pass from jmax down to the match: g[t] at j = jmax - t
+    b, p, q = _sg_tables(jmax + 1 - col, l1, l2, m1, m2)
+    g = np.zeros((width, rows))
+    g[0] = 1.0
+    g[1] = -b[1] * g[0] / p[1]
+    for t in range(2, width):
+        act = t_match >= t
+        if not act.any():
+            break
+        g[t] = np.where(act, -(q[t] * g[t - 2] + b[t] * g[t - 1]) / p[t], 0.0)
+        big = act & (np.abs(g[t]) > _RESCALE)
+        if big.any():
+            g[:t + 1, big] /= _RESCALE
 
-    j_all = np.arange(jmin, jmax + 1, dtype=float)
-    norm = math.sqrt(float(np.sum((2.0 * j_all + 1.0) * f * f)))
-    f /= norm
-    if f[-1] * sign_top < 0.0:
-        f = -f
-    return jmin, f
+    scale = f[i_match, lanes] / g[t_match, lanes]
+    below = np.take_along_axis(f, np.clip(npts - 1 - col, 0, width - 1),
+                               axis=0)
+    res = np.where(col <= t_match, g * scale,
+                   np.where(col < npts, below, 0.0))
+    # np.sum over j ascending, one contiguous row per family, so a row's
+    # norm is the lone family's pairwise sum whatever its batch
+    terms = (2.0 * (jmax - col) + 1.0) * res * res
+    norm = np.empty(rows)
+    for n in np.unique(npts):
+        r = np.flatnonzero(npts == n)
+        norm[r] = np.sum(np.ascontiguousarray(terms[n - 1::-1, r].T), axis=1)
+    res = res / np.sqrt(norm)
+    flip = np.where(res[0] * sign_top < 0.0, -1.0, 1.0)
+    return np.where(col < npts, res * flip, 0.0)
+
+
+def _threej_rows(l1, l2, m1, m2):
+    """3j(l1 l2 j; m1 m2 m3), m3 = -(m1+m2), for rows of integer arrays.
+
+    Each row (broadcast from the arguments) is the family j = jmin..l1+l2
+    with jmin = max(|l1-l2|, |m3|): a two-sided three-term recursion in
+    j, matched at the forward maximum and normalized with
+    sum (2j+1) f^2 = 1, sign (-1)^{l1-l2-m3} at j = l1+l2.  Both passes
+    run in their direction of growth, so every entry keeps full relative
+    accuracy including the exponentially small edge tails.  The
+    recursion runs on all rows at once; rows never mix, so a row's values
+    do not depend on the batch it is computed in.
+
+    Returns
+    -------
+    (jmin, f) : int ndarray (rows,), ndarray (width, rows)
+        f[t, r] is row r at j = l1+l2-t for t below its npts, zero
+        beyond; width is the largest npts.
+    """
+    l1, l2, m1, m2 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=np.int64))
+          for v in (l1, l2, m1, m2)))
+    m3 = -(m1 + m2)
+    jmin = np.maximum(np.abs(l1 - l2), np.abs(m3))
+    jmax = l1 + l2
+    npts = jmax - jmin + 1
+    sign_top = np.where((l1 - l2 - m3) % 2 == 1, -1.0, 1.0)
+    out = np.zeros((int(npts.max()), len(l1)))
+    one = npts == 1
+    out[0, one] = sign_top[one] / np.sqrt(2.0 * jmin[one] + 1.0)
+    closed = (m1 == 0) & (m2 == 0) & ~one
+    for r in np.flatnonzero(closed):
+        # degenerate recursion (all B vanish); use the closed form per j
+        out[:npts[r], r] = [threej_000(int(l1[r]), int(l2[r]), j)
+                            for j in range(jmax[r], jmin[r] - 1, -1)]
+    rec = np.flatnonzero(~(one | closed))
+    if len(rec):
+        out[:, rec] = _sg_recursion(l1[rec], l2[rec], m1[rec], m2[rec],
+                                    jmin[rec], npts[rec], sign_top[rec],
+                                    out.shape[0])
+    return jmin, out
 
 
 @lru_cache(maxsize=65536)
 def _family_cached(l1, l2, m1, m2):
-    jmin, f = _sg_family(l1, l2, m1, m2)
+    jmin, f = _threej_rows(l1, l2, m1, m2)
+    f = f[::-1, 0].copy()
     f.setflags(write=False)
-    return jmin, f
+    return int(jmin[0]), f
 
 
 def threej_family(l1, l2, m1, m2):

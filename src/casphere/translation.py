@@ -40,7 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import ThreeJArgs, bessel_ik_half_chain, threej_family, wigner3j
+from . import specfun
+from .specfun import bessel_ik_half_chain
 
 __all__ = [
     "NodeKernel",
@@ -119,25 +120,36 @@ def _w_kernel(l_max):
     if n > old:
         w = np.zeros((n, n, n, n))
         w[:old, :old, :old, :old] = _W_KERNEL
-        for l_in in range(n):
-            for l_out in range(old if l_in < old else 0, n):
-                lo = min(l_in, l_out)
-                # families run over l'' = |l_in - l_out| .. l_in + l_out;
-                # every other entry, reversed, is k = 0 .. lo
-                _, f000 = threej_family(l_in, l_out, 0, 0)
-                lpp = l_in + l_out - 2 * np.arange(lo + 1)
-                base = f000[::-2] * (2.0 * lpp + 1.0) * math.sqrt(
-                    (2.0 * l_in + 1.0) * (2.0 * l_out + 1.0))
-                if l_in % 2 == 0:
-                    base = -base
-                w[0, l_out, l_in, :lo + 1] = base * f000[::-2]
-                for m in range(1, lo + 1):
-                    _, fm = threej_family(l_in, l_out, m, -m)
-                    w[m, l_out, l_in, :lo + 1] = \
-                        (base if m % 2 == 0 else -base) * fm[::-2]
+        for top in range(old, n):
+            _fill_w(w, top)
         w.setflags(write=False)
         _W_KERNEL = w
     return _W_KERNEL[:n, :n, :n, :n]
+
+
+def _fill_w(w, top):
+    """Write W[m, l', l] for max(l', l) = top from one batch of families.
+
+    3j(l l' l''; m -m 0) is symmetric in l and l', so the families
+    (top, l'; m, -m) with l' <= top serve both halves:
+    W[m, l, l'] = (-1)^{l+l'} W[m, l', l].
+    """
+    lo, m = np.array([(b, mb) for b in range(top + 1)
+                      for mb in range(b + 1)]).T
+    _, f = specfun._threej_rows(top, lo, m, -m)
+    # families run over l'' = top + lo .. |top - lo|; every other entry
+    # from the top is k = 0 .. lo (zero beyond)
+    f = f[::2]
+    k = np.arange(top + 1)[:, None]
+    lv = np.arange(top + 1)
+    base = f[:, m == 0] * (2.0 * (top + lv - 2 * k) + 1.0) * np.sqrt(
+        (2.0 * top + 1.0) * (2.0 * lv + 1.0))
+    if top % 2 == 0:
+        base = -base
+    base = base[:, lo] * np.where(m % 2 == 0, 1.0, -1.0)
+    mirror = np.where((top + lo) % 2 == 0, 1.0, -1.0)
+    w[m, lo, top, :top + 1] = np.where(k <= lo, base * f, 0.0).T
+    w[m, top, lo, :top + 1] = np.where(k <= lo, base * mirror * f, 0.0).T
 
 
 def _s_blocks(l_max, sigma):
@@ -240,15 +252,6 @@ def u_log_block(l_max, m, x, direction="12"):
 # the electric target amplitude be read off the orbital J'-1 channel alone.
 
 
-def _cg(j1, m1, j2, m2, jj, mm):
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | jj mm>."""
-    if m1 + m2 != mm:
-        return 0.0
-    w = wigner3j(ThreeJArgs(j1, j2, jj, m1, m2, -mm))
-    s = -1.0 if (j1 - j2 + mm) % 2 else 1.0
-    return s * math.sqrt(2.0 * jj + 1.0) * w
-
-
 def _em_weights(l_max, m):
     """Recoupling weight vectors for the four polarization blocks.
 
@@ -256,21 +259,25 @@ def _em_weights(l_max, m):
     w0[q][J] = <J,   m-q; 1, q | J m>,
     wm[q][J] = <J-1, m-q; 1, q | J m>,
     wp[q][J] = <J+1, m-q; 1, q | J m>,
-    plus the electric decomposition constants aR, bR.
+    zero for J below max(1, |m|), plus the electric decomposition
+    constants aR, bR.
     """
     n = l_max + 2
-    w0 = np.zeros((3, n))
-    wm = np.zeros((3, n))
-    wp = np.zeros((3, n))
-    for iq, q in enumerate((-1, 0, 1)):
-        mu = m - q
-        for jj in range(max(1, abs(m)), n):
-            if abs(mu) <= jj:
-                w0[iq, jj] = _cg(jj, mu, 1, q, jj, m)
-            if abs(mu) <= jj - 1:
-                wm[iq, jj] = _cg(jj - 1, mu, 1, q, jj, m)
-            if abs(mu) <= jj + 1:
-                wp[iq, jj] = _cg(jj + 1, mu, 1, q, jj, m)
+    # one 3j family (J' 1 J; m-q, q, -m) per (q, J'): from the top it
+    # holds J = J'+1, J', J'-1, i.e. wm[J'+1], w0[J'] and wp[J'-1]
+    q, jp = np.divmod(np.arange(3 * (n + 1)), n + 1)
+    q -= 1
+    ok = np.abs(m - q) <= jp
+    q, jp = q[ok], jp[ok]
+    _, f = specfun._threej_rows(jp, 1, m - q, q)
+    # <j1 m1; 1 q | J m> = (-1)^{j1-1+m} sqrt(2J+1) 3j(j1 1 J; m1 q -m)
+    sign = np.where((jp - 1 + m) % 2 == 1, -1.0, 1.0)
+    w = np.zeros((3, 3, n))
+    for t in range(f.shape[0]):
+        jj = jp + 1 - t
+        r = np.flatnonzero((jj >= max(1, abs(m))) & (jj < n))
+        w[t, q[r] + 1, jj[r]] = sign[r] * np.sqrt(2.0 * jj[r] + 1.0) * f[t, r]
+    wm, w0, wp = w
     jv = np.arange(n, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_r = np.sqrt((jv + 1.0) / (2.0 * jv + 1.0))

@@ -1,8 +1,9 @@
 """Independent high-precision references used only by the test suite.
 
 Everything here is deliberately slow and obvious: exact rational Racah
-sums for 3j symbols and mpmath evaluations for Bessel functions.  The
-production code must agree with these, never the other way around.
+sums and the one-family scalar recursion for 3j symbols, and mpmath
+evaluations for Bessel functions.  The production code must agree with
+these, never the other way around.
 """
 
 import math
@@ -61,6 +62,109 @@ def threej_exact(l1, l2, l3, m1, m2, m3, prec=60):
         return 0.0
     with mp.workdps(prec):
         return float(sign * mp.sqrt(mp.mpf(sq.numerator) / sq.denominator))
+
+
+def _sg_coeff_a(j, l1, l2, m3):
+    x = (j * j - (l1 - l2) ** 2) * ((l1 + l2 + 1) ** 2 - j * j) * (j * j - m3 * m3)
+    return math.sqrt(x) if x > 0 else 0.0
+
+
+def _sg_coeff_b(j, l1, l2, m1, m2, m3):
+    # pinned against exact rational 3j values (see tests): the middle
+    # coefficient of the j-recursion is -(2j+1)[m3 X + (m1-m2) j(j+1)]
+    return -(2 * j + 1) * (m3 * (l1 * (l1 + 1) - l2 * (l2 + 1))
+                           + (m1 - m2) * j * (j + 1))
+
+
+_RESCALE = 1e250
+
+
+@lru_cache(maxsize=None)
+def threej_family_ref(l1, l2, m1, m2):
+    """f[j - jmin] = 3j(l1 l2 j; m1 m2 m3), j = jmin..l1+l2, m3 = -(m1+m2).
+
+    The scalar two-sided Schulten-Gordon recursion, one family per call:
+    the reference for the row-batched recursion in `casphere.specfun`.
+    Matched at the forward maximum and normalized with
+    sum (2j+1) f^2 = 1, sign (-1)^{l1-l2-m3} at j = l1+l2.  Returns a
+    read-only array.
+    """
+    jmin, f = _sg_family(l1, l2, m1, m2)
+    f.setflags(write=False)
+    return jmin, f
+
+
+def _sg_family(l1, l2, m1, m2):
+    import numpy as np
+    from casphere.specfun import threej_000
+    m3 = -(m1 + m2)
+    jmin = max(abs(l1 - l2), abs(m3))
+    jmax = l1 + l2
+    sign_top = -1.0 if (l1 - l2 - m3) % 2 else 1.0
+    npts = jmax - jmin + 1
+    if npts == 1:
+        return jmin, np.array([sign_top / math.sqrt(2.0 * jmin + 1.0)])
+    if m1 == 0 and m2 == 0:
+        # degenerate recursion (all B vanish); use the closed form per j
+        return jmin, np.array([threej_000(l1, l2, j) for j in range(jmin, jmax + 1)])
+
+    f = np.zeros(npts)
+
+    def a_of(j):
+        return _sg_coeff_a(j, l1, l2, m3)
+
+    def b_of(j):
+        return _sg_coeff_b(j, l1, l2, m1, m2, m3)
+
+    # forward pass from jmin
+    f[0] = 1.0
+    if jmin == 0:
+        # only possible for l1 == l2, m3 == 0; seed f(1) from the closed form
+        l, m = l1, m1
+        f[0] = (1.0 if (l - m) % 2 == 0 else -1.0) / math.sqrt(2.0 * l + 1.0)
+        f[1] = (1.0 if (l - m) % 2 == 0 else -1.0) * 2.0 * m \
+            / math.sqrt((2.0 * l + 2.0) * (2.0 * l + 1.0) * 2.0 * l)
+    else:
+        # A(jmin) = 0, so the three-term relation at j = jmin is two-term
+        f[1] = -b_of(jmin) * f[0] / (jmin * a_of(jmin + 1))
+    i_stop = npts - 1
+    drops = 0
+    for i in range(1, npts - 1):
+        j = jmin + i
+        f[i + 1] = -(b_of(j) * f[i] + (j + 1) * a_of(j) * f[i - 1]) \
+            / (j * a_of(j + 1))
+        if abs(f[i + 1]) > _RESCALE:
+            f[:i + 2] /= _RESCALE
+        if abs(f[i + 1]) < abs(f[i]):
+            drops += 1
+            if drops >= 2:  # safely inside the oscillatory region
+                i_stop = i + 1
+                break
+        else:
+            drops = 0
+    i_match = int(np.argmax(np.abs(f[:i_stop + 1])))
+    if i_match == i_stop and i_stop < npts - 1:
+        i_stop += 1  # keep one backward point beyond the match index
+
+    # backward pass from jmax down to the match index
+    g = np.zeros(npts)
+    g[-1] = 1.0
+    g[-2] = -b_of(jmax) * g[-1] / ((jmax + 1) * a_of(jmax))
+    for i in range(npts - 3, i_match - 1, -1):
+        j = jmin + i + 1
+        g[i] = -(j * a_of(j + 1) * g[i + 2] + b_of(j) * g[i + 1]) \
+            / ((j + 1) * a_of(j))
+        if abs(g[i]) > _RESCALE:
+            g[i:] /= _RESCALE
+    scale = f[i_match] / g[i_match]
+    f[i_match:] = g[i_match:] * scale
+
+    j_all = np.arange(jmin, jmax + 1, dtype=float)
+    norm = math.sqrt(float(np.sum((2.0 * j_all + 1.0) * f * f)))
+    f /= norm
+    if f[-1] * sign_top < 0.0:
+        f = -f
+    return jmin, f
 
 
 def bessel_i_scaled_ref(l, z, prec=80):
@@ -276,7 +380,6 @@ def translation_oracle_reset():
 def _w_log_tensor(l_max, m):
     """W[l', l, l''] = (2l''+1) 3j(l l' l''; 0 0 0) 3j(l l' l''; m -m 0)."""
     import numpy as np
-    from casphere.specfun import threej_family
     key = (l_max, m)
     hit = _W_LOG.get(key)
     if hit is not None:
@@ -287,11 +390,11 @@ def _w_log_tensor(l_max, m):
     logw = np.full((n, n, nw), -np.inf)
     for l_in in range(m, n):
         for l_out in range(m, n):
-            jmin, f000 = threej_family(l_in, l_out, 0, 0)
+            jmin, f000 = threej_family_ref(l_in, l_out, 0, 0)
             if m == 0:
                 fm = f000
             else:
-                jmin_m, fm = threej_family(l_in, l_out, m, -m)
+                jmin_m, fm = threej_family_ref(l_in, l_out, m, -m)
                 assert jmin_m == jmin
             w = f000 * fm
             idx = np.arange(jmin, l_in + l_out + 1)

@@ -15,6 +15,7 @@ from casphere.energy import (
     EnergyEstimate,
     FieldKind,
     Geometry,
+    LMaxClampWarning,
     PivotFallbackWarning,
     QuadSpec,
     REAL_SCALAR,
@@ -31,6 +32,7 @@ from casphere.energy import (
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
+    Dispersive,
     Neumann,
     PerfectConductor,
     Robin,
@@ -511,9 +513,41 @@ def test_nbody_vacuum_sphere_drops_out():
 # ---------------------------------------------------------------------------
 
 def test_suggest_l_max_bounds_and_ordering():
-    near = suggest_l_max(pair(DIR, DIR, 3.0), "scalar-real")
-    far = suggest_l_max(pair(DIR, DIR, 10.0), "scalar-real")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        near = suggest_l_max(pair(DIR, DIR, 3.0), "scalar-real")
+        far = suggest_l_max(pair(DIR, DIR, 10.0), "scalar-real")
     assert 6 <= far <= near <= 40
+    assert not [w for w in caught if w.category is LMaxClampWarning]
+
+
+def _fake_probe(monkeypatch, diffs, delta_fit):
+    """Make suggest_l_max's probe return these history differences."""
+    es = np.cumsum([-1.0] + list(diffs))
+    est = EnergyEstimate(value=float(es[-1]), l_max=len(es) - 1,
+                         history=[(l, float(e)) for l, e in enumerate(es)],
+                         delta_fit=delta_fit, quad_error=0.0)
+    monkeypatch.setattr(energy, "casimir_energy", lambda *args: est)
+
+
+@pytest.mark.parametrize("diffs,delta_fit,expect,loud", [
+    # need = 13 + 14/rate: rate 0.1 asks for 153
+    (1e-3 * np.exp(-0.1 * np.arange(13)), 0.2, 40, True),
+    # rejected fit, or differences that do not decay: no usable rate
+    (1e-3 * np.exp(-1.0 * np.arange(13)), math.nan, 40, True),
+    (1e-3 * np.ones(13), 0.2, 40, True),
+    # rate 0.8 asks for 31; a vanishing tail returns lo
+    (1e-3 * np.exp(-0.8 * np.arange(13)), 0.2, 31, False),
+    (np.r_[1e-3 * np.ones(12), 0.0], 0.2, 6, False),
+])
+def test_suggest_l_max_warns_once_when_clamped_to_hi(monkeypatch, diffs,
+                                                     delta_fit, expect, loud):
+    _fake_probe(monkeypatch, diffs, delta_fit)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = suggest_l_max(pair(DIR, DIR, 3.0), "scalar-real")
+    assert got == expect
+    assert [w.category for w in caught] == [LMaxClampWarning] * loud
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +580,59 @@ def test_nbody_node_builds_one_chain_per_distance(monkeypatch, field, law):
     _history(Geometry((sph, sph, sph), (0.0, 3.0, 6.0)),
              FieldKind(field), 0.8, 4)
     assert sorted(z for _, z in calls) == [0.8 * 3.0, 0.8 * 6.0]
+
+
+class _Unshared(SphereSpec):
+    """A sphere equal only to itself: it never shares a T-matrix log."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def _count_t_logs(monkeypatch):
+    calls = []
+    for name in ("t_scalar_log", "t_em_log"):
+        def counted(*args, _fn=getattr(energy, name)):
+            calls.append(args[0])
+            return _fn(*args)
+        monkeypatch.setattr(energy, name, counted)
+    return calls
+
+
+class _UnhashableEps:
+    """A dielectric law eps_mu(kappa) that cannot be hashed."""
+
+    __hash__ = None
+
+    def __call__(self, kappa):
+        return 4.0, 1.0
+
+
+@pytest.mark.parametrize("field,law", [("scalar-real", Dirichlet()),
+                                       ("em", PerfectConductor()),
+                                       ("em", Dispersive(_UnhashableEps()))])
+@pytest.mark.parametrize("nsph", [2, 3])
+def test_equal_spheres_share_one_t_log_per_node(monkeypatch, field, law,
+                                                nsph):
+    calls = _count_t_logs(monkeypatch)
+    centers = tuple(3.0 * i for i in range(nsph))
+    fld = FieldKind(field)
+    shared = _history(Geometry([SphereSpec(R, law) for _ in range(nsph)],
+                               centers), fld, 0.8, 6)
+    assert len(calls) == 1
+    del calls[:]
+    own = _history(Geometry([_Unshared(R, law) for _ in range(nsph)],
+                            centers), fld, 0.8, 6)
+    assert len(calls) == nsph
+    assert np.array_equal(shared, own)
+
+
+def test_unequal_spheres_keep_their_own_t_logs(monkeypatch):
+    calls = _count_t_logs(monkeypatch)
+    small = SphereSpec(0.5, Dirichlet())
+    _history(Geometry((DIR, small, DIR), (0.0, 3.0, 6.0)), REAL_SCALAR,
+             0.8, 4)
+    assert calls == [DIR, small]
 
 
 def test_w_kernel_is_one_array_for_the_largest_order(monkeypatch):

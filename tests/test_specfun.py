@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from casphere.specfun import (
     L_CEILING,
     ThreeJArgs,
+    _threej_rows,
     bessel_ik_half,
     bessel_ik_half_chain,
     threej_000,
@@ -213,3 +214,74 @@ def test_column_swap_symmetry():
         b = wigner3j(ThreeJArgs(l2, l1, l3, m2, m1, -(m1 + m2)))
         sign = -1.0 if (l1 + l2 + l3) % 2 else 1.0
         assert b == pytest.approx(sign * a, abs=1e-14, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# row-batched 3j recursion against the one-family scalar oracle
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _assert_rows_match_oracle(l1, l2, m1, m2):
+    """Every row of one `_threej_rows` batch against the scalar oracle:
+    within 4 ulp relative on nonzero entries, with identical zeros."""
+    jmin, f = _threej_rows(l1, l2, m1, m2)
+    rows = np.broadcast_arrays(l1, l2, m1, m2)
+    for r, (a, b, c, d) in enumerate(zip(*(np.atleast_1d(v) for v in rows))):
+        jref, ref = orc.threej_family_ref(int(a), int(b), int(c), int(d))
+        assert jmin[r] == jref
+        npts = len(ref)
+        assert np.all(f[npts:, r] == 0.0)
+        mine = f[npts - 1::-1, r]
+        assert np.array_equal(mine == 0.0, ref == 0.0)
+        assert np.all(np.abs(mine - ref) <= 4 * EPS * np.abs(ref))
+
+
+def test_batched_m3_zero_families_match_scalar_oracle():
+    # every (l1, l2; m, -m) family with l1, l2 <= 40, m = 0..min(l1, l2),
+    # one batch per l1 as the translation kernel builds them
+    for l1 in range(41):
+        l2, m = np.array([(l2, m) for l2 in range(41)
+                          for m in range(min(l1, l2) + 1)]).T
+        _assert_rows_match_oracle(l1, l2, m, -m)
+
+
+def test_batched_general_m3_families_match_scalar_oracle():
+    rng = np.random.default_rng(2024)
+    l1 = rng.integers(0, 101, size=300)
+    l2 = rng.integers(0, 101, size=300)
+    m1 = np.array([rng.integers(-a, a + 1) for a in l1])
+    m2 = np.array([rng.integers(-b, b + 1) for b in l2])
+    _assert_rows_match_oracle(l1, l2, m1, m2)
+
+
+def test_batched_edge_rows():
+    # jmin = 0 (l1 == l2, m3 = 0), npts = 1 (l2 = 0 and |m3| = l1 + l2),
+    # m1 = m2 = 0 (closed form), next to ordinary rows in one batch
+    l1 = np.array([7, 1, 30, 5, 0, 4, 6, 3, 12, 9])
+    l2 = np.array([7, 1, 30, 0, 0, 3, 6, 2, 8, 9])
+    m1 = np.array([3, 1, -12, 2, 0, 4, 0, 0, 5, 0])
+    m2 = np.array([-3, -1, 12, 0, 0, 3, 0, 0, -2, 1])
+    _assert_rows_match_oracle(l1, l2, m1, m2)
+    jmin, f = _threej_rows(l1, l2, m1, m2)
+    assert jmin[0] == 0 and jmin[5] == 7 and np.all(f[1:, 5] == 0.0)
+
+
+def test_family_is_one_row_of_a_batch():
+    # a row's values do not depend on the batch it is computed in
+    l2 = np.arange(20, 41)
+    jmin, f = _threej_rows(25, l2, 4, -4)
+    for r, b in enumerate(l2):
+        j1, fam = threej_family(25, int(b), 4, -4)
+        assert j1 == jmin[r] and not fam.flags.writeable
+        assert np.array_equal(fam, f[len(fam) - 1::-1, r])
+
+
+def test_batched_rescaled_rows_match_scalar_oracle():
+    # deep families whose forward (first row) or backward (second row)
+    # pass crosses the 1e250 rescale, batched with a row that does not
+    _assert_rows_match_oracle(np.array([400, 500, 60]),
+                              np.array([380, 500, 50]),
+                              np.array([-380, 499, 7]),
+                              np.array([395, -499, -3]))

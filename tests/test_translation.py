@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
+import casphere.translation as tr
 from casphere.specfun import bessel_ik_half_chain
 from casphere.translation import em_log_blocks, node_kernel, u_log_block
 
@@ -237,7 +238,6 @@ def test_em_mixing_vanishes_at_m0():
 def test_em_electric_extraction_route_consistency():
     # the electric target amplitude can be read off either the J'-1 or the
     # J'+1 orbital channel; both must give the same block
-    import casphere.translation as tr
     l_max, m, x = 7, 1, 2.3
     blocks = em_log_blocks(l_max, m, x, "12")
     w0, wm, wp, a_r, b_r = tr._em_weights(l_max, m)
@@ -281,3 +281,58 @@ def test_em_validation_errors():
         em_log_blocks(1, 0, 1.0, "13")
     with pytest.raises(ValueError):
         node_kernel(1, -1.0, em=True)
+
+
+# ---------------------------------------------------------------------------
+# 3j kernel W
+# ---------------------------------------------------------------------------
+
+def _w_reference(l_max):
+    """W[m, l', l, k] from the scalar one-family 3j oracle."""
+    n = l_max + 1
+    w = np.zeros((n, n, n, n))
+    for l_in in range(n):
+        for l_out in range(n):
+            lo = min(l_in, l_out)
+            _, f000 = orc.threej_family_ref(l_in, l_out, 0, 0)
+            lpp = l_in + l_out - 2 * np.arange(lo + 1)
+            base = f000[::-2] * (2.0 * lpp + 1.0) * math.sqrt(
+                (2.0 * l_in + 1.0) * (2.0 * l_out + 1.0))
+            if l_in % 2 == 0:
+                base = -base
+            for m in range(lo + 1):
+                _, fm = orc.threej_family_ref(l_in, l_out, m, -m)
+                w[m, l_out, l_in, :lo + 1] = \
+                    (base if m % 2 == 0 else -base) * fm[::-2]
+    return w
+
+
+def test_w_kernel_matches_scalar_oracle_at_forty(monkeypatch):
+    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+    w = tr._w_kernel(40)
+    ref = _w_reference(40)
+    assert np.array_equal(w == 0.0, ref == 0.0)
+    nz = ref != 0.0
+    assert np.all(np.abs(w[nz] - ref[nz])
+                  <= 4 * np.finfo(float).eps * np.abs(ref[nz]))
+
+
+def test_w_kernel_growth_is_byte_equal_to_fresh_build(monkeypatch):
+    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+    for l_max in (5, 33, 9):
+        grown = tr._w_kernel(l_max)
+    assert grown.shape == (10,) * 4
+    grown = tr._W_KERNEL
+    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+    fresh = tr._w_kernel(33)
+    assert not fresh.flags.writeable
+    assert grown.tobytes() == fresh.tobytes()
+
+
+def test_w_kernel_mirror_parity():
+    # 3j(l l' L; m -m 0) is symmetric in l and l', so swapping the orders
+    # only moves the prefactor sign: W[m, l', l] = (-1)^{l+l'} W[m, l, l']
+    w = tr._w_kernel(40)
+    lv = np.arange(41)
+    par = np.where((lv[:, None] + lv[None, :]) % 2 == 0, 1.0, -1.0)
+    assert np.array_equal(w.swapaxes(1, 2), par[None, :, :, None] * w)
