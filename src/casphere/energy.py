@@ -18,21 +18,27 @@ per sphere pair, and the per-m work is a product of O(1) floats feeding
 the final determinants.
 
 The per-l cuts of every m-block are leading principal minors of 1 - N_m,
-and all m-blocks of a node are eliminated together.  They are written
-into one zero-padded stack, largest first, each in the trailing
-(bottom-right) corner of its slot: the padding then acts as identity
-rows, the blocks still being eliminated at any row form a prefix of the
-stack, and each one's update window is exactly its own trailing
-submatrix, so no work is spent on padding.  One loop over rows serves
-every m.
+and the m-blocks of many nodes are eliminated together.  They are
+written into one zero-padded stack, m-major and node-minor, so sizes
+never increase along it, each block in the trailing (bottom-right)
+corner of its slot: the padding then acts as identity rows, the blocks
+still being eliminated at any row form a prefix of the stack, and each
+one's update window is exactly its own trailing submatrix, so no work is
+spent on padding.  One loop over rows serves every m of every node.
+
+The kappa integral is a global-adaptive Gauss-Kronrod (7, 15) rule with
+the interval choice, sums and error estimate of
+`scipy.integrate.quad_vec(..., norm="max", quadrature="gk15")`; every
+node of one refinement round is evaluated in one such batch.
 """
 
+import heapq
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .tmatrix import (
     SphereSpec,
@@ -188,7 +194,8 @@ class QuadSpec:
 
     The integral runs over t = 2 kappa L with L the surface gap; the
     integrand decays like e^{-t}, so t_max = 80 truncates far below
-    relative 1e-16 of the peak.
+    relative 1e-16 of the peak.  rel_tol bounds the global Gauss-Kronrod
+    error estimate relative to the max-norm of the history integral.
     """
 
     rel_tol: float = 1e-9
@@ -261,6 +268,8 @@ def _stack_lndets(stack, sizes, rebuild):
     nb, n, _ = stack.shape
     first = n - np.asarray(sizes)
     active = np.searchsorted(first, np.arange(n), side="right")
+    # one buffer holds every rank-1 update; sized for the largest window
+    scratch = np.empty(np.max(active * (n - 1 - np.arange(n)) ** 2))
     fallback = []
     for k in range(n):
         act = stack[:active[k]]
@@ -273,9 +282,12 @@ def _stack_lndets(stack, sizes, rebuild):
             fallback.extend(np.flatnonzero(bad).tolist())
         if k + 1 < n:
             # the elementwise order of outer(col, row) / piv
-            act[:, k + 1:, k + 1:] += (act[:, k + 1:, k, None]
-                                       * act[:, None, k, k + 1:]) \
-                / piv[:, None, None]
+            w = n - k - 1
+            t = scratch[:len(act) * w * w].reshape(len(act), w, w)
+            np.multiply(act[:, k + 1:, k, None], act[:, None, k, k + 1:],
+                        out=t)
+            np.divide(t, piv[:, None, None], out=t)
+            act[:, k + 1:, k + 1:] += t
     bkk = np.diagonal(stack, axis1=1, axis2=2)
     piv = 1.0 - bkk
     own = np.arange(n) >= first[:, None]
@@ -349,45 +361,73 @@ def _per_pol(arr, pol):
     return arr
 
 
+def _write_blocks(out, pairs, pol, l_min, ms):
+    """Write the m-blocks N_m of one node, m in the slice ms, into out.
+
+    out has shape (nm, nl, nsph, pol, nl, nsph, pol) for nl orders from
+    l_min.  pairs holds (a, b, scale, u): the (sphere a, sphere b) block
+    of N_m is scale * u[m].  Rows and columns run l-major with (sphere,
+    polarization) inside each order, so every sphere cut at order l is a
+    leading principal submatrix.  One strided multiply per (polarization,
+    polarization) pair keeps the innermost runs long.
+    """
+    lo = pol * l_min
+    nl = out.shape[1]
+    for a, b, scale, u in pairs:
+        s = scale[lo:, lo:].reshape(nl, pol, nl, pol)
+        blocks = u[ms, lo:, lo:].reshape(-1, nl, pol, nl, pol)
+        for p in range(pol):
+            for q in range(pol):
+                np.multiply(s[:, p, :, q], blocks[:, :, p, :, q],
+                            out=out[:, :, a, p, :, b, q])
+
+
 def _node_stack(pairs, nsph, pol, l_min, ms):
     """The m-blocks N_m of one node for m in the slice ms, padded.
 
-    pairs holds (a, b, scale, u): the (sphere a, sphere b) block of N_m
-    is scale * u[m].  Rows and columns run l-major over l >= l_min with
-    (sphere, polarization) inside each order, so every sphere cut at
-    order l is a leading principal submatrix.  Block m proper covers
-    l >= max(m, l_min), the trailing corner of its slot; the orders
-    below it are padding (see `_stack_lndets`).
+    Block m proper covers l >= max(m, l_min), the trailing corner of its
+    slot; the orders below it are padding (see `_stack_lndets`).
     """
     l_max = pairs[0][2].shape[0] // pol - 1
     nl = l_max + 1 - l_min
-    lo = pol * l_min
     nm = len(range(l_max + 1)[ms])
     stack = np.zeros((nm, nl, nsph, pol, nl, nsph, pol))
-    for a, b, scale, u in pairs:
-        np.multiply(scale[lo:, lo:].reshape(nl, pol, nl, pol),
-                    u[ms, lo:, lo:].reshape(-1, nl, pol, nl, pol),
-                    out=stack[:, :, a, :, :, b, :])
+    _write_blocks(stack, pairs, pol, l_min, ms)
     n = nl * nsph * pol
     return stack.reshape(nm, n, n)
 
 
-def _node_history(pairs, nsph, pol, l_max, l_min):
-    """History vector of one node from its (sphere, sphere) blocks.
+def _stack_history(node_pairs, nsph, pol, l_max, l_min):
+    """History vectors of nodes given by their (sphere, sphere) blocks,
+    shape (len(node_pairs), l_max + 1).
 
-    Every m-block is eliminated at once in one padded stack; a block
-    sent to the pivoted fallback is rebuilt alone from `pairs`.
+    The m-blocks of every node are eliminated at once in one padded
+    stack, m-major and node-minor, so block sizes never increase along
+    it; a block sent to the pivoted fallback is rebuilt alone from its
+    node's pairs.
     """
+    nn = len(node_pairs)
+    nl = l_max + 1 - l_min
     stride = nsph * pol
-    sizes = stride * (l_max + 1 - np.maximum(np.arange(l_max + 1), l_min))
-    signs, lndets = _stack_lndets(
-        _node_stack(pairs, nsph, pol, l_min, slice(None)), sizes,
-        lambda m: _node_stack(pairs, nsph, pol, l_min, slice(m, m + 1))[0])
-    return _m_history(signs, lndets, stride, l_min)
+    n = nl * stride
+    stack = np.zeros((l_max + 1, nn, nl, nsph, pol, nl, nsph, pol))
+    for j, pairs in enumerate(node_pairs):
+        _write_blocks(stack[:, j], pairs, pol, l_min, slice(None))
+    sizes = np.repeat(
+        stride * (l_max + 1 - np.maximum(np.arange(l_max + 1), l_min)), nn)
+
+    def rebuild(i):
+        m, j = divmod(i, nn)
+        return _node_stack(node_pairs[j], nsph, pol, l_min,
+                           slice(m, m + 1))[0]
+
+    signs, lndets = _stack_lndets(stack.reshape(-1, n, n), sizes, rebuild)
+    return np.array([_m_history(signs[j::nn], lndets[j::nn], stride, l_min)
+                     for j in range(nn)])
 
 
-def _history(geometry, fld, kappa, l_max):
-    """History vector of one node: lndet of 1 - K at every cut l.
+def _node_pairs(geometry, fld, kappa, l_max):
+    """(a, b, scale, u) of every ordered sphere pair of one node.
 
     K_ab = T^a U^ab for spheres a != b; the block matrix runs l-major
     over (l, sphere, polarization), and two spheres are its N = 2 case.
@@ -430,7 +470,34 @@ def _history(geometry, fld, kappa, l_max):
                                              + pw + expo)
                 direction = "12" if centers[b] > centers[a] else "21"
                 pairs.append((a, b, scale, kern.oriented(direction)))
-    return _node_history(pairs, nsph, pol, l_max, _l_min(fld))
+    return pairs
+
+
+# byte budget of one padded stack: nodes are eliminated together in
+# chunks that fit it (at least one node per chunk), which bounds the
+# memory of a refinement round whatever its node count
+_STACK_BYTES = 1 << 20
+
+
+def _histories(geometry, fld, kappas, l_max):
+    """History vectors lndet(1 - K) at every cut l for the nodes kappas,
+    shape (len(kappas), l_max + 1).
+
+    Each row equals the one-node call on its kappa bit for bit: the
+    nodes share only the elimination loop, never arithmetic.
+    """
+    nsph = geometry.n_spheres
+    pol = 2 if fld.is_em else 1
+    l_min = _l_min(fld)
+    n = (l_max + 1 - l_min) * nsph * pol
+    chunk = max(1, _STACK_BYTES // ((l_max + 1) * n * n * 8))
+    out = np.empty((len(kappas), l_max + 1))
+    for start in range(0, len(kappas), chunk):
+        node_pairs = [_node_pairs(geometry, fld, kappa, l_max)
+                      for kappa in kappas[start:start + chunk]]
+        out[start:start + len(node_pairs)] = _stack_history(
+            node_pairs, nsph, pol, l_max, l_min)
+    return out
 
 
 def integrand(geometry, field_kind, kappa, l_max):
@@ -444,7 +511,7 @@ def integrand(geometry, field_kind, kappa, l_max):
     fld = _checked_field(geometry, field_kind, l_max)
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    return float(_history(geometry, fld, kappa, l_max)[l_max])
+    return float(_histories(geometry, fld, [kappa], l_max)[0, l_max])
 
 
 def extrapolate(history, geometry):
@@ -481,19 +548,137 @@ def extrapolate(history, geometry):
     return e_inf, delta
 
 
+# Gauss-Kronrod (7, 15) rule on [-1, 1]: abscissae from +1 to -1 with
+# their Kronrod weights, and the Gauss weights of the odd-indexed nodes
+_GK15_HALF_X = (0.991455371120812639206854697526329,
+                0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926,
+                0.741531185599394439863864773280788,
+                0.586087235467691130294144838258730,
+                0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245)
+_GK15_X = _GK15_HALF_X + (0.0,) + tuple(-x for x in _GK15_HALF_X[::-1])
+_GK15_HALF_V = (0.022935322010529224963732008058970,
+                0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518,
+                0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550,
+                0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649)
+_GK15_V = _GK15_HALF_V + (0.209482141084727828012999174891714,) \
+    + _GK15_HALF_V[::-1]
+_GK15_HALF_W = (0.129484966168869693270611432679082,
+                0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975)
+_GK15_W = _GK15_HALF_W + (0.417959183673469387755102040816327,) \
+    + _GK15_HALF_W[::-1]
+
+
+def _gk15_nodes(a, b):
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    return [c + h * x for x in _GK15_X]
+
+
+def _gk15(a, b, fv):
+    """(integral, error, rounding error) of the GK15 rule on [a, b]
+    from the values fv at `_gk15_nodes(a, b)`.
+
+    QUADPACK's error estimate in the max-norm, each sum running
+    sequentially over the nodes, in the arithmetic order of quad_vec.
+    """
+    h = 0.5 * (b - a)
+    s_k = 0.0
+    s_k_abs = 0.0
+    for v, ff in zip(_GK15_V, fv):
+        s_k += v * ff
+        s_k_abs += v * abs(ff)
+    s_g = 0.0
+    for i, w in enumerate(_GK15_W):
+        s_g += w * fv[2 * i + 1]
+    y0 = s_k / 2.0
+    s_k_dabs = 0.0
+    for v, ff in zip(_GK15_V, fv):
+        s_k_dabs += v * abs(ff - y0)
+    err = float(np.amax(abs((s_k - s_g) * h)))
+    dabs = float(np.amax(abs(s_k_dabs * h)))
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = float(np.amax(abs(50 * sys.float_info.epsilon * h * s_k_abs)))
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
+
+
+# intervals split per refinement round, and the interval count at which
+# refinement stops
+_GK_SPLITS = 128
+_GK_LIMIT = 10000
+
+
+def _adaptive_gk15(f, b, rel_tol):
+    """(integral, error) over [0, b] of the vector function f.
+
+    Global-adaptive GK15 with the nodes, sums, interval choice and
+    stopping tests of scipy's quad_vec(f, 0, b, epsabs=1e-280,
+    epsrel=rel_tol, norm="max", quadrature="gk15"): each round splits
+    the intervals of largest error (up to 128, until their errors exceed
+    the global error less tol/8), and stops once the global error is
+    below tol/8 or the rounding error.  f maps a list of nodes to an
+    array of values, one row per node, and gets every node of a round in
+    one call.
+    """
+    ig, err, round_err = _gk15(0.0, b, f(_gk15_nodes(0.0, b)))
+    total = ig.copy()
+
+    # epsabs 1e-280 acts only as the floor for identically zero integrands
+    def tol():
+        return max(1e-280, rel_tol * np.amax(abs(total)))
+
+    global_error = err
+    rounding_error = round_err
+    integrals = {(0.0, b): ig}
+    heap = [(-err, 0.0, b)]
+    while heap and len(heap) < _GK_LIMIT:
+        limit = global_error - tol() / 8
+        split = []
+        err_sum = 0.0
+        while heap and len(split) < _GK_SPLITS \
+                and not (split and err_sum > limit):
+            neg_err, lo, hi = heapq.heappop(heap)
+            split.append((-neg_err, lo, hi))
+            err_sum += -neg_err
+        nodes = []
+        for _, lo, hi in split:
+            mid = 0.5 * (lo + hi)
+            nodes += _gk15_nodes(lo, mid) + _gk15_nodes(mid, hi)
+        values = f(nodes)
+        for i, (old_err, lo, hi) in enumerate(split):
+            mid = 0.5 * (lo + hi)
+            s1, err1, round1 = _gk15(lo, mid, values[30 * i:30 * i + 15])
+            s2, err2, round2 = _gk15(mid, hi, values[30 * i + 15:30 * i + 30])
+            total += s1 + s2 - integrals.pop((lo, hi))
+            global_error += err1 + err2 - old_err
+            rounding_error += round1 + round2
+            for x1, x2, ig, err in ((lo, mid, s1, err1), (mid, hi, s2, err2)):
+                integrals[(x1, x2)] = ig
+                heapq.heappush(heap, (-err, x1, x2))
+        if len(heap) >= 2 and (global_error < tol() / 8
+                               or global_error < rounding_error):
+            break
+        if not (math.isfinite(global_error)
+                and math.isfinite(rounding_error)):
+            break
+    return total, global_error + rounding_error
+
+
 def _integrate_history(geometry, fld, l_max, quad):
     gap = geometry.surface_gap
     l_min = _l_min(fld)
-
-    def f(t):
-        if t <= 0.0:
-            return np.zeros(l_max + 1)
-        kappa = t / (2.0 * gap)
-        return _history(geometry, fld, kappa, l_max)
-
-    # epsabs acts only as the floor for identically-zero integrands
-    res, err = quad_vec(f, 0.0, quad.t_max, epsabs=1e-280,
-                        epsrel=quad.rel_tol, norm="max", quadrature="gk15")
+    res, err = _adaptive_gk15(
+        lambda ts: _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
+                              l_max),
+        float(quad.t_max), quad.rel_tol)
     # substitution d kappa = dt/(2L); report in units of hbar c / R_1
     scale = fld.prefactor / (2.0 * gap) * geometry.spheres[0].radius
     energies = scale * res
@@ -518,10 +703,11 @@ def casimir_energy(geometry, field_kind, l_max, quad=QuadSpec()):
 
     The N = 2 case of the block determinant of `casimir_energy_nbody`,
     restricted to exactly two spheres.  Integrates the m-summed
-    log-determinant over t = 2 kappa L with adaptive vector quadrature
-    (every truncation l shares one node set), then extrapolates the
-    exponentially converging per-l estimates.  Value and history are in
-    units of hbar c / R_1.
+    log-determinant over t = 2 kappa L with global-adaptive
+    Gauss-Kronrod (7, 15) vector quadrature (every truncation l shares
+    one node set, and each refinement round is evaluated in one batch),
+    then extrapolates the exponentially converging per-l estimates.
+    Value and history are in units of hbar c / R_1.
     """
     if geometry.n_spheres != 2:
         raise ValueError("casimir_energy expects exactly two spheres; "

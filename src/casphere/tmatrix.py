@@ -77,7 +77,8 @@ class PerfectConductor:
 
 @dataclass(frozen=True)
 class Dispersive:
-    """Extension point: eps_mu(kappa) -> (eps, mu), both > 0 at every kappa.
+    """Extension point: eps_mu(kappa) -> (eps, mu), finite and > 0 at every
+    kappa.
 
     The core treats the callable opaquely, resolving it pointwise on the
     imaginary axis; only constant materials carry low-frequency series.
@@ -256,8 +257,9 @@ def t_em_log(spec, l_max, kappa):
     elif isinstance(law, (Dielectric, Dispersive)):
         if isinstance(law, Dispersive):
             eps, mu = law.eps_mu(kappa)
-            if not (eps > 0.0 and mu > 0.0):
-                raise ValueError("eps_mu(kappa) must return positive values")
+            if not (0.0 < eps < math.inf and 0.0 < mu < math.inf):
+                raise ValueError("eps_mu(kappa) must return finite positive "
+                                 "values, got (%r, %r)" % (eps, mu))
         else:
             eps, mu = law.eps, law.mu
         n = math.sqrt(eps * mu)

@@ -565,6 +565,27 @@ def leading_lndets_ref(nmat):
     return signs, lndets
 
 
+def node_stack_ref(pairs, nsph, pol, l_min):
+    """Every m-block N_m of one node, padded, each (sphere a, sphere b)
+    block written by one multiply over all polarizations at once.
+
+    pairs holds (a, b, scale, u) with the (a, b) block of N_m equal to
+    scale * u[m], l-major over l >= l_min with (sphere, polarization)
+    inside each order.
+    """
+    import numpy as np
+    l_max = pairs[0][2].shape[0] // pol - 1
+    nl = l_max + 1 - l_min
+    lo = pol * l_min
+    stack = np.zeros((l_max + 1, nl, nsph, pol, nl, nsph, pol))
+    for a, b, scale, u in pairs:
+        np.multiply(scale[lo:, lo:].reshape(nl, pol, nl, pol),
+                    u[:, lo:, lo:].reshape(-1, nl, pol, nl, pol),
+                    out=stack[:, :, a, :, :, b, :])
+    n = nl * nsph * pol
+    return stack.reshape(l_max + 1, n, n)
+
+
 # ---------------------------------------------------------------------------
 # unscaled translation elements, read off the signed-log block views
 # ---------------------------------------------------------------------------
@@ -614,7 +635,7 @@ def history_pair_ref(geometry, fld, kappa, l_max):
     polarizations truncated consistently.
     """
     import numpy as np
-    from casphere.energy import _node_history, _per_pol, _t_log
+    from casphere.energy import _per_pol, _stack_history, _t_log
     from casphere.translation import node_kernel
     sp1, sp2 = geometry.spheres
     d = geometry.d
@@ -635,4 +656,4 @@ def history_pair_ref(geometry, fld, kappa, l_max):
                 (g + peel_t)[:, None] + kern.log_scale + peel_u))
     pairs = [(0, 1, scale[0], kern.oriented("12")),
              (1, 0, scale[1], kern.oriented("21"))]
-    return _node_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)
+    return _stack_history([pairs], 2, pol, l_max, 1 if fld.is_em else 0)[0]

@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad_vec
 
 import _oracles as orc
 import casphere.energy as energy
@@ -19,7 +22,7 @@ from casphere.energy import (
     PivotFallbackWarning,
     QuadSpec,
     REAL_SCALAR,
-    _history,
+    _histories,
     _m_history,
     _node_stack,
     _stack_lndets,
@@ -50,6 +53,11 @@ PEC = SphereSpec(R, PerfectConductor())
 
 def pair(s1, s2, d):
     return Geometry.pair(s1, s2, d)
+
+
+def _history(geometry, fld, kappa, l_max):
+    """History vector of the single node kappa."""
+    return _histories(geometry, fld, [kappa], l_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +320,18 @@ def test_domain_error_when_only_the_last_block_loses_positivity():
         _m_history(signs, lndets, 2, 0)
 
 
-@pytest.mark.parametrize("field,geometry,l_max", [
+NODE_CASES = [
     ("scalar-real", pair(DIR, NEU, 3.0), 6),
     ("em", pair(PEC, SphereSpec(0.6, Dielectric(4.0, 1.0)), 2.5), 5),
     ("scalar-real", Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)), 4),
     ("em", Geometry((PEC, PEC, PEC), (0.0, 3.0, 6.0)), 2),
-])
-def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
-                                              l_max):
-    calls = []
-    node_history = energy._node_history
-    monkeypatch.setattr(energy, "_node_history",
-                        lambda *args: calls.append(args)
-                        or node_history(*args))
-    hist = _history(geometry, FieldKind(field), 0.8, l_max)
-    (pairs, nsph, pol, l_max, l_min), = calls
+]
+
+
+def _per_block_history(pairs, nsph, pol, l_max, l_min):
+    """History of one node from its m-blocks one at a time, summed in m
+    order as the weighted cuts."""
     stride = nsph * pol
-    # one m-block at a time, summed in m order as the weighted cuts
     ref = np.zeros(l_max + 1)
     for m in range(l_max + 1):
         lo = max(m, l_min)
@@ -336,7 +339,140 @@ def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
         block = _node_stack(pairs, nsph, pol, l_min, slice(m, m + 1))[0]
         _, lndets = orc.leading_lndets_ref(block[first:, first:])
         ref[lo:] += (1.0 if m == 0 else 2.0) * lndets[stride - 1::stride]
-    assert np.array_equal(hist, ref)
+    return ref
+
+
+@pytest.mark.parametrize("field,geometry,l_max", NODE_CASES)
+def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
+                                              l_max):
+    calls = []
+    stack_history = energy._stack_history
+    monkeypatch.setattr(energy, "_stack_history",
+                        lambda *args: calls.append(args)
+                        or stack_history(*args))
+    hist = _history(geometry, FieldKind(field), 0.8, l_max)
+    ((pairs,), nsph, pol, l_max, l_min), = calls
+    assert np.array_equal(hist,
+                          _per_block_history(pairs, nsph, pol, l_max, l_min))
+
+
+@pytest.mark.parametrize("field,geometry,l_max", NODE_CASES)
+def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
+                                             l_max):
+    # the strided per-polarization writes build the bytes of one
+    # multiply per sphere pair, node by node, m-major and node-minor
+    recorded = []
+    node_pairs = energy._node_pairs
+    monkeypatch.setattr(energy, "_node_pairs",
+                        lambda *args: recorded.append(node_pairs(*args))
+                        or recorded[-1])
+    stacks = []
+    stack_lndets = energy._stack_lndets
+    monkeypatch.setattr(energy, "_stack_lndets",
+                        lambda stack, *args: stacks.append(stack.copy())
+                        or stack_lndets(stack, *args))
+    fld = FieldKind(field)
+    kappas = [0.05, 0.8, 3.0]
+    _histories(geometry, fld, kappas, l_max)
+    (stack,) = stacks
+    pol, l_min = (2, 1) if fld.is_em else (1, 0)
+    assert len(recorded) == len(kappas)
+    for j, pairs in enumerate(recorded):
+        ref = orc.node_stack_ref(pairs, geometry.n_spheres, pol, l_min)
+        assert stack[j::len(kappas)].tobytes() == ref.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(NODE_CASES),
+       kappas=st.lists(st.floats(1e-3, 40.0), min_size=1, max_size=7),
+       per_chunk=st.integers(1, 3))
+def test_histories_equal_one_node_calls(case, kappas, per_chunk):
+    field, geometry, l_max = case
+    fld = FieldKind(field)
+    l_min = 1 if fld.is_em else 0
+    n = (l_max + 1 - l_min) * geometry.n_spheres * (2 if fld.is_em else 1)
+    chunks = []
+    stack_history = energy._stack_history
+    with mock.patch.object(energy, "_STACK_BYTES",
+                           per_chunk * (l_max + 1) * n * n * 8), \
+            mock.patch.object(energy, "_stack_history",
+                              lambda node_pairs, *args:
+                              chunks.append(len(node_pairs))
+                              or stack_history(node_pairs, *args)):
+        batched = _histories(geometry, fld, kappas, l_max)
+    assert chunks == [min(per_chunk, len(kappas) - start)
+                      for start in range(0, len(kappas), per_chunk)]
+    for row, kappa in zip(batched, kappas):
+        assert row.tobytes() == _history(geometry, fld, kappa, l_max).tobytes()
+
+
+def test_pivot_fallback_hits_one_node_of_a_batch(monkeypatch):
+    # the l = 0 couplings of the middle node are set to x01 = x10 = x02 = 1,
+    # x20 = -1, x12 = x21 = 0: its m = 0 block meets an exactly zero pivot
+    # at row 1 (no cut) while the cut at l = 0 has det(1 - N) = 1
+    coupling = {(0, 1): 1.0, (1, 0): 1.0, (0, 2): 1.0, (2, 0): -1.0,
+                (1, 2): 0.0, (2, 1): 0.0}
+    kappas = [0.3, 0.8, 2.0]
+    node_pairs = energy._node_pairs
+
+    def degenerate(geometry, fld, kappa, l_max):
+        pairs = node_pairs(geometry, fld, kappa, l_max)
+        if kappa != kappas[1]:
+            return pairs
+        out = []
+        for a, b, scale, u in pairs:
+            scale, u = scale.copy(), u.copy()
+            scale[0, 0] = 1.0
+            u[0, 0, 0] = coupling[a, b]
+            out.append((a, b, scale, u))
+        return out
+    monkeypatch.setattr(energy, "_node_pairs", degenerate)
+    g = Geometry((DIR, DIR, DIR), (0.0, 3.0, 6.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="warn"):
+            hist = _histories(g, REAL_SCALAR, kappas, 4)
+    # stack row 1 is (m = 0, node 1) of 5 m-blocks of 3 nodes
+    assert [w.category for w in caught] == [PivotFallbackWarning]
+    assert "block 1 of 15 " in str(caught[0].message)
+    for j, kappa in enumerate(kappas):
+        pairs = degenerate(g, REAL_SCALAR, kappa, 4)
+        assert np.array_equal(hist[j], _per_block_history(pairs, 3, 1, 4, 0))
+
+
+QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)
+              for field, law in [("scalar-real", Dirichlet()),
+                                 ("scalar-real", Neumann()),
+                                 ("scalar-real", Robin(10.0)),
+                                 ("em", PerfectConductor()),
+                                 ("em", Dielectric(4.0, 1.0))]
+              for r2, d, tol in ((1.0, 2.1, 1e-9), (0.05, 3.0, 1e-9),
+                                 (1.0, 100.0, 1e-7))] + [
+    ("scalar-real", Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)), 1e-9),
+    ("em", Geometry((PEC, PEC, PEC), (0.0, 3.0, 6.0)), 1e-9)]
+
+
+@pytest.mark.parametrize("field,geometry,rel_tol", QUAD_CASES)
+def test_adaptive_gk15_equals_quad_vec(field, geometry, rel_tol):
+    fld = FieldKind(field)
+    l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
+    gap = geometry.surface_gap
+    ref, ref_err, info = quad_vec(
+        lambda t: _history(geometry, fld, t / (2.0 * gap), l_max),
+        0.0, 80.0, epsabs=1e-280, epsrel=rel_tol, norm="max",
+        quadrature="gk15", full_output=True)
+    rounds = []
+
+    def batched(ts):
+        rounds.append(len(ts))
+        return _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
+                          l_max)
+    res, err = energy._adaptive_gk15(batched, 80.0, rel_tol)
+    assert np.array_equal(res, ref) and err == ref_err
+    # every node of a round in one call: the first interval, then both
+    # halves of every split interval
+    assert rounds[0] == 15 and all(k % 30 == 0 for k in rounds[1:])
+    assert sum(rounds) == info.neval
 
 
 PAIR_LAWS = [("scalar-real", Dirichlet()), ("scalar-real", Neumann()),

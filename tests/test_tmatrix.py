@@ -253,6 +253,17 @@ def test_dispersive_extension_point():
         t_low_kappa_series(disp, 1, 0)
 
 
+@pytest.mark.parametrize("eps_mu", [(math.inf, 1.0), (2.0, math.inf),
+                                    (math.nan, 1.0), (2.0, math.nan),
+                                    (-1.0, 1.0), (2.0, 0.0)])
+def test_dispersive_rejects_non_finite_or_non_positive(eps_mu):
+    bad = SphereSpec(R, Dispersive(lambda kap: eps_mu))
+    with pytest.raises(ValueError,
+                       match=r"eps_mu\(kappa\) must return finite positive "
+                             r"values"):
+        t_em_log(bad, 3, 0.8)
+
+
 # ---------------------------------------------------------------------------
 # low-frequency series
 # ---------------------------------------------------------------------------
