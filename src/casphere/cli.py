@@ -109,6 +109,8 @@ def parse_law(text):
         try:
             zeta = math.inf if raw in ("inf", "infinity") else float(raw)
         except ValueError:
+            zeta = math.nan
+        if zeta != zeta:
             raise argparse.ArgumentTypeError(
                 "robin impedance %r is not a number" % raw)
         if zeta == 0.0:

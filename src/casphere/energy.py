@@ -15,7 +15,11 @@ bounded floats times a logged k-factor (see `translation`), so deep
 multipole orders at small and large kappa stay representable.  Every
 m-independent log of a quadrature node is summed and exponentiated once
 per sphere pair, and the per-m work is a product of O(1) floats feeding
-the final determinants.
+the final determinants.  The nodes of one chunk are assembled together:
+one batch of translation kernels per sphere distance covers every node,
+and each (sphere pair, polarization, polarization) writes the m-blocks
+of every node with one multiply.  Only the T-matrix diagonals are taken
+node by node.
 
 The per-l cuts of every m-block are leading principal minors of 1 - N_m,
 and the m-blocks of many nodes are eliminated together.  They are
@@ -49,7 +53,7 @@ from .tmatrix import (
 )
 # u_log_block stays importable from here: bench/spans.py traces it at
 # every import site
-from .translation import node_kernel, u_log_block  # noqa: F401
+from .translation import _node_kernels, u_log_block  # noqa: F401
 
 __all__ = [
     "DomainError",
@@ -321,26 +325,28 @@ def _leading_lndets_pivoted(nmat):
 
 
 def _m_history(signs, lndets, stride, l_min):
-    """History vector sum_m w_m lndet(1 - N_m) at every cut l.
+    """History vectors sum_m w_m lndet(1 - N_m) at every cut l.
 
-    Row m of signs and lndets is the m-block of `_stack_lndets`, l-major
-    with `stride` rows per orbital order and padded to the size of the
-    largest block, so the cut at order l is the leading minor of size
-    stride*(l - l_min + 1) in every row.  Positivity is asserted at
-    those cuts only (staircase minors in between carry no physical
-    meaning).  The +-m blocks are equal: m > 0 is weighted twice.
+    Axis 0 of signs and lndets runs over m, the last axis over the rows
+    of the m-block of `_stack_lndets`, and any axes between over nodes.
+    Blocks run l-major with `stride` rows per orbital order and are
+    padded to the size of the largest block, so the cut at order l is
+    the leading minor of size stride*(l - l_min + 1) in every row.
+    Positivity is asserted at those cuts only (staircase minors in
+    between carry no physical meaning).  The +-m blocks are equal:
+    m > 0 is weighted twice.
     """
-    cut = lndets[:, stride - 1::stride]
-    if np.any(signs[:, stride - 1::stride] <= 0.0) \
+    cut = lndets[..., stride - 1::stride]
+    if np.any(signs[..., stride - 1::stride] <= 0.0) \
             or not np.all(np.isfinite(cut)):
         raise DomainError(
             "det(1 - N) lost positivity; spectral radius >= 1 "
             "(check for overlap or invalid parameters)")
-    weights = np.full((len(cut), 1), 2.0)
+    weights = np.full((len(cut),) + (1,) * (cut.ndim - 1), 2.0)
     weights[0] = 1.0
-    hist = np.zeros(l_min + cut.shape[1])
+    hist = np.zeros(cut.shape[1:-1] + (l_min + cut.shape[-1],))
     # accumulate runs sequentially over m, the order of per-block sums
-    hist[l_min:] += np.add.accumulate(weights * cut)[-1]
+    hist[..., l_min:] += np.add.accumulate(weights * cut)[-1]
     return hist
 
 
@@ -361,95 +367,104 @@ def _per_pol(arr, pol):
     return arr
 
 
-def _write_blocks(out, pairs, pol, l_min, ms):
-    """Write the m-blocks N_m of one node, m in the slice ms, into out.
+def _write_blocks(out, pairs, pol, l_min):
+    """Write the m-blocks N_m of some nodes into out, m-major and
+    node-minor.
 
-    out has shape (nm, nl, nsph, pol, nl, nsph, pol) for nl orders from
-    l_min.  pairs holds (a, b, scale, u): the (sphere a, sphere b) block
-    of N_m is scale * u[m].  Rows and columns run l-major with (sphere,
-    polarization) inside each order, so every sphere cut at order l is a
-    leading principal submatrix.  One strided multiply per (polarization,
-    polarization) pair keeps the innermost runs long.
+    out has shape (nm, nn, nl, nsph, pol, nl, nsph, pol) for nm values
+    of m, nn nodes and nl orders from l_min.  pairs holds (a, b, scale,
+    u): the (sphere a, sphere b) block of N_m at node j is scale[j] *
+    u[j, m].  Rows and columns run l-major with (sphere, polarization)
+    inside each order, so every sphere cut at order l is a leading
+    principal submatrix.  One strided multiply per (pair, polarization,
+    polarization) writes every m of every node and keeps the innermost
+    runs long.
     """
     lo = pol * l_min
-    nl = out.shape[1]
+    nn, nl = out.shape[1:3]
     for a, b, scale, u in pairs:
-        s = scale[lo:, lo:].reshape(nl, pol, nl, pol)
-        blocks = u[ms, lo:, lo:].reshape(-1, nl, pol, nl, pol)
+        s = scale[:, lo:, lo:].reshape(nn, nl, pol, nl, pol)
+        blocks = u[:, :, lo:, lo:].reshape(nn, -1, nl, pol, nl, pol)
+        blocks = blocks.swapaxes(0, 1)
         for p in range(pol):
             for q in range(pol):
-                np.multiply(s[:, p, :, q], blocks[:, :, p, :, q],
-                            out=out[:, :, a, p, :, b, q])
+                np.multiply(s[:, :, p, :, q], blocks[:, :, :, p, :, q],
+                            out=out[:, :, :, a, p, :, b, q])
 
 
-def _node_stack(pairs, nsph, pol, l_min, ms):
-    """The m-blocks N_m of one node for m in the slice ms, padded.
+def _node_stack(pairs, nsph, pol, l_min, m, j):
+    """The m-block N_m of node j alone, padded to the full order.
 
     Block m proper covers l >= max(m, l_min), the trailing corner of its
     slot; the orders below it are padding (see `_stack_lndets`).
     """
-    l_max = pairs[0][2].shape[0] // pol - 1
+    l_max = pairs[0][2].shape[1] // pol - 1
     nl = l_max + 1 - l_min
-    nm = len(range(l_max + 1)[ms])
-    stack = np.zeros((nm, nl, nsph, pol, nl, nsph, pol))
-    _write_blocks(stack, pairs, pol, l_min, ms)
+    stack = np.zeros((1, 1, nl, nsph, pol, nl, nsph, pol))
+    _write_blocks(stack, [(a, b, scale[j:j + 1], u[j:j + 1, m:m + 1])
+                          for a, b, scale, u in pairs], pol, l_min)
     n = nl * nsph * pol
-    return stack.reshape(nm, n, n)
+    return stack.reshape(n, n)
 
 
-def _stack_history(node_pairs, nsph, pol, l_max, l_min):
-    """History vectors of nodes given by their (sphere, sphere) blocks,
-    shape (len(node_pairs), l_max + 1).
+def _stack_history(pairs, nsph, pol, l_max, l_min):
+    """History vectors of the nodes of `_node_pairs`, shape (nn, l_max + 1)
+    for the nn nodes its arrays hold.
 
     The m-blocks of every node are eliminated at once in one padded
     stack, m-major and node-minor, so block sizes never increase along
     it; a block sent to the pivoted fallback is rebuilt alone from its
     node's pairs.
     """
-    nn = len(node_pairs)
+    nn = len(pairs[0][2])
     nl = l_max + 1 - l_min
     stride = nsph * pol
     n = nl * stride
     stack = np.zeros((l_max + 1, nn, nl, nsph, pol, nl, nsph, pol))
-    for j, pairs in enumerate(node_pairs):
-        _write_blocks(stack[:, j], pairs, pol, l_min, slice(None))
+    _write_blocks(stack, pairs, pol, l_min)
     sizes = np.repeat(
         stride * (l_max + 1 - np.maximum(np.arange(l_max + 1), l_min)), nn)
 
     def rebuild(i):
-        m, j = divmod(i, nn)
-        return _node_stack(node_pairs[j], nsph, pol, l_min,
-                           slice(m, m + 1))[0]
+        return _node_stack(pairs, nsph, pol, l_min, *divmod(i, nn))
 
     signs, lndets = _stack_lndets(stack.reshape(-1, n, n), sizes, rebuild)
-    return np.array([_m_history(signs[j::nn], lndets[j::nn], stride, l_min)
-                     for j in range(nn)])
+    return _m_history(signs.reshape(l_max + 1, nn, n),
+                      lndets.reshape(l_max + 1, nn, n), stride, l_min)
 
 
-def _node_pairs(geometry, fld, kappa, l_max):
-    """(a, b, scale, u) of every ordered sphere pair of one node.
+def _node_pairs(geometry, fld, kappas, l_max):
+    """(a, b, scale, u) of every ordered sphere pair at the nodes kappas.
 
     K_ab = T^a U^ab for spheres a != b; the block matrix runs l-major
     over (l, sphere, polarization), and two spheres are its N = 2 case.
-    A diagonal similarity e^{-kappa R_a} (kappa c)^{-l} balances every
-    entry, with the same determinant.  Pairs at the same distance share
-    one translation kernel, read in either direction through
-    `NodeKernel.oriented`.
+    scale (shape (nn, P, P)) and u (shape (nn, l_max + 1, P, P)) hold
+    one row per node, P = pol*(l_max + 1).  A diagonal similarity
+    e^{-kappa R_a} (kappa c)^{-l} balances every entry, with the same
+    determinant.  Pairs at the same distance share one batch of
+    translation kernels, read in either direction through
+    `NodeKernel.oriented`.  The T-matrix logs are taken node by node,
+    with a float kappa.
     """
     spheres = geometry.spheres
     centers = geometry.centers
     nsph = len(spheres)
     pol = 2 if fld.is_em else 1
     c_len = max(sp.radius for sp in spheres)
+    kv = np.array(kappas, dtype=float)
     lv = np.arange(l_max + 1, dtype=float)
-    pw = _per_pol((lv[None, :] - lv[:, None]) * math.log(kappa * c_len), pol)
+    pw = _per_pol(lv[None, :] - lv[:, None], pol) * np.array(
+        [math.log(kappa * c_len) for kappa in kappas])[:, None, None]
     # equal spheres share one T-matrix log (found by ==, so a law need
     # not be hashable)
     tlogs = []
     for a, sp in enumerate(spheres):
         first = spheres.index(sp)
-        tlogs.append(tlogs[first] if first < a
-                     else _t_log(sp, fld, l_max, kappa))
+        if first < a:
+            tlogs.append(tlogs[first])
+            continue
+        logs = [_t_log(sp, fld, l_max, kappa) for kappa in kappas]
+        tlogs.append(tuple(np.array(part) for part in zip(*logs)))
     kernels = {}
     pairs = []
     with np.errstate(under="ignore"):
@@ -460,14 +475,15 @@ def _node_pairs(geometry, fld, kappa, l_max):
                 dab = abs(centers[b] - centers[a])
                 kern = kernels.get(dab)
                 if kern is None:
-                    kern = kernels[dab] = node_kernel(l_max, kappa * dab,
-                                                      fld.is_em)
+                    kern = kernels[dab] = _node_kernels(l_max, kv * dab,
+                                                        fld.is_em)
                 sa, ga = tlogs[a]
                 # exponent: T(scaled)*e^{2 z_a} * U(scaled)*e^{-x},
                 # similarity e^{-k R_a + k R_b} (kc)^{l'-l}
-                expo = kappa * (spheres[a].radius + spheres[b].radius - dab)
-                scale = sa[:, None] * np.exp(ga[:, None] + kern.log_scale
-                                             + pw + expo)
+                expo = kv * (spheres[a].radius + spheres[b].radius - dab)
+                scale = sa[:, :, None] * np.exp(
+                    ga[:, :, None] + kern.log_scale + pw
+                    + expo[:, None, None])
                 direction = "12" if centers[b] > centers[a] else "21"
                 pairs.append((a, b, scale, kern.oriented(direction)))
     return pairs
@@ -484,7 +500,8 @@ def _histories(geometry, fld, kappas, l_max):
     shape (len(kappas), l_max + 1).
 
     Each row equals the one-node call on its kappa bit for bit: the
-    nodes share only the elimination loop, never arithmetic.
+    nodes of a chunk share the assembly and elimination loops, never
+    arithmetic.
     """
     nsph = geometry.n_spheres
     pol = 2 if fld.is_em else 1
@@ -493,10 +510,9 @@ def _histories(geometry, fld, kappas, l_max):
     chunk = max(1, _STACK_BYTES // ((l_max + 1) * n * n * 8))
     out = np.empty((len(kappas), l_max + 1))
     for start in range(0, len(kappas), chunk):
-        node_pairs = [_node_pairs(geometry, fld, kappa, l_max)
-                      for kappa in kappas[start:start + chunk]]
-        out[start:start + len(node_pairs)] = _stack_history(
-            node_pairs, nsph, pol, l_max, l_min)
+        part = kappas[start:start + chunk]
+        out[start:start + len(part)] = _stack_history(
+            _node_pairs(geometry, fld, part, l_max), nsph, pol, l_max, l_min)
     return out
 
 

@@ -132,6 +132,27 @@ def _k_ratio_chain(n, z):
     return out
 
 
+def _k_chains(n, z):
+    """(sigma, log_k) of `bessel_ik_half_chain(n, z)` for every z at once.
+
+    z is a 1-D array of positive arguments; row i of each (len(z), n + 1)
+    result holds the K ratio chain and log K_{l+1/2}(z_i) + z_i of that
+    argument, with the arithmetic of the one-argument chain.
+    """
+    sigma = np.empty((len(z), n + 1))
+    s = 1.0 + 1.0 / z
+    sigma[:, 0] = s
+    for l in range(1, n + 1):
+        s = (2.0 * l + 1.0) / z + 1.0 / s
+        sigma[:, l] = s
+    log_k = np.empty_like(sigma)
+    # math.log, as in the one-argument chain: numpy's vector log differs
+    # from it in the last ulp for some z
+    log_k[:, 0] = [0.5 * math.log(math.pi / (2.0 * zi)) for zi in z.tolist()]
+    log_k[:, 1:] = log_k[:, :1] + np.cumsum(np.log(sigma[:, :-1]), axis=1)
+    return sigma, log_k
+
+
 def bessel_ik_half_chain(l_max, z):
     """Scaled I_{l+1/2}, K_{l+1/2} and ratio chains for l = 0..l_max.
 

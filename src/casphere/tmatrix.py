@@ -111,7 +111,8 @@ class SphereSpec:
             raise ValueError("radius must be positive, got %r" % (self.radius,))
         law = self.law
         if isinstance(law, Robin):
-            if law.zeta < 0.0:
+            # NaN fails every comparison, so test for the valid range
+            if not law.zeta >= 0.0:
                 raise ValueError(
                     "Robin zeta must be >= 0 (zeta in (-1, 0) has bound-state "
                     "poles on the imaginary axis), got %r" % (law.zeta,))

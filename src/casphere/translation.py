@@ -27,11 +27,13 @@ orthogonality sum_{l''} (2l''+1) 3j^2 = 1 this bounds |S_{l'l}| by
 sqrt((2l+1)(2l'+1)) at every x.  Plain floats therefore hold S without
 overflow, and the huge or tiny factor k_{l'+l}(x) e^{x} stays a log until
 it meets the T-matrices.  `node_kernel` builds one Bessel chain and S for
-every m at once; the EM blocks recouple the same S stack with
-k_{J'+J+1} factored out, so their ratios are again <= 1.  The accuracy of
-S is absolute, ~1e-12 of the largest entry of a block: at large x the
-high-m entries cancel to far below their terms, and only their absolute
-error is meaningful.
+every m at once, and `_node_kernels` does so for every x of an array in
+one batch (every quadrature node of a chunk, at one distance), each row
+byte-equal to its one-x kernel; the EM blocks recouple the same S stack
+with k_{J'+J+1} factored out, so their ratios are again <= 1.  The
+accuracy of S is absolute, ~1e-12 of the largest entry of a block: at
+large x the high-m entries cancel to far below their terms, and only
+their absolute error is meaningful.
 """
 
 import math
@@ -41,7 +43,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .specfun import bessel_ik_half_chain
 
 __all__ = [
     "NodeKernel",
@@ -66,6 +67,9 @@ def _mixing_sign(n):
 @dataclass(frozen=True)
 class NodeKernel:
     """Ratio-scaled translation blocks of every m at one x = kappa d.
+
+    A kernel built for an array of x (`_node_kernels`) carries one
+    leading node axis on both arrays.
 
     Attributes
     ----------
@@ -94,11 +98,19 @@ class NodeKernel:
         if direction == "12":
             return self.blocks
         if self.pol == 1:
-            return self.blocks.swapaxes(1, 2)
-        n = self.blocks.shape[1] // 2
-        jv = np.repeat(np.arange(n), 2)
-        par = np.where((jv[:, None] + jv[None, :]) % 2 == 0, 1.0, -1.0)
-        return self.blocks * (par * _mixing_sign(n))
+            return self.blocks.swapaxes(-1, -2)
+        return self.blocks * _em_reversal(self.blocks.shape[-1] // 2)
+
+
+@lru_cache(maxsize=8)
+def _em_reversal(n):
+    """Entrywise sign (-1)^{J'+J} times the mixing sign: the EM "21"
+    blocks are the "12" blocks times this mask (read-only)."""
+    jv = np.repeat(np.arange(n), 2)
+    par = np.where((jv[:, None] + jv[None, :]) % 2 == 0, 1.0, -1.0)
+    mask = par * _mixing_sign(n)
+    mask.setflags(write=False)
+    return mask
 
 
 # W[m, l', l, k] at l'' = l' + l - 2k for the largest order built so far;
@@ -153,27 +165,55 @@ def _fill_w(w, top):
 
 
 def _s_blocks(l_max, sigma):
-    """S[m, l', l] for m, l', l = 0..l_max.
+    """S[x, m, l', l] for m, l', l = 0..l_max, one row x per chain.
 
-    sigma[l] = k_{l+1}(x)/k_l(x) for l = 0..2*l_max - 1 at least.
+    sigma[x, l] = k_{l+1}(x)/k_l(x) for l = 0..2*l_max - 1 at least.
     """
     n = l_max + 1
-    # ratio table R[L, k] = k_{L-2k}/k_L for L = 0..2 l_max, 0 for 2k > L,
-    # built by products of ratios <= 1 (relative error ~ k ulp)
-    step = 1.0 / (sigma[:2 * n - 3] * sigma[1:2 * n - 2])
-    r = np.zeros((2 * n - 1, n))
-    r[:, 0] = 1.0
+    # ratio table R[x, L, k] = k_{L-2k}/k_L for L = 0..2 l_max, 0 for
+    # 2k > L, built by products of ratios <= 1 (relative error ~ k ulp)
+    step = 1.0 / (sigma[:, :2 * n - 3] * sigma[:, 1:2 * n - 2])
+    r = np.zeros((len(sigma), 2 * n - 1, n))
+    r[:, :, 0] = 1.0
     with np.errstate(under="ignore"):
         for k in range(1, n):
-            r[2 * k:, k] = r[2 * k:, k - 1] * step[:2 * n - 1 - 2 * k]
+            r[:, 2 * k:, k] = r[:, 2 * k:, k - 1] * step[:, :2 * n - 1 - 2 * k]
     lv = np.arange(n)
-    ratios = r[lv[:, None] + lv[None, :]]
-    return np.einsum("mabk,abk->mab", _w_kernel(l_max), ratios)
+    ratios = r[:, lv[:, None] + lv[None, :]]
+    return np.einsum("mabk,xabk->xmab", _w_kernel(l_max), ratios)
 
 
-def _log_k(chain, x):
-    """log of k_l(x) e^{x} for the orders of the chain."""
-    return chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
+def _node_kernels(l_max, x, em=False):
+    """`node_kernel` at every x of a 1-D array, as one NodeKernel whose
+    blocks and log_scale carry a leading node axis.
+
+    One batched K chain and one 3j contraction serve every x; row i is
+    byte-equal to `node_kernel(l_max, x[i], em)`.
+    """
+    if not np.all(x > 0.0):
+        raise ValueError("x = kappa*d must be positive, got %r"
+                         % (x[~(x > 0.0)].tolist(),))
+    n = l_max + 1
+    lv = np.arange(n)
+    lsum = lv[:, None] + lv[None, :]
+    sigma, log_k = specfun._k_chains(2 * l_max + (2 if em else 0), x)
+    # log of k_l(x) e^{x}: the spherical prefactor of the half-order K
+    log_k += np.array([0.5 * math.log(2.0 / (math.pi * xi))
+                       for xi in x.tolist()])[:, None]
+    if not em:
+        return NodeKernel(pol=1, blocks=_s_blocks(l_max, sigma),
+                          log_scale=log_k[:, lsum])
+    s = _s_blocks(l_max + 1, sigma)
+    # k_{J'+J+d}/k_{J'+J+1} for d = 1, 0, -1, -2, broadcast over m
+    # (entries with J'+J < 2 lie in the zeroed J = 0 rows and columns)
+    inv = np.concatenate([np.zeros((len(x), 1, 2)), 1.0 / sigma[:, None]],
+                         axis=2)
+    ratio = {1: 1.0, 0: inv[..., lsum + 2]}
+    ratio[-1] = ratio[0] * inv[..., lsum + 1]
+    ratio[-2] = ratio[-1] * inv[..., lsum]
+    blocks = _em_recouple(s, l_max, ratio)
+    log_scale = np.repeat(np.repeat(log_k[:, lsum + 1], 2, 1), 2, 2)
+    return NodeKernel(pol=2, blocks=blocks, log_scale=log_scale)
 
 
 def node_kernel(l_max, x, em=False):
@@ -182,32 +222,16 @@ def node_kernel(l_max, x, em=False):
     Builds one Bessel-K chain and one 3j contraction; see the module
     notes for the ratio-scaled form.  Scalar blocks cover l = 0..l_max;
     EM blocks cover J = 0..l_max with the rows and columns below
-    max(1, m) zero and the m = 0 mixing blocks exactly zero.
+    max(1, m) zero and the m = 0 mixing blocks exactly zero.  The
+    one-x case of `_node_kernels`.
 
     Returns
     -------
     NodeKernel
     """
-    if not x > 0.0:
-        raise ValueError("x = kappa*d must be positive, got %r" % (x,))
-    n = l_max + 1
-    lv = np.arange(n)
-    lsum = lv[:, None] + lv[None, :]
-    if not em:
-        chain = bessel_ik_half_chain(2 * l_max, x)
-        return NodeKernel(pol=1, blocks=_s_blocks(l_max, chain.sigma),
-                          log_scale=_log_k(chain, x)[lsum])
-    chain = bessel_ik_half_chain(2 * l_max + 2, x)
-    s = _s_blocks(l_max + 1, chain.sigma)
-    # k_{J'+J+d}/k_{J'+J+1} for d = 1, 0, -1, -2 (entries with J'+J < 2
-    # lie in the zeroed J = 0 rows and columns)
-    inv = np.concatenate([[0.0, 0.0], 1.0 / chain.sigma])
-    ratio = {1: 1.0, 0: inv[lsum + 2]}
-    ratio[-1] = ratio[0] * inv[lsum + 1]
-    ratio[-2] = ratio[-1] * inv[lsum]
-    blocks = _em_recouple(s, l_max, ratio)
-    log_scale = np.repeat(np.repeat(_log_k(chain, x)[lsum + 1], 2, 0), 2, 1)
-    return NodeKernel(pol=2, blocks=blocks, log_scale=log_scale)
+    kern = _node_kernels(l_max, np.array([x], dtype=float), em)
+    return NodeKernel(pol=kern.pol, blocks=kern.blocks[0],
+                      log_scale=kern.log_scale[0])
 
 
 def _signed_log_view(block, log_scale):
@@ -306,40 +330,43 @@ def _em_weight_stack(l_max):
 
 
 def _em_recouple(s, l_max, ratio):
-    """Interleaved EM blocks G[m] / k_{J'+J+1} for m = 0..l_max.
+    """Interleaved EM blocks G[x, m] / k_{J'+J+1} for m = 0..l_max.
 
-    s is the scalar S stack at order l_max+1.  A scalar block U(mu)[a, b]
-    carries the factor k_{a+b}, so the channel read at rows J'+dr and
-    columns J+dc takes ratio[dr + dc][J', J] = k_{J'+J+dr+dc}/k_{J'+J+1}.
+    s is the scalar S stack at order l_max+1, one row per node x.  A
+    scalar block U(mu)[a, b] carries the factor k_{a+b}, so the channel
+    read at rows J'+dr and columns J+dc takes ratio[dr + dc][x, 0, J', J]
+    = k_{J'+J+dr+dc}/k_{J'+J+1}.
     """
+    nx = len(s)
     n = l_max + 1
     t_m, t_e, c_lo, c_hi = _em_weight_stack(l_max)
     # front-pad one zero row/column so that J-1 = -1 slices read as zero
-    sp = np.zeros((n + 1, n + 2, n + 2))
-    sp[:, 1:, 1:] = s
+    sp = np.zeros((nx, n + 1, n + 2, n + 2))
+    sp[:, :, 1:, 1:] = s
     ms = np.arange(n)
-    g = np.zeros((n, n, 2, n, 2))
+    g = np.zeros((nx, n, n, 2, n, 2))
     for iq, q in enumerate((-1, 0, 1)):
-        u = sp[np.abs(ms - q)]
+        u = sp[:, np.abs(ms - q)]
 
         def part(dr, dc):
-            return u[:, 1 + dr:1 + dr + n, 1 + dc:1 + dc + n] * ratio[dr + dc]
+            return (u[:, :, 1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
+                    * ratio[dr + dc])
 
         tm, te = t_m[:, iq, :, None], t_e[:, iq, :, None]
         cm, clo, chi = (w[:, iq, None, :] for w in (t_m, c_lo, c_hi))
         # electric rows read the orbital J'-1 channel, electric columns
         # the J-1 and J+1 channels
-        g[:, :, 0, :, 0] += tm * cm * part(0, 0)
-        g[:, :, 1, :, 0] += te * cm * part(-1, 0)
-        g[:, :, 0, :, 1] += tm * (clo * part(0, -1) + chi * part(0, 1))
-        g[:, :, 1, :, 1] += te * (clo * part(-1, -1) + chi * part(-1, 1))
+        g[:, :, :, 0, :, 0] += tm * cm * part(0, 0)
+        g[:, :, :, 1, :, 0] += te * cm * part(-1, 0)
+        g[:, :, :, 0, :, 1] += tm * (clo * part(0, -1) + chi * part(0, 1))
+        g[:, :, :, 1, :, 1] += te * (clo * part(-1, -1) + chi * part(-1, 1))
     # exact selection rule: the q and -q contributions cancel identically
     # at m = 0, so suppress the rounding residue
-    g[0, :, 0, :, 1] = 0.0
-    g[0, :, 1, :, 0] = 0.0
+    g[:, 0, :, 0, :, 1] = 0.0
+    g[:, 0, :, 1, :, 0] = 0.0
     live = np.arange(n)[None, :] >= np.maximum(1, ms)[:, None]
     g *= (live[:, :, None, None, None] & live[:, None, None, :, None])
-    return g.reshape(n, 2 * n, 2 * n)
+    return g.reshape(nx, n, 2 * n, 2 * n)
 
 
 def em_log_blocks(l_max, m, x, direction="12"):

@@ -531,6 +531,66 @@ def em_log_blocks_ref(l_max, m, x, direction="12"):
     return blocks
 
 
+def node_kernel_ref(l_max, x, em=False):
+    """(blocks, log_scale) of the "12" translation kernel at one x, built
+    as one x at a time: from the one-argument Bessel chain, a ratio table
+    and W contraction without a node axis, and the EM recoupling one m
+    stack at a time.  Same arithmetic as the batched kernel, so its rows
+    must match these bytes.
+    """
+    import numpy as np
+    from casphere.specfun import bessel_ik_half_chain
+    from casphere.translation import _em_weight_stack, _w_kernel
+
+    def s_blocks(order, sigma):
+        n = order + 1
+        step = 1.0 / (sigma[:2 * n - 3] * sigma[1:2 * n - 2])
+        r = np.zeros((2 * n - 1, n))
+        r[:, 0] = 1.0
+        with np.errstate(under="ignore"):
+            for k in range(1, n):
+                r[2 * k:, k] = r[2 * k:, k - 1] * step[:2 * n - 1 - 2 * k]
+        lv = np.arange(n)
+        return np.einsum("mabk,abk->mab", _w_kernel(order),
+                         r[lv[:, None] + lv[None, :]])
+
+    n = l_max + 1
+    lv = np.arange(n)
+    lsum = lv[:, None] + lv[None, :]
+    chain = bessel_ik_half_chain(2 * l_max + (2 if em else 0), x)
+    log_k = chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
+    if not em:
+        return s_blocks(l_max, chain.sigma), log_k[lsum]
+    s = s_blocks(l_max + 1, chain.sigma)
+    inv = np.concatenate([[0.0, 0.0], 1.0 / chain.sigma])
+    ratio = {1: 1.0, 0: inv[lsum + 2]}
+    ratio[-1] = ratio[0] * inv[lsum + 1]
+    ratio[-2] = ratio[-1] * inv[lsum]
+    t_m, t_e, c_lo, c_hi = _em_weight_stack(l_max)
+    sp = np.zeros((n + 1, n + 2, n + 2))
+    sp[:, 1:, 1:] = s
+    ms = np.arange(n)
+    g = np.zeros((n, n, 2, n, 2))
+    for iq, q in enumerate((-1, 0, 1)):
+        u = sp[np.abs(ms - q)]
+
+        def part(dr, dc):
+            return u[:, 1 + dr:1 + dr + n, 1 + dc:1 + dc + n] * ratio[dr + dc]
+
+        tm, te = t_m[:, iq, :, None], t_e[:, iq, :, None]
+        cm, clo, chi = (w[:, iq, None, :] for w in (t_m, c_lo, c_hi))
+        g[:, :, 0, :, 0] += tm * cm * part(0, 0)
+        g[:, :, 1, :, 0] += te * cm * part(-1, 0)
+        g[:, :, 0, :, 1] += tm * (clo * part(0, -1) + chi * part(0, 1))
+        g[:, :, 1, :, 1] += te * (clo * part(-1, -1) + chi * part(-1, 1))
+    g[0, :, 0, :, 1] = 0.0
+    g[0, :, 1, :, 0] = 0.0
+    live = np.arange(n)[None, :] >= np.maximum(1, ms)[:, None]
+    g *= (live[:, :, None, None, None] & live[:, None, None, :, None])
+    log_scale = np.repeat(np.repeat(log_k[lsum + 1], 2, 0), 2, 1)
+    return g.reshape(n, 2 * n, 2 * n), log_scale
+
+
 # ---------------------------------------------------------------------------
 # leading-minor determinants: the per-matrix rank-1 elimination
 # ---------------------------------------------------------------------------
@@ -654,6 +714,7 @@ def history_pair_ref(geometry, fld, kappa, l_max):
             s, g = _t_log(sp, fld, l_max, kappa)
             scale.append(rd * s[:, None] * np.exp(
                 (g + peel_t)[:, None] + kern.log_scale + peel_u))
-    pairs = [(0, 1, scale[0], kern.oriented("12")),
-             (1, 0, scale[1], kern.oriented("21"))]
-    return _stack_history([pairs], 2, pol, l_max, 1 if fld.is_em else 0)[0]
+    # one node: a leading node axis of length 1
+    pairs = [(0, 1, scale[0][None], kern.oriented("12")[None]),
+             (1, 0, scale[1][None], kern.oriented("21")[None])]
+    return _stack_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)[0]

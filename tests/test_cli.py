@@ -46,6 +46,16 @@ def test_parse_law():
             cli.parse_law(bad)
 
 
+def test_parse_law_rejects_nan_robin(capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="not a number"):
+        cli.parse_law("robin:nan")
+    # rejected while parsing, before any energy is attempted
+    assert cli.main(["energy", "--field", "scalar-real", "--bc1", "robin:nan",
+                     "--bc2", "dirichlet", "--d", "3", "--lmax", "4"]) == 2
+    assert capsys.readouterr().err == \
+        "casphere: robin impedance 'nan' is not a number\n"
+
+
 def test_parse_grid():
     lin = cli.parse_grid("4:6:3")
     assert list(lin) == [4.0, 5.0, 6.0]

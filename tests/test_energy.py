@@ -42,6 +42,7 @@ from casphere.tmatrix import (
     SphereSpec,
     t_scalar_imag,
 )
+import casphere.specfun as specfun
 import casphere.translation as translation
 from casphere.translation import u_log_block
 
@@ -328,15 +329,21 @@ NODE_CASES = [
 ]
 
 
-def _per_block_history(pairs, nsph, pol, l_max, l_min):
-    """History of one node from its m-blocks one at a time, summed in m
+def _node(pairs, j):
+    """The (a, b, scale, u) of node j alone, in the one-node layout of
+    `tests/_oracles.py::node_stack_ref`."""
+    return [(a, b, scale[j], u[j]) for a, b, scale, u in pairs]
+
+
+def _per_block_history(pairs, nsph, pol, l_max, l_min, j=0):
+    """History of node j from its m-blocks one at a time, summed in m
     order as the weighted cuts."""
     stride = nsph * pol
     ref = np.zeros(l_max + 1)
     for m in range(l_max + 1):
         lo = max(m, l_min)
         first = stride * (lo - l_min)
-        block = _node_stack(pairs, nsph, pol, l_min, slice(m, m + 1))[0]
+        block = _node_stack(pairs, nsph, pol, l_min, m, j)
         _, lndets = orc.leading_lndets_ref(block[first:, first:])
         ref[lo:] += (1.0 if m == 0 else 2.0) * lndets[stride - 1::stride]
     return ref
@@ -351,7 +358,7 @@ def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
                         lambda *args: calls.append(args)
                         or stack_history(*args))
     hist = _history(geometry, FieldKind(field), 0.8, l_max)
-    ((pairs,), nsph, pol, l_max, l_min), = calls
+    (pairs, nsph, pol, l_max, l_min), = calls
     assert np.array_equal(hist,
                           _per_block_history(pairs, nsph, pol, l_max, l_min))
 
@@ -359,8 +366,8 @@ def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
 @pytest.mark.parametrize("field,geometry,l_max", NODE_CASES)
 def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
                                              l_max):
-    # the strided per-polarization writes build the bytes of one
-    # multiply per sphere pair, node by node, m-major and node-minor
+    # the strided per-polarization writes of a chunk build the bytes of
+    # one multiply per sphere pair, node by node, m-major and node-minor
     recorded = []
     node_pairs = energy._node_pairs
     monkeypatch.setattr(energy, "_node_pairs",
@@ -376,9 +383,13 @@ def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
     _histories(geometry, fld, kappas, l_max)
     (stack,) = stacks
     pol, l_min = (2, 1) if fld.is_em else (1, 0)
-    assert len(recorded) == len(kappas)
-    for j, pairs in enumerate(recorded):
-        ref = orc.node_stack_ref(pairs, geometry.n_spheres, pol, l_min)
+    # one assembly for the chunk, one row per node
+    (pairs,) = recorded
+    assert all(len(scale) == len(u) == len(kappas)
+               for _, _, scale, u in pairs)
+    for j in range(len(kappas)):
+        ref = orc.node_stack_ref(_node(pairs, j), geometry.n_spheres, pol,
+                                 l_min)
         assert stack[j::len(kappas)].tobytes() == ref.tobytes()
 
 
@@ -396,9 +407,9 @@ def test_histories_equal_one_node_calls(case, kappas, per_chunk):
     with mock.patch.object(energy, "_STACK_BYTES",
                            per_chunk * (l_max + 1) * n * n * 8), \
             mock.patch.object(energy, "_stack_history",
-                              lambda node_pairs, *args:
-                              chunks.append(len(node_pairs))
-                              or stack_history(node_pairs, *args)):
+                              lambda pairs, *args:
+                              chunks.append(len(pairs[0][2]))
+                              or stack_history(pairs, *args)):
         batched = _histories(geometry, fld, kappas, l_max)
     assert chunks == [min(per_chunk, len(kappas) - start)
                       for start in range(0, len(kappas), per_chunk)]
@@ -415,15 +426,16 @@ def test_pivot_fallback_hits_one_node_of_a_batch(monkeypatch):
     kappas = [0.3, 0.8, 2.0]
     node_pairs = energy._node_pairs
 
-    def degenerate(geometry, fld, kappa, l_max):
-        pairs = node_pairs(geometry, fld, kappa, l_max)
-        if kappa != kappas[1]:
+    def degenerate(geometry, fld, chunk, l_max):
+        pairs = node_pairs(geometry, fld, chunk, l_max)
+        if kappas[1] not in chunk:
             return pairs
+        j = list(chunk).index(kappas[1])
         out = []
         for a, b, scale, u in pairs:
             scale, u = scale.copy(), u.copy()
-            scale[0, 0] = 1.0
-            u[0, 0, 0] = coupling[a, b]
+            scale[j, 0, 0] = 1.0
+            u[j, 0, 0, 0] = coupling[a, b]
             out.append((a, b, scale, u))
         return out
     monkeypatch.setattr(energy, "_node_pairs", degenerate)
@@ -435,9 +447,10 @@ def test_pivot_fallback_hits_one_node_of_a_batch(monkeypatch):
     # stack row 1 is (m = 0, node 1) of 5 m-blocks of 3 nodes
     assert [w.category for w in caught] == [PivotFallbackWarning]
     assert "block 1 of 15 " in str(caught[0].message)
-    for j, kappa in enumerate(kappas):
-        pairs = degenerate(g, REAL_SCALAR, kappa, 4)
-        assert np.array_equal(hist[j], _per_block_history(pairs, 3, 1, 4, 0))
+    pairs = degenerate(g, REAL_SCALAR, kappas, 4)
+    for j in range(len(kappas)):
+        assert np.array_equal(hist[j],
+                              _per_block_history(pairs, 3, 1, 4, 0, j))
 
 
 QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)
@@ -691,13 +704,14 @@ def test_suggest_l_max_warns_once_when_clamped_to_hi(monkeypatch, diffs,
 # ---------------------------------------------------------------------------
 
 def _count_translation_chains(monkeypatch):
+    # the kernels of a chunk take their K chains from one batched call
     calls = []
-    chain = translation.bessel_ik_half_chain
+    chains = specfun._k_chains
 
-    def counted(l_max, z):
-        calls.append((l_max, z))
-        return chain(l_max, z)
-    monkeypatch.setattr(translation, "bessel_ik_half_chain", counted)
+    def counted(n, z):
+        calls.append(z.tolist())
+        return chains(n, z)
+    monkeypatch.setattr(specfun, "_k_chains", counted)
     return calls
 
 
@@ -706,6 +720,10 @@ def test_one_translation_chain_per_node(monkeypatch, field, sphere):
     calls = _count_translation_chains(monkeypatch)
     integrand(pair(sphere, sphere, 3.0), field, 0.8, 8)
     assert len(calls) == 1
+    # the nodes of one chunk share that one chain call
+    del calls[:]
+    _histories(pair(sphere, sphere, 3.0), FieldKind(field), [0.8, 2.0], 8)
+    assert calls == [[0.8 * 3.0, 2.0 * 3.0]]
 
 
 @pytest.mark.parametrize("field,law", [("scalar-real", Dirichlet()),
@@ -713,9 +731,9 @@ def test_one_translation_chain_per_node(monkeypatch, field, sphere):
 def test_nbody_node_builds_one_chain_per_distance(monkeypatch, field, law):
     sph = SphereSpec(R, law)
     calls = _count_translation_chains(monkeypatch)
-    _history(Geometry((sph, sph, sph), (0.0, 3.0, 6.0)),
-             FieldKind(field), 0.8, 4)
-    assert sorted(z for _, z in calls) == [0.8 * 3.0, 0.8 * 6.0]
+    _histories(Geometry((sph, sph, sph), (0.0, 3.0, 6.0)),
+               FieldKind(field), [0.8, 1.5], 4)
+    assert sorted(calls) == [[0.8 * 3.0, 1.5 * 3.0], [0.8 * 6.0, 1.5 * 6.0]]
 
 
 class _Unshared(SphereSpec):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from casphere.specfun import (
     L_CEILING,
     ThreeJArgs,
+    _k_chains,
     _threej_rows,
     bessel_ik_half,
     bessel_ik_half_chain,
@@ -66,6 +67,22 @@ def test_chain_matches_scalar_entries():
     assert np.all(chain.sigma > 0.0)
     ratios = chain.i_scaled[1:] / chain.i_scaled[:-1]
     assert ratios == pytest.approx(chain.rho[:-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 16, 66, 300])
+def test_batched_k_chains_equal_one_argument_chains(n):
+    # every row of the batched K chain is the one-argument chain's sigma
+    # and log_k, byte for byte; the dense random z meet the arguments
+    # where numpy's vector log and math.log differ in the last ulp
+    rng = np.random.default_rng(20)
+    z = np.concatenate([BESSEL_Z, [0.8 * 3.0, 0.8 * 6.0],
+                        10.0 ** rng.uniform(-3.0, 2.5, 4000)])
+    sigma, log_k = _k_chains(n, z)
+    assert sigma.shape == log_k.shape == (len(z), n + 1)
+    for i, zi in enumerate(z.tolist()):
+        chain = bessel_ik_half_chain(n, zi)
+        assert sigma[i].tobytes() == chain.sigma.tobytes()
+        assert log_k[i].tobytes() == chain.log_k.tobytes()
 
 
 @settings(max_examples=120, deadline=None)

@@ -54,6 +54,12 @@ def test_spec_validation():
     SphereSpec(1.0, Robin(math.inf))
 
 
+def test_spec_rejects_nan_robin():
+    # NaN passes no comparison: the range check must not read it as valid
+    with pytest.raises(ValueError, match="bound-state"):
+        SphereSpec(1.0, Robin(math.nan))
+
+
 def test_robin_inf_is_neumann():
     spec = SphereSpec(R, Robin(math.inf))
     for l in range(4):

@@ -165,6 +165,25 @@ def test_em_kernel_matches_signed_log_oracle(l_max, oracle_cache):
                                     kern.log_scale[i::2, j::2]), scale)
 
 
+@settings(max_examples=40, deadline=None)
+@given(l_max=st.integers(0, 12), em=st.booleans(),
+       xs=st.lists(st.floats(1e-3, 300.0), min_size=1, max_size=6))
+def test_kernel_batch_rows_equal_one_x_kernels(l_max, em, xs):
+    # the batched K chain, ratio table, W contraction and EM recoupling
+    # give every row the bytes of the kernel built at that x alone, both
+    # by node_kernel and by the one-x construction of the oracle
+    batch = tr._node_kernels(l_max, np.array(xs), em)
+    for i, x in enumerate(xs):
+        one = node_kernel(l_max, x, em)
+        ref_blocks, ref_log_scale = orc.node_kernel_ref(l_max, x, em)
+        assert (batch.log_scale[i].tobytes() == one.log_scale.tobytes()
+                == ref_log_scale.tobytes())
+        assert one.blocks.tobytes() == ref_blocks.tobytes()
+        for direction in ("12", "21"):
+            assert (batch.oriented(direction)[i].tobytes()
+                    == one.oriented(direction).tobytes())
+
+
 def test_kernel_views_and_bounded_scale():
     # the public signed-log views are the kernel's entries, and the 3j
     # orthogonality bounds |S_{l'l}| by sqrt((2l+1)(2l'+1)) at every x
