@@ -21,7 +21,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -434,6 +433,16 @@ def _sweep_task(task):
     return row
 
 
+def _map_tasks(fn, tasks, workers):
+    """[fn(t) for t in tasks], in task order, over `workers` processes."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    # imported only here: the pool machinery costs every CLI start
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -475,11 +484,7 @@ def cmd_sweep(args):
         ("qtol", repr(args.qtol)), ("format", fmt)))
     tasks = [(args.field, law1, law2, args.radius, float(d),
               args.lmax, args.qtol) for d in grid]
-    if args.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_task, tasks))  # grid order
-    else:
-        rows = [_sweep_task(t) for t in tasks]
+    rows = _map_tasks(_sweep_task, tasks, args.workers)
     return _emit(args, config, fmt, SWEEP_COLUMNS, rows)
 
 
@@ -610,11 +615,9 @@ def cmd_signmap(args):
             tasks.append((raw1, law1, raw2, law2, args.radius,
                           None if grid is None else tuple(grid),
                           args.lmax, args.qtol))
-    if args.workers > 1 and len(tasks) > 1 and grid is not None:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_signmap_row, tasks))
-    else:
-        rows = [_signmap_row(t) for t in tasks]
+    # rows without a grid are classification only, not worth a process
+    rows = _map_tasks(_signmap_row, tasks,
+                      1 if grid is None else args.workers)
     return _emit(args, config, fmt, SIGNMAP_COLUMNS, rows)
 
 

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .asymptotics import expand_scalar
 from .tmatrix import Dirichlet, Neumann, Robin
@@ -210,6 +208,11 @@ def find_zero_force(curve, radius):
     -------
     SignProfile
     """
+    # the only scipy user in the package: imported here so energies and
+    # the CLI start without loading scipy
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
+
     d = np.asarray(curve.d, dtype=float)
     ratio = np.asarray(curve.ratio, dtype=float)
     if d.ndim != 1 or d.size < 8:

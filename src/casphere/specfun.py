@@ -2,7 +2,10 @@
 
 Half-integer modified Bessel functions in exponentially scaled form, and
 Wigner 3j symbols.  These are the only special functions the scattering,
-translation and energy modules consume.
+translation and energy modules consume, and they need numpy alone: the
+Bessel ratios come from a continued fraction (I) and an upward recurrence
+(K) at every argument, the 3j symbols from exact integer closed forms and
+a three-term recursion.
 
 Scaling convention: every stored Bessel value is I_nu(z)*e^{-z} or
 K_nu(z)*e^{+z} (same for derivatives).  Downstream products pair e^{+2z}
@@ -13,11 +16,9 @@ the scaled values leave the double-precision range.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 __all__ = [
     "L_CEILING",
@@ -102,12 +103,7 @@ def _log_i_half_scaled(z):
 
 
 def _i_ratio_chain(n, z):
-    """rho[l] = I_{l+3/2}(z)/I_{l+1/2}(z) for l = 0..n."""
-    if z >= max(8.0, 1.5 * (n + 1.5)):
-        # Large argument: scipy's scaled ive is accurate and cannot
-        # underflow on this branch (nu < z throughout).
-        nu = np.arange(n + 1) + 0.5
-        return sp.ive(nu + 1.0, z) / sp.ive(nu, z)
+    """rho[l] = I_{l+3/2}(z)/I_{l+1/2}(z) for l = 0..n, at every z > 0."""
     # Downward continued fraction: rho_l = 1/((2l+3)/z + rho_{l+1}).
     # The false solution is damped by at least (z/(2 nu))^2 per step, so
     # 80 spare steps above max(n, z) push the seed error below 1e-30.
@@ -254,7 +250,8 @@ def threej_000(l1, l2, l3):
 
     Zero for odd l1+l2+l3; otherwise (-1)^g sqrt(Delta) g!/Pi(g-l_i)! with
     g = (l1+l2+l3)/2, evaluated in exact integer arithmetic so the only
-    rounding is the final square root (< 2 ulp).
+    roundings are the quotient (int/int true division is correctly
+    rounded) and the final square root (< 2 ulp).
     """
     if l3 < abs(l1 - l2) or l3 > l1 + l2:
         return 0.0
@@ -266,7 +263,7 @@ def threej_000(l1, l2, l3):
         * _factorial(big_j - 2 * l3) * _factorial(g) ** 2
     den = _factorial(big_j + 1) \
         * (_factorial(g - l1) * _factorial(g - l2) * _factorial(g - l3)) ** 2
-    val = math.sqrt(Fraction(num, den))
+    val = math.sqrt(num / den)
     return -val if g % 2 else val
 
 

@@ -8,9 +8,9 @@ T-matrix is diagonal in (l, m) with entries independent of m.
 Internally every entry is evaluated in the scaled form T_l e^{-2 kappa R}
 through ratio chains of scaled Bessel functions; the ratios keep every
 bracket a sum of same-sign terms (no cancellation), which is what makes
-l ~ 40-60 at small kappa R feasible.  Public functions return the unscaled
-values, with the (-1)^l prefactor convention of the imaginary-frequency
-scattering amplitude.
+l ~ 40-60 at small kappa R feasible.  The scaled entries carry the
+internal sign described in `t_scalar_log`; exact low-frequency series and
+the static dielectric coefficients serve the large-distance expansions.
 """
 
 import math
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .specfun import bessel_ik_half_chain
 
@@ -30,10 +29,6 @@ __all__ = [
     "PerfectConductor",
     "Dispersive",
     "SphereSpec",
-    "phase_shift",
-    "t_scalar_imag",
-    "t_em_imag",
-    "t_low_kappa_series",
 ]
 
 
@@ -136,51 +131,6 @@ def _effective_zeta(law):
         return None if math.isinf(law.zeta) else law.zeta
     raise TypeError("scalar T-matrix requires a Robin-family law, got %r"
                     % (law,))
-
-
-# ---------------------------------------------------------------------------
-# real-frequency phase shifts
-# ---------------------------------------------------------------------------
-
-def phase_shift(spec, l, k):
-    """Scattering phase shift delta_l(k) of a Robin-family sphere.
-
-    Parameters
-    ----------
-    spec : SphereSpec
-        Must carry a scalar law.
-    l : int
-        Partial wave index, l >= 0.
-    k : float
-        Real wavenumber, k > 0.
-
-    Returns
-    -------
-    float
-        delta_l with cot(delta_l) = [n_l(x) - zeta x n_l'(x)] /
-        [j_l(x) - zeta x j_l'(x)], x = kR, evaluated through atan2 so a
-        vanishing denominator (resonance, delta = pi/2) is a regular
-        value rather than an error.
-    """
-    if not k > 0.0:
-        raise ValueError("wavenumber must be positive, got %r" % (k,))
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    zeta = _effective_zeta(spec.law)
-    x = k * spec.radius
-    j, dj = spherical_jn(l, x), spherical_jn(l, x, derivative=True)
-    y, dy = spherical_yn(l, x), spherical_yn(l, x, derivative=True)
-    if zeta is None:  # Neumann: the 1/zeta terms drop out of the ratio
-        num, den = dy, dj
-    else:
-        num, den = y - zeta * x * dy, j - zeta * x * dj
-    delta = math.atan2(den, num)
-    # fold into the principal branch (-pi/2, pi/2]
-    if delta <= -0.5 * math.pi:
-        delta += math.pi
-    elif delta > 0.5 * math.pi:
-        delta -= math.pi
-    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -301,43 +251,6 @@ def t_em_log(spec, l_max, kappa):
     out["M"] = (sign_m, logm)
     out["E"] = (sign_e, loge)
     return out
-
-
-# ---------------------------------------------------------------------------
-# public unscaled entries
-# ---------------------------------------------------------------------------
-
-def t_scalar_imag(spec, l, kappa):
-    """Scalar T-matrix element T_l(i kappa) of a Robin-family sphere.
-
-    Returns (-1)^l (pi/2) [(1/zeta + 1/2) I_nu(z) - z I'_nu(z)] /
-    [(1/zeta + 1/2) K_nu(z) - z K'_nu(z)] with nu = l + 1/2, z = kappa R;
-    Dirichlet is the zeta -> 0 limit and Neumann drops the 1/zeta terms.
-    """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    sign, logmag = t_scalar_log(spec, l, kappa)
-    z = kappa * spec.radius
-    pref = -1.0 if l % 2 == 0 else 1.0  # -(-1)^l undoes the internal sign
-    return pref * float(sign[l]) * math.exp(float(logmag[l]) + 2.0 * z)
-
-
-def t_em_imag(spec, l, kappa):
-    """EM T-matrix elements (T_M, T_E) of a dielectric or PEC sphere.
-
-    T_M is the magnetic (TE) channel; T_E follows by interchanging eps
-    and mu.  Both vanish identically for eps = mu = 1.
-    """
-    if l < 1:
-        raise ValueError("EM multipoles start at l = 1")
-    blocks = t_em_log(spec, l, kappa)
-    z = kappa * spec.radius
-    pref = -1.0 if l % 2 == 0 else 1.0
-    out = []
-    for pol in ("M", "E"):
-        sign, logmag = blocks[pol]
-        out.append(pref * float(sign[l]) * math.exp(float(logmag[l]) + 2.0 * z))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -465,61 +378,3 @@ def _gamma13_hat(x, y):
 
 def _gamma14_hat(x):
     return Fraction(4, 9) * ((x - 1) / (x + 2)) ** 2
-
-
-def t_low_kappa_series(spec, l, order):
-    """Low-frequency expansion of the T-matrix entries.
-
-    Parameters
-    ----------
-    spec : SphereSpec
-    l : int
-        Partial wave (l >= 1 for EM laws).
-    order : int
-        Number of powers beyond the leading kappa^{2l+1}; 0 <= order <= 4.
-        EM laws support order <= 3 for l = 1 (the printed gamma
-        coefficients) and order <= 1 otherwise.
-
-    Returns
-    -------
-    dict
-        channel -> {power: coefficient} with T_channel(i kappa) =
-        sum coeff * kappa^power; channels are "scalar" or "M"/"E".
-        The kappa^{2l+2} coefficient of the EM channels is exactly zero.
-    """
-    if order < 0 or order > 4:
-        raise ValueError("unsupported order %r" % (order,))
-    law = spec.law
-    base = 2 * l + 1
-    if is_scalar_law(law):
-        fr = t_scalar_series_fractions(law, l, order + 1)
-        pref = -1.0 if l % 2 == 0 else 1.0  # undo internal sign
-        coeffs = {base + k: pref * float(c) * spec.radius ** (base + k)
-                  for k, c in enumerate(fr)}
-        return {"scalar": coeffs}
-    if l < 1:
-        raise ValueError("EM multipoles start at l = 1")
-    pref = -1.0 if l % 2 == 0 else 1.0  # undo internal sign
-    if isinstance(law, PerfectConductor):
-        out = {}
-        for pol in ("M", "E"):
-            fr = t_scalar_series_fractions(law, l, order + 1, channel=pol)
-            out[pol] = {base + k: pref * float(c) * spec.radius ** (base + k)
-                        for k, c in enumerate(fr)}
-        return out
-    if isinstance(law, Dispersive):
-        raise ValueError("low-frequency series requires a constant material")
-    # dielectric: printed static coefficients (gammas known for l = 1 only)
-    if order > (3 if l == 1 else 1):
-        raise ValueError("unsupported order %r for dielectric l=%d"
-                         % (order, l))
-    lead_sign = -1 if l % 2 == 0 else 1  # (-1)^{l-1}
-    out = {}
-    for pol, x, y in (("M", law.mu, law.eps), ("E", law.eps, law.mu)):
-        x, y = Fraction(x), Fraction(y)
-        hats = [lead_sign * Fraction(l + 1, l * _dfact(2 * l + 1)
-                                     * _dfact(2 * l - 1)) * _alpha_hat(x, l),
-                0, _gamma13_hat(x, y), _gamma14_hat(x)]
-        out[pol] = {base + k: float(c) * spec.radius ** (base + k)
-                    for k, c in enumerate(hats[:order + 1])}
-    return out

@@ -3,7 +3,9 @@
 Everything here is deliberately slow and obvious: exact rational Racah
 sums and the one-family scalar recursion for 3j symbols, and mpmath
 evaluations for Bessel functions.  The production code must agree with
-these, never the other way around.
+these, never the other way around.  The unscaled T-matrix values,
+low-frequency series and real-frequency phase shifts at the end are
+readers of the production T-matrices that only the tests call.
 """
 
 import math
@@ -11,6 +13,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
+from scipy.special import spherical_jn, spherical_yn
+
+from casphere.tmatrix import (
+    Dispersive,
+    PerfectConductor,
+    _alpha_hat,
+    _dfact,
+    _effective_zeta,
+    _gamma13_hat,
+    _gamma14_hat,
+    is_scalar_law,
+    t_em_log,
+    t_scalar_log,
+    t_scalar_series_fractions,
+)
 
 
 @lru_cache(maxsize=None)
@@ -64,6 +82,25 @@ def threej_exact(l1, l2, l3, m1, m2, m3, prec=60):
         return float(sign * mp.sqrt(mp.mpf(sq.numerator) / sq.denominator))
 
 
+def threej_000_fraction(l1, l2, l3):
+    """The all-zero-projection closed form through an exact Fraction.
+
+    (-1)^g sqrt(Delta) g!/Pi(g-l_i)! with the square formed as a reduced
+    Fraction and rounded by Fraction.__float__, as `math.sqrt` does when
+    handed one; the production form divides the two integers instead.
+    """
+    if l3 < abs(l1 - l2) or l3 > l1 + l2 or (l1 + l2 + l3) % 2:
+        return 0.0
+    big_j = l1 + l2 + l3
+    g = big_j // 2
+    num = _fact(big_j - 2 * l1) * _fact(big_j - 2 * l2) \
+        * _fact(big_j - 2 * l3) * _fact(g) ** 2
+    den = _fact(big_j + 1) \
+        * (_fact(g - l1) * _fact(g - l2) * _fact(g - l3)) ** 2
+    val = math.sqrt(Fraction(num, den))
+    return -val if g % 2 else val
+
+
 def _sg_coeff_a(j, l1, l2, m3):
     x = (j * j - (l1 - l2) ** 2) * ((l1 + l2 + 1) ** 2 - j * j) * (j * j - m3 * m3)
     return math.sqrt(x) if x > 0 else 0.0
@@ -95,7 +132,6 @@ def threej_family_ref(l1, l2, m1, m2):
 
 
 def _sg_family(l1, l2, m1, m2):
-    import numpy as np
     from casphere.specfun import threej_000
     m3 = -(m1 + m2)
     jmin = max(abs(l1 - l2), abs(m3))
@@ -173,6 +209,13 @@ def bessel_i_scaled_ref(l, z, prec=80):
         return float(mp.besseli(mp.mpf(2 * l + 1) / 2, z) * mp.exp(-mp.mpf(z)))
 
 
+def bessel_i_ratio_ref(l, z, prec=60):
+    """I_{l+3/2}(z) / I_{l+1/2}(z) via mpmath."""
+    with mp.workdps(prec):
+        nu = mp.mpf(2 * l + 1) / 2
+        return float(mp.besseli(nu + 1, z) / mp.besseli(nu, z))
+
+
 def bessel_k_scaled_ref(l, z, prec=80):
     """K_{l+1/2}(z) e^{+z} via mpmath."""
     with mp.workdps(prec):
@@ -228,13 +271,7 @@ def sph_k_tilde(l, z, prec=80):
 # conventions except for the shared spherical-harmonic normalization).
 # ---------------------------------------------------------------------------
 
-_E_SPH = {
-    +1: None,  # filled lazily to avoid importing numpy at module scope twice
-}
-
-
 def _sph_basis():
-    import numpy as np
     return {
         +1: np.array([-1.0, -1.0j, 0.0]) / math.sqrt(2.0),
         0: np.array([0.0, 0.0, 1.0]),
@@ -252,7 +289,6 @@ def clebsch(j1, m1, j2, m2, J, M):
 
 def vector_harmonic(J, L, m, th, ph):
     """Y_{JLm} as a cartesian complex 3-vector."""
-    import numpy as np
     from scipy.special import sph_harm_y
     basis = _sph_basis()
     out = np.zeros(3, dtype=complex)
@@ -271,7 +307,6 @@ def vector_wave(kind, pol, J, m, kappa, x):
     Electric waves via their exact orbital decomposition; see
     `vector_wave_curl_fd` for the independent curl-based check.
     """
-    import numpy as np
     r = float(np.linalg.norm(x))
     th = math.acos(x[2] / r)
     ph = math.atan2(x[1], x[0])
@@ -290,7 +325,6 @@ def vector_wave(kind, pol, J, m, kappa, x):
 
 def vector_wave_curl_fd(kind, J, m, kappa, x, h=1e-6):
     """Electric wave N_{Jm} = (1/(i kappa)) curl M_{Jm} by finite differences."""
-    import numpy as np
 
     def mfun(y):
         return vector_wave(kind, "M", J, m, kappa, y)
@@ -379,7 +413,6 @@ def translation_oracle_reset():
 
 def _w_log_tensor(l_max, m):
     """W[l', l, l''] = (2l''+1) 3j(l l' l''; 0 0 0) 3j(l l' l''; m -m 0)."""
-    import numpy as np
     key = (l_max, m)
     hit = _W_LOG.get(key)
     if hit is not None:
@@ -408,7 +441,6 @@ def _w_log_tensor(l_max, m):
 
 def u_log_block_ref(l_max, m, x, direction="12"):
     """(sign, logmag) with sign * exp(logmag) = U^{direction}(m) e^{+x}."""
-    import numpy as np
     from casphere.specfun import bessel_ik_half_chain
     if direction == "21":
         s, lg = u_log_block_ref(l_max, m, x, "12")
@@ -441,7 +473,6 @@ def u_log_block_ref(l_max, m, x, direction="12"):
 
 def _signed_log_sum(parts):
     """Sum [(coef, sign, logmag)] -> (sign, logmag) elementwise."""
-    import numpy as np
     peak = None
     for coef, sgn, lg in parts:
         with np.errstate(invalid="ignore"):
@@ -466,7 +497,6 @@ def _signed_log_sum(parts):
 
 def em_log_blocks_ref(l_max, m, x, direction="12"):
     """{"MM", "MN", "NM", "NN"} -> (sign, logmag) of G^{PP'} e^{+x}."""
-    import numpy as np
     from casphere.translation import _em_weights
     if direction == "21":
         fwd = em_log_blocks_ref(l_max, m, x, "12")
@@ -538,7 +568,6 @@ def node_kernel_ref(l_max, x, em=False):
     stack at a time.  Same arithmetic as the batched kernel, so its rows
     must match these bytes.
     """
-    import numpy as np
     from casphere.specfun import bessel_ik_half_chain
     from casphere.translation import _em_weight_stack, _w_kernel
 
@@ -602,7 +631,6 @@ def leading_lndets_ref(nmat):
     pivot logs accumulated through math.log1p; a pivot below 1e-13 or
     not finite falls back to slogdet of every leading minor.
     """
-    import numpy as np
     n = nmat.shape[0]
     b = nmat.copy()
     signs = np.empty(n)
@@ -633,7 +661,6 @@ def node_stack_ref(pairs, nsph, pol, l_min):
     scale * u[m], l-major over l >= l_min with (sphere, polarization)
     inside each order.
     """
-    import numpy as np
     l_max = pairs[0][2].shape[0] // pol - 1
     nl = l_max + 1 - l_min
     lo = pol * l_min
@@ -656,7 +683,6 @@ def u_scalar_element(l_out, l_in, m, x, direction="12"):
     Unscaled, so only for moderate x; exactly 0 when |m| > min(l_out, l_in)
     by the kernel's own selection rule.
     """
-    import numpy as np
     from casphere.translation import u_log_block
     sign, logmag = u_log_block(max(l_out, l_in), m, x, direction)
     with np.errstate(under="ignore"):
@@ -669,7 +695,6 @@ def u_em_element(l_out, l_in, m, x, direction="12"):
     Columns are the source polarization, rows the target one, in the
     order magnetic, electric; unscaled, so only for moderate x.
     """
-    import numpy as np
     from casphere.translation import em_log_blocks
     blocks = em_log_blocks(max(l_out, l_in), m, x, direction)
     out = np.empty((2, 2))
@@ -694,7 +719,6 @@ def history_pair_ref(geometry, fld, kappa, l_max):
     det([[1, -P], [-Q, 1]]) is det(1 - P_l Q_l) with both factors and all
     polarizations truncated consistently.
     """
-    import numpy as np
     from casphere.energy import _per_pol, _stack_history, _t_log
     from casphere.translation import node_kernel
     sp1, sp2 = geometry.spheres
@@ -718,3 +742,145 @@ def history_pair_ref(geometry, fld, kappa, l_max):
     pairs = [(0, 1, scale[0][None], kern.oriented("12")[None]),
              (1, 0, scale[1][None], kern.oriented("21")[None])]
     return _stack_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)[0]
+
+
+# ---------------------------------------------------------------------------
+# Unscaled T-matrix values, low-frequency series and real-frequency phase
+# shifts: thin readers of the production scaled entries and exact series,
+# kept here because only the tests evaluate them.
+# ---------------------------------------------------------------------------
+
+def phase_shift(spec, l, k):
+    """Scattering phase shift delta_l(k) of a Robin-family sphere.
+
+    Parameters
+    ----------
+    spec : SphereSpec
+        Must carry a scalar law.
+    l : int
+        Partial wave index, l >= 0.
+    k : float
+        Real wavenumber, k > 0.
+
+    Returns
+    -------
+    float
+        delta_l with cot(delta_l) = [n_l(x) - zeta x n_l'(x)] /
+        [j_l(x) - zeta x j_l'(x)], x = kR, evaluated through atan2 so a
+        vanishing denominator (resonance, delta = pi/2) is a regular
+        value rather than an error.
+    """
+    if not k > 0.0:
+        raise ValueError("wavenumber must be positive, got %r" % (k,))
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    zeta = _effective_zeta(spec.law)
+    x = k * spec.radius
+    j, dj = spherical_jn(l, x), spherical_jn(l, x, derivative=True)
+    y, dy = spherical_yn(l, x), spherical_yn(l, x, derivative=True)
+    if zeta is None:  # Neumann: the 1/zeta terms drop out of the ratio
+        num, den = dy, dj
+    else:
+        num, den = y - zeta * x * dy, j - zeta * x * dj
+    delta = math.atan2(den, num)
+    # fold into the principal branch (-pi/2, pi/2]
+    if delta <= -0.5 * math.pi:
+        delta += math.pi
+    elif delta > 0.5 * math.pi:
+        delta -= math.pi
+    return delta
+
+
+
+
+def t_scalar_imag(spec, l, kappa):
+    """Scalar T-matrix element T_l(i kappa) of a Robin-family sphere.
+
+    Returns (-1)^l (pi/2) [(1/zeta + 1/2) I_nu(z) - z I'_nu(z)] /
+    [(1/zeta + 1/2) K_nu(z) - z K'_nu(z)] with nu = l + 1/2, z = kappa R;
+    Dirichlet is the zeta -> 0 limit and Neumann drops the 1/zeta terms.
+    """
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    sign, logmag = t_scalar_log(spec, l, kappa)
+    z = kappa * spec.radius
+    pref = -1.0 if l % 2 == 0 else 1.0  # -(-1)^l undoes the internal sign
+    return pref * float(sign[l]) * math.exp(float(logmag[l]) + 2.0 * z)
+
+
+def t_em_imag(spec, l, kappa):
+    """EM T-matrix elements (T_M, T_E) of a dielectric or PEC sphere.
+
+    T_M is the magnetic (TE) channel; T_E follows by interchanging eps
+    and mu.  Both vanish identically for eps = mu = 1.
+    """
+    if l < 1:
+        raise ValueError("EM multipoles start at l = 1")
+    blocks = t_em_log(spec, l, kappa)
+    z = kappa * spec.radius
+    pref = -1.0 if l % 2 == 0 else 1.0
+    out = []
+    for pol in ("M", "E"):
+        sign, logmag = blocks[pol]
+        out.append(pref * float(sign[l]) * math.exp(float(logmag[l]) + 2.0 * z))
+    return tuple(out)
+
+
+
+
+def t_low_kappa_series(spec, l, order):
+    """Low-frequency expansion of the T-matrix entries.
+
+    Parameters
+    ----------
+    spec : SphereSpec
+    l : int
+        Partial wave (l >= 1 for EM laws).
+    order : int
+        Number of powers beyond the leading kappa^{2l+1}; 0 <= order <= 4.
+        EM laws support order <= 3 for l = 1 (the printed gamma
+        coefficients) and order <= 1 otherwise.
+
+    Returns
+    -------
+    dict
+        channel -> {power: coefficient} with T_channel(i kappa) =
+        sum coeff * kappa^power; channels are "scalar" or "M"/"E".
+        The kappa^{2l+2} coefficient of the EM channels is exactly zero.
+    """
+    if order < 0 or order > 4:
+        raise ValueError("unsupported order %r" % (order,))
+    law = spec.law
+    base = 2 * l + 1
+    if is_scalar_law(law):
+        fr = t_scalar_series_fractions(law, l, order + 1)
+        pref = -1.0 if l % 2 == 0 else 1.0  # undo internal sign
+        coeffs = {base + k: pref * float(c) * spec.radius ** (base + k)
+                  for k, c in enumerate(fr)}
+        return {"scalar": coeffs}
+    if l < 1:
+        raise ValueError("EM multipoles start at l = 1")
+    pref = -1.0 if l % 2 == 0 else 1.0  # undo internal sign
+    if isinstance(law, PerfectConductor):
+        out = {}
+        for pol in ("M", "E"):
+            fr = t_scalar_series_fractions(law, l, order + 1, channel=pol)
+            out[pol] = {base + k: pref * float(c) * spec.radius ** (base + k)
+                        for k, c in enumerate(fr)}
+        return out
+    if isinstance(law, Dispersive):
+        raise ValueError("low-frequency series requires a constant material")
+    # dielectric: printed static coefficients (gammas known for l = 1 only)
+    if order > (3 if l == 1 else 1):
+        raise ValueError("unsupported order %r for dielectric l=%d"
+                         % (order, l))
+    lead_sign = -1 if l % 2 == 0 else 1  # (-1)^{l-1}
+    out = {}
+    for pol, x, y in (("M", law.mu, law.eps), ("E", law.eps, law.mu)):
+        x, y = Fraction(x), Fraction(y)
+        hats = [lead_sign * Fraction(l + 1, l * _dfact(2 * l + 1)
+                                     * _dfact(2 * l - 1)) * _alpha_hat(x, l),
+                0, _gamma13_hat(x, y), _gamma14_hat(x)]
+        out[pol] = {base + k: float(c) * spec.radius ** (base + k)
+                    for k, c in enumerate(hats[:order + 1])}
+    return out

@@ -46,9 +46,10 @@ from casphere.tmatrix import (
     PerfectConductor,
     Robin,
     SphereSpec,
-    t_scalar_imag,
 )
 from casphere.translation import u_log_block
+
+from _oracles import t_scalar_imag
 
 R = 1.0
 DIR = SphereSpec(R, Dirichlet())

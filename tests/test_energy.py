@@ -40,7 +40,6 @@ from casphere.tmatrix import (
     PerfectConductor,
     Robin,
     SphereSpec,
-    t_scalar_imag,
 )
 import casphere.specfun as specfun
 import casphere.translation as translation
@@ -187,7 +186,7 @@ def test_block_decomposition_full_det():
     g = pair(DIR, DIR, d)
     x = kappa * d
     # internal-convention diagonal: T~_l = -(-1)^l T_l
-    tt = np.array([-(-1.0) ** l * t_scalar_imag(DIR, l, kappa * R)
+    tt = np.array([-(-1.0) ** l * orc.t_scalar_imag(DIR, l, kappa * R)
                    for l in range(l_max + 1)])
     dim = (l_max + 1) ** 2
     full = np.zeros((dim, dim))

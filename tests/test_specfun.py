@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casphere.specfun import (
+    _CHAIN_CEILING,
     L_CEILING,
     ThreeJArgs,
+    _i_ratio_chain,
     _k_chains,
     _threej_rows,
     bessel_ik_half,
@@ -85,6 +87,42 @@ def test_batched_k_chains_equal_one_argument_chains(n):
         assert log_k[i].tobytes() == chain.log_k.tobytes()
 
 
+# arguments at and above z = 8, where the I ratio chain is the downward
+# continued fraction at every order up to the chain ceiling
+LARGE_Z = [8.0, 8.5, 11.0, 40.0, 97.3, 400.0, 2.5e3, 1e4]
+
+
+@pytest.mark.parametrize("z", LARGE_Z)
+def test_i_ratio_chain_large_argument_against_mpmath(z):
+    rho = _i_ratio_chain(_CHAIN_CEILING, z)
+    assert rho.shape == (_CHAIN_CEILING + 1,)
+    for l in list(range(0, _CHAIN_CEILING, 7)) + [_CHAIN_CEILING]:
+        ref = orc.bessel_i_ratio_ref(l, z)
+        assert abs(rho[l] - ref) <= 2e-15 * ref, (l, rho[l], ref)
+
+
+@pytest.mark.parametrize("z", LARGE_Z[::2] + [1e4])
+def test_chain_fields_large_argument_against_mpmath(z):
+    chain = bessel_ik_half_chain(_CHAIN_CEILING, z)
+    for l in (0, 1, 5, 17, 60, 150, _CHAIN_CEILING):
+        # the logs are cumulative sums of ratio logs: a few ulp of |log|
+        ref = orc.bessel_log_i_ref(l, z)
+        assert abs(chain.log_i[l] - ref) <= 4e-15 * max(1.0, abs(ref))
+        ref = orc.bessel_log_k_ref(l, z)
+        assert abs(chain.log_k[l] - ref) <= 4e-15 * max(1.0, abs(ref))
+        # value-level checks wherever the scaled quantities are representable
+        if abs(chain.log_i[l]) < 600.0:
+            assert chain.i_scaled[l] == pytest.approx(
+                orc.bessel_i_scaled_ref(l, z), rel=1e-12)
+            assert chain.di_scaled[l] == pytest.approx(
+                orc.bessel_di_scaled_ref(l, z), rel=1e-12)
+        if abs(chain.log_k[l]) < 600.0:
+            assert chain.k_scaled[l] == pytest.approx(
+                orc.bessel_k_scaled_ref(l, z), rel=1e-12)
+            assert chain.dk_scaled[l] == pytest.approx(
+                orc.bessel_dk_scaled_ref(l, z), rel=1e-12)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     l=st.integers(min_value=0, max_value=L_CEILING),
@@ -139,6 +177,22 @@ def test_threej_000_exact_cases():
         assert threej_000(l1, l2, l3) == pytest.approx(ref, rel=1e-13, abs=0)
     assert threej_000(1, 1, 1) == 0.0  # odd sum
     assert threej_000(1, 1, 3) == 0.0  # triangle
+
+
+def test_threej_000_integer_quotient_equals_fraction_form():
+    # int/int true division and Fraction.__float__ are both correctly
+    # rounded, so the square root sees the same double: equal bits
+    for l1 in range(41):
+        for l2 in range(41):
+            for l3 in range(abs(l1 - l2), min(l1 + l2, 40) + 1):
+                assert threej_000(l1, l2, l3) \
+                    == orc.threej_000_fraction(l1, l2, l3), (l1, l2, l3)
+    rng = np.random.default_rng(8)
+    for _ in range(3000):
+        l1, l2 = (int(v) for v in rng.integers(0, 201, 2))
+        l3 = int(rng.integers(abs(l1 - l2), l1 + l2 + 1))
+        assert threej_000(l1, l2, l3) == orc.threej_000_fraction(l1, l2, l3), \
+            (l1, l2, l3)
 
 
 def test_wigner3j_selection_rules():

@@ -1,0 +1,70 @@
+"""Start-up cost: the package, its energies and the CLI load no scipy module.
+
+scipy's import alone costs several times a small energy, so only the
+sign-map zero search (`find_zero_force`) may import it, on first use;
+likewise the CLI imports its process pool only when it makes one.
+Each check runs in a fresh interpreter, since the test session itself
+has scipy loaded.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import casphere
+
+SCRIPT = textwrap.dedent("""
+    import sys
+
+    import casphere
+    import casphere.cli
+    from casphere import specfun
+
+
+    def check(stage):
+        mods = sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy."))
+        assert not mods, (stage, len(mods), mods[:3])
+
+
+    check("import")
+    # the process pool is imported only by a run with --workers > 1
+    assert "concurrent.futures.process" not in sys.modules
+
+    # record every Bessel argument of one energy
+    chain = specfun._i_ratio_chain
+    seen = []
+
+
+    def spy(n, z):
+        seen.append(z)
+        return chain(n, z)
+
+
+    specfun._i_ratio_chain = spy
+    dirichlet = casphere.SphereSpec(1.0, casphere.Dirichlet())
+    est = casphere.casimir_energy(
+        casphere.Geometry.pair(dirichlet, dirichlet, 3.0), "scalar-real", 4)
+    specfun._i_ratio_chain = chain
+    assert est.value < 0.0
+    assert max(seen) >= 8.0, max(seen)
+    check("energy")
+
+    code = casphere.cli.main(["sweep", "--bc1", "dirichlet",
+                              "--d-grid", "4:5:2", "--lmax", "4",
+                              "--out", sys.argv[1]])
+    assert code == 0
+    check("sweep")
+    print("ok")
+""")
+
+
+def test_energy_and_cli_load_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(casphere.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

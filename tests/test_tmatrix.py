@@ -14,16 +14,19 @@ from casphere.tmatrix import (
     PerfectConductor,
     Robin,
     SphereSpec,
-    phase_shift,
-    t_em_imag,
     t_em_log,
-    t_low_kappa_series,
-    t_scalar_imag,
     t_scalar_log,
     t_scalar_series_fractions,
 )
 
-from _oracles import t_em_ref, t_scalar_ref
+from _oracles import (
+    phase_shift,
+    t_em_imag,
+    t_em_ref,
+    t_low_kappa_series,
+    t_scalar_imag,
+    t_scalar_ref,
+)
 
 R = 1.0
 DIR = SphereSpec(R, Dirichlet())
