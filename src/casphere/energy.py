@@ -28,7 +28,8 @@ never increase along it, each block in the trailing (bottom-right)
 corner of its slot: the padding then acts as identity rows, the blocks
 still being eliminated at any row form a prefix of the stack, and each
 one's update window is exactly its own trailing submatrix, so no work is
-spent on padding.  One loop over rows serves every m of every node.
+spent on padding.  One loop over panels of rows, one orbital order
+each, serves every m of every node.
 
 The kappa integral is a global-adaptive Gauss-Kronrod (7, 15) rule with
 the interval choice, sums and error estimate of
@@ -250,59 +251,54 @@ def _checked_field(geometry, field_kind, l_max):
     return fld
 
 
-def _stack_lndets(stack, sizes, rebuild):
+def _stack_lndets(stack, sizes, stride, rebuild):
     """(signs, lndets) of the leading principal minors of 1 - B for
     every block B of a padded stack, each of shape (len(stack), n).
 
     Block i of size sizes[i] sits in the trailing (bottom-right) corner
-    of stack[i]; sizes never increase along the stack.  The padding
-    rows and columns in front of a block are never read: they act as
-    identity rows of 1 - B, so the blocks still being eliminated at row
-    k are a prefix of the stack and each one's update window is exactly
-    its own trailing submatrix.  The leading rows of the result belong
-    to the padding (sign 1, lndet 0).
+    of stack[i]; sizes never increase along the stack, and every block
+    starts at a multiple of `stride`.  The padding rows and columns in
+    front of a block are never read: they act as identity rows of 1 - B,
+    so the blocks still being eliminated at row k are a prefix of the
+    stack and each one's update window is exactly its own trailing
+    submatrix.  The leading rows of the result belong to the padding
+    (sign 1, lndet 0).
 
-    The elimination is pivot-free and carried in B ~ N: the k-th pivot
-    is 1 - b_kk, accumulated through log1p so the result keeps full
-    relative accuracy even when N is ~1e-12 (far separations).  The
-    stack is overwritten.  A block meeting a degenerate pivot is zeroed,
+    The elimination is pivot-free and carried in B ~ N, one panel of
+    `stride` rows (one orbital order) at a time: rank-1 steps confined
+    to the panel's rows and columns, each pivot column divided once by
+    its pivot 1 - b_kk, then one batched matmul B22 += (B21 / piv) @ B12
+    of every active block's trailing window.  Each b_kk is built from
+    products of N entries, so log1p(-b_kk) keeps full relative accuracy
+    even when N is ~1e-12 (far separations).  Pivots are checked once,
+    on the final diagonal: a block with one below 1e-13 or not finite is
     rebuilt alone by `rebuild(i)` and handed to the pivoted fallback
-    with a PivotFallbackWarning.
+    with a PivotFallbackWarning; no other block reads its entries.  The
+    stack is overwritten.
     """
     nb, n, _ = stack.shape
     first = n - np.asarray(sizes)
-    active = np.searchsorted(first, np.arange(n), side="right")
-    # one buffer holds every rank-1 update; sized for the largest window
-    scratch = np.empty(np.max(active * (n - 1 - np.arange(n)) ** 2))
-    fallback = []
-    for k in range(n):
-        act = stack[:active[k]]
-        piv = 1.0 - act[:, k, k]
-        bad = ~np.isfinite(piv) | (np.abs(piv) < 1e-13)
-        if bad.any():
-            # the zeroed block eliminates as the identity from here on
-            act[bad] = 0.0
-            piv[bad] = 1.0
-            fallback.extend(np.flatnonzero(bad).tolist())
-        if k + 1 < n:
-            # the elementwise order of outer(col, row) / piv
-            w = n - k - 1
-            t = scratch[:len(act) * w * w].reshape(len(act), w, w)
-            np.multiply(act[:, k + 1:, k, None], act[:, None, k, k + 1:],
-                        out=t)
-            np.divide(t, piv[:, None, None], out=t)
-            act[:, k + 1:, k + 1:] += t
-    bkk = np.diagonal(stack, axis1=1, axis2=2)
-    piv = 1.0 - bkk
-    own = np.arange(n) >= first[:, None]
-    terms = np.zeros((nb, n))
-    # math.log1p, not np.log1p: numpy's SIMD log1p differs in the last ulp
-    terms[own] = [math.log1p(-b) if p > 0 else math.log(-p)
-                  for b, p in zip(bkk[own].tolist(), piv[own].tolist())]
-    signs = np.where(np.cumsum((piv < 0.0) & own, axis=1) % 2 == 1,
-                     -1.0, 1.0)
-    lndets = np.cumsum(terms, axis=1)
-    for i in fallback:
+    starts = np.arange(0, n, stride)
+    with np.errstate(all="ignore"):
+        for k0, nact in zip(starts, np.searchsorted(first, starts, "right")):
+            act, k1 = stack[:nact], k0 + stride
+            for k in range(k0, k1):
+                j, rest = k1 - k - 1, act[:, k + 1:, k + 1:]
+                col, row = act[:, k + 1:, k, None], act[:, None, k, k + 1:]
+                col /= 1.0 - act[:, k, k, None, None]
+                rest[:, :, :j] += col * row[..., :j]
+                rest[:, :j, j:] += col[:, :j] * row[..., j:]
+            act[:, k1:, k1:] += act[:, k1:, k0:k1] @ act[:, k0:k1, k1:]
+        bkk = np.diagonal(stack, axis1=1, axis2=2)
+        piv = 1.0 - bkk
+        own = np.arange(n) >= first[:, None]
+        terms = np.zeros((nb, n))
+        np.log1p(-bkk, out=terms, where=own & (piv > 0.0))
+        np.log(-piv, out=terms, where=own & (piv < 0.0))
+        signs = 1.0 - 2.0 * (np.cumsum((piv < 0.0) & own, axis=1) % 2)
+        lndets = np.cumsum(terms, axis=1)
+        bad = own & ~(np.isfinite(piv) & (np.abs(piv) >= 1e-13))
+    for i in np.flatnonzero(bad.any(axis=1)):
         warnings.warn("pivot fallback in block %d of %d (size %d)"
                       % (i, nb, sizes[i]), PivotFallbackWarning)
         signs[i], lndets[i] = 1.0, 0.0
@@ -428,7 +424,8 @@ def _stack_history(pairs, nsph, pol, l_max, l_min):
     def rebuild(i):
         return _node_stack(pairs, nsph, pol, l_min, *divmod(i, nn))
 
-    signs, lndets = _stack_lndets(stack.reshape(-1, n, n), sizes, rebuild)
+    signs, lndets = _stack_lndets(stack.reshape(-1, n, n), sizes, stride,
+                                  rebuild)
     return _m_history(signs.reshape(l_max + 1, nn, n),
                       lndets.reshape(l_max + 1, nn, n), stride, l_min)
 

@@ -362,7 +362,7 @@ def _sg_recursion(l1, l2, m1, m2, jmin, npts, sign_top, width):
     # norm is the lone family's pairwise sum whatever its batch
     terms = (2.0 * (jmax - col) + 1.0) * res * res
     norm = np.empty(rows)
-    for n in np.unique(npts):
+    for n in sorted(set(npts.tolist())):
         r = np.flatnonzero(npts == n)
         norm[r] = np.sum(np.ascontiguousarray(terms[n - 1::-1, r].T), axis=1)
     res = res / np.sqrt(norm)

@@ -653,6 +653,25 @@ def leading_lndets_ref(nmat):
     return signs, lndets
 
 
+def leading_lndets_mp(nmat, dps=50):
+    """ln|det| of every leading principal minor of 1 - nmat, in dps-digit
+    arithmetic: one unpivoted elimination of the exact float entries,
+    each minor the running sum of its pivot logs."""
+    n = nmat.shape[0]
+    with mp.workdps(dps):
+        a = mp.eye(n) - mp.matrix(nmat.tolist())
+        acc = mp.mpf(0)
+        lndets = np.empty(n)
+        for k in range(n):
+            acc += mp.log(abs(a[k, k]))
+            lndets[k] = float(acc)
+            for i in range(k + 1, n):
+                f = a[i, k] / a[k, k]
+                for j in range(k + 1, n):
+                    a[i, j] -= f * a[k, j]
+    return lndets
+
+
 def node_stack_ref(pairs, nsph, pol, l_min):
     """Every m-block N_m of one node, padded, each (sphere a, sphere b)
     block written by one multiply over all polarizations at once.

@@ -219,10 +219,25 @@ def test_block_decomposition_full_det():
 # leading-minor determinants
 # ---------------------------------------------------------------------------
 
-def _one_block(a):
-    """_stack_lndets of a stack holding the single block a."""
-    signs, lndets = _stack_lndets(a[None].copy(), [a.shape[0]], None)
+# The blocked elimination rounds differently from the rank-1 oracle;
+# both are backward stable, so their leading-minor log-determinants
+# agree to C_LNDET * n * eps * (sum of |log pivot|) for an n-row block.
+C_LNDET = 4.0
+
+
+def _one_block(a, stride=1):
+    """_stack_lndets of a stack holding the single block a, eliminated
+    in panels of `stride` rows; the pivoted fallback rebuilds a."""
+    signs, lndets = _stack_lndets(a[None].copy(), [a.shape[0]], stride,
+                                  lambda i: a)
     return signs[0], lndets[0]
+
+
+def _lndet_bound(lndets):
+    """C_LNDET * n * eps * sum |log pivot| at every row of an n-row
+    block, from the block's cumulative pivot logs lndets."""
+    return (C_LNDET * len(lndets) * np.finfo(float).eps
+            * np.cumsum(np.abs(np.diff(lndets, prepend=0.0))))
 
 
 def _padded_stack(blocks):
@@ -235,11 +250,16 @@ def _padded_stack(blocks):
     return stack
 
 
-def _assert_equals_oracle(signs, lndets, block):
+def _assert_equals_oracle(signs, lndets, block, stride):
     first = len(signs) - len(block)
+    # batching: the block's rows are those of its one-block call
+    one_signs, one_lndets = _one_block(block, stride)
+    assert signs[first:].tobytes() == one_signs.tobytes()
+    assert lndets[first:].tobytes() == one_lndets.tobytes()
     ref_signs, ref_lndets = orc.leading_lndets_ref(block)
     assert np.all(signs[first:] == ref_signs)
-    assert np.all(lndets[first:] == ref_lndets)
+    assert np.all(np.abs(lndets[first:] - ref_lndets)
+                  <= _lndet_bound(ref_lndets))
     # the padding rows are identity rows of 1 - B
     assert np.all(signs[:first] == 1.0) and np.all(lndets[:first] == 0.0)
 
@@ -274,10 +294,34 @@ def test_stack_lndets_equals_per_matrix_oracle(stride):
     # a negative first pivot takes the log(-piv) branch
     blocks[2][0, 0] = 1.5
     signs, lndets = _stack_lndets(_padded_stack(blocks),
-                                  [len(b) for b in blocks], None)
+                                  [len(b) for b in blocks], stride, None)
     assert np.any(signs < 0.0)
     for i, b in enumerate(blocks):
-        _assert_equals_oracle(signs[i], lndets[i], b)
+        _assert_equals_oracle(signs[i], lndets[i], b, stride)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4, 6])
+def test_stack_lndets_against_mpmath(stride):
+    # 50-digit leading minors: the blocked elimination is within twice
+    # the rank-1 oracle's own error, or within the stated bound, for
+    # entries of order one, ~1e-12 and spectral radius 0.99
+    rng = np.random.default_rng(100 + stride)
+    blocks = []
+    for k, scale in zip((6, 6, 5, 5, 4, 4), (0.3, 1e-12, None) * 2):
+        b = rng.standard_normal((stride * k, stride * k))
+        if scale is None:
+            b *= 0.99 / max(abs(np.linalg.eigvals(b)))
+        else:
+            b *= scale / math.sqrt(stride * k)
+        blocks.append(b)
+    _, lndets = _stack_lndets(_padded_stack(blocks),
+                              [len(b) for b in blocks], stride, None)
+    for i, b in enumerate(blocks):
+        exact = orc.leading_lndets_mp(b)
+        err = np.abs(lndets[i, len(lndets[i]) - len(b):] - exact)
+        oracle_err = np.abs(orc.leading_lndets_ref(b)[1] - exact)
+        assert np.all(err <= np.maximum(2.0 * oracle_err,
+                                        _lndet_bound(exact))), i
 
 
 def test_pivot_fallback_is_per_block_and_loud():
@@ -293,7 +337,7 @@ def test_pivot_fallback_is_per_block_and_loud():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with np.errstate(all="warn"):
-            signs, lndets = _stack_lndets(padded.copy(), [6, 4, 2],
+            signs, lndets = _stack_lndets(padded.copy(), [6, 4, 2], 2,
                                           lambda i: padded[i].copy())
     assert [w.category for w in caught] == [PivotFallbackWarning]
     for k in range(4):
@@ -301,12 +345,34 @@ def test_pivot_fallback_is_per_block_and_loud():
         assert signs[1, 2 + k] == sgn and lndets[1, 2 + k] == ld
     assert signs[1, 3] > 0.0 and signs[1, 5] > 0.0
     for i in (0, 2):
-        _assert_equals_oracle(signs[i], lndets[i], blocks[i])
+        _assert_equals_oracle(signs[i], lndets[i], blocks[i], 2)
+
+
+def test_pivot_fallback_is_confined_under_errstate_raise():
+    # the pivots are checked once, after the elimination: the zero pivot
+    # of block 1 raises no FloatingPointError, warns once, and no other
+    # block reads its infinities
+    rng = np.random.default_rng(9)
+    blocks = [0.1 * rng.standard_normal((k, k)) for k in (8, 8, 6, 4)]
+    blocks[1][0, 0] = 1.0
+    padded = _padded_stack(blocks)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="raise"):
+            signs, lndets = _stack_lndets(padded.copy(), [8, 8, 6, 4], 2,
+                                          lambda i: padded[i].copy())
+    assert [w.category for w in caught] == [PivotFallbackWarning]
+    assert "block 1 of 4 " in str(caught[0].message)
+    for i in (0, 2, 3):
+        first = 8 - len(blocks[i])
+        one_signs, one_lndets = _one_block(blocks[i], 2)
+        assert signs[i, first:].tobytes() == one_signs.tobytes()
+        assert lndets[i, first:].tobytes() == one_lndets.tobytes()
 
 
 def test_domain_error_on_lost_positivity():
     with pytest.raises(DomainError):
-        _m_history(*_stack_lndets(np.array([[[2.0]]]), [1], None), 1, 0)
+        _m_history(*_stack_lndets(np.array([[[2.0]]]), [1], 1, None), 1, 0)
 
 
 def test_domain_error_when_only_the_last_block_loses_positivity():
@@ -314,7 +380,7 @@ def test_domain_error_when_only_the_last_block_loses_positivity():
     blocks = [0.1 * rng.standard_normal((k, k)) for k in (6, 4, 2)]
     # cut minor (1 - 0.1) * (1 - 3) < 0 in the smallest block only
     blocks[2] = np.diag([0.1, 3.0])
-    signs, lndets = _stack_lndets(_padded_stack(blocks), [6, 4, 2], None)
+    signs, lndets = _stack_lndets(_padded_stack(blocks), [6, 4, 2], 2, None)
     _m_history(signs[:2], lndets[:2], 2, 0)
     with pytest.raises(DomainError):
         _m_history(signs, lndets, 2, 0)
@@ -336,16 +402,27 @@ def _node(pairs, j):
 
 def _per_block_history(pairs, nsph, pol, l_max, l_min, j=0):
     """History of node j from its m-blocks one at a time, summed in m
-    order as the weighted cuts."""
+    order as the weighted cuts: (from one-block `_stack_lndets` calls,
+    from the rank-1 oracle, the bound on their difference)."""
     stride = nsph * pol
-    ref = np.zeros(l_max + 1)
+    one, ref, bound = np.zeros((3, l_max + 1))
     for m in range(l_max + 1):
         lo = max(m, l_min)
         first = stride * (lo - l_min)
-        block = _node_stack(pairs, nsph, pol, l_min, m, j)
-        _, lndets = orc.leading_lndets_ref(block[first:, first:])
-        ref[lo:] += (1.0 if m == 0 else 2.0) * lndets[stride - 1::stride]
-    return ref
+        block = _node_stack(pairs, nsph, pol, l_min, m, j)[first:, first:]
+        weight = 1.0 if m == 0 else 2.0
+        cut = slice(stride - 1, None, stride)
+        one[lo:] += weight * _one_block(block, stride)[1][cut]
+        _, lndets = orc.leading_lndets_ref(block)
+        ref[lo:] += weight * lndets[cut]
+        bound[lo:] += weight * _lndet_bound(lndets)[cut]
+    return one, ref, bound
+
+
+def _assert_equals_per_block(hist, per_block):
+    one, ref, bound = per_block
+    assert hist.tobytes() == one.tobytes()
+    assert np.all(np.abs(hist - ref) <= bound)
 
 
 @pytest.mark.parametrize("field,geometry,l_max", NODE_CASES)
@@ -358,8 +435,8 @@ def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
                         or stack_history(*args))
     hist = _history(geometry, FieldKind(field), 0.8, l_max)
     (pairs, nsph, pol, l_max, l_min), = calls
-    assert np.array_equal(hist,
-                          _per_block_history(pairs, nsph, pol, l_max, l_min))
+    _assert_equals_per_block(
+        hist, _per_block_history(pairs, nsph, pol, l_max, l_min))
 
 
 @pytest.mark.parametrize("field,geometry,l_max", NODE_CASES)
@@ -447,9 +524,11 @@ def test_pivot_fallback_hits_one_node_of_a_batch(monkeypatch):
     assert [w.category for w in caught] == [PivotFallbackWarning]
     assert "block 1 of 15 " in str(caught[0].message)
     pairs = degenerate(g, REAL_SCALAR, kappas, 4)
+    with pytest.warns(PivotFallbackWarning):
+        per_block = [_per_block_history(pairs, 3, 1, 4, 0, j)
+                     for j in range(len(kappas))]
     for j in range(len(kappas)):
-        assert np.array_equal(hist[j],
-                              _per_block_history(pairs, 3, 1, 4, 0, j))
+        _assert_equals_per_block(hist[j], per_block[j])
 
 
 QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)

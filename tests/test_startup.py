@@ -50,6 +50,8 @@ SCRIPT = textwrap.dedent("""
     assert est.value < 0.0
     assert max(seen) >= 8.0, max(seen)
     check("energy")
+    # building the 3j tables loads no numpy.ma (np.unique would)
+    assert "numpy.ma" not in sys.modules
 
     code = casphere.cli.main(["sweep", "--bc1", "dirichlet",
                               "--d-grid", "4:5:2", "--lmax", "4",
