@@ -33,8 +33,11 @@ each, serves every m of every node.
 
 The kappa integral is a global-adaptive Gauss-Kronrod (7, 15) rule with
 the interval choice, sums and error estimate of
-`scipy.integrate.quad_vec(..., norm="max", quadrature="gk15")`; every
-node of one refinement round is evaluated in one such batch.
+`scipy.integrate.quad_vec(..., norm="max", quadrature="gk15",
+points=...)` (QUADPACK's QAGP).  In t = 2 kappa L it starts from the
+dyadic partition 0, 1, 2, 4, ..., t_max, which already resolves the
+integrand's O(1) scale; the nodes of that partition are evaluated in one
+batch, and so is every node of each refinement round after it.
 """
 
 import heapq
@@ -199,8 +202,11 @@ class QuadSpec:
 
     The integral runs over t = 2 kappa L with L the surface gap; the
     integrand decays like e^{-t}, so t_max = 80 truncates far below
-    relative 1e-16 of the peak.  rel_tol bounds the global Gauss-Kronrod
-    error estimate relative to the max-norm of the history integral.
+    relative 1e-16 of the peak.  t_max must be finite: the adaptive rule
+    starts from the breakpoints t = 1, 2, 4, ... up to t_max / 2 (at the
+    default, the seven intervals [0, 1], [1, 2], ..., [16, 32],
+    [32, 80]).  rel_tol bounds the global Gauss-Kronrod error estimate
+    relative to the max-norm of the history integral.
     """
 
     rel_tol: float = 1e-9
@@ -209,8 +215,8 @@ class QuadSpec:
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise ValueError("quad tolerance must be > 0")
-        if not self.t_max > 0.0:
-            raise ValueError("t_max must be > 0")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -283,11 +289,14 @@ def _stack_lndets(stack, sizes, stride, rebuild):
         for k0, nact in zip(starts, np.searchsorted(first, starts, "right")):
             act, k1 = stack[:nact], k0 + stride
             for k in range(k0, k1):
-                j, rest = k1 - k - 1, act[:, k + 1:, k + 1:]
-                col, row = act[:, k + 1:, k, None], act[:, None, k, k + 1:]
+                col = act[:, k + 1:, k, None]
                 col /= 1.0 - act[:, k, k, None, None]
-                rest[:, :, :j] += col * row[..., :j]
-                rest[:, :j, j:] += col[:, :j] * row[..., j:]
+                # the panel's last row leaves no panel column to update
+                j = k1 - k - 1
+                if j:
+                    rest, row = act[:, k + 1:, k + 1:], act[:, None, k, k + 1:]
+                    rest[:, :, :j] += col * row[..., :j]
+                    rest[:, :j, j:] += col[:, :j] * row[..., j:]
             act[:, k1:, k1:] += act[:, k1:, k0:k1] @ act[:, k0:k1, k1:]
         bkk = np.diagonal(stack, axis1=1, axis2=2)
         piv = 1.0 - bkk
@@ -629,29 +638,55 @@ _GK_SPLITS = 128
 _GK_LIMIT = 10000
 
 
+def _dyadic_points(b):
+    """Breakpoints 1, 2, 4, ... of [0, b]: every power of two p with
+    2p <= b, so the last interval [p, b] is at least as long as [p/2, p].
+    """
+    points = []
+    p = 1.0
+    while 2.0 * p <= b:
+        points.append(p)
+        p *= 2.0
+    return points
+
+
 def _adaptive_gk15(f, b, rel_tol):
     """(integral, error) over [0, b] of the vector function f.
 
     Global-adaptive GK15 with the nodes, sums, interval choice and
     stopping tests of scipy's quad_vec(f, 0, b, epsabs=1e-280,
-    epsrel=rel_tol, norm="max", quadrature="gk15"): each round splits
-    the intervals of largest error (up to 128, until their errors exceed
-    the global error less tol/8), and stops once the global error is
-    below tol/8 or the rounding error.  f maps a list of nodes to an
-    array of values, one row per node, and gets every node of a round in
-    one call.
+    epsrel=rel_tol, norm="max", quadrature="gk15",
+    points=_dyadic_points(b)).  It starts from one GK15 rule on each
+    interval of the dyadic partition 0, 1, 2, 4, ..., b, whose integrals
+    and errors are summed in interval order; the integrand's O(1) scale
+    in t = 2 kappa L is then resolved from the start instead of by
+    bisecting [0, b].  Each round splits the intervals of largest error
+    (up to 128, until their errors exceed the global error less tol/8),
+    and stops once the global error is below tol/8 or the rounding
+    error.  f maps a list of nodes to an array of values, one row per
+    node, and gets every node of the initial partition in one call, then
+    every node of a round in one call.
     """
-    ig, err, round_err = _gk15(0.0, b, f(_gk15_nodes(0.0, b)))
-    total = ig.copy()
+    edges = [0.0] + _dyadic_points(b) + [b]
+    initial = list(zip(edges[:-1], edges[1:]))
+    values = f([t for lo, hi in initial for t in _gk15_nodes(lo, hi)])
+    total = np.zeros(values.shape[1:])
+    global_error = rounding_error = 0.0
+    integrals = {}
+    heap = []
+    for i, (lo, hi) in enumerate(initial):
+        ig, err, round_err = _gk15(lo, hi, values[15 * i:15 * i + 15])
+        total += ig
+        global_error += err
+        rounding_error += round_err
+        integrals[(lo, hi)] = ig
+        heap.append((-err, lo, hi))
+    heapq.heapify(heap)
 
     # epsabs 1e-280 acts only as the floor for identically zero integrands
     def tol():
         return max(1e-280, rel_tol * np.amax(abs(total)))
 
-    global_error = err
-    rounding_error = round_err
-    integrals = {(0.0, b): ig}
-    heap = [(-err, 0.0, b)]
     while heap and len(heap) < _GK_LIMIT:
         limit = global_error - tol() / 8
         split = []

@@ -95,6 +95,9 @@ def test_quad_spec_validation():
         QuadSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadSpec(t_max=-1.0)
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadSpec(t_max=t_max)
 
 
 def test_field_kinds():
@@ -543,27 +546,82 @@ QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)
     ("em", Geometry((PEC, PEC, PEC), (0.0, 3.0, 6.0)), 1e-9)]
 
 
-@pytest.mark.parametrize("field,geometry,rel_tol", QUAD_CASES)
-def test_adaptive_gk15_equals_quad_vec(field, geometry, rel_tol):
+# the dyadic breakpoints of [0, 80]: every power of two p with 2p <= 80
+DYADIC_80 = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+def _assert_gk15_equals_quad_vec(field, geometry, rel_tol, t_max, points):
     fld = FieldKind(field)
     l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
     gap = geometry.surface_gap
     ref, ref_err, info = quad_vec(
         lambda t: _history(geometry, fld, t / (2.0 * gap), l_max),
-        0.0, 80.0, epsabs=1e-280, epsrel=rel_tol, norm="max",
-        quadrature="gk15", full_output=True)
+        0.0, t_max, epsabs=1e-280, epsrel=rel_tol, norm="max",
+        quadrature="gk15", full_output=True, points=points)
     rounds = []
 
     def batched(ts):
         rounds.append(len(ts))
         return _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
                           l_max)
-    res, err = energy._adaptive_gk15(batched, 80.0, rel_tol)
+    res, err = energy._adaptive_gk15(batched, t_max, rel_tol)
     assert np.array_equal(res, ref) and err == ref_err
-    # every node of a round in one call: the first interval, then both
-    # halves of every split interval
-    assert rounds[0] == 15 and all(k % 30 == 0 for k in rounds[1:])
+    # every node of a round in one call: the initial intervals, then
+    # both halves of every split interval
+    assert rounds[0] == 15 * (len(points) + 1)
+    assert all(k % 30 == 0 for k in rounds[1:])
     assert sum(rounds) == info.neval
+
+
+@pytest.mark.parametrize("field,geometry,rel_tol", QUAD_CASES)
+def test_adaptive_gk15_equals_quad_vec(field, geometry, rel_tol):
+    _assert_gk15_equals_quad_vec(field, geometry, rel_tol, 80.0, DYADIC_80)
+
+
+@pytest.mark.parametrize("t_max,points",
+                         [(0.5, []), (3.0, [1.0]), (80.0, DYADIC_80)])
+@pytest.mark.parametrize("field,geometry", [
+    ("scalar-real", pair(DIR, DIR, 3.0)),
+    ("em", pair(PEC, SphereSpec(0.05, PerfectConductor()), 3.0))])
+def test_adaptive_gk15_partition_equals_quad_vec(field, geometry, t_max,
+                                                 points):
+    # no breakpoint, one, six: parity holds on every partition
+    _assert_gk15_equals_quad_vec(field, geometry, 1e-9, t_max, points)
+
+
+def test_default_pair_takes_one_refinement_round():
+    # D-D at d/R 3: the dyadic start resolves the integrand's O(1) scale
+    # at once (bisecting [0, 80] took 195 nodes in 7 rounds)
+    calls = []
+
+    def counted(geometry, fld, kappas, l_max):
+        calls.append(len(kappas))
+        return _histories(geometry, fld, kappas, l_max)
+    with mock.patch.object(energy, "_histories", counted):
+        casimir_energy(pair(DIR, DIR, 3.0), "scalar-real", 8)
+    assert sum(calls) <= 135 and len(calls) <= 2, calls
+
+
+@pytest.mark.parametrize("field,geometry", [
+    ("scalar-real", pair(DIR, DIR, 2.1)),
+    ("scalar-real", pair(DIR, DIR, 3.0)),
+    ("scalar-real", pair(DIR, DIR, 20.0)),
+    ("em", pair(PEC, PEC, 3.0)),
+    ("em", pair(SphereSpec(R, Dielectric(4.0, 1.0)),
+                SphereSpec(0.05, Dielectric(4.0, 1.0)), 3.0)),
+    ("scalar-real", Geometry((DIR, DIR, DIR), (0.0, 3.0, 6.0)))])
+def test_adaptive_gk15_error_bounds_the_error(field, geometry):
+    # the reported error covers the distance to a 1e-13 reference
+    fld = FieldKind(field)
+    l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
+    gap = geometry.surface_gap
+
+    def f(ts):
+        return _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
+                          l_max)
+    res, err = energy._adaptive_gk15(f, 80.0, QuadSpec().rel_tol)
+    ref, _ = energy._adaptive_gk15(f, 80.0, 1e-13)
+    assert np.amax(np.abs(res - ref)) <= err
 
 
 PAIR_LAWS = [("scalar-real", Dirichlet()), ("scalar-real", Neumann()),
