@@ -196,6 +196,10 @@ class Geometry:
                    for i in range(len(self.centers) - 1))
 
 
+# e^{-t} < 2^-1075, half the least subnormal, rounds to 0.0 beyond this t
+_T_MAX_CEILING = 1075 * math.log(2.0)
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Adaptive quadrature controls for the kappa integral.
@@ -205,8 +209,11 @@ class QuadSpec:
     relative 1e-16 of the peak.  t_max must be finite: the adaptive rule
     starts from the breakpoints t = 1, 2, 4, ... up to t_max / 2 (at the
     default, the seven intervals [0, 1], [1, 2], ..., [16, 32],
-    [32, 80]).  rel_tol bounds the global Gauss-Kronrod error estimate
-    relative to the max-norm of the history integral.
+    [32, 80]).  It is also at most _T_MAX_CEILING = 1075 ln 2 (about
+    745), beyond which e^{-t} rounds to 0.0 in doubles: nodes past it
+    add nothing, and their Bessel arguments only slow the solve down.
+    rel_tol bounds the global Gauss-Kronrod error estimate relative to
+    the max-norm of the history integral.
     """
 
     rel_tol: float = 1e-9
@@ -215,8 +222,9 @@ class QuadSpec:
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise ValueError("quad tolerance must be > 0")
-        if not 0.0 < self.t_max < math.inf:
-            raise ValueError("t_max must be finite and > 0")
+        if not 0.0 < self.t_max <= _T_MAX_CEILING:
+            raise ValueError("t_max must be finite, > 0 and <= %.2f, got %r"
+                             % (_T_MAX_CEILING, self.t_max))
 
 
 @dataclass(frozen=True)

@@ -16,60 +16,19 @@ the scaled values leave the double-precision range.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "L_CEILING",
-    "ScaledBesselPair",
     "BesselChain",
-    "ThreeJArgs",
-    "bessel_ik_half",
     "bessel_ik_half_chain",
-    "threej_000",
-    "threej_family",
-    "wigner3j",
 ]
 
-# Hard cap on the Bessel order for the single-order interface; raise only
-# after re-validating the ratio recurrences at the new depth.
-L_CEILING = 100
-# The chain form additionally serves translation-matrix sums over composite
-# orders up to 2*l_max + 2; both recurrences stay stable well past that.
+# The chain serves translation-matrix sums over composite orders up to
+# 2*l_max + 2; both recurrences stay stable well past that.
 _CHAIN_CEILING = 300
 
 _LOG2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class ScaledBesselPair:
-    """Scaled modified Bessel functions of half-integer order nu = l + 1/2.
-
-    Attributes
-    ----------
-    order_half : float
-        Order nu = l + 1/2.
-    i_scaled, k_scaled : float
-        I_nu(z)*e^{-z} and K_nu(z)*e^{+z}.
-    di_scaled, dk_scaled : float
-        I'_nu(z)*e^{-z} and K'_nu(z)*e^{+z}.
-    z : float
-        Argument, z > 0.
-    log_i, log_k : float
-        log I_nu(z) - z and log K_nu(z) + z.  Finite for all supported
-        (l, z) even when the scaled values under/overflow doubles (deep
-        small-z, large-l corner), so high-l consumers can work in logs.
-    """
-
-    order_half: float
-    i_scaled: float
-    k_scaled: float
-    di_scaled: float
-    dk_scaled: float
-    z: float
-    log_i: float
-    log_k: float
 
 
 @dataclass(frozen=True)
@@ -155,7 +114,7 @@ def bessel_ik_half_chain(l_max, z):
     Parameters
     ----------
     l_max : int
-        Largest order; 0 <= l_max <= L_CEILING.
+        Largest order; 0 <= l_max <= 300.
     z : float
         Argument, z > 0.
 
@@ -187,109 +146,67 @@ def bessel_ik_half_chain(l_max, z):
                        i_scaled=i_s, k_scaled=k_s, di_scaled=di_s, dk_scaled=dk_s)
 
 
-def bessel_ik_half(l, z):
-    """Scaled I_{l+1/2}(z), K_{l+1/2}(z) and derivatives.
-
-    Parameters
-    ----------
-    l : int
-        Order index, 0 <= l <= L_CEILING.
-    z : float
-        Argument, z > 0.
-
-    Returns
-    -------
-    ScaledBesselPair
-
-    Notes
-    -----
-    Relative accuracy is ~1e-13 or better for z in [1e-6, 1e4], l <= 100.
-    In the extreme small-z / large-l corner the *scaled* K overflows the
-    double range (K_{l+1/2}(z) ~ z^{-l-1/2}); log_k remains finite and
-    accurate there, and i_scaled may underflow to 0 with finite log_i.
-    """
-    if l < 0 or l > L_CEILING:
-        raise ValueError("order l=%r outside [0, %d]" % (l, L_CEILING))
-    chain = bessel_ik_half_chain(l, z)
-    return ScaledBesselPair(
-        order_half=l + 0.5,
-        i_scaled=float(chain.i_scaled[l]),
-        k_scaled=float(chain.k_scaled[l]),
-        di_scaled=float(chain.di_scaled[l]),
-        dk_scaled=float(chain.dk_scaled[l]),
-        z=float(z),
-        log_i=float(chain.log_i[l]),
-        log_k=float(chain.log_k[l]),
-    )
 
 
 # ---------------------------------------------------------------------------
 # Wigner 3j symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThreeJArgs:
-    """Arguments of a Wigner 3j symbol (l1 l2 l3 / m1 m2 m3)."""
+def _threej_000_rows(l1, l2, npts, width):
+    """3j(l1 l2 j; 0 0 0) from the top, f[t] at j = l1+l2-t, per row.
 
-    l1: int
-    l2: int
-    l3: int
-    m1: int
-    m2: int
-    m3: int
-
-
-@lru_cache(maxsize=None)
-def _factorial(n):
-    return math.factorial(n)
-
-
-@lru_cache(maxsize=200000)
-def threej_000(l1, l2, l3):
-    """3j symbol with all projections zero, from the exact closed form.
-
-    Zero for odd l1+l2+l3; otherwise (-1)^g sqrt(Delta) g!/Pi(g-l_i)! with
-    g = (l1+l2+l3)/2, evaluated in exact integer arithmetic so the only
-    roundings are the quotient (int/int true division is correctly
-    rounded) and the final square root (< 2 ulp).
+    The exact closed form 3j^2 = c(g-l1) c(g-l2) c(g-j) / ((2g+1) c(g)),
+    c(k) = binomial(2k, k), g = (l1+l2+j)/2, sign (-1)^g, zero for odd
+    l1+l2+j.  Each square is an int/int true division of Python integers,
+    one object-array step for every entry, so its only roundings are the
+    quotient (correctly rounded) and the square root (< 2 ulp).
     """
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    big_j = l1 + l2 + l3
-    if big_j % 2:
-        return 0.0
-    g = big_j // 2
-    num = _factorial(big_j - 2 * l1) * _factorial(big_j - 2 * l2) \
-        * _factorial(big_j - 2 * l3) * _factorial(g) ** 2
-    den = _factorial(big_j + 1) \
-        * (_factorial(g - l1) * _factorial(g - l2) * _factorial(g - l3)) ** 2
-    val = math.sqrt(num / den)
-    return -val if g % 2 else val
+    h = np.arange((width + 1) // 2)[:, None]
+    live = 2 * h < npts
+    h, a, b = (np.broadcast_to(v, live.shape)[live] for v in (h, l1, l2))
+    g = a + b - h
+    c = [1]
+    for k in range(1, int(g.max(initial=0)) + 1):
+        c.append(c[-1] * (4 * k - 2) // k)
+    den = np.array([(2 * k + 1) * ck for k, ck in enumerate(c)], dtype=object)
+    c = np.array(c, dtype=object)
+    sq = (c[g - a] * c[g - b] * c[h] / den[g]).astype(float)
+    out = np.zeros((width, len(l1)))
+    out[::2][live] = np.where(g % 2 == 1, -1.0, 1.0) * np.sqrt(sq)
+    return out
 
 
-def _sg_tables(j, l1, l2, m1, m2):
-    """Coefficients of the j-recursion at the integer array j, per row.
+def _sg_tables(jmin, width, l1, l2, m1, m2):
+    """Coefficients of the j-recursion on the grid j = jmin + i, i < width.
 
-    Returns (b, p, q) with b = B(j), p = (j+1) A(j) and q = j A(j+1).  A
-    zero p or q lies outside its row's family and reads 1.0, so padded
-    lanes divide cleanly.
+    Returns (b, p, q), each (width, rows), with b = B(j), p = (j+1) A(j)
+    and q = j A(j+1); A is evaluated once, on the width + 1 points of the
+    grid, and serves both passes.  A zero p or q lies outside its row's
+    family and reads 1.0, so padded lanes divide cleanly.
     """
     m3 = -(m1 + m2)
-
-    def a_of(jj):
-        # a float product: exact below 2^53 (l1 + l2 up to ~460), and
-        # unlike int64 it cannot wrap at deeper orders
-        x = (jj * jj - (l1 - l2) ** 2).astype(float) \
-            * ((l1 + l2 + 1) ** 2 - jj * jj) * (jj * jj - m3 * m3)
-        return np.sqrt(np.maximum(x, 0.0))
-
+    jj = jmin + np.arange(width + 1.0)[:, None]
+    j2 = jj * jj
+    # a float product of exact integer factors: exact below 2^53 (l1 + l2
+    # up to ~460), and unlike int64 it cannot wrap at deeper orders
+    a = j2 - (l1 - l2) ** 2
+    tmp = (l1 + l2 + 1) ** 2 - j2
+    a *= tmp
+    a *= np.subtract(j2, m3 * m3, out=tmp)
+    np.sqrt(np.maximum(a, 0.0, out=a), out=a)
+    j, j1 = jj[:-1], jj[1:]
     # pinned against exact rational 3j values (see tests): the middle
-    # coefficient of the j-recursion is -(2j+1)[m3 X + (m1-m2) j(j+1)]
-    b = (-(2 * j + 1) * (m3 * (l1 * (l1 + 1) - l2 * (l2 + 1))
-                         + (m1 - m2) * j * (j + 1))).astype(float)
-    p = (j + 1) * a_of(j)
-    q = j * a_of(j + 1)
-    return b, np.where(p == 0.0, 1.0, p), np.where(q == 0.0, 1.0, q)
+    # coefficient of the j-recursion is -(2j+1)[m3 X + (m1-m2) j(j+1)],
+    # exact integers in floats, and +0.0 where it vanishes; b and p reuse
+    # the buffers of tmp and j2
+    b = np.multiply(j, j1, out=tmp[:-1])
+    b *= m1 - m2
+    np.subtract(-m3 * (l1 * (l1 + 1) - l2 * (l2 + 1)), b, out=b)
+    b *= np.add(j, j1, out=j2[:-1])
+    # A >= 1 wherever it is nonzero
+    p = np.maximum(np.multiply(j1, a[:-1], out=j2[:-1]), 1.0, out=j2[:-1])
+    q = np.maximum(j * a[1:], 1.0, out=a[:-1])
+    return b, p, q
 
 
 _RESCALE = 1e250
@@ -298,16 +215,17 @@ _RESCALE = 1e250
 def _sg_recursion(l1, l2, m1, m2, jmin, npts, sign_top, width):
     """Families of rows with npts >= 2 and (m1, m2) != (0, 0), top-aligned.
 
-    Every row runs the same steps as a lone family: lanes that have
-    stopped or ended are masked, never mixed with live ones.
+    The rows come sorted by npts.  Every row runs the same steps as a lone
+    family: lanes that have stopped or ended are masked, never mixed with
+    live ones.
     """
     rows = len(l1)
     lanes = np.arange(rows)
     jmax = jmin + npts - 1
     col = np.arange(width)[:, None]
+    b, p, q = _sg_tables(jmin, width, l1, l2, m1, m2)
 
     # forward pass from jmin: f[i] at j = jmin + i
-    b, p, q = _sg_tables(jmin + col, l1, l2, m1, m2)
     f = np.zeros((width, rows))
     f[0] = 1.0
     # A(jmin) = 0, so the three-term relation at j = jmin is two-term
@@ -321,53 +239,79 @@ def _sg_recursion(l1, l2, m1, m2, jmin, npts, sign_top, width):
         f[1, zero] = s * 2.0 * m \
             / np.sqrt((2.0 * l + 2.0) * (2.0 * l + 1.0) * 2.0 * l)
     i_stop = npts - 1
+    # the loop works on all lanes of f, then, once fewer than one in eight
+    # still runs, on a copy of those lanes, written back at the end
+    work, fw, bw, pw, qw, nw = None, f, b, p, q, npts
     running = np.ones(rows, dtype=bool)
-    drops = np.zeros(rows, dtype=np.int64)
+    size = np.abs(f[1])
+    fell = np.zeros(rows, dtype=bool)
     for i in range(1, width - 1):
-        act = running & (npts > i + 1)
-        if not act.any():
+        running &= nw > i + 1
+        if not running.any():
             break
-        f[i + 1] = np.where(act, -(b[i] * f[i] + p[i] * f[i - 1]) / q[i], 0.0)
-        big = act & (np.abs(f[i + 1]) > _RESCALE)
-        if big.any():
-            f[:i + 2, big] /= _RESCALE
-        drops = np.where(np.abs(f[i + 1]) < np.abs(f[i]), drops + 1, 0)
+        np.copyto(fw[i + 1], -(bw[i] * fw[i] + pw[i] * fw[i - 1]) / qw[i],
+                  where=running)
+        nxt = np.abs(fw[i + 1])
+        if nxt.max() > _RESCALE:
+            fw[:i + 2, nxt > _RESCALE] /= _RESCALE
+            nxt, size = np.abs(fw[i + 1]), np.abs(fw[i])
+        falls = nxt < size
         # two drops in a row: safely inside the oscillatory region
-        done = act & (drops >= 2)
-        i_stop[done] = i + 1
-        running &= ~done
-    i_match = np.argmax(np.where(col <= i_stop, np.abs(f), -1.0), axis=0)
+        done = running & falls & fell
+        size, fell = nxt, falls
+        if done.any():
+            i_stop[done if work is None else work[done]] = i + 1
+            running &= ~done
+            if work is None and 8 * np.count_nonzero(running) < rows:
+                keep = np.flatnonzero(running)
+                work, fw, bw, pw, qw = keep, f[:, keep], b[:, keep], \
+                    p[:, keep], q[:, keep]
+                nw, size, fell, running = npts[keep], size[keep], \
+                    fell[keep], running[keep]
+    if work is not None:
+        f[:, work] = fw
+    # f is still zero past each lane's stop, so the argmax sees only the
+    # forward pass
+    i_match = np.argmax(np.abs(f), axis=0)
     t_match = npts - 1 - i_match
 
-    # backward pass from jmax down to the match: g[t] at j = jmax - t
-    b, p, q = _sg_tables(jmax + 1 - col, l1, l2, m1, m2)
+    # backward pass from jmax down to the match: g[t] at j = jmax - t,
+    # whose coefficients sit at grid index npts - t (wrapping, and masked,
+    # in lanes already done)
+    at = npts * rows + lanes
+    b, p, q = b.ravel(), p.ravel(), q.ravel()
     g = np.zeros((width, rows))
     g[0] = 1.0
-    g[1] = -b[1] * g[0] / p[1]
+    g[1] = -b[at - rows] * g[0] / p[at - rows]
     for t in range(2, width):
         act = t_match >= t
         if not act.any():
             break
-        g[t] = np.where(act, -(q[t] * g[t - 2] + b[t] * g[t - 1]) / p[t], 0.0)
-        big = act & (np.abs(g[t]) > _RESCALE)
-        if big.any():
-            g[:t + 1, big] /= _RESCALE
+        k = at - t * rows
+        np.copyto(g[t], -(q[k] * g[t - 2] + b[k] * g[t - 1]) / p[k],
+                  where=act)
+        nxt = np.abs(g[t])
+        if nxt.max() > _RESCALE:
+            g[:t + 1, nxt > _RESCALE] /= _RESCALE
+    del b, p, q
 
-    scale = f[i_match, lanes] / g[t_match, lanes]
-    below = np.take_along_axis(f, np.clip(npts - 1 - col, 0, width - 1),
-                               axis=0)
-    res = np.where(col <= t_match, g * scale,
-                   np.where(col < npts, below, 0.0))
-    # np.sum over j ascending, one contiguous row per family, so a row's
-    # norm is the lone family's pairwise sum whatever its batch
-    terms = (2.0 * (jmax - col) + 1.0) * res * res
-    norm = np.empty(rows)
-    for n in sorted(set(npts.tolist())):
-        r = np.flatnonzero(npts == n)
-        norm[r] = np.sum(np.ascontiguousarray(terms[n - 1::-1, r].T), axis=1)
-    res = res / np.sqrt(norm)
-    flip = np.where(res[0] * sign_top < 0.0, -1.0, 1.0)
-    return np.where(col < npts, res * flip, 0.0)
+    # the family from the top: g * scale down to the match, f below it;
+    # then the norm, the sign and the zero padding, one family length
+    # (one contiguous run of lanes) at a time
+    res = g
+    res *= f[i_match, lanes] / g[t_match, lanes]
+    cut = np.flatnonzero(np.diff(npts)) + 1
+    for s, e in zip([0] + cut.tolist(), cut.tolist() + [rows]):
+        n = int(npts[s])
+        top = res[:n, s:e]
+        np.copyto(top, f[n - 1::-1, s:e], where=col[:n] > t_match[s:e])
+        # np.sum over j ascending, one contiguous row per family, so a
+        # row's norm is the lone family's pairwise sum whatever its batch
+        terms = (2.0 * (jmax[s:e] - col[:n]) + 1.0) * top * top
+        top /= np.sqrt(np.sum(np.ascontiguousarray(terms[::-1].T), axis=1))
+        top *= np.where(top[0] * sign_top[s:e] < 0.0, -1.0, 1.0)
+        res[n:, s:e] = 0.0
+    return res
 
 
 def _threej_rows(l1, l2, m1, m2):
@@ -375,9 +319,12 @@ def _threej_rows(l1, l2, m1, m2):
 
     Each row (broadcast from the arguments) is the family j = jmin..l1+l2
     with jmin = max(|l1-l2|, |m3|): a two-sided three-term recursion in
-    j, matched at the forward maximum and normalized with
-    sum (2j+1) f^2 = 1, sign (-1)^{l1-l2-m3} at j = l1+l2.  Both passes
-    run in their direction of growth, so every entry keeps full relative
+    j (Schulten & Gordon, J. Math. Phys. 16, 1961 (1975), in the form of
+    Luscombe & Luban, Phys. Rev. E 57, 7274 (1998)), matched at the
+    forward maximum and normalized with sum (2j+1) f^2 = 1, sign
+    (-1)^{l1-l2-m3} at j = l1+l2; the m1 = m2 = 0 rows, where the
+    recursion degenerates, take the exact closed form.  Both passes run
+    in their direction of growth, so every entry keeps full relative
     accuracy including the exponentially small edge tails.  The
     recursion runs on all rows at once; rows never mix, so a row's values
     do not depend on the batch it is computed in.
@@ -393,71 +340,21 @@ def _threej_rows(l1, l2, m1, m2):
           for v in (l1, l2, m1, m2)))
     m3 = -(m1 + m2)
     jmin = np.maximum(np.abs(l1 - l2), np.abs(m3))
-    jmax = l1 + l2
-    npts = jmax - jmin + 1
+    npts = l1 + l2 - jmin + 1
     sign_top = np.where((l1 - l2 - m3) % 2 == 1, -1.0, 1.0)
-    out = np.zeros((int(npts.max()), len(l1)))
+    width = int(npts.max())
+    out = np.zeros((width, len(l1)))
     one = npts == 1
     out[0, one] = sign_top[one] / np.sqrt(2.0 * jmin[one] + 1.0)
     closed = (m1 == 0) & (m2 == 0) & ~one
-    for r in np.flatnonzero(closed):
-        # degenerate recursion (all B vanish); use the closed form per j
-        out[:npts[r], r] = [threej_000(int(l1[r]), int(l2[r]), j)
-                            for j in range(jmax[r], jmin[r] - 1, -1)]
-    rec = np.flatnonzero(~(one | closed))
-    if len(rec):
-        out[:, rec] = _sg_recursion(l1[rec], l2[rec], m1[rec], m2[rec],
-                                    jmin[rec], npts[rec], sign_top[rec],
-                                    out.shape[0])
+    r = np.flatnonzero(closed)
+    if len(r):
+        n = int(npts[r].max())
+        out[:n, r] = _threej_000_rows(l1[r], l2[r], npts[r], n)
+    r = np.flatnonzero(~(one | closed))
+    if len(r):
+        r = r[np.argsort(npts[r], kind="stable")]
+        n = int(npts[r[-1]])
+        out[:n, r] = _sg_recursion(l1[r], l2[r], m1[r], m2[r], jmin[r],
+                                   npts[r], sign_top[r], n)
     return jmin, out
-
-
-@lru_cache(maxsize=65536)
-def _family_cached(l1, l2, m1, m2):
-    jmin, f = _threej_rows(l1, l2, m1, m2)
-    f = f[::-1, 0].copy()
-    f.setflags(write=False)
-    return int(jmin[0]), f
-
-
-def threej_family(l1, l2, m1, m2):
-    """All 3j(l1 l2 j; m1 m2, -(m1+m2)) over the allowed j range.
-
-    Returns
-    -------
-    (jmin, f) : int, read-only ndarray
-        f[i] is the symbol at j = jmin + i; the range ends at j = l1+l2.
-    """
-    if min(l1, l2) < 0 or abs(m1) > l1 or abs(m2) > l2:
-        raise ValueError("invalid 3j family (l1=%r l2=%r m1=%r m2=%r)"
-                         % (l1, l2, m1, m2))
-    return _family_cached(int(l1), int(l2), int(m1), int(m2))
-
-
-def wigner3j(args):
-    """Wigner 3j symbol.
-
-    Parameters
-    ----------
-    args : ThreeJArgs
-
-    Returns
-    -------
-    float
-        Exactly 0.0 for any selection-rule violation.
-    """
-    l1, l2, l3 = args.l1, args.l2, args.l3
-    m1, m2, m3 = args.m1, args.m2, args.m3
-    for l, m in ((l1, m1), (l2, m2), (l3, m3)):
-        if l != int(l) or m != int(m):
-            raise ValueError("3j arguments must be integers")
-        if l < 0 or abs(m) > l:
-            return 0.0
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    if m1 == 0 and m2 == 0 and m3 == 0:
-        return threej_000(l1, l2, l3)
-    jmin, fam = threej_family(l1, l2, m1, m2)
-    return float(fam[l3 - jmin])

@@ -116,6 +116,9 @@ def _em_reversal(n):
 # W[m, l', l, k] at l'' = l' + l - 2k for the largest order built so far;
 # entries do not depend on the order, so smaller orders read leading slices
 _W_KERNEL = np.zeros((0, 0, 0, 0))
+# bytes of one (width, rows) float array of a W batch; building a batch
+# holds about eight of them at once, next to W itself
+_W_BATCH_BYTES = 1 << 19
 
 
 def _w_kernel(l_max):
@@ -132,36 +135,62 @@ def _w_kernel(l_max):
     if n > old:
         w = np.zeros((n, n, n, n))
         w[:old, :old, :old, :old] = _W_KERNEL
-        for top in range(old, n):
-            _fill_w(w, top)
+        _fill_w(w, old)
         w.setflags(write=False)
         _W_KERNEL = w
     return _W_KERNEL[:n, :n, :n, :n]
 
 
-def _fill_w(w, top):
-    """Write W[m, l', l] for max(l', l) = top from one batch of families.
+def _fill_w(w, old):
+    """Write W[m, l', l] for every max(l', l) = top >= old.
 
     3j(l l' l''; m -m 0) is symmetric in l and l', so the families
-    (top, l'; m, -m) with l' <= top serve both halves:
-    W[m, l, l'] = (-1)^{l+l'} W[m, l', l].
+    (top, lo; m, -m) with lo <= top serve both halves:
+    W[m, lo, top] = (-1)^{top+lo} W[m, top, lo].  The m = 0 families come
+    first, in one batch, for the 3j(l l' l''; 0 0 0) factor; the others
+    follow in batches of rows of similar length (about 2 lo + 1) whose
+    (width, rows) arrays fit _W_BATCH_BYTES.
     """
-    lo, m = np.array([(b, mb) for b in range(top + 1)
-                      for mb in range(b + 1)]).T
-    _, f = specfun._threej_rows(top, lo, m, -m)
+    n = w.shape[0]
+    t, b, mb = np.ogrid[:n, :n, :n]
+    top, lo, m = np.nonzero((t >= old) & (b <= t) & (mb <= b))
+    pair = (top * (top + 1) // 2 + lo) - old * (old + 1) // 2
+    first = m == 0
+    t0, l0 = top[first], lo[first]
     # families run over l'' = top + lo .. |top - lo|; every other entry
-    # from the top is k = 0 .. lo (zero beyond)
+    # from the top is k = 0 .. lo
+    _, f = specfun._threej_rows(t0, l0, 0, 0)
     f = f[::2]
-    k = np.arange(top + 1)[:, None]
-    lv = np.arange(top + 1)
-    base = f[:, m == 0] * (2.0 * (top + lv - 2 * k) + 1.0) * np.sqrt(
-        (2.0 * top + 1.0) * (2.0 * lv + 1.0))
-    if top % 2 == 0:
-        base = -base
-    base = base[:, lo] * np.where(m % 2 == 0, 1.0, -1.0)
-    mirror = np.where((top + lo) % 2 == 0, 1.0, -1.0)
-    w[m, lo, top, :top + 1] = np.where(k <= lo, base * f, 0.0).T
-    w[m, top, lo, :top + 1] = np.where(k <= lo, base * mirror * f, 0.0).T
+    k = np.arange(len(f))[:, None]
+    base = f * (2.0 * (t0 + l0 - 2 * k) + 1.0) * np.sqrt(
+        (2.0 * t0 + 1.0) * (2.0 * l0 + 1.0))
+    base[:, t0 % 2 == 0] *= -1.0
+    _put_w(w, t0, l0, m[first], base, f)
+
+    rest = np.flatnonzero(~first)
+    rest = rest[np.argsort(lo[rest], kind="stable")]
+    start = 0
+    while start < len(rest):
+        # sorted by lo, so a batch's longest family has 2 lo + 1 entries
+        size = np.arange(1, len(rest) - start + 1) \
+            * (2 * lo[rest[start:]] + 1) * 8
+        stop = start + max(1, int(np.sum(size <= _W_BATCH_BYTES)))
+        r = rest[start:stop]
+        _, f = specfun._threej_rows(top[r], lo[r], m[r], -m[r])
+        f = f[::2]
+        _put_w(w, top[r], lo[r], m[r], base[:len(f), pair[r]], f)
+        start = stop
+
+
+def _put_w(w, top, lo, m, base, f):
+    """W[m, lo, top, k] = (-1)^m base * f and its mirror, zero for k > lo."""
+    n = w.shape[0]
+    rows = w.reshape(n ** 3, n)
+    keep = np.arange(len(f))[:, None] <= lo
+    val = base * f * np.where(m % 2 == 1, -1.0, 1.0)
+    rows[(m * n + lo) * n + top, :len(f)] = np.where(keep, val, 0.0).T
+    val *= np.where((top + lo) % 2 == 1, -1.0, 1.0)
+    rows[(m * n + top) * n + lo, :len(f)] = np.where(keep, val, 0.0).T
 
 
 def _s_blocks(l_max, sigma):
@@ -284,23 +313,27 @@ def _em_weights(l_max, m):
     wm[q][J] = <J-1, m-q; 1, q | J m>,
     wp[q][J] = <J+1, m-q; 1, q | J m>,
     zero for J below max(1, |m|), plus the electric decomposition
-    constants aR, bR.
+    constants aR, bR.  m is one order or an array of orders, whose shape
+    leads those of w0, wm and wp; one batch of 3j families serves them all.
     """
     n = l_max + 2
-    # one 3j family (J' 1 J; m-q, q, -m) per (q, J'): from the top it
+    m = np.asarray(m)
+    # one 3j family (J' 1 J; m-q, q, -m) per (m, q, J'): from the top it
     # holds J = J'+1, J', J'-1, i.e. wm[J'+1], w0[J'] and wp[J'-1]
-    q, jp = np.divmod(np.arange(3 * (n + 1)), n + 1)
-    q -= 1
-    ok = np.abs(m - q) <= jp
-    q, jp = q[ok], jp[ok]
-    _, f = specfun._threej_rows(jp, 1, m - q, q)
+    mq, q, jp = np.broadcast_arrays(m[..., None, None],
+                                    np.arange(-1, 2)[:, None], np.arange(n + 1))
+    ok = np.abs(mq - q) <= jp
+    at = np.nonzero(ok)[:-2]
+    mq, q, jp = mq[ok], q[ok], jp[ok]
+    _, f = specfun._threej_rows(jp, 1, mq - q, q)
     # <j1 m1; 1 q | J m> = (-1)^{j1-1+m} sqrt(2J+1) 3j(j1 1 J; m1 q -m)
-    sign = np.where((jp - 1 + m) % 2 == 1, -1.0, 1.0)
-    w = np.zeros((3, 3, n))
+    sign = np.where((jp - 1 + mq) % 2 == 1, -1.0, 1.0)
+    w = np.zeros((3,) + m.shape + (3, n))
     for t in range(f.shape[0]):
         jj = jp + 1 - t
-        r = np.flatnonzero((jj >= max(1, abs(m))) & (jj < n))
-        w[t, q[r] + 1, jj[r]] = sign[r] * np.sqrt(2.0 * jj[r] + 1.0) * f[t, r]
+        r = (jj >= np.maximum(1, np.abs(mq))) & (jj < n)
+        w[(t,) + tuple(i[r] for i in at) + (q[r] + 1, jj[r])] = \
+            sign[r] * np.sqrt(2.0 * jj[r] + 1.0) * f[t, r]
     wm, w0, wp = w
     jv = np.arange(n, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -318,11 +351,9 @@ def _em_weight_stack(l_max):
     channels (the magnetic columns share t_m).
     """
     n = l_max + 1
-    parts = [_em_weights(l_max, m) for m in range(n)]
-    w0 = np.stack([p[0][:, :n] for p in parts])
-    wm = np.stack([p[1][:, :n] for p in parts])
-    wp = np.stack([p[2][:, :n] for p in parts])
-    a_r, b_r = parts[0][3][:n], parts[0][4][:n]
+    w0, wm, wp, a_r, b_r = _em_weights(l_max, np.arange(n))
+    w0, wm, wp = (np.ascontiguousarray(w[..., :n]) for w in (w0, wm, wp))
+    a_r, b_r = a_r[:n], b_r[:n]
     out = (w0, wm / a_r, -a_r * wm, -b_r * wp)
     for arr in out:
         arr.setflags(write=False)

@@ -5,10 +5,13 @@ sums and the one-family scalar recursion for 3j symbols, and mpmath
 evaluations for Bessel functions.  The production code must agree with
 these, never the other way around.  The unscaled T-matrix values,
 low-frequency series and real-frequency phase shifts at the end are
-readers of the production T-matrices that only the tests call.
+readers of the production T-matrices that only the tests call; the
+one-symbol 3j and one-order Bessel wrappers in the middle are readers of
+the production batches, likewise.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,6 +19,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
+from casphere.specfun import _threej_rows, bessel_ik_half_chain
 from casphere.tmatrix import (
     Dispersive,
     PerfectConductor,
@@ -101,6 +105,168 @@ def threej_000_fraction(l1, l2, l3):
     return -val if g % 2 else val
 
 
+# ---------------------------------------------------------------------------
+# One-symbol and one-order wrappers that only the tests call: the exact
+# (l1 l2 l3; 0 0 0) closed form, one 3j family or symbol as one row of the
+# production batch, and one scaled Bessel order from the production chain
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=200000)
+def threej_000(l1, l2, l3):
+    """3j symbol with all projections zero, from the exact closed form.
+
+    Zero for odd l1+l2+l3; otherwise (-1)^g sqrt(Delta) g!/Pi(g-l_i)! with
+    g = (l1+l2+l3)/2, evaluated in exact integer arithmetic so the only
+    roundings are the quotient (int/int true division is correctly
+    rounded) and the final square root (< 2 ulp).
+    """
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    big_j = l1 + l2 + l3
+    if big_j % 2:
+        return 0.0
+    g = big_j // 2
+    num = _fact(big_j - 2 * l1) * _fact(big_j - 2 * l2) \
+        * _fact(big_j - 2 * l3) * _fact(g) ** 2
+    den = _fact(big_j + 1) \
+        * (_fact(g - l1) * _fact(g - l2) * _fact(g - l3)) ** 2
+    val = math.sqrt(num / den)
+    return -val if g % 2 else val
+
+
+@dataclass(frozen=True)
+class ThreeJArgs:
+    """Arguments of a Wigner 3j symbol (l1 l2 l3 / m1 m2 m3)."""
+
+    l1: int
+    l2: int
+    l3: int
+    m1: int
+    m2: int
+    m3: int
+
+
+@lru_cache(maxsize=65536)
+def _family_cached(l1, l2, m1, m2):
+    jmin, f = _threej_rows(l1, l2, m1, m2)
+    f = f[::-1, 0].copy()
+    f.setflags(write=False)
+    return int(jmin[0]), f
+
+
+def threej_family(l1, l2, m1, m2):
+    """All 3j(l1 l2 j; m1 m2, -(m1+m2)) over the allowed j range.
+
+    Returns
+    -------
+    (jmin, f) : int, read-only ndarray
+        f[i] is the symbol at j = jmin + i; the range ends at j = l1+l2.
+    """
+    if min(l1, l2) < 0 or abs(m1) > l1 or abs(m2) > l2:
+        raise ValueError("invalid 3j family (l1=%r l2=%r m1=%r m2=%r)"
+                         % (l1, l2, m1, m2))
+    return _family_cached(int(l1), int(l2), int(m1), int(m2))
+
+
+def wigner3j(args):
+    """Wigner 3j symbol.
+
+    Parameters
+    ----------
+    args : ThreeJArgs
+
+    Returns
+    -------
+    float
+        Exactly 0.0 for any selection-rule violation.
+    """
+    l1, l2, l3 = args.l1, args.l2, args.l3
+    m1, m2, m3 = args.m1, args.m2, args.m3
+    for l, m in ((l1, m1), (l2, m2), (l3, m3)):
+        if l != int(l) or m != int(m):
+            raise ValueError("3j arguments must be integers")
+        if l < 0 or abs(m) > l:
+            return 0.0
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    if m1 == 0 and m2 == 0 and m3 == 0:
+        return threej_000(l1, l2, l3)
+    jmin, fam = threej_family(l1, l2, m1, m2)
+    return float(fam[l3 - jmin])
+
+
+# Hard cap on the Bessel order of the one-order interface
+L_CEILING = 100
+
+
+@dataclass(frozen=True)
+class ScaledBesselPair:
+    """Scaled modified Bessel functions of half-integer order nu = l + 1/2.
+
+    Attributes
+    ----------
+    order_half : float
+        Order nu = l + 1/2.
+    i_scaled, k_scaled : float
+        I_nu(z)*e^{-z} and K_nu(z)*e^{+z}.
+    di_scaled, dk_scaled : float
+        I'_nu(z)*e^{-z} and K'_nu(z)*e^{+z}.
+    z : float
+        Argument, z > 0.
+    log_i, log_k : float
+        log I_nu(z) - z and log K_nu(z) + z.  Finite for all supported
+        (l, z) even when the scaled values under/overflow doubles (deep
+        small-z, large-l corner), so high-l consumers can work in logs.
+    """
+
+    order_half: float
+    i_scaled: float
+    k_scaled: float
+    di_scaled: float
+    dk_scaled: float
+    z: float
+    log_i: float
+    log_k: float
+
+
+def bessel_ik_half(l, z):
+    """Scaled I_{l+1/2}(z), K_{l+1/2}(z) and derivatives.
+
+    Parameters
+    ----------
+    l : int
+        Order index, 0 <= l <= L_CEILING.
+    z : float
+        Argument, z > 0.
+
+    Returns
+    -------
+    ScaledBesselPair
+
+    Notes
+    -----
+    Relative accuracy is ~1e-13 or better for z in [1e-6, 1e4], l <= 100.
+    In the extreme small-z / large-l corner the *scaled* K overflows the
+    double range (K_{l+1/2}(z) ~ z^{-l-1/2}); log_k remains finite and
+    accurate there, and i_scaled may underflow to 0 with finite log_i.
+    """
+    if l < 0 or l > L_CEILING:
+        raise ValueError("order l=%r outside [0, %d]" % (l, L_CEILING))
+    chain = bessel_ik_half_chain(l, z)
+    return ScaledBesselPair(
+        order_half=l + 0.5,
+        i_scaled=float(chain.i_scaled[l]),
+        k_scaled=float(chain.k_scaled[l]),
+        di_scaled=float(chain.di_scaled[l]),
+        dk_scaled=float(chain.dk_scaled[l]),
+        z=float(z),
+        log_i=float(chain.log_i[l]),
+        log_k=float(chain.log_k[l]),
+    )
+
+
 def _sg_coeff_a(j, l1, l2, m3):
     x = (j * j - (l1 - l2) ** 2) * ((l1 + l2 + 1) ** 2 - j * j) * (j * j - m3 * m3)
     return math.sqrt(x) if x > 0 else 0.0
@@ -132,7 +298,6 @@ def threej_family_ref(l1, l2, m1, m2):
 
 
 def _sg_family(l1, l2, m1, m2):
-    from casphere.specfun import threej_000
     m3 = -(m1 + m2)
     jmin = max(abs(l1 - l2), abs(m3))
     jmax = l1 + l2

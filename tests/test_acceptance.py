@@ -38,7 +38,7 @@ from casphere.pfa_sign import (
     pfa_force_sign,
     series_force_sign,
 )
-from casphere.specfun import bessel_ik_half, bessel_ik_half_chain, threej_family
+from casphere.specfun import bessel_ik_half_chain
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -49,7 +49,7 @@ from casphere.tmatrix import (
 )
 from casphere.translation import u_log_block
 
-from _oracles import t_scalar_imag
+from _oracles import bessel_ik_half, t_scalar_imag, threej_family
 
 R = 1.0
 DIR = SphereSpec(R, Dirichlet())

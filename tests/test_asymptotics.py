@@ -19,7 +19,6 @@ from casphere.asymptotics import (
     expand_scalar,
 )
 from casphere.energy import Geometry, casimir_energy, suggest_l_max
-from casphere.specfun import ThreeJArgs, wigner3j
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -29,7 +28,7 @@ from casphere.tmatrix import (
     SphereSpec,
 )
 
-from _oracles import u_scalar_element
+from _oracles import ThreeJArgs, u_scalar_element, wigner3j
 
 D = SphereSpec(1.0, Dirichlet())
 N = SphereSpec(1.0, Neumann())

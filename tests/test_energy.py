@@ -98,6 +98,12 @@ def test_quad_spec_validation():
     for t_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             QuadSpec(t_max=t_max)
+    # e^{-t} underflows past t = 1075 ln 2: a larger finite t_max is refused
+    # at construction instead of sending huge arguments to the Bessel chains
+    for t_max in (1e300, 746.0):
+        with pytest.raises(ValueError, match="<= 745.13"):
+            QuadSpec(t_max=t_max)
+    assert QuadSpec(t_max=745.0).t_max == 745.0
 
 
 def test_field_kinds():

@@ -8,19 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from casphere.specfun import (
     _CHAIN_CEILING,
-    L_CEILING,
-    ThreeJArgs,
     _i_ratio_chain,
     _k_chains,
     _threej_rows,
-    bessel_ik_half,
     bessel_ik_half_chain,
+)
+
+import _oracles as orc
+from _oracles import (
+    L_CEILING,
+    ThreeJArgs,
+    bessel_ik_half,
     threej_000,
     threej_family,
     wigner3j,
 )
-
-import _oracles as orc
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,19 @@ def test_threej_000_integer_quotient_equals_fraction_form():
         l3 = int(rng.integers(abs(l1 - l2), l1 + l2 + 1))
         assert threej_000(l1, l2, l3) == orc.threej_000_fraction(l1, l2, l3), \
             (l1, l2, l3)
+
+
+def test_closed_form_rows_equal_one_symbol_closed_form():
+    # the m1 = m2 = 0 rows of a batch take the exact closed form in one
+    # vectorized step, bit for bit the one-symbol integer form
+    l1, l2 = np.array([(a, b) for a in range(1, 41) for b in range(1, 41)]).T
+    jmin, f = _threej_rows(l1, l2, 0, 0)
+    for r, (a, b) in enumerate(zip(l1.tolist(), l2.tolist())):
+        ref = np.array([threej_000(a, b, j)
+                        for j in range(a + b, abs(a - b) - 1, -1)])
+        assert jmin[r] == abs(a - b)
+        assert f[:len(ref), r].tobytes() == ref.tobytes(), (a, b)
+        assert not f[len(ref):, r].any()
 
 
 def test_wigner3j_selection_rules():

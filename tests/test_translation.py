@@ -1,6 +1,7 @@
 """Tests for scalar and electromagnetic translation matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 import casphere.translation as tr
+from casphere import specfun
 from casphere.specfun import bessel_ik_half_chain
 from casphere.translation import em_log_blocks, node_kernel, u_log_block
 
@@ -355,3 +357,69 @@ def test_w_kernel_mirror_parity():
     lv = np.arange(41)
     par = np.where((lv[:, None] + lv[None, :]) % 2 == 0, 1.0, -1.0)
     assert np.array_equal(w.swapaxes(1, 2), par[None, :, :, None] * w)
+
+
+def _w_per_top(l_max):
+    """W from one `_threej_rows` batch of every family per top order: the
+    same rows as the banded build, batched the simplest way."""
+    n = l_max + 1
+    w = np.zeros((n, n, n, n))
+    for top in range(n):
+        lo, m = np.array([(b, mb) for b in range(top + 1)
+                          for mb in range(b + 1)]).T
+        _, f = specfun._threej_rows(top, lo, m, -m)
+        f = f[::2]
+        k = np.arange(top + 1)[:, None]
+        lv = np.arange(top + 1)
+        base = f[:, m == 0] * (2.0 * (top + lv - 2 * k) + 1.0) * np.sqrt(
+            (2.0 * top + 1.0) * (2.0 * lv + 1.0))
+        if top % 2 == 0:
+            base = -base
+        base = base[:, lo] * np.where(m % 2 == 0, 1.0, -1.0)
+        mirror = np.where((top + lo) % 2 == 0, 1.0, -1.0)
+        w[m, lo, top, :top + 1] = np.where(k <= lo, base * f, 0.0).T
+        w[m, top, lo, :top + 1] = np.where(k <= lo, base * mirror * f, 0.0).T
+    return w
+
+
+def test_w_kernel_banded_build_equals_per_top_build(monkeypatch):
+    # rows never mix in a batch, so the banded batches write the same bits
+    # (signed zeros included) as one batch per top order
+    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+    assert tr._w_kernel(40).tobytes() == _w_per_top(40).tobytes()
+
+
+def test_cold_3j_tables_take_few_batches(monkeypatch):
+    # the W kernel at order 33 and the EM weights of every m come from a
+    # few batches of 3j families, not one batch per top order and per m
+    calls = []
+
+    def counted(*args, _fn=specfun._threej_rows):
+        calls.append(np.broadcast(*args).size)
+        return _fn(*args)
+
+    monkeypatch.setattr(specfun, "_threej_rows", counted)
+    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+    tr._w_kernel(33)
+    stack = tr._em_weight_stack.__wrapped__(32)
+    assert len(calls) <= 8
+    # every m in one batch, byte-equal to the weights of each m alone
+    n = 33
+    per_m = [tr._em_weights(32, m) for m in range(n)]
+    w0, wm, wp = (np.stack([p[i][:, :n] for p in per_m]) for i in range(3))
+    a_r, b_r = per_m[0][3][:n], per_m[0][4][:n]
+    for got, ref in zip(stack, (w0, wm / a_r, -a_r * wm, -b_r * wp)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_cold_w_kernel_memory_peak(monkeypatch):
+    # the batches fit a byte budget: next to W itself, the build allocates
+    # at most what one batch per top order did (6.2 MB at order 33)
+    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+    tracemalloc.start()
+    try:
+        w = tr._w_kernel(33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + 6.2e6
