@@ -9,12 +9,13 @@ integration,
     int_0^inf kappa^n e^{-2 p kappa d} dkappa = n! / (2 p d)^(n+1),
 
 then collects the energy into inverse powers of the center distance d.
-The pipeline runs in exact rational arithmetic: every 3j symbol splits
-into a rational part and a radical whose square pairs up around a closed
-scattering chain, so scalar coefficients come out as Fractions; the
-electromagnetic recoupling weights keep isolated radicals, which cancel
-only in the assembled trace, so that route runs on exact sympy numbers
-and the final coefficients are again rational.
+The pipeline runs in exact rational arithmetic (`fractions`): every 3j
+symbol splits into a rational part and a radical whose square pairs up
+around a closed scattering chain, so scalar coefficients come out as
+Fractions.  The electromagnetic recoupling weights are exact surds
+c sqrt(r); each translation block carries a single radical, shared by
+the two directions of a chain, so the chain products and the final
+coefficients are again rational.
 
 Scalar boundary pairs fill the "scalar-b" form
 
@@ -40,10 +41,10 @@ from itertools import product
 
 from .tmatrix import (
     Dielectric,
-    Neumann,
     PerfectConductor,
     Robin,
     _alpha_hat,
+    _effective_zeta,
     _gamma13_hat,
     _gamma14_hat,
     is_scalar_law,
@@ -294,11 +295,7 @@ def _integrate_traces(per_p, em_form):
 
 def _lead_power(law):
     """Smallest kappa power any partial wave of this law starts at."""
-    if isinstance(law, Neumann):
-        return 3
-    if isinstance(law, Robin) and math.isinf(law.zeta):
-        return 3
-    return 1
+    return 3 if _effective_zeta(law) is None else 1  # Neumann-like
 
 
 def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
@@ -368,8 +365,100 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
 
 # ---------------------------------------------------------------------------
 # electromagnetic route: identical recoupling to the numerical translation
-# blocks, executed on exact sympy numbers; radicals cancel in the traces
+# blocks, on exact surds c sqrt(r) (c a Fraction, r a squarefree integer).
+# Each block carries one radical and both directions of a chain the same
+# one, so every chain product is rational.
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _surd(q):
+    """sqrt(q) of a rational q > 0 as (c, r): c a Fraction, r squarefree."""
+    n = q.numerator * q.denominator
+    c, r, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        c *= p ** (e // 2)
+        r *= p ** (e % 2)
+        p += 1
+    return Fraction(c, q.denominator), r * n
+
+
+def _surd_mul(a, b):
+    g = math.gcd(a[1], b[1])
+    return a[0] * b[0] * g, a[1] * b[1] // (g * g)
+
+
+def _same_radical(r1, r2, where):
+    """r2, after checking that it is the radical r1 already found (if any)."""
+    if r1 is not None and r1 != r2:
+        raise ArithmeticError(
+            "electromagnetic chain radicals failed to cancel: %s carries "
+            "sqrt(%d) and sqrt(%d)" % (where, r1, r2))
+    return r2
+
+
+@lru_cache(maxsize=None)
+def _cg(j1, m1, jj, q):
+    """Exact <j1 m1; 1 q | jj m1+q> as a surd, by Racah's formula."""
+    f = math.factorial
+    m = m1 + q
+    if (j1 < 0 or abs(m1) > j1 or abs(m) > jj
+            or not abs(j1 - 1) <= jj <= j1 + 1):
+        return Fraction(0), 1
+    s = sum(Fraction((-1) ** k, f(k) * f(j1 + 1 - jj - k) * f(j1 - m1 - k)
+                     * f(1 + q - k) * f(jj - 1 + m1 + k)
+                     * f(jj - j1 - q + k))
+            for k in range(max(0, 1 - jj - m1, j1 + q - jj),
+                           min(j1 + 1 - jj, j1 - m1, 1 + q) + 1))
+    if s == 0:
+        return Fraction(0), 1
+    c, r = _surd(Fraction(
+        (2 * jj + 1) * f(j1 + 1 - jj) * f(j1 - 1 + jj) * f(jj + 1 - j1)
+        * f(j1 + m1) * f(j1 - m1) * f(1 + q) * f(1 - q) * f(jj + m)
+        * f(jj - m), f(j1 + jj + 2)))
+    return s * c, r
+
+
+@lru_cache(maxsize=None)
+def _em_block(key, jr, jc, m):
+    """Exact EM translation block "12" at (J' = jr, J = jc) as (r, monos).
+
+    key pairs the target and source polarizations, "M" or "N"; the block
+    is sqrt(r) times the Laurent monomials `monos`.
+    """
+    rad, total = None, {}
+    for q in (-1, 0, 1):
+        mu = m - q
+        if key[0] == "M":
+            wrow, roff = _cg(jr, mu, jr, q), 0
+        else:  # the J'-1 channel divided by aR(J')
+            wrow, roff = _surd_mul(_cg(jr - 1, mu, jr, q),
+                                   _surd(Fraction(2 * jr + 1, jr + 1))), -1
+        if wrow[0] == 0:
+            continue
+        if key[1] == "M":
+            parts = ((_cg(jc, mu, jc, q), 0),)
+        else:  # -aR(J) and -bR(J) times the J-1 and J+1 channels
+            a_c, a_r = _surd(Fraction(jc + 1, 2 * jc + 1))
+            b_c, b_r = _surd(Fraction(jc, 2 * jc + 1))
+            parts = ((_surd_mul((-a_c, a_r), _cg(jc - 1, mu, jc, q)), -1),
+                     (_surd_mul((-b_c, b_r), _cg(jc + 1, mu, jc, q)), +1))
+        for wcol, coff in parts:
+            l_row, l_col, amu = jr + roff, jc + coff, abs(mu)
+            g = _g_series(l_row, l_col, amu, 1) if wcol[0] != 0 else {}
+            if not g:
+                continue
+            c, r = _surd_mul(_surd_mul(wrow, wcol), _surd(Fraction(
+                _w_int(l_row, amu) * _w_int(l_col, amu))))
+            rad = _same_radical(rad, r, "block %s(%d, %d, m=%d)"
+                                % (key, jr, jc, m))
+            for kp, v in g.items():
+                total[(0, kp)] = total.get((0, kp), 0) + c * v
+    return rad, {k: v for k, v in total.items() if v != 0}
+
 
 def _em_chain_coeffs(tser1, tser2, n_max, l_cut):
     """Exact c_n from single-scattering EM chains (p = 1).
@@ -378,63 +467,8 @@ def _em_chain_coeffs(tser1, tser2, n_max, l_cut):
     values.  Double scattering first enters at c_6, so n_max <= 5 keeps
     p = 1 exact.
     """
-    import sympy as sp
-    from sympy.physics.wigner import clebsch_gordan
-
     r_cap = 6 + n_max
-
-    def cg(j1, mu, jj, m, q):
-        if j1 < 0 or abs(mu) > j1 or abs(m) > jj:
-            return sp.Integer(0)
-        return clebsch_gordan(sp.Integer(j1), 1, sp.Integer(jj),
-                              sp.Integer(mu), sp.Integer(q),
-                              sp.Integer(m))
-
-    def a_row(jj):
-        return sp.sqrt(sp.Rational(jj + 1, 2 * jj + 1))
-
-    def b_row(jj):
-        return sp.sqrt(sp.Rational(jj, 2 * jj + 1))
-
-    def u_scalar(l_row, l_col, mu):
-        amu = abs(mu)
-        if l_row < amu or l_col < amu or l_row < 0 or l_col < 0:
-            return {}
-        g = _g_series(l_row, l_col, amu, 1)
-        if not g:
-            return {}
-        rad = sp.sqrt(sp.Integer(_w_int(l_row, amu))
-                      * sp.Integer(_w_int(l_col, amu)))
-        return {(0, kp): rad * sp.Rational(c.numerator, c.denominator)
-                for kp, c in g.items()}
-
-    @lru_cache(maxsize=None)
-    def em_block(key, jr, jc, m):
-        # direction "12"; key pairs target/source polarization, M or N
-        total = {}
-        for q in (-1, 0, 1):
-            mu = m - q
-            if key[0] == "M":
-                wrow, roff = cg(jr, mu, jr, m, q), 0
-            else:
-                wrow, roff = cg(jr - 1, mu, jr, m, q) / a_row(jr), -1
-            if wrow == 0:
-                continue
-            if key[1] == "M":
-                parts = ((cg(jc, mu, jc, m, q), 0),)
-            else:
-                parts = ((-a_row(jc) * cg(jc - 1, mu, jc, m, q), -1),
-                         (-b_row(jc) * cg(jc + 1, mu, jc, m, q), +1))
-            for wcol, coff in parts:
-                if wcol == 0:
-                    continue
-                for kk, v in u_scalar(jr + roff, jc + coff, mu).items():
-                    total[kk] = total.get(kk, 0) + wrow * wcol * v
-        return {k: v for k, v in total.items() if v != 0}
-
-    def pkey(pol):
-        return "M" if pol == "M" else "N"
-
+    pkey = {"M": "M", "E": "N"}
     acc = {}
     slots = [(jj, pol) for jj in range(1, l_cut + 1) for pol in ("M", "E")]
     for j1, p1 in slots:
@@ -448,40 +482,25 @@ def _em_chain_coeffs(tser1, tser2, n_max, l_cut):
             if min(r for r, _ in d1) + min(r for r, _ in d2) > r_cap:
                 continue
             for m in range(min(j1, j2) + 1):
-                u12 = em_block(pkey(p1) + pkey(p2), j1, j2, m)
+                rad, u12 = _em_block(pkey[p1] + pkey[p2], j1, j2, m)
                 if not u12:
                     continue
-                u21 = em_block(pkey(p2) + pkey(p1), j2, j1, m)
+                r21, u21 = _em_block(pkey[p2] + pkey[p1], j2, j1, m)
                 if not u21:
                     continue
+                _same_radical(rad, r21, "chain %s%s(%d, %d, m=%d)"
+                              % (p1, p2, j1, j2, m))
                 par = -1 if (j1 + j2) % 2 else 1
                 if p1 != p2:
                     par = -par  # polarization-mixing flip on "21"
                 term = _mono_mul(d1, u12, r_cap)
                 term = _mono_mul(term, d2, r_cap)
                 term = _mono_mul(term, u21, r_cap)
-                weight = (1 if m == 0 else 2) * par
+                weight = (1 if m == 0 else 2) * par * rad
                 for key, c in term.items():
-                    acc[key] = acc.get(key, 0) + weight * c
-    coeffs = {}
-    for (rp, kp), c in acc.items():
-        if kp < 0:
-            raise ArithmeticError(
-                "negative kappa power survived the chain sum; the "
-                "truncation bookkeeping is inconsistent")
-        contrib = sp.Rational(1, 2) * c * sp.factorial(kp) \
-            / sp.Integer(2) ** (kp + 1)
-        coeffs[rp - 6] = coeffs.get(rp - 6, sp.Integer(0)) + contrib
-    out = {}
-    for n in range(n_max + 1):
-        val = sp.radsimp(sp.expand(coeffs.get(n, sp.Integer(0))))
-        val = sp.nsimplify(val, rational=True)
-        if not val.is_Rational:
-            raise ArithmeticError(
-                "electromagnetic chain radicals failed to cancel at "
-                "order %d" % n)
-        out[n] = Fraction(int(val.p), int(val.q))
-    return out
+                    acc[key] = acc.get(key, Fraction(0)) + weight * c
+    coeffs = _integrate_traces({1: acc}, em_form=True)
+    return {n: coeffs.get(n, Fraction(0)) for n in range(n_max + 1)}
 
 
 def _em_t_slots_pec(r_cap, l_cut):

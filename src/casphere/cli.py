@@ -168,20 +168,9 @@ def parse_lmax(text):
 
 
 def _parse_zetas(text):
-    laws = []
-    for raw in text.split(","):
-        raw = raw.strip()
-        if raw in ("inf", "infinity"):
-            laws.append((raw, Neumann()))
-            continue
-        zeta = float(raw)
-        if zeta == 0.0:
-            laws.append((raw, Dirichlet()))
-        else:
-            laws.append((raw, Robin(zeta)))  # negatives rejected downstream
-    if not laws:
-        raise argparse.ArgumentTypeError("empty zeta list")
-    return laws
+    """(raw label, law) for each comma-separated Robin impedance."""
+    return [(raw.strip(), parse_law("robin:" + raw))
+            for raw in text.split(",")]
 
 
 def _parse_sphere(text):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import expand_scalar
-from .tmatrix import Dirichlet, Neumann, Robin
+from .tmatrix import _effective_zeta
 
 __all__ = [
     "RatioCurve",
@@ -147,22 +147,10 @@ def pfa_energy_em(radius, d):
     return -(math.pi ** 3 / 1440.0) * radius / (d - 2.0 * radius) ** 2
 
 
-def _zeta_of(law):
-    if isinstance(law, Dirichlet):
-        return 0.0
-    if isinstance(law, Neumann):
-        return math.inf
-    if isinstance(law, Robin):
-        return law.zeta
-    raise TypeError("plate amplitudes are defined for Robin-family laws, "
-                    "got %r" % (law,))
-
-
 def amplitude_case(law1, law2):
     """Plate-amplitude selection: 'unlike' iff exactly one zeta is 0."""
-    return ("unlike"
-            if (_zeta_of(law1) == 0.0) != (_zeta_of(law2) == 0.0)
-            else "like")
+    dirichlet = [_effective_zeta(law) == 0.0 for law in (law1, law2)]
+    return "unlike" if dirichlet[0] != dirichlet[1] else "like"
 
 
 def pfa_force_sign(law1, law2):

@@ -7,11 +7,11 @@ Bessel ratios come from a continued fraction (I) and an upward recurrence
 (K) at every argument, the 3j symbols from exact integer closed forms and
 a three-term recursion.
 
-Scaling convention: every stored Bessel value is I_nu(z)*e^{-z} or
-K_nu(z)*e^{+z} (same for derivatives).  Downstream products pair e^{+2z}
-growth against e^{-kappa d} decay, so the exponentials must be kept
-symbolic until they cancel; the log_i/log_k fields stay finite even where
-the scaled values leave the double-precision range.
+Scaling convention: every stored Bessel log is of I_nu(z)*e^{-z} or
+K_nu(z)*e^{+z}.  Downstream products pair e^{+2z} growth against
+e^{-kappa d} decay, so the exponentials must be kept symbolic until they
+cancel; the log_i/log_k fields stay finite even where the scaled values
+leave the double-precision range.
 """
 
 import math
@@ -44,10 +44,6 @@ class BesselChain:
     log_k: np.ndarray
     rho: np.ndarray
     sigma: np.ndarray
-    i_scaled: np.ndarray
-    k_scaled: np.ndarray
-    di_scaled: np.ndarray
-    dk_scaled: np.ndarray
 
 
 def _log_i_half_scaled(z):
@@ -109,7 +105,7 @@ def _k_chains(n, z):
 
 
 def bessel_ik_half_chain(l_max, z):
-    """Scaled I_{l+1/2}, K_{l+1/2} and ratio chains for l = 0..l_max.
+    """Logs of scaled I_{l+1/2}, K_{l+1/2} and ratio chains, l = 0..l_max.
 
     Parameters
     ----------
@@ -135,15 +131,7 @@ def bessel_ik_half_chain(l_max, z):
     if l_max > 0:
         log_i[1:] = log_i[0] + np.cumsum(np.log(rho[:-1]))
         log_k[1:] = log_k[0] + np.cumsum(np.log(sigma[:-1]))
-    nu = np.arange(l_max + 1) + 0.5
-    with np.errstate(over="ignore", under="ignore"):
-        i_s = np.exp(log_i)
-        k_s = np.exp(log_k)
-        # I'_nu = I_{nu+1} + (nu/z) I_nu ;  K'_nu = -K_{nu+1} + (nu/z) K_nu
-        di_s = i_s * (rho + nu / z)
-        dk_s = k_s * (nu / z - sigma)
-    return BesselChain(z=z, log_i=log_i, log_k=log_k, rho=rho, sigma=sigma,
-                       i_scaled=i_s, k_scaled=k_s, di_scaled=di_s, dk_scaled=dk_s)
+    return BesselChain(z=z, log_i=log_i, log_k=log_k, rho=rho, sigma=sigma)
 
 
 

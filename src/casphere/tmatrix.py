@@ -129,8 +129,8 @@ def _effective_zeta(law):
         return None
     if isinstance(law, Robin):
         return None if math.isinf(law.zeta) else law.zeta
-    raise TypeError("scalar T-matrix requires a Robin-family law, got %r"
-                    % (law,))
+    raise TypeError("a Robin-family law (Dirichlet, Neumann or Robin) is "
+                    "required, got %r" % (law,))
 
 
 # ---------------------------------------------------------------------------

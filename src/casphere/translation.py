@@ -398,26 +398,3 @@ def _em_recouple(s, l_max, ratio):
     live = np.arange(n)[None, :] >= np.maximum(1, ms)[:, None]
     g *= (live[:, :, None, None, None] & live[:, None, None, :, None])
     return g.reshape(nx, n, 2 * n, 2 * n)
-
-
-def em_log_blocks(l_max, m, x, direction="12"):
-    """Scaled EM translation blocks in signed-log form.
-
-    Returns a dict with keys "MM", "MN", "NM", "NN"; each value is a pair
-    (sign, logmag) of (l_max+1, l_max+1) arrays indexed [J_out, J_in] with
-    sign*exp(logmag) = G^{PP'} e^{+x}.  Rows/columns below max(1, |m|) are
-    zero.  "MN" and "NM" vanish identically for m = 0.
-    """
-    _check_direction(direction)
-    n = l_max + 1
-    if abs(m) > l_max:
-        zero = (np.zeros((n, n)), np.full((n, n), -np.inf))
-        return {key: zero for key in ("MM", "MN", "NM", "NN")}
-    kern = node_kernel(l_max, x, em=True)
-    g = kern.oriented(direction)[abs(m)]
-    if m < 0:
-        # same-polarization blocks are even in m, mixing blocks odd
-        g = g * _mixing_sign(n)
-    return {prow + pcol: _signed_log_view(g[i::2, j::2],
-                                          kern.log_scale[i::2, j::2])
-            for i, prow in enumerate("MN") for j, pcol in enumerate("MN")}

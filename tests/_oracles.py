@@ -231,6 +231,22 @@ class ScaledBesselPair:
     log_k: float
 
 
+def chain_scaled_values(chain):
+    """(i, k, di, dk) scaled value vectors of a production Bessel chain.
+
+    I e^{-z} and K e^{+z} from the chain's logs, and the derivatives from
+    I'_nu = I_{nu+1} + (nu/z) I_nu and K'_nu = -K_{nu+1} + (nu/z) K_nu;
+    entries outside the double range under/overflow to 0 or inf.
+    """
+    z = chain.z
+    nu = np.arange(len(chain.rho)) + 0.5
+    with np.errstate(over="ignore", under="ignore"):
+        i_s = np.exp(chain.log_i)
+        k_s = np.exp(chain.log_k)
+        return (i_s, k_s, i_s * (chain.rho + nu / z),
+                k_s * (nu / z - chain.sigma))
+
+
 def bessel_ik_half(l, z):
     """Scaled I_{l+1/2}(z), K_{l+1/2}(z) and derivatives.
 
@@ -255,12 +271,13 @@ def bessel_ik_half(l, z):
     if l < 0 or l > L_CEILING:
         raise ValueError("order l=%r outside [0, %d]" % (l, L_CEILING))
     chain = bessel_ik_half_chain(l, z)
+    i_s, k_s, di_s, dk_s = chain_scaled_values(chain)
     return ScaledBesselPair(
         order_half=l + 0.5,
-        i_scaled=float(chain.i_scaled[l]),
-        k_scaled=float(chain.k_scaled[l]),
-        di_scaled=float(chain.di_scaled[l]),
-        dk_scaled=float(chain.dk_scaled[l]),
+        i_scaled=float(i_s[l]),
+        k_scaled=float(k_s[l]),
+        di_scaled=float(di_s[l]),
+        dk_scaled=float(dk_s[l]),
         z=float(z),
         log_i=float(chain.log_i[l]),
         log_k=float(chain.log_k[l]),
@@ -858,8 +875,39 @@ def node_stack_ref(pairs, nsph, pol, l_min):
 
 
 # ---------------------------------------------------------------------------
-# unscaled translation elements, read off the signed-log block views
+# EM blocks of one (l_max, m, x) in signed-log form, and unscaled
+# translation elements read off the signed-log block views: readers of the
+# production node kernel that only the tests call
 # ---------------------------------------------------------------------------
+
+def em_log_blocks(l_max, m, x, direction="12"):
+    """Scaled EM translation blocks in signed-log form.
+
+    Returns a dict with keys "MM", "MN", "NM", "NN"; each value is a pair
+    (sign, logmag) of (l_max+1, l_max+1) arrays indexed [J_out, J_in] with
+    sign*exp(logmag) = G^{PP'} e^{+x}.  Rows/columns below max(1, |m|) are
+    zero.  "MN" and "NM" vanish identically for m = 0.
+    """
+    from casphere.translation import (
+        _check_direction,
+        _mixing_sign,
+        _signed_log_view,
+        node_kernel,
+    )
+    _check_direction(direction)
+    n = l_max + 1
+    if abs(m) > l_max:
+        zero = (np.zeros((n, n)), np.full((n, n), -np.inf))
+        return {key: zero for key in ("MM", "MN", "NM", "NN")}
+    kern = node_kernel(l_max, x, em=True)
+    g = kern.oriented(direction)[abs(m)]
+    if m < 0:
+        # same-polarization blocks are even in m, mixing blocks odd
+        g = g * _mixing_sign(n)
+    return {prow + pcol: _signed_log_view(g[i::2, j::2],
+                                          kern.log_scale[i::2, j::2])
+            for i, prow in enumerate("MN") for j, pcol in enumerate("MN")}
+
 
 def u_scalar_element(l_out, l_in, m, x, direction="12"):
     """Scalar translation element U^{direction}_{l_out,l_in}(m) at x = kappa d.
@@ -879,7 +927,6 @@ def u_em_element(l_out, l_in, m, x, direction="12"):
     Columns are the source polarization, rows the target one, in the
     order magnetic, electric; unscaled, so only for moderate x.
     """
-    from casphere.translation import em_log_blocks
     blocks = em_log_blocks(max(l_out, l_in), m, x, direction)
     out = np.empty((2, 2))
     with np.errstate(under="ignore"):

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import casphere.asymptotics as asym
 from casphere.asymptotics import (
     _METAL_C,
     _alpha_hat,
+    _cg,
     _g_series,
     _racah_sum,
     _threej_zero_parts,
@@ -19,6 +21,7 @@ from casphere.asymptotics import (
     expand_scalar,
 )
 from casphere.energy import Geometry, casimir_energy, suggest_l_max
+from casphere.translation import _em_weights
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -212,6 +215,45 @@ def test_metal_uncertified_cut_is_flagged():
     assert narrow.coeffs[0] == _METAL_C[0]
 
 
+def test_exact_clebsch_gordan_matches_recoupling_weights():
+    # the series route's exact CG and the energy route's numerical
+    # weights: <J m-q; 1 q | J m> and the J-1, J+1 channels, J <= 8
+    for m in range(-8, 9):
+        w0, wm, wp, _, _ = _em_weights(7, m)
+        for iq, q in enumerate((-1, 0, 1)):
+            for jj in range(1, 9):
+                for weights, j1 in ((w0, jj), (wm, jj - 1), (wp, jj + 1)):
+                    c, r = _cg(j1, m - q, jj, q)
+                    exact = float(c) * math.sqrt(r)
+                    assert abs(exact - weights[iq, jj]) <= 1e-15, \
+                        (j1, m - q, jj, q)
+
+
+def test_em_radical_mismatch_raises(monkeypatch):
+    # a chain whose two directions carry different radicals
+    real_block = asym._em_block
+
+    def skewed_block(key, jr, jc, m):
+        rad, monos = real_block(key, jr, jc, m)
+        return (2 * rad if key == "MN" else rad), monos
+
+    monkeypatch.setattr(asym, "_em_block", skewed_block)
+    with pytest.raises(ArithmeticError, match="failed to cancel"):
+        expand_em_metal(n_max=0, provenance="computed")
+    monkeypatch.undo()
+    # a block whose q terms carry different radicals: skew the magnetic
+    # source weight of q = +1 only
+    real_cg = asym._cg
+
+    def skewed_cg(j1, m1, jj, q):
+        c, r = real_cg(j1, m1, jj, q)
+        return c, (101 * r if q == 1 and j1 == jj else r)
+
+    monkeypatch.setattr(asym, "_cg", skewed_cg)
+    with pytest.raises(ArithmeticError, match="failed to cancel"):
+        asym._em_block.__wrapped__("NM", 2, 2, 1)
+
+
 def test_metal_validation():
     with pytest.raises(ValueError):
         expand_em_metal(n_max=10)
@@ -235,6 +277,11 @@ def test_dielectric_routes_agree_exactly():
     c2 = expand_em_dielectric(magnetic, magnetic, provenance="computed")
     assert t2.coeffs == c2.coeffs
     assert t2.coeffs[1] == 0
+    for eps, mu in ((2.5, 0.5), (1.0, 1.0)):
+        other = SphereSpec(1.0, Dielectric(eps, mu))
+        table = expand_em_dielectric(other, other)
+        computed = expand_em_dielectric(other, other, provenance="computed")
+        assert table.coeffs == computed.coeffs
 
 
 def test_dielectric_limits():

@@ -61,15 +61,16 @@ def test_bessel_against_mpmath(l, z):
 def test_chain_matches_scalar_entries():
     z = 2.625
     chain = bessel_ik_half_chain(30, z)
+    i_s, k_s, _, _ = orc.chain_scaled_values(chain)
     for l in (0, 1, 7, 30):
         p = bessel_ik_half(l, z)
-        assert chain.i_scaled[l] == pytest.approx(p.i_scaled, rel=1e-14)
-        assert chain.k_scaled[l] == pytest.approx(p.k_scaled, rel=1e-14)
+        assert i_s[l] == pytest.approx(p.i_scaled, rel=1e-14)
+        assert k_s[l] == pytest.approx(p.k_scaled, rel=1e-14)
         assert chain.log_i[l] == pytest.approx(p.log_i, rel=1e-14)
     # ratio chains are consistent with the values they generated
     assert np.all(chain.rho > 0.0)
     assert np.all(chain.sigma > 0.0)
-    ratios = chain.i_scaled[1:] / chain.i_scaled[:-1]
+    ratios = i_s[1:] / i_s[:-1]
     assert ratios == pytest.approx(chain.rho[:-1], rel=1e-12)
 
 
@@ -106,6 +107,7 @@ def test_i_ratio_chain_large_argument_against_mpmath(z):
 @pytest.mark.parametrize("z", LARGE_Z[::2] + [1e4])
 def test_chain_fields_large_argument_against_mpmath(z):
     chain = bessel_ik_half_chain(_CHAIN_CEILING, z)
+    i_s, k_s, di_s, dk_s = orc.chain_scaled_values(chain)
     for l in (0, 1, 5, 17, 60, 150, _CHAIN_CEILING):
         # the logs are cumulative sums of ratio logs: a few ulp of |log|
         ref = orc.bessel_log_i_ref(l, z)
@@ -114,14 +116,14 @@ def test_chain_fields_large_argument_against_mpmath(z):
         assert abs(chain.log_k[l] - ref) <= 4e-15 * max(1.0, abs(ref))
         # value-level checks wherever the scaled quantities are representable
         if abs(chain.log_i[l]) < 600.0:
-            assert chain.i_scaled[l] == pytest.approx(
+            assert i_s[l] == pytest.approx(
                 orc.bessel_i_scaled_ref(l, z), rel=1e-12)
-            assert chain.di_scaled[l] == pytest.approx(
+            assert di_s[l] == pytest.approx(
                 orc.bessel_di_scaled_ref(l, z), rel=1e-12)
         if abs(chain.log_k[l]) < 600.0:
-            assert chain.k_scaled[l] == pytest.approx(
+            assert k_s[l] == pytest.approx(
                 orc.bessel_k_scaled_ref(l, z), rel=1e-12)
-            assert chain.dk_scaled[l] == pytest.approx(
+            assert dk_s[l] == pytest.approx(
                 orc.bessel_dk_scaled_ref(l, z), rel=1e-12)
 
 

@@ -2,7 +2,8 @@
 
 scipy's import alone costs several times a small energy, so only the
 sign-map zero search (`find_zero_force`) may import it, on first use;
-likewise the CLI imports its process pool only when it makes one.
+likewise the CLI imports its process pool only when it makes one.  The
+exact large-distance series run on `fractions` alone and load no sympy.
 Each check runs in a fresh interpreter, since the test session itself
 has scipy loaded.
 """
@@ -68,5 +69,32 @@ def test_energy_and_cli_load_no_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path / "sweep.csv")],
         capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+SERIES_SCRIPT = textwrap.dedent("""
+    import sys
+
+    from casphere import Dielectric, SphereSpec
+    from casphere.asymptotics import expand_em_dielectric, expand_em_metal
+
+    metal = expand_em_metal(n_max=5, provenance="computed")
+    assert all(metal.certified.values())
+    spec = SphereSpec(1.0, Dielectric(4.0, 1.0))
+    expand_em_dielectric(spec, spec, provenance="computed")
+    mods = sorted(m for m in sys.modules
+                  if m == "sympy" or m.startswith("sympy."))
+    assert not mods, (len(mods), mods[:3])
+    print("ok")
+""")
+
+
+def test_exact_em_series_load_no_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(casphere.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", SERIES_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"

@@ -11,10 +11,10 @@ from scipy.special import sph_harm_y
 import casphere.translation as tr
 from casphere import specfun
 from casphere.specfun import bessel_ik_half_chain
-from casphere.translation import em_log_blocks, node_kernel, u_log_block
+from casphere.translation import node_kernel, u_log_block
 
 import _oracles as orc
-from _oracles import u_em_element, u_scalar_element
+from _oracles import em_log_blocks, u_em_element, u_scalar_element
 
 
 def _sph_i(l_arr, z):
