@@ -9,13 +9,24 @@ integration,
     int_0^inf kappa^n e^{-2 p kappa d} dkappa = n! / (2 p d)^(n+1),
 
 then collects the energy into inverse powers of the center distance d.
-The pipeline runs in exact rational arithmetic (`fractions`): every 3j
-symbol splits into a rational part and a radical whose square pairs up
-around a closed scattering chain, so scalar coefficients come out as
-Fractions.  The electromagnetic recoupling weights are exact surds
-c sqrt(r); each translation block carries a single radical, shared by
-the two directions of a chain, so the chain products and the final
-coefficients are again rational.
+
+The pipeline runs in exact rational arithmetic (`fractions`).  One trace
+engine, `_chain_traces`, gives every order at once as
+
+    sum_m w_m tr (A_m B_m)^p,   w_0 = 1, w_{m>0} = 2,
+
+from products of small sparse matrices whose entries are monomial dicts
+(A_m = T1 U12 and B_m = T2 U21 restricted to orders >= m).  Every power
+of kappa R is >= 0, so truncating each product at the highest power kept
+commutes with the products and the result is exact.  One exact Wigner
+3j, Racah's formula on surds c sqrt(r) (c a Fraction, r a squarefree
+integer), builds both the scalar translation factors and the
+electromagnetic recoupling weights.  A scalar entry U = sqrt(w w) G has
+rational G, and around a closed chain each slot meets two U entries, so
+its weight w enters whole.  An electromagnetic block carries a single
+radical, shared by the two directions of a chain; folding it into A
+keeps the single-scattering trace tr(A B) rational, a fold valid at
+p = 1 only, which is all the electromagnetic window needs.
 
 Scalar boundary pairs fill the "scalar-b" form
 
@@ -37,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .tmatrix import (
     Dielectric,
@@ -114,54 +124,60 @@ class SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# exact Wigner pieces
-#
-# For the (0,0,0) row the 3j symbol is A*sqrt(Delta) with both factors
-# rational; for the (m,-m,0) row it is
-#     (-1)^(l-l') sqrt(Delta) l''! sqrt((l+m)!(l-m)!(l'+m)!(l'-m)!) S,
-# S rational.  Around a closed chain each slot's radical appears exactly
-# twice, so traces assemble from the rational parts and the integer
-# weights w_l = (2l+1)(l+m)!(l-m)!.
+# exact Wigner pieces on surds c sqrt(r): c a Fraction, r a squarefree integer
 # ---------------------------------------------------------------------------
 
-def _threej_zero_parts(l1, l2, l3):
-    """Rational split of the m=0 Wigner 3j: returns (A, Delta).
-
-    A vanishes for odd l1+l2+l3; Delta is the triangle factor, reported
-    whenever the triangle inequality holds so the same split serves the
-    general (m, -m, 0) row.
-    """
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return Fraction(0), Fraction(0)
-    big_l = l1 + l2 + l3
-    delta = Fraction(
-        math.factorial(big_l - 2 * l1) * math.factorial(big_l - 2 * l2)
-        * math.factorial(big_l - 2 * l3),
-        math.factorial(big_l + 1))
-    if big_l % 2:
-        return Fraction(0), delta
-    h = big_l // 2
-    a_rat = Fraction(
-        (-1) ** (h % 2) * math.factorial(h),
-        math.factorial(h - l1) * math.factorial(h - l2)
-        * math.factorial(h - l3))
-    return a_rat, delta
+@lru_cache(maxsize=None)
+def _surd(q):
+    """sqrt(q) of a rational q > 0 as (c, r): c a Fraction, r squarefree."""
+    n = q.numerator * q.denominator
+    c, r, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        c *= p ** (e // 2)
+        r *= p ** (e % 2)
+        p += 1
+    return Fraction(c, q.denominator), r * n
 
 
-def _racah_sum(l1, l2, l3, m):
-    """Rational remainder S of the 3j symbol (l1, l2, l3; m, -m, 0)."""
-    t_lo = max(0, l2 - l3 - m, l1 - l3 - m)
-    t_hi = min(l1 + l2 - l3, l1 - m, l2 - m)
-    total = Fraction(0)
-    for t in range(t_lo, t_hi + 1):
-        den = (math.factorial(t)
-               * math.factorial(l3 - l2 + t + m)
-               * math.factorial(l3 - l1 + t + m)
-               * math.factorial(l1 + l2 - l3 - t)
-               * math.factorial(l1 - t - m)
-               * math.factorial(l2 - t - m))
-        total += Fraction((-1) ** (t % 2), den)
-    return total
+def _surd_mul(a, b):
+    g = math.gcd(a[1], b[1])
+    return a[0] * b[0] * g, a[1] * b[1] // (g * g)
+
+
+@lru_cache(maxsize=None)
+def _threej(j1, j2, j3, m1, m2):
+    """Exact Wigner 3j (j1 j2 j3; m1 m2 -m1-m2) as a surd (Racah's formula)."""
+    f = math.factorial
+    m3 = -m1 - m2
+    if (abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3
+            or not abs(j1 - j2) <= j3 <= j1 + j2):
+        return Fraction(0), 1
+    s = sum(Fraction((-1) ** k, f(k) * f(j3 - j2 + k + m1)
+                     * f(j3 - j1 + k - m2) * f(j1 + j2 - j3 - k)
+                     * f(j1 - k - m1) * f(j2 - k + m2))
+            for k in range(max(0, j2 - j3 - m1, j1 - j3 + m2),
+                           min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1))
+    if s == 0:
+        return Fraction(0), 1
+    c, r = _surd(Fraction(
+        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(j2 + j3 - j1)
+        * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3)
+        * f(j3 - m3), f(j1 + j2 + j3 + 1)))
+    return (-s if (j1 - j2 - m3) % 2 else s) * c, r
+
+
+@lru_cache(maxsize=None)
+def _cg(j1, m1, jj, q):
+    """Exact <j1 m1; 1 q | jj m1+q> as a surd, from the 3j symbol."""
+    c, r = _threej(j1, 1, jj, m1, q)
+    if c == 0:
+        return Fraction(0), 1
+    sign = -1 if (j1 + 1 + m1 + q) % 2 else 1
+    return _surd_mul((sign * c, r), _surd(Fraction(2 * jj + 1)))
 
 
 def _w_int(l, m):
@@ -184,29 +200,38 @@ def _g_series(l_out, l_in, m, s):
 
     The full scaled translation entry is
         U_{l_out,l_in}(m) = sqrt(w(l_out, m) w(l_in, m)) * G(x) e^{-x},
-    with x = kappa*d and s = +1 (direction "12") or -1 ("21").
+    with x = kappa*d and s = +1 (direction "12") or -1 ("21").  Each l3
+    term carries 3j(l_in l_out l3; 000) 3j(l_in l_out l3; m -m 0), whose
+    radicals cancel against sqrt((l_in+m)!(l_in-m)!(l_out+m)!(l_out-m)!).
     """
     if m > min(l_out, l_in):
         return {}
+    f = math.factorial
+    unfold = _surd(Fraction(1, f(l_in + m) * f(l_in - m) * f(l_out + m)
+                            * f(l_out - m)))
+    # -(-1)^(m + l_out), times (-1)^(l_out - l_in) for the 3j product
+    sign = -1 if (m + l_in) % 2 == 0 else 1
     out = {}
-    prefix = -(1 if (m + l_out) % 2 == 0 else -1)
-    for l3 in range(abs(l_out - l_in), l_out + l_in + 1):
-        a_rat, delta = _threej_zero_parts(l_in, l_out, l3)
-        if a_rat == 0:
+    for l3 in range(abs(l_out - l_in), l_out + l_in + 1, 2):
+        c, r = _surd_mul(_surd_mul(_threej(l_in, l_out, l3, 0, 0),
+                                   _threej(l_in, l_out, l3, m, -m)), unfold)
+        if c == 0:
             continue
-        s_rat = _racah_sum(l_in, l_out, l3, m)
-        if s_rat == 0:
-            continue
-        base = (prefix * (s ** (l3 % 2)) * (2 * l3 + 1) * a_rat * delta
-                * math.factorial(l3) * s_rat)
-        for kp, c in _ktilde_laurent(l3).items():
-            out[kp] = out.get(kp, Fraction(0)) + base * c
+        if r != 1:
+            raise ArithmeticError(
+                "translation factor G(%d, %d, m=%d) kept the radical "
+                "sqrt(%d)" % (l_out, l_in, m, r))
+        base = sign * s ** (l3 % 2) * (2 * l3 + 1) * c
+        for kp, v in _ktilde_laurent(l3).items():
+            out[kp] = out.get(kp, Fraction(0)) + base * v
     return {k: v for k, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
 # monomial algebra: keys (rpow, kpow) meaning (kappa R)^rpow (kappa d)^
-# (kpow - rpow), i.e. kpow is the total kappa power to be integrated
+# (kpow - rpow), i.e. kpow is the total kappa power to be integrated.
+# Every rpow is >= 0, so truncating a product at r_cap commutes with
+# every further product.
 # ---------------------------------------------------------------------------
 
 def _mono_mul(a, b, r_cap):
@@ -222,54 +247,91 @@ def _mono_mul(a, b, r_cap):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _lift_g(gdict):
-    return {(0, kp): c for kp, c in gdict.items()}
+def _mono_add(acc, mono, w=1):
+    for key, c in mono.items():
+        acc[key] = acc.get(key, 0) + w * c
 
 
-def _t_slot_scalar(law, l, r_cap):
-    """Taylor monomials of one internal-sign scalar T entry."""
-    lead = 2 * l + 1
-    if lead > r_cap:
-        return {}
-    coeffs = t_scalar_series_fractions(law, l, r_cap - lead + 1)
-    return {(lead + k, lead + k): c for k, c in enumerate(coeffs) if c != 0}
+def _mat_mul(x, y, r_cap):
+    """Product of sparse {(row, col): monomials} matrices, truncated."""
+    rows = {}
+    for (k, j), v in y.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), xv in x.items():
+        for j, yv in rows.get(k, ()):
+            _mono_add(out.setdefault((i, j), {}), _mono_mul(xv, yv, r_cap))
+    return out
 
 
-def _chain_trace_scalar(t1, t2, p, l_cut, r_cap):
-    """Monomials of sum_m tr N_m^p with both internal sums truncated."""
-    lead1 = {l: min(r for r, _ in d) if d else None for l, d in t1.items()}
-    lead2 = {l: min(r for r, _ in d) if d else None for l, d in t2.items()}
-    g12 = lru_cache(maxsize=None)(
-        lambda lo, li, m: _lift_g(_g_series(lo, li, m, 1)))
-    g21 = lru_cache(maxsize=None)(
-        lambda lo, li, m: _lift_g(_g_series(lo, li, m, -1)))
-    acc = {}
-    for slots in product(range(l_cut + 1), repeat=2 * p):
-        base = 0
-        for i, l in enumerate(slots):
-            lv = lead1[l] if i % 2 == 0 else lead2[l]
-            if lv is None:
-                base = r_cap + 1
-                break
-            base += lv
-        if base > r_cap:
-            continue
-        for m in range(min(slots) + 1):
-            wm = 1 if m == 0 else 2
-            term = {(0, 0): Fraction(1)}
-            for i in range(p):
-                a, b = slots[2 * i], slots[2 * i + 1]
-                nxt = slots[(2 * i + 2) % (2 * p)]
-                term = _mono_mul(term, t1[a], r_cap)
-                term = _mono_mul(term, g12(a, b, m), r_cap)
-                term = _mono_mul(term, t2[b], r_cap)
-                term = _mono_mul(term, g21(b, nxt, m), r_cap)
-                if not term:
-                    break
-                wm *= _w_int(a, m) * _w_int(b, m)
-            for key, c in term.items():
-                acc[key] = acc.get(key, Fraction(0)) + wm * c
-    return acc
+def _t_slots(law, orders, r_cap, channels=(None,)):
+    """Taylor monomials {(l, channel): {(r, r): c}} of internal-sign T.
+
+    `channels` are "M"/"E" for a perfect conductor; orders whose series
+    starts past r_cap are left out.
+    """
+    slots = {}
+    for l in orders:
+        lead = 2 * l + 1
+        if lead > r_cap:
+            break
+        for ch in channels:
+            coeffs = t_scalar_series_fractions(law, l, r_cap - lead + 1,
+                                               channel=ch)
+            slots[(l, ch)] = {(lead + k, lead + k): c
+                              for k, c in enumerate(coeffs) if c != 0}
+    return slots
+
+
+def _chain_traces(t1, t2, pair, p_max, r_cap):
+    """{p: monomials of sum_m w_m tr (A_m B_m)^p}, truncated at r_cap.
+
+    `t1`/`t2` map slots (l, channel) to T monomials.  For every m up to
+    the slot orders, pair(a, b, m) returns the translation factors
+    (U12[a, b], U21[b, a]) or None, and
+
+        A_m[a, b] = t1[a] U12[a, b],   B_m[b, a] = t2[b] U21[b, a],
+
+    over the slots of order >= m, with w_m = 1 for m = 0 and 2 otherwise.
+    An entry whose two T series start past r_cap together is skipped.
+    """
+    lead1 = {a: min(r for r, _ in t) for a, t in t1.items() if t}
+    lead2 = {b: min(r for r, _ in t) for b, t in t2.items() if t}
+    out = {p: {} for p in range(1, p_max + 1)}
+    for m in range(1 + max((a[0] for a in lead1), default=-1)):
+        amat, bmat = {}, {}
+        for a, la in lead1.items():
+            for b, lb in lead2.items():
+                if a[0] < m or b[0] < m or la + lb > r_cap:
+                    continue
+                u = pair(a, b, m)
+                if u is not None:
+                    amat[a, b] = _mono_mul(t1[a], u[0], r_cap)
+                    bmat[b, a] = _mono_mul(t2[b], u[1], r_cap)
+        prod = amat
+        for p in range(1, p_max + 1):
+            for (a, b), v in prod.items():
+                back = bmat.get((b, a))
+                if back:
+                    _mono_add(out[p], _mono_mul(v, back, r_cap),
+                              1 if m == 0 else 2)
+            if p < p_max:
+                prod = _mat_mul(_mat_mul(prod, bmat, r_cap), amat, r_cap)
+    return {p: {k: v for k, v in mono.items() if v != 0}
+            for p, mono in out.items()}
+
+
+def _scalar_pair(a, b, m):
+    """Scalar U12[a, b] and U21[b, a], each slot's radical folded in.
+
+    U = sqrt(w w) G, and around a closed chain every slot meets two U
+    entries, so each side takes its own slot weight w whole.
+    """
+    la, lb = a[0], b[0]
+    return ({(0, k): _w_int(la, m) * c
+             for k, c in _g_series(la, lb, m, 1).items()},
+            {(0, k): _w_int(lb, m) * c
+             for k, c in _g_series(lb, la, m, -1).items()})
 
 
 def _integrate_traces(per_p, em_form):
@@ -335,17 +397,11 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
                          "truncation (1 <= p_max <= 4, 0 <= l_cut <= 5)")
     j_max = 2 * p_max + 2
     r_cap = j_max - 1
-    t1 = {l: _t_slot_scalar(spec1.law, l, r_cap) for l in range(l_cut + 1)}
-    t2 = {l: _t_slot_scalar(spec2.law, l, r_cap) for l in range(l_cut + 1)}
+    t1 = _t_slots(spec1.law, range(l_cut + 1), r_cap)
+    t2 = _t_slots(spec2.law, range(l_cut + 1), r_cap)
     a1, a2 = _lead_power(spec1.law), _lead_power(spec2.law)
-    per_p = {}
-    for p in range(1, p_max + 1):
-        if p * (a1 + a2) > r_cap:
-            continue  # this and all deeper orders start past j_max
-        mono = _chain_trace_scalar(t1, t2, p, l_cut, r_cap)
-        if mono:
-            per_p[p] = mono
-    raw = _integrate_traces(per_p, em_form=False)
+    traces = _chain_traces(t1, t2, _scalar_pair, p_max, r_cap)
+    raw = _integrate_traces(traces, em_form=False)
     coeffs = {j: raw.get(j, Fraction(0)) for j in range(3, j_max + 1)}
     general_robin = any(
         isinstance(s.law, Robin) and 0.0 < s.law.zeta < math.inf
@@ -365,31 +421,10 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
 
 # ---------------------------------------------------------------------------
 # electromagnetic route: identical recoupling to the numerical translation
-# blocks, on exact surds c sqrt(r) (c a Fraction, r a squarefree integer).
-# Each block carries one radical and both directions of a chain the same
-# one, so every chain product is rational.
+# blocks, on exact surds.  Each block carries one radical and both
+# directions of a chain the same one, so every single-scattering chain
+# product is rational.
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _surd(q):
-    """sqrt(q) of a rational q > 0 as (c, r): c a Fraction, r squarefree."""
-    n = q.numerator * q.denominator
-    c, r, p = 1, 1, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        c *= p ** (e // 2)
-        r *= p ** (e % 2)
-        p += 1
-    return Fraction(c, q.denominator), r * n
-
-
-def _surd_mul(a, b):
-    g = math.gcd(a[1], b[1])
-    return a[0] * b[0] * g, a[1] * b[1] // (g * g)
-
 
 def _same_radical(r1, r2, where):
     """r2, after checking that it is the radical r1 already found (if any)."""
@@ -398,28 +433,6 @@ def _same_radical(r1, r2, where):
             "electromagnetic chain radicals failed to cancel: %s carries "
             "sqrt(%d) and sqrt(%d)" % (where, r1, r2))
     return r2
-
-
-@lru_cache(maxsize=None)
-def _cg(j1, m1, jj, q):
-    """Exact <j1 m1; 1 q | jj m1+q> as a surd, by Racah's formula."""
-    f = math.factorial
-    m = m1 + q
-    if (j1 < 0 or abs(m1) > j1 or abs(m) > jj
-            or not abs(j1 - 1) <= jj <= j1 + 1):
-        return Fraction(0), 1
-    s = sum(Fraction((-1) ** k, f(k) * f(j1 + 1 - jj - k) * f(j1 - m1 - k)
-                     * f(1 + q - k) * f(jj - 1 + m1 + k)
-                     * f(jj - j1 - q + k))
-            for k in range(max(0, 1 - jj - m1, j1 + q - jj),
-                           min(j1 + 1 - jj, j1 - m1, 1 + q) + 1))
-    if s == 0:
-        return Fraction(0), 1
-    c, r = _surd(Fraction(
-        (2 * jj + 1) * f(j1 + 1 - jj) * f(j1 - 1 + jj) * f(jj + 1 - j1)
-        * f(j1 + m1) * f(j1 - m1) * f(1 + q) * f(1 - q) * f(jj + m)
-        * f(jj - m), f(j1 + jj + 2)))
-    return s * c, r
 
 
 @lru_cache(maxsize=None)
@@ -460,62 +473,34 @@ def _em_block(key, jr, jc, m):
     return rad, {k: v for k, v in total.items() if v != 0}
 
 
-def _em_chain_coeffs(tser1, tser2, n_max, l_cut):
+def _em_chain_coeffs(tser1, tser2, n_max):
     """Exact c_n from single-scattering EM chains (p = 1).
 
     `tser1`/`tser2` map (J, "M"/"E") to monomial dicts with exact
-    values.  Double scattering first enters at c_6, so n_max <= 5 keeps
-    p = 1 exact.
+    values.  Per m the slots are the (J, pol) with J >= max(1, m); the
+    chain radical r, shared by both directions, is folded into A and the
+    polarization parity into B.  The fold is exact for tr(A B) only:
+    a longer chain pairs radicals of different blocks, so it would be
+    wrong at p >= 2.  Double scattering first enters at c_6, so
+    n_max <= 5 keeps p = 1 exact.
     """
-    r_cap = 6 + n_max
     pkey = {"M": "M", "E": "N"}
-    acc = {}
-    slots = [(jj, pol) for jj in range(1, l_cut + 1) for pol in ("M", "E")]
-    for j1, p1 in slots:
-        d1 = tser1.get((j1, p1), {})
-        if not d1:
-            continue
-        for j2, p2 in slots:
-            d2 = tser2.get((j2, p2), {})
-            if not d2:
-                continue
-            if min(r for r, _ in d1) + min(r for r, _ in d2) > r_cap:
-                continue
-            for m in range(min(j1, j2) + 1):
-                rad, u12 = _em_block(pkey[p1] + pkey[p2], j1, j2, m)
-                if not u12:
-                    continue
-                r21, u21 = _em_block(pkey[p2] + pkey[p1], j2, j1, m)
-                if not u21:
-                    continue
-                _same_radical(rad, r21, "chain %s%s(%d, %d, m=%d)"
-                              % (p1, p2, j1, j2, m))
-                par = -1 if (j1 + j2) % 2 else 1
-                if p1 != p2:
-                    par = -par  # polarization-mixing flip on "21"
-                term = _mono_mul(d1, u12, r_cap)
-                term = _mono_mul(term, d2, r_cap)
-                term = _mono_mul(term, u21, r_cap)
-                weight = (1 if m == 0 else 2) * par * rad
-                for key, c in term.items():
-                    acc[key] = acc.get(key, Fraction(0)) + weight * c
-    coeffs = _integrate_traces({1: acc}, em_form=True)
+
+    def pair(a, b, m):
+        (j1, p1), (j2, p2) = a, b
+        rad, u12 = _em_block(pkey[p1] + pkey[p2], j1, j2, m)
+        r21, u21 = _em_block(pkey[p2] + pkey[p1], j2, j1, m)
+        if not (u12 and u21):
+            return None
+        _same_radical(rad, r21, "chain %s%s(%d, %d, m=%d)"
+                      % (p1, p2, j1, j2, m))
+        par = -1 if (j1 + j2 + (p1 != p2)) % 2 else 1
+        return ({k: rad * v for k, v in u12.items()},
+                {k: par * v for k, v in u21.items()})
+
+    traces = _chain_traces(tser1, tser2, pair, 1, 6 + n_max)
+    coeffs = _integrate_traces(traces, em_form=True)
     return {n: coeffs.get(n, Fraction(0)) for n in range(n_max + 1)}
-
-
-def _em_t_slots_pec(r_cap, l_cut):
-    pec = PerfectConductor()
-    slots = {}
-    for jj in range(1, l_cut + 1):
-        lead = 2 * jj + 1
-        if lead > r_cap:
-            continue
-        for pol in ("M", "E"):
-            coeffs = t_scalar_series_fractions(pec, jj, r_cap - lead + 1,
-                                               channel=pol)
-            slots[(jj, pol)] = {(lead + k, lead + k): c
-                                for k, c in enumerate(coeffs) if c != 0}
-    return slots
 
 
 def _em_t_slots_dielectric(eps, mu):
@@ -583,9 +568,9 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
                              "for n <= 5 only")
         if l_cut is None:
             l_cut = max(1, (n_max + 2) // 2)
-        coeffs = _em_chain_coeffs(_em_t_slots_pec(6 + n_max, l_cut),
-                                  _em_t_slots_pec(6 + n_max, l_cut),
-                                  n_max, l_cut)
+        pec = _t_slots(PerfectConductor(), range(1, l_cut + 1), 6 + n_max,
+                       channels=("M", "E"))
+        coeffs = _em_chain_coeffs(pec, pec, n_max)
         certified = {n: n < 2 * l_cut for n in coeffs}
     else:
         raise ValueError("provenance must be 'computed' or 'paper-table'")
@@ -650,9 +635,8 @@ def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
                                     + a_m * (7 * g14_m - 5 * g14_e)),
         }
     elif provenance == "computed":
-        coeffs = _em_chain_coeffs(_em_t_slots_dielectric(eps, mu),
-                                  _em_t_slots_dielectric(eps, mu),
-                                  3, 2)
+        slots = _em_t_slots_dielectric(eps, mu)
+        coeffs = _em_chain_coeffs(slots, slots, 3)
     else:
         raise ValueError("provenance must be 'computed' or 'paper-table'")
     certified = {n: True for n in coeffs}

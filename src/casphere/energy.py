@@ -539,8 +539,9 @@ def integrand(geometry, field_kind, kappa, l_max):
     if geometry.n_spheres != 2:
         raise ValueError("integrand is defined for two-sphere geometries")
     fld = _checked_field(geometry, field_kind, l_max)
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and positive, got %r"
+                         % (kappa,))
     return float(_histories(geometry, fld, [kappa], l_max)[0, l_max])
 
 

@@ -59,7 +59,7 @@ class Neumann:
 
 @dataclass(frozen=True)
 class Dielectric:
-    """Frequency-independent permittivity and permeability, both > 0."""
+    """Frequency-independent permittivity and permeability, finite and > 0."""
 
     eps: float
     mu: float
@@ -112,8 +112,9 @@ class SphereSpec:
                     "Robin zeta must be >= 0 (zeta in (-1, 0) has bound-state "
                     "poles on the imaginary axis), got %r" % (law.zeta,))
         elif isinstance(law, Dielectric):
-            if not (law.eps > 0.0 and law.mu > 0.0):
-                raise ValueError("dielectric requires eps > 0 and mu > 0")
+            if not (0.0 < law.eps < math.inf and 0.0 < law.mu < math.inf):
+                raise ValueError("dielectric requires finite eps > 0 and "
+                                 "mu > 0, got (%r, %r)" % (law.eps, law.mu))
         elif isinstance(law, Dispersive):
             if not callable(law.eps_mu):
                 raise ValueError("Dispersive.eps_mu must be callable")
@@ -145,8 +146,9 @@ def t_scalar_log(spec, l_max, kappa):
     determinant is invariant under this relabeling and it keeps all
     downstream products sign-transparent.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive, got %r" % (kappa,))
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and positive, got %r"
+                         % (kappa,))
     zeta = _effective_zeta(spec.law)
     z = kappa * spec.radius
     ch = bessel_ik_half_chain(l_max, z)
@@ -190,8 +192,9 @@ def t_em_log(spec, l_max, kappa):
     Same internal sign convention as `t_scalar_log`; index l = 0 is zeroed
     (no monopole radiation).
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive, got %r" % (kappa,))
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and positive, got %r"
+                         % (kappa,))
     law = spec.law
     z = kappa * spec.radius
     out = {}
@@ -220,12 +223,10 @@ def t_em_log(spec, l_max, kappa):
         logm = np.empty(l_max + 1)
         sign_e = np.empty(l_max + 1)
         loge = np.empty(l_max + 1)
+        log_eta_m = 0.5 * (math.log(eps) - math.log(mu))  # log sqrt(eps/mu)
+        log_n = 0.5 * (math.log(eps) + math.log(mu))
         for pol, sgn_arr, log_arr in (("M", sign_m, logm), ("E", sign_e, loge)):
-            eta = math.sqrt(eps / mu) if pol == "M" else math.sqrt(mu / eps)
-            log_eta = 0.5 * (math.log(eps) - math.log(mu))
-            if pol == "E":
-                log_eta = -log_eta
-            log_n = 0.5 * (math.log(eps) + math.log(mu))
+            log_eta = log_eta_m if pol == "M" else -log_eta_m
             # numerator: eta i(z) Wi(nz) - n i(nz) Wi(z), may cancel
             t1 = log_eta + li_z + lwi_n
             t2 = log_n + li_n + lwi_z

@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
+from casphere.asymptotics import _g_series, _mono_mul, _w_int
 from casphere.specfun import _threej_rows, bessel_ik_half_chain
 from casphere.tmatrix import (
     Dispersive,
@@ -852,6 +854,85 @@ def leading_lndets_mp(nmat, dps=50):
                 for j in range(k + 1, n):
                     a[i, j] -= f * a[k, j]
     return lndets
+
+
+# ---------------------------------------------------------------------------
+# large-distance series: the slot-by-slot chain enumeration
+# ---------------------------------------------------------------------------
+
+def _t_slot_scalar_ref(law, l, r_cap):
+    """Taylor monomials {(r, r): c} of one internal-sign scalar T entry."""
+    lead = 2 * l + 1
+    if lead > r_cap:
+        return {}
+    coeffs = t_scalar_series_fractions(law, l, r_cap - lead + 1)
+    return {(lead + k, lead + k): c for k, c in enumerate(coeffs) if c != 0}
+
+
+def chain_trace_scalar_ref(t1, t2, p, l_cut, r_cap):
+    """Monomials of sum_m tr N_m^p, one closed chain of slots at a time.
+
+    Enumerates every (l_cut+1)^(2p) slot tuple and, for each m up to the
+    smallest slot, multiplies T1 U12 T2 U21 ... around the chain with the
+    radical-free G factors and the integer slot weights w.
+    """
+    lead1 = {l: min(r for r, _ in d) if d else None for l, d in t1.items()}
+    lead2 = {l: min(r for r, _ in d) if d else None for l, d in t2.items()}
+    g12 = lru_cache(maxsize=None)(lambda lo, li, m: {
+        (0, kp): c for kp, c in _g_series(lo, li, m, 1).items()})
+    g21 = lru_cache(maxsize=None)(lambda lo, li, m: {
+        (0, kp): c for kp, c in _g_series(lo, li, m, -1).items()})
+    acc = {}
+    for slots in product(range(l_cut + 1), repeat=2 * p):
+        base = 0
+        for i, l in enumerate(slots):
+            lv = lead1[l] if i % 2 == 0 else lead2[l]
+            if lv is None:
+                base = r_cap + 1
+                break
+            base += lv
+        if base > r_cap:
+            continue
+        for m in range(min(slots) + 1):
+            wm = 1 if m == 0 else 2
+            term = {(0, 0): Fraction(1)}
+            for i in range(p):
+                a, b = slots[2 * i], slots[2 * i + 1]
+                nxt = slots[(2 * i + 2) % (2 * p)]
+                term = _mono_mul(term, t1[a], r_cap)
+                term = _mono_mul(term, g12(a, b, m), r_cap)
+                term = _mono_mul(term, t2[b], r_cap)
+                term = _mono_mul(term, g21(b, nxt, m), r_cap)
+                if not term:
+                    break
+                wm *= _w_int(a, m) * _w_int(b, m)
+            for key, c in term.items():
+                acc[key] = acc.get(key, Fraction(0)) + wm * c
+    return acc
+
+
+def scalar_series_ref(law1, law2, p_max, l_cut):
+    """{j: b_j} of `expand_scalar` from the slot enumeration.
+
+    A monomial c (kappa R)^r kappa^k of tr N^p adds
+    -c k! / (2p (2p)^(k+1)) to b_{r+1}; orders whose chains all start
+    past the window are skipped.
+    """
+    j_max = 2 * p_max + 2
+    r_cap = j_max - 1
+    t1 = {l: _t_slot_scalar_ref(law1, l, r_cap) for l in range(l_cut + 1)}
+    t2 = {l: _t_slot_scalar_ref(law2, l, r_cap) for l in range(l_cut + 1)}
+    lead = sum(3 if _effective_zeta(law) is None else 1
+               for law in (law1, law2))
+    out = {j: Fraction(0) for j in range(3, j_max + 1)}
+    for p in range(1, p_max + 1):
+        if p * lead > r_cap:
+            continue
+        for (rp, kp), c in chain_trace_scalar_ref(t1, t2, p, l_cut,
+                                                  r_cap).items():
+            out[rp + 1] -= c * Fraction(math.factorial(kp),
+                                        2 * p * (2 * p) ** (kp + 1))
+    return out
 
 
 def node_stack_ref(pairs, nsph, pol, l_min):

@@ -11,8 +11,7 @@ from casphere.asymptotics import (
     _alpha_hat,
     _cg,
     _g_series,
-    _racah_sum,
-    _threej_zero_parts,
+    _threej,
     _w_int,
     dipole_dipole_coefficient,
     eval_series,
@@ -31,7 +30,12 @@ from casphere.tmatrix import (
     SphereSpec,
 )
 
-from _oracles import ThreeJArgs, u_scalar_element, wigner3j
+from _oracles import (
+    ThreeJArgs,
+    scalar_series_ref,
+    u_scalar_element,
+    wigner3j,
+)
 
 D = SphereSpec(1.0, Dirichlet())
 N = SphereSpec(1.0, Neumann())
@@ -49,33 +53,41 @@ DN_TABLE = {3: F(0), 4: F(0), 5: F(17, 48), 6: F(11, 32), 7: F(663, 160),
 # ---------------------------------------------------------------------------
 
 def test_threej_zero_split_matches_reference():
+    # the (0, 0, 0) symbols of the translation factor G
     for l1 in range(6):
         for l2 in range(6):
             for l3 in range(abs(l1 - l2), l1 + l2 + 1):
-                a_rat, delta = _threej_zero_parts(l1, l2, l3)
-                built = float(a_rat) * math.sqrt(float(delta))
+                c, r = _threej(l1, l2, l3, 0, 0)
+                built = float(c) * math.sqrt(r)
                 ref = wigner3j(ThreeJArgs(l1, l2, l3, 0, 0, 0))
                 assert built == pytest.approx(ref, abs=1e-14)
 
 
 def test_threej_m_split_matches_reference():
+    # the (m, -m, 0) symbols of the translation factor G
     for l1 in range(5):
         for l2 in range(5):
             for m in range(-min(l1, l2), min(l1, l2) + 1):
                 for l3 in range(abs(l1 - l2), l1 + l2 + 1):
-                    _, delta = _threej_zero_parts(l1, l2, l3)
-                    if l3 < abs(m):
-                        continue
-                    rad = math.sqrt(float(delta)
-                                    * math.factorial(l1 + m)
-                                    * math.factorial(l1 - m)
-                                    * math.factorial(l2 + m)
-                                    * math.factorial(l2 - m))
-                    sign = -1.0 if (l1 - l2) % 2 else 1.0
-                    built = (sign * rad * math.factorial(l3)
-                             * float(_racah_sum(l1, l2, l3, m)))
+                    c, r = _threej(l1, l2, l3, m, -m)
+                    built = float(c) * math.sqrt(r)
                     ref = wigner3j(ThreeJArgs(l1, l2, l3, m, -m, 0))
                     assert built == pytest.approx(ref, abs=1e-13)
+
+
+def test_exact_threej_matches_reference():
+    # every projection of every symbol with l1, l2 <= 5, both the
+    # (0, 0, 0) row of the translation factor and the (m, -m, 0) rows
+    for l1 in range(6):
+        for l2 in range(6):
+            for l3 in range(abs(l1 - l2), l1 + l2 + 1):
+                for m1 in range(-l1, l1 + 1):
+                    for m2 in range(-l2, l2 + 1):
+                        c, r = _threej(l1, l2, l3, m1, m2)
+                        built = float(c) * math.sqrt(r)
+                        ref = wigner3j(ThreeJArgs(l1, l2, l3, m1, m2,
+                                                  -m1 - m2))
+                        assert built == pytest.approx(ref, abs=1e-14)
 
 
 def test_translation_factor_matches_block():
@@ -120,6 +132,50 @@ def test_mixed_table_exact():
     assert series.coeffs == DN_TABLE
     assert series.prefactor_power == 5
     assert all(series.certified.values())
+
+
+# exact tables of windows the tests above leave out: D-Robin(10) is the
+# series a CLI sweep builds, Robin(1/2)-Robin(1/4) the deepest window
+DR10_P4_L3 = {3: F(-1, 44), 4: F(-3, 242), 5: F(34757, 149072),
+              6: F(233525, 819896), 7: F(346190646841, 100650432960),
+              8: F(119117552863, 73810317504),
+              9: F(825937204193431154903, 30339096241288665600),
+              10: F(63373161978890607097, 42908150398393969920)}
+RHALF_RQUARTER_P4_L5 = {
+    3: F(-2, 15), 4: F(-22, 225), 5: F(-5851, 13500), 6: F(-13609, 45000),
+    7: F(-61639037, 48600000), 8: F(-216432721, 510300000),
+    9: F(-6908908897307, 2571912000000),
+    10: F(38012871747203, 33067440000000)}
+
+
+@pytest.mark.parametrize("law1, law2, l_cut, table", [
+    (Dirichlet(), Robin(10.0), 3, DR10_P4_L3),
+    (Robin(0.5), Robin(0.25), 5, RHALF_RQUARTER_P4_L5),
+])
+def test_deep_windows_pinned(law1, law2, l_cut, table):
+    series = expand_scalar(SphereSpec(1.0, law1), SphereSpec(1.0, law2),
+                           p_max=4, l_cut=l_cut)
+    assert series.coeffs == table
+    assert series.prefactor_power == 3
+    assert series.certified == {j: j <= 8 for j in range(3, 11)}
+
+
+@pytest.mark.parametrize("law1, law2", [
+    (Dirichlet(), Dirichlet()),
+    (Neumann(), Neumann()),
+    (Dirichlet(), Neumann()),
+    (Robin(0.5), Robin(0.25)),
+    (Dirichlet(), Robin(10.0)),
+], ids=["DD", "NN", "DN", "R05-R025", "D-R10"])
+def test_trace_engine_matches_slot_enumeration(law1, law2):
+    # the matrix-product traces against every chain of slots, exactly
+    for p_max in range(1, 5):
+        for l_cut in range(4):
+            series = expand_scalar(SphereSpec(1.0, law1),
+                                   SphereSpec(1.0, law2),
+                                   p_max=p_max, l_cut=l_cut)
+            assert series.coeffs == scalar_series_ref(law1, law2, p_max,
+                                                      l_cut), (p_max, l_cut)
 
 
 def test_neumann_default_window_is_consistent():
@@ -204,6 +260,14 @@ def test_metal_computed_through_c5():
     computed = expand_em_metal(n_max=5, provenance="computed")
     for n in range(6):
         assert computed.coeffs[n] == _METAL_C[n]
+
+
+@pytest.mark.parametrize("l_cut", [4, 5])
+def test_metal_computed_wide_cuts(l_cut):
+    # waves past the default cut change nothing through c_5
+    computed = expand_em_metal(n_max=5, provenance="computed", l_cut=l_cut)
+    assert computed.coeffs == {n: _METAL_C[n] for n in range(6)}
+    assert all(computed.certified.values())
 
 
 def test_metal_uncertified_cut_is_flagged():

@@ -56,6 +56,13 @@ def test_parse_law_rejects_nan_robin(capsys):
         "casphere: robin impedance 'nan' is not a number\n"
 
 
+def test_energy_rejects_infinite_dielectric(capsys):
+    # refused by the sphere spec, before any Bessel chain sees the infinity
+    assert cli.main(["energy", "--field", "em", "--bc1", "dielectric:inf,1",
+                     "--d", "3", "--lmax", "4"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_parse_grid():
     lin = cli.parse_grid("4:6:3")
     assert list(lin) == [4.0, 5.0, 6.0]

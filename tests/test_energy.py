@@ -126,6 +126,11 @@ def test_field_law_mismatch():
         integrand(g_em, REAL_SCALAR, 1.0, 4)
 
 
+def test_integrand_rejects_infinite_kappa():
+    with pytest.raises(ValueError, match="finite and positive"):
+        integrand(pair(DIR, DIR, 4.0), REAL_SCALAR, math.inf, 4)
+
+
 def test_preconditions():
     g = pair(DIR, DIR, 4.0)
     with pytest.raises(ValueError):

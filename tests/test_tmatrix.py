@@ -63,6 +63,21 @@ def test_spec_rejects_nan_robin():
         SphereSpec(1.0, Robin(math.nan))
 
 
+def test_spec_rejects_non_finite_dielectric():
+    # an infinite eps or mu would pass "> 0" and overflow every energy
+    for eps, mu in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SphereSpec(1.0, Dielectric(eps, mu))
+
+
+def test_t_log_rejects_non_finite_kappa():
+    for kappa in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            t_scalar_log(DIR, 4, kappa)
+        with pytest.raises(ValueError, match="finite and positive"):
+            t_em_log(PEC, 4, kappa)
+
+
 def test_robin_inf_is_neumann():
     spec = SphereSpec(R, Robin(math.inf))
     for l in range(4):
