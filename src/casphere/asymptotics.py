@@ -53,12 +53,13 @@ from .tmatrix import (
     Dielectric,
     PerfectConductor,
     Robin,
+    _PEC_ZETAS,
     _alpha_hat,
     _effective_zeta,
     _gamma13_hat,
     _gamma14_hat,
     is_scalar_law,
-    t_scalar_series_fractions,
+    robin_series_fractions,
 )
 
 __all__ = [
@@ -264,20 +265,24 @@ def _mat_mul(x, y, r_cap):
     return out
 
 
-def _t_slots(law, orders, r_cap, channels=(None,)):
+def _t_slots(law, orders, r_cap):
     """Taylor monomials {(l, channel): {(r, r): c}} of internal-sign T.
 
-    `channels` are "M"/"E" for a perfect conductor; orders whose series
-    starts past r_cap are left out.
+    A Robin-family law has the one channel None at its own zeta, a
+    perfect conductor the channels "M" and "E" at zeta = 0 and -1;
+    orders whose series starts past r_cap are left out.
     """
+    if isinstance(law, PerfectConductor):
+        channels = list(zip(("M", "E"), _PEC_ZETAS))
+    else:
+        channels = [(None, _effective_zeta(law))]
     slots = {}
     for l in orders:
         lead = 2 * l + 1
         if lead > r_cap:
             break
-        for ch in channels:
-            coeffs = t_scalar_series_fractions(law, l, r_cap - lead + 1,
-                                               channel=ch)
+        for ch, zeta in channels:
+            coeffs = robin_series_fractions(zeta, l, r_cap - lead + 1)
             slots[(l, ch)] = {(lead + k, lead + k): c
                               for k, c in enumerate(coeffs) if c != 0}
     return slots
@@ -549,8 +554,8 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
         "paper-table" returns the tabulated values; "computed" runs the
         exact single-scattering engine with PEC Mie series.
     l_cut : int, optional
-        Partial-wave cut for the computed route; defaults to the
-        smallest window that certifies all requested orders.
+        Partial-wave cut (at least 1) for the computed route; defaults
+        to the smallest window that certifies all requested orders.
 
     Returns
     -------
@@ -568,8 +573,10 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
                              "for n <= 5 only")
         if l_cut is None:
             l_cut = max(1, (n_max + 2) // 2)
-        pec = _t_slots(PerfectConductor(), range(1, l_cut + 1), 6 + n_max,
-                       channels=("M", "E"))
+        elif l_cut < 1:
+            raise ValueError("EM partial waves start at l = 1, got "
+                             "l_cut=%r" % (l_cut,))
+        pec = _t_slots(PerfectConductor(), range(1, l_cut + 1), 6 + n_max)
         coeffs = _em_chain_coeffs(pec, pec, n_max)
         certified = {n: n < 2 * l_cut for n in coeffs}
     else:

@@ -34,7 +34,9 @@ from .asymptotics import (
     expand_scalar,
 )
 from .energy import (
+    REAL_SCALAR,
     DomainError,
+    FieldKind,
     Geometry,
     QuadSpec,
     casimir_energy,
@@ -373,14 +375,18 @@ def _series_for(field, law1, law2):
     return None
 
 
-def _series_value(field, law1, law2, radius, d, n_terms=None):
+def _field_factor(field):
+    """2.0 for the complex scalar, twice the real-scalar energy at equal
+    blocks, else 1.0: the ratio of the field prefactors."""
+    return FieldKind(field).prefactor / REAL_SCALAR.prefactor
+
+
+def _series_value(field, law1, law2, radius, d):
     series = _series_for(field, law1, law2)
     if series is None:
         return math.nan
-    value = eval_series(series, radius, d, n_terms=n_terms).value * radius
-    if field == "scalar-complex":
-        value *= 2.0  # twice the real-scalar energy at equal blocks
-    return value
+    return eval_series(series, radius, d).value * radius \
+        * _field_factor(field)
 
 
 def _pfa_dimensionless(field, law1, law2, radius, d):
@@ -388,10 +394,7 @@ def _pfa_dimensionless(field, law1, law2, radius, d):
     if field == "em":
         return "em", pfa_energy_em(radius, d) * radius
     case = amplitude_case(law1, law2)
-    value = pfa_energy(radius, d, case) * radius
-    if field == "scalar-complex":
-        value *= 2.0
-    return case, value
+    return case, pfa_energy(radius, d, case) * radius * _field_factor(field)
 
 
 def _point_row(field, law1, law2, radius, d, lmax_arg, qtol):
@@ -500,8 +503,8 @@ def cmd_series(args):
     evaluation = None
     if args.d is not None:
         sval = eval_series(series, args.radius, args.d)
-        scale = args.radius * (2.0 if args.field == "scalar-complex" else 1.0)
-        evaluation = {"d": args.d, "value": sval.value * scale,
+        evaluation = {"d": args.d, "value": sval.value * args.radius
+                      * _field_factor(args.field),
                       "n_terms": len(sval.terms),
                       "first_growing": sval.first_growing}
         extra.append("eval: d=%s value=%s n_terms=%d first_growing=%s"

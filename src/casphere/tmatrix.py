@@ -138,6 +138,37 @@ def _effective_zeta(law):
 # scaled diagonal entries (imaginary frequency)
 # ---------------------------------------------------------------------------
 
+# a perfect conductor's magnetic (TE) and electric (TM) channels are the
+# Robin entries at zeta = 0 and zeta = -1: -i_l/k_l and -(z i_l)'/(z k_l)'
+_PEC_ZETAS = (0, -1)
+
+
+def _robin_log(ch, zeta):
+    """(sign, log|.|) of the scaled Robin entries T_l e^{-2z} on one chain.
+
+    T_l = -(i_l/k_l)(1 - zeta (l + z rho))/(1 + zeta (z sigma - l)), with
+    z rho = z i'_l/i_l - l > 0 and z sigma - l = l - z k'_l/k_l >= l + 1
+    from the ratio chains, so each bracket is a sum of same-sign terms
+    for zeta >= 0.  zeta None is the Neumann limit
+    +(i_l/k_l)(l + z rho)/(z sigma - l); the denominator is signed, so
+    zeta = -1 (a perfect conductor's electric channel) works too.
+    """
+    # log of (i_l/k_l) e^{-2z} = (pi/2) (I e^{-z})/(K e^{+z})
+    log_ratio = math.log(math.pi / 2.0) + ch.log_i - ch.log_k
+    if zeta == 0:  # Dirichlet: T = -i_l/k_l
+        return -np.ones_like(log_ratio), log_ratio
+    lv = np.arange(len(log_ratio), dtype=float)
+    zrho = ch.z * ch.rho
+    zsig_l = ch.z * ch.sigma - lv
+    if zeta is None:
+        num, den = -(lv + zrho), zsig_l
+    else:
+        num, den = 1.0 - zeta * (lv + zrho), 1.0 + zeta * zsig_l
+    with np.errstate(divide="ignore"):
+        logmag = log_ratio + np.log(np.abs(num)) - np.log(np.abs(den))
+    return -np.sign(num) * np.sign(den), logmag
+
+
 def t_scalar_log(spec, l_max, kappa):
     """Scaled scalar entries: (sign, log|.|) of T_l e^{-2 kappa R}.
 
@@ -150,29 +181,7 @@ def t_scalar_log(spec, l_max, kappa):
         raise ValueError("kappa must be finite and positive, got %r"
                          % (kappa,))
     zeta = _effective_zeta(spec.law)
-    z = kappa * spec.radius
-    ch = bessel_ik_half_chain(l_max, z)
-    lv = np.arange(l_max + 1, dtype=float)
-    # log of (i_l/k_l) e^{-2z} = (pi/2) (I e^{-z})/(K e^{+z})
-    log_ratio = math.log(math.pi / 2.0) + ch.log_i - ch.log_k
-    zrho = z * ch.rho          # z i'_l/i_l - l  (positive)
-    zsig_l = z * ch.sigma - lv  # l - z k'_l/k_l  (>= l + 1, no cancellation)
-    if zeta == 0.0:  # Dirichlet: T = -i_l/k_l
-        sign = -np.ones(l_max + 1)
-        logmag = log_ratio
-    elif zeta is None:  # Neumann: T = +(i_l/k_l)(l + z rho)/(z sigma - l)
-        sign = np.ones(l_max + 1)
-        logmag = log_ratio + np.log(lv + zrho) - np.log(zsig_l)
-    else:
-        # T = -(i_l/k_l) (1 - zeta l - zeta z rho)/(1 + zeta (z sigma - l))
-        num = 1.0 - zeta * (lv + zrho)
-        den = 1.0 + zeta * zsig_l
-        sign = -np.sign(num)
-        with np.errstate(divide="ignore"):
-            logmag = log_ratio + np.where(num != 0.0,
-                                          np.log(np.abs(num)), -np.inf) \
-                - np.log(den)
-    return sign, logmag
+    return _robin_log(bessel_ik_half_chain(l_max, kappa * spec.radius), zeta)
 
 
 def _em_log_parts(l_max, z):
@@ -187,9 +196,10 @@ def _em_log_parts(l_max, z):
 
 
 def t_em_log(spec, l_max, kappa):
-    """Scaled EM entries: {"M": (sign, log), "E": (sign, log)} of T e^{-2z}.
+    """Scaled EM entries: (sign, log) of T e^{-2z}, l-major with the
+    polarizations (M, E) interleaved, length 2 (l_max + 1).
 
-    Same internal sign convention as `t_scalar_log`; index l = 0 is zeroed
+    Same internal sign convention as `t_scalar_log`; order l = 0 is zeroed
     (no monopole radiation).
     """
     if not 0.0 < kappa < math.inf:
@@ -197,17 +207,12 @@ def t_em_log(spec, l_max, kappa):
                          % (kappa,))
     law = spec.law
     z = kappa * spec.radius
-    out = {}
+    sign = np.empty(2 * (l_max + 1))
+    logmag = np.empty(2 * (l_max + 1))
     if isinstance(law, PerfectConductor):
         ch = bessel_ik_half_chain(l_max, z)
-        lv = np.arange(l_max + 1, dtype=float)
-        log_ratio = math.log(math.pi / 2.0) + ch.log_i - ch.log_k
-        # magnetic: -i_l/k_l ; electric: -(z i_l)'/(z k_l)' > 0
-        sign_m = -np.ones(l_max + 1)
-        logm = log_ratio
-        sign_e = np.ones(l_max + 1)
-        loge = log_ratio + np.log(1.0 + lv + z * ch.rho) \
-            - np.log(z * ch.sigma - lv - 1.0)
+        for pol, zeta in enumerate(_PEC_ZETAS):
+            sign[pol::2], logmag[pol::2] = _robin_log(ch, zeta)
     elif isinstance(law, (Dielectric, Dispersive)):
         if isinstance(law, Dispersive):
             eps, mu = law.eps_mu(kappa)
@@ -219,14 +224,9 @@ def t_em_log(spec, l_max, kappa):
         n = math.sqrt(eps * mu)
         li_z, lk_z, lwi_z, lwk_z = _em_log_parts(l_max, z)
         li_n, _, lwi_n, _ = _em_log_parts(l_max, n * z)
-        sign_m = np.empty(l_max + 1)
-        logm = np.empty(l_max + 1)
-        sign_e = np.empty(l_max + 1)
-        loge = np.empty(l_max + 1)
         log_eta_m = 0.5 * (math.log(eps) - math.log(mu))  # log sqrt(eps/mu)
         log_n = 0.5 * (math.log(eps) + math.log(mu))
-        for pol, sgn_arr, log_arr in (("M", sign_m, logm), ("E", sign_e, loge)):
-            log_eta = log_eta_m if pol == "M" else -log_eta_m
+        for pol, log_eta in enumerate((log_eta_m, -log_eta_m)):
             # numerator: eta i(z) Wi(nz) - n i(nz) Wi(z), may cancel
             t1 = log_eta + li_z + lwi_n
             t2 = log_n + li_n + lwi_z
@@ -237,21 +237,15 @@ def t_em_log(spec, l_max, kappa):
             d1 = log_eta + lk_z + lwi_n
             d2 = log_n + li_n + lwk_z
             logden = np.logaddexp(d1, d2)
-            sgn_arr[:] = -np.sign(num)
+            sign[pol::2] = -np.sign(num)
             with np.errstate(divide="ignore"):
-                log_arr[:] = np.where(num != 0.0,
-                                      np.log(np.abs(num)), -np.inf) \
-                    + hi - logden
+                logmag[pol::2] = np.log(np.abs(num)) + hi - logden
     else:
         raise TypeError("EM T-matrix requires Dielectric, Dispersive or "
                         "PerfectConductor, got %r" % (law,))
-    sign_m[0] = 0.0
-    sign_e[0] = 0.0
-    logm[0] = -np.inf
-    loge[0] = -np.inf
-    out["M"] = (sign_m, logm)
-    out["E"] = (sign_e, loge)
-    return out
+    sign[:2] = 0.0
+    logmag[:2] = -np.inf
+    return sign, logmag
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +289,13 @@ def _series_inv(a, n):
     return inv
 
 
-def t_scalar_series_fractions(law, l, n_terms, channel=None):
-    """Exact Taylor coefficients of the internal-sign T_l(i kappa).
+def robin_series_fractions(zeta, l, n_terms):
+    """Exact Taylor coefficients of the internal-sign Robin T_l(i kappa).
 
     Returns [c_0, c_1, ...] with T_l = sum_k c_k z^{2l+1+k}, z = kappa R,
-    as Fractions.  `channel` selects "M"/"E" for PerfectConductor; Robin
-    zeta enters through its exact binary value.
+    as Fractions, of T_l = -(i_l - zeta z i_l')/(k_l - zeta z k_l');
+    zeta enters through its exact binary value, and None is the Neumann
+    limit.  A perfect conductor's channels are zeta = 0 (M) and -1 (E).
     """
     n = n_terms + 2 * l + 2  # padding for intermediate products
     # regular kernel: i_l = z^l sum_j a_j z^{2j}
@@ -310,57 +305,25 @@ def t_scalar_series_fractions(law, l, n_terms, channel=None):
         a[2 * j] = Fraction(1, (2 ** j) * _fact(j) * _dfact(2 * l + 2 * j + 1))
         j += 1
     # z i_l' = z^l sum_j (l+2j) a_j z^{2j}
-    b = [Fraction(0)] * n
-    j = 0
-    while 2 * j < n:
-        b[2 * j] = (l + 2 * j) * a[2 * j]
-        j += 1
+    b = [(l + k) * ak for k, ak in enumerate(a)]
     # outgoing kernel: k_l = e^{-z} z^{-(l+1)} P(z), P of degree l
-    p = [Fraction(0)] * (l + 2)
+    p = [Fraction(0)] * n
     for i in range(l + 1):
-        c_i = Fraction(_fact(l + i), _fact(i) * _fact(l - i) * 2 ** i)
-        p[l - i] = c_i
+        p[l - i] = Fraction(_fact(l + i), _fact(i) * _fact(l - i) * 2 ** i)
     # z k_l' = e^{-z} z^{-(l+1)} [z P' - z P - (l+1) P]
-    q = [Fraction(0)] * (l + 2)
+    q = [Fraction(0)] * n
     for i in range(l + 1):
-        q[i] -= (l + 1) * p[i]
-        if i + 1 <= l + 1:
-            q[i + 1] -= p[i]
-    for i in range(1, l + 1):
-        q[i] += i * p[i]
-
-    def bracket(zeta_frac, num_side):
-        if num_side:
-            if zeta_frac is None:  # Neumann: z i'
-                return b
-            return [ai - zeta_frac * bi for ai, bi in zip(a, b)]
-        if zeta_frac is None:  # Neumann: z k'
-            return list(q)
-        return [pi - zeta_frac * qi
-                for pi, qi in zip(p + [Fraction(0)] * (n - len(p)),
-                                  q + [Fraction(0)] * (n - len(q)))]
-
-    if isinstance(law, (Robin, Dirichlet, Neumann)):
-        zeta = _effective_zeta(law)
-        zf = None if zeta is None else Fraction(zeta)
-        num = bracket(zf, True)
-        den = bracket(zf, False)
-    elif isinstance(law, PerfectConductor):
-        if channel == "M":
-            num, den = a, list(p)
-        elif channel == "E":
-            # (z i)' = i + z i' ; (z k)' = k + z k'
-            num = [ai + bi for ai, bi in zip(a, b)]
-            den = [pi + qi for pi, qi in zip(p + [Fraction(0)], q)]
-        else:
-            raise ValueError("PEC series requires channel 'M' or 'E'")
+        q[i] += (i - l - 1) * p[i]
+        q[i + 1] -= p[i]
+    if zeta is None:
+        num, den = b, q
     else:
-        raise TypeError("rational series requires Robin-family or PEC law")
-
+        zeta = Fraction(zeta)
+        num = [ai - zeta * bi for ai, bi in zip(a, b)]
+        den = [pi - zeta * qi for pi, qi in zip(p, q)]
     # T = -z^{2l+1} e^{z} num(z)/den(z)
     e = [Fraction(1, _fact(k)) for k in range(n)]
-    den_full = den + [Fraction(0)] * (n - len(den))
-    series = _series_mul(_series_mul(num, e, n), _series_inv(den_full, n), n)
+    series = _series_mul(_series_mul(num, e, n), _series_inv(den, n), n)
     return [-c for c in series[:n_terms]]
 
 

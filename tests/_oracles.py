@@ -25,15 +25,18 @@ from casphere.specfun import _threej_rows, bessel_ik_half_chain
 from casphere.tmatrix import (
     Dispersive,
     PerfectConductor,
+    _PEC_ZETAS,
     _alpha_hat,
     _dfact,
     _effective_zeta,
     _gamma13_hat,
     _gamma14_hat,
+    _series_inv,
+    _series_mul,
     is_scalar_law,
+    robin_series_fractions,
     t_em_log,
     t_scalar_log,
-    t_scalar_series_fractions,
 )
 
 
@@ -865,7 +868,7 @@ def _t_slot_scalar_ref(law, l, r_cap):
     lead = 2 * l + 1
     if lead > r_cap:
         return {}
-    coeffs = t_scalar_series_fractions(law, l, r_cap - lead + 1)
+    coeffs = robin_series_fractions(_effective_zeta(law), l, r_cap - lead + 1)
     return {(lead + k, lead + k): c for k, c in enumerate(coeffs) if c != 0}
 
 
@@ -1031,7 +1034,7 @@ def history_pair_ref(geometry, fld, kappa, l_max):
     det([[1, -P], [-Q, 1]]) is det(1 - P_l Q_l) with both factors and all
     polarizations truncated consistently.
     """
-    from casphere.energy import _per_pol, _stack_history, _t_log
+    from casphere.energy import _per_pol, _stack_history
     from casphere.translation import node_kernel
     sp1, sp2 = geometry.spheres
     d = geometry.d
@@ -1047,13 +1050,80 @@ def history_pair_ref(geometry, fld, kappa, l_max):
     with np.errstate(under="ignore"):
         scale = []
         for sp in (sp1, sp2):
-            s, g = _t_log(sp, fld, l_max, kappa)
+            s, g = (t_em_log if fld.is_em else t_scalar_log)(sp, l_max,
+                                                              kappa)
             scale.append(rd * s[:, None] * np.exp(
                 (g + peel_t)[:, None] + kern.log_scale + peel_u))
     # one node: a leading node axis of length 1
     pairs = [(0, 1, scale[0][None], kern.oriented("12")[None]),
              (1, 0, scale[1][None], kern.oriented("21")[None])]
     return _stack_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)[0]
+
+
+# ---------------------------------------------------------------------------
+# A perfect conductor's T-matrix written out by channel: independent forms
+# of the production Robin entries at zeta = 0 (M) and zeta = -1 (E)
+# ---------------------------------------------------------------------------
+
+def pec_series_ref(l, n_terms, channel):
+    """Exact Taylor coefficients of a perfect conductor's internal-sign T_l.
+
+    T_M = -i_l/k_l and T_E = -(z i_l)'/(z k_l)' from the power series of
+    i_l and z i_l' and the polynomial kernels of k_l and z k_l'; returns
+    [c_0, c_1, ...] with T = sum_k c_k z^{2l+1+k}.
+    """
+    n = n_terms + 2 * l + 2  # padding for intermediate products
+    # regular kernel: i_l = z^l sum_j a_j z^{2j}
+    a = [Fraction(0)] * n
+    j = 0
+    while 2 * j < n:
+        a[2 * j] = Fraction(1, (2 ** j) * _fact(j) * _dfact(2 * l + 2 * j + 1))
+        j += 1
+    # z i_l' = z^l sum_j (l+2j) a_j z^{2j}
+    b = [Fraction(0)] * n
+    j = 0
+    while 2 * j < n:
+        b[2 * j] = (l + 2 * j) * a[2 * j]
+        j += 1
+    # outgoing kernel: k_l = e^{-z} z^{-(l+1)} P(z), P of degree l
+    p = [Fraction(0)] * (l + 2)
+    for i in range(l + 1):
+        c_i = Fraction(_fact(l + i), _fact(i) * _fact(l - i) * 2 ** i)
+        p[l - i] = c_i
+    # z k_l' = e^{-z} z^{-(l+1)} [z P' - z P - (l+1) P]
+    q = [Fraction(0)] * (l + 2)
+    for i in range(l + 1):
+        q[i] -= (l + 1) * p[i]
+        if i + 1 <= l + 1:
+            q[i + 1] -= p[i]
+    for i in range(1, l + 1):
+        q[i] += i * p[i]
+    if channel == "M":
+        num, den = a, list(p)
+    elif channel == "E":
+        # (z i)' = i + z i' ; (z k)' = k + z k'
+        num = [ai + bi for ai, bi in zip(a, b)]
+        den = [pi + qi for pi, qi in zip(p + [Fraction(0)], q)]
+    else:
+        raise ValueError("PEC series requires channel 'M' or 'E'")
+    # T = -z^{2l+1} e^{z} num(z)/den(z)
+    e = [Fraction(1, _fact(k)) for k in range(n)]
+    den_full = den + [Fraction(0)] * (n - len(den))
+    series = _series_mul(_series_mul(num, e, n), _series_inv(den_full, n), n)
+    return [-c for c in series[:n_terms]]
+
+
+def pec_log_ref(l_max, z):
+    """{"M": (sign, log), "E": (sign, log)} of a perfect conductor's
+    scaled entries T_l e^{-2z}, l = 0..l_max: -i_l/k_l and
+    -(z i_l)'/(z k_l)' > 0 from the Bessel ratio chains."""
+    ch = bessel_ik_half_chain(l_max, z)
+    lv = np.arange(l_max + 1, dtype=float)
+    log_ratio = math.log(math.pi / 2.0) + ch.log_i - ch.log_k
+    loge = log_ratio + np.log(1.0 + lv + z * ch.rho) \
+        - np.log(z * ch.sigma - lv - 1.0)
+    return {"M": (-np.ones(l_max + 1), log_ratio),
+            "E": (np.ones(l_max + 1), loge)}
 
 
 # ---------------------------------------------------------------------------
@@ -1132,8 +1202,8 @@ def t_em_imag(spec, l, kappa):
     z = kappa * spec.radius
     pref = -1.0 if l % 2 == 0 else 1.0
     out = []
-    for pol in ("M", "E"):
-        sign, logmag = blocks[pol]
+    for pol in (0, 1):  # M, E
+        sign, logmag = (v[pol::2] for v in blocks)
         out.append(pref * float(sign[l]) * math.exp(float(logmag[l]) + 2.0 * z))
     return tuple(out)
 
@@ -1165,7 +1235,7 @@ def t_low_kappa_series(spec, l, order):
     law = spec.law
     base = 2 * l + 1
     if is_scalar_law(law):
-        fr = t_scalar_series_fractions(law, l, order + 1)
+        fr = robin_series_fractions(_effective_zeta(law), l, order + 1)
         pref = -1.0 if l % 2 == 0 else 1.0  # undo internal sign
         coeffs = {base + k: pref * float(c) * spec.radius ** (base + k)
                   for k, c in enumerate(fr)}
@@ -1175,8 +1245,8 @@ def t_low_kappa_series(spec, l, order):
     pref = -1.0 if l % 2 == 0 else 1.0  # undo internal sign
     if isinstance(law, PerfectConductor):
         out = {}
-        for pol in ("M", "E"):
-            fr = t_scalar_series_fractions(law, l, order + 1, channel=pol)
+        for pol, zeta in zip(("M", "E"), _PEC_ZETAS):
+            fr = robin_series_fractions(zeta, l, order + 1)
             out[pol] = {base + k: pref * float(c) * spec.radius ** (base + k)
                         for k, c in enumerate(fr)}
         return out

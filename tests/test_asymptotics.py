@@ -327,6 +327,14 @@ def test_metal_validation():
         expand_em_metal(provenance="guessed")
 
 
+def test_metal_refuses_a_cut_below_the_dipole():
+    # EM partial waves start at l = 1: a cut below it would keep no slot
+    # and return all-zero coefficients
+    for l_cut in (0, -3):
+        with pytest.raises(ValueError, match="l_cut"):
+            expand_em_metal(n_max=2, provenance="computed", l_cut=l_cut)
+
+
 def test_dielectric_routes_agree_exactly():
     spec = SphereSpec(1.0, Dielectric(2.0, 1.0))
     table = expand_em_dielectric(spec, spec)

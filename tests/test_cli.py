@@ -63,6 +63,13 @@ def test_energy_rejects_infinite_dielectric(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_energy_rejects_huge_dielectric(capsys):
+    # finite, but its Bessel argument n kappa R is refused, not computed
+    assert cli.main(["energy", "--field", "em", "--bc1", "dielectric:1e300,1",
+                     "--d", "3", "--lmax", "2"]) == 2
+    assert "bessel argument" in capsys.readouterr().err
+
+
 def test_parse_grid():
     lin = cli.parse_grid("4:6:3")
     assert list(lin) == [4.0, 5.0, 6.0]

@@ -1,6 +1,7 @@
 """Tests for the energy module: assembly, quadrature, extrapolation."""
 
 import math
+import time
 import warnings
 from unittest import mock
 
@@ -129,6 +130,16 @@ def test_field_law_mismatch():
 def test_integrand_rejects_infinite_kappa():
     with pytest.raises(ValueError, match="finite and positive"):
         integrand(pair(DIR, DIR, 4.0), REAL_SCALAR, math.inf, 4)
+
+
+def test_integrand_refuses_a_huge_refractive_index_quickly():
+    # n = 1e150 puts the inner Bessel chain at n kappa R, far past what
+    # its continued fraction can reach in reasonable time
+    huge = SphereSpec(R, Dielectric(1e300, 1.0))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="bessel argument z="):
+        integrand(pair(huge, huge, 3.0), ELECTROMAGNETIC, 1.0, 2)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_preconditions():

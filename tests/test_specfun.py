@@ -1,6 +1,7 @@
 """Tests for scaled Bessel chains and Wigner 3j symbols."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,13 @@ def test_bessel_domain_errors():
         bessel_ik_half(L_CEILING + 1, 1.0)
     with pytest.raises(ValueError):
         bessel_ik_half_chain(-1, 1.0)
+
+
+def test_bessel_chain_refuses_a_huge_argument():
+    # the I continued fraction would run about z pure-Python steps
+    for z in (1.0001e7, 1e150, math.inf):
+        with pytest.raises(ValueError, match=re.escape("z=%r" % (z,))):
+            bessel_ik_half_chain(2, z)
 
 
 def test_explicit_low_orders():

@@ -14,12 +14,14 @@ from casphere.tmatrix import (
     PerfectConductor,
     Robin,
     SphereSpec,
+    robin_series_fractions,
     t_em_log,
     t_scalar_log,
-    t_scalar_series_fractions,
 )
 
 from _oracles import (
+    pec_log_ref,
+    pec_series_ref,
     phase_shift,
     t_em_imag,
     t_em_ref,
@@ -241,6 +243,23 @@ def test_pec_static_polarizabilities():
         assert tm / k ** 3 == pytest.approx(-rad ** 3 / 3.0, rel=1e-6)
 
 
+def test_pec_logs_are_robin_logs_at_zeta_0_and_minus_1():
+    # M is the Dirichlet entry bit for bit.  E sums 1 + (l + z rho) where
+    # the channel bracket summed (1 + l) + z rho: its log moves by at most
+    # 4 ulp of max(|log|, 1) (2 ulp seen)
+    for z in np.geomspace(1e-6, 1e3, 91):
+        sign, logmag = t_em_log(PEC, 40, z)
+        ref = pec_log_ref(40, z)
+        assert np.array_equal(sign[0:2], [0.0, 0.0])
+        assert np.array_equal(logmag[0:2], [-np.inf, -np.inf])
+        assert np.array_equal(sign[2::2], ref["M"][0][1:])
+        assert logmag[2::2].tobytes() == ref["M"][1][1:].tobytes()
+        assert np.array_equal(sign[3::2], ref["E"][0][1:])
+        ref_e = ref["E"][1][1:]
+        err = np.abs(logmag[3::2] - ref_e)
+        assert np.all(err <= 4 * np.spacing(np.maximum(np.abs(ref_e), 1.0)))
+
+
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 @pytest.mark.parametrize("z", [0.1, 0.5, 1.5, 5.0])
 def test_dielectric_pec_limit(l, z):
@@ -259,7 +278,7 @@ def test_em_depends_on_z_only():
 def test_em_log_deep_multipole_no_underflow():
     # log-domain assembly keeps l ~ 60 entries representable at small z
     blocks = t_em_log(SphereSpec(R, Dielectric(2.0, 1.0)), 60, 1e-2)
-    sign, logmag = blocks["E"]
+    sign, logmag = blocks[0][1::2], blocks[1][1::2]
     assert sign[60] != 0.0
     assert np.isfinite(logmag[60])
 
@@ -366,9 +385,19 @@ def test_series_consistency_dielectric(eps, mu, l):
         assert approx == pytest.approx(direct, rel=1e-4)
 
 
+def test_pec_series_are_robin_series_at_zeta_0_and_minus_1():
+    # EM multipoles start at l = 1 ((z k_0)' has no constant term)
+    for l in range(1, 9):
+        for n_terms in range(11):
+            assert robin_series_fractions(0, l, n_terms) \
+                == pec_series_ref(l, n_terms, "M")
+            assert robin_series_fractions(-1, l, n_terms) \
+                == pec_series_ref(l, n_terms, "E")
+
+
 def test_series_fractions_dirichlet_closed_form():
     # T for Dirichlet l=0 is -(sinh z) e^z = -(e^{2z}-1)/2 internally
-    fr = t_scalar_series_fractions(Dirichlet(), 0, 6)
+    fr = robin_series_fractions(0, 0, 6)
     from fractions import Fraction
     ref = [-Fraction(2 ** (k + 1), math.factorial(k + 1)) / 2
            for k in range(6)]
