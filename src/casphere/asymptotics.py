@@ -16,11 +16,13 @@ engine, `_chain_traces`, gives every order at once as
     sum_m w_m tr (A_m B_m)^p,   w_0 = 1, w_{m>0} = 2,
 
 from products of small sparse matrices whose entries are monomial dicts
-(A_m = T1 U12 and B_m = T2 U21 restricted to orders >= m).  Every power
-of kappa R is >= 0, so truncating each product at the highest power kept
-commutes with the products and the result is exact.  One exact Wigner
-3j, Racah's formula on surds c sqrt(r) (c a Fraction, r a squarefree
-integer), builds both the scalar translation factors and the
+(A_m = T1 U12 and B_m = T2 U21 restricted to orders >= m).  Each T
+series is the exact Taylor series of its law's one `tmatrix` bracket,
+dielectric spheres included.  Every power of kappa R is >= 0, so
+truncating each product at the highest power kept commutes with the
+products and the result is exact.  One exact Wigner 3j, Racah's
+formula on surds c sqrt(r) (c a Fraction, r a squarefree integer),
+builds both the scalar translation factors and the
 electromagnetic recoupling weights.  A scalar entry U = sqrt(w w) G has
 rational G, and around a closed chain each slot meets two U entries, so
 its weight w enters whole.  An electromagnetic block carries a single
@@ -53,13 +55,13 @@ from .tmatrix import (
     Dielectric,
     PerfectConductor,
     Robin,
-    _PEC_ZETAS,
     _alpha_hat,
     _effective_zeta,
     _gamma13_hat,
     _gamma14_hat,
+    _series_brackets,
     is_scalar_law,
-    robin_series_fractions,
+    mie_series_fractions,
 )
 
 __all__ = [
@@ -268,21 +270,17 @@ def _mat_mul(x, y, r_cap):
 def _t_slots(law, orders, r_cap):
     """Taylor monomials {(l, channel): {(r, r): c}} of internal-sign T.
 
-    A Robin-family law has the one channel None at its own zeta, a
-    perfect conductor the channels "M" and "E" at zeta = 0 and -1;
+    Every law maps through its exact brackets (`_series_brackets`);
     orders whose series starts past r_cap are left out.
     """
-    if isinstance(law, PerfectConductor):
-        channels = list(zip(("M", "E"), _PEC_ZETAS))
-    else:
-        channels = [(None, _effective_zeta(law))]
     slots = {}
     for l in orders:
         lead = 2 * l + 1
         if lead > r_cap:
             break
-        for ch, zeta in channels:
-            coeffs = robin_series_fractions(zeta, l, r_cap - lead + 1)
+        n = r_cap - lead + 1
+        for ch, (alpha, beta) in _series_brackets(law, l, n).items():
+            coeffs = mie_series_fractions(alpha, beta, l, n)
             slots[(l, ch)] = {(lead + k, lead + k): c
                               for k, c in enumerate(coeffs) if c != 0}
     return slots
@@ -508,26 +506,6 @@ def _em_chain_coeffs(tser1, tser2, n_max):
     return {n: coeffs.get(n, Fraction(0)) for n in range(n_max + 1)}
 
 
-def _em_t_slots_dielectric(eps, mu):
-    """Exact internal-sign dielectric T monomials at the printed depth.
-
-    Static response data exist through (kappa R)^6 for J = 1 and
-    (kappa R)^5 for J = 2 (the even follow-up orders vanish), which is
-    exactly what the d^-7 .. d^-10 window consumes.
-    """
-    slots = {}
-    for pol, x, y in (("E", eps, mu), ("M", mu, eps)):
-        lead1 = Fraction(2, 3) * _alpha_hat(x, 1)
-        slots[(1, pol)] = {k: v for k, v in {
-            (3, 3): lead1,
-            (5, 5): _gamma13_hat(x, y),
-            (6, 6): _gamma14_hat(x),
-        }.items() if v != 0}
-        lead2 = Fraction(1, 30) * _alpha_hat(x, 2)
-        slots[(2, pol)] = {(5, 5): lead2} if lead2 != 0 else {}
-    return slots
-
-
 _METAL_C = {
     0: Fraction(143, 16),
     1: Fraction(0),
@@ -604,8 +582,10 @@ def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
     vanishing d^-8 term, and the d^-9/d^-10 brackets mixing quadrupole
     and finite-frequency dipole response.  "paper-table" assembles the
     printed bracket combinations from the static response data;
-    "computed" re-derives all four through the exact recoupling engine,
-    which provides an independent check including the d^-8 zero.
+    "computed" re-derives all four from first principles: each sphere's
+    exact Mie series (partial waves 1 and 2) through the single-scattering
+    engine, an independent check of the printed data including the d^-8
+    zero.
 
     Parameters
     ----------
@@ -625,9 +605,8 @@ def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
     if spec1.radius != spec2.radius or spec1.law != spec2.law:
         raise ValueError("the dielectric expansion is implemented for "
                          "identical spheres only")
-    eps = Fraction(spec1.law.eps)
-    mu = Fraction(spec1.law.mu)
     if provenance == "paper-table":
+        eps, mu = Fraction(spec1.law.eps), Fraction(spec1.law.mu)
         a_e, a_m = _alpha_hat(eps, 1), _alpha_hat(mu, 1)
         a_e2, a_m2 = _alpha_hat(eps, 2), _alpha_hat(mu, 2)
         g13_e, g13_m = _gamma13_hat(eps, mu), _gamma13_hat(mu, eps)
@@ -642,7 +621,7 @@ def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
                                     + a_m * (7 * g14_m - 5 * g14_e)),
         }
     elif provenance == "computed":
-        slots = _em_t_slots_dielectric(eps, mu)
+        slots = _t_slots(spec1.law, range(1, 3), 9)
         coeffs = _em_chain_coeffs(slots, slots, 3)
     else:
         raise ValueError("provenance must be 'computed' or 'paper-table'")

@@ -61,7 +61,10 @@ def _log_i_half_scaled(z):
 
 
 def _i_ratio_chain(n, z):
-    """rho[l] = I_{l+3/2}(z)/I_{l+1/2}(z) for l = 0..n, at every z > 0."""
+    """rho[l] = I_{l+3/2}(z)/I_{l+1/2}(z) for l = 0..n, 0 < z <= 1e7."""
+    if not 0.0 < z <= _ARG_CEILING:
+        raise ValueError("bessel argument z=%r outside (0, %g]"
+                         % (z, _ARG_CEILING))
     # Downward continued fraction: rho_l = 1/((2l+3)/z + rho_{l+1}).
     # The false solution is damped by at least (z/(2 nu))^2 per step, so
     # 80 spare steps above max(n, z) push the seed error below 1e-30.
@@ -121,12 +124,9 @@ def bessel_ik_half_chain(l_max, z):
     -------
     BesselChain
     """
-    if not 0.0 < z <= _ARG_CEILING:
-        raise ValueError("bessel argument z=%r outside (0, %g]"
-                         % (z, _ARG_CEILING))
     if l_max < 0 or l_max > _CHAIN_CEILING:
         raise ValueError("order l_max=%r outside [0, %d]" % (l_max, _CHAIN_CEILING))
-    rho = _i_ratio_chain(l_max, z)
+    rho = _i_ratio_chain(l_max, z)  # refuses z outside (0, 1e7]
     sigma = _k_ratio_chain(l_max, z)
     log_i = np.empty(l_max + 1)
     log_k = np.empty(l_max + 1)

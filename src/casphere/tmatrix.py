@@ -1,16 +1,21 @@
 """Single-sphere scattering T-matrices on the imaginary frequency axis.
 
 Supported laws: the Robin family (Dirichlet, Neumann, Robin with zeta =
-lambda/R >= 0) for a scalar field, and dielectric or perfectly conducting
-spheres for the electromagnetic field.  All multipoles decouple, so each
-T-matrix is diagonal in (l, m) with entries independent of m.
+lambda/R >= 0) for a scalar field, and dielectric, dispersive or
+perfectly conducting spheres for the electromagnetic field.  All
+multipoles decouple, so each T-matrix is diagonal in (l, m) with entries
+independent of m.
 
-Internally every entry is evaluated in the scaled form T_l e^{-2 kappa R}
-through ratio chains of scaled Bessel functions; the ratios keep every
-bracket a sum of same-sign terms (no cancellation), which is what makes
-l ~ 40-60 at small kappa R feasible.  The scaled entries carry the
-internal sign described in `t_scalar_log`; exact low-frequency series and
-the static dielectric coefficients serve the large-distance expansions.
+Every channel of every law is one bracket at z = kappa R,
+T_l = -(alpha i_l - beta (z i_l)')/(alpha k_l - beta (z k_l)'): Robin
+(1 + zeta, zeta), Neumann (1, 1), a perfect conductor's M and E channels
+the Robin entries at zeta = 0 and -1, and a dielectric alpha =
+(w i_l(w))'/i_l(w) at w = n z with beta = mu (M) or eps (E).  Numerically
+every entry is the scaled T_l e^{-2 kappa R} from ratio chains of scaled
+Bessel functions at z (and the I ratios at n z), so l ~ 40-60 at small
+kappa R stay representable; it carries the internal sign described in
+`t_scalar_log`.  In exact fractions the same brackets give the
+low-frequency series of the large-distance expansions.
 """
 
 import math
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .specfun import bessel_ik_half_chain
+from .specfun import _i_ratio_chain, bessel_ik_half_chain
 
 __all__ = [
     "Robin",
@@ -143,6 +148,21 @@ def _effective_zeta(law):
 _PEC_ZETAS = (0, -1)
 
 
+def _bracket_log(ch, num=None, den=None):
+    """(sign, log|.|) of the scaled entries -(i_l/k_l)(num/den) e^{-2z}.
+
+    num and den are the brackets divided by i_l and k_l, with signs; no
+    bracket is the Dirichlet entry -i_l/k_l.
+    """
+    # log of (i_l/k_l) e^{-2z} = (pi/2) (I e^{-z})/(K e^{+z})
+    log_ratio = math.log(math.pi / 2.0) + ch.log_i - ch.log_k
+    if num is None:
+        return -np.ones_like(log_ratio), log_ratio
+    with np.errstate(divide="ignore"):
+        logmag = log_ratio + np.log(np.abs(num)) - np.log(np.abs(den))
+    return -np.sign(num) * np.sign(den), logmag
+
+
 def _robin_log(ch, zeta):
     """(sign, log|.|) of the scaled Robin entries T_l e^{-2z} on one chain.
 
@@ -153,20 +173,14 @@ def _robin_log(ch, zeta):
     +(i_l/k_l)(l + z rho)/(z sigma - l); the denominator is signed, so
     zeta = -1 (a perfect conductor's electric channel) works too.
     """
-    # log of (i_l/k_l) e^{-2z} = (pi/2) (I e^{-z})/(K e^{+z})
-    log_ratio = math.log(math.pi / 2.0) + ch.log_i - ch.log_k
     if zeta == 0:  # Dirichlet: T = -i_l/k_l
-        return -np.ones_like(log_ratio), log_ratio
-    lv = np.arange(len(log_ratio), dtype=float)
+        return _bracket_log(ch)
+    lv = np.arange(len(ch.rho), dtype=float)
     zrho = ch.z * ch.rho
     zsig_l = ch.z * ch.sigma - lv
     if zeta is None:
-        num, den = -(lv + zrho), zsig_l
-    else:
-        num, den = 1.0 - zeta * (lv + zrho), 1.0 + zeta * zsig_l
-    with np.errstate(divide="ignore"):
-        logmag = log_ratio + np.log(np.abs(num)) - np.log(np.abs(den))
-    return -np.sign(num) * np.sign(den), logmag
+        return _bracket_log(ch, -(lv + zrho), zsig_l)
+    return _bracket_log(ch, 1.0 - zeta * (lv + zrho), 1.0 + zeta * zsig_l)
 
 
 def t_scalar_log(spec, l_max, kappa):
@@ -184,17 +198,6 @@ def t_scalar_log(spec, l_max, kappa):
     return _robin_log(bessel_ik_half_chain(l_max, kappa * spec.radius), zeta)
 
 
-def _em_log_parts(l_max, z):
-    """Per-order logs used by the electromagnetic brackets at argument z."""
-    ch = bessel_ik_half_chain(l_max, z)
-    lv = np.arange(l_max + 1, dtype=float)
-    log_i = ch.log_i + 0.5 * math.log(math.pi / (2.0 * z))   # log i_l e^{-z}
-    log_k = ch.log_k + 0.5 * math.log(2.0 / (math.pi * z))   # log k_l e^{+z}
-    log_wi = log_i + np.log(1.0 + lv + z * ch.rho)           # (z i_l)' e^{-z} > 0
-    log_wk = log_k + np.log(z * ch.sigma - lv - 1.0)         # |(z k_l)'| e^{+z}
-    return log_i, log_k, log_wi, log_wk
-
-
 def t_em_log(spec, l_max, kappa):
     """Scaled EM entries: (sign, log) of T e^{-2z}, l-major with the
     polarizations (M, E) interleaved, length 2 (l_max + 1).
@@ -206,50 +209,42 @@ def t_em_log(spec, l_max, kappa):
         raise ValueError("kappa must be finite and positive, got %r"
                          % (kappa,))
     law = spec.law
-    z = kappa * spec.radius
-    sign = np.empty(2 * (l_max + 1))
-    logmag = np.empty(2 * (l_max + 1))
-    if isinstance(law, PerfectConductor):
-        ch = bessel_ik_half_chain(l_max, z)
-        for pol, zeta in enumerate(_PEC_ZETAS):
-            sign[pol::2], logmag[pol::2] = _robin_log(ch, zeta)
-    elif isinstance(law, (Dielectric, Dispersive)):
-        if isinstance(law, Dispersive):
-            eps, mu = law.eps_mu(kappa)
-            if not (0.0 < eps < math.inf and 0.0 < mu < math.inf):
-                raise ValueError("eps_mu(kappa) must return finite positive "
-                                 "values, got (%r, %r)" % (eps, mu))
-        else:
-            eps, mu = law.eps, law.mu
-        n = math.sqrt(eps * mu)
-        li_z, lk_z, lwi_z, lwk_z = _em_log_parts(l_max, z)
-        li_n, _, lwi_n, _ = _em_log_parts(l_max, n * z)
-        log_eta_m = 0.5 * (math.log(eps) - math.log(mu))  # log sqrt(eps/mu)
-        log_n = 0.5 * (math.log(eps) + math.log(mu))
-        for pol, log_eta in enumerate((log_eta_m, -log_eta_m)):
-            # numerator: eta i(z) Wi(nz) - n i(nz) Wi(z), may cancel
-            t1 = log_eta + li_z + lwi_n
-            t2 = log_n + li_n + lwi_z
-            hi = np.maximum(t1, t2)
-            with np.errstate(under="ignore"):
-                num = np.exp(t1 - hi) - np.exp(t2 - hi)
-            # denominator: eta k(z) Wi(nz) + n i(nz) |Wk(z)|, all positive
-            d1 = log_eta + lk_z + lwi_n
-            d2 = log_n + li_n + lwk_z
-            logden = np.logaddexp(d1, d2)
-            sign[pol::2] = -np.sign(num)
-            with np.errstate(divide="ignore"):
-                logmag[pol::2] = np.log(np.abs(num)) + hi - logden
-    else:
+    if isinstance(law, Dispersive):
+        eps, mu = law.eps_mu(kappa)
+        if not (0.0 < eps < math.inf and 0.0 < mu < math.inf):
+            raise ValueError("eps_mu(kappa) must return finite positive "
+                             "values, got (%r, %r)" % (eps, mu))
+    elif isinstance(law, Dielectric):
+        eps, mu = law.eps, law.mu
+    elif not isinstance(law, PerfectConductor):
         raise TypeError("EM T-matrix requires Dielectric, Dispersive or "
                         "PerfectConductor, got %r" % (law,))
+    z = kappa * spec.radius
+    ch = bessel_ik_half_chain(l_max, z)
+    if isinstance(law, PerfectConductor):
+        channels = [_robin_log(ch, zeta) for zeta in _PEC_ZETAS]
+    else:
+        # alpha = 1 + l + w rho_l(w) at w = n z and beta = x = mu (M) or
+        # eps (E); over i_l and k_l the brackets are (1 - x)(1 + l) +
+        # w rho_l(w) - x z rho_l(z), zero in vacuum, and 1 + l + w rho_l(w)
+        # + x (z sigma_l - l - 1) > 0.  The inner field is the I ratios at w
+        w = math.sqrt(eps * mu) * z
+        wrho = w * _i_ratio_chain(l_max, w)
+        lv = np.arange(l_max + 1.0)
+        channels = [_bracket_log(
+            ch, (1.0 - x) * (1.0 + lv) + (wrho - x * (z * ch.rho)),
+            1.0 + lv + wrho + x * (z * ch.sigma - lv - 1.0))
+            for x in (mu, eps)]
+    sign, logmag = np.empty((2, 2 * (l_max + 1)))
+    for pol, (s, g) in enumerate(channels):
+        sign[pol::2], logmag[pol::2] = s, g
     sign[:2] = 0.0
     logmag[:2] = -np.inf
     return sign, logmag
 
 
 # ---------------------------------------------------------------------------
-# exact low-frequency series (Robin family and PEC are rational)
+# exact low-frequency series (every constant law's bracket is rational)
 # ---------------------------------------------------------------------------
 
 def _fact(n):
@@ -289,47 +284,72 @@ def _series_inv(a, n):
     return inv
 
 
-def robin_series_fractions(zeta, l, n_terms):
-    """Exact Taylor coefficients of the internal-sign Robin T_l(i kappa).
+def _robin_bracket(zeta):
+    """(alpha, beta) of the Robin law: alpha i_l - beta (z i_l)' is
+    i_l - zeta z i_l' at (1 + zeta, zeta), and -z i_l' at the Neumann
+    limit zeta None, (1, 1); zeta enters through its exact binary value."""
+    if zeta is None:
+        return [Fraction(1)], Fraction(1)
+    zeta = Fraction(zeta)
+    return [1 + zeta], zeta
 
-    Returns [c_0, c_1, ...] with T_l = sum_k c_k z^{2l+1+k}, z = kappa R,
-    as Fractions, of T_l = -(i_l - zeta z i_l')/(k_l - zeta z k_l');
-    zeta enters through its exact binary value, and None is the Neumann
-    limit.  A perfect conductor's channels are zeta = 0 (M) and -1 (E).
-    """
-    n = n_terms + 2 * l + 2  # padding for intermediate products
-    # regular kernel: i_l = z^l sum_j a_j z^{2j}
+
+def _i_kernels(l, n, n2=1):
+    """i_l(w) and (w i_l(w))' over w^l as n Taylor coefficients in z,
+    at w^2 = n2 z^2: i_l = w^l sum_j a_j w^{2j} and (w i_l)' =
+    w^l sum_j (l + 1 + 2j) a_j w^{2j}."""
     a = [Fraction(0)] * n
-    j = 0
-    while 2 * j < n:
-        a[2 * j] = Fraction(1, (2 ** j) * _fact(j) * _dfact(2 * l + 2 * j + 1))
-        j += 1
-    # z i_l' = z^l sum_j (l+2j) a_j z^{2j}
-    b = [(l + k) * ak for k, ak in enumerate(a)]
+    for j in range((n + 1) // 2):
+        a[2 * j] = Fraction(n2) ** j / (
+            2 ** j * _fact(j) * _dfact(2 * l + 2 * j + 1))
+    return a, [(l + 1 + k) * ak for k, ak in enumerate(a)]
+
+
+def mie_series_fractions(alpha, beta, l, n_terms):
+    """Exact Taylor coefficients of the internal-sign bracket T_l(i kappa).
+
+    Returns [c_0, c_1, ...] as Fractions, T_l = sum_k c_k z^{2l+1+k} =
+    -(alpha i_l - beta (z i_l)')/(alpha k_l - beta (z k_l)') at z =
+    kappa R, with alpha a Fraction series in z (n_terms coefficients
+    suffice) and beta a Fraction; `_series_brackets` gives each law's.
+    """
+    n = max(n_terms, l + 2)  # room for the kernel polynomials of k_l
+    a, b = _i_kernels(l, n)
     # outgoing kernel: k_l = e^{-z} z^{-(l+1)} P(z), P of degree l
     p = [Fraction(0)] * n
     for i in range(l + 1):
         p[l - i] = Fraction(_fact(l + i), _fact(i) * _fact(l - i) * 2 ** i)
-    # z k_l' = e^{-z} z^{-(l+1)} [z P' - z P - (l+1) P]
+    # (z k_l)' = e^{-z} z^{-(l+1)} [z P' - z P - l P]
     q = [Fraction(0)] * n
     for i in range(l + 1):
-        q[i] += (i - l - 1) * p[i]
+        q[i] += (i - l) * p[i]
         q[i + 1] -= p[i]
-    if zeta is None:
-        num, den = b, q
-    else:
-        zeta = Fraction(zeta)
-        num = [ai - zeta * bi for ai, bi in zip(a, b)]
-        den = [pi - zeta * qi for pi, qi in zip(p, q)]
+    num = [x - beta * y for x, y in zip(_series_mul(alpha, a, n), b)]
+    den = [x - beta * y for x, y in zip(_series_mul(alpha, p, n), q)]
     # T = -z^{2l+1} e^{z} num(z)/den(z)
     e = [Fraction(1, _fact(k)) for k in range(n)]
     series = _series_mul(_series_mul(num, e, n), _series_inv(den, n), n)
     return [-c for c in series[:n_terms]]
 
 
-# Static dielectric response coefficients with the radius scaled out,
+def _series_brackets(law, l, n):
+    """{channel: (alpha, beta)} of a law's exact brackets at order l,
+    alpha to n Taylor coefficients in z: the one channel None of a
+    Robin-family law, "M" and "E" of a perfect conductor or dielectric."""
+    if isinstance(law, PerfectConductor):
+        return {ch: _robin_bracket(zeta)
+                for ch, zeta in zip(("M", "E"), _PEC_ZETAS)}
+    if isinstance(law, Dielectric):
+        eps, mu = Fraction(law.eps), Fraction(law.mu)
+        a, b = _i_kernels(l, n, eps * mu)
+        alpha = _series_mul(b, _series_inv(a, n), n)
+        return {"M": (alpha, mu), "E": (alpha, eps)}
+    return {None: _robin_bracket(_effective_zeta(law))}
+
+
+# The printed static dielectric response coefficients, radius scaled out,
 # exact for Fraction arguments (x is eps for the electric channel and mu
-# for the magnetic one, y the other)
+# for the magnetic one, y the other): the "paper-table" series data
 
 def _alpha_hat(x, l):
     """Static multipole response (x-1)/(x+(l+1)/l), radius scaled out."""

@@ -31,10 +31,11 @@ from casphere.tmatrix import (
     _effective_zeta,
     _gamma13_hat,
     _gamma14_hat,
+    _robin_bracket,
     _series_inv,
     _series_mul,
     is_scalar_law,
-    robin_series_fractions,
+    mie_series_fractions,
     t_em_log,
     t_scalar_log,
 )
@@ -868,7 +869,8 @@ def _t_slot_scalar_ref(law, l, r_cap):
     lead = 2 * l + 1
     if lead > r_cap:
         return {}
-    coeffs = robin_series_fractions(_effective_zeta(law), l, r_cap - lead + 1)
+    coeffs = mie_series_fractions(*_robin_bracket(_effective_zeta(law)), l,
+                                  r_cap - lead + 1)
     return {(lead + k, lead + k): c for k, c in enumerate(coeffs) if c != 0}
 
 
@@ -1235,7 +1237,8 @@ def t_low_kappa_series(spec, l, order):
     law = spec.law
     base = 2 * l + 1
     if is_scalar_law(law):
-        fr = robin_series_fractions(_effective_zeta(law), l, order + 1)
+        fr = mie_series_fractions(*_robin_bracket(_effective_zeta(law)), l,
+                                  order + 1)
         pref = -1.0 if l % 2 == 0 else 1.0  # undo internal sign
         coeffs = {base + k: pref * float(c) * spec.radius ** (base + k)
                   for k, c in enumerate(fr)}
@@ -1246,7 +1249,7 @@ def t_low_kappa_series(spec, l, order):
     if isinstance(law, PerfectConductor):
         out = {}
         for pol, zeta in zip(("M", "E"), _PEC_ZETAS):
-            fr = robin_series_fractions(zeta, l, order + 1)
+            fr = mie_series_fractions(*_robin_bracket(zeta), l, order + 1)
             out[pol] = {base + k: pref * float(c) * spec.radius ** (base + k)
                         for k, c in enumerate(fr)}
         return out

@@ -11,6 +11,8 @@ from casphere.asymptotics import (
     _alpha_hat,
     _cg,
     _g_series,
+    _gamma13_hat,
+    _gamma14_hat,
     _threej,
     _w_int,
     dipole_dipole_coefficient,
@@ -349,11 +351,31 @@ def test_dielectric_routes_agree_exactly():
     c2 = expand_em_dielectric(magnetic, magnetic, provenance="computed")
     assert t2.coeffs == c2.coeffs
     assert t2.coeffs[1] == 0
-    for eps, mu in ((2.5, 0.5), (1.0, 1.0)):
+    for eps, mu in ((2.5, 0.5), (1.0, 1.0), (4.0, 1.0), (1.0, 3.0),
+                    (16.0, 0.25), (80.0, 1.0), (2.5, 1.7)):
         other = SphereSpec(1.0, Dielectric(eps, mu))
         table = expand_em_dielectric(other, other)
         computed = expand_em_dielectric(other, other, provenance="computed")
         assert table.coeffs == computed.coeffs
+        assert table.prefactor_power == computed.prefactor_power
+        assert table.certified == computed.certified
+
+
+@pytest.mark.parametrize("eps,mu", [(1.0, 1.0), (1.0, 3.0), (16.0, 0.25),
+                                    (2.0, 1.0), (4.0, 1.0), (2.5, 0.5),
+                                    (80.0, 1.0), (1.5, 3.0)])
+def test_dielectric_mie_slots_are_the_printed_data(eps, mu):
+    # the exact Mie series, at alpha = (nz i_l(nz))'/i_l(nz) and beta = mu
+    # (M) or eps (E), against the paper's static response coefficients
+    slots = asym._t_slots(Dielectric(eps, mu), range(1, 3), 6)
+    for pol, x, y in (("E", F(eps), F(mu)), ("M", F(mu), F(eps))):
+        j1, j2 = slots[(1, pol)], slots[(2, pol)]
+        assert j1.get((3, 3), 0) == F(2, 3) * _alpha_hat(x, 1)
+        assert j1.get((4, 4), 0) == 0
+        assert j1.get((5, 5), 0) == _gamma13_hat(x, y)
+        assert j1.get((6, 6), 0) == _gamma14_hat(x)
+        assert j2.get((5, 5), 0) == _alpha_hat(x, 2) / 30
+        assert j2.get((6, 6), 0) == 0
 
 
 def test_dielectric_limits():
@@ -419,6 +441,24 @@ def test_dd_two_vs_six_terms_far():
 # ---------------------------------------------------------------------------
 # consistency with the full quadrature at large separation
 # ---------------------------------------------------------------------------
+
+def test_dielectric_energy_meets_its_series_far():
+    # the series stops at c_3, so E/S - 1 is c_4 (R/d)^4 / c_0 plus
+    # rounding: measured 2.83e-7, 2.83e-11, 1.3e-15 for (4, 1) and
+    # 3.71e-7, 3.72e-11, 1.3e-15 for (2.5, 1.7) at d/R = 1e2, 1e3, 1e4
+    # (l_max 4, default quadrature); the bound keeps 5e-7 (100 R/d)^4 plus
+    # a rounding floor of 1e-14
+    for eps, mu in ((4.0, 1.0), (2.5, 1.7)):
+        spec = SphereSpec(1.0, Dielectric(eps, mu))
+        series = expand_em_dielectric(spec, spec)
+        res = {}
+        for d in (1e2, 1e3, 1e4):
+            est = casimir_energy(Geometry.pair(spec, spec, d), "em", 4)
+            res[d] = est.value / eval_series(series, 1.0, d).value - 1.0
+            assert abs(res[d]) <= 5e-7 * (1e2 / d) ** 4 + 1e-14
+        # the residual is the (R/d)^4 term: ten times farther, 1e4 smaller
+        assert 0.99e4 < res[1e2] / res[1e3] < 1.01e4
+
 
 def test_series_agrees_with_quadrature_far():
     cases = [

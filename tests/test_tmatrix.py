@@ -14,7 +14,8 @@ from casphere.tmatrix import (
     PerfectConductor,
     Robin,
     SphereSpec,
-    robin_series_fractions,
+    _robin_bracket,
+    mie_series_fractions,
     t_em_log,
     t_scalar_log,
 )
@@ -223,15 +224,18 @@ def test_vacuum_sphere_scatters_nothing():
 
 
 @pytest.mark.parametrize("eps,mu", [(2.0, 1.0), (4.0, 1.0), (2.0, 3.0),
-                                    (1.0, 2.0), (16.0, 0.25)])
+                                    (1.0, 2.0), (16.0, 0.25), (80.0, 1.0),
+                                    (1.0, 3.0)])
 @pytest.mark.parametrize("l", [1, 2, 4])
-@pytest.mark.parametrize("z", [0.05, 0.6, 3.0])
+@pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3, 0.05, 0.6, 3.0])
 def test_em_matches_reference(eps, mu, l, z):
+    # at small kappa R the bracket of a channel with x = 1 (mu for M, eps
+    # for E) is O(z^2): its entries must keep full relative precision there
     spec = SphereSpec(R, Dielectric(eps, mu))
     ref_m, ref_e = t_em_ref(eps, mu, l, z)
     val_m, val_e = t_em_imag(spec, l, z)
-    assert val_m == pytest.approx(ref_m, rel=2e-7, abs=1e-300)
-    assert val_e == pytest.approx(ref_e, rel=2e-7, abs=1e-300)
+    assert val_m == pytest.approx(ref_m, rel=1e-12, abs=1e-300)
+    assert val_e == pytest.approx(ref_e, rel=1e-12, abs=1e-300)
 
 
 def test_pec_static_polarizabilities():
@@ -389,15 +393,15 @@ def test_pec_series_are_robin_series_at_zeta_0_and_minus_1():
     # EM multipoles start at l = 1 ((z k_0)' has no constant term)
     for l in range(1, 9):
         for n_terms in range(11):
-            assert robin_series_fractions(0, l, n_terms) \
+            assert mie_series_fractions(*_robin_bracket(0), l, n_terms) \
                 == pec_series_ref(l, n_terms, "M")
-            assert robin_series_fractions(-1, l, n_terms) \
+            assert mie_series_fractions(*_robin_bracket(-1), l, n_terms) \
                 == pec_series_ref(l, n_terms, "E")
 
 
 def test_series_fractions_dirichlet_closed_form():
     # T for Dirichlet l=0 is -(sinh z) e^z = -(e^{2z}-1)/2 internally
-    fr = robin_series_fractions(0, 0, 6)
+    fr = mie_series_fractions(*_robin_bracket(0), 0, 6)
     from fractions import Fraction
     ref = [-Fraction(2 ** (k + 1), math.factorial(k + 1)) / 2
            for k in range(6)]
