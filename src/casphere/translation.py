@@ -18,22 +18,43 @@ mixing terms vanish for m = 0.
 Ratio-scaled form.  With x = kappa d,
 
     U_{l'l}(m) e^{x} = S_{l'l}(m) k_{l'+l}(x) e^{x},
-    S_{l'l}(m) = sum_{l''} W(m, l', l, l'') k_{l''}(x) / k_{l'+l}(x),
+    S_{l'l}(m) = -(-1)^{l+m} sqrt((2l+1)(2l'+1)) sum_{l''} (2l''+1)
+                 3j(l l' l''; 0 0 0) 3j(l l' l''; m -m 0)
+                 k_{l''}(x)/k_{l'+l}(x).
 
-where W holds the 3j products, the (2l''+1) weight and the prefactor
--(-1)^{l+m} sqrt((2l+1)(2l'+1)).  Only l'' = l'+l, l'+l-2, ... contribute
-and k_l(x) increases with l, so every ratio lies in (0, 1]; with the 3j
-orthogonality sum_{l''} (2l''+1) 3j^2 = 1 this bounds |S_{l'l}| by
-sqrt((2l+1)(2l'+1)) at every x.  Plain floats therefore hold S without
-overflow, and the huge or tiny factor k_{l'+l}(x) e^{x} stays a log until
-it meets the T-matrices.  `node_kernel` builds one Bessel chain and S for
-every m at once, and `_node_kernels` does so for every x of an array in
-one batch (every quadrature node of a chunk, at one distance), each row
-byte-equal to its one-x kernel; the EM blocks recouple the same S stack
-with k_{J'+J+1} factored out, so their ratios are again <= 1.  The
-accuracy of S is absolute, ~1e-12 of the largest entry of a block: at
-large x the high-m entries cancel to far below their terms, and only
-their absolute error is meaningful.
+Only l'' = l'+l, l'+l-2, ... contribute and k_l(x) increases with l, so
+every ratio lies in (0, 1]; with the 3j orthogonality
+sum_{l''} (2l''+1) 3j^2 = 1 this bounds |S_{l'l}| by sqrt((2l+1)(2l'+1))
+at every x.  Plain floats therefore hold S without overflow, and the huge
+or tiny factor k_{l'+l}(x) e^{x} stays a log until it meets the
+T-matrices.
+
+No 3j symbol is formed: S comes from the coaxial recurrences of Gumerov
+& Duraiswami (SIAM J. Sci. Comput. 25 (2003) 1344) written for S, where
+with L = l' + l and a_n^m = sqrt((n+1+m)(n+1-m)/((2n+1)(2n+3))):
+
+    S_{l'0}(0) = -sqrt(2l'+1),
+    S_{l'm}(m) = alpha S_{l'-1,m-1}(m-1) k_{L-2}/k_L
+                 + beta S_{l'+1,m-1}(m-1),
+    a_l^m S_{l',l+1} = -a_{l'}^m S_{l'+1,l}
+                       - (a_{l'-1}^m S_{l'-1,l} + a_{l-1}^m S_{l',l-1})
+                       k_{L-1}/k_{L+1},
+
+with the sectorial weights (L = l' + m there)
+alpha = -sqrt((2m+1)/(2m) (L-1) L/((2l'-1)(2l'+1))) and
+beta = +sqrt((2m+1)/(2m) (l'-m+1)(l'-m+2)/((2l'+1)(2l'+3))).  Every
+Bessel factor is a ratio k_j/k_{j+2} <= 1 of the K chain, so no step
+overflows, and the work is O(l_max^3) per x with O(l_max^2) coefficients.
+The accuracy of S is absolute, ~1e-14 of sqrt((2l+1)(2l'+1)): at large x
+the high-m entries cancel to far below that bound, and only their
+absolute error is meaningful.
+
+`node_kernel` builds one Bessel chain and S for every m at once, and
+`_node_kernels` does so for every x of an array in one batch (every
+quadrature node of a chunk, at one distance); every step is elementwise
+in x, so each row is byte-equal to its one-x kernel.  The EM blocks
+recouple the same S stack, with Clebsch-Gordan weights in closed form
+and k_{J'+J+1} factored out, so their ratios are again <= 1.
 """
 
 import math
@@ -113,111 +134,86 @@ def _em_reversal(n):
     return mask
 
 
-# W[m, l', l, k] at l'' = l' + l - 2k for the largest order built so far;
-# entries do not depend on the order, so smaller orders read leading slices
-_W_KERNEL = np.zeros((0, 0, 0, 0))
-# bytes of one (width, rows) float array of a W batch; building a batch
-# holds about eight of them at once, next to W itself
-_W_BATCH_BYTES = 1 << 19
+@lru_cache(maxsize=8)
+def _recurrence_coeffs(l_max):
+    """Coefficients of the coaxial recurrences up to order l_max (read-only).
 
-
-def _w_kernel(l_max):
-    """3j kernel W[m, l', l, k] for orders up to l_max (a read-only view).
-
-    W = -(-1)^{l+m} sqrt((2l+1)(2l'+1)) (2l''+1) 3j(l l' l''; 0 0 0)
-    3j(l l' l''; m -m 0) at l'' = l' + l - 2k; zero for m or k above
-    min(l', l).  The l'' of the other parity have 3j(l l' l''; 0 0 0) = 0
-    and are not stored.
+    Returns (a, alpha, beta).  a[m, 1 + j] = a_j^m =
+    sqrt((j+1+m)(j+1-m)/((2j+1)(2j+3))) for j = -1..2 l_max, zero for
+    j < m.  alpha[m, l'] and beta[m, l'] are the sectorial weights of
+    S_{l'-1, m-1}(m-1) and S_{l'+1, m-1}(m-1) in S_{l'm}(m), zero for
+    l' < m and at m = 0.
     """
-    global _W_KERNEL
-    n = l_max + 1
-    old = _W_KERNEL.shape[0]
-    if n > old:
-        w = np.zeros((n, n, n, n))
-        w[:old, :old, :old, :old] = _W_KERNEL
-        _fill_w(w, old)
-        w.setflags(write=False)
-        _W_KERNEL = w
-    return _W_KERNEL[:n, :n, :n, :n]
-
-
-def _fill_w(w, old):
-    """Write W[m, l', l] for every max(l', l) = top >= old.
-
-    3j(l l' l''; m -m 0) is symmetric in l and l', so the families
-    (top, lo; m, -m) with lo <= top serve both halves:
-    W[m, lo, top] = (-1)^{top+lo} W[m, top, lo].  The m = 0 families come
-    first, in one batch, for the 3j(l l' l''; 0 0 0) factor; the others
-    follow in batches of rows of similar length (about 2 lo + 1) whose
-    (width, rows) arrays fit _W_BATCH_BYTES.
-    """
-    n = w.shape[0]
-    t, b, mb = np.ogrid[:n, :n, :n]
-    top, lo, m = np.nonzero((t >= old) & (b <= t) & (mb <= b))
-    pair = (top * (top + 1) // 2 + lo) - old * (old + 1) // 2
-    first = m == 0
-    t0, l0 = top[first], lo[first]
-    # families run over l'' = top + lo .. |top - lo|; every other entry
-    # from the top is k = 0 .. lo
-    _, f = specfun._threej_rows(t0, l0, 0, 0)
-    f = f[::2]
-    k = np.arange(len(f))[:, None]
-    base = f * (2.0 * (t0 + l0 - 2 * k) + 1.0) * np.sqrt(
-        (2.0 * t0 + 1.0) * (2.0 * l0 + 1.0))
-    base[:, t0 % 2 == 0] *= -1.0
-    _put_w(w, t0, l0, m[first], base, f)
-
-    rest = np.flatnonzero(~first)
-    rest = rest[np.argsort(lo[rest], kind="stable")]
-    start = 0
-    while start < len(rest):
-        # sorted by lo, so a batch's longest family has 2 lo + 1 entries
-        size = np.arange(1, len(rest) - start + 1) \
-            * (2 * lo[rest[start:]] + 1) * 8
-        stop = start + max(1, int(np.sum(size <= _W_BATCH_BYTES)))
-        r = rest[start:stop]
-        _, f = specfun._threej_rows(top[r], lo[r], m[r], -m[r])
-        f = f[::2]
-        _put_w(w, top[r], lo[r], m[r], base[:len(f), pair[r]], f)
-        start = stop
-
-
-def _put_w(w, top, lo, m, base, f):
-    """W[m, lo, top, k] = (-1)^m base * f and its mirror, zero for k > lo."""
-    n = w.shape[0]
-    rows = w.reshape(n ** 3, n)
-    keep = np.arange(len(f))[:, None] <= lo
-    val = base * f * np.where(m % 2 == 1, -1.0, 1.0)
-    rows[(m * n + lo) * n + top, :len(f)] = np.where(keep, val, 0.0).T
-    val *= np.where((top + lo) % 2 == 1, -1.0, 1.0)
-    rows[(m * n + top) * n + lo, :len(f)] = np.where(keep, val, 0.0).T
+    m = np.arange(l_max + 1)[:, None]
+    j = np.arange(-1, 2 * l_max + 1)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(j >= m, np.sqrt((j + 1 + m) * (j + 1 - m)
+                                     / ((2 * j + 1) * (2 * j + 3))), 0.0)
+        lp = j[:, 1:]
+        live = (lp >= m) & (m > 0)
+        alpha = np.where(live, -np.sqrt(
+            (2 * m + 1) * (lp + m - 1) * (lp + m)
+            / (2 * m * (2 * lp - 1) * (2 * lp + 1))), 0.0)
+        beta = np.where(live, np.sqrt(
+            (2 * m + 1) * (lp - m + 1) * (lp - m + 2)
+            / (2 * m * (2 * lp + 1) * (2 * lp + 3))), 0.0)
+    for arr in (a, alpha, beta):
+        arr.setflags(write=False)
+    return a, alpha, beta
 
 
 def _s_blocks(l_max, sigma):
     """S[x, m, l', l] for m, l', l = 0..l_max, one row x per chain.
 
     sigma[x, l] = k_{l+1}(x)/k_l(x) for l = 0..2*l_max - 1 at least.
+    Column l of every order comes from columns l - 1 and l - 2 by the
+    l step, and the column l = m of order m from that of order m - 1 by
+    the sectorial step; each column keeps the rows l' <= 2 l_max - l
+    that later columns read.  Every operation is elementwise in x.
     """
     n = l_max + 1
-    # ratio table R[x, L, k] = k_{L-2k}/k_L for L = 0..2 l_max, 0 for
-    # 2k > L, built by products of ratios <= 1 (relative error ~ k ulp)
-    step = 1.0 / (sigma[:, :2 * n - 3] * sigma[:, 1:2 * n - 2])
-    r = np.zeros((len(sigma), 2 * n - 1, n))
-    r[:, :, 0] = 1.0
+    nx = len(sigma)
+    # the node axis x runs last while the recurrences run, so every step
+    # is a few array operations over contiguous runs of nodes
+    a, alpha, beta = (t[..., None] for t in _recurrence_coeffs(l_max))
+    na = -a
+    # k2[L, x] = k_{L-1}/k_{L+1} for L = 1..2 l_max - 1, and 0 at L = 0
+    k2 = np.zeros((2 * l_max, nx))
+    # columns S[m, 1 + l', x] behind one zero row (l' = -1)
+    cur = np.zeros((n, 2 * l_max + 2, nx))
+    cur[0, 1:] = -np.sqrt(2.0 * np.arange(2 * l_max + 1) + 1.0)[:, None]
+    prev = np.zeros_like(cur)
+    out = np.empty((nx, n, n, n))
+    out[..., 0] = cur[:, 1:n + 1].transpose(2, 0, 1)
     with np.errstate(under="ignore"):
-        for k in range(1, n):
-            r[:, 2 * k:, k] = r[:, 2 * k:, k - 1] * step[:, :2 * n - 1 - 2 * k]
-    lv = np.arange(n)
-    ratios = r[:, lv[:, None] + lv[None, :]]
-    return np.einsum("mabk,xabk->xmab", _w_kernel(l_max), ratios)
+        k2[1:] = (1.0 / (sigma[:, :2 * l_max - 1]
+                         * sigma[:, 1:2 * l_max])).T
+        for l in range(l_max):
+            # column m = l + 1 from column l (and l - 1), rows l' < hi
+            m, hi = l + 1, 2 * l_max - l
+            c, p, am = cur[:m], prev[:m], na[:m]
+            nxt = np.zeros_like(cur)
+            # orders below m: the l step
+            np.divide(am[:, 1:hi + 1] * c[:, 2:hi + 2]
+                      + (am[:, :hi] * c[:, :hi]
+                         + am[:, l, None] * p[:, 1:hi + 1])
+                      * k2[l:l + hi],
+                      a[:m, m, None], out=nxt[:m, 1:hi + 1])
+            # order m: the sectorial step, rows m..2 l_max - m
+            np.add(alpha[m, m:hi] * cur[l, m:hi] * k2[2 * l + 1:2 * l_max],
+                   beta[m, m:hi] * cur[l, m + 2:hi + 2],
+                   out=nxt[m, m + 1:hi + 1])
+            prev, cur = cur, nxt
+            out[..., m] = cur[:, 1:n + 1].transpose(2, 0, 1)
+    return out
 
 
 def _node_kernels(l_max, x, em=False):
     """`node_kernel` at every x of a 1-D array, as one NodeKernel whose
     blocks and log_scale carry a leading node axis.
 
-    One batched K chain and one 3j contraction serve every x; row i is
-    byte-equal to `node_kernel(l_max, x[i], em)`.
+    One batched K chain and one run of the recurrences serve every x;
+    row i is byte-equal to `node_kernel(l_max, x[i], em)`.
     """
     if not np.all(x > 0.0):
         raise ValueError("x = kappa*d must be positive, got %r"
@@ -248,10 +244,10 @@ def _node_kernels(l_max, x, em=False):
 def node_kernel(l_max, x, em=False):
     """Translation blocks of every m = 0..l_max at separation x = kappa d.
 
-    Builds one Bessel-K chain and one 3j contraction; see the module
-    notes for the ratio-scaled form.  Scalar blocks cover l = 0..l_max;
-    EM blocks cover J = 0..l_max with the rows and columns below
-    max(1, m) zero and the m = 0 mixing blocks exactly zero.  The
+    Builds one Bessel-K chain and runs the recurrences once; see the
+    module notes for the ratio-scaled form.  Scalar blocks cover
+    l = 0..l_max; EM blocks cover J = 0..l_max with the rows and columns
+    below max(1, m) zero and the m = 0 mixing blocks exactly zero.  The
     one-x case of `_node_kernels`.
 
     Returns
@@ -314,31 +310,40 @@ def _em_weights(l_max, m):
     wp[q][J] = <J+1, m-q; 1, q | J m>,
     zero for J below max(1, |m|), plus the electric decomposition
     constants aR, bR.  m is one order or an array of orders, whose shape
-    leads those of w0, wm and wp; one batch of 3j families serves them all.
+    leads those of w0, wm and wp.  The coefficients with j2 = 1 are the
+    closed forms of Edmonds, Angular Momentum in Quantum Mechanics,
+    Table 2, each the square root of one rational number.
     """
     n = l_max + 2
-    m = np.asarray(m)
-    # one 3j family (J' 1 J; m-q, q, -m) per (m, q, J'): from the top it
-    # holds J = J'+1, J', J'-1, i.e. wm[J'+1], w0[J'] and wp[J'-1]
-    mq, q, jp = np.broadcast_arrays(m[..., None, None],
-                                    np.arange(-1, 2)[:, None], np.arange(n + 1))
-    ok = np.abs(mq - q) <= jp
-    at = np.nonzero(ok)[:-2]
-    mq, q, jp = mq[ok], q[ok], jp[ok]
-    _, f = specfun._threej_rows(jp, 1, mq - q, q)
-    # <j1 m1; 1 q | J m> = (-1)^{j1-1+m} sqrt(2J+1) 3j(j1 1 J; m1 q -m)
-    sign = np.where((jp - 1 + mq) % 2 == 1, -1.0, 1.0)
-    w = np.zeros((3,) + m.shape + (3, n))
-    for t in range(f.shape[0]):
-        jj = jp + 1 - t
-        r = (jj >= np.maximum(1, np.abs(mq))) & (jj < n)
-        w[(t,) + tuple(i[r] for i in at) + (q[r] + 1, jj[r])] = \
-            sign[r] * np.sqrt(2.0 * jj[r] + 1.0) * f[t, r]
-    wm, w0, wp = w
-    jv = np.arange(n, dtype=float)
+    m = np.asarray(m)[..., None, None]
+    q = np.arange(-1, 2)[:, None]
+    jv = np.arange(n)
+    j = jv.astype(float)
+
+    def root(num, den):
+        return np.sqrt(np.maximum(num, 0.0) / den)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_r = np.sqrt((jv + 1.0) / (2.0 * jv + 1.0))
-        b_r = np.sqrt(jv / (2.0 * jv + 1.0))
+        # j1 = J: -q sqrt((J+qm)(J-qm+1)/(2J(J+1))) at q = +-1,
+        # m/sqrt(J(J+1)) at q = 0
+        w0 = np.where(q == 0, m / np.sqrt(j * (j + 1.0)),
+                      -q * root((j + q * m) * (j - q * m + 1.0),
+                                2.0 * j * (j + 1.0)))
+        # j1 = J - 1: sqrt((J+qm-1)(J+qm)/((2J-1)2J)) at q = +-1,
+        # sqrt((J-m)(J+m)/((2J-1)J)) at q = 0
+        wm = np.where(q == 0, root((j - m) * (j + m), (2.0 * j - 1.0) * j),
+                      root((j + q * m - 1.0) * (j + q * m),
+                           (2.0 * j - 1.0) * 2.0 * j))
+        # j1 = J + 1: sqrt((J-qm+1)(J-qm+2)/((2J+2)(2J+3))) at q = +-1,
+        # -sqrt((J-m+1)(J+m+1)/((J+1)(2J+3))) at q = 0
+        wp = np.where(q == 0, -root((j - m + 1.0) * (j + m + 1.0),
+                                    (j + 1.0) * (2.0 * j + 3.0)),
+                      root((j - q * m + 1.0) * (j - q * m + 2.0),
+                           (2.0 * j + 2.0) * (2.0 * j + 3.0)))
+        live = jv >= np.maximum(1, np.abs(m))
+        w0, wm, wp = (np.where(live, w, 0.0) for w in (w0, wm, wp))
+        a_r = np.sqrt((j + 1.0) / (2.0 * j + 1.0))
+        b_r = np.sqrt(j / (2.0 * j + 1.0))
     return w0, wm, wp, a_r, b_r
 
 

@@ -6,8 +6,10 @@ evaluations for Bessel functions.  The production code must agree with
 these, never the other way around.  The unscaled T-matrix values,
 low-frequency series and real-frequency phase shifts at the end are
 readers of the production T-matrices that only the tests call; the
-one-symbol 3j and one-order Bessel wrappers in the middle are readers of
-the production batches, likewise.
+one-order Bessel wrapper in the middle reads the production chain,
+likewise.  The row-batched 3j recursion, which production no longer
+uses, serves the one-symbol 3j wrappers and the W kernel of the 3j-sum
+translation oracle, and is itself checked against the one-family one.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
 from casphere.asymptotics import _g_series, _mono_mul, _w_int
-from casphere.specfun import _threej_rows, bessel_ik_half_chain
+from casphere.specfun import bessel_ik_half_chain
 from casphere.tmatrix import (
     Dispersive,
     PerfectConductor,
@@ -112,9 +114,222 @@ def threej_000_fraction(l1, l2, l3):
 
 
 # ---------------------------------------------------------------------------
+# Row-batched 3j recursion: many families at once, each row the bits of a
+# lone family; the one-family wrappers below and the W kernel read it
+# ---------------------------------------------------------------------------
+
+def _threej_000_rows(l1, l2, npts, width):
+    """3j(l1 l2 j; 0 0 0) from the top, f[t] at j = l1+l2-t, per row.
+
+    The exact closed form 3j^2 = c(g-l1) c(g-l2) c(g-j) / ((2g+1) c(g)),
+    c(k) = binomial(2k, k), g = (l1+l2+j)/2, sign (-1)^g, zero for odd
+    l1+l2+j.  Each square is an int/int true division of Python integers,
+    one object-array step for every entry, so its only roundings are the
+    quotient (correctly rounded) and the square root (< 2 ulp).
+    """
+    h = np.arange((width + 1) // 2)[:, None]
+    live = 2 * h < npts
+    h, a, b = (np.broadcast_to(v, live.shape)[live] for v in (h, l1, l2))
+    g = a + b - h
+    c = [1]
+    for k in range(1, int(g.max(initial=0)) + 1):
+        c.append(c[-1] * (4 * k - 2) // k)
+    den = np.array([(2 * k + 1) * ck for k, ck in enumerate(c)], dtype=object)
+    c = np.array(c, dtype=object)
+    sq = (c[g - a] * c[g - b] * c[h] / den[g]).astype(float)
+    out = np.zeros((width, len(l1)))
+    out[::2][live] = np.where(g % 2 == 1, -1.0, 1.0) * np.sqrt(sq)
+    return out
+
+
+def _sg_tables(jmin, width, l1, l2, m1, m2):
+    """Coefficients of the j-recursion on the grid j = jmin + i, i < width.
+
+    Returns (b, p, q), each (width, rows), with b = B(j), p = (j+1) A(j)
+    and q = j A(j+1); A is evaluated once, on the width + 1 points of the
+    grid, and serves both passes.  A zero p or q lies outside its row's
+    family and reads 1.0, so padded lanes divide cleanly.
+    """
+    m3 = -(m1 + m2)
+    jj = jmin + np.arange(width + 1.0)[:, None]
+    j2 = jj * jj
+    # a float product of exact integer factors: exact below 2^53 (l1 + l2
+    # up to ~460), and unlike int64 it cannot wrap at deeper orders
+    a = j2 - (l1 - l2) ** 2
+    tmp = (l1 + l2 + 1) ** 2 - j2
+    a *= tmp
+    a *= np.subtract(j2, m3 * m3, out=tmp)
+    np.sqrt(np.maximum(a, 0.0, out=a), out=a)
+    j, j1 = jj[:-1], jj[1:]
+    # pinned against exact rational 3j values (see tests): the middle
+    # coefficient of the j-recursion is -(2j+1)[m3 X + (m1-m2) j(j+1)],
+    # exact integers in floats, and +0.0 where it vanishes; b and p reuse
+    # the buffers of tmp and j2
+    b = np.multiply(j, j1, out=tmp[:-1])
+    b *= m1 - m2
+    np.subtract(-m3 * (l1 * (l1 + 1) - l2 * (l2 + 1)), b, out=b)
+    b *= np.add(j, j1, out=j2[:-1])
+    # A >= 1 wherever it is nonzero
+    p = np.maximum(np.multiply(j1, a[:-1], out=j2[:-1]), 1.0, out=j2[:-1])
+    q = np.maximum(j * a[1:], 1.0, out=a[:-1])
+    return b, p, q
+
+
+_RESCALE = 1e250
+
+
+def _sg_recursion(l1, l2, m1, m2, jmin, npts, sign_top, width):
+    """Families of rows with npts >= 2 and (m1, m2) != (0, 0), top-aligned.
+
+    The rows come sorted by npts.  Every row runs the same steps as a lone
+    family: lanes that have stopped or ended are masked, never mixed with
+    live ones.
+    """
+    rows = len(l1)
+    lanes = np.arange(rows)
+    jmax = jmin + npts - 1
+    col = np.arange(width)[:, None]
+    b, p, q = _sg_tables(jmin, width, l1, l2, m1, m2)
+
+    # forward pass from jmin: f[i] at j = jmin + i
+    f = np.zeros((width, rows))
+    f[0] = 1.0
+    # A(jmin) = 0, so the three-term relation at j = jmin is two-term
+    f[1] = -b[0] * f[0] / q[0]
+    zero = np.flatnonzero(jmin == 0)
+    if len(zero):
+        # only possible for l1 == l2, m3 == 0; seed f(1) from the closed form
+        l, m = l1[zero], m1[zero]
+        s = np.where((l - m) % 2 == 0, 1.0, -1.0)
+        f[0, zero] = s / np.sqrt(2.0 * l + 1.0)
+        f[1, zero] = s * 2.0 * m \
+            / np.sqrt((2.0 * l + 2.0) * (2.0 * l + 1.0) * 2.0 * l)
+    i_stop = npts - 1
+    # the loop works on all lanes of f, then, once fewer than one in eight
+    # still runs, on a copy of those lanes, written back at the end
+    work, fw, bw, pw, qw, nw = None, f, b, p, q, npts
+    running = np.ones(rows, dtype=bool)
+    size = np.abs(f[1])
+    fell = np.zeros(rows, dtype=bool)
+    for i in range(1, width - 1):
+        running &= nw > i + 1
+        if not running.any():
+            break
+        np.copyto(fw[i + 1], -(bw[i] * fw[i] + pw[i] * fw[i - 1]) / qw[i],
+                  where=running)
+        nxt = np.abs(fw[i + 1])
+        if nxt.max() > _RESCALE:
+            fw[:i + 2, nxt > _RESCALE] /= _RESCALE
+            nxt, size = np.abs(fw[i + 1]), np.abs(fw[i])
+        falls = nxt < size
+        # two drops in a row: safely inside the oscillatory region
+        done = running & falls & fell
+        size, fell = nxt, falls
+        if done.any():
+            i_stop[done if work is None else work[done]] = i + 1
+            running &= ~done
+            if work is None and 8 * np.count_nonzero(running) < rows:
+                keep = np.flatnonzero(running)
+                work, fw, bw, pw, qw = keep, f[:, keep], b[:, keep], \
+                    p[:, keep], q[:, keep]
+                nw, size, fell, running = npts[keep], size[keep], \
+                    fell[keep], running[keep]
+    if work is not None:
+        f[:, work] = fw
+    # f is still zero past each lane's stop, so the argmax sees only the
+    # forward pass
+    i_match = np.argmax(np.abs(f), axis=0)
+    t_match = npts - 1 - i_match
+
+    # backward pass from jmax down to the match: g[t] at j = jmax - t,
+    # whose coefficients sit at grid index npts - t (wrapping, and masked,
+    # in lanes already done)
+    at = npts * rows + lanes
+    b, p, q = b.ravel(), p.ravel(), q.ravel()
+    g = np.zeros((width, rows))
+    g[0] = 1.0
+    g[1] = -b[at - rows] * g[0] / p[at - rows]
+    for t in range(2, width):
+        act = t_match >= t
+        if not act.any():
+            break
+        k = at - t * rows
+        np.copyto(g[t], -(q[k] * g[t - 2] + b[k] * g[t - 1]) / p[k],
+                  where=act)
+        nxt = np.abs(g[t])
+        if nxt.max() > _RESCALE:
+            g[:t + 1, nxt > _RESCALE] /= _RESCALE
+    del b, p, q
+
+    # the family from the top: g * scale down to the match, f below it;
+    # then the norm, the sign and the zero padding, one family length
+    # (one contiguous run of lanes) at a time
+    res = g
+    res *= f[i_match, lanes] / g[t_match, lanes]
+    cut = np.flatnonzero(np.diff(npts)) + 1
+    for s, e in zip([0] + cut.tolist(), cut.tolist() + [rows]):
+        n = int(npts[s])
+        top = res[:n, s:e]
+        np.copyto(top, f[n - 1::-1, s:e], where=col[:n] > t_match[s:e])
+        # np.sum over j ascending, one contiguous row per family, so a
+        # row's norm is the lone family's pairwise sum whatever its batch
+        terms = (2.0 * (jmax[s:e] - col[:n]) + 1.0) * top * top
+        top /= np.sqrt(np.sum(np.ascontiguousarray(terms[::-1].T), axis=1))
+        top *= np.where(top[0] * sign_top[s:e] < 0.0, -1.0, 1.0)
+        res[n:, s:e] = 0.0
+    return res
+
+
+def _threej_rows(l1, l2, m1, m2):
+    """3j(l1 l2 j; m1 m2 m3), m3 = -(m1+m2), for rows of integer arrays.
+
+    Each row (broadcast from the arguments) is the family j = jmin..l1+l2
+    with jmin = max(|l1-l2|, |m3|): a two-sided three-term recursion in
+    j (Schulten & Gordon, J. Math. Phys. 16, 1961 (1975), in the form of
+    Luscombe & Luban, Phys. Rev. E 57, 7274 (1998)), matched at the
+    forward maximum and normalized with sum (2j+1) f^2 = 1, sign
+    (-1)^{l1-l2-m3} at j = l1+l2; the m1 = m2 = 0 rows, where the
+    recursion degenerates, take the exact closed form.  Both passes run
+    in their direction of growth, so every entry keeps full relative
+    accuracy including the exponentially small edge tails.  The
+    recursion runs on all rows at once; rows never mix, so a row's values
+    do not depend on the batch it is computed in.
+
+    Returns
+    -------
+    (jmin, f) : int ndarray (rows,), ndarray (width, rows)
+        f[t, r] is row r at j = l1+l2-t for t below its npts, zero
+        beyond; width is the largest npts.
+    """
+    l1, l2, m1, m2 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=np.int64))
+          for v in (l1, l2, m1, m2)))
+    m3 = -(m1 + m2)
+    jmin = np.maximum(np.abs(l1 - l2), np.abs(m3))
+    npts = l1 + l2 - jmin + 1
+    sign_top = np.where((l1 - l2 - m3) % 2 == 1, -1.0, 1.0)
+    width = int(npts.max())
+    out = np.zeros((width, len(l1)))
+    one = npts == 1
+    out[0, one] = sign_top[one] / np.sqrt(2.0 * jmin[one] + 1.0)
+    closed = (m1 == 0) & (m2 == 0) & ~one
+    r = np.flatnonzero(closed)
+    if len(r):
+        n = int(npts[r].max())
+        out[:n, r] = _threej_000_rows(l1[r], l2[r], npts[r], n)
+    r = np.flatnonzero(~(one | closed))
+    if len(r):
+        r = r[np.argsort(npts[r], kind="stable")]
+        n = int(npts[r[-1]])
+        out[:n, r] = _sg_recursion(l1[r], l2[r], m1[r], m2[r], jmin[r],
+                                   npts[r], sign_top[r], n)
+    return jmin, out
+
+
+# ---------------------------------------------------------------------------
 # One-symbol and one-order wrappers that only the tests call: the exact
 # (l1 l2 l3; 0 0 0) closed form, one 3j family or symbol as one row of the
-# production batch, and one scaled Bessel order from the production chain
+# batched recursion, and one scaled Bessel order from the production chain
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=200000)
@@ -302,15 +517,12 @@ def _sg_coeff_b(j, l1, l2, m1, m2, m3):
                            + (m1 - m2) * j * (j + 1))
 
 
-_RESCALE = 1e250
-
-
 @lru_cache(maxsize=None)
 def threej_family_ref(l1, l2, m1, m2):
     """f[j - jmin] = 3j(l1 l2 j; m1 m2 m3), j = jmin..l1+l2, m3 = -(m1+m2).
 
     The scalar two-sided Schulten-Gordon recursion, one family per call:
-    the reference for the row-batched recursion in `casphere.specfun`.
+    the reference for the row-batched recursion `_threej_rows`.
     Matched at the forward maximum and normalized with
     sum (2j+1) f^2 = 1, sign (-1)^{l1-l2-m3} at j = l1+l2.  Returns a
     read-only array.
@@ -468,11 +680,16 @@ def _sph_basis():
 
 
 def clebsch(j1, m1, j2, m2, J, M):
-    """<j1 m1; j2 m2 | J M> from the exact 3j oracle."""
+    """<j1 m1; j2 m2 | J M> from the exact 3j square, correctly rounded."""
     if m1 + m2 != M:
         return 0.0
-    w = threej_exact(j1, j2, J, m1, m2, -M)
-    return ((-1) ** (j1 - j2 + M)) * math.sqrt(2 * J + 1) * w
+    sign, sq = threej_exact_sq(j1, j2, J, m1, m2, -M)
+    if sign == 0:
+        return 0.0
+    sq *= 2 * J + 1
+    with mp.workdps(40):
+        val = mp.sqrt(mp.mpf(sq.numerator) / sq.denominator)
+    return float(sign * (-1) ** (j1 - j2 + M) * val)
 
 
 def vector_harmonic(J, L, m, th, ph):
@@ -587,76 +804,74 @@ def t_em_ref(eps, mu, l, z):
 # ---------------------------------------------------------------------------
 # Translation blocks in signed-log form: a direct per-(l_max, m) evaluation
 # of the 3j sum over k_{l''}, with the electromagnetic blocks recoupled by
-# peak-shifted signed-log sums.  The production kernel must match these.
+# peak-shifted signed-log sums.  The production kernel, which runs the
+# coaxial recurrences instead, must match these.
 # ---------------------------------------------------------------------------
 
-# (l_max, m) -> (sign int8, log|W|) arrays of shape (l_max+1, l_max+1,
-# 2*l_max+1) indexed [l_out, l_in, l'']; clear with translation_oracle_reset
-_W_LOG = {}
+@lru_cache(maxsize=2)
+def w_kernel(l_max):
+    """3j kernel W[m, l', l, k] of the translation sum (read-only).
+
+    W = -(-1)^{l+m} sqrt((2l+1)(2l'+1)) (2l''+1) 3j(l l' l''; 0 0 0)
+    3j(l l' l''; m -m 0) at l'' = l' + l - 2k; zero for m or k above
+    min(l', l).  The l'' of the other parity have 3j(l l' l''; 0 0 0) = 0
+    and are not stored.  One `_threej_rows` batch per top order
+    max(l', l) holds its families (top, lo; m, -m), m <= lo <= top;
+    3j(l l' l''; m -m 0) is symmetric in l and l', so each family serves
+    both halves, W[m, lo, top] = (-1)^{top+lo} W[m, top, lo].
+    """
+    n = l_max + 1
+    w = np.zeros((n, n, n, n))
+    for top in range(n):
+        lo, m = np.array([(b, mb) for b in range(top + 1)
+                          for mb in range(b + 1)]).T
+        _, f = _threej_rows(top, lo, m, -m)
+        f = f[::2]
+        k = np.arange(top + 1)[:, None]
+        lv = np.arange(top + 1)
+        base = f[:, m == 0] * (2.0 * (top + lv - 2 * k) + 1.0) * np.sqrt(
+            (2.0 * top + 1.0) * (2.0 * lv + 1.0))
+        if top % 2 == 0:
+            base = -base
+        base = base[:, lo] * np.where(m % 2 == 0, 1.0, -1.0)
+        mirror = np.where((top + lo) % 2 == 0, 1.0, -1.0)
+        w[m, lo, top, :top + 1] = np.where(k <= lo, base * f, 0.0).T
+        w[m, top, lo, :top + 1] = np.where(k <= lo, base * mirror * f, 0.0).T
+    w.setflags(write=False)
+    return w
 
 
 def translation_oracle_reset():
-    _W_LOG.clear()
-
-
-def _w_log_tensor(l_max, m):
-    """W[l', l, l''] = (2l''+1) 3j(l l' l''; 0 0 0) 3j(l l' l''; m -m 0)."""
-    key = (l_max, m)
-    hit = _W_LOG.get(key)
-    if hit is not None:
-        return hit
-    n = l_max + 1
-    nw = 2 * l_max + 1
-    sgn = np.zeros((n, n, nw), dtype=np.int8)
-    logw = np.full((n, n, nw), -np.inf)
-    for l_in in range(m, n):
-        for l_out in range(m, n):
-            jmin, f000 = threej_family_ref(l_in, l_out, 0, 0)
-            if m == 0:
-                fm = f000
-            else:
-                jmin_m, fm = threej_family_ref(l_in, l_out, m, -m)
-                assert jmin_m == jmin
-            w = f000 * fm
-            idx = np.arange(jmin, l_in + l_out + 1)
-            vals = w * (2.0 * idx + 1.0)
-            nz = vals != 0.0
-            sgn[l_out, l_in, idx[nz]] = np.sign(vals[nz]).astype(np.int8)
-            logw[l_out, l_in, idx[nz]] = np.log(np.abs(vals[nz]))
-    _W_LOG[key] = (sgn, logw)
-    return sgn, logw
+    w_kernel.cache_clear()
 
 
 def u_log_block_ref(l_max, m, x, direction="12"):
-    """(sign, logmag) with sign * exp(logmag) = U^{direction}(m) e^{+x}."""
-    from casphere.specfun import bessel_ik_half_chain
+    """(sign, logmag) with sign * exp(logmag) = U^{direction}(m) e^{+x}.
+
+    U e^{x} = S k_{l'+l}(x) e^{x} with S = sum_k W[m, l', l, k]
+    k_{l'+l-2k}(x)/k_{l'+l}(x), each ratio a product of the chain's
+    k_j/k_{j+2} <= 1, formed and summed in extended precision: at large x
+    the sum cancels to far below its terms.
+    """
     if direction == "21":
         s, lg = u_log_block_ref(l_max, m, x, "12")
         return s.T.copy(), lg.T.copy()
     m = abs(m)
+    n = l_max + 1
     chain = bessel_ik_half_chain(2 * l_max, x)
-    logkt = chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
-    sgn, logw = _w_log_tensor(l_max, m)
-    terms = logw + logkt[None, None, :]
-    peak = np.max(terms, axis=2)
-    ok = np.isfinite(peak)
-    acc = np.zeros_like(peak)
-    safe_peak = np.where(ok, peak, 0.0)
+    log_k = chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
+    sigma = chain.sigma.astype(np.longdouble)
+    # step[j] = k_j/k_{j+2}; r[L, k] = k_{L-2k}/k_L, 0 for 2k > L
+    step = 1.0 / (sigma[:-2] * sigma[1:-1])
+    r = np.zeros((2 * n - 1, n), dtype=np.longdouble)
+    r[:, 0] = 1.0
     with np.errstate(under="ignore"):
-        acc[ok] = np.sum(sgn * np.exp(terms - safe_peak[:, :, None]),
-                         axis=2)[ok]
-    # global prefactor -(-1)^{l_in} (-1)^m sqrt((2 l_in + 1)(2 l_out + 1))
-    lvec = np.arange(l_max + 1)
-    pref_sign = -np.where(lvec % 2 == 0, 1.0, -1.0) \
-        * (1.0 if m % 2 == 0 else -1.0)
-    halflog = 0.5 * np.log(2.0 * lvec + 1.0)
-    sign = np.sign(acc) * pref_sign[None, :]
+        for k in range(1, n):
+            r[2 * k:, k] = r[2 * k:, k - 1] * step[:2 * n - 1 - 2 * k]
+    lsum = np.add.outer(np.arange(n), np.arange(n))
+    s = np.sum(w_kernel(l_max)[m] * r[lsum], axis=-1).astype(float)
     with np.errstate(divide="ignore"):
-        logmag = np.where(acc != 0.0, np.log(np.abs(acc)), -np.inf) \
-            + peak + halflog[:, None] + halflog[None, :]
-    logmag[~ok] = -np.inf
-    sign[~ok] = 0.0
-    return sign, logmag
+        return np.sign(s), np.log(np.abs(s)) + log_k[lsum]
 
 
 def _signed_log_sum(parts):
@@ -683,9 +898,39 @@ def _signed_log_sum(parts):
     return sign, logmag
 
 
+def em_weights_3j(l_max, m):
+    """`translation._em_weights` from one batch of 3j families.
+
+    One family (J' 1 J; m-q, q, -m) per (m, q, J'): from the top it holds
+    J = J'+1, J', J'-1, i.e. wm[J'+1], w0[J'] and wp[J'-1], with
+    <j1 m1; 1 q | J m> = (-1)^{j1-1+m} sqrt(2J+1) 3j(j1 1 J; m1 q -m).
+    """
+    n = l_max + 2
+    m = np.asarray(m)
+    mq, q, jp = np.broadcast_arrays(
+        m[..., None, None], np.arange(-1, 2)[:, None], np.arange(n + 1))
+    ok = np.abs(mq - q) <= jp
+    at = np.nonzero(ok)[:-2]
+    mq, q, jp = mq[ok], q[ok], jp[ok]
+    _, f = _threej_rows(jp, 1, mq - q, q)
+    sign = np.where((jp - 1 + mq) % 2 == 1, -1.0, 1.0)
+    w = np.zeros((3,) + m.shape + (3, n))
+    for t in range(f.shape[0]):
+        jj = jp + 1 - t
+        r = (jj >= np.maximum(1, np.abs(mq))) & (jj < n)
+        w[(t,) + tuple(i[r] for i in at) + (q[r] + 1, jj[r])] = \
+            sign[r] * np.sqrt(2.0 * jj[r] + 1.0) * f[t, r]
+    wm, w0, wp = w
+    jv = np.arange(n, dtype=float)
+    a_r = np.sqrt((jv + 1.0) / (2.0 * jv + 1.0))
+    b_r = np.sqrt(jv / (2.0 * jv + 1.0))
+    return w0, wm, wp, a_r, b_r
+
+
 def em_log_blocks_ref(l_max, m, x, direction="12"):
-    """{"MM", "MN", "NM", "NN"} -> (sign, logmag) of G^{PP'} e^{+x}."""
-    from casphere.translation import _em_weights
+    """{"MM", "MN", "NM", "NN"} -> (sign, logmag) of G^{PP'} e^{+x}.
+
+    Recouples the 3j-sum scalar blocks with the 3j-route weights."""
     if direction == "21":
         fwd = em_log_blocks_ref(l_max, m, x, "12")
         jv = np.arange(l_max + 1)
@@ -695,7 +940,7 @@ def em_log_blocks_ref(l_max, m, x, direction="12"):
                                   ("NN", 1.0))}
     m = int(m)
     n = l_max + 1
-    w0, wm, wp, a_r, b_r = _em_weights(l_max, m)
+    w0, wm, wp, a_r, b_r = em_weights_3j(l_max, m)
     ublocks = {}
     for mu in {abs(m - 1), abs(m), abs(m + 1)}:
         s, lg = u_log_block_ref(l_max + 1, mu, x, "12")
@@ -751,25 +996,60 @@ def em_log_blocks_ref(l_max, m, x, direction="12"):
 
 def node_kernel_ref(l_max, x, em=False):
     """(blocks, log_scale) of the "12" translation kernel at one x, built
-    as one x at a time: from the one-argument Bessel chain, a ratio table
-    and W contraction without a node axis, and the EM recoupling one m
-    stack at a time.  Same arithmetic as the batched kernel, so its rows
-    must match these bytes.
+    one x and one order m at a time: from the one-argument Bessel chain,
+    the seed column S_{l'0}(0) = -sqrt(2l'+1), the sectorial step from
+    order m - 1 to order m and the l step along each order, with the
+    recurrence coefficients from Python integers; then the EM recoupling
+    one m stack at a time.  The same arithmetic per entry, on the same
+    rows, as the batched kernel, so its rows must match these bytes.
     """
-    from casphere.specfun import bessel_ik_half_chain
-    from casphere.translation import _em_weight_stack, _w_kernel
+    from casphere.translation import _em_weight_stack
+
+    def a_coef(j, m):
+        # a_j^m, zero for j < m
+        if j < m:
+            return 0.0
+        return math.sqrt((j + 1 + m) * (j + 1 - m)
+                         / ((2 * j + 1) * (2 * j + 3)))
 
     def s_blocks(order, sigma):
         n = order + 1
-        step = 1.0 / (sigma[:2 * n - 3] * sigma[1:2 * n - 2])
-        r = np.zeros((2 * n - 1, n))
-        r[:, 0] = 1.0
-        with np.errstate(under="ignore"):
-            for k in range(1, n):
-                r[2 * k:, k] = r[2 * k:, k - 1] * step[:2 * n - 1 - 2 * k]
-        lv = np.arange(n)
-        return np.einsum("mabk,abk->mab", _w_kernel(order),
-                         r[lv[:, None] + lv[None, :]])
+        rows = 2 * order + 2  # one zero row, then l' = 0..2 order
+        # k2[L] = k_{L-1}/k_{L+1}, 0 at L = 0
+        k2 = np.zeros(2 * order)
+        k2[1:] = 1.0 / (sigma[:2 * order - 1] * sigma[1:2 * order])
+        s = np.zeros((n, n, n))
+        sect = np.zeros(rows)
+        sect[1:] = -np.sqrt(2.0 * np.arange(2 * order + 1) + 1.0)
+        for m in range(n):
+            if m:
+                # S_{l'm}(m) from S_{l'-1,m-1}(m-1) and S_{l'+1,m-1}(m-1)
+                lp = np.arange(m, 2 * order - m + 1)
+                alpha = -np.array([math.sqrt(
+                    (2 * m + 1) * (j + m - 1) * (j + m)
+                    / (2 * m * (2 * j - 1) * (2 * j + 1))) for j in lp])
+                beta = np.array([math.sqrt(
+                    (2 * m + 1) * (j - m + 1) * (j - m + 2)
+                    / (2 * m * (2 * j + 1) * (2 * j + 3))) for j in lp])
+                new = np.zeros(rows)
+                new[lp + 1] = (alpha * sect[lp] * k2[lp + m - 1]
+                               + beta * sect[lp + 2])
+                sect = new
+            a = np.array([a_coef(j, m) for j in range(-1, 2 * order + 1)])
+            na = -a
+            prev, cur = np.zeros(rows), sect
+            s[m, :, m] = cur[1:n + 1]
+            for l in range(m, order):
+                hi = 2 * order - l
+                nxt = np.zeros(rows)
+                with np.errstate(under="ignore"):
+                    nxt[1:hi + 1] = (
+                        na[1:hi + 1] * cur[2:hi + 2]
+                        + (na[:hi] * cur[:hi] + na[l] * prev[1:hi + 1])
+                        * k2[l:l + hi]) / a[l + 1]
+                prev, cur = cur, nxt
+                s[m, :, l + 1] = cur[1:n + 1]
+        return s
 
     n = l_max + 1
     lv = np.arange(n)

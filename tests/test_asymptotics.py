@@ -34,6 +34,7 @@ from casphere.tmatrix import (
 
 from _oracles import (
     ThreeJArgs,
+    em_weights_3j,
     scalar_series_ref,
     u_scalar_element,
     wigner3j,
@@ -282,17 +283,19 @@ def test_metal_uncertified_cut_is_flagged():
 
 
 def test_exact_clebsch_gordan_matches_recoupling_weights():
-    # the series route's exact CG and the energy route's numerical
-    # weights: <J m-q; 1 q | J m> and the J-1, J+1 channels, J <= 8
+    # the series route's exact CG and the energy route's closed-form
+    # weights, and the 3j-route weights of the translation oracle:
+    # <J m-q; 1 q | J m> and the J-1, J+1 channels, J <= 8
     for m in range(-8, 9):
-        w0, wm, wp, _, _ = _em_weights(7, m)
-        for iq, q in enumerate((-1, 0, 1)):
-            for jj in range(1, 9):
-                for weights, j1 in ((w0, jj), (wm, jj - 1), (wp, jj + 1)):
-                    c, r = _cg(j1, m - q, jj, q)
-                    exact = float(c) * math.sqrt(r)
-                    assert abs(exact - weights[iq, jj]) <= 1e-15, \
-                        (j1, m - q, jj, q)
+        for w0, wm, wp, _, _ in (_em_weights(7, m), em_weights_3j(7, m)):
+            for iq, q in enumerate((-1, 0, 1)):
+                for jj in range(1, 9):
+                    for weights, j1 in ((w0, jj), (wm, jj - 1),
+                                        (wp, jj + 1)):
+                        c, r = _cg(j1, m - q, jj, q)
+                        exact = float(c) * math.sqrt(r)
+                        assert abs(exact - weights[iq, jj]) <= 1e-15, \
+                            (j1, m - q, jj, q)
 
 
 def test_em_radical_mismatch_raises(monkeypatch):

@@ -947,12 +947,12 @@ def test_unequal_spheres_keep_their_own_t_logs(monkeypatch):
     assert calls == [DIR, small]
 
 
-def test_w_kernel_is_one_array_for_the_largest_order(monkeypatch):
-    monkeypatch.setattr(translation, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+def test_translation_holds_no_module_level_array():
+    # the translation kernel runs recurrences on per-call arrays: after
+    # integrands at three orders the module keeps no table of any order
     g = pair(DIR, DIR, 3.0)
     for l_max in (5, 33, 9):
         integrand(g, REAL_SCALAR, 0.8, l_max)
     caches = [k for k, v in vars(translation).items()
               if not k.startswith("__") and isinstance(v, (np.ndarray, dict))]
-    assert caches == ["_W_KERNEL"]
-    assert translation._W_KERNEL.shape == (34, 34, 34, 34)
+    assert caches == []

@@ -1,4 +1,4 @@
-"""Tests for scaled Bessel chains and Wigner 3j symbols."""
+"""Tests for scaled Bessel chains and the 3j symbols of the test oracles."""
 
 import math
 import re
@@ -11,7 +11,6 @@ from casphere.specfun import (
     _CHAIN_CEILING,
     _i_ratio_chain,
     _k_chains,
-    _threej_rows,
     bessel_ik_half_chain,
 )
 
@@ -19,6 +18,7 @@ import _oracles as orc
 from _oracles import (
     L_CEILING,
     ThreeJArgs,
+    _threej_rows,
     bessel_ik_half,
     threej_000,
     threej_family,

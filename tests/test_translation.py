@@ -3,18 +3,21 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 import casphere.translation as tr
-from casphere import specfun
 from casphere.specfun import bessel_ik_half_chain
 from casphere.translation import node_kernel, u_log_block
 
 import _oracles as orc
 from _oracles import em_log_blocks, u_em_element, u_scalar_element
+
+
+EPS = np.finfo(float).eps
 
 
 def _sph_i(l_arr, z):
@@ -308,7 +311,51 @@ def test_em_validation_errors():
 
 
 # ---------------------------------------------------------------------------
-# 3j kernel W
+# closed-form recoupling weights
+# ---------------------------------------------------------------------------
+
+def test_em_weights_match_exact_clebsch_gordan():
+    # every m, q and J <= 40 against the exact Racah oracle: each weight
+    # is the square root of one correctly rounded rational (or m over
+    # one), so it keeps full relative accuracy, the small ones included
+    # (at most 1.0 eps relative measured)
+    l_max = 39
+    for m in range(-l_max - 2, l_max + 3):
+        w0, wm, wp, _, _ = tr._em_weights(l_max, m)
+        for iq, q in enumerate((-1, 0, 1)):
+            for jj in range(l_max + 2):
+                for w, j1 in ((w0, jj), (wm, jj - 1), (wp, jj + 1)):
+                    ok = jj >= max(1, abs(m)) and j1 >= abs(m - q)
+                    ref = orc.clebsch(j1, m - q, 1, q, jj, m) if ok else 0.0
+                    assert abs(w[iq, jj] - ref) <= 2 * EPS * abs(ref), \
+                        (j1, m - q, q, jj)
+
+
+def test_em_weights_match_threej_route():
+    # the weights from one batch of 3j families, as the translation kernel
+    # took them before the closed forms: within 2 ulp of 1 (they differ by
+    # at most 3.3e-16 up to J = 33)
+    for l_max in (1, 8, 32):
+        m = np.arange(-l_max - 1, l_max + 2)
+        for got, ref in zip(tr._em_weights(l_max, m),
+                            orc.em_weights_3j(l_max, m)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 2 * EPS
+
+
+def test_em_weight_stack_equals_per_m_weights():
+    # the weights of every m at once are byte-equal to those of each m
+    stack = tr._em_weight_stack.__wrapped__(32)
+    n = 33
+    per_m = [tr._em_weights(32, m) for m in range(n)]
+    w0, wm, wp = (np.stack([p[i][:, :n] for p in per_m]) for i in range(3))
+    a_r, b_r = per_m[0][3][:n], per_m[0][4][:n]
+    for got, ref in zip(stack, (w0, wm / a_r, -a_r * wm, -b_r * wp)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the oracle's 3j kernel W and its worst entries
 # ---------------------------------------------------------------------------
 
 def _w_reference(l_max):
@@ -331,98 +378,76 @@ def _w_reference(l_max):
     return w
 
 
-def test_w_kernel_matches_scalar_oracle_at_forty(monkeypatch):
-    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
-    w = tr._w_kernel(40)
+def test_w_kernel_matches_scalar_oracle_at_forty():
+    # the oracle's W from batched 3j rows, one batch per top order
+    w = orc.w_kernel(40)
+    assert not w.flags.writeable
     ref = _w_reference(40)
     assert np.array_equal(w == 0.0, ref == 0.0)
     nz = ref != 0.0
-    assert np.all(np.abs(w[nz] - ref[nz])
-                  <= 4 * np.finfo(float).eps * np.abs(ref[nz]))
-
-
-def test_w_kernel_growth_is_byte_equal_to_fresh_build(monkeypatch):
-    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
-    for l_max in (5, 33, 9):
-        grown = tr._w_kernel(l_max)
-    assert grown.shape == (10,) * 4
-    grown = tr._W_KERNEL
-    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
-    fresh = tr._w_kernel(33)
-    assert not fresh.flags.writeable
-    assert grown.tobytes() == fresh.tobytes()
+    assert np.all(np.abs(w[nz] - ref[nz]) <= 4 * EPS * np.abs(ref[nz]))
 
 
 def test_w_kernel_mirror_parity():
     # 3j(l l' L; m -m 0) is symmetric in l and l', so swapping the orders
     # only moves the prefactor sign: W[m, l', l] = (-1)^{l+l'} W[m, l, l']
-    w = tr._w_kernel(40)
+    w = orc.w_kernel(40)
     lv = np.arange(41)
     par = np.where((lv[:, None] + lv[None, :]) % 2 == 0, 1.0, -1.0)
     assert np.array_equal(w.swapaxes(1, 2), par[None, :, :, None] * w)
 
 
-def _w_per_top(l_max):
-    """W from one `_threej_rows` batch of every family per top order: the
-    same rows as the banded build, batched the simplest way."""
-    n = l_max + 1
-    w = np.zeros((n, n, n, n))
-    for top in range(n):
-        lo, m = np.array([(b, mb) for b in range(top + 1)
-                          for mb in range(b + 1)]).T
-        _, f = specfun._threej_rows(top, lo, m, -m)
-        f = f[::2]
-        k = np.arange(top + 1)[:, None]
-        lv = np.arange(top + 1)
-        base = f[:, m == 0] * (2.0 * (top + lv - 2 * k) + 1.0) * np.sqrt(
-            (2.0 * top + 1.0) * (2.0 * lv + 1.0))
-        if top % 2 == 0:
-            base = -base
-        base = base[:, lo] * np.where(m % 2 == 0, 1.0, -1.0)
-        mirror = np.where((top + lo) % 2 == 0, 1.0, -1.0)
-        w[m, lo, top, :top + 1] = np.where(k <= lo, base * f, 0.0).T
-        w[m, top, lo, :top + 1] = np.where(k <= lo, base * mirror * f, 0.0).T
-    return w
+def _s_mpmath(l_out, l_in, m, x, dps=40):
+    """S_{l_out, l_in}(m) at x from exact 3j squares and mpmath K."""
+    with mp.workdps(dps):
+        big_x = mp.mpf(x)
+        k_top = mp.besselk(l_out + l_in + mp.mpf(1) / 2, big_x)
+        tot = mp.mpf(0)
+        for lpp in range(abs(l_out - l_in), l_out + l_in + 1, 2):
+            s0, q0 = orc.threej_exact_sq(l_in, l_out, lpp, 0, 0, 0)
+            s1, q1 = orc.threej_exact_sq(l_in, l_out, lpp, m, -m, 0)
+            if s0 * s1 == 0:
+                continue
+            q = q0 * q1
+            w = s0 * s1 * mp.sqrt(mp.mpf(q.numerator) / q.denominator)
+            tot += (2 * lpp + 1) * w * mp.besselk(lpp + mp.mpf(1) / 2,
+                                                  big_x) / k_top
+        return float(-(-1) ** (l_in + m)
+                     * mp.sqrt((2 * l_in + 1) * (2 * l_out + 1)) * tot)
 
 
-def test_w_kernel_banded_build_equals_per_top_build(monkeypatch):
-    # rows never mix in a batch, so the banded batches write the same bits
-    # (signed zeros included) as one batch per top order
-    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
-    assert tr._w_kernel(40).tobytes() == _w_per_top(40).tobytes()
+def test_worst_oracle_entries_match_mpmath(oracle_cache):
+    # at l_max 40 and x = 800 the m = 7..9 blocks cancel to ~1e-3, so the
+    # oracle test compares them at its 1e-14 floor; the entries where the
+    # kernel and the oracle differ most (and (34, 9), where the sum of
+    # exponentiated logs was off by 1.06e-14) are each within half the
+    # floor of a 40-digit evaluation, so the floor tests the kernel
+    l_max, x = 40, 800.0
+    kern = node_kernel(l_max, x)
+    for m in (7, 8, 9):
+        ref = _scaled(*orc.u_log_block_ref(l_max, m, x), kern.log_scale)
+        diff = np.abs(kern.blocks[m] - ref)
+        worst = np.unravel_index(np.argmax(diff), diff.shape)
+        for a, b in {tuple(int(i) for i in worst), (34, 9)}:
+            exact = _s_mpmath(a, b, m, x)
+            assert abs(ref[a, b] - exact) <= 5e-15, (m, a, b)
+            assert abs(kern.blocks[m][a, b] - exact) <= 5e-15, (m, a, b)
 
 
-def test_cold_3j_tables_take_few_batches(monkeypatch):
-    # the W kernel at order 33 and the EM weights of every m come from a
-    # few batches of 3j families, not one batch per top order and per m
-    calls = []
+# ---------------------------------------------------------------------------
+# cost of the recurrence
+# ---------------------------------------------------------------------------
 
-    def counted(*args, _fn=specfun._threej_rows):
-        calls.append(np.broadcast(*args).size)
-        return _fn(*args)
-
-    monkeypatch.setattr(specfun, "_threej_rows", counted)
-    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
-    tr._w_kernel(33)
-    stack = tr._em_weight_stack.__wrapped__(32)
-    assert len(calls) <= 8
-    # every m in one batch, byte-equal to the weights of each m alone
-    n = 33
-    per_m = [tr._em_weights(32, m) for m in range(n)]
-    w0, wm, wp = (np.stack([p[i][:, :n] for p in per_m]) for i in range(3))
-    a_r, b_r = per_m[0][3][:n], per_m[0][4][:n]
-    for got, ref in zip(stack, (w0, wm / a_r, -a_r * wm, -b_r * wp)):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-
-
-def test_cold_w_kernel_memory_peak(monkeypatch):
-    # the batches fit a byte budget: next to W itself, the build allocates
-    # at most what one batch per top order did (6.2 MB at order 33)
-    monkeypatch.setattr(tr, "_W_KERNEL", np.zeros((0, 0, 0, 0)))
+def test_cold_node_kernel_memory_peak():
+    # the recurrence keeps a few columns of (l_max+1)(2 l_max+2) entries
+    # next to the (l_max+1)^3 blocks it returns (8.8 MB traced at order
+    # 96, of which 7.3 MB are the blocks); the 3j route built a 0.71 GB
+    # table of (l_max+1)^4 weights first
+    tr._recurrence_coeffs.cache_clear()
     tracemalloc.start()
     try:
-        w = tr._w_kernel(33)
+        kern = node_kernel(96, 3.7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= w.nbytes + 6.2e6
+    assert peak <= kern.blocks.nbytes + 4e6
