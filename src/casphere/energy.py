@@ -22,14 +22,16 @@ of every node with one multiply.  Only the T-matrix diagonals are taken
 node by node.
 
 The per-l cuts of every m-block are leading principal minors of 1 - N_m,
-and the m-blocks of many nodes are eliminated together.  They are
-written into one zero-padded stack, m-major and node-minor, so sizes
-never increase along it, each block in the trailing (bottom-right)
-corner of its slot: the padding then acts as identity rows, the blocks
-still being eliminated at any row form a prefix of the stack, and each
-one's update window is exactly its own trailing submatrix, so no work is
-spent on padding.  One loop over panels of rows, one orbital order
-each, serves every m of every node.
+and the m-blocks of many nodes are eliminated together, m-major and
+node-minor, one panel of rows (one orbital order) at a time.  Block m
+covers the orders l >= m, so it joins the elimination at order m: the
+blocks live at any order form a prefix of the m-major list, and each
+one's update window is its own trailing submatrix.  Only those windows
+are held, in a ping-pong pair of buffers that shrink with the order;
+each panel's Schur update writes the next, smaller windows into the
+other buffer, and the blocks that start at the next order are written
+after them straight from the assembly.  No byte is spent on padding, so
+a chunk of nodes is sized by the working set's real peak.
 
 The kappa integral is a global-adaptive Gauss-Kronrod (7, 15) rule with
 the interval choice, sums and error estimate of
@@ -265,48 +267,93 @@ def _checked_field(geometry, field_kind, l_max):
     return fld
 
 
-def _stack_lndets(stack, sizes, stride, rebuild):
-    """(signs, lndets) of the leading principal minors of 1 - B for
-    every block B of a padded stack, each of shape (len(stack), n).
+def _panels(sizes, stride):
+    """(first row, live blocks) of every panel of `stride` rows when
+    blocks of these sizes are eliminated: block i joins at row
+    sizes[0] - sizes[i]."""
+    starts = np.arange(0, sizes[0], stride)
+    return starts, np.searchsorted(sizes[0] - np.asarray(sizes), starts,
+                                   "right")
 
-    Block i of size sizes[i] sits in the trailing (bottom-right) corner
-    of stack[i]; sizes never increase along the stack, and every block
-    starts at a multiple of `stride`.  The padding rows and columns in
-    front of a block are never read: they act as identity rows of 1 - B,
-    so the blocks still being eliminated at row k are a prefix of the
-    stack and each one's update window is exactly its own trailing
-    submatrix.  The leading rows of the result belong to the padding
-    (sign 1, lndet 0).
 
-    The elimination is pivot-free and carried in B ~ N, one panel of
-    `stride` rows (one orbital order) at a time: rank-1 steps confined
-    to the panel's rows and columns, each pivot column divided once by
-    its pivot 1 - b_kk, then one batched matmul B22 += (B21 / piv) @ B12
-    of every active block's trailing window.  Each b_kk is built from
-    products of N entries, so log1p(-b_kk) keeps full relative accuracy
-    even when N is ~1e-12 (far separations).  Pivots are checked once,
-    on the final diagonal: a block with one below 1e-13 or not finite is
-    rebuilt alone by `rebuild(i)` and handed to the pivoted fallback
-    with a PivotFallbackWarning; no other block reads its entries.  The
-    stack is overwritten.
+def _buffer_sizes(sizes, stride):
+    """Doubles in each of the two buffers `_shrinking_pivots` eliminates
+    blocks of these sizes in: the live windows of the even panels, and
+    of the odd ones."""
+    starts, live = _panels(sizes, stride)
+    cells = live * (sizes[0] - starts) ** 2
+    return cells[0::2].max(initial=0), cells[1::2].max(initial=0)
+
+
+def _shrinking_pivots(sizes, stride, write):
+    """Final diagonals b_kk of the pivot-free elimination of the blocks
+    of `_shrinking_lndets`, shape (len(sizes), sizes[0]); zero on the
+    identity rows in front of each block.
+
+    One panel of `stride` rows (one orbital order) at a time: rank-1
+    steps confined to the panel's rows and columns, each pivot column
+    divided once by its pivot 1 - b_kk, then one batched matmul writes
+    the next windows B22 + (B21 / piv) @ B12 into the other buffer of a
+    ping-pong pair.  The buffers live only as long as this call.
     """
-    nb, n, _ = stack.shape
+    n = sizes[0]
+    bufs = [np.empty(size) for size in _buffer_sizes(sizes, stride)]
+    bkk = np.zeros((len(sizes), n))
+    written = 0
+    for p, (k0, nact) in enumerate(zip(*_panels(sizes, stride))):
+        w = n - k0
+        act = bufs[p % 2][:nact * w * w].reshape(nact, w, w)
+        if nact > written:
+            write(act[written:], k0, written)
+            written = nact
+        for k in range(stride):
+            col = act[:, k + 1:, k, None]
+            col /= 1.0 - act[:, k, k, None, None]
+            # the panel's last row leaves no panel column to update
+            j = stride - k - 1
+            if j:
+                rest, row = act[:, k + 1:, k + 1:], act[:, None, k, k + 1:]
+                rest[:, :, :j] += col * row[..., :j]
+                rest[:, :j, j:] += col[:, :j] * row[..., j:]
+        bkk[:nact, k0:k0 + stride] = np.diagonal(
+            act[:, :stride, :stride], axis1=1, axis2=2)
+        if w > stride:
+            v = w - stride
+            nxt = bufs[(p + 1) % 2][:nact * v * v].reshape(nact, v, v)
+            np.matmul(act[:, stride:, :stride], act[:, :stride, stride:],
+                      out=nxt)
+            nxt += act[:, stride:, stride:]
+    return bkk
+
+
+def _shrinking_lndets(sizes, stride, write, rebuild):
+    """(signs, lndets) of the leading principal minors of 1 - B for
+    blocks B of the given sizes, each of shape (len(sizes), n) with n =
+    sizes[0].
+
+    Sizes never increase and are multiples of `stride`.  Block i is
+    read as the trailing (bottom-right) corner of an n-row matrix whose
+    leading n - sizes[i] rows are identity rows of 1 - B: the leading
+    rows of its result belong to them (sign 1, lndet 0).  Only the live
+    trailing windows are held.  At row k the blocks being eliminated are
+    a prefix of the list and each one's window is its trailing
+    (n - k)-row submatrix; `write(out, k, lo)` fills out, of shape
+    (count, n - k, n - k), with the blocks lo, lo + 1, ... that start at
+    row k, behind the windows of the blocks before them.
+
+    The elimination (`_shrinking_pivots`) is pivot-free and carried in
+    B ~ N.  Each b_kk is built from products of N entries, so
+    log1p(-b_kk) keeps full relative accuracy even when N is ~1e-12
+    (far separations).  Pivots are checked once, after the elimination:
+    a block with one below 1e-13 or not finite is rebuilt alone by
+    `rebuild(i)` (its own sizes[i] rows) and handed to the pivoted
+    fallback with a PivotFallbackWarning; no other block reads its
+    entries.
+    """
+    nb, n = len(sizes), sizes[0]
     first = n - np.asarray(sizes)
-    starts = np.arange(0, n, stride)
     with np.errstate(all="ignore"):
-        for k0, nact in zip(starts, np.searchsorted(first, starts, "right")):
-            act, k1 = stack[:nact], k0 + stride
-            for k in range(k0, k1):
-                col = act[:, k + 1:, k, None]
-                col /= 1.0 - act[:, k, k, None, None]
-                # the panel's last row leaves no panel column to update
-                j = k1 - k - 1
-                if j:
-                    rest, row = act[:, k + 1:, k + 1:], act[:, None, k, k + 1:]
-                    rest[:, :, :j] += col * row[..., :j]
-                    rest[:, :j, j:] += col[:, :j] * row[..., j:]
-            act[:, k1:, k1:] += act[:, k1:, k0:k1] @ act[:, k0:k1, k1:]
-        bkk = np.diagonal(stack, axis1=1, axis2=2)
+        bkk = _shrinking_pivots(sizes, stride, write)
         piv = 1.0 - bkk
         own = np.arange(n) >= first[:, None]
         terms = np.zeros((nb, n))
@@ -321,7 +368,7 @@ def _stack_lndets(stack, sizes, stride, rebuild):
         signs[i], lndets[i] = 1.0, 0.0
         own_rows = slice(first[i], None)
         signs[i, own_rows], lndets[i, own_rows] = \
-            _leading_lndets_pivoted(rebuild(i)[own_rows, own_rows])
+            _leading_lndets_pivoted(rebuild(i))
     return signs, lndets
 
 
@@ -341,10 +388,10 @@ def _m_history(signs, lndets, stride, l_min):
     """History vectors sum_m w_m lndet(1 - N_m) at every cut l.
 
     Axis 0 of signs and lndets runs over m, the last axis over the rows
-    of the m-block of `_stack_lndets`, and any axes between over nodes.
-    Blocks run l-major with `stride` rows per orbital order and are
-    padded to the size of the largest block, so the cut at order l is
-    the leading minor of size stride*(l - l_min + 1) in every row.
+    of `_shrinking_lndets`, and any axes between over nodes.  Blocks run
+    l-major with `stride` rows per orbital order, behind the identity
+    rows that bring each to the size of the largest, so the cut at order
+    l is the leading minor of size stride*(l - l_min + 1) in every row.
     Positivity is asserted at those cuts only (staircase minors in
     between carry no physical meaning).  The +-m blocks are equal:
     m > 0 is weighted twice.
@@ -370,24 +417,26 @@ def _per_pol(arr, pol):
     return arr
 
 
-def _write_blocks(out, pairs, pol, l_min):
-    """Write the m-blocks N_m of some nodes into out, m-major and
-    node-minor.
+def _write_blocks(out, pairs, pol, l0, m0):
+    """Write the m-blocks N_m, m = m0, m0 + 1, ..., of some nodes into
+    out, m-major and node-minor, from orbital order l0 on.
 
     out has shape (nm, nn, nl, nsph, pol, nl, nsph, pol) for nm values
-    of m, nn nodes and nl orders from l_min.  pairs holds (a, b, scale,
-    u): the (sphere a, sphere b) block of N_m at node j is scale[j] *
-    u[j, m].  Rows and columns run l-major with (sphere, polarization)
-    inside each order, so every sphere cut at order l is a leading
-    principal submatrix.  One strided multiply per (pair, polarization,
-    polarization) writes every m of every node and keeps the innermost
-    runs long.
+    of m, nn nodes and the nl orders l0..l_max.  pairs holds (a, b,
+    scale, u): the (sphere a, sphere b) block of N_m at node j is
+    scale[j] * u[j, m], and the (a, a) blocks are zero.  Rows and
+    columns run l-major with (sphere, polarization) inside each order,
+    so every sphere cut at order l is a leading principal submatrix.
+    One strided multiply per (pair, polarization, polarization) writes
+    every m of every node and keeps the innermost runs long.
     """
-    lo = pol * l_min
-    nn, nl = out.shape[1:3]
+    lo = pol * l0
+    nm, nn, nl, nsph = out.shape[:4]
+    for a in range(nsph):
+        out[:, :, :, a, :, :, a] = 0.0
     for a, b, scale, u in pairs:
         s = scale[:, lo:, lo:].reshape(nn, nl, pol, nl, pol)
-        blocks = u[:, :, lo:, lo:].reshape(nn, -1, nl, pol, nl, pol)
+        blocks = u[:, m0:m0 + nm, lo:, lo:].reshape(nn, nm, nl, pol, nl, pol)
         blocks = blocks.swapaxes(0, 1)
         for p in range(pol):
             for q in range(pol):
@@ -395,44 +444,49 @@ def _write_blocks(out, pairs, pol, l_min):
                             out=out[:, :, :, a, p, :, b, q])
 
 
-def _node_stack(pairs, nsph, pol, l_min, m, j):
-    """The m-block N_m of node j alone, padded to the full order.
-
-    Block m proper covers l >= max(m, l_min), the trailing corner of its
-    slot; the orders below it are padding (see `_stack_lndets`).
-    """
-    l_max = pairs[0][2].shape[1] // pol - 1
-    nl = l_max + 1 - l_min
-    stack = np.zeros((1, 1, nl, nsph, pol, nl, nsph, pol))
-    _write_blocks(stack, [(a, b, scale[j:j + 1], u[j:j + 1, m:m + 1])
-                          for a, b, scale, u in pairs], pol, l_min)
+def _node_block(pairs, nsph, pol, l_min, m, j):
+    """The m-block N_m of node j alone: the orders l >= max(m, l_min)."""
+    l0 = max(m, l_min)
+    nl = pairs[0][2].shape[1] // pol - l0
+    block = np.empty((1, 1, nl, nsph, pol, nl, nsph, pol))
+    _write_blocks(block, [(a, b, scale[j:j + 1], u[j:j + 1])
+                          for a, b, scale, u in pairs], pol, l0, m)
     n = nl * nsph * pol
-    return stack.reshape(n, n)
+    return block.reshape(n, n)
+
+
+def _block_sizes(nsph, pol, l_max, l_min):
+    """Rows of the m-blocks of one node, m = 0..l_max: block m covers the
+    orders l >= max(m, l_min)."""
+    return nsph * pol * (l_max + 1 - np.maximum(np.arange(l_max + 1), l_min))
 
 
 def _stack_history(pairs, nsph, pol, l_max, l_min):
     """History vectors of the nodes of `_node_pairs`, shape (nn, l_max + 1)
     for the nn nodes its arrays hold.
 
-    The m-blocks of every node are eliminated at once in one padded
-    stack, m-major and node-minor, so block sizes never increase along
-    it; a block sent to the pivoted fallback is rebuilt alone from its
-    node's pairs.
+    The m-blocks of every node are eliminated together, m-major and
+    node-minor, so block sizes never increase along them; block m of
+    every node joins the working set at order max(m, l_min), written
+    straight into its live window.  A block sent to the pivoted fallback
+    is rebuilt alone from its node's pairs.
     """
     nn = len(pairs[0][2])
-    nl = l_max + 1 - l_min
     stride = nsph * pol
-    n = nl * stride
-    stack = np.zeros((l_max + 1, nn, nl, nsph, pol, nl, nsph, pol))
-    _write_blocks(stack, pairs, pol, l_min)
-    sizes = np.repeat(
-        stride * (l_max + 1 - np.maximum(np.arange(l_max + 1), l_min)), nn)
+    n = (l_max + 1 - l_min) * stride
+
+    def write(out, k, lo):
+        l0 = l_min + k // stride
+        nl = l_max + 1 - l0
+        _write_blocks(out.reshape(-1, nn, nl, nsph, pol, nl, nsph, pol),
+                      pairs, pol, l0, lo // nn)
 
     def rebuild(i):
-        return _node_stack(pairs, nsph, pol, l_min, *divmod(i, nn))
+        return _node_block(pairs, nsph, pol, l_min, *divmod(i, nn))
 
-    signs, lndets = _stack_lndets(stack.reshape(-1, n, n), sizes, stride,
-                                  rebuild)
+    signs, lndets = _shrinking_lndets(
+        np.repeat(_block_sizes(nsph, pol, l_max, l_min), nn), stride, write,
+        rebuild)
     return _m_history(signs.reshape(l_max + 1, nn, n),
                       lndets.reshape(l_max + 1, nn, n), stride, l_min)
 
@@ -494,9 +548,10 @@ def _node_pairs(geometry, fld, kappas, l_max):
     return pairs
 
 
-# byte budget of one padded stack: nodes are eliminated together in
-# chunks that fit it (at least one node per chunk), which bounds the
-# memory of a refinement round whatever its node count
+# byte budget of the elimination's working set: nodes are eliminated
+# together in chunks whose two live-window buffers fit it (at least one
+# node per chunk), which bounds the memory of a refinement round
+# whatever its node count
 _STACK_BYTES = 1 << 20
 
 
@@ -511,8 +566,9 @@ def _histories(geometry, fld, kappas, l_max):
     nsph = geometry.n_spheres
     pol = 2 if fld.is_em else 1
     l_min = _l_min(fld)
-    n = (l_max + 1 - l_min) * nsph * pol
-    chunk = max(1, _STACK_BYTES // ((l_max + 1) * n * n * 8))
+    node_bytes = 8 * sum(_buffer_sizes(
+        _block_sizes(nsph, pol, l_max, l_min), nsph * pol))
+    chunk = max(1, _STACK_BYTES // node_bytes)
     out = np.empty((len(kappas), l_max + 1))
     for start in range(0, len(kappas), chunk):
         part = kappas[start:start + chunk]

@@ -80,6 +80,36 @@ def _i_ratio_chain(n, z):
     return out
 
 
+def _i_ratio_gap(n, z, w, d):
+    """(g, w rho(w)) for l = 0..n: g[l] = w rho_l(w) - z rho_l(z), with
+    the difference of squares w^2 - z^2 = d z^2 taken from d, not from
+    a rounded w; 0 < w <= 1e7.
+
+    Both chains run the continued fraction of `_i_ratio_chain` down
+    from the same start, z rho_l(z) = z^2/B_l with B_l = 2l + 3 +
+    z rho_{l+1}(z) and likewise A_l at w, and their difference
+    g_l = (d z^2 B_l - z^2 g_{l+1})/(A_l B_l) keeps full relative
+    precision as w -> z, where the plain difference loses 1e-16/d.
+    """
+    if not 0.0 < w <= _ARG_CEILING:
+        raise ValueError("bessel argument z=%r outside (0, %g]"
+                         % (w, _ARG_CEILING))
+    z2, w2 = z * z, w * w
+    dz2 = d * z2
+    g = np.empty(n + 1)
+    wrho = np.empty(n + 1)
+    gl = wr = zr = 0.0
+    for l in range(n + 80 + int(max(z, w)), -1, -1):
+        a = 2.0 * l + 3.0 + wr
+        b = 2.0 * l + 3.0 + zr
+        gl = (dz2 * b - z2 * gl) / (a * b)
+        wr, zr = w2 / a, z2 / b
+        if l <= n:
+            g[l] = gl
+            wrho[l] = wr
+    return g, wrho
+
+
 def _k_ratio_chain(n, z):
     """sigma[l] = K_{l+3/2}(z)/K_{l+1/2}(z) for l = 0..n (upward, exact seed)."""
     out = np.empty(n + 1)

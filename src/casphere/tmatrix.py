@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .specfun import _i_ratio_chain, bessel_ik_half_chain
+from .specfun import _i_ratio_gap, bessel_ik_half_chain
 
 __all__ = [
     "Robin",
@@ -225,14 +225,17 @@ def t_em_log(spec, l_max, kappa):
         channels = [_robin_log(ch, zeta) for zeta in _PEC_ZETAS]
     else:
         # alpha = 1 + l + w rho_l(w) at w = n z and beta = x = mu (M) or
-        # eps (E); over i_l and k_l the brackets are (1 - x)(1 + l) +
-        # w rho_l(w) - x z rho_l(z), zero in vacuum, and 1 + l + w rho_l(w)
-        # + x (z sigma_l - l - 1) > 0.  The inner field is the I ratios at w
-        w = math.sqrt(eps * mu) * z
-        wrho = w * _i_ratio_chain(l_max, w)
+        # eps (E); over i_l and k_l the brackets are (1 - x)(1 + l +
+        # z rho_l(z)) + g_l with g_l = w rho_l(w) - z rho_l(z), zero in
+        # vacuum, and 1 + l + w rho_l(w) + x (z sigma_l - l - 1) > 0.  The
+        # inner field is the I ratios at w, and g carries n^2 - 1 =
+        # (eps - 1) mu + (mu - 1) exactly, so a near-vacuum sphere keeps
+        # full relative precision
+        g, wrho = _i_ratio_gap(l_max, z, math.sqrt(eps * mu) * z,
+                               (eps - 1.0) * mu + (mu - 1.0))
         lv = np.arange(l_max + 1.0)
         channels = [_bracket_log(
-            ch, (1.0 - x) * (1.0 + lv) + (wrho - x * (z * ch.rho)),
+            ch, (1.0 - x) * (1.0 + lv + z * ch.rho) + g,
             1.0 + lv + wrho + x * (z * ch.sigma - lv - 1.0))
             for x in (mu, eps)]
     sign, logmag = np.empty((2, 2 * (l_max + 1)))

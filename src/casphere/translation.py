@@ -371,7 +371,8 @@ def _em_recouple(s, l_max, ratio):
     s is the scalar S stack at order l_max+1, one row per node x.  A
     scalar block U(mu)[a, b] carries the factor k_{a+b}, so the channel
     read at rows J'+dr and columns J+dc takes ratio[dr + dc][x, 0, J', J]
-    = k_{J'+J+dr+dc}/k_{J'+J+1}.
+    = k_{J'+J+dr+dc}/k_{J'+J+1}.  Each read is scaled once for every
+    order mu; the q-th term of order m reads mu = |m - q|.
     """
     nx = len(s)
     n = l_max + 1
@@ -379,27 +380,33 @@ def _em_recouple(s, l_max, ratio):
     # front-pad one zero row/column so that J-1 = -1 slices read as zero
     sp = np.zeros((nx, n + 1, n + 2, n + 2))
     sp[:, :, 1:, 1:] = s
-    ms = np.arange(n)
-    g = np.zeros((nx, n, n, 2, n, 2))
-    for iq, q in enumerate((-1, 0, 1)):
-        u = sp[:, np.abs(ms - q)]
+    # mu = |m - q| for q = -1, 0, +1: two views, one fancy index
+    shifts = (slice(1, n + 1), slice(0, n), np.abs(np.arange(n) - 1))
 
-        def part(dr, dc):
-            return (u[:, :, 1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
-                    * ratio[dr + dc])
+    def read(dr, dc):
+        return sp[:, :, 1 + dr:1 + dr + n, 1 + dc:1 + dc + n] * ratio[dr + dc]
 
-        tm, te = t_m[:, iq, :, None], t_e[:, iq, :, None]
-        cm, clo, chi = (w[:, iq, None, :] for w in (t_m, c_lo, c_hi))
-        # electric rows read the orbital J'-1 channel, electric columns
-        # the J-1 and J+1 channels
-        g[:, :, :, 0, :, 0] += tm * cm * part(0, 0)
-        g[:, :, :, 1, :, 0] += te * cm * part(-1, 0)
-        g[:, :, :, 0, :, 1] += tm * (clo * part(0, -1) + chi * part(0, 1))
-        g[:, :, :, 1, :, 1] += te * (clo * part(-1, -1) + chi * part(-1, 1))
+    g = np.empty((nx, n, n, 2, n, 2))
+    # electric rows read the orbital J'-1 channel, electric columns the
+    # J-1 and J+1 channels; each channel sums its q terms in a contiguous
+    # (x, m, J', J) array before it is interleaved
+    for row, (tw, dr) in enumerate(((t_m, 0), (t_e, -1))):
+        mag = read(dr, 0)
+        acc = np.zeros((nx, n, n, n))
+        for iq, mu in enumerate(shifts):
+            acc += tw[:, iq, :, None] * t_m[:, iq, None, :] * mag[:, mu]
+        g[:, :, :, row, :, 0] = acc
+        lo, hi = read(dr, -1), read(dr, 1)
+        acc = np.zeros((nx, n, n, n))
+        for iq, mu in enumerate(shifts):
+            acc += tw[:, iq, :, None] * (c_lo[:, iq, None, :] * lo[:, mu]
+                                         + c_hi[:, iq, None, :] * hi[:, mu])
+        g[:, :, :, row, :, 1] = acc
     # exact selection rule: the q and -q contributions cancel identically
     # at m = 0, so suppress the rounding residue
     g[:, 0, :, 0, :, 1] = 0.0
     g[:, 0, :, 1, :, 0] = 0.0
-    live = np.arange(n)[None, :] >= np.maximum(1, ms)[:, None]
+    ms = np.arange(n)
+    live = ms[None, :] >= np.maximum(1, ms)[:, None]
     g *= (live[:, :, None, None, None] & live[:, None, None, :, None])
     return g.reshape(nx, n, 2 * n, 2 * n)

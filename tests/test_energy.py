@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -25,8 +26,8 @@ from casphere.energy import (
     REAL_SCALAR,
     _histories,
     _m_history,
-    _node_stack,
-    _stack_lndets,
+    _node_block,
+    _shrinking_lndets,
     casimir_energy,
     casimir_energy_nbody,
     extrapolate,
@@ -250,6 +251,20 @@ def test_block_decomposition_full_det():
 C_LNDET = 4.0
 
 
+def _stack_lndets(stack, sizes, stride, rebuild):
+    """`_shrinking_lndets` of the blocks in the trailing corners of a
+    padded stack, read window by window as the elimination reaches them;
+    rebuild(i) returns block i's padded slot (None: never called)."""
+    n = stack.shape[1]
+
+    def write(out, k, lo):
+        out[...] = stack[lo:lo + len(out), k:, k:]
+
+    def own(i):
+        return rebuild(i)[n - sizes[i]:, n - sizes[i]:]
+    return _shrinking_lndets(sizes, stride, write, own)
+
+
 def _one_block(a, stride=1):
     """_stack_lndets of a stack holding the single block a, eliminated
     in panels of `stride` rows; the pivoted fallback rebuilds a."""
@@ -433,8 +448,7 @@ def _per_block_history(pairs, nsph, pol, l_max, l_min, j=0):
     one, ref, bound = np.zeros((3, l_max + 1))
     for m in range(l_max + 1):
         lo = max(m, l_min)
-        first = stride * (lo - l_min)
-        block = _node_stack(pairs, nsph, pol, l_min, m, j)[first:, first:]
+        block = _node_block(pairs, nsph, pol, l_min, m, j)
         weight = 1.0 if m == 0 else 2.0
         cut = slice(stride - 1, None, stride)
         one[lo:] += weight * _one_block(block, stride)[1][cut]
@@ -468,17 +482,26 @@ def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
 def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
                                              l_max):
     # the strided per-polarization writes of a chunk build the bytes of
-    # one multiply per sphere pair, node by node, m-major and node-minor
+    # one multiply per sphere pair, node by node, m-major and node-minor;
+    # each block's window, as written when it joins the elimination, is
+    # put back in the trailing corner of a zero-padded slot
     recorded = []
     node_pairs = energy._node_pairs
     monkeypatch.setattr(energy, "_node_pairs",
                         lambda *args: recorded.append(node_pairs(*args))
                         or recorded[-1])
     stacks = []
-    stack_lndets = energy._stack_lndets
-    monkeypatch.setattr(energy, "_stack_lndets",
-                        lambda stack, *args: stacks.append(stack.copy())
-                        or stack_lndets(stack, *args))
+    shrinking_lndets = energy._shrinking_lndets
+
+    def padded(sizes, stride, write, rebuild):
+        stack = np.zeros((len(sizes), sizes[0], sizes[0]))
+        stacks.append(stack)
+
+        def record(out, k, lo):
+            write(out, k, lo)
+            stack[lo:lo + len(out), k:, k:] = out
+        return shrinking_lndets(sizes, stride, record, rebuild)
+    monkeypatch.setattr(energy, "_shrinking_lndets", padded)
     fld = FieldKind(field)
     kappas = [0.05, 0.8, 3.0]
     _histories(geometry, fld, kappas, l_max)
@@ -488,25 +511,55 @@ def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
     (pairs,) = recorded
     assert all(len(scale) == len(u) == len(kappas)
                for _, _, scale, u in pairs)
+    # block m's own rows and columns are the orders l >= max(m, l_min);
+    # in front of them the oracle's slot holds padding (signed zeros of
+    # scale * 0) that the elimination neither writes nor reads
+    first = pol * geometry.n_spheres * (
+        np.maximum(np.arange(l_max + 1), l_min) - l_min)
+    rows = np.arange(stack.shape[1])
+    own = ((rows[None, :, None] >= first[:, None, None])
+           & (rows[None, None, :] >= first[:, None, None]))
     for j in range(len(kappas)):
         ref = orc.node_stack_ref(_node(pairs, j), geometry.n_spheres, pol,
                                  l_min)
-        assert stack[j::len(kappas)].tobytes() == ref.tobytes()
+        assert stack[j::len(kappas)].tobytes() == \
+            np.where(own, ref, 0.0).tobytes()
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=st.sampled_from(NODE_CASES),
+def _node_window_bytes(nsph, pol, l_max, l_min):
+    """Peak bytes of one node's live windows, counted from the block
+    layout: at the p-th order from l_min the blocks m <= l_min + p are
+    live, each with (l_max + 1 - l_min - p) orders left, and the two
+    buffers hold the even and the odd orders."""
+    stride = nsph * pol
+    nl = l_max + 1 - l_min
+    live = [(l_min + p + 1) * (stride * (nl - p)) ** 2 for p in range(nl)]
+    return 8 * (max(live[0::2]) + max(live[1::2], default=0))
+
+
+# a scalar pair, an EM pair, a Dirichlet triple, and the triples of
+# NODE_CASES
+CHUNK_CASES = NODE_CASES + [
+    ("scalar-real", Geometry((DIR, DIR, DIR), (0.0, 3.0, 6.5)), 5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CHUNK_CASES),
        kappas=st.lists(st.floats(1e-3, 40.0), min_size=1, max_size=7),
-       per_chunk=st.integers(1, 3))
-def test_histories_equal_one_node_calls(case, kappas, per_chunk):
+       eighths=st.integers(0, 31))
+def test_histories_equal_one_node_calls(case, kappas, eighths):
+    # a byte budget of eighths/8 node windows: below one node (a chunk
+    # still takes one), whole chunks of one to three nodes, and ragged
+    # last chunks
     field, geometry, l_max = case
     fld = FieldKind(field)
-    l_min = 1 if fld.is_em else 0
-    n = (l_max + 1 - l_min) * geometry.n_spheres * (2 if fld.is_em else 1)
+    pol, l_min = (2, 1) if fld.is_em else (1, 0)
+    node = _node_window_bytes(geometry.n_spheres, pol, l_max, l_min)
+    per_chunk = max(1, eighths // 8)
     chunks = []
     stack_history = energy._stack_history
     with mock.patch.object(energy, "_STACK_BYTES",
-                           per_chunk * (l_max + 1) * n * n * 8), \
+                           max(1, node * eighths // 8)), \
             mock.patch.object(energy, "_stack_history",
                               lambda pairs, *args:
                               chunks.append(len(pairs[0][2]))
@@ -516,6 +569,26 @@ def test_histories_equal_one_node_calls(case, kappas, per_chunk):
                       for start in range(0, len(kappas), per_chunk)]
     for row, kappa in zip(batched, kappas):
         assert row.tobytes() == _history(geometry, fld, kappa, l_max).tobytes()
+
+
+@pytest.mark.parametrize("field,l_max,per_chunk", [
+    ("scalar-real", 10, 65), ("scalar-real", 17, 16), ("scalar-real", 36, 2),
+    ("scalar-real", 37, 1), ("em", 8, 28), ("em", 22, 2), ("em", 23, 1)])
+def test_chunks_hold_the_live_windows_of_one_mib(monkeypatch, field, l_max,
+                                                 per_chunk):
+    # the 1 MiB budget counts only the live windows of the elimination,
+    # so chunks fall to one node only from scalar l_max 37 and EM 23
+    chunks = []
+    monkeypatch.setattr(energy, "_node_pairs",
+                        lambda geometry, fld, part, l_max: len(part))
+    monkeypatch.setattr(energy, "_stack_history",
+                        lambda nn, nsph, pol, l_max, l_min:
+                        chunks.append(nn) or np.zeros((nn, l_max + 1)))
+    sphere = PEC if field == "em" else DIR
+    _histories(pair(sphere, sphere, 3.0), FieldKind(field),
+               [1.0] * (per_chunk + 1), l_max)
+    assert chunks == [per_chunk, 1]
+    assert energy._STACK_BYTES == 1 << 20
 
 
 def test_pivot_fallback_hits_one_node_of_a_batch(monkeypatch):
@@ -956,3 +1029,24 @@ def test_translation_holds_no_module_level_array():
     caches = [k for k, v in vars(translation).items()
               if not k.startswith("__") and isinstance(v, (np.ndarray, dict))]
     assert caches == []
+
+
+# ---------------------------------------------------------------------------
+# memory of one near-contact node
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,law,l_max,budget_mb", [
+    ("em", PerfectConductor(), 64, 40.0),
+    ("scalar-real", Dirichlet(), 96, 25.0)])
+def test_near_contact_node_memory_peak(field, law, l_max, budget_mb):
+    # one integrand node at d/R 2.05 holds its translation blocks and the
+    # live windows of the elimination only: 30 MB (PEC-PEC, l_max 64) and
+    # 18 MB (D-D, l_max 96) traced
+    sphere = SphereSpec(R, law)
+    tracemalloc.start()
+    try:
+        integrand(pair(sphere, sphere, 2.05), field, 1.0, l_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget_mb * 1e6

@@ -225,17 +225,20 @@ def test_vacuum_sphere_scatters_nothing():
 
 @pytest.mark.parametrize("eps,mu", [(2.0, 1.0), (4.0, 1.0), (2.0, 3.0),
                                     (1.0, 2.0), (16.0, 0.25), (80.0, 1.0),
-                                    (1.0, 3.0)])
+                                    (1.0, 3.0), (1.0 + 1e-4, 1.0),
+                                    (1.0 + 1e-8, 1.0), (1.0 + 1e-12, 1.0),
+                                    (1.0, 1.0 + 1e-10)])
 @pytest.mark.parametrize("l", [1, 2, 4])
-@pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3, 0.05, 0.6, 3.0])
+@pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3, 0.05, 0.6, 3.0, 40.0])
 def test_em_matches_reference(eps, mu, l, z):
     # at small kappa R the bracket of a channel with x = 1 (mu for M, eps
-    # for E) is O(z^2): its entries must keep full relative precision there
+    # for E) is O(z^2), and a nearly vacuum sphere's brackets are
+    # O(n^2 - 1): its entries must keep full relative precision there
     spec = SphereSpec(R, Dielectric(eps, mu))
     ref_m, ref_e = t_em_ref(eps, mu, l, z)
     val_m, val_e = t_em_imag(spec, l, z)
-    assert val_m == pytest.approx(ref_m, rel=1e-12, abs=1e-300)
-    assert val_e == pytest.approx(ref_e, rel=1e-12, abs=1e-300)
+    assert val_m == pytest.approx(ref_m, rel=1e-13, abs=1e-300)
+    assert val_e == pytest.approx(ref_e, rel=1e-13, abs=1e-300)
 
 
 def test_pec_static_polarizabilities():
