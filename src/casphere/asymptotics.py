@@ -198,12 +198,12 @@ def _ktilde_laurent(l3):
 
 
 @lru_cache(maxsize=None)
-def _g_series(l_out, l_in, m, s):
+def _g_series(l_out, l_in, m):
     """Radical-free translation factor G as a Laurent dict {kpow: c}.
 
-    The full scaled translation entry is
+    The full scaled translation entry in direction "12" is
         U_{l_out,l_in}(m) = sqrt(w(l_out, m) w(l_in, m)) * G(x) e^{-x},
-    with x = kappa*d and s = +1 (direction "12") or -1 ("21").  Each l3
+    with x = kappa*d; direction "21" is (-1)^{l_out+l_in} times it.  Each l3
     term carries 3j(l_in l_out l3; 000) 3j(l_in l_out l3; m -m 0), whose
     radicals cancel against sqrt((l_in+m)!(l_in-m)!(l_out+m)!(l_out-m)!).
     """
@@ -224,7 +224,7 @@ def _g_series(l_out, l_in, m, s):
             raise ArithmeticError(
                 "translation factor G(%d, %d, m=%d) kept the radical "
                 "sqrt(%d)" % (l_out, l_in, m, r))
-        base = sign * s ** (l3 % 2) * (2 * l3 + 1) * c
+        base = sign * (2 * l3 + 1) * c
         for kp, v in _ktilde_laurent(l3).items():
             out[kp] = out.get(kp, Fraction(0)) + base * v
     return {k: v for k, v in out.items() if v != 0}
@@ -328,13 +328,15 @@ def _scalar_pair(a, b, m):
     """Scalar U12[a, b] and U21[b, a], each slot's radical folded in.
 
     U = sqrt(w w) G, and around a closed chain every slot meets two U
-    entries, so each side takes its own slot weight w whole.
+    entries, so each side takes its own slot weight w whole.  U21[b, a]
+    is the "12" entry times the reversal parity (-1)^{la+lb}.
     """
     la, lb = a[0], b[0]
+    par = -1 if (la + lb) % 2 else 1
     return ({(0, k): _w_int(la, m) * c
-             for k, c in _g_series(la, lb, m, 1).items()},
-            {(0, k): _w_int(lb, m) * c
-             for k, c in _g_series(lb, la, m, -1).items()})
+             for k, c in _g_series(la, lb, m).items()},
+            {(0, k): par * _w_int(lb, m) * c
+             for k, c in _g_series(lb, la, m).items()})
 
 
 def _integrate_traces(per_p, em_form):
@@ -464,7 +466,7 @@ def _em_block(key, jr, jc, m):
                      (_surd_mul((-b_c, b_r), _cg(jc + 1, mu, jc, q)), +1))
         for wcol, coff in parts:
             l_row, l_col, amu = jr + roff, jc + coff, abs(mu)
-            g = _g_series(l_row, l_col, amu, 1) if wcol[0] != 0 else {}
+            g = _g_series(l_row, l_col, amu) if wcol[0] != 0 else {}
             if not g:
                 continue
             c, r = _surd_mul(_surd_mul(wrow, wcol), _surd(Fraction(

@@ -397,32 +397,47 @@ def _pfa_dimensionless(field, law1, law2, radius, d):
     return case, pfa_energy(radius, d, case) * radius * _field_factor(field)
 
 
+def _abs_err(est):
+    """Quadrature error plus the extrapolation error, when there is one."""
+    err = est.quad_error
+    if est.extrap_error == est.extrap_error:
+        err += est.extrap_error
+    return err
+
+
+def _checked_grid(text, radius):
+    """`parse_grid`, refusing any distance at or below contact."""
+    grid = parse_grid(text)
+    for d in grid:
+        if d <= 2.0 * radius:
+            raise ValueError("grid touches contact: d=%g <= 2R=%g"
+                             % (d, 2.0 * radius))
+    return grid
+
+
 def _point_row(field, law1, law2, radius, d, lmax_arg, qtol):
+    """(sweep row, estimate, (PFA case, E_PFA)) at one distance."""
     geometry = Geometry.pair(SphereSpec(radius, law1),
                              SphereSpec(radius, law2), d)
     quad = QuadSpec(rel_tol=qtol)
     l_max = suggest_l_max(geometry, field) if lmax_arg is None else lmax_arg
     est = casimir_energy(geometry, field, l_max, quad)
-    _, e_pfa = _pfa_dimensionless(field, law1, law2, radius, d)
-    err = est.quad_error
-    if est.extrap_error == est.extrap_error:
-        err += est.extrap_error
+    pfa = _pfa_dimensionless(field, law1, law2, radius, d)
     row = {
         "d_over_R": d / radius,
         "L_over_R": (d - 2.0 * radius) / radius,
         "E": est.value,
-        "E_over_PFA": est.value / e_pfa,
+        "E_over_PFA": est.value / pfa[1],
         "l_max_used": l_max,
         "delta": est.delta_fit,
         "series_value": _series_value(field, law1, law2, radius, d),
-        "abs_err_estimate": err,
+        "abs_err_estimate": _abs_err(est),
     }
-    return row, est
+    return row, est, pfa
 
 
 def _sweep_task(task):
-    row, _ = _point_row(*task)
-    return row
+    return _point_row(*task)[0]
 
 
 def _map_tasks(fn, tasks, workers):
@@ -431,7 +446,9 @@ def _map_tasks(fn, tasks, workers):
         return [fn(t) for t in tasks]
     # imported only here: the pool machinery costs every CLI start
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the fork start method launches every worker up front, so never
+    # ask for more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -447,10 +464,9 @@ def cmd_energy(args):
         ("radius", repr(args.radius)), ("d", repr(args.d)),
         ("lmax", "auto" if args.lmax is None else str(args.lmax)),
         ("qtol", repr(args.qtol)), ("format", fmt)))
-    row, est = _point_row(args.field, law1, law2, args.radius, args.d,
-                          args.lmax, args.qtol)
-    case, e_pfa = _pfa_dimensionless(args.field, law1, law2,
-                                     args.radius, args.d)
+    row, est, (case, e_pfa) = _point_row(args.field, law1, law2,
+                                         args.radius, args.d, args.lmax,
+                                         args.qtol)
     record = {key: _jsonable(row[key]) for key in SWEEP_COLUMNS}
     record.update({
         "pfa_case": case, "E_pfa": e_pfa,
@@ -464,11 +480,7 @@ def cmd_energy(args):
 def cmd_sweep(args):
     bc1, bc2, law1, law2 = _resolve_bcs(args)
     fmt = args.format or "csv"
-    grid = parse_grid(args.d_grid)
-    for d in grid:
-        if d <= 2.0 * args.radius:
-            raise ValueError("grid touches contact: d=%g <= 2R=%g"
-                             % (d, 2.0 * args.radius))
+    grid = _checked_grid(args.d_grid, args.radius)
     config = RunConfig("sweep", (
         ("field", args.field), ("bc1", bc1), ("bc2", bc2),
         ("radius", repr(args.radius)), ("d_grid", args.d_grid),
@@ -585,11 +597,7 @@ def cmd_signmap(args):
     pairs2 = _parse_zetas(args.zetas2)
     grid = None
     if args.d_grid is not None:
-        grid = parse_grid(args.d_grid)
-        for d in grid:
-            if d <= 2.0 * args.radius:
-                raise ValueError("grid touches contact: d=%g <= 2R=%g"
-                                 % (d, 2.0 * args.radius))
+        grid = _checked_grid(args.d_grid, args.radius)
         if grid.size == 0:
             grid = None
     params = [("zetas1", args.zetas1), ("zetas2", args.zetas2),
@@ -639,12 +647,9 @@ def cmd_nbody(args):
         ("lmax", "auto" if args.lmax is None else str(args.lmax)),
         ("qtol", repr(args.qtol)), ("format", fmt)))
     est = casimir_energy_nbody(geometry, args.field, l_max, quad)
-    err = est.quad_error
-    if est.extrap_error == est.extrap_error:
-        err += est.extrap_error
     record = {"n_spheres": geometry.n_spheres, "E": est.value,
               "l_max_used": l_max, "delta": _jsonable(est.delta_fit),
-              "abs_err_estimate": err,
+              "abs_err_estimate": _abs_err(est),
               "history": [[l, e] for l, e in est.history]}
     columns = ("n_spheres", "E", "l_max_used", "delta", "abs_err_estimate")
     row = {c: record[c] for c in columns}

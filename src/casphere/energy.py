@@ -59,7 +59,7 @@ from .tmatrix import (
 )
 # u_log_block stays importable from here: bench/spans.py traces it at
 # every import site
-from .translation import _node_kernels, u_log_block  # noqa: F401
+from .translation import _node_kernels, _reversal, u_log_block  # noqa: F401
 
 __all__ = [
     "DomainError",
@@ -437,7 +437,7 @@ def _write_blocks(out, pairs, pol, l0, m0):
     for a, b, scale, u in pairs:
         s = scale[:, lo:, lo:].reshape(nn, nl, pol, nl, pol)
         blocks = u[:, m0:m0 + nm, lo:, lo:].reshape(nn, nm, nl, pol, nl, pol)
-        blocks = blocks.swapaxes(0, 1)
+        blocks = np.moveaxis(blocks, 1, 0)
         for p in range(pol):
             for q in range(pol):
                 np.multiply(s[:, :, p, :, q], blocks[:, :, :, p, :, q],
@@ -500,9 +500,10 @@ def _node_pairs(geometry, fld, kappas, l_max):
     one row per node, P = pol*(l_max + 1).  A diagonal similarity
     e^{-kappa R_a} (kappa c)^{-l} balances every entry, with the same
     determinant.  Pairs at the same distance share one batch of
-    translation kernels, read in either direction through
-    `NodeKernel.oriented`.  The T-matrix logs are taken node by node,
-    with a float kappa.
+    translation kernels, and every u is its "12" blocks: a pair whose
+    source lies below its target reads them in direction "21", whose
+    +-1 parity mask `_reversal` is folded into the scale.  The T-matrix
+    logs are taken node by node, with a float kappa.
     """
     spheres = geometry.spheres
     centers = geometry.centers
@@ -543,8 +544,9 @@ def _node_pairs(geometry, fld, kappas, l_max):
                 scale = sa[:, :, None] * np.exp(
                     ga[:, :, None] + kern.log_scale + pw
                     + expo[:, None, None])
-                direction = "12" if centers[b] > centers[a] else "21"
-                pairs.append((a, b, scale, kern.oriented(direction)))
+                if centers[b] < centers[a]:
+                    scale *= _reversal(l_max + 1, pol)
+                pairs.append((a, b, scale, kern.blocks))
     return pairs
 
 

@@ -8,7 +8,10 @@ and positive on the imaginary frequency axis) the re-expansion reads
     k_l(kappa r_2) Y_lm(2) = -sum_{l'} U_{l'l}(m) i_{l'}(kappa r_1) Y_{l'm}(1)
 
 valid for r_1 < d.  U depends only on |m| and on which center is the
-source; the two directions are related by U^{21} = (U^{12})^T.
+source.  Reversing the direction is a parity mask (`_reversal`):
+U^{21}_{l'l}(m) = (-1)^{l'+l} U^{12}_{l'l}(m), which for a scalar block
+is also its transpose, and an EM block further negates its
+magnetic/electric mixing entries.
 
 Electromagnetic (vector) multipoles translate through the same scalar
 matrices after recoupling orbital and spin angular momentum, giving a
@@ -76,15 +79,6 @@ def _check_direction(direction):
         raise ValueError("direction must be '12' or '21', got %r" % (direction,))
 
 
-def _mixing_sign(n):
-    """+1 on same-polarization entries, -1 on M-E mixing entries.
-
-    Rows and columns are l-major with polarizations (M, E) interleaved.
-    """
-    v = np.tile([1.0, -1.0], n)
-    return v[:, None] * v[None, :]
-
-
 @dataclass(frozen=True)
 class NodeKernel:
     """Ratio-scaled translation blocks of every m at one x = kappa d.
@@ -94,42 +88,31 @@ class NodeKernel:
 
     Attributes
     ----------
-    pol : int
-        Polarizations per orbital order: 1 (scalar) or 2 (EM, order M, E).
     blocks : ndarray, shape (l_max+1, pol*(l_max+1), pol*(l_max+1))
         blocks[m] in direction "12", rows and columns l-major with the
-        polarizations interleaved; EM entries below max(1, m) are zero.
+        pol polarizations (1 scalar, 2 EM in the order M, E) interleaved;
+        EM entries below max(1, m) are zero.  The "21" blocks are these
+        times `_reversal`.
     log_scale : ndarray, shape (pol*(l_max+1), pol*(l_max+1))
         blocks[m] * exp(log_scale) is the block times e^{+x}: log of
         k_{l'+l}(x) e^{x} for scalar and of k_{J'+J+1}(x) e^{x} for EM.
     """
 
-    pol: int
     blocks: np.ndarray
     log_scale: np.ndarray
 
-    def oriented(self, direction):
-        """The blocks with the given center as the source.
-
-        Reversing the direction transposes a scalar block.  An EM block
-        picks up (-1)^{J'+J} entrywise (each scalar element of composite
-        order L+L' gains (-1)^{L+L'}) and the mixing blocks flip sign.
-        """
-        _check_direction(direction)
-        if direction == "12":
-            return self.blocks
-        if self.pol == 1:
-            return self.blocks.swapaxes(-1, -2)
-        return self.blocks * _em_reversal(self.blocks.shape[-1] // 2)
-
 
 @lru_cache(maxsize=8)
-def _em_reversal(n):
-    """Entrywise sign (-1)^{J'+J} times the mixing sign: the EM "21"
-    blocks are the "12" blocks times this mask (read-only)."""
-    jv = np.repeat(np.arange(n), 2)
-    par = np.where((jv[:, None] + jv[None, :]) % 2 == 0, 1.0, -1.0)
-    mask = par * _mixing_sign(n)
+def _reversal(n, pol):
+    """The +-1 mask that turns "12" blocks of n orders into "21" blocks
+    (read-only).
+
+    outer(r, r) with r = (-1)^l repeated over the pol polarizations and
+    negated on the electric ones: (-1)^{l'+l} entrywise, times -1 on
+    the EM magnetic/electric mixing entries.
+    """
+    r = np.outer((-1.0) ** np.arange(n), (1.0, -1.0)[:pol]).ravel()
+    mask = np.outer(r, r)
     mask.setflags(write=False)
     return mask
 
@@ -226,7 +209,7 @@ def _node_kernels(l_max, x, em=False):
     log_k += np.array([0.5 * math.log(2.0 / (math.pi * xi))
                        for xi in x.tolist()])[:, None]
     if not em:
-        return NodeKernel(pol=1, blocks=_s_blocks(l_max, sigma),
+        return NodeKernel(blocks=_s_blocks(l_max, sigma),
                           log_scale=log_k[:, lsum])
     s = _s_blocks(l_max + 1, sigma)
     # k_{J'+J+d}/k_{J'+J+1} for d = 1, 0, -1, -2, broadcast over m
@@ -238,7 +221,7 @@ def _node_kernels(l_max, x, em=False):
     ratio[-2] = ratio[-1] * inv[..., lsum]
     blocks = _em_recouple(s, l_max, ratio)
     log_scale = np.repeat(np.repeat(log_k[:, lsum + 1], 2, 1), 2, 2)
-    return NodeKernel(pol=2, blocks=blocks, log_scale=log_scale)
+    return NodeKernel(blocks=blocks, log_scale=log_scale)
 
 
 def node_kernel(l_max, x, em=False):
@@ -255,8 +238,7 @@ def node_kernel(l_max, x, em=False):
     NodeKernel
     """
     kern = _node_kernels(l_max, np.array([x], dtype=float), em)
-    return NodeKernel(pol=kern.pol, blocks=kern.blocks[0],
-                      log_scale=kern.log_scale[0])
+    return NodeKernel(blocks=kern.blocks[0], log_scale=kern.log_scale[0])
 
 
 def _signed_log_view(block, log_scale):
@@ -280,7 +262,10 @@ def u_log_block(l_max, m, x, direction="12"):
     if m > l_max:
         return np.zeros((n, n)), np.full((n, n), -np.inf)
     kern = node_kernel(l_max, x)
-    return _signed_log_view(kern.oriented(direction)[m], kern.log_scale)
+    block = kern.blocks[m]
+    if direction == "21":
+        block = block * _reversal(n, 1)
+    return _signed_log_view(block, kern.log_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1164,9 +1164,9 @@ def chain_trace_scalar_ref(t1, t2, p, l_cut, r_cap):
     lead1 = {l: min(r for r, _ in d) if d else None for l, d in t1.items()}
     lead2 = {l: min(r for r, _ in d) if d else None for l, d in t2.items()}
     g12 = lru_cache(maxsize=None)(lambda lo, li, m: {
-        (0, kp): c for kp, c in _g_series(lo, li, m, 1).items()})
-    g21 = lru_cache(maxsize=None)(lambda lo, li, m: {
-        (0, kp): c for kp, c in _g_series(lo, li, m, -1).items()})
+        (0, kp): c for kp, c in _g_series(lo, li, m).items()})
+    # U21 = (U12)^T, and the radical sqrt(w w) is symmetric
+    g21 = lru_cache(maxsize=None)(lambda lo, li, m: g12(li, lo, m))
     acc = {}
     for slots in product(range(l_cut + 1), repeat=2 * p):
         base = 0
@@ -1246,6 +1246,15 @@ def node_stack_ref(pairs, nsph, pol, l_min):
 # production node kernel that only the tests call
 # ---------------------------------------------------------------------------
 
+def mixing_sign(n):
+    """+1 on same-polarization entries, -1 on M-E mixing entries.
+
+    Rows and columns are l-major with polarizations (M, E) interleaved.
+    """
+    v = np.tile([1.0, -1.0], n)
+    return v[:, None] * v[None, :]
+
+
 def em_log_blocks(l_max, m, x, direction="12"):
     """Scaled EM translation blocks in signed-log form.
 
@@ -1256,7 +1265,7 @@ def em_log_blocks(l_max, m, x, direction="12"):
     """
     from casphere.translation import (
         _check_direction,
-        _mixing_sign,
+        _reversal,
         _signed_log_view,
         node_kernel,
     )
@@ -1266,10 +1275,12 @@ def em_log_blocks(l_max, m, x, direction="12"):
         zero = (np.zeros((n, n)), np.full((n, n), -np.inf))
         return {key: zero for key in ("MM", "MN", "NM", "NN")}
     kern = node_kernel(l_max, x, em=True)
-    g = kern.oriented(direction)[abs(m)]
+    g = kern.blocks[abs(m)]
+    if direction == "21":
+        g = g * _reversal(n, 2)
     if m < 0:
         # same-polarization blocks are even in m, mixing blocks odd
-        g = g * _mixing_sign(n)
+        g = g * mixing_sign(n)
     return {prow + pcol: _signed_log_view(g[i::2, j::2],
                                           kern.log_scale[i::2, j::2])
             for i, prow in enumerate("MN") for j, pcol in enumerate("MN")}
@@ -1336,9 +1347,17 @@ def history_pair_ref(geometry, fld, kappa, l_max):
                                                               kappa)
             scale.append(rd * s[:, None] * np.exp(
                 (g + peel_t)[:, None] + kern.log_scale + peel_u))
+    # "21": an EM block times (-1)^{J'+J}, with its mixing entries
+    # negated; the transpose of a scalar block
+    if fld.is_em:
+        jv = np.repeat(np.arange(l_max + 1), 2)
+        u21 = kern.blocks * ((-1.0) ** (jv[:, None] + jv[None, :])
+                             * mixing_sign(l_max + 1))
+    else:
+        u21 = kern.blocks.swapaxes(1, 2)
     # one node: a leading node axis of length 1
-    pairs = [(0, 1, scale[0][None], kern.oriented("12")[None]),
-             (1, 0, scale[1][None], kern.oriented("21")[None])]
+    pairs = [(0, 1, scale[0][None], kern.blocks[None]),
+             (1, 0, scale[1][None], u21[None])]
     return _stack_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)[0]
 
 

@@ -99,8 +99,11 @@ def test_translation_factor_matches_block():
         for l_out in range(4):
             for l_in in range(4):
                 for m in range(min(l_out, l_in) + 1):
-                    for s, direction in ((1, "12"), (-1, "21")):
-                        g = _g_series(l_out, l_in, m, s)
+                    # "21" is the transpose: U21[l_out, l_in] = U12[l_in,
+                    # l_out], and the radical sqrt(w w) is symmetric
+                    for rc, direction in (((l_out, l_in), "12"),
+                                          ((l_in, l_out), "21")):
+                        g = _g_series(*rc, m)
                         val = sum(float(c) * x ** k for k, c in g.items())
                         val *= math.sqrt(_w_int(l_out, m) * _w_int(l_in, m))
                         val *= math.exp(-x)
@@ -108,6 +111,20 @@ def test_translation_factor_matches_block():
                                                direction)
                         assert val == pytest.approx(ref, rel=1e-12,
                                                     abs=1e-300)
+
+
+def test_translation_factor_transpose_is_parity():
+    # the exact series reverses a block by the parity (-1)^{l_out+l_in},
+    # the numeric kernel by `_reversal`: on the exact G the two agree
+    # with the transpose as Fractions, term by term
+    for l_out in range(7):
+        for l_in in range(7):
+            par = -1 if (l_out + l_in) % 2 else 1
+            for m in range(min(l_out, l_in) + 1):
+                g = _g_series(l_out, l_in, m)
+                assert g
+                assert _g_series(l_in, l_out, m) == {
+                    k: par * c for k, c in g.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the command-line driver: schemas, values, exit codes."""
 
 import argparse
+import concurrent.futures
 import json
 import math
 
@@ -171,6 +172,31 @@ def test_sweep_reproducible_and_worker_independent(tmp_path):
     par = run_csv(tmp_path, argv + ["--workers", "3"], "c.csv")
     assert strip(one) == strip(two)
     assert strip(one) == strip(par)
+
+
+def test_map_tasks_caps_workers_at_tasks(monkeypatch):
+    # the pool is asked for no more workers than there are tasks; the
+    # recording stand-in maps serially, so no process is started
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert cli._map_tasks(abs, [-1, 2, -3], 64) == [1, 2, 3]
+    assert cli._map_tasks(abs, [-1, 2, -3, 4], 2) == [1, 2, 3, 4]
+    assert cli._map_tasks(abs, [-5], 64) == [5]
+    assert asked == [3, 2]
 
 
 def test_sweep_empty_grid(tmp_path):

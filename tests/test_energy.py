@@ -777,6 +777,44 @@ def test_swap_symmetry():
     # values are reported in hbar c / R_first: convert to physical
     assert e12.value / s1.radius == pytest.approx(e21.value / s2.radius,
                                                   rel=1e-8)
+    # node by node, with T-matrices that differ in law and radius.  Any
+    # reversal mask outer(r, r) is a diagonal similarity that keeps this
+    # symmetry whatever its signs; those are pinned against the pair
+    # oracle (test_history_equals_pair_oracle)
+    kappas = [1e-3, 0.03, 1.0, 10.0]
+    for field, laws in (
+            (REAL_SCALAR, (Robin(0.7), Dirichlet(), Neumann())),
+            (ELECTROMAGNETIC, (PerfectConductor(), Dielectric(4.0, 1.0),
+                               Dielectric(1.5, 2.0)))):
+        l_min = energy._l_min(field)
+        for i, law1 in enumerate(laws):
+            for law2 in laws[i:]:
+                for ratio in (1.0, 0.05):
+                    if law1 == law2 and ratio == 1.0:
+                        continue
+                    a, b = SphereSpec(1.0, law1), SphereSpec(ratio, law2)
+                    for d in (1.02 * (1.0 + ratio), 1.5 * (1.0 + ratio),
+                              100.0):
+                        h_ab = _histories(pair(a, b, d), field, kappas, 10)
+                        h_ba = _histories(pair(b, a, d), field, kappas, 10)
+                        np.testing.assert_allclose(
+                            h_ba[:, l_min:], h_ab[:, l_min:], rtol=1e-12,
+                            atol=0)
+    # a collinear chain and its mirror image: every pair runs the other
+    # way, with the same histories node by node
+    for field, laws in (
+            (REAL_SCALAR, (Dirichlet(), Neumann(), Robin(0.7))),
+            (ELECTROMAGNETIC, (PerfectConductor(), Dielectric(4.0, 1.0),
+                               PerfectConductor()))):
+        spheres = tuple(SphereSpec(r, law)
+                        for r, law in zip((1.0, 0.5, 0.8), laws))
+        chain = Geometry(spheres, (0.0, 1.6, 3.0))
+        mirror = Geometry(spheres[::-1], (0.0, 1.4, 3.0))
+        l_min = energy._l_min(field)
+        np.testing.assert_allclose(
+            _histories(mirror, field, kappas, 10)[:, l_min:],
+            _histories(chain, field, kappas, 10)[:, l_min:], rtol=1e-12,
+            atol=0)
 
 
 def test_scale_invariance():

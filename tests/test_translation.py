@@ -83,6 +83,17 @@ def test_direction_transpose_and_parity():
         lv = np.arange(9)
         par = np.where((lv[:, None] + lv[None, :]) % 2 == 0, 1.0, -1.0)
         assert np.allclose(U21, par * U12, rtol=1e-12, atol=1e-300)
+    # the "21" blocks are the parity-masked "12" blocks, and for a scalar
+    # block that mask is a transpose: S^T = D S D with D = diag((-1)^l),
+    # at every order, m and x (log_scale is symmetric, k_{l'+l})
+    for l_max in (8, 33, 64):
+        for x in KERNEL_X:
+            kern = node_kernel(l_max, x)
+            assert np.array_equal(kern.log_scale, kern.log_scale.T)
+            s21 = _in_direction(kern.blocks, "21", 1)
+            for m in range(l_max + 1):
+                _assert_close(s21[m], kern.blocks[m].T,
+                              np.max(np.abs(kern.blocks[m])))
 
 
 def test_m_parity_and_selection_rules():
@@ -134,6 +145,13 @@ def _scaled(sign, logmag, log_scale):
         return np.where(sign != 0.0, sign * np.exp(logmag - log_scale), 0.0)
 
 
+def _in_direction(blocks, direction, pol):
+    """The kernel's blocks with the given center as the source."""
+    if direction == "12":
+        return blocks
+    return blocks * tr._reversal(blocks.shape[-1] // pol, pol)
+
+
 def _assert_close(new, ref, scale):
     tol = max(1e-12 * scale, 1e-14)
     assert np.max(np.abs(new - ref)) <= tol
@@ -145,7 +163,7 @@ def test_scalar_kernel_matches_signed_log_oracle(l_max, oracle_cache):
         kern = node_kernel(l_max, x)
         assert kern.blocks.shape == (l_max + 1,) * 3
         for direction in ("12", "21"):
-            blocks = kern.oriented(direction)
+            blocks = _in_direction(kern.blocks, direction, 1)
             for m in range(l_max + 1):
                 ref = _scaled(*orc.u_log_block_ref(l_max, m, x, direction),
                               kern.log_scale)
@@ -158,7 +176,7 @@ def test_em_kernel_matches_signed_log_oracle(l_max, oracle_cache):
         kern = node_kernel(l_max, x, em=True)
         feed = np.max(np.abs(node_kernel(l_max + 1, x).blocks), axis=(1, 2))
         for direction in ("12", "21"):
-            blocks = kern.oriented(direction)
+            blocks = _in_direction(kern.blocks, direction, 2)
             for m in range(l_max + 1):
                 # the oracle's np.where also evaluates (and discards) exp
                 # of entries with a zero sign, which may overflow
@@ -187,9 +205,10 @@ def test_kernel_batch_rows_equal_one_x_kernels(l_max, em, xs):
         assert (batch.log_scale[i].tobytes() == one.log_scale.tobytes()
                 == ref_log_scale.tobytes())
         assert one.blocks.tobytes() == ref_blocks.tobytes()
+        pol = 2 if em else 1
         for direction in ("12", "21"):
-            assert (batch.oriented(direction)[i].tobytes()
-                    == one.oriented(direction).tobytes())
+            assert (_in_direction(batch.blocks, direction, pol)[i].tobytes()
+                    == _in_direction(one.blocks, direction, pol).tobytes())
 
 
 def test_kernel_views_and_bounded_scale():
@@ -202,7 +221,8 @@ def test_kernel_views_and_bounded_scale():
         assert np.all(np.abs(kern.blocks) <= bound)
         s, lg = u_log_block(12, 3, x, "21")
         assert np.allclose(_scaled(s, lg, kern.log_scale),
-                           kern.oriented("21")[3], rtol=1e-13, atol=0)
+                           _in_direction(kern.blocks, "21", 1)[3],
+                           rtol=1e-13, atol=0)
         kem = node_kernel(12, x, em=True)
         assert np.all(np.isfinite(kem.blocks))
         s, lg = em_log_blocks(12, -2, x, "12")["NM"]
