@@ -17,9 +17,9 @@ m-independent log of a quadrature node is summed and exponentiated once
 per sphere pair, and the per-m work is a product of O(1) floats feeding
 the final determinants.  The nodes of one chunk are assembled together:
 one batch of translation kernels per sphere distance covers every node,
+each distinct sphere's T-matrix diagonals come from one batched call,
 and each (sphere pair, polarization, polarization) writes the m-blocks
-of every node with one multiply.  Only the T-matrix diagonals are taken
-node by node.
+of every node with one multiply.
 
 The per-l cuts of every m-block are leading principal minors of 1 - N_m,
 and the m-blocks of many nodes are eliminated together, m-major and
@@ -52,10 +52,10 @@ import numpy as np
 
 from .tmatrix import (
     SphereSpec,
+    _t_em_rows,
+    _t_scalar_rows,
     is_em_law,
     is_scalar_law,
-    t_em_log,
-    t_scalar_log,
 )
 # u_log_block stays importable from here: bench/spans.py traces it at
 # every import site
@@ -502,8 +502,8 @@ def _node_pairs(geometry, fld, kappas, l_max):
     determinant.  Pairs at the same distance share one batch of
     translation kernels, and every u is its "12" blocks: a pair whose
     source lies below its target reads them in direction "21", whose
-    +-1 parity mask `_reversal` is folded into the scale.  The T-matrix
-    logs are taken node by node, with a float kappa.
+    +-1 parity mask `_reversal` is folded into the scale.  Each distinct
+    sphere's T-matrix logs come from one batched call over every node.
     """
     spheres = geometry.spheres
     centers = geometry.centers
@@ -516,15 +516,11 @@ def _node_pairs(geometry, fld, kappas, l_max):
         [math.log(kappa * c_len) for kappa in kappas])[:, None, None]
     # equal spheres share one T-matrix log (found by ==, so a law need
     # not be hashable)
-    t_log = t_em_log if fld.is_em else t_scalar_log
+    t_rows = _t_em_rows if fld.is_em else _t_scalar_rows
     tlogs = []
     for a, sp in enumerate(spheres):
         first = spheres.index(sp)
-        if first < a:
-            tlogs.append(tlogs[first])
-            continue
-        logs = [t_log(sp, l_max, kappa) for kappa in kappas]
-        tlogs.append(tuple(np.array(part) for part in zip(*logs)))
+        tlogs.append(tlogs[first] if first < a else t_rows(sp, l_max, kv))
     kernels = {}
     pairs = []
     with np.errstate(under="ignore"):

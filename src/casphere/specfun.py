@@ -4,6 +4,8 @@ Half-integer modified Bessel functions in exponentially scaled form.
 These are the only special functions the scattering, translation and
 energy modules consume, and they need numpy alone: the ratios come from
 a continued fraction (I) and an upward recurrence (K) at every argument.
+Chains are built in rows, one per argument of a vector (one per
+quadrature node of a chunk); the one-argument chain is the one-row case.
 The numeric translation layer needs no Wigner 3j symbols: its blocks
 come from recurrences in the orders and its EM recoupling from closed
 Clebsch-Gordan forms (the exact series in `asymptotics` keeps its own
@@ -41,7 +43,8 @@ class BesselChain:
     """Vectors of scaled Bessel data for all orders l = 0..l_max at fixed z.
 
     rho[l] = I_{l+3/2}(z)/I_{l+1/2}(z) and sigma[l] = K_{l+3/2}(z)/K_{l+1/2}(z)
-    are the ratio chains; both are positive for z > 0.
+    are the ratio chains; both are positive for z > 0.  A chain of
+    rows (`_chain_rows`) has z as a column and one row per argument.
     """
 
     z: float
@@ -110,36 +113,50 @@ def _i_ratio_gap(n, z, w, d):
     return g, wrho
 
 
-def _k_ratio_chain(n, z):
-    """sigma[l] = K_{l+3/2}(z)/K_{l+1/2}(z) for l = 0..n (upward, exact seed)."""
-    out = np.empty(n + 1)
-    s = 1.0 + 1.0 / z  # K_{3/2}/K_{1/2}
-    out[0] = s
-    for l in range(1, n + 1):
-        s = (2.0 * l + 1.0) / z + 1.0 / s
-        out[l] = s
-    return out
-
-
 def _k_chains(n, z):
-    """(sigma, log_k) of `bessel_ik_half_chain(n, z)` for every z at once.
+    """(sigma, log_k): the K half of `_chain_rows(n, z)`.
 
     z is a 1-D array of positive arguments; row i of each (len(z), n + 1)
     result holds the K ratio chain and log K_{l+1/2}(z_i) + z_i of that
-    argument, with the arithmetic of the one-argument chain.
+    argument.  The translation kernels take their chains from here too.
     """
-    sigma = np.empty((len(z), n + 1))
-    s = 1.0 + 1.0 / z
-    sigma[:, 0] = s
-    for l in range(1, n + 1):
-        s = (2.0 * l + 1.0) / z + 1.0 / s
-        sigma[:, l] = s
-    log_k = np.empty_like(sigma)
-    # math.log, as in the one-argument chain: numpy's vector log differs
-    # from it in the last ulp for some z
-    log_k[:, 0] = [0.5 * math.log(math.pi / (2.0 * zi)) for zi in z.tolist()]
-    log_k[:, 1:] = log_k[:, :1] + np.cumsum(np.log(sigma[:, :-1]), axis=1)
-    return sigma, log_k
+    # order-major while the recurrence runs, so each step updates one
+    # contiguous row of every argument in place: row l starts as
+    # (2l + 1)/z, and row 0 is 1 + 1/z
+    sig = np.arange(1.0, 2 * n + 2, 2.0)[:, None] / z
+    sig[0] += 1.0
+    rows = list(sig)
+    for prev, row in zip(rows, rows[1:]):
+        row += 1.0 / prev
+    log_k = np.empty_like(sig)
+    # math.log, not numpy's vector log, which differs from it in the last
+    # ulp for some z
+    log_k[0] = [0.5 * math.log(math.pi / (2.0 * zi)) for zi in z.tolist()]
+    log_k[1:] = log_k[:1] + np.cumsum(np.log(sig[:-1]), axis=0)
+    return np.ascontiguousarray(sig.T), np.ascontiguousarray(log_k.T)
+
+
+def _chain_rows(l_max, z):
+    """The Bessel chains of every z_i of a 1-D array, in rows.
+
+    Returns one BesselChain whose z is the column z[:, None] and whose
+    fields are (len(z), l_max + 1) arrays; row i holds the chain at z_i,
+    and `bessel_ik_half_chain` is the one-row case.  The I ratios run the
+    continued fraction row by row, the K side is `_k_chains`, and the
+    logs are row-wise cumulative sums.
+    """
+    if l_max < 0 or l_max > _CHAIN_CEILING:
+        raise ValueError("order l_max=%r outside [0, %d]" % (l_max, _CHAIN_CEILING))
+    zs = z.tolist()
+    rho = np.empty((len(zs), l_max + 1))
+    for i, zi in enumerate(zs):
+        rho[i] = _i_ratio_chain(l_max, zi)  # refuses z outside (0, 1e7]
+    sigma, log_k = _k_chains(l_max, z)
+    log_i = np.empty_like(rho)
+    log_i[:, 0] = [_log_i_half_scaled(zi) for zi in zs]
+    log_i[:, 1:] = log_i[:, :1] + np.cumsum(np.log(rho[:, :-1]), axis=1)
+    return BesselChain(z=z[:, None], log_i=log_i, log_k=log_k, rho=rho,
+                       sigma=sigma)
 
 
 def bessel_ik_half_chain(l_max, z):
@@ -156,16 +173,6 @@ def bessel_ik_half_chain(l_max, z):
     -------
     BesselChain
     """
-    if l_max < 0 or l_max > _CHAIN_CEILING:
-        raise ValueError("order l_max=%r outside [0, %d]" % (l_max, _CHAIN_CEILING))
-    rho = _i_ratio_chain(l_max, z)  # refuses z outside (0, 1e7]
-    sigma = _k_ratio_chain(l_max, z)
-    log_i = np.empty(l_max + 1)
-    log_k = np.empty(l_max + 1)
-    log_i[0] = _log_i_half_scaled(z)
-    log_k[0] = 0.5 * math.log(math.pi / (2.0 * z))
-    if l_max > 0:
-        log_i[1:] = log_i[0] + np.cumsum(np.log(rho[:-1]))
-        log_k[1:] = log_k[0] + np.cumsum(np.log(sigma[:-1]))
-    return BesselChain(z=z, log_i=log_i, log_k=log_k, rho=rho, sigma=sigma)
-
+    ch = _chain_rows(l_max, np.array([z], dtype=float))
+    return BesselChain(z=z, log_i=ch.log_i[0], log_k=ch.log_k[0],
+                       rho=ch.rho[0], sigma=ch.sigma[0])

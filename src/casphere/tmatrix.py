@@ -14,8 +14,11 @@ the Robin entries at zeta = 0 and -1, and a dielectric alpha =
 every entry is the scaled T_l e^{-2 kappa R} from ratio chains of scaled
 Bessel functions at z (and the I ratios at n z), so l ~ 40-60 at small
 kappa R stay representable; it carries the internal sign described in
-`t_scalar_log`.  In exact fractions the same brackets give the
-low-frequency series of the large-distance expansions.
+`t_scalar_log`.  The entries are computed in rows over a vector of kappa,
+one row per quadrature node of a chunk (`_t_scalar_rows`, `_t_em_rows`);
+the public one-kappa calls are their one-row case.  In exact fractions
+the same brackets give the low-frequency series of the large-distance
+expansions.
 """
 
 import math
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .specfun import _i_ratio_gap, bessel_ik_half_chain
+from .specfun import _chain_rows, _i_ratio_gap
 
 __all__ = [
     "Robin",
@@ -164,7 +167,7 @@ def _bracket_log(ch, num=None, den=None):
 
 
 def _robin_log(ch, zeta):
-    """(sign, log|.|) of the scaled Robin entries T_l e^{-2z} on one chain.
+    """(sign, log|.|) of the scaled Robin entries T_l e^{-2z} on a chain.
 
     T_l = -(i_l/k_l)(1 - zeta (l + z rho))/(1 + zeta (z sigma - l)), with
     z rho = z i'_l/i_l - l > 0 and z sigma - l = l - z k'_l/k_l >= l + 1
@@ -175,7 +178,7 @@ def _robin_log(ch, zeta):
     """
     if zeta == 0:  # Dirichlet: T = -i_l/k_l
         return _bracket_log(ch)
-    lv = np.arange(len(ch.rho), dtype=float)
+    lv = np.arange(ch.rho.shape[-1], dtype=float)
     zrho = ch.z * ch.rho
     zsig_l = ch.z * ch.sigma - lv
     if zeta is None:
@@ -183,44 +186,41 @@ def _robin_log(ch, zeta):
     return _bracket_log(ch, 1.0 - zeta * (lv + zrho), 1.0 + zeta * zsig_l)
 
 
-def t_scalar_log(spec, l_max, kappa):
-    """Scaled scalar entries: (sign, log|.|) of T_l e^{-2 kappa R}.
+def _checked_kappas(kv):
+    """The kappa of the 1-D array kv as floats, each finite and positive."""
+    kappas = kv.tolist()
+    for kappa in kappas:
+        if not 0.0 < kappa < math.inf:
+            raise ValueError("kappa must be finite and positive, got %r"
+                             % (kappa,))
+    return kappas
 
-    Here T_l carries the internal sign convention T_l = -(-1)^l T_l^{print}
-    in which the Dirichlet diagonal is negative for every l; the energy
-    determinant is invariant under this relabeling and it keeps all
-    downstream products sign-transparent.
-    """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be finite and positive, got %r"
-                         % (kappa,))
+
+def _t_scalar_rows(spec, l_max, kv):
+    """Entries of `t_scalar_log` at every kappa of the 1-D array kv:
+    (sign, log) arrays of shape (len(kv), l_max + 1), row i at kv[i]."""
+    _checked_kappas(kv)
     zeta = _effective_zeta(spec.law)
-    return _robin_log(bessel_ik_half_chain(l_max, kappa * spec.radius), zeta)
+    return _robin_log(_chain_rows(l_max, kv * spec.radius), zeta)
 
 
-def t_em_log(spec, l_max, kappa):
-    """Scaled EM entries: (sign, log) of T e^{-2z}, l-major with the
-    polarizations (M, E) interleaved, length 2 (l_max + 1).
-
-    Same internal sign convention as `t_scalar_log`; order l = 0 is zeroed
-    (no monopole radiation).
-    """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be finite and positive, got %r"
-                         % (kappa,))
+def _t_em_rows(spec, l_max, kv):
+    """Entries of `t_em_log` at every kappa of the 1-D array kv: (sign,
+    log) arrays of shape (len(kv), 2 (l_max + 1)), row i at kv[i]."""
+    kappas = _checked_kappas(kv)
     law = spec.law
     if isinstance(law, Dispersive):
-        eps, mu = law.eps_mu(kappa)
-        if not (0.0 < eps < math.inf and 0.0 < mu < math.inf):
-            raise ValueError("eps_mu(kappa) must return finite positive "
-                             "values, got (%r, %r)" % (eps, mu))
+        materials = [law.eps_mu(kappa) for kappa in kappas]
+        for eps, mu in materials:
+            if not (0.0 < eps < math.inf and 0.0 < mu < math.inf):
+                raise ValueError("eps_mu(kappa) must return finite positive "
+                                 "values, got (%r, %r)" % (eps, mu))
     elif isinstance(law, Dielectric):
-        eps, mu = law.eps, law.mu
+        materials = [(law.eps, law.mu)] * len(kappas)
     elif not isinstance(law, PerfectConductor):
         raise TypeError("EM T-matrix requires Dielectric, Dispersive or "
                         "PerfectConductor, got %r" % (law,))
-    z = kappa * spec.radius
-    ch = bessel_ik_half_chain(l_max, z)
+    ch = _chain_rows(l_max, kv * spec.radius)
     if isinstance(law, PerfectConductor):
         channels = [_robin_log(ch, zeta) for zeta in _PEC_ZETAS]
     else:
@@ -231,19 +231,47 @@ def t_em_log(spec, l_max, kappa):
         # inner field is the I ratios at w, and g carries n^2 - 1 =
         # (eps - 1) mu + (mu - 1) exactly, so a near-vacuum sphere keeps
         # full relative precision
-        g, wrho = _i_ratio_gap(l_max, z, math.sqrt(eps * mu) * z,
-                               (eps - 1.0) * mu + (mu - 1.0))
+        g = np.empty_like(ch.rho)
+        wrho = np.empty_like(ch.rho)
+        for i, (z, (eps, mu)) in enumerate(zip(ch.z[:, 0].tolist(),
+                                               materials)):
+            g[i], wrho[i] = _i_ratio_gap(l_max, z, math.sqrt(eps * mu) * z,
+                                         (eps - 1.0) * mu + (mu - 1.0))
+        eps, mu = np.array(materials, dtype=float).T[:, :, None]
         lv = np.arange(l_max + 1.0)
         channels = [_bracket_log(
-            ch, (1.0 - x) * (1.0 + lv + z * ch.rho) + g,
-            1.0 + lv + wrho + x * (z * ch.sigma - lv - 1.0))
+            ch, (1.0 - x) * (1.0 + lv + ch.z * ch.rho) + g,
+            1.0 + lv + wrho + x * (ch.z * ch.sigma - lv - 1.0))
             for x in (mu, eps)]
-    sign, logmag = np.empty((2, 2 * (l_max + 1)))
+    sign, logmag = np.empty((2, len(kappas), 2 * (l_max + 1)))
     for pol, (s, g) in enumerate(channels):
-        sign[pol::2], logmag[pol::2] = s, g
-    sign[:2] = 0.0
-    logmag[:2] = -np.inf
+        sign[:, pol::2], logmag[:, pol::2] = s, g
+    sign[:, :2] = 0.0
+    logmag[:, :2] = -np.inf
     return sign, logmag
+
+
+def t_scalar_log(spec, l_max, kappa):
+    """Scaled scalar entries: (sign, log|.|) of T_l e^{-2 kappa R}.
+
+    Here T_l carries the internal sign convention T_l = -(-1)^l T_l^{print}
+    in which the Dirichlet diagonal is negative for every l; the energy
+    determinant is invariant under this relabeling and it keeps all
+    downstream products sign-transparent.
+    """
+    sign, logmag = _t_scalar_rows(spec, l_max, np.array([kappa], dtype=float))
+    return sign[0], logmag[0]
+
+
+def t_em_log(spec, l_max, kappa):
+    """Scaled EM entries: (sign, log) of T e^{-2z}, l-major with the
+    polarizations (M, E) interleaved, length 2 (l_max + 1).
+
+    Same internal sign convention as `t_scalar_log`; order l = 0 is zeroed
+    (no monopole radiation).
+    """
+    sign, logmag = _t_em_rows(spec, l_max, np.array([kappa], dtype=float))
+    return sign[0], logmag[0]
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import specfun
+from .specfun import _k_chains
 
 __all__ = [
     "NodeKernel",
@@ -204,7 +204,7 @@ def _node_kernels(l_max, x, em=False):
     n = l_max + 1
     lv = np.arange(n)
     lsum = lv[:, None] + lv[None, :]
-    sigma, log_k = specfun._k_chains(2 * l_max + (2 if em else 0), x)
+    sigma, log_k = _k_chains(2 * l_max + (2 if em else 0), x)
     # log of k_l(x) e^{x}: the spherical prefactor of the half-order K
     log_k += np.array([0.5 * math.log(2.0 / (math.pi * xi))
                        for xi in x.tolist()])[:, None]

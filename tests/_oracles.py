@@ -23,7 +23,12 @@ import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
 from casphere.asymptotics import _g_series, _mono_mul, _w_int
-from casphere.specfun import bessel_ik_half_chain
+from casphere.specfun import (
+    BesselChain,
+    _i_ratio_chain,
+    _log_i_half_scaled,
+    bessel_ik_half_chain,
+)
 from casphere.tmatrix import (
     Dispersive,
     PerfectConductor,
@@ -468,6 +473,40 @@ def chain_scaled_values(chain):
                 k_s * (nu / z - chain.sigma))
 
 
+def k_chain_ref(n, z):
+    """(sigma, log_k) of the half-order K chain at one z, l = 0..n.
+
+    sigma[l] = K_{l+3/2}(z)/K_{l+1/2}(z) by the upward recurrence from the
+    exact seed 1 + 1/z, one order at a time in Python floats, and log_k
+    the seed log(K_{1/2}(z) e^z) = log(pi/(2z))/2 by math.log plus the
+    running sum of log sigma: the one-argument arithmetic whose bytes
+    every row of the batched chains must reproduce.
+    """
+    sigma = np.empty(n + 1)
+    s = 1.0 + 1.0 / z  # K_{3/2}/K_{1/2}
+    sigma[0] = s
+    for l in range(1, n + 1):
+        s = (2.0 * l + 1.0) / z + 1.0 / s
+        sigma[l] = s
+    log_k = np.empty(n + 1)
+    log_k[0] = 0.5 * math.log(math.pi / (2.0 * z))
+    log_k[1:] = log_k[0] + np.cumsum(np.log(sigma[:-1]))
+    return sigma, log_k
+
+
+def bessel_chain_ref(n, z):
+    """The BesselChain at one z, l = 0..n, built one argument at a time:
+    the I ratios from the continued fraction `_i_ratio_chain` at z, log_i
+    from the seed `_log_i_half_scaled(z)` plus the running sum of log rho,
+    and the K side from `k_chain_ref`."""
+    rho = _i_ratio_chain(n, z)
+    log_i = np.empty(n + 1)
+    log_i[0] = _log_i_half_scaled(z)
+    log_i[1:] = log_i[0] + np.cumsum(np.log(rho[:-1]))
+    sigma, log_k = k_chain_ref(n, z)
+    return BesselChain(z=z, log_i=log_i, log_k=log_k, rho=rho, sigma=sigma)
+
+
 def bessel_ik_half(l, z):
     """Scaled I_{l+1/2}(z), K_{l+1/2}(z) and derivatives.
 
@@ -858,9 +897,9 @@ def u_log_block_ref(l_max, m, x, direction="12"):
         return s.T.copy(), lg.T.copy()
     m = abs(m)
     n = l_max + 1
-    chain = bessel_ik_half_chain(2 * l_max, x)
-    log_k = chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
-    sigma = chain.sigma.astype(np.longdouble)
+    sigma, log_k = k_chain_ref(2 * l_max, x)
+    log_k = log_k + 0.5 * math.log(2.0 / (math.pi * x))
+    sigma = sigma.astype(np.longdouble)
     # step[j] = k_j/k_{j+2}; r[L, k] = k_{L-2k}/k_L, 0 for 2k > L
     step = 1.0 / (sigma[:-2] * sigma[1:-1])
     r = np.zeros((2 * n - 1, n), dtype=np.longdouble)
@@ -996,12 +1035,13 @@ def em_log_blocks_ref(l_max, m, x, direction="12"):
 
 def node_kernel_ref(l_max, x, em=False):
     """(blocks, log_scale) of the "12" translation kernel at one x, built
-    one x and one order m at a time: from the one-argument Bessel chain,
-    the seed column S_{l'0}(0) = -sqrt(2l'+1), the sectorial step from
-    order m - 1 to order m and the l step along each order, with the
-    recurrence coefficients from Python integers; then the EM recoupling
-    one m stack at a time.  The same arithmetic per entry, on the same
-    rows, as the batched kernel, so its rows must match these bytes.
+    one x and one order m at a time: from the one-argument K chain
+    `k_chain_ref`, the seed column S_{l'0}(0) = -sqrt(2l'+1), the
+    sectorial step from order m - 1 to order m and the l step along each
+    order, with the recurrence coefficients from Python integers; then
+    the EM recoupling one m stack at a time.  The same arithmetic per
+    entry, on the same rows, as the batched kernel, so its rows must
+    match these bytes.
     """
     from casphere.translation import _em_weight_stack
 
@@ -1054,12 +1094,12 @@ def node_kernel_ref(l_max, x, em=False):
     n = l_max + 1
     lv = np.arange(n)
     lsum = lv[:, None] + lv[None, :]
-    chain = bessel_ik_half_chain(2 * l_max + (2 if em else 0), x)
-    log_k = chain.log_k + 0.5 * math.log(2.0 / (math.pi * x))
+    sigma, log_k = k_chain_ref(2 * l_max + (2 if em else 0), x)
+    log_k = log_k + 0.5 * math.log(2.0 / (math.pi * x))
     if not em:
-        return s_blocks(l_max, chain.sigma), log_k[lsum]
-    s = s_blocks(l_max + 1, chain.sigma)
-    inv = np.concatenate([[0.0, 0.0], 1.0 / chain.sigma])
+        return s_blocks(l_max, sigma), log_k[lsum]
+    s = s_blocks(l_max + 1, sigma)
+    inv = np.concatenate([[0.0, 0.0], 1.0 / sigma])
     ratio = {1: 1.0, 0: inv[lsum + 2]}
     ratio[-1] = ratio[0] * inv[lsum + 1]
     ratio[-2] = ratio[-1] * inv[lsum]

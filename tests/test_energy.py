@@ -43,7 +43,6 @@ from casphere.tmatrix import (
     Robin,
     SphereSpec,
 )
-import casphere.specfun as specfun
 import casphere.translation as translation
 from casphere.translation import u_log_block
 
@@ -974,13 +973,14 @@ def test_suggest_l_max_warns_once_when_clamped_to_hi(monkeypatch, diffs,
 
 def _count_translation_chains(monkeypatch):
     # the kernels of a chunk take their K chains from one batched call
+    # (the T-matrix rows take theirs through specfun, uncounted here)
     calls = []
-    chains = specfun._k_chains
+    chains = translation._k_chains
 
     def counted(n, z):
         calls.append(z.tolist())
         return chains(n, z)
-    monkeypatch.setattr(specfun, "_k_chains", counted)
+    monkeypatch.setattr(translation, "_k_chains", counted)
     return calls
 
 
@@ -1012,12 +1012,16 @@ class _Unshared(SphereSpec):
     __hash__ = object.__hash__
 
 
-def _count_t_logs(monkeypatch):
+def _count_t_logs(monkeypatch, kappas=None):
+    # the T-matrix logs of a chunk come from one batched call per sphere;
+    # kappas, when given, collects the kappa vector of each call
     calls = []
-    for name in ("t_scalar_log", "t_em_log"):
-        def counted(*args, _fn=getattr(energy, name)):
-            calls.append(args[0])
-            return _fn(*args)
+    for name in ("_t_scalar_rows", "_t_em_rows"):
+        def counted(spec, l_max, kv, _fn=getattr(energy, name)):
+            calls.append(spec)
+            if kappas is not None:
+                kappas.append(kv.tolist())
+            return _fn(spec, l_max, kv)
         monkeypatch.setattr(energy, name, counted)
     return calls
 
@@ -1056,6 +1060,24 @@ def test_unequal_spheres_keep_their_own_t_logs(monkeypatch):
     _history(Geometry((DIR, small, DIR), (0.0, 3.0, 6.0)), REAL_SCALAR,
              0.8, 4)
     assert calls == [DIR, small]
+
+
+@pytest.mark.parametrize("field,law", [("scalar-real", Dirichlet()),
+                                       ("em", PerfectConductor())])
+def test_one_t_log_call_per_sphere_per_chunk(monkeypatch, field, law):
+    kappas = []
+    calls = _count_t_logs(monkeypatch, kappas)
+    sph = SphereSpec(R, law)
+    _histories(pair(sph, sph, 3.0), FieldKind(field), [0.8, 2.0], 8)
+    assert calls == [sph]
+    assert kappas == [[0.8, 2.0]]
+    # spheres that differ take one call each, every one over both nodes
+    del calls[:], kappas[:]
+    small = SphereSpec(0.5, law)
+    _histories(Geometry((sph, small, sph), (0.0, 3.0, 6.0)),
+               FieldKind(field), [0.8, 2.0], 4)
+    assert calls == [sph, small]
+    assert kappas == [[0.8, 2.0]] * 2
 
 
 def test_translation_holds_no_module_level_array():

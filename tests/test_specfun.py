@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from casphere.specfun import (
     _CHAIN_CEILING,
+    _chain_rows,
     _i_ratio_chain,
     _k_chains,
     bessel_ik_half_chain,
@@ -86,9 +87,28 @@ def test_batched_k_chains_equal_one_argument_chains(n):
     sigma, log_k = _k_chains(n, z)
     assert sigma.shape == log_k.shape == (len(z), n + 1)
     for i, zi in enumerate(z.tolist()):
-        chain = bessel_ik_half_chain(n, zi)
-        assert sigma[i].tobytes() == chain.sigma.tobytes()
-        assert log_k[i].tobytes() == chain.log_k.tobytes()
+        ref_sigma, ref_log_k = orc.k_chain_ref(n, zi)
+        assert sigma[i].tobytes() == ref_sigma.tobytes()
+        assert log_k[i].tobytes() == ref_log_k.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, _CHAIN_CEILING])
+def test_chain_rows_equal_one_argument_chains(n):
+    # every row of the batched chain, and the public one-argument chain,
+    # is the reference chain built one argument at a time, byte for
+    # byte, for unsorted and repeated arguments
+    z = np.array(BESSEL_Z[::-1] + BESSEL_Z[3:6])
+    ch = _chain_rows(n, z)
+    assert ch.z.shape == (len(z), 1)
+    for i, zi in enumerate(z.tolist()):
+        ref = orc.bessel_chain_ref(n, zi)
+        one = bessel_ik_half_chain(n, zi)
+        assert one.z == zi
+        for field in ("log_i", "log_k", "rho", "sigma"):
+            want = getattr(ref, field)
+            for got in (getattr(ch, field)[i], getattr(one, field)):
+                assert got.shape == want.shape == (n + 1,)
+                assert got.tobytes() == want.tobytes()
 
 
 # arguments at and above z = 8, where the I ratio chain is the downward

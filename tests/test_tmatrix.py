@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casphere.specfun import _ARG_CEILING
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -15,6 +16,8 @@ from casphere.tmatrix import (
     Robin,
     SphereSpec,
     _robin_bracket,
+    _t_em_rows,
+    _t_scalar_rows,
     mie_series_fractions,
     t_em_log,
     t_scalar_log,
@@ -312,6 +315,71 @@ def test_dispersive_rejects_non_finite_or_non_positive(eps_mu):
                        match=r"eps_mu\(kappa\) must return finite positive "
                              r"values"):
         t_em_log(bad, 3, 0.8)
+
+
+# ---------------------------------------------------------------------------
+# batched rows over kappa
+# ---------------------------------------------------------------------------
+
+def _eps_drude(kappa):
+    # a permittivity that varies with kappa, with mu = 1
+    return 1.0 + 3.0 / (1.0 + kappa * (kappa + 0.2)), 1.0
+
+
+BATCH_LAWS = [(Dirichlet(), False), (Neumann(), False), (Robin(0.7), False),
+              (Robin(math.inf), False), (PerfectConductor(), True),
+              (Dielectric(4.0, 1.0), True), (Dielectric(1.0 + 1e-12, 1.0), True),
+              (Dispersive(_eps_drude), True)]
+
+# kappa R from 1e-6 to 1e3 at R = 0.8, unsorted and with repeats
+BATCH_KAPPAS = [2.5, 1e-6 / 0.8, 0.37, 1e3 / 0.8, 12.0, 0.37, 4e-4, 2.5,
+                61.0, 1e-6 / 0.8, 1.0]
+
+
+def _one_kappa(spec, l_max, kappa, em):
+    return (t_em_log if em else t_scalar_log)(spec, l_max, kappa)
+
+
+def _rows(spec, l_max, kv, em):
+    return (_t_em_rows if em else _t_scalar_rows)(spec, l_max, kv)
+
+
+@pytest.mark.parametrize("law,em", BATCH_LAWS)
+@pytest.mark.parametrize("l_max", [0, 1, 8, 40])
+def test_batched_rows_equal_one_kappa_calls(law, em, l_max):
+    spec = SphereSpec(0.8, law)
+    sign, logmag = _rows(spec, l_max, np.array(BATCH_KAPPAS), em)
+    width = (2 if em else 1) * (l_max + 1)
+    assert sign.shape == logmag.shape == (len(BATCH_KAPPAS), width)
+    for i, kappa in enumerate(BATCH_KAPPAS):
+        s1, g1 = _one_kappa(spec, l_max, kappa, em)
+        for row, one in ((sign[i], s1), (logmag[i], g1)):
+            assert np.array_equal(row, one)
+            assert row.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("law,em", BATCH_LAWS)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan,
+                                 2.0 * _ARG_CEILING])
+def test_batch_raises_as_the_one_kappa_call(law, em, bad):
+    spec = SphereSpec(1.0, law)
+    with pytest.raises(ValueError) as one:
+        _one_kappa(spec, 3, bad, em)
+    with pytest.raises(ValueError) as rows:
+        _rows(spec, 3, np.array([0.5, bad, 2.0]), em)
+    assert str(rows.value) == str(one.value)
+
+
+def test_batch_raises_on_one_bad_eps_mu():
+    def eps_mu(kappa):
+        return (-1.0, 1.0) if kappa == 0.7 else (2.0, 1.0)
+    spec = SphereSpec(1.0, Dispersive(eps_mu))
+    with pytest.raises(ValueError) as one:
+        t_em_log(spec, 3, 0.7)
+    with pytest.raises(ValueError) as rows:
+        _t_em_rows(spec, 3, np.array([0.5, 0.7, 2.0]))
+    assert str(rows.value) == str(one.value)
+    assert "eps_mu(kappa) must return finite positive" in str(rows.value)
 
 
 # ---------------------------------------------------------------------------
