@@ -31,7 +31,9 @@ are held, in a ping-pong pair of buffers that shrink with the order;
 each panel's Schur update writes the next, smaller windows into the
 other buffer, and the blocks that start at the next order are written
 after them straight from the assembly.  No byte is spent on padding, so
-a chunk of nodes is sized by the working set's real peak.
+a chunk of nodes is sized by the working set's real peak.  Two equal
+spheres are eliminated in mirror sectors (`_mirror`): one block of
+split-complex entries per m, with half the rows and half the bytes.
 
 The kappa integral is a global-adaptive Gauss-Kronrod (7, 15) rule with
 the interval choice, sums and error estimate of
@@ -285,48 +287,77 @@ def _buffer_sizes(sizes, stride):
     return cells[0::2].max(initial=0), cells[1::2].max(initial=0)
 
 
-def _shrinking_pivots(sizes, stride, write):
-    """Final diagonals b_kk of the pivot-free elimination of the blocks
-    of `_shrinking_lndets`, shape (len(sizes), sizes[0]); zero on the
-    identity rows in front of each block.
+def _madd(acc, x, y):
+    """acc += x * y entrywise in the algebra of axis 1: reals, or
+    split-complex (s, d) = s + j d, j^2 = 1, as x y_s + (x reversed) y_d."""
+    acc += x * y[:, :1]
+    if acc.shape[1] == 2:
+        acc += x[:, ::-1] * y[:, 1:]
+
+
+def _shrinking_pivots(sizes, stride, write, comps=1):
+    """Pivot terms q of the pivot-free elimination of the blocks of
+    `_shrinking_lndets`, shape (len(sizes), sizes[0]): row k's pivot is
+    1 - q_k, and q is zero on the identity rows in front of each block.
+
+    The blocks hold reals (comps 1, q = b_kk) or split-complex s + j d
+    as (s, d) (comps 2), whose row pivot is the product of the real
+    sectors' pivots, (1 - s)^2 - d^2 = 1 - q: q = s (2 - s) + d^2 comes
+    from the carried s and d, so no first-order term cancels.
 
     One panel of `stride` rows (one orbital order) at a time: rank-1
-    steps confined to the panel's rows and columns, each pivot column
-    divided once by its pivot 1 - b_kk, then one batched matmul writes
-    the next windows B22 + (B21 / piv) @ B12 into the other buffer of a
-    ping-pong pair.  The buffers live only as long as this call.
+    steps confined to the panel's rows and columns, on a transposed copy
+    of its columns so each sweeps contiguous rows, each pivot column
+    divided once by its pivot, then one batched matmul writes the next
+    windows B22 + (B21 / piv) @ B12 into the other buffer of a ping-pong
+    pair.  The buffers live only as long as this call.
     """
     n = sizes[0]
-    bufs = [np.empty(size) for size in _buffer_sizes(sizes, stride)]
-    bkk = np.zeros((len(sizes), n))
+    bufs = [np.empty(comps * size) for size in _buffer_sizes(sizes, stride)]
+    q = np.zeros((len(sizes), n))
     written = 0
     for p, (k0, nact) in enumerate(zip(*_panels(sizes, stride))):
         w = n - k0
-        act = bufs[p % 2][:nact * w * w].reshape(nact, w, w)
+        act = bufs[p % 2][:nact * comps * w * w].reshape(nact, comps, w, w)
         if nact > written:
-            write(act[written:], k0, written)
+            write(act[written:].reshape(-1, w, w), k0, written)
             written = nact
+        # cols[..., c, r] is act[..., r, c] for the panel's columns c
+        cols = act[..., :stride].swapaxes(2, 3).copy()
         for k in range(stride):
-            col = act[:, k + 1:, k, None]
-            col /= 1.0 - act[:, k, k, None, None]
+            col, bk = cols[:, :, k, k + 1:], cols[:, :, k, k, None]
+            if comps == 1:
+                col /= 1.0 - bk
+            else:
+                # 1 / (1 - s - j d) = ((1 - s) + j d) / (1 - q)
+                s, d = bk[:, :1], bk[:, 1:]
+                bk = s * (2.0 - s) + d * d
+                inv = np.concatenate((1.0 - s, d), axis=1) / (1.0 - bk)
+                col[:] = col * inv[:, :1] + col[:, ::-1] * inv[:, 1:]
+            q[:nact, k0 + k] = bk[:, 0, 0]
             # the panel's last row leaves no panel column to update
             j = stride - k - 1
             if j:
-                rest, row = act[:, k + 1:, k + 1:], act[:, None, k, k + 1:]
-                rest[:, :, :j] += col * row[..., :j]
-                rest[:, :j, j:] += col[:, :j] * row[..., j:]
-        bkk[:nact, k0:k0 + stride] = np.diagonal(
-            act[:, :stride, :stride], axis1=1, axis2=2)
+                _madd(cols[:, :, k + 1:, k + 1:], col[:, :, None],
+                      cols[:, :, k + 1:, k, None])
+                _madd(act[:, :, k + 1:stride, stride:], col[:, :, :j, None],
+                      act[:, :, k, None, stride:])
         if w > stride:
             v = w - stride
-            nxt = bufs[(p + 1) % 2][:nact * v * v].reshape(nact, v, v)
-            np.matmul(act[:, stride:, :stride], act[:, :stride, stride:],
-                      out=nxt)
-            nxt += act[:, stride:, stride:]
-    return bkk
+            nxt = bufs[(p + 1) % 2][:nact * comps * v * v].reshape(
+                nact, comps, v, v)
+            b12 = act[:, :, :stride, stride:]
+            if comps == 2:
+                # component k of B21 B12 is sum_i B21_i B12_(i ^ k): one
+                # matmul over the stacked (component, row) inner axis
+                b12 = b12[:, [[0, 1], [1, 0]]].reshape(nact, 2, 2 * stride, v)
+            np.matmul(cols[..., stride:].reshape(nact, 1, comps * stride, v)
+                      .swapaxes(2, 3), b12, out=nxt)
+            nxt += act[:, :, stride:, stride:]
+    return q
 
 
-def _shrinking_lndets(sizes, stride, write, rebuild):
+def _shrinking_lndets(sizes, stride, write, rebuild, comps=1):
     """(signs, lndets) of the leading principal minors of 1 - B for
     blocks B of the given sizes, each of shape (len(sizes), n) with n =
     sizes[0].
@@ -338,26 +369,29 @@ def _shrinking_lndets(sizes, stride, write, rebuild):
     trailing windows are held.  At row k the blocks being eliminated are
     a prefix of the list and each one's window is its trailing
     (n - k)-row submatrix; `write(out, k, lo)` fills out, of shape
-    (count, n - k, n - k), with the blocks lo, lo + 1, ... that start at
-    row k, behind the windows of the blocks before them.
+    (count * comps, n - k, n - k), with the `comps` components of each
+    of the blocks lo, lo + 1, ... that start at row k, behind the
+    windows of the blocks before them.  With comps 2 a block is
+    split-complex, S + j D, and its k-row minors are those of the 2k-row
+    real matrix it stands for.
 
     The elimination (`_shrinking_pivots`) is pivot-free and carried in
-    B ~ N.  Each b_kk is built from products of N entries, so
-    log1p(-b_kk) keeps full relative accuracy even when N is ~1e-12
+    B ~ N.  Each pivot term is built from products of N entries, so
+    log1p(-q) keeps full relative accuracy even when N is ~1e-12
     (far separations).  Pivots are checked once, after the elimination:
     a block with one below 1e-13 or not finite is rebuilt alone by
-    `rebuild(i)` (its own sizes[i] rows) and handed to the pivoted
-    fallback with a PivotFallbackWarning; no other block reads its
-    entries.
+    `rebuild(i)` as the real matrix of its comps * sizes[i] rows and
+    handed to the pivoted fallback with a PivotFallbackWarning; no
+    other block reads its entries.
     """
     nb, n = len(sizes), sizes[0]
     first = n - np.asarray(sizes)
     with np.errstate(all="ignore"):
-        bkk = _shrinking_pivots(sizes, stride, write)
-        piv = 1.0 - bkk
+        q = _shrinking_pivots(sizes, stride, write, comps)
+        piv = 1.0 - q
         own = np.arange(n) >= first[:, None]
         terms = np.zeros((nb, n))
-        np.log1p(-bkk, out=terms, where=own & (piv > 0.0))
+        np.log1p(-q, out=terms, where=own & (piv > 0.0))
         np.log(-piv, out=terms, where=own & (piv < 0.0))
         signs = 1.0 - 2.0 * (np.cumsum((piv < 0.0) & own, axis=1) % 2)
         lndets = np.cumsum(terms, axis=1)
@@ -367,8 +401,8 @@ def _shrinking_lndets(sizes, stride, write, rebuild):
                       % (i, nb, sizes[i]), PivotFallbackWarning)
         signs[i], lndets[i] = 1.0, 0.0
         own_rows = slice(first[i], None)
-        signs[i, own_rows], lndets[i, own_rows] = \
-            _leading_lndets_pivoted(rebuild(i))
+        signs[i, own_rows], lndets[i, own_rows] = (
+            v[comps - 1::comps] for v in _leading_lndets_pivoted(rebuild(i)))
     return signs, lndets
 
 
@@ -421,19 +455,24 @@ def _write_blocks(out, pairs, pol, l0, m0):
     """Write the m-blocks N_m, m = m0, m0 + 1, ..., of some nodes into
     out, m-major and node-minor, from orbital order l0 on.
 
-    out has shape (nm, nn, nl, nsph, pol, nl, nsph, pol) for nm values
-    of m, nn nodes and the nl orders l0..l_max.  pairs holds (a, b,
-    scale, u): the (sphere a, sphere b) block of N_m at node j is
-    scale[j] * u[j, m], and the (a, a) blocks are zero.  Rows and
+    out has shape (nm, nn, comps, nl, nsph, pol, nl, nsph, pol) for nm
+    values of m, nn nodes, the components of `_shrinking_pivots` and the
+    nl orders l0..l_max.  pairs holds (a, b, scale, u): the (sphere a,
+    sphere b) block of the last component at node j is scale[j] * u[j,
+    m].  The (a, a) blocks of N_m are zero; a pair (0, 0) is instead the
+    D of the mirror form (`_mirror`), whose S starts at zero.  Rows and
     columns run l-major with (sphere, polarization) inside each order,
     so every sphere cut at order l is a leading principal submatrix.
     One strided multiply per (pair, polarization, polarization) writes
     every m of every node and keeps the innermost runs long.
     """
     lo = pol * l0
-    nm, nn, nl, nsph = out.shape[:4]
-    for a in range(nsph):
-        out[:, :, :, a, :, :, a] = 0.0
+    nm, nn, comps, nl, nsph = out.shape[:5]
+    out[:, :, :-1] = 0.0  # S of the mirror form
+    out = out[:, :, -1]
+    if comps == 1:
+        for a in range(nsph):
+            out[:, :, :, a, :, :, a] = 0.0
     for a, b, scale, u in pairs:
         s = scale[:, lo:, lo:].reshape(nn, nl, pol, nl, pol)
         blocks = u[:, m0:m0 + nm, lo:, lo:].reshape(nn, nm, nl, pol, nl, pol)
@@ -445,10 +484,18 @@ def _write_blocks(out, pairs, pol, l0, m0):
 
 
 def _node_block(pairs, nsph, pol, l_min, m, j):
-    """The m-block N_m of node j alone: the orders l >= max(m, l_min)."""
+    """The m-block N_m of node j alone: the orders l >= max(m, l_min).
+
+    Of the mirror form it is [[0, D], [D, 0]] in the interleaved layout
+    of two spheres, which diag(1, P) makes N_m with the same leading
+    minors.
+    """
+    if pairs[0][0] == pairs[0][1]:
+        (_, _, scale, u), = pairs
+        pairs, nsph = [(0, 1, scale, u), (1, 0, scale, u)], 2
     l0 = max(m, l_min)
     nl = pairs[0][2].shape[1] // pol - l0
-    block = np.empty((1, 1, nl, nsph, pol, nl, nsph, pol))
+    block = np.empty((1, 1, 1, nl, nsph, pol, nl, nsph, pol))
     _write_blocks(block, [(a, b, scale[j:j + 1], u[j:j + 1])
                           for a, b, scale, u in pairs], pol, l0, m)
     n = nl * nsph * pol
@@ -468,27 +515,39 @@ def _stack_history(pairs, nsph, pol, l_max, l_min):
     The m-blocks of every node are eliminated together, m-major and
     node-minor, so block sizes never increase along them; block m of
     every node joins the working set at order max(m, l_min), written
-    straight into its live window.  A block sent to the pivoted fallback
-    is rebuilt alone from its node's pairs.
+    straight into its live window.  The mirror form (a pair (0, 0), one
+    row group per order: nsph 1) is eliminated split-complex.  A block
+    sent to the pivoted fallback is rebuilt alone from its node's pairs.
     """
     nn = len(pairs[0][2])
+    comps = 2 if pairs[0][0] == pairs[0][1] else 1
     stride = nsph * pol
     n = (l_max + 1 - l_min) * stride
 
     def write(out, k, lo):
         l0 = l_min + k // stride
         nl = l_max + 1 - l0
-        _write_blocks(out.reshape(-1, nn, nl, nsph, pol, nl, nsph, pol),
-                      pairs, pol, l0, lo // nn)
+        _write_blocks(out.reshape(-1, nn, comps, nl, nsph, pol, nl, nsph,
+                                  pol), pairs, pol, l0, lo // nn)
 
     def rebuild(i):
         return _node_block(pairs, nsph, pol, l_min, *divmod(i, nn))
 
     signs, lndets = _shrinking_lndets(
         np.repeat(_block_sizes(nsph, pol, l_max, l_min), nn), stride, write,
-        rebuild)
+        rebuild, comps)
     return _m_history(signs.reshape(l_max + 1, nn, n),
                       lndets.reshape(l_max + 1, nn, n), stride, l_min)
+
+
+def _mirror(geometry):
+    """Two equal spheres: their m-blocks [[0, M], [P M P, 0]], M = K_12
+    and P = diag(r) the parity of `_reversal`, become [[0, D], [D, 0]],
+    D = M P, under diag(1, P), which keeps every leading minor, and are
+    eliminated as one split-complex block S + j D (j^2 = 1) from S = 0:
+    half the rows and half the bytes of the interleaved windows."""
+    return (geometry.n_spheres == 2
+            and geometry.spheres[0] == geometry.spheres[1])
 
 
 def _node_pairs(geometry, fld, kappas, l_max):
@@ -504,6 +563,8 @@ def _node_pairs(geometry, fld, kappas, l_max):
     source lies below its target reads them in direction "21", whose
     +-1 parity mask `_reversal` is folded into the scale.  Each distinct
     sphere's T-matrix logs come from one batched call over every node.
+    Two equal spheres (`_mirror`) give the one pair (0, 0, scale, u) of
+    D = K_12 P, with the parity P folded into its scale.
     """
     spheres = geometry.spheres
     centers = geometry.centers
@@ -542,6 +603,10 @@ def _node_pairs(geometry, fld, kappas, l_max):
                     + expo[:, None, None])
                 if centers[b] < centers[a]:
                     scale *= _reversal(l_max + 1, pol)
+                if _mirror(geometry):
+                    # row 0 of the mask outer(r, r) is the parity r
+                    return [(0, 0, scale * _reversal(l_max + 1, pol)[0],
+                             kern.blocks)]
                 pairs.append((a, b, scale, kern.blocks))
     return pairs
 
@@ -561,10 +626,12 @@ def _histories(geometry, fld, kappas, l_max):
     nodes of a chunk share the assembly and elimination loops, never
     arithmetic.
     """
-    nsph = geometry.n_spheres
+    # the mirror form: one row group per order, two components
+    comps = 2 if _mirror(geometry) else 1
+    nsph = geometry.n_spheres // comps
     pol = 2 if fld.is_em else 1
     l_min = _l_min(fld)
-    node_bytes = 8 * sum(_buffer_sizes(
+    node_bytes = 8 * comps * sum(_buffer_sizes(
         _block_sizes(nsph, pol, l_max, l_min), nsph * pol))
     chunk = max(1, _STACK_BYTES // node_bytes)
     out = np.empty((len(kappas), l_max + 1))

@@ -250,18 +250,21 @@ def test_block_decomposition_full_det():
 C_LNDET = 4.0
 
 
-def _stack_lndets(stack, sizes, stride, rebuild):
+def _stack_lndets(stack, sizes, stride, rebuild, comps=1):
     """`_shrinking_lndets` of the blocks in the trailing corners of a
     padded stack, read window by window as the elimination reaches them;
-    rebuild(i) returns block i's padded slot (None: never called)."""
+    rebuild(i) returns block i's padded slot (None: never called).  With
+    comps 2 the stack holds the (S, D) of each split-complex block in
+    turn, and block i's slot is the real matrix of twice its rows."""
     n = stack.shape[1]
 
     def write(out, k, lo):
-        out[...] = stack[lo:lo + len(out), k:, k:]
+        out[...] = stack[comps * lo:comps * lo + len(out), k:, k:]
 
     def own(i):
-        return rebuild(i)[n - sizes[i]:, n - sizes[i]:]
-    return _shrinking_lndets(sizes, stride, write, own)
+        first = comps * (n - sizes[i])
+        return rebuild(i)[first:, first:]
+    return _shrinking_lndets(sizes, stride, write, own, comps)
 
 
 def _one_block(a, stride=1):
@@ -439,18 +442,36 @@ def _node(pairs, j):
     return [(a, b, scale[j], u[j]) for a, b, scale, u in pairs]
 
 
+def _one_mirror_block(block, pol):
+    """_stack_lndets of the mirror form (S = 0, D) of an interleaved
+    two-sphere block [[0, D], [D, 0]], in panels of pol rows; the pivoted
+    fallback rebuilds the block."""
+    nl = len(block) // (2 * pol)
+    d = block.reshape(nl, 2, pol, nl, 2, pol)[:, 0, :, :, 1].reshape(
+        nl * pol, nl * pol)
+    signs, lndets = _stack_lndets(np.stack([np.zeros_like(d), d]), [len(d)],
+                                  pol, lambda i: block, 2)
+    return signs[0], lndets[0]
+
+
 def _per_block_history(pairs, nsph, pol, l_max, l_min, j=0):
     """History of node j from its m-blocks one at a time, summed in m
     order as the weighted cuts: (from one-block `_stack_lndets` calls,
-    from the rank-1 oracle, the bound on their difference)."""
-    stride = nsph * pol
+    from the rank-1 oracle, the bound on their difference).  The mirror
+    form (one pair (0, 0), nsph 1) is eliminated split-complex; its
+    oracle is the rank-1 elimination of the interleaved real block."""
+    mirror = pairs[0][0] == pairs[0][1]
+    stride = (2 if mirror else nsph) * pol
     one, ref, bound = np.zeros((3, l_max + 1))
     for m in range(l_max + 1):
         lo = max(m, l_min)
         block = _node_block(pairs, nsph, pol, l_min, m, j)
         weight = 1.0 if m == 0 else 2.0
         cut = slice(stride - 1, None, stride)
-        one[lo:] += weight * _one_block(block, stride)[1][cut]
+        if mirror:
+            one[lo:] += weight * _one_mirror_block(block, pol)[1][pol - 1::pol]
+        else:
+            one[lo:] += weight * _one_block(block, stride)[1][cut]
         _, lndets = orc.leading_lndets_ref(block)
         ref[lo:] += weight * lndets[cut]
         bound[lo:] += weight * _lndet_bound(lndets)[cut]
@@ -463,7 +484,12 @@ def _assert_equals_per_block(hist, per_block):
     assert np.all(np.abs(hist - ref) <= bound)
 
 
-@pytest.mark.parametrize("field,geometry,l_max", NODE_CASES)
+# equal spheres: the mirror form, eliminated split-complex
+MIRROR_CASES = [("scalar-real", pair(DIR, DIR, 3.0), 6),
+                ("em", pair(PEC, PEC, 2.5), 5)]
+
+
+@pytest.mark.parametrize("field,geometry,l_max", NODE_CASES + MIRROR_CASES)
 def test_node_history_equals_per_block_oracle(monkeypatch, field, geometry,
                                               l_max):
     calls = []
@@ -492,14 +518,16 @@ def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
     stacks = []
     shrinking_lndets = energy._shrinking_lndets
 
-    def padded(sizes, stride, write, rebuild):
+    def padded(sizes, stride, write, rebuild, comps):
+        # unequal spheres and triples keep the real, interleaved form
+        assert comps == 1
         stack = np.zeros((len(sizes), sizes[0], sizes[0]))
         stacks.append(stack)
 
         def record(out, k, lo):
             write(out, k, lo)
             stack[lo:lo + len(out), k:, k:] = out
-        return shrinking_lndets(sizes, stride, record, rebuild)
+        return shrinking_lndets(sizes, stride, record, rebuild, comps)
     monkeypatch.setattr(energy, "_shrinking_lndets", padded)
     fld = FieldKind(field)
     kappas = [0.05, 0.8, 3.0]
@@ -525,21 +553,25 @@ def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
             np.where(own, ref, 0.0).tobytes()
 
 
-def _node_window_bytes(nsph, pol, l_max, l_min):
+def _node_window_bytes(geometry, pol, l_max, l_min):
     """Peak bytes of one node's live windows, counted from the block
     layout: at the p-th order from l_min the blocks m <= l_min + p are
     live, each with (l_max + 1 - l_min - p) orders left, and the two
-    buffers hold the even and the odd orders."""
-    stride = nsph * pol
+    buffers hold the even and the odd orders.  Two equal spheres take
+    the mirror form: pol rows per order, each entry two doubles."""
+    spheres = geometry.spheres
+    comps = 2 if len(spheres) == 2 and spheres[0] == spheres[1] else 1
+    stride = len(spheres) // comps * pol
     nl = l_max + 1 - l_min
     live = [(l_min + p + 1) * (stride * (nl - p)) ** 2 for p in range(nl)]
-    return 8 * (max(live[0::2]) + max(live[1::2], default=0))
+    return 8 * comps * (max(live[0::2]) + max(live[1::2], default=0))
 
 
 # a scalar pair, an EM pair, a Dirichlet triple, and the triples of
-# NODE_CASES
+# NODE_CASES, and an equal EM pair in the mirror form
 CHUNK_CASES = NODE_CASES + [
-    ("scalar-real", Geometry((DIR, DIR, DIR), (0.0, 3.0, 6.5)), 5)]
+    ("scalar-real", Geometry((DIR, DIR, DIR), (0.0, 3.0, 6.5)), 5),
+    ("em", pair(PEC, PEC, 2.5), 5)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -553,7 +585,7 @@ def test_histories_equal_one_node_calls(case, kappas, eighths):
     field, geometry, l_max = case
     fld = FieldKind(field)
     pol, l_min = (2, 1) if fld.is_em else (1, 0)
-    node = _node_window_bytes(geometry.n_spheres, pol, l_max, l_min)
+    node = _node_window_bytes(geometry, pol, l_max, l_min)
     per_chunk = max(1, eighths // 8)
     chunks = []
     stack_history = energy._stack_history
@@ -570,24 +602,45 @@ def test_histories_equal_one_node_calls(case, kappas, eighths):
         assert row.tobytes() == _history(geometry, fld, kappa, l_max).tobytes()
 
 
-@pytest.mark.parametrize("field,l_max,per_chunk", [
-    ("scalar-real", 10, 65), ("scalar-real", 17, 16), ("scalar-real", 36, 2),
-    ("scalar-real", 37, 1), ("em", 8, 28), ("em", 22, 2), ("em", 23, 1)])
-def test_chunks_hold_the_live_windows_of_one_mib(monkeypatch, field, l_max,
-                                                 per_chunk):
-    # the 1 MiB budget counts only the live windows of the elimination,
-    # so chunks fall to one node only from scalar l_max 37 and EM 23
+DIEL = SphereSpec(R, Dielectric(4.0, 1.0))
+
+
+def _chunks(monkeypatch, spheres, field, l_max, nodes):
+    """Chunk sizes of `_histories` over `nodes` nodes of a pair."""
     chunks = []
     monkeypatch.setattr(energy, "_node_pairs",
                         lambda geometry, fld, part, l_max: len(part))
     monkeypatch.setattr(energy, "_stack_history",
                         lambda nn, nsph, pol, l_max, l_min:
                         chunks.append(nn) or np.zeros((nn, l_max + 1)))
-    sphere = PEC if field == "em" else DIR
-    _histories(pair(sphere, sphere, 3.0), FieldKind(field),
-               [1.0] * (per_chunk + 1), l_max)
-    assert chunks == [per_chunk, 1]
+    _histories(pair(*spheres, 3.0), FieldKind(field), [1.0] * nodes, l_max)
     assert energy._STACK_BYTES == 1 << 20
+    return chunks
+
+
+@pytest.mark.parametrize("field,l_max,per_chunk", [
+    ("scalar-real", 10, 65), ("scalar-real", 17, 16), ("scalar-real", 36, 2),
+    ("scalar-real", 37, 1), ("em", 8, 28), ("em", 22, 2), ("em", 23, 1)])
+def test_chunks_hold_the_live_windows_of_one_mib(monkeypatch, field, l_max,
+                                                 per_chunk):
+    # the 1 MiB budget counts only the live windows of the elimination,
+    # so chunks of unequal pairs (the interleaved layout) fall to one
+    # node only from scalar l_max 37 and EM 23
+    spheres = (PEC, DIEL) if field == "em" else (DIR, NEU)
+    assert _chunks(monkeypatch, spheres, field, l_max, per_chunk + 1) == \
+        [per_chunk, 1]
+
+
+@pytest.mark.parametrize("field,l_max,per_chunk", [
+    ("scalar-real", 10, 130), ("scalar-real", 17, 32), ("scalar-real", 46, 2),
+    ("scalar-real", 47, 1), ("em", 8, 56), ("em", 28, 2), ("em", 29, 1)])
+def test_mirror_chunks_hold_twice_the_nodes(monkeypatch, field, l_max,
+                                            per_chunk):
+    # equal spheres: mirror-form windows take half the bytes, so chunks
+    # fall to one node only from scalar l_max 47 and EM 29
+    spheres = (PEC, PEC) if field == "em" else (DIR, DIR)
+    assert _chunks(monkeypatch, spheres, field, l_max, per_chunk + 1) == \
+        [per_chunk, 1]
 
 
 def test_pivot_fallback_hits_one_node_of_a_batch(monkeypatch):
@@ -626,6 +679,43 @@ def test_pivot_fallback_hits_one_node_of_a_batch(monkeypatch):
                      for j in range(len(kappas))]
     for j in range(len(kappas)):
         _assert_equals_per_block(hist[j], per_block[j])
+
+
+def test_pivot_fallback_hits_one_node_of_a_mirror_batch(monkeypatch):
+    # every scalar sector row is a cut, so no pivot can vanish while det(1
+    # - N) stays positive: the middle node's D gets d = sqrt(1 - 5e-14) at
+    # l = l' = 0 of its m = 0 block, decoupled from the other orders, which
+    # leaves the sector pivot (1 - d)(1 + d) = 5e-14 below the 1e-13 check
+    kappas = [0.3, 0.8, 2.0]
+    node_pairs = energy._node_pairs
+
+    def degenerate(geometry, fld, chunk, l_max):
+        (a, b, scale, u), = node_pairs(geometry, fld, chunk, l_max)
+        if kappas[1] not in chunk:
+            return [(a, b, scale, u)]
+        j = list(chunk).index(kappas[1])
+        scale, u = scale.copy(), u.copy()
+        scale[j, 0, 0] = 1.0
+        u[j, 0, 0, :] = u[j, 0, :, 0] = 0.0
+        u[j, 0, 0, 0] = math.sqrt(1.0 - 5e-14)
+        return [(a, b, scale, u)]
+    monkeypatch.setattr(energy, "_node_pairs", degenerate)
+    g = pair(DIR, DIR, 3.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="warn"):
+            hist = _histories(g, REAL_SCALAR, kappas, 4)
+    # stack row 1 is (m = 0, node 1) of 5 m-blocks of 3 nodes
+    assert [w.category for w in caught] == [PivotFallbackWarning]
+    assert "block 1 of 15 " in str(caught[0].message)
+    pairs = degenerate(g, REAL_SCALAR, kappas, 4)
+    with pytest.warns(PivotFallbackWarning):
+        per_block = _per_block_history(pairs, 1, 1, 4, 0, 1)
+    _assert_equals_per_block(hist[1], per_block)
+    assert hist[1, 0] == pytest.approx(math.log(5e-14), rel=1e-3)
+    for j in (0, 2):
+        assert hist[j].tobytes() == \
+            _history(g, REAL_SCALAR, kappas[j], 4).tobytes()
 
 
 QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)
@@ -721,6 +811,27 @@ def test_adaptive_gk15_error_bounds_the_error(field, geometry):
 PAIR_LAWS = [("scalar-real", Dirichlet()), ("scalar-real", Neumann()),
              ("scalar-real", Robin(10.0)), ("em", PerfectConductor()),
              ("em", Dielectric(4.0, 1.0))]
+
+
+@pytest.mark.parametrize("field,law", PAIR_LAWS)
+def test_mirror_form_equals_interleaved_elimination(field, law):
+    # equal spheres eliminate split-complex; the interleaved real blocks
+    # they stand for, rebuilt from the same pair with the parity undone,
+    # give the same histories to 1e-14
+    fld = FieldKind(field)
+    pol, l_min = (2, 1) if fld.is_em else (1, 0)
+    l_max = 6 if fld.is_em else 8
+    mask = translation._reversal(l_max + 1, pol)
+    sph = SphereSpec(1.0, law)
+    for d in (2.1, 3.0, 100.0, 1000.0):
+        g = pair(sph, sph, d)
+        kappas = [1e-6, 1e-3, 1.0, 1e3]
+        (_, _, scale, u), = energy._node_pairs(g, fld, kappas, l_max)
+        k12 = scale * mask[0]
+        real = energy._stack_history([(0, 1, k12, u), (1, 0, k12 * mask, u)],
+                                     2, pol, l_max, l_min)
+        np.testing.assert_allclose(_histories(g, fld, kappas, l_max), real,
+                                   rtol=1e-14, atol=0.0, err_msg=str(d))
 
 
 @pytest.mark.parametrize("field,law", PAIR_LAWS)
@@ -1051,7 +1162,12 @@ def test_equal_spheres_share_one_t_log_per_node(monkeypatch, field, law,
     own = _history(Geometry([_Unshared(R, law) for _ in range(nsph)],
                             centers), fld, 0.8, 6)
     assert len(calls) == nsph
-    assert np.array_equal(shared, own)
+    if nsph == 2:
+        # the equal pair takes the mirror form, the unshared one the
+        # interleaved blocks it stands for
+        np.testing.assert_allclose(shared, own, rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(shared, own)
 
 
 def test_unequal_spheres_keep_their_own_t_logs(monkeypatch):
