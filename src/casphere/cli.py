@@ -633,15 +633,7 @@ def cmd_nbody(args):
     quad = QuadSpec(rel_tol=args.qtol)
     l_max = args.lmax
     if l_max is None:
-        # size the truncation on the tightest adjacent pair
-        gaps = [(geometry.centers[i + 1] - geometry.centers[i]
-                 - geometry.spheres[i].radius - geometry.spheres[i + 1].radius,
-                 i) for i in range(geometry.n_spheres - 1)]
-        _, i = min(gaps)
-        probe = Geometry.pair(
-            geometry.spheres[i], geometry.spheres[i + 1],
-            geometry.centers[i + 1] - geometry.centers[i])
-        l_max = suggest_l_max(probe, args.field)
+        l_max = suggest_l_max(geometry, args.field)
     config = RunConfig("nbody", (
         ("field", args.field), ("spheres", ";".join(args.sphere)),
         ("lmax", "auto" if args.lmax is None else str(args.lmax)),

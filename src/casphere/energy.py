@@ -167,11 +167,9 @@ class Geometry:
         for sp in self.spheres:
             if not isinstance(sp, SphereSpec):
                 raise ValueError("spheres must be SphereSpec instances")
-        for i in range(len(self.centers) - 1):
+        for i, gap in enumerate(self._gaps()):
             if not self.centers[i + 1] > self.centers[i]:
                 raise ValueError("centers must be strictly increasing")
-            gap = (self.centers[i + 1] - self.centers[i]
-                   - self.spheres[i].radius - self.spheres[i + 1].radius)
             if not gap > 0.0:
                 raise ValueError(
                     "spheres %d and %d overlap (surface gap %g <= 0)"
@@ -192,12 +190,16 @@ class Geometry:
             raise ValueError("d is defined for two-sphere geometries")
         return self.centers[1] - self.centers[0]
 
+    def _gaps(self):
+        """Surface-to-surface distance of each adjacent pair."""
+        return [self.centers[i + 1] - self.centers[i]
+                - self.spheres[i].radius - self.spheres[i + 1].radius
+                for i in range(len(self.centers) - 1)]
+
     @property
     def surface_gap(self):
         """Smallest surface-to-surface distance between adjacent spheres."""
-        return min(self.centers[i + 1] - self.centers[i]
-                   - self.spheres[i].radius - self.spheres[i + 1].radius
-                   for i in range(len(self.centers) - 1))
+        return min(self._gaps())
 
 
 # e^{-t} < 2^-1075, half the least subnormal, rounds to 0.0 beyond this t
@@ -357,7 +359,7 @@ def _shrinking_pivots(sizes, stride, write, comps=1):
     return q
 
 
-def _shrinking_lndets(sizes, stride, write, rebuild, comps=1):
+def _shrinking_lndets(sizes, stride, write, comps=1):
     """(signs, lndets) of the leading principal minors of 1 - B for
     blocks B of the given sizes, each of shape (len(sizes), n) with n =
     sizes[0].
@@ -372,17 +374,19 @@ def _shrinking_lndets(sizes, stride, write, rebuild, comps=1):
     (count * comps, n - k, n - k), with the `comps` components of each
     of the blocks lo, lo + 1, ... that start at row k, behind the
     windows of the blocks before them.  With comps 2 a block is
-    split-complex, S + j D, and its k-row minors are those of the 2k-row
-    real matrix it stands for.
+    split-complex, S + j D, and its k-row minors are the 2k-row leading
+    minors of the real matrix it stands for, kron(S, I) + kron(D, J),
+    J = [[0, 1], [1, 0]].
 
     The elimination (`_shrinking_pivots`) is pivot-free and carried in
     B ~ N.  Each pivot term is built from products of N entries, so
     log1p(-q) keeps full relative accuracy even when N is ~1e-12
     (far separations).  Pivots are checked once, after the elimination:
-    a block with one below 1e-13 or not finite is rebuilt alone by
-    `rebuild(i)` as the real matrix of its comps * sizes[i] rows and
-    handed to the pivoted fallback with a PivotFallbackWarning; no
-    other block reads its entries.
+    a block with one below 1e-13 or not finite warns with a
+    PivotFallbackWarning.  `write` then writes the blocks that join at
+    its first row again, into a temporary array no larger than one of
+    the elimination's buffers, and the block's real matrix goes to the
+    pivoted fallback, every row of it; no other block reads its entries.
     """
     nb, n = len(sizes), sizes[0]
     first = n - np.asarray(sizes)
@@ -399,10 +403,16 @@ def _shrinking_lndets(sizes, stride, write, rebuild, comps=1):
     for i in np.flatnonzero(bad.any(axis=1)):
         warnings.warn("pivot fallback in block %d of %d (size %d)"
                       % (i, nb, sizes[i]), PivotFallbackWarning)
+        k, w = first[i], sizes[i]
+        lo = np.searchsorted(first, k)
+        group = np.empty((np.count_nonzero(first == k), comps, w, w))
+        write(group.reshape(-1, w, w), k, lo)
+        # component c multiplies the unit I (c = 0) or J (c = 1)
+        real = sum(np.kron(b, np.roll(np.eye(comps), c, axis=1))
+                   for c, b in enumerate(group[i - lo]))
         signs[i], lndets[i] = 1.0, 0.0
-        own_rows = slice(first[i], None)
-        signs[i, own_rows], lndets[i, own_rows] = (
-            v[comps - 1::comps] for v in _leading_lndets_pivoted(rebuild(i)))
+        signs[i, k:], lndets[i, k:] = (
+            v[comps - 1::comps] for v in _leading_lndets_pivoted(real))
     return signs, lndets
 
 
@@ -483,25 +493,6 @@ def _write_blocks(out, pairs, pol, l0, m0):
                             out=out[:, :, :, a, p, :, b, q])
 
 
-def _node_block(pairs, nsph, pol, l_min, m, j):
-    """The m-block N_m of node j alone: the orders l >= max(m, l_min).
-
-    Of the mirror form it is [[0, D], [D, 0]] in the interleaved layout
-    of two spheres, which diag(1, P) makes N_m with the same leading
-    minors.
-    """
-    if pairs[0][0] == pairs[0][1]:
-        (_, _, scale, u), = pairs
-        pairs, nsph = [(0, 1, scale, u), (1, 0, scale, u)], 2
-    l0 = max(m, l_min)
-    nl = pairs[0][2].shape[1] // pol - l0
-    block = np.empty((1, 1, 1, nl, nsph, pol, nl, nsph, pol))
-    _write_blocks(block, [(a, b, scale[j:j + 1], u[j:j + 1])
-                          for a, b, scale, u in pairs], pol, l0, m)
-    n = nl * nsph * pol
-    return block.reshape(n, n)
-
-
 def _block_sizes(nsph, pol, l_max, l_min):
     """Rows of the m-blocks of one node, m = 0..l_max: block m covers the
     orders l >= max(m, l_min)."""
@@ -516,8 +507,7 @@ def _stack_history(pairs, nsph, pol, l_max, l_min):
     node-minor, so block sizes never increase along them; block m of
     every node joins the working set at order max(m, l_min), written
     straight into its live window.  The mirror form (a pair (0, 0), one
-    row group per order: nsph 1) is eliminated split-complex.  A block
-    sent to the pivoted fallback is rebuilt alone from its node's pairs.
+    row group per order: nsph 1) is eliminated split-complex.
     """
     nn = len(pairs[0][2])
     comps = 2 if pairs[0][0] == pairs[0][1] else 1
@@ -530,12 +520,9 @@ def _stack_history(pairs, nsph, pol, l_max, l_min):
         _write_blocks(out.reshape(-1, nn, comps, nl, nsph, pol, nl, nsph,
                                   pol), pairs, pol, l0, lo // nn)
 
-    def rebuild(i):
-        return _node_block(pairs, nsph, pol, l_min, *divmod(i, nn))
-
     signs, lndets = _shrinking_lndets(
         np.repeat(_block_sizes(nsph, pol, l_max, l_min), nn), stride, write,
-        rebuild, comps)
+        comps)
     return _m_history(signs.reshape(l_max + 1, nn, n),
                       lndets.reshape(l_max + 1, nn, n), stride, l_min)
 
@@ -572,16 +559,16 @@ def _node_pairs(geometry, fld, kappas, l_max):
     pol = 2 if fld.is_em else 1
     c_len = max(sp.radius for sp in spheres)
     kv = np.array(kappas, dtype=float)
-    lv = np.arange(l_max + 1, dtype=float)
-    pw = _per_pol(lv[None, :] - lv[:, None], pol) * np.array(
-        [math.log(kappa * c_len) for kappa in kappas])[:, None, None]
     # equal spheres share one T-matrix log (found by ==, so a law need
-    # not be hashable)
+    # not be hashable); the T-matrix rows check every kappa
     t_rows = _t_em_rows if fld.is_em else _t_scalar_rows
     tlogs = []
     for a, sp in enumerate(spheres):
         first = spheres.index(sp)
         tlogs.append(tlogs[first] if first < a else t_rows(sp, l_max, kv))
+    lv = np.arange(l_max + 1, dtype=float)
+    pw = _per_pol(lv[None, :] - lv[:, None], pol) * np.array(
+        [math.log(kappa * c_len) for kappa in kappas])[:, None, None]
     kernels = {}
     pairs = []
     with np.errstate(under="ignore"):
@@ -651,9 +638,6 @@ def integrand(geometry, field_kind, kappa, l_max):
     if geometry.n_spheres != 2:
         raise ValueError("integrand is defined for two-sphere geometries")
     fld = _checked_field(geometry, field_kind, l_max)
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be finite and positive, got %r"
-                         % (kappa,))
     return float(_histories(geometry, fld, [kappa], l_max)[0, l_max])
 
 
@@ -908,14 +892,19 @@ _L_LO, _L_HI = 6, 40
 def suggest_l_max(geometry, field_kind):
     """Pick a truncation order from a cheap probe run.
 
-    Probes at l = 10, reads the fitted decay rate of the truncation
+    Probes the adjacent pair with the smallest surface gap (the first
+    on ties) at l = 10, reads the fitted decay rate of the truncation
     error, and sizes l_max so the residual is ~e^{-14} of the leading
     correction; clamped to [6, 40].  Returning the upper clamp because
     the decay rate is unusable or the need exceeds it warns with
     LMaxClampWarning.
     """
     fld = _as_field(field_kind)
-    probe = casimir_energy(geometry, fld, max(_PROBE_L, _l_min(fld) + 3),
+    gaps = geometry._gaps()
+    i = gaps.index(min(gaps))
+    tight = Geometry.pair(geometry.spheres[i], geometry.spheres[i + 1],
+                          geometry.centers[i + 1] - geometry.centers[i])
+    probe = casimir_energy(tight, fld, max(_PROBE_L, _l_min(fld) + 3),
                            _PROBE_QUAD)
     es = [e for _, e in probe.history]
     diffs = np.abs(np.diff(es))

@@ -9,8 +9,8 @@ import pytest
 
 from casphere import cli
 from casphere.asymptotics import eval_series, expand_em_metal
-from casphere.energy import DomainError
-from casphere.tmatrix import Dielectric, Dirichlet, Neumann, Robin
+from casphere.energy import DomainError, Geometry, suggest_l_max
+from casphere.tmatrix import Dielectric, Dirichlet, Neumann, Robin, SphereSpec
 
 
 def run_json(tmp_path, argv):
@@ -162,6 +162,29 @@ def test_sweep_schema_and_values(tmp_path):
     assert [line.split(",")[0] for line in body[1:]] == ["4.0", "5.0", "6.0"]
 
 
+def test_sweep_json_columns_and_rows(tmp_path):
+    argv = ["sweep", "--bc1", "dirichlet", "--d-grid", "4:6:3", "--lmax", "8"]
+    doc = run_json(tmp_path, argv + ["--format", "json"])
+    assert doc["verb"] == "sweep"
+    assert doc["columns"] == list(cli.SWEEP_COLUMNS)
+    # the rows of the csv table, one object per row keyed by column
+    body = csv_body(run_csv(tmp_path, argv))
+    assert len(doc["rows"]) == len(body) - 1 == 3
+    for row, line in zip(doc["rows"], body[1:]):
+        assert list(row) == list(cli.SWEEP_COLUMNS)
+        assert [float(row[c]) for c in cli.SWEEP_COLUMNS] == \
+            [float(cell) for cell in line.split(",")]
+
+
+def test_sweep_without_series_writes_null(tmp_path):
+    # no large-distance series for PEC against a dielectric
+    doc = run_json(tmp_path, [
+        "sweep", "--field", "em", "--bc1", "pec", "--bc2", "dielectric:4,1",
+        "--d-grid", "4:5:2", "--lmax", "3", "--format", "json"])
+    assert [row["series_value"] for row in doc["rows"]] == [None, None]
+    assert all(row["E"] < 0.0 for row in doc["rows"])
+
+
 def test_sweep_reproducible_and_worker_independent(tmp_path):
     argv = ["sweep", "--bc1", "dirichlet", "--bc2", "neumann",
             "--d-grid", "5:7:3", "--lmax", "6"]
@@ -295,6 +318,16 @@ def test_nbody_record(tmp_path):
     assert res["E"] < 0.0
     assert doc["config"]["spheres"] == \
         "0:1:dirichlet;3:1:dirichlet;6:1:dirichlet"
+
+
+def test_nbody_auto_lmax_is_suggested_for_the_geometry(tmp_path):
+    doc = run_json(tmp_path, [
+        "nbody", "--sphere", "0:1:dirichlet", "--sphere", "3:1:dirichlet",
+        "--sphere", "6.5:1:dirichlet", "--lmax", "auto"])
+    dirichlet = SphereSpec(1.0, Dirichlet())
+    pair = Geometry.pair(dirichlet, dirichlet, 3.0)
+    assert doc["config"]["lmax"] == "auto"
+    assert doc["result"]["l_max_used"] == suggest_l_max(pair, "scalar-real")
 
 
 def test_nbody_rejects_overlap():

@@ -26,7 +26,6 @@ from casphere.energy import (
     REAL_SCALAR,
     _histories,
     _m_history,
-    _node_block,
     _shrinking_lndets,
     casimir_energy,
     casimir_energy_nbody,
@@ -142,6 +141,15 @@ def test_integrand_refuses_a_huge_refractive_index_quickly():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("field,sphere", [("scalar-real", DIR), ("em", PEC)],
+                         ids=["scalar", "em"])
+def test_integrand_kappa_check_is_the_t_matrix_check(field, sphere, kappa):
+    # the T-matrix rows check every kappa before any log of it is taken
+    with pytest.raises(ValueError, match="finite and positive"):
+        integrand(pair(sphere, sphere, 4.0), field, kappa, 4)
+
+
 def test_preconditions():
     g = pair(DIR, DIR, 4.0)
     with pytest.raises(ValueError):
@@ -250,28 +258,20 @@ def test_block_decomposition_full_det():
 C_LNDET = 4.0
 
 
-def _stack_lndets(stack, sizes, stride, rebuild, comps=1):
+def _stack_lndets(stack, sizes, stride, comps=1):
     """`_shrinking_lndets` of the blocks in the trailing corners of a
-    padded stack, read window by window as the elimination reaches them;
-    rebuild(i) returns block i's padded slot (None: never called).  With
-    comps 2 the stack holds the (S, D) of each split-complex block in
-    turn, and block i's slot is the real matrix of twice its rows."""
-    n = stack.shape[1]
-
+    padded stack, read window by window as the elimination reaches them
+    (and by the pivoted fallback from a block's first row).  With comps 2
+    the stack holds the (S, D) of each split-complex block in turn."""
     def write(out, k, lo):
         out[...] = stack[comps * lo:comps * lo + len(out), k:, k:]
-
-    def own(i):
-        first = comps * (n - sizes[i])
-        return rebuild(i)[first:, first:]
-    return _shrinking_lndets(sizes, stride, write, own, comps)
+    return _shrinking_lndets(sizes, stride, write, comps)
 
 
 def _one_block(a, stride=1):
     """_stack_lndets of a stack holding the single block a, eliminated
-    in panels of `stride` rows; the pivoted fallback rebuilds a."""
-    signs, lndets = _stack_lndets(a[None].copy(), [a.shape[0]], stride,
-                                  lambda i: a)
+    in panels of `stride` rows."""
+    signs, lndets = _stack_lndets(a[None].copy(), [a.shape[0]], stride)
     return signs[0], lndets[0]
 
 
@@ -336,7 +336,7 @@ def test_stack_lndets_equals_per_matrix_oracle(stride):
     # a negative first pivot takes the log(-piv) branch
     blocks[2][0, 0] = 1.5
     signs, lndets = _stack_lndets(_padded_stack(blocks),
-                                  [len(b) for b in blocks], stride, None)
+                                  [len(b) for b in blocks], stride)
     assert np.any(signs < 0.0)
     for i, b in enumerate(blocks):
         _assert_equals_oracle(signs[i], lndets[i], b, stride)
@@ -357,7 +357,7 @@ def test_stack_lndets_against_mpmath(stride):
             b *= scale / math.sqrt(stride * k)
         blocks.append(b)
     _, lndets = _stack_lndets(_padded_stack(blocks),
-                              [len(b) for b in blocks], stride, None)
+                              [len(b) for b in blocks], stride)
     for i, b in enumerate(blocks):
         exact = orc.leading_lndets_mp(b)
         err = np.abs(lndets[i, len(lndets[i]) - len(b):] - exact)
@@ -379,8 +379,7 @@ def test_pivot_fallback_is_per_block_and_loud():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with np.errstate(all="warn"):
-            signs, lndets = _stack_lndets(padded.copy(), [6, 4, 2], 2,
-                                          lambda i: padded[i].copy())
+            signs, lndets = _stack_lndets(padded.copy(), [6, 4, 2], 2)
     assert [w.category for w in caught] == [PivotFallbackWarning]
     for k in range(4):
         sgn, ld = np.linalg.slogdet(a[:k + 1, :k + 1])
@@ -401,8 +400,7 @@ def test_pivot_fallback_is_confined_under_errstate_raise():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with np.errstate(all="raise"):
-            signs, lndets = _stack_lndets(padded.copy(), [8, 8, 6, 4], 2,
-                                          lambda i: padded[i].copy())
+            signs, lndets = _stack_lndets(padded.copy(), [8, 8, 6, 4], 2)
     assert [w.category for w in caught] == [PivotFallbackWarning]
     assert "block 1 of 4 " in str(caught[0].message)
     for i in (0, 2, 3):
@@ -412,9 +410,53 @@ def test_pivot_fallback_is_confined_under_errstate_raise():
         assert lndets[i, first:].tobytes() == one_lndets.tobytes()
 
 
+@pytest.mark.parametrize("s_scale", [0.0, 0.1])
+def test_mirror_pivot_fallback_gives_split_complex_minors_at_every_row(
+        s_scale):
+    # an EM mirror block of 3 orders (panels of pol = 2 rows) whose first
+    # sector pivot (1 - s)^2 - d^2 = 5e-14 fails the check inside its
+    # panel: every row, cut or not, is a split-complex minor of S + j D,
+    # the 2k-row leading minor of kron(S, I) + kron(D, [[0, 1], [1, 0]])
+    rng = np.random.default_rng(21)
+    s = s_scale * rng.standard_normal((6, 6))
+    d = 0.1 * rng.standard_normal((6, 6))
+    d[0, 0] = math.sqrt((1.0 - s[0, 0]) ** 2 - 5e-14)
+    with pytest.warns(PivotFallbackWarning):
+        signs, lndets = _stack_lndets(np.stack([s, d]), [6], 2, 2)
+    real = np.kron(s, np.eye(2)) + np.kron(d, [[0.0, 1.0], [1.0, 0.0]])
+    ref_signs, ref_lndets = np.array(
+        [np.linalg.slogdet(np.eye(k) - real[:k, :k]) for k in range(1, 13)]).T
+    assert np.all(signs[0] == ref_signs[1::2])
+    assert np.all(np.abs(lndets[0] - ref_lndets[1::2])
+                  <= _lndet_bound(ref_lndets)[1::2])
+    assert lndets[0, 0] == pytest.approx(math.log(5e-14), rel=1e-3)
+
+
+def test_pivot_fallback_rewrites_the_blocks_joining_at_its_first_row():
+    # block 1 joins with block 0 at row 0: the fallback writes that group
+    # again, as the elimination wrote it, and reads block 1 from it
+    rng = np.random.default_rng(9)
+    blocks = [0.1 * rng.standard_normal((k, k)) for k in (8, 8, 6, 4)]
+    blocks[1][0, 0] = 1.0
+    stack = _padded_stack(blocks)
+    calls = []
+
+    def write(out, k, lo):
+        calls.append((k, lo, out.shape))
+        out[...] = stack[lo:lo + len(out), k:, k:]
+    with pytest.warns(PivotFallbackWarning):
+        signs, lndets = _shrinking_lndets([8, 8, 6, 4], 2, write)
+    assert calls == [(0, 0, (2, 8, 8)), (2, 2, (1, 6, 6)), (4, 3, (1, 4, 4)),
+                     (0, 0, (2, 8, 8))]
+    ref = [np.linalg.slogdet(np.eye(k) - blocks[1][:k, :k])
+           for k in range(1, 9)]
+    assert signs[1].tolist() == [r[0] for r in ref]
+    assert lndets[1].tolist() == [r[1] for r in ref]
+
+
 def test_domain_error_on_lost_positivity():
     with pytest.raises(DomainError):
-        _m_history(*_stack_lndets(np.array([[[2.0]]]), [1], 1, None), 1, 0)
+        _m_history(*_stack_lndets(np.array([[[2.0]]]), [1], 1), 1, 0)
 
 
 def test_domain_error_when_only_the_last_block_loses_positivity():
@@ -422,7 +464,7 @@ def test_domain_error_when_only_the_last_block_loses_positivity():
     blocks = [0.1 * rng.standard_normal((k, k)) for k in (6, 4, 2)]
     # cut minor (1 - 0.1) * (1 - 3) < 0 in the smallest block only
     blocks[2] = np.diag([0.1, 3.0])
-    signs, lndets = _stack_lndets(_padded_stack(blocks), [6, 4, 2], 2, None)
+    signs, lndets = _stack_lndets(_padded_stack(blocks), [6, 4, 2], 2)
     _m_history(signs[:2], lndets[:2], 2, 0)
     with pytest.raises(DomainError):
         _m_history(signs, lndets, 2, 0)
@@ -442,15 +484,27 @@ def _node(pairs, j):
     return [(a, b, scale[j], u[j]) for a, b, scale, u in pairs]
 
 
+def _node_block(pairs, nsph, pol, l_min, m, j):
+    """The m-block N_m of node j alone, the orders l >= max(m, l_min), cut
+    from `tests/_oracles.py::node_stack_ref`.  Of the mirror form (one
+    pair (0, 0)) it is the interleaved two-sphere block [[0, D], [D, 0]],
+    which has the cuts of N_m."""
+    if pairs[0][0] == pairs[0][1]:
+        (_, _, scale, u), = pairs
+        pairs, nsph = [(0, 1, scale, u), (1, 0, scale, u)], 2
+    first = nsph * pol * (max(m, l_min) - l_min)
+    return orc.node_stack_ref(_node(pairs, j), nsph, pol, l_min)[
+        m, first:, first:]
+
+
 def _one_mirror_block(block, pol):
     """_stack_lndets of the mirror form (S = 0, D) of an interleaved
-    two-sphere block [[0, D], [D, 0]], in panels of pol rows; the pivoted
-    fallback rebuilds the block."""
+    two-sphere block [[0, D], [D, 0]], in panels of pol rows."""
     nl = len(block) // (2 * pol)
     d = block.reshape(nl, 2, pol, nl, 2, pol)[:, 0, :, :, 1].reshape(
         nl * pol, nl * pol)
     signs, lndets = _stack_lndets(np.stack([np.zeros_like(d), d]), [len(d)],
-                                  pol, lambda i: block, 2)
+                                  pol, 2)
     return signs[0], lndets[0]
 
 
@@ -518,7 +572,7 @@ def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
     stacks = []
     shrinking_lndets = energy._shrinking_lndets
 
-    def padded(sizes, stride, write, rebuild, comps):
+    def padded(sizes, stride, write, comps):
         # unequal spheres and triples keep the real, interleaved form
         assert comps == 1
         stack = np.zeros((len(sizes), sizes[0], sizes[0]))
@@ -527,7 +581,7 @@ def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
         def record(out, k, lo):
             write(out, k, lo)
             stack[lo:lo + len(out), k:, k:] = out
-        return shrinking_lndets(sizes, stride, record, rebuild, comps)
+        return shrinking_lndets(sizes, stride, record, comps)
     monkeypatch.setattr(energy, "_shrinking_lndets", padded)
     fld = FieldKind(field)
     kappas = [0.05, 0.8, 3.0]
@@ -1047,6 +1101,23 @@ def test_suggest_l_max_bounds_and_ordering():
         far = suggest_l_max(pair(DIR, DIR, 10.0), "scalar-real")
     assert 6 <= far <= near <= 40
     assert not [w for w in caught if w.category is LMaxClampWarning]
+
+
+@pytest.mark.parametrize("centers", [(0.0, 3.0, 6.5), (0.0, 3.5, 6.5),
+                                     (0.0, 3.0, 6.0)],
+                         ids=["first", "second", "tie"])
+def test_suggest_l_max_probes_the_tightest_adjacent_pair(monkeypatch,
+                                                         centers):
+    # the smallest surface gap is d = 3 between spheres 0 and 1, between
+    # spheres 1 and 2, and on a tie the first pair
+    probed = []
+    energy_of = energy.casimir_energy
+    monkeypatch.setattr(energy, "casimir_energy",
+                        lambda geometry, *args: probed.append(geometry)
+                        or energy_of(geometry, *args))
+    got = suggest_l_max(Geometry((DIR,) * 3, centers), "scalar-real")
+    assert probed == [pair(DIR, DIR, 3.0)]
+    assert got == suggest_l_max(pair(DIR, DIR, 3.0), "scalar-real")
 
 
 def _fake_probe(monkeypatch, diffs, delta_fit):
