@@ -17,9 +17,10 @@ m-independent log of a quadrature node is summed and exponentiated once
 per sphere pair, and the per-m work is a product of O(1) floats feeding
 the final determinants.  The nodes of one chunk are assembled together:
 one batch of translation kernels per sphere distance covers every node,
-each distinct sphere's T-matrix diagonals come from one batched call,
-and each (sphere pair, polarization, polarization) writes the m-blocks
-of every node with one multiply.
+spheres of one radius share one Bessel chain, each distinct sphere's
+T-matrix diagonals come from one batched call on it, and each (sphere
+pair, polarization, polarization) writes the m-blocks of every node with
+one multiply.
 
 The per-l cuts of every m-block are leading principal minors of 1 - N_m,
 and the m-blocks of many nodes are eliminated together, m-major and
@@ -41,7 +42,8 @@ the interval choice, sums and error estimate of
 points=...)` (QUADPACK's QAGP).  In t = 2 kappa L it starts from the
 dyadic partition 0, 1, 2, 4, ..., t_max, which already resolves the
 integrand's O(1) scale; the nodes of that partition are evaluated in one
-batch, and so is every node of each refinement round after it.
+batch, and so is every node of each refinement round after it, whose
+GK15 sums over every interval are one reduction.
 """
 
 import heapq
@@ -52,8 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .specfun import _chain_rows
 from .tmatrix import (
     SphereSpec,
+    _checked_kappas,
     _t_em_rows,
     _t_scalar_rows,
     is_em_law,
@@ -485,8 +489,8 @@ def _write_blocks(out, pairs, pol, l0, m0):
             out[:, :, :, a, :, :, a] = 0.0
     for a, b, scale, u in pairs:
         s = scale[:, lo:, lo:].reshape(nn, nl, pol, nl, pol)
-        blocks = u[:, m0:m0 + nm, lo:, lo:].reshape(nn, nm, nl, pol, nl, pol)
-        blocks = np.moveaxis(blocks, 1, 0)
+        blocks = u[:, m0:m0 + nm, lo:, lo:].reshape(
+            nn, nm, nl, pol, nl, pol).swapaxes(0, 1)
         for p in range(pol):
             for q in range(pol):
                 np.multiply(s[:, :, p, :, q], blocks[:, :, :, p, :, q],
@@ -548,8 +552,9 @@ def _node_pairs(geometry, fld, kappas, l_max):
     determinant.  Pairs at the same distance share one batch of
     translation kernels, and every u is its "12" blocks: a pair whose
     source lies below its target reads them in direction "21", whose
-    +-1 parity mask `_reversal` is folded into the scale.  Each distinct
-    sphere's T-matrix logs come from one batched call over every node.
+    +-1 parity mask `_reversal` is folded into the scale.  Spheres of the
+    same radius share one Bessel chain over every node, and each distinct
+    sphere's T-matrix logs come from one batched call on its chain.
     Two equal spheres (`_mirror`) give the one pair (0, 0, scale, u) of
     D = K_12 P, with the parity P folded into its scale.
     """
@@ -559,13 +564,21 @@ def _node_pairs(geometry, fld, kappas, l_max):
     pol = 2 if fld.is_em else 1
     c_len = max(sp.radius for sp in spheres)
     kv = np.array(kappas, dtype=float)
+    kappas = _checked_kappas(kv)
     # equal spheres share one T-matrix log (found by ==, so a law need
-    # not be hashable); the T-matrix rows check every kappa
+    # not be hashable), and spheres of one radius one chain
     t_rows = _t_em_rows if fld.is_em else _t_scalar_rows
+    chains = {}
     tlogs = []
     for a, sp in enumerate(spheres):
         first = spheres.index(sp)
-        tlogs.append(tlogs[first] if first < a else t_rows(sp, l_max, kv))
+        if first < a:
+            tlogs.append(tlogs[first])
+            continue
+        ch = chains.get(sp.radius)
+        if ch is None:
+            ch = chains[sp.radius] = _chain_rows(l_max, kv * sp.radius)
+        tlogs.append(t_rows(sp, ch, kappas))
     lv = np.arange(l_max + 1, dtype=float)
     pw = _per_pol(lv[None, :] - lv[:, None], pol) * np.array(
         [math.log(kappa * c_len) for kappa in kappas])[:, None, None]
@@ -707,34 +720,51 @@ def _gk15_nodes(a, b):
     return [c + h * x for x in _GK15_X]
 
 
-def _gk15(a, b, fv):
-    """(integral, error, rounding error) of the GK15 rule on [a, b]
-    from the values fv at `_gk15_nodes(a, b)`.
+def _by_interval(values):
+    """Values at the GK15 nodes of consecutive intervals, 15 rows each,
+    as an (intervals, 15, ...) array."""
+    return values.reshape((-1, 15) + values.shape[1:])
+
+
+def _gk15_batch(a, b, fv):
+    """(integrals, errors, rounding errors) of the GK15 rule on every
+    interval [a[i], b[i]] from the values fv[i] at `_gk15_nodes(a[i],
+    b[i])`; fv has shape (intervals, 15, ...).
 
     QUADPACK's error estimate in the max-norm, each sum running
-    sequentially over the nodes, in the arithmetic order of quad_vec.
+    sequentially over the nodes, in the arithmetic order of quad_vec, for
+    every interval at once.  The integrals come as one array, a row per
+    interval; the errors as lists of floats, each from its interval's
+    own tests on Python floats.
     """
-    h = 0.5 * (b - a)
-    s_k = 0.0
-    s_k_abs = 0.0
-    for v, ff in zip(_GK15_V, fv):
+    h = 0.5 * (np.asarray(b) - np.asarray(a))
+    h = h.reshape((-1,) + (1,) * (fv.ndim - 2))
+    nodes = fv.swapaxes(0, 1)  # node-major: one (intervals, ...) slab each
+    s_k = np.zeros(nodes.shape[1:])
+    s_k_abs = np.zeros(nodes.shape[1:])
+    for v, ff in zip(_GK15_V, nodes):
         s_k += v * ff
         s_k_abs += v * abs(ff)
-    s_g = 0.0
+    s_g = np.zeros(nodes.shape[1:])
     for i, w in enumerate(_GK15_W):
-        s_g += w * fv[2 * i + 1]
+        s_g += w * nodes[2 * i + 1]
     y0 = s_k / 2.0
-    s_k_dabs = 0.0
-    for v, ff in zip(_GK15_V, fv):
+    s_k_dabs = np.zeros(nodes.shape[1:])
+    for v, ff in zip(_GK15_V, nodes):
         s_k_dabs += v * abs(ff - y0)
-    err = float(np.amax(abs((s_k - s_g) * h)))
-    dabs = float(np.amax(abs(s_k_dabs * h)))
-    if dabs != 0 and err != 0:
-        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
-    round_err = float(np.amax(abs(50 * sys.float_info.epsilon * h * s_k_abs)))
-    if round_err > sys.float_info.min:
-        err = max(err, round_err)
-    return h * s_k, err, round_err
+
+    def amax(x):
+        return np.amax(abs(x).reshape(len(x), -1), axis=1).tolist()
+    errs = []
+    round_errs = amax(50 * sys.float_info.epsilon * h * s_k_abs)
+    for err, dabs, round_err in zip(amax((s_k - s_g) * h),
+                                    amax(s_k_dabs * h), round_errs):
+        if dabs != 0 and err != 0:
+            err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+        if round_err > sys.float_info.min:
+            err = max(err, round_err)
+        errs.append(err)
+    return h * s_k, errs, round_errs
 
 
 # intervals split per refinement round, and the interval count at which
@@ -770,7 +800,8 @@ def _adaptive_gk15(f, b, rel_tol):
     and stops once the global error is below tol/8 or the rounding
     error.  f maps a list of nodes to an array of values, one row per
     node, and gets every node of the initial partition in one call, then
-    every node of a round in one call.
+    every node of a round in one call; the GK15 rule of every interval
+    of a call is one `_gk15_batch`.
     """
     edges = [0.0] + _dyadic_points(b) + [b]
     initial = list(zip(edges[:-1], edges[1:]))
@@ -779,8 +810,8 @@ def _adaptive_gk15(f, b, rel_tol):
     global_error = rounding_error = 0.0
     integrals = {}
     heap = []
-    for i, (lo, hi) in enumerate(initial):
-        ig, err, round_err = _gk15(lo, hi, values[15 * i:15 * i + 15])
+    for lo, hi, ig, err, round_err in zip(edges[:-1], edges[1:], *_gk15_batch(
+            edges[:-1], edges[1:], _by_interval(values))):
         total += ig
         global_error += err
         rounding_error += round_err
@@ -801,19 +832,21 @@ def _adaptive_gk15(f, b, rel_tol):
             neg_err, lo, hi = heapq.heappop(heap)
             split.append((-neg_err, lo, hi))
             err_sum += -neg_err
-        nodes = []
+        halves = []
         for _, lo, hi in split:
             mid = 0.5 * (lo + hi)
-            nodes += _gk15_nodes(lo, mid) + _gk15_nodes(mid, hi)
-        values = f(nodes)
+            halves += [(lo, mid), (mid, hi)]
+        values = f([t for x1, x2 in halves for t in _gk15_nodes(x1, x2)])
+        igs, errs, round_errs = _gk15_batch(*zip(*halves),
+                                            _by_interval(values))
         for i, (old_err, lo, hi) in enumerate(split):
-            mid = 0.5 * (lo + hi)
-            s1, err1, round1 = _gk15(lo, mid, values[30 * i:30 * i + 15])
-            s2, err2, round2 = _gk15(mid, hi, values[30 * i + 15:30 * i + 30])
+            two = slice(2 * i, 2 * i + 2)
+            (s1, s2), (err1, err2), (round1, round2) = (
+                igs[two], errs[two], round_errs[two])
             total += s1 + s2 - integrals.pop((lo, hi))
             global_error += err1 + err2 - old_err
             rounding_error += round1 + round2
-            for x1, x2, ig, err in ((lo, mid, s1, err1), (mid, hi, s2, err2)):
+            for (x1, x2), ig, err in zip(halves[two], igs[two], errs[two]):
                 integrals[(x1, x2)] = ig
                 heapq.heappush(heap, (-err, x1, x2))
         if len(heap) >= 2 and (global_error < tol() / 8

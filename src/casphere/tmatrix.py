@@ -14,11 +14,12 @@ the Robin entries at zeta = 0 and -1, and a dielectric alpha =
 every entry is the scaled T_l e^{-2 kappa R} from ratio chains of scaled
 Bessel functions at z (and the I ratios at n z), so l ~ 40-60 at small
 kappa R stay representable; it carries the internal sign described in
-`t_scalar_log`.  The entries are computed in rows over a vector of kappa,
-one row per quadrature node of a chunk (`_t_scalar_rows`, `_t_em_rows`);
-the public one-kappa calls are their one-row case.  In exact fractions
-the same brackets give the low-frequency series of the large-distance
-expansions.
+`t_scalar_log`.  The entries are computed in rows on a Bessel chain of
+rows at kappa R, one row per quadrature node of a chunk
+(`_t_scalar_rows`, `_t_em_rows`), so spheres of one radius can share one
+chain whatever their laws; the public one-kappa calls are their one-row
+case.  In exact fractions the same brackets give the low-frequency series
+of the large-distance expansions.
 """
 
 import math
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .specfun import _chain_rows, _i_ratio_gap
+from .specfun import _chain_rows, _i_gap_rows
 
 __all__ = [
     "Robin",
@@ -196,18 +197,21 @@ def _checked_kappas(kv):
     return kappas
 
 
-def _t_scalar_rows(spec, l_max, kv):
-    """Entries of `t_scalar_log` at every kappa of the 1-D array kv:
-    (sign, log) arrays of shape (len(kv), l_max + 1), row i at kv[i]."""
-    _checked_kappas(kv)
-    zeta = _effective_zeta(spec.law)
-    return _robin_log(_chain_rows(l_max, kv * spec.radius), zeta)
+def _t_scalar_rows(spec, ch, kappas):
+    """Entries of `t_scalar_log` on the chain rows ch (`_chain_rows` at
+    z = kappa R of the checked floats kappas): (sign, log) arrays of
+    shape ch.rho.shape, row i at kappas[i].
+
+    A Robin-family law reads kappa only through z; the kappas keep the
+    signature of `_t_em_rows`, so a caller treats both alike.
+    """
+    return _robin_log(ch, _effective_zeta(spec.law))
 
 
-def _t_em_rows(spec, l_max, kv):
-    """Entries of `t_em_log` at every kappa of the 1-D array kv: (sign,
-    log) arrays of shape (len(kv), 2 (l_max + 1)), row i at kv[i]."""
-    kappas = _checked_kappas(kv)
+def _t_em_rows(spec, ch, kappas):
+    """Entries of `t_em_log` on the chain rows ch (`_chain_rows` at
+    z = kappa R of the checked floats kappas): (sign, log) arrays of
+    shape (len(kappas), 2 (l_max + 1)), row i at kappas[i]."""
     law = spec.law
     if isinstance(law, Dispersive):
         materials = [law.eps_mu(kappa) for kappa in kappas]
@@ -220,7 +224,7 @@ def _t_em_rows(spec, l_max, kv):
     elif not isinstance(law, PerfectConductor):
         raise TypeError("EM T-matrix requires Dielectric, Dispersive or "
                         "PerfectConductor, got %r" % (law,))
-    ch = _chain_rows(l_max, kv * spec.radius)
+    l_max = ch.rho.shape[1] - 1
     if isinstance(law, PerfectConductor):
         channels = [_robin_log(ch, zeta) for zeta in _PEC_ZETAS]
     else:
@@ -231,12 +235,11 @@ def _t_em_rows(spec, l_max, kv):
         # inner field is the I ratios at w, and g carries n^2 - 1 =
         # (eps - 1) mu + (mu - 1) exactly, so a near-vacuum sphere keeps
         # full relative precision
-        g = np.empty_like(ch.rho)
-        wrho = np.empty_like(ch.rho)
-        for i, (z, (eps, mu)) in enumerate(zip(ch.z[:, 0].tolist(),
-                                               materials)):
-            g[i], wrho[i] = _i_ratio_gap(l_max, z, math.sqrt(eps * mu) * z,
-                                         (eps - 1.0) * mu + (mu - 1.0))
+        zs = ch.z[:, 0].tolist()
+        g, wrho = _i_gap_rows(
+            l_max, zs,
+            [math.sqrt(eps * mu) * z for z, (eps, mu) in zip(zs, materials)],
+            [(eps - 1.0) * mu + (mu - 1.0) for eps, mu in materials])
         eps, mu = np.array(materials, dtype=float).T[:, :, None]
         lv = np.arange(l_max + 1.0)
         channels = [_bracket_log(
@@ -251,6 +254,15 @@ def _t_em_rows(spec, l_max, kv):
     return sign, logmag
 
 
+def _one_row(rows, spec, l_max, kappa):
+    """The one row of `rows` (`_t_scalar_rows` or `_t_em_rows`) at kappa,
+    checked, on the one-row chain at kappa R."""
+    kv = np.array([kappa], dtype=float)
+    kappas = _checked_kappas(kv)
+    sign, logmag = rows(spec, _chain_rows(l_max, kv * spec.radius), kappas)
+    return sign[0], logmag[0]
+
+
 def t_scalar_log(spec, l_max, kappa):
     """Scaled scalar entries: (sign, log|.|) of T_l e^{-2 kappa R}.
 
@@ -259,8 +271,7 @@ def t_scalar_log(spec, l_max, kappa):
     determinant is invariant under this relabeling and it keeps all
     downstream products sign-transparent.
     """
-    sign, logmag = _t_scalar_rows(spec, l_max, np.array([kappa], dtype=float))
-    return sign[0], logmag[0]
+    return _one_row(_t_scalar_rows, spec, l_max, kappa)
 
 
 def t_em_log(spec, l_max, kappa):
@@ -270,8 +281,7 @@ def t_em_log(spec, l_max, kappa):
     Same internal sign convention as `t_scalar_log`; order l = 0 is zeroed
     (no monopole radiation).
     """
-    sign, logmag = _t_em_rows(spec, l_max, np.array([kappa], dtype=float))
-    return sign[0], logmag[0]
+    return _one_row(_t_em_rows, spec, l_max, kappa)
 
 
 # ---------------------------------------------------------------------------

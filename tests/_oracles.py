@@ -10,9 +10,13 @@ one-order Bessel wrapper in the middle reads the production chain,
 likewise.  The row-batched 3j recursion, which production no longer
 uses, serves the one-symbol 3j wrappers and the W kernel of the 3j-sum
 translation oracle, and is itself checked against the one-family one.
+The one-argument Bessel-I continued fractions and the one-interval
+Gauss-Kronrod rule, which production runs over many rows at once, are
+the arithmetic whose bytes each of those rows must reproduce.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +29,6 @@ from scipy.special import spherical_jn, spherical_yn
 from casphere.asymptotics import _g_series, _mono_mul, _w_int
 from casphere.specfun import (
     BesselChain,
-    _i_ratio_chain,
     _log_i_half_scaled,
     bessel_ik_half_chain,
 )
@@ -494,12 +497,53 @@ def k_chain_ref(n, z):
     return sigma, log_k
 
 
+def i_ratio_chain_ref(n, z):
+    """rho[l] = I_{l+3/2}(z)/I_{l+1/2}(z) for l = 0..n at one z > 0.
+
+    The downward continued fraction rho_l = 1/((2l+3)/z + rho_{l+1}) from
+    rho = 0 at l = n + 80 + int(z), one step at a time in Python floats:
+    the one-argument arithmetic whose bytes every row of the batched
+    sweep (`specfun._i_ratio_rows`) must reproduce.
+    """
+    out = np.empty(n + 1)
+    r = 0.0
+    for l in range(n + 80 + int(z), -1, -1):
+        r = 1.0 / ((2.0 * l + 3.0) / z + r)
+        if l <= n:
+            out[l] = r
+    return out
+
+
+def i_ratio_gap_ref(n, z, w, d):
+    """(g, w rho(w)) for l = 0..n at one (z, w, d): g[l] = w rho_l(w) -
+    z rho_l(z) with w^2 - z^2 = d z^2, one argument at a time in Python
+    floats: the continued fractions z rho_l(z) = z^2/B_l, B_l = 2l + 3 +
+    z rho_{l+1}(z), and likewise A_l at w, from the start n + 80 +
+    int(max(z, w)), with g_l = (d z^2 B_l - z^2 g_{l+1})/(A_l B_l).  Every
+    row of `specfun._i_gap_rows` must reproduce its bytes.
+    """
+    z2, w2 = z * z, w * w
+    dz2 = d * z2
+    g = np.empty(n + 1)
+    wrho = np.empty(n + 1)
+    gl = wr = zr = 0.0
+    for l in range(n + 80 + int(max(z, w)), -1, -1):
+        a = 2.0 * l + 3.0 + wr
+        b = 2.0 * l + 3.0 + zr
+        gl = (dz2 * b - z2 * gl) / (a * b)
+        wr, zr = w2 / a, z2 / b
+        if l <= n:
+            g[l] = gl
+            wrho[l] = wr
+    return g, wrho
+
+
 def bessel_chain_ref(n, z):
     """The BesselChain at one z, l = 0..n, built one argument at a time:
-    the I ratios from the continued fraction `_i_ratio_chain` at z, log_i
-    from the seed `_log_i_half_scaled(z)` plus the running sum of log rho,
-    and the K side from `k_chain_ref`."""
-    rho = _i_ratio_chain(n, z)
+    the I ratios from the continued fraction `i_ratio_chain_ref` at z,
+    log_i from the seed `_log_i_half_scaled(z)` plus the running sum of
+    log rho, and the K side from `k_chain_ref`."""
+    rho = i_ratio_chain_ref(n, z)
     log_i = np.empty(n + 1)
     log_i[0] = _log_i_half_scaled(z)
     log_i[1:] = log_i[0] + np.cumsum(np.log(rho[:-1]))
@@ -1399,6 +1443,42 @@ def history_pair_ref(geometry, fld, kappa, l_max):
     pairs = [(0, 1, scale[0][None], kern.blocks[None]),
              (1, 0, scale[1][None], u21[None])]
     return _stack_history(pairs, 2, pol, l_max, 1 if fld.is_em else 0)[0]
+
+
+# ---------------------------------------------------------------------------
+# quadrature: the one-interval Gauss-Kronrod rule
+# ---------------------------------------------------------------------------
+
+def gk15_ref(a, b, fv):
+    """(integral, error, rounding error) of the GK15 rule on [a, b] from
+    the values fv at `energy._gk15_nodes(a, b)`, one interval alone.
+
+    QUADPACK's error estimate in the max-norm, each sum running
+    sequentially over the nodes, in the arithmetic order of quad_vec:
+    every interval of `energy._gk15_batch` must reproduce its bytes.
+    """
+    from casphere.energy import _GK15_V, _GK15_W
+    h = 0.5 * (b - a)
+    s_k = 0.0
+    s_k_abs = 0.0
+    for v, ff in zip(_GK15_V, fv):
+        s_k += v * ff
+        s_k_abs += v * abs(ff)
+    s_g = 0.0
+    for i, w in enumerate(_GK15_W):
+        s_g += w * fv[2 * i + 1]
+    y0 = s_k / 2.0
+    s_k_dabs = 0.0
+    for v, ff in zip(_GK15_V, fv):
+        s_k_dabs += v * abs(ff - y0)
+    err = float(np.amax(abs((s_k - s_g) * h)))
+    dabs = float(np.amax(abs(s_k_dabs * h)))
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = float(np.amax(abs(50 * sys.float_info.epsilon * h * s_k_abs)))
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
 
 
 # ---------------------------------------------------------------------------

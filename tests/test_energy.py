@@ -827,6 +827,33 @@ def test_adaptive_gk15_partition_equals_quad_vec(field, geometry, t_max,
     _assert_gk15_equals_quad_vec(field, geometry, 1e-9, t_max, points)
 
 
+@settings(max_examples=60, deadline=None)
+@given(ends=st.lists(st.tuples(st.floats(min_value=0.0, max_value=80.0),
+                               st.floats(min_value=1e-9, max_value=80.0)),
+                     min_size=1, max_size=12),
+       width=st.integers(min_value=1, max_value=9),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       zero=st.integers(min_value=0, max_value=12))
+def test_gk15_batch_equals_one_interval_rule(ends, width, seed, zero):
+    # each interval of the batched rule gives the (integral, error,
+    # rounding error) of the rule on that interval alone, byte for byte;
+    # a zero integrand takes the error rule's zero branches
+    rng = np.random.default_rng(seed)
+    a = [lo for lo, _ in ends]
+    b = [lo + length for lo, length in ends]
+    fv = rng.standard_normal((len(ends), 15, width)) * 10.0 ** rng.uniform(
+        -30.0, 30.0, (len(ends), 1, width))
+    if zero < len(ends):
+        fv[zero] = 0.0
+    igs, errs, round_errs = energy._gk15_batch(a, b, fv)
+    assert igs.shape == (len(ends), width)
+    for i, args in enumerate(zip(a, b, fv)):
+        ig, err, round_err = orc.gk15_ref(*args)
+        assert igs[i].tobytes() == ig.tobytes()
+        assert (repr(errs[i]), repr(round_errs[i])) == (repr(err),
+                                                        repr(round_err))
+
+
 def test_default_pair_takes_one_refinement_round():
     # D-D at d/R 3: the dyadic start resolves the integrand's O(1) scale
     # at once (bisecting [0, 80] took 195 nodes in 7 rounds)
@@ -1199,11 +1226,11 @@ def _count_t_logs(monkeypatch, kappas=None):
     # kappas, when given, collects the kappa vector of each call
     calls = []
     for name in ("_t_scalar_rows", "_t_em_rows"):
-        def counted(spec, l_max, kv, _fn=getattr(energy, name)):
+        def counted(spec, ch, kv, _fn=getattr(energy, name)):
             calls.append(spec)
             if kappas is not None:
-                kappas.append(kv.tolist())
-            return _fn(spec, l_max, kv)
+                kappas.append(list(kv))
+            return _fn(spec, ch, kv)
         monkeypatch.setattr(energy, name, counted)
     return calls
 
@@ -1265,6 +1292,41 @@ def test_one_t_log_call_per_sphere_per_chunk(monkeypatch, field, law):
                FieldKind(field), [0.8, 2.0], 4)
     assert calls == [sph, small]
     assert kappas == [[0.8, 2.0]] * 2
+
+
+def _count_chains(monkeypatch):
+    # the z vector of every Bessel chain the assembly builds
+    calls = []
+    chains = energy._chain_rows
+
+    def counted(l_max, z):
+        calls.append(z.tolist())
+        return chains(l_max, z)
+    monkeypatch.setattr(energy, "_chain_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field,laws", [
+    ("scalar-real", (Dirichlet(), Robin(10.0))),
+    ("em", (PerfectConductor(), Dielectric(4.0, 1.0)))])
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+def test_one_chain_per_radius_per_chunk(monkeypatch, field, laws, ratio):
+    # spheres of one radius read one chain whatever their laws, each with
+    # its own bracket; R2/R1 = 0.5 takes a chain per radius
+    calls = _count_chains(monkeypatch)
+    radii = (R, ratio * R)
+    centers = (0.0, 3.0)
+    kappas = [0.8, 2.0]
+    fld = FieldKind(field)
+    shared = _histories(Geometry([SphereSpec(r, law) for r, law in
+                                  zip(radii, laws)], centers), fld, kappas, 8)
+    want = [[kappa * r for kappa in kappas] for r in dict.fromkeys(radii)]
+    assert calls == want
+    del calls[:]
+    own = _histories(Geometry([_Unshared(r, law) for r, law in
+                               zip(radii, laws)], centers), fld, kappas, 8)
+    assert calls == want
+    assert shared.tobytes() == own.tobytes()
 
 
 def test_translation_holds_no_module_level_array():

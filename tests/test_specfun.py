@@ -2,15 +2,18 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from casphere import specfun
 from casphere.specfun import (
     _CHAIN_CEILING,
     _chain_rows,
-    _i_ratio_chain,
+    _i_gap_rows,
+    _i_ratio_rows,
     _k_chains,
     bessel_ik_half_chain,
 )
@@ -111,6 +114,74 @@ def test_chain_rows_equal_one_argument_chains(n):
                 assert got.tobytes() == want.tobytes()
 
 
+# Bessel arguments of the sweep properties, log-uniform in [1e-3, 5e3]
+SWEEP_Z = st.floats(min_value=-3.0, max_value=math.log10(5e3)).map(
+    lambda e: 10.0 ** e)
+# rows that step alone on floats before the sweep turns vector: none
+# but the top row, two, and the production count
+FLOAT_ROWS = st.sampled_from([1, 2, specfun._SWEEP_ROWS])
+# a row starting far above the rest, among more rows than step alone
+FAR_TOP = [0.5, 3.0, 4.0e3, 1e-3] + [0.1 * i for i in range(1, 40)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=0, max_value=_CHAIN_CEILING),
+       z=st.lists(SWEEP_Z, min_size=1, max_size=40),
+       repeats=st.integers(min_value=0, max_value=3),
+       float_rows=FLOAT_ROWS)
+@example(n=17, z=[0.7], repeats=0, float_rows=specfun._SWEEP_ROWS)
+@example(n=40, z=FAR_TOP, repeats=2, float_rows=specfun._SWEEP_ROWS)
+@example(n=40, z=FAR_TOP[:5], repeats=2, float_rows=1)
+def test_chain_rows_sweep_equals_one_argument_chains(n, z, repeats,
+                                                     float_rows):
+    # every row of the one continued-fraction sweep, unsorted, repeated,
+    # alone or far below a top row that steps alone, is the chain built
+    # one argument at a time, byte for byte
+    z = np.array(z + z[:repeats])
+    with mock.patch.object(specfun, "_SWEEP_ROWS", float_rows):
+        ch = _chain_rows(n, z)
+    for i, zi in enumerate(z.tolist()):
+        ref = orc.bessel_chain_ref(n, zi)
+        for field in ("log_i", "log_k", "rho", "sigma"):
+            assert getattr(ch, field)[i].tobytes() == \
+                getattr(ref, field).tobytes(), (field, i, zi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=0, max_value=_CHAIN_CEILING),
+       rows=st.lists(st.tuples(
+           SWEEP_Z, st.floats(min_value=-12.0, max_value=3.0).map(
+               lambda e: 10.0 ** e)), min_size=1, max_size=40),
+       repeats=st.integers(min_value=0, max_value=3),
+       float_rows=FLOAT_ROWS)
+@example(n=8, rows=[(0.7, 3.0)], repeats=0, float_rows=specfun._SWEEP_ROWS)
+@example(n=8, rows=[(z, 10.0 ** (i % 16 - 12))
+                    for i, z in enumerate(FAR_TOP)],
+         repeats=1, float_rows=specfun._SWEEP_ROWS)
+@example(n=8, rows=[(0.5, 1e-12), (4.0e3, 3.0), (2.0, 1e3)], repeats=1,
+         float_rows=1)
+def test_gap_rows_sweep_equals_one_argument_gaps(n, rows, repeats,
+                                                 float_rows):
+    # the dielectric gap rows, at n^2 - 1 = d from 1e-12 to 1e3, are the
+    # one-argument gap chains byte for byte
+    rows = rows + rows[:repeats]
+    z = [zi for zi, _ in rows]
+    d = [di for _, di in rows]
+    w = [math.sqrt(1.0 + di) * zi for zi, di in rows]
+    with mock.patch.object(specfun, "_SWEEP_ROWS", float_rows):
+        g, wrho = _i_gap_rows(n, z, w, d)
+    assert g.shape == wrho.shape == (len(rows), n + 1)
+    for i, args in enumerate(zip(z, w, d)):
+        ref_g, ref_wrho = orc.i_ratio_gap_ref(n, *args)
+        assert g[i].tobytes() == ref_g.tobytes(), (i, args)
+        assert wrho[i].tobytes() == ref_wrho.tobytes(), (i, args)
+
+
+def test_gap_rows_refuse_a_huge_inner_argument():
+    with pytest.raises(ValueError, match=re.escape("z=%r" % (2e7,))):
+        _i_gap_rows(2, [1.0, 2.0], [1.0, 2e7], [0.0, 1e14 - 1.0])
+
+
 # arguments at and above z = 8, where the I ratio chain is the downward
 # continued fraction at every order up to the chain ceiling
 LARGE_Z = [8.0, 8.5, 11.0, 40.0, 97.3, 400.0, 2.5e3, 1e4]
@@ -118,7 +189,7 @@ LARGE_Z = [8.0, 8.5, 11.0, 40.0, 97.3, 400.0, 2.5e3, 1e4]
 
 @pytest.mark.parametrize("z", LARGE_Z)
 def test_i_ratio_chain_large_argument_against_mpmath(z):
-    rho = _i_ratio_chain(_CHAIN_CEILING, z)
+    rho = _i_ratio_rows(_CHAIN_CEILING, [z])[0]
     assert rho.shape == (_CHAIN_CEILING + 1,)
     for l in list(range(0, _CHAIN_CEILING, 7)) + [_CHAIN_CEILING]:
         ref = orc.bessel_i_ratio_ref(l, z)

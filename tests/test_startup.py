@@ -20,7 +20,7 @@ SCRIPT = textwrap.dedent("""
 
     import casphere
     import casphere.cli
-    from casphere import specfun
+    from casphere import energy
 
 
     def check(stage):
@@ -33,21 +33,21 @@ SCRIPT = textwrap.dedent("""
     # the process pool is imported only by a run with --workers > 1
     assert "concurrent.futures.process" not in sys.modules
 
-    # record every Bessel argument of one energy
-    chain = specfun._i_ratio_chain
+    # record the Bessel argument of every chain row of one energy
+    chain_rows = energy._chain_rows
     seen = []
 
 
-    def spy(n, z):
-        seen.append(z)
-        return chain(n, z)
+    def spy(l_max, z):
+        seen.extend(z.tolist())
+        return chain_rows(l_max, z)
 
 
-    specfun._i_ratio_chain = spy
+    energy._chain_rows = spy
     dirichlet = casphere.SphereSpec(1.0, casphere.Dirichlet())
     est = casphere.casimir_energy(
         casphere.Geometry.pair(dirichlet, dirichlet, 3.0), "scalar-real", 4)
-    specfun._i_ratio_chain = chain
+    energy._chain_rows = chain_rows
     assert est.value < 0.0
     assert max(seen) >= 8.0, max(seen)
     check("energy")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casphere.specfun import _ARG_CEILING
+from casphere.specfun import _ARG_CEILING, _chain_rows
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -15,6 +15,7 @@ from casphere.tmatrix import (
     PerfectConductor,
     Robin,
     SphereSpec,
+    _checked_kappas,
     _robin_bracket,
     _t_em_rows,
     _t_scalar_rows,
@@ -341,7 +342,10 @@ def _one_kappa(spec, l_max, kappa, em):
 
 
 def _rows(spec, l_max, kv, em):
-    return (_t_em_rows if em else _t_scalar_rows)(spec, l_max, kv)
+    # the path of energy: every kappa checked, then the chain at kappa R
+    kappas = _checked_kappas(kv)
+    ch = _chain_rows(l_max, kv * spec.radius)
+    return (_t_em_rows if em else _t_scalar_rows)(spec, ch, kappas)
 
 
 @pytest.mark.parametrize("law,em", BATCH_LAWS)
@@ -377,7 +381,7 @@ def test_batch_raises_on_one_bad_eps_mu():
     with pytest.raises(ValueError) as one:
         t_em_log(spec, 3, 0.7)
     with pytest.raises(ValueError) as rows:
-        _t_em_rows(spec, 3, np.array([0.5, 0.7, 2.0]))
+        _rows(spec, 3, np.array([0.5, 0.7, 2.0]), True)
     assert str(rows.value) == str(one.value)
     assert "eps_mu(kappa) must return finite positive" in str(rows.value)
 
