@@ -23,12 +23,12 @@ truncating each product at the highest power kept commutes with the
 products and the result is exact.  One exact Wigner 3j, Racah's
 formula on surds c sqrt(r) (c a Fraction, r a squarefree integer),
 builds both the scalar translation factors and the
-electromagnetic recoupling weights.  A scalar entry U = sqrt(w w) G has
-rational G, and around a closed chain each slot meets two U entries, so
-its weight w enters whole.  An electromagnetic block carries a single
-radical, shared by the two directions of a chain; folding it into A
-keeps the single-scattering trace tr(A B) rational, a fold valid at
-p = 1 only, which is all the electromagnetic window needs.
+electromagnetic recoupling weights.  Every translation entry is
+sqrt(W_a W_b) times a rational Laurent series, W the integer weight of
+its slot a: w(l, m) = (2l+1)(l+m)!(l-m)! for a scalar partial wave and
+w(J, m) J(J+1) for a magnetic or electric multipole.  Around a closed
+chain each slot meets two entries, so each takes its own weight whole
+and every trace, at every scattering order p, is rational.
 
 Scalar boundary pairs fill the "scalar-b" form
 
@@ -324,19 +324,26 @@ def _chain_traces(t1, t2, pair, p_max, r_cap):
             for p, mono in out.items()}
 
 
-def _scalar_pair(a, b, m):
-    """Scalar U12[a, b] and U21[b, a], each slot's radical folded in.
+def _folded(g12, g21, w1, w2, par):
+    """Chain entries U12[a, b] and U21[b, a], each slot's weight whole.
 
-    U = sqrt(w w) G, and around a closed chain every slot meets two U
-    entries, so each side takes its own slot weight w whole.  U21[b, a]
-    is the "12" entry times the reversal parity (-1)^{la+lb}.
+    U12[a, b] = sqrt(w1 w2) g12, and around a closed chain every slot
+    meets two entries, so each side takes its own slot weight whole.
+    U21[b, a] is the "12" entry of the reversed pair times the reversal
+    parity `par`.  None when the pair does not couple.
     """
+    if not (g12 and g21):
+        return None
+    return ({(0, k): w1 * c for k, c in g12.items()},
+            {(0, k): par * w2 * c for k, c in g21.items()})
+
+
+def _scalar_pair(a, b, m):
+    """Scalar U12[a, b] and U21[b, a]: G folded with the weights w(l, m)."""
     la, lb = a[0], b[0]
-    par = -1 if (la + lb) % 2 else 1
-    return ({(0, k): _w_int(la, m) * c
-             for k, c in _g_series(la, lb, m).items()},
-            {(0, k): par * _w_int(lb, m) * c
-             for k, c in _g_series(lb, la, m).items()})
+    return _folded(_g_series(la, lb, m), _g_series(lb, la, m),
+                   _w_int(la, m), _w_int(lb, m),
+                   -1 if (la + lb) % 2 else 1)
 
 
 def _integrate_traces(per_p, em_form):
@@ -426,28 +433,25 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
 
 # ---------------------------------------------------------------------------
 # electromagnetic route: identical recoupling to the numerical translation
-# blocks, on exact surds.  Each block carries one radical and both
-# directions of a chain the same one, so every single-scattering chain
-# product is rational.
+# blocks, on exact surds, with the scalar route's fold.
 # ---------------------------------------------------------------------------
 
-def _same_radical(r1, r2, where):
-    """r2, after checking that it is the radical r1 already found (if any)."""
-    if r1 is not None and r1 != r2:
-        raise ArithmeticError(
-            "electromagnetic chain radicals failed to cancel: %s carries "
-            "sqrt(%d) and sqrt(%d)" % (where, r1, r2))
-    return r2
+def _w_em(j, m):
+    """EM slot weight w(J, m) J(J+1), the squared chain radical."""
+    return _w_int(j, m) * j * (j + 1)
 
 
 @lru_cache(maxsize=None)
 def _em_block(key, jr, jc, m):
-    """Exact EM translation block "12" at (J' = jr, J = jc) as (r, monos).
+    """Exact EM translation block "12" at (J' = jr, J = jc) as {kpow: c}.
 
-    key pairs the target and source polarizations, "M" or "N"; the block
-    is sqrt(r) times the Laurent monomials `monos`.
+    key pairs the target and source polarizations, "M" or "E"; the block
+    is sqrt(W(J', m) W(J, m)) times the returned Laurent series, W the
+    slot weight `_w_em`.  A term that keeps a radical raises
+    ArithmeticError.
     """
-    rad, total = None, {}
+    w_pair = _w_em(jr, m) * _w_em(jc, m)
+    total = {}
     for q in (-1, 0, 1):
         mu = m - q
         if key[0] == "M":
@@ -470,40 +474,37 @@ def _em_block(key, jr, jc, m):
             if not g:
                 continue
             c, r = _surd_mul(_surd_mul(wrow, wcol), _surd(Fraction(
-                _w_int(l_row, amu) * _w_int(l_col, amu))))
-            rad = _same_radical(rad, r, "block %s(%d, %d, m=%d)"
-                                % (key, jr, jc, m))
+                _w_int(l_row, amu) * _w_int(l_col, amu), w_pair)))
+            if r != 1:
+                raise ArithmeticError(
+                    "EM block %s(%d, %d, m=%d) kept the radical sqrt(%d)"
+                    % (key, jr, jc, m, r))
             for kp, v in g.items():
-                total[(0, kp)] = total.get((0, kp), 0) + c * v
-    return rad, {k: v for k, v in total.items() if v != 0}
+                total[kp] = total.get(kp, 0) + c * v
+    return {k: v for k, v in total.items() if v != 0}
+
+
+def _em_pair(a, b, m):
+    """EM U12[a, b] and U21[b, a]: blocks folded with the weights W(J, m).
+
+    The reversal parity (-1)^{J1+J2} is negated on the mixing entries.
+    """
+    (j1, p1), (j2, p2) = a, b
+    return _folded(_em_block(p1 + p2, j1, j2, m),
+                   _em_block(p2 + p1, j2, j1, m), _w_em(j1, m), _w_em(j2, m),
+                   -1 if (j1 + j2 + (p1 != p2)) % 2 else 1)
 
 
 def _em_chain_coeffs(tser1, tser2, n_max):
-    """Exact c_n from single-scattering EM chains (p = 1).
+    """Exact c_0..c_n_max from the EM chains of every order they reach.
 
     `tser1`/`tser2` map (J, "M"/"E") to monomial dicts with exact
-    values.  Per m the slots are the (J, pol) with J >= max(1, m); the
-    chain radical r, shared by both directions, is folded into A and the
-    polarization parity into B.  The fold is exact for tr(A B) only:
-    a longer chain pairs radicals of different blocks, so it would be
-    wrong at p >= 2.  Double scattering first enters at c_6, so
-    n_max <= 5 keeps p = 1 exact.
+    values; per m the slots are the (J, pol) with J >= max(1, m).  Each
+    order p starts at (kappa R)^{6p}, i.e. at c_{6(p-1)}, so
+    p <= 1 + n_max // 6 covers the window.
     """
-    pkey = {"M": "M", "E": "N"}
-
-    def pair(a, b, m):
-        (j1, p1), (j2, p2) = a, b
-        rad, u12 = _em_block(pkey[p1] + pkey[p2], j1, j2, m)
-        r21, u21 = _em_block(pkey[p2] + pkey[p1], j2, j1, m)
-        if not (u12 and u21):
-            return None
-        _same_radical(rad, r21, "chain %s%s(%d, %d, m=%d)"
-                      % (p1, p2, j1, j2, m))
-        par = -1 if (j1 + j2 + (p1 != p2)) % 2 else 1
-        return ({k: rad * v for k, v in u12.items()},
-                {k: par * v for k, v in u21.items()})
-
-    traces = _chain_traces(tser1, tser2, pair, 1, 6 + n_max)
+    traces = _chain_traces(tser1, tser2, _em_pair, 1 + n_max // 6,
+                           6 + n_max)
     coeffs = _integrate_traces(traces, em_form=True)
     return {n: coeffs.get(n, Fraction(0)) for n in range(n_max + 1)}
 
@@ -528,11 +529,12 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
     Parameters
     ----------
     n_max : int
-        Highest index returned; the reference table carries n <= 9, the
-        trace engine n <= 5 (double scattering first enters at c_6).
+        Highest index returned, 0 <= n_max <= 9 on both routes (double
+        scattering first enters at c_6).
     provenance : str
-        "paper-table" returns the tabulated values; "computed" runs the
-        exact single-scattering engine with PEC Mie series.
+        "paper-table" returns the tabulated values; "computed" re-derives
+        them with the exact trace engine on PEC Mie series, through
+        every scattering order the window reaches.
     l_cut : int, optional
         Partial-wave cut (at least 1) for the computed route; defaults
         to the smallest window that certifies all requested orders.
@@ -542,15 +544,12 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
     SeriesExpansion
         form "em-c": E = -(hbar c/pi)(R^6/d^7) sum c_n (R/d)^n.
     """
+    if not 0 <= n_max <= 9:
+        raise ValueError("the series is implemented for 0 <= n_max <= 9")
     if provenance == "paper-table":
-        if not 0 <= n_max <= 9:
-            raise ValueError("tabulated coefficients stop at n = 9")
         coeffs = {n: _METAL_C[n] for n in range(n_max + 1)}
         certified = {n: True for n in coeffs}
     elif provenance == "computed":
-        if not 0 <= n_max <= 5:
-            raise ValueError("computed route is single-scattering exact "
-                             "for n <= 5 only")
         if l_cut is None:
             l_cut = max(1, (n_max + 2) // 2)
         elif l_cut < 1:
@@ -585,9 +584,9 @@ def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
     and finite-frequency dipole response.  "paper-table" assembles the
     printed bracket combinations from the static response data;
     "computed" re-derives all four from first principles: each sphere's
-    exact Mie series (partial waves 1 and 2) through the single-scattering
-    engine, an independent check of the printed data including the d^-8
-    zero.
+    exact Mie series (partial waves 1 and 2) through the trace engine,
+    whose single-scattering order covers c_0..c_3, an independent check
+    of the printed data including the d^-8 zero.
 
     Parameters
     ----------

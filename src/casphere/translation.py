@@ -391,7 +391,4 @@ def _em_recouple(s, l_max, ratio):
     # at m = 0, so suppress the rounding residue
     g[:, 0, :, 0, :, 1] = 0.0
     g[:, 0, :, 1, :, 0] = 0.0
-    ms = np.arange(n)
-    live = ms[None, :] >= np.maximum(1, ms)[:, None]
-    g *= (live[:, :, None, None, None] & live[:, None, None, :, None])
     return g.reshape(nx, n, 2 * n, 2 * n)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import casphere.asymptotics as asym
@@ -14,6 +15,7 @@ from casphere.asymptotics import (
     _gamma13_hat,
     _gamma14_hat,
     _threej,
+    _w_em,
     _w_int,
     dipole_dipole_coefficient,
     eval_series,
@@ -22,7 +24,7 @@ from casphere.asymptotics import (
     expand_scalar,
 )
 from casphere.energy import Geometry, casimir_energy, suggest_l_max
-from casphere.translation import _em_weights
+from casphere.translation import _em_weights, node_kernel
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -282,6 +284,15 @@ def test_metal_computed_through_c5():
         assert computed.coeffs[n] == _METAL_C[n]
 
 
+def test_metal_computed_through_c9():
+    # c_6..c_9 carry double scattering: the whole printed table is
+    # re-derived, every entry certified
+    computed = expand_em_metal(n_max=9, provenance="computed")
+    assert computed.coeffs == _METAL_C
+    assert all(computed.certified.values())
+    assert computed.provenance == "computed"
+
+
 @pytest.mark.parametrize("l_cut", [4, 5])
 def test_metal_computed_wide_cuts(l_cut):
     # waves past the default cut change nothing through c_5
@@ -315,20 +326,35 @@ def test_exact_clebsch_gordan_matches_recoupling_weights():
                             (j1, m - q, jj, q)
 
 
+@pytest.mark.parametrize("x", [0.3, 1.7])
+def test_em_blocks_are_rational_multiples_of_the_slot_weights(x):
+    # every block with J, J', m <= 6, rebuilt uncached, is sqrt(W(J', m)
+    # W(J, m)) times a Laurent series with Fraction coefficients, and
+    # that product times e^{-x} is the numeric EM translation entry.  A
+    # numeric entry is a difference of recoupled channels the size of
+    # its 2x2 polarization block (at small x the cross-polarization
+    # entries are smaller by about x), so it is checked to 1e-12 of that
+    kern = node_kernel(6, x, em=True)
+    for m in range(7):
+        u = kern.blocks[m] * np.exp(kern.log_scale)
+        for jr in range(max(1, m), 7):
+            for jc in range(max(1, m), 7):
+                pol = u[2 * jr:2 * jr + 2, 2 * jc:2 * jc + 2]
+                for ir, pr in enumerate("ME"):
+                    for ic, pc in enumerate("ME"):
+                        g = asym._em_block.__wrapped__(pr + pc, jr, jc, m)
+                        assert all(isinstance(c, F) for c in g.values())
+                        # summed exactly: the Laurent terms cancel
+                        val = float(sum(c * F(x) ** k for k, c in g.items()))
+                        val *= math.sqrt(_w_em(jr, m) * _w_em(jc, m))
+                        assert val == pytest.approx(
+                            pol[ir, ic], rel=1e-12,
+                            abs=1e-12 * np.abs(pol).max())
+
+
 def test_em_radical_mismatch_raises(monkeypatch):
-    # a chain whose two directions carry different radicals
-    real_block = asym._em_block
-
-    def skewed_block(key, jr, jc, m):
-        rad, monos = real_block(key, jr, jc, m)
-        return (2 * rad if key == "MN" else rad), monos
-
-    monkeypatch.setattr(asym, "_em_block", skewed_block)
-    with pytest.raises(ArithmeticError, match="failed to cancel"):
-        expand_em_metal(n_max=0, provenance="computed")
-    monkeypatch.undo()
-    # a block whose q terms carry different radicals: skew the magnetic
-    # source weight of q = +1 only
+    # a block whose q terms keep a radical the slot weights cannot take:
+    # skew the magnetic source weight of q = +1 only
     real_cg = asym._cg
 
     def skewed_cg(j1, m1, jj, q):
@@ -336,15 +362,26 @@ def test_em_radical_mismatch_raises(monkeypatch):
         return c, (101 * r if q == 1 and j1 == jj else r)
 
     monkeypatch.setattr(asym, "_cg", skewed_cg)
-    with pytest.raises(ArithmeticError, match="failed to cancel"):
-        asym._em_block.__wrapped__("NM", 2, 2, 1)
+    with pytest.raises(ArithmeticError, match="kept the radical"):
+        asym._em_block.__wrapped__("EM", 2, 2, 1)
+    monkeypatch.undo()
+    # a slot weight that is not the squared chain radical
+    real_w = asym._w_em
+    monkeypatch.setattr(asym, "_w_em",
+                        lambda j, m: 2 * real_w(j, m) if j == 2 else
+                        real_w(j, m))
+    with pytest.raises(ArithmeticError, match="kept the radical"):
+        asym._em_block.__wrapped__("MM", 2, 1, 0)
 
 
 def test_metal_validation():
-    with pytest.raises(ValueError):
-        expand_em_metal(n_max=10)
-    with pytest.raises(ValueError):
-        expand_em_metal(n_max=6, provenance="computed")
+    for provenance in ("paper-table", "computed"):
+        for n_max in (-1, 10):
+            with pytest.raises(ValueError):
+                expand_em_metal(n_max=n_max, provenance=provenance)
+    # double scattering enters at c_6, inside the computed window
+    computed = expand_em_metal(n_max=6, provenance="computed")
+    assert computed.coeffs == {n: _METAL_C[n] for n in range(7)}
     with pytest.raises(ValueError):
         expand_em_metal(provenance="guessed")
 

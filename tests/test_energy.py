@@ -1017,6 +1017,36 @@ def test_scale_invariance():
     assert e2.value == pytest.approx(e1.value, rel=1e-12)
 
 
+SCALE_LAWS = ((REAL_SCALAR, (Dirichlet(), Neumann(), Robin(0.4))),
+              (ELECTROMAGNETIC, (PerfectConductor(), Dielectric(4.0, 1.0))))
+SCALE_CASES = [(field, law1, law2) for field, laws in SCALE_LAWS
+               for law1 in laws for law2 in laws]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SCALE_CASES), ratio=st.floats(0.05, 1.0),
+       gap=st.floats(0.0, 1.0), log_s=st.floats(-3.0, 3.0),
+       kappas=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=4))
+def test_histories_scale_invariant(case, ratio, gap, log_s, kappas):
+    # scaling every length by s and every kappa by 1/s keeps kappa R and
+    # kappa d, so each history is unchanged to rounding; d/R1 runs from
+    # near contact, 1.02 (1 + R2/R1), up to 200
+    field, law1, law2 = case
+    d = 1.02 * (1.0 + ratio) + gap * (200.0 - 1.02 * (1.0 + ratio))
+    s = 10.0 ** log_s
+    kappas = np.array(kappas)
+
+    def geometry(scale):
+        return pair(SphereSpec(scale, law1), SphereSpec(scale * ratio, law2),
+                    scale * d)
+
+    l_min = energy._l_min(field)
+    np.testing.assert_allclose(
+        _histories(geometry(s), field, kappas / s, 6)[:, l_min:],
+        _histories(geometry(1.0), field, kappas, 6)[:, l_min:],
+        rtol=1e-12, atol=0)
+
+
 def test_complex_scalar_doubles_real():
     g = pair(DIR, DIR, 4.0)
     er = casimir_energy(g, "scalar-real", 4)
