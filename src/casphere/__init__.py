@@ -26,6 +26,7 @@ from .energy import (
     LMaxClampWarning,
     PivotFallbackWarning,
     QuadSpec,
+    QuadratureWarning,
     casimir_energy,
     casimir_energy_nbody,
     suggest_l_max,
@@ -71,6 +72,7 @@ __all__ = [
     "PerfectConductor",
     "PivotFallbackWarning",
     "QuadSpec",
+    "QuadratureWarning",
     "RatioCurve",
     "REAL_SCALAR",
     "Robin",

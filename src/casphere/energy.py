@@ -37,13 +37,17 @@ spheres are eliminated in mirror sectors (`_mirror`): one block of
 split-complex entries per m, with half the rows and half the bytes.
 
 The kappa integral is a global-adaptive Gauss-Kronrod (7, 15) rule with
-the interval choice, sums and error estimate of
+the sums, error estimate and interval choice of
 `scipy.integrate.quad_vec(..., norm="max", quadrature="gk15",
-points=...)` (QUADPACK's QAGP).  In t = 2 kappa L it starts from the
-dyadic partition 0, 1, 2, 4, ..., t_max, which already resolves the
-integrand's O(1) scale; the nodes of that partition are evaluated in one
+points=...)` and the stopping test of QUADPACK's QAGP: it stops as soon
+as the summed error estimate is below the tolerance, before any
+refinement if the initial partition already meets it.  In t = 2 kappa L
+it starts from the dyadic partition 0, 1, 2, 4, ..., t_max, which
+already resolves the integrand's O(1) scale, so at the default tolerance
+most energies take its 105 nodes alone; those nodes are evaluated in one
 batch, and so is every node of each refinement round after it, whose
-GK15 sums over every interval are one reduction.
+GK15 sums over every interval are one reduction.  A quadrature that
+stops without meeting its tolerance warns with a QuadratureWarning.
 """
 
 import heapq
@@ -71,6 +75,7 @@ __all__ = [
     "DomainError",
     "LMaxClampWarning",
     "PivotFallbackWarning",
+    "QuadratureWarning",
     "FieldKind",
     "REAL_SCALAR",
     "COMPLEX_SCALAR",
@@ -108,6 +113,12 @@ class PivotFallbackWarning(RuntimeWarning):
     leading minor at a time.  Never raised in the physical regime, where
     1 - N is strongly diagonally dominated.
     """
+
+
+class QuadratureWarning(RuntimeWarning):
+    """The kappa quadrature gave up short of its tolerance: at 10000
+    intervals, or on a non-finite error estimate, which quad_error then
+    reports.  A stop at the rounding error is silent."""
 
 
 _PREFACTORS = {
@@ -223,7 +234,10 @@ class QuadSpec:
     745), beyond which e^{-t} rounds to 0.0 in doubles: nodes past it
     add nothing, and their Bessel arguments only slow the solve down.
     rel_tol bounds the global Gauss-Kronrod error estimate relative to
-    the max-norm of the history integral.
+    the max-norm of the history integral: the rule stops, without
+    refining, as soon as the summed estimate is below it.  The estimate
+    is QUADPACK's, which overstates the true error of the smooth kappa
+    integrand by orders of magnitude.
     """
 
     rel_tol: float = 1e-9
@@ -767,8 +781,9 @@ def _gk15_batch(a, b, fv):
     return h * s_k, errs, round_errs
 
 
-# intervals split per refinement round, and the interval count at which
-# refinement stops
+# intervals split per refinement round (fewer once their errors exceed
+# the global error less tol), and the interval count at which refinement
+# gives up
 _GK_SPLITS = 128
 _GK_LIMIT = 10000
 
@@ -788,20 +803,26 @@ def _dyadic_points(b):
 def _adaptive_gk15(f, b, rel_tol):
     """(integral, error) over [0, b] of the vector function f.
 
-    Global-adaptive GK15 with the nodes, sums, interval choice and
-    stopping tests of scipy's quad_vec(f, 0, b, epsabs=1e-280,
-    epsrel=rel_tol, norm="max", quadrature="gk15",
-    points=_dyadic_points(b)).  It starts from one GK15 rule on each
+    Global-adaptive GK15 with the nodes, sums and interval choice of
+    scipy's quad_vec(f, 0, b, norm="max", quadrature="gk15",
+    points=_dyadic_points(b)) and the stopping test of QUADPACK's QAGP
+    (Piessens et al., QUADPACK, Springer 1983): tol = max(1e-280,
+    rel_tol * max|integral|), and the rule stops once at least two
+    intervals are held and the global error is below tol or below the
+    rounding error.  The test runs before every round, the first one
+    included, so a partition that meets it is never refined; where a
+    round runs, the result equals quad_vec's at epsrel = 8 rel_tol,
+    whose tests use tol/8.  It starts from one GK15 rule on each
     interval of the dyadic partition 0, 1, 2, 4, ..., b, whose integrals
     and errors are summed in interval order; the integrand's O(1) scale
     in t = 2 kappa L is then resolved from the start instead of by
     bisecting [0, b].  Each round splits the intervals of largest error
-    (up to 128, until their errors exceed the global error less tol/8),
-    and stops once the global error is below tol/8 or the rounding
-    error.  f maps a list of nodes to an array of values, one row per
-    node, and gets every node of the initial partition in one call, then
-    every node of a round in one call; the GK15 rule of every interval
-    of a call is one `_gk15_batch`.
+    (up to 128, until their errors exceed the global error less tol).
+    At `_GK_LIMIT` intervals, or on a non-finite error, it gives up with
+    a QuadratureWarning.  f maps a list of nodes to an array of values,
+    one row per node, and gets every node of the initial partition in
+    one call, then every node of a round in one call; the GK15 rule of
+    every interval of a call is one `_gk15_batch`.
     """
     edges = [0.0] + _dyadic_points(b) + [b]
     initial = list(zip(edges[:-1], edges[1:]))
@@ -819,12 +840,20 @@ def _adaptive_gk15(f, b, rel_tol):
         heap.append((-err, lo, hi))
     heapq.heapify(heap)
 
-    # epsabs 1e-280 acts only as the floor for identically zero integrands
-    def tol():
-        return max(1e-280, rel_tol * np.amax(abs(total)))
-
-    while heap and len(heap) < _GK_LIMIT:
-        limit = global_error - tol() / 8
+    while True:
+        # epsabs 1e-280 acts only as the floor for identically zero
+        # integrands
+        tol = max(1e-280, rel_tol * np.amax(abs(total)))
+        if len(heap) >= 2 and (global_error < tol
+                               or global_error < rounding_error):
+            break
+        if len(heap) >= _GK_LIMIT or not (math.isfinite(global_error)
+                                          and math.isfinite(rounding_error)):
+            warnings.warn("kappa quadrature gave up at %d intervals: error "
+                          "%.3g, tolerance %.3g" % (len(heap), global_error,
+                                                    tol), QuadratureWarning)
+            break
+        limit = global_error - tol
         split = []
         err_sum = 0.0
         while heap and len(split) < _GK_SPLITS \
@@ -849,12 +878,6 @@ def _adaptive_gk15(f, b, rel_tol):
             for (x1, x2), ig, err in zip(halves[two], igs[two], errs[two]):
                 integrals[(x1, x2)] = ig
                 heapq.heappush(heap, (-err, x1, x2))
-        if len(heap) >= 2 and (global_error < tol() / 8
-                               or global_error < rounding_error):
-            break
-        if not (math.isfinite(global_error)
-                and math.isfinite(rounding_error)):
-            break
     return total, global_error + rounding_error
 
 

@@ -23,6 +23,7 @@ from casphere.energy import (
     LMaxClampWarning,
     PivotFallbackWarning,
     QuadSpec,
+    QuadratureWarning,
     REAL_SCALAR,
     _histories,
     _m_history,
@@ -783,19 +784,33 @@ QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)
     ("scalar-real", Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)), 1e-9),
     ("em", Geometry((PEC, PEC, PEC), (0.0, 3.0, 6.0)), 1e-9)]
 
+# whether `_adaptive_gk15` runs a refinement round on each of QUAD_CASES;
+# it stops the others on their initial dyadic partition
+QUAD_REFINES = [True, False, False] + [True, True, False] * 3 + [
+    True, False, False, True, False]
+
 
 # the dyadic breakpoints of [0, 80]: every power of two p with 2p <= 80
 DYADIC_80 = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
 
-def _assert_gk15_equals_quad_vec(field, geometry, rel_tol, t_max, points):
+def test_quad_cases_cover_both_branches():
+    # the oracle below checks a refined result against quad_vec and an
+    # early stop against the summed one-interval rule: both must be seen
+    assert len(QUAD_REFINES) == len(QUAD_CASES)
+    assert set(QUAD_REFINES) == {True, False}
+
+
+def _assert_gk15_equals_quad_vec(field, geometry, rel_tol, t_max, points,
+                               refines):
+    """`_adaptive_gk15` against an independent rule, byte for byte.
+
+    Where it runs a round, the oracle is quad_vec at epsrel = 8 rel_tol
+    (its tests use tol/8); where it stops on the initial partition, the
+    summed `orc.gk15_ref` of that partition's intervals."""
     fld = FieldKind(field)
     l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
     gap = geometry.surface_gap
-    ref, ref_err, info = quad_vec(
-        lambda t: _history(geometry, fld, t / (2.0 * gap), l_max),
-        0.0, t_max, epsabs=1e-280, epsrel=rel_tol, norm="max",
-        quadrature="gk15", full_output=True, points=points)
     rounds = []
 
     def batched(ts):
@@ -803,17 +818,43 @@ def _assert_gk15_equals_quad_vec(field, geometry, rel_tol, t_max, points):
         return _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
                           l_max)
     res, err = energy._adaptive_gk15(batched, t_max, rel_tol)
-    assert np.array_equal(res, ref) and err == ref_err
     # every node of a round in one call: the initial intervals, then
     # both halves of every split interval
     assert rounds[0] == 15 * (len(points) + 1)
     assert all(k % 30 == 0 for k in rounds[1:])
-    assert sum(rounds) == info.neval
+    assert (len(rounds) > 1) == refines, rounds
+    if refines:
+        ref, ref_err, info = quad_vec(
+            lambda t: _history(geometry, fld, t / (2.0 * gap), l_max),
+            0.0, t_max, epsabs=1e-280, epsrel=8 * rel_tol, norm="max",
+            quadrature="gk15", full_output=True, points=points)
+        assert sum(rounds) == info.neval
+    else:
+        edges = [0.0] + points + [t_max]
+        ref = np.zeros(l_max + 1)
+        ref_err = round_err = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ig, e, r = orc.gk15_ref(lo, hi, _histories(
+                geometry, fld, [t / (2.0 * gap)
+                                for t in energy._gk15_nodes(lo, hi)], l_max))
+            ref += ig
+            ref_err += e
+            round_err += r
+        ref_err += round_err
+    assert res.tobytes() == ref.tobytes() and err == ref_err
 
 
 @pytest.mark.parametrize("field,geometry,rel_tol", QUAD_CASES)
 def test_adaptive_gk15_equals_quad_vec(field, geometry, rel_tol):
-    _assert_gk15_equals_quad_vec(field, geometry, rel_tol, 80.0, DYADIC_80)
+    refines = QUAD_REFINES[QUAD_CASES.index((field, geometry, rel_tol))]
+    _assert_gk15_equals_quad_vec(field, geometry, rel_tol, 80.0, DYADIC_80,
+                               refines)
+
+
+# whether the rule refines each partition of the test below, by field
+PARTITION_REFINES = {("scalar-real", 0.5): True, ("scalar-real", 3.0): False,
+                     ("scalar-real", 80.0): False, ("em", 0.5): True,
+                     ("em", 3.0): False, ("em", 80.0): True}
 
 
 @pytest.mark.parametrize("t_max,points",
@@ -823,8 +864,10 @@ def test_adaptive_gk15_equals_quad_vec(field, geometry, rel_tol):
     ("em", pair(PEC, SphereSpec(0.05, PerfectConductor()), 3.0))])
 def test_adaptive_gk15_partition_equals_quad_vec(field, geometry, t_max,
                                                  points):
-    # no breakpoint, one, six: parity holds on every partition
-    _assert_gk15_equals_quad_vec(field, geometry, 1e-9, t_max, points)
+    # no breakpoint, one, six: parity holds on every partition; one
+    # interval is always split once, whatever its error
+    _assert_gk15_equals_quad_vec(field, geometry, 1e-9, t_max, points,
+                               PARTITION_REFINES[(field, t_max)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -854,9 +897,9 @@ def test_gk15_batch_equals_one_interval_rule(ends, width, seed, zero):
                                                         repr(round_err))
 
 
-def test_default_pair_takes_one_refinement_round():
-    # D-D at d/R 3: the dyadic start resolves the integrand's O(1) scale
-    # at once (bisecting [0, 80] took 195 nodes in 7 rounds)
+def test_default_pair_stops_on_its_initial_partition():
+    # D-D at d/R 3: the dyadic start meets the tolerance at once, so the
+    # energy is its 105 nodes in one call
     calls = []
 
     def counted(geometry, fld, kappas, l_max):
@@ -864,7 +907,7 @@ def test_default_pair_takes_one_refinement_round():
         return _histories(geometry, fld, kappas, l_max)
     with mock.patch.object(energy, "_histories", counted):
         casimir_energy(pair(DIR, DIR, 3.0), "scalar-real", 8)
-    assert sum(calls) <= 135 and len(calls) <= 2, calls
+    assert calls == [105]
 
 
 @pytest.mark.parametrize("field,geometry", [
@@ -874,9 +917,17 @@ def test_default_pair_takes_one_refinement_round():
     ("em", pair(PEC, PEC, 3.0)),
     ("em", pair(SphereSpec(R, Dielectric(4.0, 1.0)),
                 SphereSpec(0.05, Dielectric(4.0, 1.0)), 3.0)),
-    ("scalar-real", Geometry((DIR, DIR, DIR), (0.0, 3.0, 6.0)))])
+    ("scalar-real", Geometry((DIR, DIR, DIR), (0.0, 3.0, 6.0))),
+    ("scalar-real", pair(DIR, DIR, 2.05)),
+    ("scalar-real", pair(DIR, NEU, 2.1)),
+    ("scalar-real", pair(DIR, SphereSpec(R, Robin(10.0)), 20.0)),
+    ("scalar-real", pair(NEU, NEU, 100.0)),
+    ("scalar-real", pair(DIR, SphereSpec(0.05, Dirichlet()), 3.0)),
+    ("em", pair(PEC, SphereSpec(R, Dielectric(4.0, 1.0)), 3.0))])
 def test_adaptive_gk15_error_bounds_the_error(field, geometry):
-    # the reported error covers the distance to a 1e-13 reference
+    # the reported error covers the distance to a 1e-13 reference, at
+    # the default tolerance and at the suggest_l_max probe's, where most
+    # of these stop on the initial partition
     fld = FieldKind(field)
     l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
     gap = geometry.surface_gap
@@ -884,9 +935,62 @@ def test_adaptive_gk15_error_bounds_the_error(field, geometry):
     def f(ts):
         return _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
                           l_max)
-    res, err = energy._adaptive_gk15(f, 80.0, QuadSpec().rel_tol)
     ref, _ = energy._adaptive_gk15(f, 80.0, 1e-13)
-    assert np.amax(np.abs(res - ref)) <= err
+    for rel_tol in (QuadSpec().rel_tol, energy._PROBE_QUAD.rel_tol):
+        res, err = energy._adaptive_gk15(f, 80.0, rel_tol)
+        assert np.amax(np.abs(res - ref)) <= err, rel_tol
+
+
+def test_quadrature_warns_when_it_gives_up(monkeypatch):
+    # at the interval limit, or on a non-finite error, the rule returns
+    # its last estimate with a QuadratureWarning.  D-D at d/R 2.1 splits
+    # one interval in its first round and needs a second
+    g = pair(DIR, DIR, 2.1)
+
+    def f(ts):
+        return _histories(g, REAL_SCALAR, [t / 0.2 for t in ts], 6)
+    monkeypatch.setattr(energy, "_GK_LIMIT", 8)
+    with pytest.warns(QuadratureWarning, match="gave up at 8 intervals"):
+        res, err = energy._adaptive_gk15(f, 80.0, 1e-9)
+    assert np.all(np.isfinite(res)) and err > 1e-9 * np.amax(np.abs(res))
+    with pytest.warns(QuadratureWarning, match="at 8 intervals"):
+        casimir_energy(g, "scalar-real", 6)
+    monkeypatch.undo()
+
+    def nan_at_one(ts):
+        values = f(ts)
+        values[ts.index(max(ts))] = math.nan
+        return values
+    with pytest.warns(QuadratureWarning, match="error nan"):
+        energy._adaptive_gk15(nan_at_one, 80.0, 1e-9)
+
+
+def test_rounding_limited_stop_is_silent():
+    # at rel_tol 1e-15 the D-D d/R 3 estimate falls below the rounding
+    # error after one round, above the tolerance: no warning
+    g = pair(DIR, DIR, 3.0)
+    rounds = []
+
+    def f(ts):
+        rounds.append(len(ts))
+        return _histories(g, REAL_SCALAR, [t / 2.0 for t in ts], 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        res, err = energy._adaptive_gk15(f, 80.0, 1e-15)
+    assert len(rounds) == 2 and err > 1e-15 * np.amax(np.abs(res))
+
+
+@pytest.mark.parametrize("field,geometry", [
+    ("scalar-real", pair(DIR, DIR, 2.05)),
+    ("scalar-real", pair(DIR, SphereSpec(R, Robin(10.0)), 4.0)),
+    ("em", pair(PEC, PEC, 3.0)),
+    ("em", pair(PEC, SphereSpec(0.05, Dielectric(4.0, 1.0)), 2.1)),
+    ("scalar-real", Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)))])
+def test_default_energies_do_not_warn(field, geometry):
+    # the default tolerance is met, or limited by rounding, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        casimir_energy_nbody(geometry, field, 8)
 
 
 PAIR_LAWS = [("scalar-real", Dirichlet()), ("scalar-real", Neumann()),
