@@ -326,14 +326,16 @@ def test_exact_clebsch_gordan_matches_recoupling_weights():
                             (j1, m - q, jj, q)
 
 
-@pytest.mark.parametrize("x", [0.3, 1.7])
+@pytest.mark.parametrize("x", [0.05, 0.3, 1.7])
 def test_em_blocks_are_rational_multiples_of_the_slot_weights(x):
     # every block with J, J', m <= 6, rebuilt uncached, is sqrt(W(J', m)
     # W(J, m)) times a Laurent series with Fraction coefficients, and
     # that product times e^{-x} is the numeric EM translation entry.  A
     # numeric entry is a difference of recoupled channels the size of
     # its 2x2 polarization block (at small x the cross-polarization
-    # entries are smaller by about x), so it is checked to 1e-12 of that
+    # entries are smaller by about x, and their entrywise relative error
+    # grows like 1/x^2: 8.1e-11 at x = 0.05), so it is checked to 1e-12
+    # of that
     kern = node_kernel(6, x, em=True)
     for m in range(7):
         u = kern.blocks[m] * np.exp(kern.log_scale)

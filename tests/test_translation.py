@@ -211,6 +211,29 @@ def test_kernel_batch_rows_equal_one_x_kernels(l_max, em, xs):
                     == _in_direction(one.blocks, direction, pol).tobytes())
 
 
+@pytest.mark.parametrize("l_max", [16, 17, 33])
+def test_em_kernel_bytes_equal_oracle_at_high_orders(l_max):
+    # beyond the property test's orders, both parities of l_max + 1: the
+    # recoupling splits the orders at (l_max + 1)//2, and its m = 0 term
+    # of q = +1 reads the S order |m - 1| = 1.  The one-x kernels and
+    # the rows of one batch carry the oracle's bytes, with exact zeros
+    # below max(1, m)
+    xs = (1e-3, 3.7, 800.0)
+    batch = tr._node_kernels(l_max, np.array(xs), em=True)
+    for i, x in enumerate(xs):
+        ref_blocks, ref_log_scale = orc.node_kernel_ref(l_max, x, em=True)
+        one = node_kernel(l_max, x, em=True)
+        for kern in (one, tr.NodeKernel(batch.blocks[i],
+                                        batch.log_scale[i])):
+            assert kern.blocks.tobytes() == ref_blocks.tobytes()
+            assert kern.log_scale.tobytes() == ref_log_scale.tobytes()
+        for m in range(l_max + 1):
+            dead = 2 * max(1, m)
+            assert np.all(one.blocks[m][:dead] == 0.0)
+            assert np.all(one.blocks[m][:, :dead] == 0.0)
+            assert np.any(one.blocks[m][dead:, dead:] != 0.0)
+
+
 def test_kernel_views_and_bounded_scale():
     # the public signed-log views are the kernel's entries, and the 3j
     # orthogonality bounds |S_{l'l}| by sqrt((2l+1)(2l'+1)) at every x
@@ -471,3 +494,19 @@ def test_cold_node_kernel_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= kern.blocks.nbytes + 4e6
+
+
+def test_cold_em_node_kernel_memory_peak():
+    # the EM recoupling reads and scales only the live region of each
+    # half of the orders next to the zeroed (l_max+1)(2 l_max+2)^2 blocks
+    # it fills (8.8 MB at order 64; the whole-cube recoupling peaked at
+    # 3.3 times that, the live one at about 2.2)
+    tr._recurrence_coeffs.cache_clear()
+    tr._em_weight_stack.cache_clear()
+    tracemalloc.start()
+    try:
+        kern = node_kernel(64, 3.7, em=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * kern.blocks.nbytes
