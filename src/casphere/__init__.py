@@ -9,7 +9,6 @@ and proximity-force comparators.
 from .asymptotics import (
     SeriesExpansion,
     SeriesValue,
-    dipole_dipole_coefficient,
     eval_series,
     expand_em_dielectric,
     expand_em_metal,
@@ -83,7 +82,6 @@ __all__ = [
     "amplitude_case",
     "casimir_energy",
     "casimir_energy_nbody",
-    "dipole_dipole_coefficient",
     "eval_series",
     "expand_em_dielectric",
     "expand_em_metal",

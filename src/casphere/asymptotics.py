@@ -28,7 +28,10 @@ sqrt(W_a W_b) times a rational Laurent series, W the integer weight of
 its slot a: w(l, m) = (2l+1)(l+m)!(l-m)! for a scalar partial wave and
 w(J, m) J(J+1) for a magnetic or electric multipole.  Around a closed
 chain each slot meets two entries, so each takes its own weight whole
-and every trace, at every scattering order p, is rational.
+and every trace, at every scattering order p, is rational.  Every
+scalar and dielectric series is derived this way and no other; only
+the perfect-conductor c_0..c_9 also have a typed table, the default of
+`expand_em_metal`, because deriving them takes about 1 s cold.
 
 Scalar boundary pairs fill the "scalar-b" form
 
@@ -55,10 +58,7 @@ from .tmatrix import (
     Dielectric,
     PerfectConductor,
     Robin,
-    _alpha_hat,
     _effective_zeta,
-    _gamma13_hat,
-    _gamma14_hat,
     _series_brackets,
     is_scalar_law,
     mie_series_fractions,
@@ -71,7 +71,6 @@ __all__ = [
     "expand_em_metal",
     "expand_em_dielectric",
     "eval_series",
-    "dipole_dipole_coefficient",
 ]
 
 
@@ -95,8 +94,9 @@ class SeriesExpansion:
         Index -> exact Fraction, including exact zeros inside the
         computed window.
     provenance : str
-        "computed" when produced by the trace engine, "paper-table" when
-        taken from the tabulated reference values.
+        "computed" when produced by the trace engine (every scalar and
+        dielectric series), "paper-table" when taken from the tabulated
+        perfect-conductor values (`expand_em_metal`'s default).
     certified : dict
         Index -> bool; True when the truncation windows (scattering
         order, partial-wave cut, T-series depth) provably cover that
@@ -564,29 +564,16 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
                            provenance=provenance, certified=certified)
 
 
-def dipole_dipole_coefficient(alpha_e, alpha_m):
-    """Leading d^-7 bracket from unit-radius dipole polarizabilities.
-
-    c_0 = (23/4)(alpha_e^2 + alpha_m^2) - (7/2) alpha_e alpha_m for two
-    identical spheres; alpha_e = 1, alpha_m = -1/2 recovers the perfect
-    conductor value 143/16.
-    """
-    return (Fraction(23, 4) * (alpha_e * alpha_e + alpha_m * alpha_m)
-            - Fraction(7, 2) * alpha_e * alpha_m)
-
-
-def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
+def expand_em_dielectric(spec1, spec2):
     """Large-distance coefficients for two identical dielectric spheres.
 
     The energy is -(hbar c/pi)(R^6/d^7) sum_n c_n (R/d)^n with exactly
     four known coefficients: the d^-7 dipole-dipole bracket, an exactly
     vanishing d^-8 term, and the d^-9/d^-10 brackets mixing quadrupole
-    and finite-frequency dipole response.  "paper-table" assembles the
-    printed bracket combinations from the static response data;
-    "computed" re-derives all four from first principles: each sphere's
-    exact Mie series (partial waves 1 and 2) through the trace engine,
-    whose single-scattering order covers c_0..c_3, an independent check
-    of the printed data including the d^-8 zero.
+    and finite-frequency dipole response.  All four are derived from
+    each sphere's exact Mie series (partial waves 1 and 2) through the
+    trace engine, whose single-scattering order covers c_0..c_3; the
+    d^-8 zero comes out exactly.
 
     Parameters
     ----------
@@ -596,8 +583,9 @@ def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
     Returns
     -------
     SeriesExpansion
-        form "em-c" with coeffs {0, 1, 2, 3}; eps = mu = 1 yields all
-        zeros (no scattering response at any order).
+        form "em-c" with coeffs {0, 1, 2, 3}, provenance "computed";
+        eps = mu = 1 yields all zeros (no scattering response at any
+        order).
     """
     for spec in (spec1, spec2):
         if not isinstance(spec.law, Dielectric):
@@ -606,30 +594,12 @@ def expand_em_dielectric(spec1, spec2, provenance="paper-table"):
     if spec1.radius != spec2.radius or spec1.law != spec2.law:
         raise ValueError("the dielectric expansion is implemented for "
                          "identical spheres only")
-    if provenance == "paper-table":
-        eps, mu = Fraction(spec1.law.eps), Fraction(spec1.law.mu)
-        a_e, a_m = _alpha_hat(eps, 1), _alpha_hat(mu, 1)
-        a_e2, a_m2 = _alpha_hat(eps, 2), _alpha_hat(mu, 2)
-        g13_e, g13_m = _gamma13_hat(eps, mu), _gamma13_hat(mu, eps)
-        g14_e, g14_m = _gamma14_hat(eps), _gamma14_hat(mu)
-        coeffs = {
-            0: dipole_dipole_coefficient(a_e, a_m),
-            1: Fraction(0),
-            2: Fraction(9, 16) * (
-                a_e * (59 * a_e2 - 11 * a_m2 + 86 * g13_e - 54 * g13_m)
-                + a_m * (59 * a_m2 - 11 * a_e2 + 86 * g13_m - 54 * g13_e)),
-            3: Fraction(315, 16) * (a_e * (7 * g14_e - 5 * g14_m)
-                                    + a_m * (7 * g14_m - 5 * g14_e)),
-        }
-    elif provenance == "computed":
-        slots = _t_slots(spec1.law, range(1, 3), 9)
-        coeffs = _em_chain_coeffs(slots, slots, 3)
-    else:
-        raise ValueError("provenance must be 'computed' or 'paper-table'")
+    slots = _t_slots(spec1.law, range(1, 3), 9)
+    coeffs = _em_chain_coeffs(slots, slots, 3)
     certified = {n: True for n in coeffs}
     lead = min((n for n, c in coeffs.items() if c != 0), default=0)
     return SeriesExpansion(form="em-c", prefactor_power=7 + lead,
-                           coeffs=coeffs, provenance=provenance,
+                           coeffs=coeffs, provenance="computed",
                            certified=certified)
 
 

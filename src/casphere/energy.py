@@ -42,7 +42,7 @@ the sums, error estimate and interval choice of
 points=...)` and the stopping test of QUADPACK's QAGP: it stops as soon
 as the summed error estimate is below the tolerance, before any
 refinement if the initial partition already meets it.  In t = 2 kappa L
-it starts from the dyadic partition 0, 1, 2, 4, ..., t_max, which
+it starts from the dyadic partition 0, 1, 2, 4, ..., 32, 80, which
 already resolves the integrand's O(1) scale, so at the default tolerance
 most energies take its 105 nodes alone; those nodes are evaluated in one
 batch, and so is every node of each refinement round after it, whose
@@ -182,6 +182,9 @@ class Geometry:
         for sp in self.spheres:
             if not isinstance(sp, SphereSpec):
                 raise ValueError("spheres must be SphereSpec instances")
+        for i, c in enumerate(self.centers):
+            if not math.isfinite(c):
+                raise ValueError("center %d must be finite, got %r" % (i, c))
         for i, gap in enumerate(self._gaps()):
             if not self.centers[i + 1] > self.centers[i]:
                 raise ValueError("centers must be strictly increasing")
@@ -217,22 +220,19 @@ class Geometry:
         return min(self._gaps())
 
 
-# e^{-t} < 2^-1075, half the least subnormal, rounds to 0.0 beyond this t
-_T_MAX_CEILING = 1075 * math.log(2.0)
+# the kappa integral runs over t = 2 kappa L in [0, _T_MAX]; the
+# integrand decays like e^{-t}, so 80 truncates far below relative 1e-16
+# of the peak
+_T_MAX = 80.0
 
 
 @dataclass(frozen=True)
 class QuadSpec:
     """Adaptive quadrature controls for the kappa integral.
 
-    The integral runs over t = 2 kappa L with L the surface gap; the
-    integrand decays like e^{-t}, so t_max = 80 truncates far below
-    relative 1e-16 of the peak.  t_max must be finite: the adaptive rule
-    starts from the breakpoints t = 1, 2, 4, ... up to t_max / 2 (at the
-    default, the seven intervals [0, 1], [1, 2], ..., [16, 32],
-    [32, 80]).  It is also at most _T_MAX_CEILING = 1075 ln 2 (about
-    745), beyond which e^{-t} rounds to 0.0 in doubles: nodes past it
-    add nothing, and their Bessel arguments only slow the solve down.
+    The integral runs over t = 2 kappa L with L the surface gap, on
+    [0, 80]; the adaptive rule starts from the breakpoints t = 1, 2, 4,
+    ..., 32, the seven intervals [0, 1], [1, 2], ..., [16, 32], [32, 80].
     rel_tol bounds the global Gauss-Kronrod error estimate relative to
     the max-norm of the history integral: the rule stops, without
     refining, as soon as the summed estimate is below it.  The estimate
@@ -241,14 +241,10 @@ class QuadSpec:
     """
 
     rel_tol: float = 1e-9
-    t_max: float = 80.0
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise ValueError("quad tolerance must be > 0")
-        if not 0.0 < self.t_max <= _T_MAX_CEILING:
-            raise ValueError("t_max must be finite, > 0 and <= %.2f, got %r"
-                             % (_T_MAX_CEILING, self.t_max))
 
 
 @dataclass(frozen=True)
@@ -887,7 +883,7 @@ def _integrate_history(geometry, fld, l_max, quad):
     res, err = _adaptive_gk15(
         lambda ts: _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
                               l_max),
-        float(quad.t_max), quad.rel_tol)
+        _T_MAX, quad.rel_tol)
     # substitution d kappa = dt/(2L); report in units of hbar c / R_1
     scale = fld.prefactor / (2.0 * gap) * geometry.spheres[0].radius
     energies = scale * res

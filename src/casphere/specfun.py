@@ -6,7 +6,7 @@ energy modules consume, and they need numpy alone: the ratios come from
 a continued fraction (I) and an upward recurrence (K) at every argument.
 Chains are built in rows, one per argument of a vector (one per
 quadrature node of a chunk), and the I continued fraction of every row
-runs in one downward sweep; the one-argument chain is the one-row case.
+runs in one downward sweep (`_chain_rows`); one argument is one row.
 The numeric translation layer needs no Wigner 3j symbols: its blocks
 come from recurrences in the orders and its EM recoupling from closed
 Clebsch-Gordan forms (the exact series in `asymptotics` keeps its own
@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "BesselChain",
-    "bessel_ik_half_chain",
 ]
 
 # The chain serves translation-matrix sums over composite orders up to
@@ -237,7 +236,7 @@ def _chain_rows(l_max, z):
 
     Returns one BesselChain whose z is the column z[:, None] and whose
     fields are (len(z), l_max + 1) arrays; row i holds the chain at z_i,
-    and `bessel_ik_half_chain` is the one-row case.  The I ratios of all
+    0 <= l_max <= 300 and 0 < z_i <= 1e7.  The I ratios of all
     rows come from one sweep of the continued fraction (`_i_ratio_rows`),
     the K side is `_k_chains`, and the logs are row-wise cumulative sums.
     """
@@ -251,22 +250,3 @@ def _chain_rows(l_max, z):
     log_i[:, 1:] = log_i[:, :1] + np.cumsum(np.log(rho[:, :-1]), axis=1)
     return BesselChain(z=z[:, None], log_i=log_i, log_k=log_k, rho=rho,
                        sigma=sigma)
-
-
-def bessel_ik_half_chain(l_max, z):
-    """Logs of scaled I_{l+1/2}, K_{l+1/2} and ratio chains, l = 0..l_max.
-
-    Parameters
-    ----------
-    l_max : int
-        Largest order; 0 <= l_max <= 300.
-    z : float
-        Argument, 0 < z <= 1e7.
-
-    Returns
-    -------
-    BesselChain
-    """
-    ch = _chain_rows(l_max, np.array([z], dtype=float))
-    return BesselChain(z=z, log_i=ch.log_i[0], log_k=ch.log_k[0],
-                       rho=ch.rho[0], sigma=ch.sigma[0])

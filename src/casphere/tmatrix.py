@@ -14,12 +14,12 @@ the Robin entries at zeta = 0 and -1, and a dielectric alpha =
 every entry is the scaled T_l e^{-2 kappa R} from ratio chains of scaled
 Bessel functions at z (and the I ratios at n z), so l ~ 40-60 at small
 kappa R stay representable; it carries the internal sign described in
-`t_scalar_log`.  The entries are computed in rows on a Bessel chain of
+`_t_scalar_rows`.  The entries are computed in rows on a Bessel chain of
 rows at kappa R, one row per quadrature node of a chunk
 (`_t_scalar_rows`, `_t_em_rows`), so spheres of one radius can share one
-chain whatever their laws; the public one-kappa calls are their one-row
-case.  In exact fractions the same brackets give the low-frequency series
-of the large-distance expansions.
+chain whatever their laws; one kappa is the one-row case.  In exact
+fractions the same brackets give the low-frequency series of the
+large-distance expansions, dielectric spheres included.
 """
 
 import math
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .specfun import _chain_rows, _i_gap_rows
+from .specfun import _i_gap_rows
 
 __all__ = [
     "Robin",
@@ -198,20 +198,29 @@ def _checked_kappas(kv):
 
 
 def _t_scalar_rows(spec, ch, kappas):
-    """Entries of `t_scalar_log` on the chain rows ch (`_chain_rows` at
-    z = kappa R of the checked floats kappas): (sign, log) arrays of
-    shape ch.rho.shape, row i at kappas[i].
+    """Scaled scalar entries (sign, log|.|) of T_l e^{-2 kappa R} on the
+    chain rows ch (`_chain_rows` at z = kappa R of the checked floats
+    kappas): arrays of shape ch.rho.shape, row i at kappas[i].
 
-    A Robin-family law reads kappa only through z; the kappas keep the
-    signature of `_t_em_rows`, so a caller treats both alike.
+    Here T_l carries the internal sign convention T_l = -(-1)^l T_l^{print}
+    in which the Dirichlet diagonal is negative for every l; the energy
+    determinant is invariant under this relabeling and it keeps all
+    downstream products sign-transparent.  A Robin-family law reads
+    kappa only through z; the kappas keep the signature of `_t_em_rows`,
+    so a caller treats both alike.
     """
     return _robin_log(ch, _effective_zeta(spec.law))
 
 
 def _t_em_rows(spec, ch, kappas):
-    """Entries of `t_em_log` on the chain rows ch (`_chain_rows` at
-    z = kappa R of the checked floats kappas): (sign, log) arrays of
-    shape (len(kappas), 2 (l_max + 1)), row i at kappas[i]."""
+    """Scaled EM entries (sign, log) of T e^{-2 kappa R} on the chain
+    rows ch (`_chain_rows` at z = kappa R of the checked floats kappas):
+    arrays of shape (len(kappas), 2 (l_max + 1)), row i at kappas[i],
+    l-major with the polarizations (M, E) interleaved.
+
+    Same internal sign convention as `_t_scalar_rows`; order l = 0 is
+    zeroed (no monopole radiation).
+    """
     law = spec.law
     if isinstance(law, Dispersive):
         materials = [law.eps_mu(kappa) for kappa in kappas]
@@ -252,36 +261,6 @@ def _t_em_rows(spec, ch, kappas):
     sign[:, :2] = 0.0
     logmag[:, :2] = -np.inf
     return sign, logmag
-
-
-def _one_row(rows, spec, l_max, kappa):
-    """The one row of `rows` (`_t_scalar_rows` or `_t_em_rows`) at kappa,
-    checked, on the one-row chain at kappa R."""
-    kv = np.array([kappa], dtype=float)
-    kappas = _checked_kappas(kv)
-    sign, logmag = rows(spec, _chain_rows(l_max, kv * spec.radius), kappas)
-    return sign[0], logmag[0]
-
-
-def t_scalar_log(spec, l_max, kappa):
-    """Scaled scalar entries: (sign, log|.|) of T_l e^{-2 kappa R}.
-
-    Here T_l carries the internal sign convention T_l = -(-1)^l T_l^{print}
-    in which the Dirichlet diagonal is negative for every l; the energy
-    determinant is invariant under this relabeling and it keeps all
-    downstream products sign-transparent.
-    """
-    return _one_row(_t_scalar_rows, spec, l_max, kappa)
-
-
-def t_em_log(spec, l_max, kappa):
-    """Scaled EM entries: (sign, log) of T e^{-2z}, l-major with the
-    polarizations (M, E) interleaved, length 2 (l_max + 1).
-
-    Same internal sign convention as `t_scalar_log`; order l = 0 is zeroed
-    (no monopole radiation).
-    """
-    return _one_row(_t_em_rows, spec, l_max, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +365,3 @@ def _series_brackets(law, l, n):
         alpha = _series_mul(b, _series_inv(a, n), n)
         return {"M": (alpha, mu), "E": (alpha, eps)}
     return {None: _robin_bracket(_effective_zeta(law))}
-
-
-# The printed static dielectric response coefficients, radius scaled out,
-# exact for Fraction arguments (x is eps for the electric channel and mu
-# for the magnetic one, y the other): the "paper-table" series data
-
-def _alpha_hat(x, l):
-    """Static multipole response (x-1)/(x+(l+1)/l), radius scaled out."""
-    return (x - 1) / (x + Fraction(l + 1, l))
-
-
-def _gamma13_hat(x, y):
-    return -Fraction(4 + x * (y * x + x - 6)) / (5 * (x + 2) ** 2)
-
-
-def _gamma14_hat(x):
-    return Fraction(4, 9) * ((x - 1) / (x + 2)) ** 2

@@ -7,12 +7,16 @@ these, never the other way around.  The unscaled T-matrix values,
 low-frequency series and real-frequency phase shifts at the end are
 readers of the production T-matrices that only the tests call; the
 one-order Bessel wrapper in the middle reads the production chain,
-likewise.  The row-batched 3j recursion, which production no longer
-uses, serves the one-symbol 3j wrappers and the W kernel of the 3j-sum
-translation oracle, and is itself checked against the one-family one.
-The one-argument Bessel-I continued fractions and the one-interval
-Gauss-Kronrod rule, which production runs over many rows at once, are
-the arithmetic whose bytes each of those rows must reproduce.
+likewise.  Both read one row of the batched production calls
+(`chain_row`, `t_log_row`).  The printed dielectric series at the very
+end, typed in from the paper's static response data, is the
+independent check of the derived one.  The row-batched 3j recursion,
+which production no longer uses, serves the one-symbol 3j wrappers and
+the W kernel of the 3j-sum translation oracle, and is itself checked
+against the one-family one.  The one-argument Bessel-I continued
+fractions and the one-interval Gauss-Kronrod rule, which production
+runs over many rows at once, are the arithmetic whose bytes each of
+those rows must reproduce.
 """
 
 import math
@@ -26,28 +30,22 @@ import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from casphere.asymptotics import _g_series, _mono_mul, _w_int
-from casphere.specfun import (
-    BesselChain,
-    _log_i_half_scaled,
-    bessel_ik_half_chain,
-)
+from casphere.asymptotics import SeriesExpansion, _g_series, _mono_mul, _w_int
+from casphere.specfun import BesselChain, _chain_rows, _log_i_half_scaled
 from casphere.tmatrix import (
     Dispersive,
     PerfectConductor,
     _PEC_ZETAS,
-    _alpha_hat,
+    _checked_kappas,
     _dfact,
     _effective_zeta,
-    _gamma13_hat,
-    _gamma14_hat,
     _robin_bracket,
     _series_inv,
     _series_mul,
+    _t_em_rows,
+    _t_scalar_rows,
     is_scalar_law,
     mie_series_fractions,
-    t_em_log,
-    t_scalar_log,
 )
 
 
@@ -551,6 +549,14 @@ def bessel_chain_ref(n, z):
     return BesselChain(z=z, log_i=log_i, log_k=log_k, rho=rho, sigma=sigma)
 
 
+def chain_row(l_max, z):
+    """The production Bessel chain at one z, l = 0..l_max: the one row of
+    `specfun._chain_rows`, with z a float and 1-D fields."""
+    ch = _chain_rows(l_max, np.array([z], dtype=float))
+    return BesselChain(z=z, log_i=ch.log_i[0], log_k=ch.log_k[0],
+                       rho=ch.rho[0], sigma=ch.sigma[0])
+
+
 def bessel_ik_half(l, z):
     """Scaled I_{l+1/2}(z), K_{l+1/2}(z) and derivatives.
 
@@ -574,7 +580,7 @@ def bessel_ik_half(l, z):
     """
     if l < 0 or l > L_CEILING:
         raise ValueError("order l=%r outside [0, %d]" % (l, L_CEILING))
-    chain = bessel_ik_half_chain(l, z)
+    chain = chain_row(l, z)
     i_s, k_s, di_s, dk_s = chain_scaled_values(chain)
     return ScaledBesselPair(
         order_half=l + 0.5,
@@ -1427,8 +1433,7 @@ def history_pair_ref(geometry, fld, kappa, l_max):
     with np.errstate(under="ignore"):
         scale = []
         for sp in (sp1, sp2):
-            s, g = (t_em_log if fld.is_em else t_scalar_log)(sp, l_max,
-                                                              kappa)
+            s, g = t_log_row(sp, l_max, kappa, fld.is_em)
             scale.append(rd * s[:, None] * np.exp(
                 (g + peel_t)[:, None] + kern.log_scale + peel_u))
     # "21": an EM block times (-1)^{J'+J}, with its mixing entries
@@ -1538,7 +1543,7 @@ def pec_log_ref(l_max, z):
     """{"M": (sign, log), "E": (sign, log)} of a perfect conductor's
     scaled entries T_l e^{-2z}, l = 0..l_max: -i_l/k_l and
     -(z i_l)'/(z k_l)' > 0 from the Bessel ratio chains."""
-    ch = bessel_ik_half_chain(l_max, z)
+    ch = chain_row(l_max, z)
     lv = np.arange(l_max + 1, dtype=float)
     log_ratio = math.log(math.pi / 2.0) + ch.log_i - ch.log_k
     loge = log_ratio + np.log(1.0 + lv + z * ch.rho) \
@@ -1596,6 +1601,18 @@ def phase_shift(spec, l, k):
 
 
 
+def t_log_row(spec, l_max, kappa, em=False):
+    """(sign, log) of the production scaled T-matrix entries at one
+    kappa, l = 0..l_max: the one row of `tmatrix._t_em_rows` (em) or
+    `tmatrix._t_scalar_rows` on the one-row chain at kappa R, with kappa
+    checked as the energy checks its nodes."""
+    kv = np.array([kappa], dtype=float)
+    kappas = _checked_kappas(kv)
+    rows = _t_em_rows if em else _t_scalar_rows
+    sign, logmag = rows(spec, _chain_rows(l_max, kv * spec.radius), kappas)
+    return sign[0], logmag[0]
+
+
 def t_scalar_imag(spec, l, kappa):
     """Scalar T-matrix element T_l(i kappa) of a Robin-family sphere.
 
@@ -1605,7 +1622,7 @@ def t_scalar_imag(spec, l, kappa):
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    sign, logmag = t_scalar_log(spec, l, kappa)
+    sign, logmag = t_log_row(spec, l, kappa)
     z = kappa * spec.radius
     pref = -1.0 if l % 2 == 0 else 1.0  # -(-1)^l undoes the internal sign
     return pref * float(sign[l]) * math.exp(float(logmag[l]) + 2.0 * z)
@@ -1619,7 +1636,7 @@ def t_em_imag(spec, l, kappa):
     """
     if l < 1:
         raise ValueError("EM multipoles start at l = 1")
-    blocks = t_em_log(spec, l, kappa)
+    blocks = t_log_row(spec, l, kappa, em=True)
     z = kappa * spec.radius
     pref = -1.0 if l % 2 == 0 else 1.0
     out = []
@@ -1688,3 +1705,62 @@ def t_low_kappa_series(spec, l, order):
         out[pol] = {base + k: float(c) * spec.radius ** (base + k)
                     for k, c in enumerate(hats[:order + 1])}
     return out
+
+
+# ---------------------------------------------------------------------------
+# The printed dielectric series: the static response coefficients and the
+# bracket combinations of c_0..c_3, typed in from the paper, against which
+# the derived series (`asymptotics.expand_em_dielectric`) is checked.  x is
+# eps for the electric channel and mu for the magnetic one, y the other;
+# every formula is exact for Fraction arguments.
+# ---------------------------------------------------------------------------
+
+def _alpha_hat(x, l):
+    """Static multipole response (x-1)/(x+(l+1)/l), radius scaled out."""
+    return (x - 1) / (x + Fraction(l + 1, l))
+
+
+def _gamma13_hat(x, y):
+    return -Fraction(4 + x * (y * x + x - 6)) / (5 * (x + 2) ** 2)
+
+
+def _gamma14_hat(x):
+    return Fraction(4, 9) * ((x - 1) / (x + 2)) ** 2
+
+
+def dipole_dipole_coefficient(alpha_e, alpha_m):
+    """Leading d^-7 bracket from unit-radius dipole polarizabilities.
+
+    c_0 = (23/4)(alpha_e^2 + alpha_m^2) - (7/2) alpha_e alpha_m for two
+    identical spheres; alpha_e = 1, alpha_m = -1/2 recovers the perfect
+    conductor value 143/16.
+    """
+    return (Fraction(23, 4) * (alpha_e * alpha_e + alpha_m * alpha_m)
+            - Fraction(7, 2) * alpha_e * alpha_m)
+
+
+def dielectric_series_printed(eps, mu):
+    """The printed series of two identical (eps, mu) spheres.
+
+    A SeriesExpansion of form "em-c" with c_0..c_3 assembled from the
+    printed bracket combinations of the static response data, at the
+    exact binary values of eps and mu; provenance "paper-table".
+    """
+    eps, mu = Fraction(eps), Fraction(mu)
+    a_e, a_m = _alpha_hat(eps, 1), _alpha_hat(mu, 1)
+    a_e2, a_m2 = _alpha_hat(eps, 2), _alpha_hat(mu, 2)
+    g13_e, g13_m = _gamma13_hat(eps, mu), _gamma13_hat(mu, eps)
+    g14_e, g14_m = _gamma14_hat(eps), _gamma14_hat(mu)
+    coeffs = {
+        0: dipole_dipole_coefficient(a_e, a_m),
+        1: Fraction(0),
+        2: Fraction(9, 16) * (
+            a_e * (59 * a_e2 - 11 * a_m2 + 86 * g13_e - 54 * g13_m)
+            + a_m * (59 * a_m2 - 11 * a_e2 + 86 * g13_m - 54 * g13_e)),
+        3: Fraction(315, 16) * (a_e * (7 * g14_e - 5 * g14_m)
+                                + a_m * (7 * g14_m - 5 * g14_e)),
+    }
+    lead = min((n for n, c in coeffs.items() if c != 0), default=0)
+    return SeriesExpansion(form="em-c", prefactor_power=7 + lead,
+                           coeffs=coeffs, provenance="paper-table",
+                           certified={n: True for n in coeffs})

@@ -14,7 +14,6 @@ import pytest
 from scipy.special import sph_harm_y
 
 from casphere.asymptotics import (
-    dipole_dipole_coefficient,
     eval_series,
     expand_em_dielectric,
     expand_em_metal,
@@ -38,7 +37,6 @@ from casphere.pfa_sign import (
     pfa_force_sign,
     series_force_sign,
 )
-from casphere.specfun import bessel_ik_half_chain
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -49,7 +47,13 @@ from casphere.tmatrix import (
 )
 from casphere.translation import u_log_block
 
-from _oracles import bessel_ik_half, t_scalar_imag, threej_family
+from _oracles import (
+    bessel_ik_half,
+    chain_row,
+    dipole_dipole_coefficient,
+    t_scalar_imag,
+    threej_family,
+)
 
 R = 1.0
 DIR = SphereSpec(R, Dirichlet())
@@ -238,12 +242,12 @@ def test_truncation_error_rate_scales_with_gap():
 # ---------------------------------------------------------------------------
 
 def _sph_i(l_arr, z):
-    ch = bessel_ik_half_chain(int(np.max(l_arr)), z)
+    ch = chain_row(int(np.max(l_arr)), z)
     return np.sqrt(np.pi / (2 * z)) * np.exp(ch.log_i[l_arr] + z)
 
 
 def _sph_k(l, z):
-    ch = bessel_ik_half_chain(l, z)
+    ch = chain_row(l, z)
     return math.sqrt(2 / (math.pi * z)) * math.exp(ch.log_k[l] - z)
 
 

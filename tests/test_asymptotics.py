@@ -9,15 +9,11 @@ import pytest
 import casphere.asymptotics as asym
 from casphere.asymptotics import (
     _METAL_C,
-    _alpha_hat,
     _cg,
     _g_series,
-    _gamma13_hat,
-    _gamma14_hat,
     _threej,
     _w_em,
     _w_int,
-    dipole_dipole_coefficient,
     eval_series,
     expand_em_dielectric,
     expand_em_metal,
@@ -36,6 +32,11 @@ from casphere.tmatrix import (
 
 from _oracles import (
     ThreeJArgs,
+    _alpha_hat,
+    _gamma13_hat,
+    _gamma14_hat,
+    dielectric_series_printed,
+    dipole_dipole_coefficient,
     em_weights_3j,
     scalar_series_ref,
     u_scalar_element,
@@ -397,27 +398,21 @@ def test_metal_refuses_a_cut_below_the_dipole():
 
 
 def test_dielectric_routes_agree_exactly():
-    spec = SphereSpec(1.0, Dielectric(2.0, 1.0))
-    table = expand_em_dielectric(spec, spec)
-    computed = expand_em_dielectric(spec, spec, provenance="computed")
-    assert table.coeffs == computed.coeffs
-    assert table.coeffs[1] == 0  # no 1/d^8 term, exactly
-    assert table.coeffs[0] == F(23, 64)
-    assert table.provenance == "paper-table"
-    assert computed.provenance == "computed"
-    magnetic = SphereSpec(1.0, Dielectric(1.5, 3.0))
-    t2 = expand_em_dielectric(magnetic, magnetic)
-    c2 = expand_em_dielectric(magnetic, magnetic, provenance="computed")
-    assert t2.coeffs == c2.coeffs
-    assert t2.coeffs[1] == 0
-    for eps, mu in ((2.5, 0.5), (1.0, 1.0), (4.0, 1.0), (1.0, 3.0),
-                    (16.0, 0.25), (80.0, 1.0), (2.5, 1.7)):
-        other = SphereSpec(1.0, Dielectric(eps, mu))
-        table = expand_em_dielectric(other, other)
-        computed = expand_em_dielectric(other, other, provenance="computed")
-        assert table.coeffs == computed.coeffs
-        assert table.prefactor_power == computed.prefactor_power
-        assert table.certified == computed.certified
+    # the derived series is the printed bracket algebra, exactly, at the
+    # binary values of (eps, mu), the non-dyadic pairs included
+    for eps, mu in ((2.0, 1.0), (1.5, 3.0), (2.5, 0.5), (1.0, 1.0),
+                    (4.0, 1.0), (1.0, 3.0), (16.0, 0.25), (80.0, 1.0),
+                    (2.5, 1.7), (2.7, 1.3), (80.1, 0.999)):
+        spec = SphereSpec(1.0, Dielectric(eps, mu))
+        series = expand_em_dielectric(spec, spec)
+        printed = dielectric_series_printed(eps, mu)
+        assert series.provenance == "computed"
+        assert series.form == printed.form == "em-c"
+        assert series.coeffs == printed.coeffs
+        assert series.certified == printed.certified
+        assert series.prefactor_power == printed.prefactor_power
+        assert series.coeffs[1] == 0  # no 1/d^8 term, exactly
+    assert dielectric_series_printed(2.0, 1.0).coeffs[0] == F(23, 64)
 
 
 @pytest.mark.parametrize("eps,mu", [(1.0, 1.0), (1.0, 3.0), (16.0, 0.25),
@@ -457,8 +452,6 @@ def test_dielectric_validation():
         expand_em_dielectric(spec, SphereSpec(2.0, Dielectric(2.0, 1.0)))
     with pytest.raises(ValueError):
         expand_em_dielectric(spec, SphereSpec(1.0, Dielectric(3.0, 1.0)))
-    with pytest.raises(ValueError):
-        expand_em_dielectric(spec, spec, provenance="guessed")
 
 
 # ---------------------------------------------------------------------------

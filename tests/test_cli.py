@@ -71,6 +71,14 @@ def test_energy_rejects_huge_dielectric(capsys):
     assert "bessel argument" in capsys.readouterr().err
 
 
+def test_energy_rejects_infinite_distance(capsys):
+    # refused by the geometry, before any kappa node is t / (2 inf) = 0
+    assert cli.main(["energy", "--bc1", "dirichlet", "--d", "inf",
+                     "--lmax", "4"]) == 2
+    assert capsys.readouterr().err == \
+        "casphere: center 1 must be finite, got inf\n"
+
+
 def test_parse_grid():
     lin = cli.parse_grid("4:6:3")
     assert list(lin) == [4.0, 5.0, 6.0]
@@ -263,6 +271,19 @@ def test_series_em_eval_json(tmp_path):
     assert res["eval"]["first_growing"] == 6
     assert res["eval"]["value"] == pytest.approx(
         eval_series(expand_em_metal(), 1.0, 10.0).value, rel=1e-12)
+
+
+def test_series_dielectric_is_derived(tmp_path):
+    text = run_csv(tmp_path, ["series", "--field", "em",
+                              "--bc1", "dielectric:4,1"])
+    assert "# series: form=em-c prefactor_power=7 provenance=computed" \
+        in text
+    body = csv_body(text)
+    assert body[0] == ",".join(cli.SERIES_COLUMNS)
+    rows = {int(r.split(",")[0]): r.split(",") for r in body[1:]}
+    assert {j: r[2] for j, r in rows.items()} == {
+        0: "23/16", 1: "0", 2: "7437/880", 3: "245/32"}
+    assert all(r[3] == "true" for r in rows.values())
 
 
 def test_series_unavailable_pair():

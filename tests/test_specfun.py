@@ -15,7 +15,6 @@ from casphere.specfun import (
     _i_gap_rows,
     _i_ratio_rows,
     _k_chains,
-    bessel_ik_half_chain,
 )
 
 import _oracles as orc
@@ -65,7 +64,7 @@ def test_bessel_against_mpmath(l, z):
 
 def test_chain_matches_scalar_entries():
     z = 2.625
-    chain = bessel_ik_half_chain(30, z)
+    chain = orc.chain_row(30, z)
     i_s, k_s, _, _ = orc.chain_scaled_values(chain)
     for l in (0, 1, 7, 30):
         p = bessel_ik_half(l, z)
@@ -97,19 +96,19 @@ def test_batched_k_chains_equal_one_argument_chains(n):
 
 @pytest.mark.parametrize("n", [0, 1, 40, _CHAIN_CEILING])
 def test_chain_rows_equal_one_argument_chains(n):
-    # every row of the batched chain, and the public one-argument chain,
-    # is the reference chain built one argument at a time, byte for
-    # byte, for unsorted and repeated arguments
+    # every row of the batched chain, and the one-row chain, is the
+    # reference chain built one argument at a time, byte for byte, for
+    # unsorted and repeated arguments
     z = np.array(BESSEL_Z[::-1] + BESSEL_Z[3:6])
     ch = _chain_rows(n, z)
     assert ch.z.shape == (len(z), 1)
     for i, zi in enumerate(z.tolist()):
         ref = orc.bessel_chain_ref(n, zi)
-        one = bessel_ik_half_chain(n, zi)
-        assert one.z == zi
+        one = _chain_rows(n, np.array([zi]))
+        assert one.z.shape == (1, 1) and one.z[0, 0] == zi
         for field in ("log_i", "log_k", "rho", "sigma"):
             want = getattr(ref, field)
-            for got in (getattr(ch, field)[i], getattr(one, field)):
+            for got in (getattr(ch, field)[i], getattr(one, field)[0]):
                 assert got.shape == want.shape == (n + 1,)
                 assert got.tobytes() == want.tobytes()
 
@@ -198,7 +197,7 @@ def test_i_ratio_chain_large_argument_against_mpmath(z):
 
 @pytest.mark.parametrize("z", LARGE_Z[::2] + [1e4])
 def test_chain_fields_large_argument_against_mpmath(z):
-    chain = bessel_ik_half_chain(_CHAIN_CEILING, z)
+    chain = orc.chain_row(_CHAIN_CEILING, z)
     i_s, k_s, di_s, dk_s = orc.chain_scaled_values(chain)
     for l in (0, 1, 5, 17, 60, 150, _CHAIN_CEILING):
         # the logs are cumulative sums of ratio logs: a few ulp of |log|
@@ -242,15 +241,18 @@ def test_bessel_domain_errors():
         bessel_ik_half(0, -1.0)
     with pytest.raises(ValueError):
         bessel_ik_half(L_CEILING + 1, 1.0)
-    with pytest.raises(ValueError):
-        bessel_ik_half_chain(-1, 1.0)
+    for n in (-1, _CHAIN_CEILING + 1):
+        with pytest.raises(ValueError, match="order l_max=%d outside" % n):
+            _chain_rows(n, np.array([1.0]))
 
 
 def test_bessel_chain_refuses_a_huge_argument():
-    # the I continued fraction would run about z pure-Python steps
+    # the I continued fraction would run about z pure-Python steps; a
+    # batch is refused at its one bad argument
     for z in (1.0001e7, 1e150, math.inf):
-        with pytest.raises(ValueError, match=re.escape("z=%r" % (z,))):
-            bessel_ik_half_chain(2, z)
+        for batch in ([z], [0.5, z, 2.0]):
+            with pytest.raises(ValueError, match=re.escape("z=%r" % (z,))):
+                _chain_rows(2, np.array(batch))
 
 
 def test_explicit_low_orders():

@@ -82,7 +82,7 @@ SERIES_SCRIPT = textwrap.dedent("""
     metal = expand_em_metal(n_max=5, provenance="computed")
     assert all(metal.certified.values())
     spec = SphereSpec(1.0, Dielectric(4.0, 1.0))
-    expand_em_dielectric(spec, spec, provenance="computed")
+    expand_em_dielectric(spec, spec)
     mods = sorted(m for m in sys.modules
                   if m == "sympy" or m.startswith("sympy."))
     assert not mods, (len(mods), mods[:3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casphere.energy import Geometry, integrand
 from casphere.specfun import _ARG_CEILING, _chain_rows
 from casphere.tmatrix import (
     Dielectric,
@@ -20,8 +21,6 @@ from casphere.tmatrix import (
     _t_em_rows,
     _t_scalar_rows,
     mie_series_fractions,
-    t_em_log,
-    t_scalar_log,
 )
 
 from _oracles import (
@@ -30,6 +29,7 @@ from _oracles import (
     phase_shift,
     t_em_imag,
     t_em_ref,
+    t_log_row,
     t_low_kappa_series,
     t_scalar_imag,
     t_scalar_ref,
@@ -78,11 +78,16 @@ def test_spec_rejects_non_finite_dielectric():
 
 
 def test_t_log_rejects_non_finite_kappa():
+    # every T-matrix row passes the kappa check: through the energy's
+    # integrand, scalar and EM, and on a batch with one bad kappa
+    pairs = ((Geometry.pair(DIR, DIR, 3.0), "scalar-real"),
+             (Geometry.pair(PEC, PEC, 3.0), "em"))
     for kappa in (math.inf, math.nan, 0.0):
+        for geometry, field in pairs:
+            with pytest.raises(ValueError, match="finite and positive"):
+                integrand(geometry, field, kappa, 4)
         with pytest.raises(ValueError, match="finite and positive"):
-            t_scalar_log(DIR, 4, kappa)
-        with pytest.raises(ValueError, match="finite and positive"):
-            t_em_log(PEC, 4, kappa)
+            _checked_kappas(np.array([0.5, kappa, 2.0]))
 
 
 def test_robin_inf_is_neumann():
@@ -202,7 +207,7 @@ def test_scalar_depends_on_z_only():
 
 def test_scalar_log_consistency():
     spec = SphereSpec(R, Robin(0.4))
-    sign, logmag = t_scalar_log(spec, 12, 0.9)
+    sign, logmag = t_log_row(spec, 12, 0.9)
     for l in range(13):
         val = -(-1) ** l * sign[l] * math.exp(logmag[l] + 2 * 0.9)
         assert val == pytest.approx(t_scalar_imag(spec, l, 0.9), rel=1e-13)
@@ -210,9 +215,9 @@ def test_scalar_log_consistency():
 
 def test_scalar_finite_over_wide_kappa():
     for spec in (DIR, NEU, SphereSpec(R, Robin(2.0))):
-        sign, logmag = t_scalar_log(spec, 30, 1e-6)
+        sign, logmag = t_log_row(spec, 30, 1e-6)
         assert np.all(np.isfinite(logmag))
-        sign, logmag = t_scalar_log(spec, 30, 300.0)
+        sign, logmag = t_log_row(spec, 30, 300.0)
         assert np.all(np.isfinite(logmag))
 
 
@@ -259,7 +264,7 @@ def test_pec_logs_are_robin_logs_at_zeta_0_and_minus_1():
     # the channel bracket summed (1 + l) + z rho: its log moves by at most
     # 4 ulp of max(|log|, 1) (2 ulp seen)
     for z in np.geomspace(1e-6, 1e3, 91):
-        sign, logmag = t_em_log(PEC, 40, z)
+        sign, logmag = t_log_row(PEC, 40, z, em=True)
         ref = pec_log_ref(40, z)
         assert np.array_equal(sign[0:2], [0.0, 0.0])
         assert np.array_equal(logmag[0:2], [-np.inf, -np.inf])
@@ -288,7 +293,7 @@ def test_em_depends_on_z_only():
 
 def test_em_log_deep_multipole_no_underflow():
     # log-domain assembly keeps l ~ 60 entries representable at small z
-    blocks = t_em_log(SphereSpec(R, Dielectric(2.0, 1.0)), 60, 1e-2)
+    blocks = t_log_row(SphereSpec(R, Dielectric(2.0, 1.0)), 60, 1e-2, em=True)
     sign, logmag = blocks[0][1::2], blocks[1][1::2]
     assert sign[60] != 0.0
     assert np.isfinite(logmag[60])
@@ -315,7 +320,7 @@ def test_dispersive_rejects_non_finite_or_non_positive(eps_mu):
     with pytest.raises(ValueError,
                        match=r"eps_mu\(kappa\) must return finite positive "
                              r"values"):
-        t_em_log(bad, 3, 0.8)
+        t_log_row(bad, 3, 0.8, em=True)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +342,6 @@ BATCH_KAPPAS = [2.5, 1e-6 / 0.8, 0.37, 1e3 / 0.8, 12.0, 0.37, 4e-4, 2.5,
                 61.0, 1e-6 / 0.8, 1.0]
 
 
-def _one_kappa(spec, l_max, kappa, em):
-    return (t_em_log if em else t_scalar_log)(spec, l_max, kappa)
-
-
 def _rows(spec, l_max, kv, em):
     # the path of energy: every kappa checked, then the chain at kappa R
     kappas = _checked_kappas(kv)
@@ -356,7 +357,7 @@ def test_batched_rows_equal_one_kappa_calls(law, em, l_max):
     width = (2 if em else 1) * (l_max + 1)
     assert sign.shape == logmag.shape == (len(BATCH_KAPPAS), width)
     for i, kappa in enumerate(BATCH_KAPPAS):
-        s1, g1 = _one_kappa(spec, l_max, kappa, em)
+        s1, g1 = t_log_row(spec, l_max, kappa, em)
         for row, one in ((sign[i], s1), (logmag[i], g1)):
             assert np.array_equal(row, one)
             assert row.tobytes() == one.tobytes()
@@ -368,7 +369,7 @@ def test_batched_rows_equal_one_kappa_calls(law, em, l_max):
 def test_batch_raises_as_the_one_kappa_call(law, em, bad):
     spec = SphereSpec(1.0, law)
     with pytest.raises(ValueError) as one:
-        _one_kappa(spec, 3, bad, em)
+        t_log_row(spec, 3, bad, em)
     with pytest.raises(ValueError) as rows:
         _rows(spec, 3, np.array([0.5, bad, 2.0]), em)
     assert str(rows.value) == str(one.value)
@@ -379,7 +380,7 @@ def test_batch_raises_on_one_bad_eps_mu():
         return (-1.0, 1.0) if kappa == 0.7 else (2.0, 1.0)
     spec = SphereSpec(1.0, Dispersive(eps_mu))
     with pytest.raises(ValueError) as one:
-        t_em_log(spec, 3, 0.7)
+        t_log_row(spec, 3, 0.7, em=True)
     with pytest.raises(ValueError) as rows:
         _rows(spec, 3, np.array([0.5, 0.7, 2.0]), True)
     assert str(rows.value) == str(one.value)

@@ -10,23 +10,27 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 import casphere.translation as tr
-from casphere.specfun import bessel_ik_half_chain
 from casphere.translation import node_kernel, u_log_block
 
 import _oracles as orc
-from _oracles import em_log_blocks, u_em_element, u_scalar_element
+from _oracles import (
+    chain_row,
+    em_log_blocks,
+    u_em_element,
+    u_scalar_element,
+)
 
 
 EPS = np.finfo(float).eps
 
 
 def _sph_i(l_arr, z):
-    ch = bessel_ik_half_chain(int(np.max(l_arr)), z)
+    ch = chain_row(int(np.max(l_arr)), z)
     return np.sqrt(np.pi / (2 * z)) * np.exp(ch.log_i[l_arr] + z)
 
 
 def _sph_k(l, z):
-    ch = bessel_ik_half_chain(l, z)
+    ch = chain_row(l, z)
     return math.sqrt(2 / (math.pi * z)) * math.exp(ch.log_k[l] - z)
 
 
