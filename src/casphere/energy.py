@@ -237,14 +237,17 @@ class QuadSpec:
     the max-norm of the history integral: the rule stops, without
     refining, as soon as the summed estimate is below it.  The estimate
     is QUADPACK's, which overstates the true error of the smooth kappa
-    integrand by orders of magnitude.
+    integrand by orders of magnitude.  rel_tol must be finite and > 0:
+    an infinite one would stop on the initial partition whatever its
+    error.
     """
 
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("quad tolerance must be > 0")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("quad tolerance must be finite and > 0, got %r"
+                             % (self.rel_tol,))
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,7 @@ def _dfact(n):
 
 
 def _series_mul(a, b, n):
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, ai in enumerate(a[:n]):
         if ai == 0:
             continue
@@ -302,6 +302,13 @@ def _series_inv(a, n):
             s += a[j] * inv[k - j]
         inv[k] = -s / a[0]
     return inv
+
+
+def _numerators(xs):
+    """(den, [x den for x in xs]): rationals as integers over their least
+    common denominator den."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def _robin_bracket(zeta):
@@ -330,26 +337,43 @@ def mie_series_fractions(alpha, beta, l, n_terms):
 
     Returns [c_0, c_1, ...] as Fractions, T_l = sum_k c_k z^{2l+1+k} =
     -(alpha i_l - beta (z i_l)')/(alpha k_l - beta (z k_l)') at z =
-    kappa R, with alpha a Fraction series in z (n_terms coefficients
-    suffice) and beta a Fraction; `_series_brackets` gives each law's.
+    kappa R, with alpha a rational series in z (n_terms coefficients
+    suffice) and beta a rational; `_series_brackets` gives each law's.
+    The series run on integer numerators over one denominator each, so
+    only the n_terms coefficients returned are reduced Fractions.
     """
     n = max(n_terms, l + 2)  # room for the kernel polynomials of k_l
     a, b = _i_kernels(l, n)
+    den_k, ab = _numerators(a + b)
+    a, b = ab[:n], ab[n:]
+    den_a, alpha = _numerators(alpha)
+    beta = Fraction(beta)
+    bn, bd = beta.numerator * den_a, beta.denominator
     # outgoing kernel: k_l = e^{-z} z^{-(l+1)} P(z), P of degree l
-    p = [Fraction(0)] * n
+    p = [0] * n
     for i in range(l + 1):
-        p[l - i] = Fraction(_fact(l + i), _fact(i) * _fact(l - i) * 2 ** i)
+        p[l - i] = _fact(l + i) // (_fact(i) * _fact(l - i) * 2 ** i)
     # (z k_l)' = e^{-z} z^{-(l+1)} [z P' - z P - l P]
-    q = [Fraction(0)] * n
+    q = [0] * n
     for i in range(l + 1):
         q[i] += (i - l) * p[i]
         q[i + 1] -= p[i]
-    num = [x - beta * y for x, y in zip(_series_mul(alpha, a, n), b)]
-    den = [x - beta * y for x, y in zip(_series_mul(alpha, p, n), q)]
-    # T = -z^{2l+1} e^{z} num(z)/den(z)
-    e = [Fraction(1, _fact(k)) for k in range(n)]
-    series = _series_mul(_series_mul(num, e, n), _series_inv(den, n), n)
-    return [-c for c in series[:n_terms]]
+    # num and den over den_k den_a bd and den_a bd
+    num = [bd * x - bn * y for x, y in zip(_series_mul(alpha, a, n), b)]
+    den = [bd * x - bn * y for x, y in zip(_series_mul(alpha, p, n), q)]
+    if den[0] == 0:
+        raise ZeroDivisionError("series has no constant term")
+    # 1/den = sum_k inv_k z^k / den_0^(k+1), brought over den_0^n
+    inv = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        inv[k] = -sum(den[j] * inv[k - j] * den[0] ** (j - 1)
+                      for j in range(1, k + 1))
+    inv = [c * den[0] ** (n - 1 - k) for k, c in enumerate(inv)]
+    # T = -z^{2l+1} e^{z} num(z)/den(z), e^z = sum_k ((n-1)!/k!) z^k/(n-1)!
+    e = [_fact(n - 1) // _fact(k) for k in range(n)]
+    series = _series_mul(_series_mul(num, e, n), inv, n)
+    scale = den_k * _fact(n - 1) * den[0] ** n
+    return [Fraction(-c, scale) for c in series[:n_terms]]
 
 
 def _series_brackets(law, l, n):

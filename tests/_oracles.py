@@ -1239,8 +1239,7 @@ def _t_slot_scalar_ref(law, l, r_cap):
     lead = 2 * l + 1
     if lead > r_cap:
         return {}
-    coeffs = mie_series_fractions(*_robin_bracket(_effective_zeta(law)), l,
-                                  r_cap - lead + 1)
+    coeffs = robin_series_ref(_effective_zeta(law), l, r_cap - lead + 1)
     return {(lead + k, lead + k): c for k, c in enumerate(coeffs) if c != 0}
 
 
@@ -1487,16 +1486,19 @@ def gk15_ref(a, b, fv):
 
 
 # ---------------------------------------------------------------------------
-# A perfect conductor's T-matrix written out by channel: independent forms
-# of the production Robin entries at zeta = 0 (M) and zeta = -1 (E)
+# The Robin T-matrix written out from its kernels, and a perfect
+# conductor's channels as its entries at zeta = 0 (M) and zeta = -1 (E):
+# independent of the production bracket series, in plain Fractions
 # ---------------------------------------------------------------------------
 
-def pec_series_ref(l, n_terms, channel):
-    """Exact Taylor coefficients of a perfect conductor's internal-sign T_l.
+def robin_series_ref(zeta, l, n_terms):
+    """Exact Taylor coefficients of a Robin sphere's internal-sign T_l.
 
-    T_M = -i_l/k_l and T_E = -(z i_l)'/(z k_l)' from the power series of
-    i_l and z i_l' and the polynomial kernels of k_l and z k_l'; returns
-    [c_0, c_1, ...] with T = sum_k c_k z^{2l+1+k}.
+    T = -(i_l - zeta z i_l')/(k_l - zeta z k_l') from the power series of
+    i_l and z i_l' and the polynomial kernels of k_l and z k_l'; zeta
+    None is the Neumann limit -(z i_l')/(z k_l').  zeta enters through
+    its exact binary value.  Returns [c_0, c_1, ...] with T = sum_k c_k
+    z^{2l+1+k}.
     """
     n = n_terms + 2 * l + 2  # padding for intermediate products
     # regular kernel: i_l = z^l sum_j a_j z^{2j}
@@ -1524,19 +1526,26 @@ def pec_series_ref(l, n_terms, channel):
             q[i + 1] -= p[i]
     for i in range(1, l + 1):
         q[i] += i * p[i]
-    if channel == "M":
-        num, den = a, list(p)
-    elif channel == "E":
-        # (z i)' = i + z i' ; (z k)' = k + z k'
-        num = [ai + bi for ai, bi in zip(a, b)]
-        den = [pi + qi for pi, qi in zip(p + [Fraction(0)], q)]
+    if zeta is None:
+        num, den = b, q
     else:
-        raise ValueError("PEC series requires channel 'M' or 'E'")
+        zeta = Fraction(zeta)
+        num = [ai - zeta * bi for ai, bi in zip(a, b)]
+        den = [pi - zeta * qi for pi, qi in zip(p, q)]
     # T = -z^{2l+1} e^{z} num(z)/den(z)
     e = [Fraction(1, _fact(k)) for k in range(n)]
     den_full = den + [Fraction(0)] * (n - len(den))
     series = _series_mul(_series_mul(num, e, n), _series_inv(den_full, n), n)
-    return [-c for c in series[:n_terms]]
+    return [-Fraction(c) for c in series[:n_terms]]
+
+
+def pec_series_ref(l, n_terms, channel):
+    """Exact Taylor coefficients of a perfect conductor's internal-sign T_l:
+    T_M = -i_l/k_l, the Robin entry at zeta = 0, and T_E =
+    -(z i_l)'/(z k_l)' = -(i_l + z i_l')/(k_l + z k_l'), at zeta = -1."""
+    if channel not in ("M", "E"):
+        raise ValueError("PEC series requires channel 'M' or 'E'")
+    return robin_series_ref(0 if channel == "M" else -1, l, n_terms)
 
 
 def pec_log_ref(l_max, z):

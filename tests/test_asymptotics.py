@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import casphere.asymptotics as asym
 from casphere.asymptotics import (
@@ -201,6 +202,25 @@ def test_trace_engine_matches_slot_enumeration(law1, law2):
                                                       l_cut), (p_max, l_cut)
 
 
+# zeta enters through its binary value: 0.1 carries a 2^55 denominator,
+# so the trace engine's integer numerators grow far past the fixed pairs'
+_ZETAS = st.one_of(st.sampled_from([0.1, 0.3, 1.0 / 3.0, 2.2, 1e-3, 123.456]),
+                   st.floats(0.0, 100.0))
+
+
+@given(_ZETAS, _ZETAS, st.integers(1, 3), st.integers(0, 2))
+@example(0.1, 0.1, 3, 2)
+@example(0.1, 1.0 / 3.0, 2, 1)
+@settings(max_examples=15, deadline=None)
+def test_trace_engine_matches_slot_enumeration_on_drawn_robin_pairs(
+        zeta1, zeta2, p_max, l_cut):
+    law1, law2 = Robin(zeta1), Robin(zeta2)
+    series = expand_scalar(SphereSpec(1.0, law1), SphereSpec(1.0, law2),
+                           p_max=p_max, l_cut=l_cut)
+    assert series.coeffs == scalar_series_ref(law1, law2, p_max, l_cut)
+    assert all(type(c) is F for c in series.coeffs.values())
+
+
 def test_neumann_default_window_is_consistent():
     shallow = expand_scalar(N, N)
     deep = expand_scalar(N, N, p_max=4, l_cut=3)
@@ -395,6 +415,13 @@ def test_metal_refuses_a_cut_below_the_dipole():
     for l_cut in (0, -3):
         with pytest.raises(ValueError, match="l_cut"):
             expand_em_metal(n_max=2, provenance="computed", l_cut=l_cut)
+    # the table has no cut to apply: any l_cut with it is refused, not
+    # ignored with every coefficient certified
+    for l_cut in (0, 1, 5):
+        with pytest.raises(ValueError, match="computed route only"):
+            expand_em_metal(n_max=2, provenance="paper-table", l_cut=l_cut)
+        with pytest.raises(ValueError, match="computed route only"):
+            expand_em_metal(l_cut=l_cut)
 
 
 def test_dielectric_routes_agree_exactly():
@@ -471,6 +498,15 @@ def test_eval_series_mechanics():
         eval_series(series, 1.0, 1.9)
     with pytest.raises(ValueError):
         eval_series(series, 1.0, 10.0, n_terms=7)
+
+
+def test_eval_series_refuses_a_bad_radius():
+    # d > 2R alone passes a radius at or below zero, which would give a
+    # sign-flipped or zero energy
+    for series in (expand_scalar(D, D), expand_em_metal()):
+        for radius in (-1.0, 0.0, -0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite radius > 0"):
+                eval_series(series, radius, 3.0)
 
 
 def test_eval_series_growth_flag():

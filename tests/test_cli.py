@@ -79,6 +79,16 @@ def test_energy_rejects_infinite_distance(capsys):
         "casphere: center 1 must be finite, got inf\n"
 
 
+def test_energy_rejects_an_infinite_tolerance(capsys):
+    # refused like nan, 0 and -1, not run on the initial partition alone
+    for qtol in ("inf", "nan", "0", "-1"):
+        assert cli.main(["energy", "--qtol", qtol, "--d", "3",
+                         "--lmax", "4"]) == 2
+        assert capsys.readouterr().err == \
+            "casphere: quad tolerance must be finite and > 0, got %r\n" \
+            % float(qtol)
+
+
 def test_parse_grid():
     lin = cli.parse_grid("4:6:3")
     assert list(lin) == [4.0, 5.0, 6.0]

@@ -104,7 +104,7 @@ def test_geometry_accessors():
 
 
 def test_quad_spec_validation():
-    for rel_tol in (0.0, -1e-9, math.nan):
+    for rel_tol in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="quad tolerance"):
             QuadSpec(rel_tol=rel_tol)
 
