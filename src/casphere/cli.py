@@ -27,12 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .asymptotics import (
-    eval_series,
-    expand_em_dielectric,
-    expand_em_metal,
-    expand_scalar,
-)
 from .energy import (
     REAL_SCALAR,
     DomainError,
@@ -42,15 +36,6 @@ from .energy import (
     casimir_energy,
     casimir_energy_nbody,
     suggest_l_max,
-)
-from .pfa_sign import (
-    RatioCurve,
-    amplitude_case,
-    find_zero_force,
-    pfa_energy,
-    pfa_energy_em,
-    pfa_force_sign,
-    series_force_sign,
 )
 from .tmatrix import (
     Dielectric,
@@ -361,6 +346,10 @@ def _emit(args, config, fmt, columns, rows, record=None, extra_lines=()):
 @lru_cache(maxsize=None)
 def _series_for(field, law1, law2):
     """Large-distance series for the pair, or None when not available."""
+    # the series engine and the PFA/sign tools are imported where they
+    # are used, so a CLI start that needs neither never loads them
+    from .asymptotics import (expand_em_dielectric, expand_em_metal,
+                              expand_scalar)
     unit1, unit2 = SphereSpec(1.0, law1), SphereSpec(1.0, law2)
     try:
         if field in ("scalar-real", "scalar-complex"):
@@ -382,6 +371,7 @@ def _field_factor(field):
 
 
 def _series_value(field, law1, law2, radius, d):
+    from .asymptotics import eval_series
     series = _series_for(field, law1, law2)
     if series is None:
         return math.nan
@@ -391,6 +381,7 @@ def _series_value(field, law1, law2, radius, d):
 
 def _pfa_dimensionless(field, law1, law2, radius, d):
     """(case label, E_PFA in hbar c / R units)."""
+    from .pfa_sign import amplitude_case, pfa_energy, pfa_energy_em
     if field == "em":
         return "em", pfa_energy_em(radius, d) * radius
     case = amplitude_case(law1, law2)
@@ -493,6 +484,7 @@ def cmd_sweep(args):
 
 
 def cmd_series(args):
+    from .asymptotics import eval_series
     bc1, bc2, law1, law2 = _resolve_bcs(args)
     fmt = args.format or "csv"
     series = _series_for(args.field, law1, law2)
@@ -556,6 +548,8 @@ def _signmap_lmax(radius, d, lmax_arg):
 
 
 def _signmap_row(task):
+    from .pfa_sign import (RatioCurve, amplitude_case, find_zero_force,
+                           pfa_energy, pfa_force_sign, series_force_sign)
     (raw1, law1, raw2, law2, radius, grid, lmax_arg, qtol) = task
     s1, s2 = SphereSpec(radius, law1), SphereSpec(radius, law2)
     small = pfa_force_sign(law1, law2)
@@ -595,6 +589,8 @@ def cmd_signmap(args):
     fmt = args.format or "csv"
     pairs1 = _parse_zetas(args.zetas1)
     pairs2 = _parse_zetas(args.zetas2)
+    for _, law in pairs1 + pairs2:
+        SphereSpec(args.radius, law)  # radius and negative-zeta rejection
     grid = None
     if args.d_grid is not None:
         grid = _checked_grid(args.d_grid, args.radius)
@@ -610,8 +606,6 @@ def cmd_signmap(args):
     tasks = []
     for raw1, law1 in pairs1:
         for raw2, law2 in pairs2:
-            SphereSpec(args.radius, law1)  # negative-zeta rejection
-            SphereSpec(args.radius, law2)
             tasks.append((raw1, law1, raw2, law2, args.radius,
                           None if grid is None else tuple(grid),
                           args.lmax, args.qtol))

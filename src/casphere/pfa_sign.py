@@ -110,8 +110,8 @@ class SignProfile:
 # ---------------------------------------------------------------------------
 
 def _check_gap(radius, d):
-    if not radius > 0.0:
-        raise ValueError("radius must be positive, got %r" % (radius,))
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be finite and > 0, got %r" % (radius,))
     if not d > 2.0 * radius:
         raise ValueError("spheres overlap: d=%r <= 2R=%r" % (d, 2.0 * radius))
 

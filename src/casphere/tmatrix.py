@@ -111,8 +111,10 @@ class SphereSpec:
     law: object
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive, got %r" % (self.radius,))
+        # NaN fails every comparison; infinity would pass "> 0" alone
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and > 0, got %r"
+                             % (self.radius,))
         law = self.law
         if isinstance(law, Robin):
             # NaN fails every comparison, so test for the valid range

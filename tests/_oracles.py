@@ -649,15 +649,20 @@ def _sg_family(l1, l2, m1, m2):
         f[0] = (1.0 if (l - m) % 2 == 0 else -1.0) / math.sqrt(2.0 * l + 1.0)
         f[1] = (1.0 if (l - m) % 2 == 0 else -1.0) * 2.0 * m \
             / math.sqrt((2.0 * l + 2.0) * (2.0 * l + 1.0) * 2.0 * l)
-    else:
+    # A(j) at the step's j, carried over from the step before: each step
+    # evaluates A at j + 1 alone
+    a_j = a_of(jmin + 1)
+    if jmin != 0:
         # A(jmin) = 0, so the three-term relation at j = jmin is two-term
-        f[1] = -b_of(jmin) * f[0] / (jmin * a_of(jmin + 1))
+        f[1] = -b_of(jmin) * f[0] / (jmin * a_j)
     i_stop = npts - 1
     drops = 0
     for i in range(1, npts - 1):
         j = jmin + i
-        f[i + 1] = -(b_of(j) * f[i] + (j + 1) * a_of(j) * f[i - 1]) \
-            / (j * a_of(j + 1))
+        a_next = a_of(j + 1)
+        f[i + 1] = -(b_of(j) * f[i] + (j + 1) * a_j * f[i - 1]) \
+            / (j * a_next)
+        a_j = a_next
         if abs(f[i + 1]) > _RESCALE:
             f[:i + 2] /= _RESCALE
         if abs(f[i + 1]) < abs(f[i]):
@@ -674,11 +679,14 @@ def _sg_family(l1, l2, m1, m2):
     # backward pass from jmax down to the match index
     g = np.zeros(npts)
     g[-1] = 1.0
-    g[-2] = -b_of(jmax) * g[-1] / ((jmax + 1) * a_of(jmax))
+    a_hi = a_of(jmax)  # A(j + 1) of the step, carried down likewise
+    g[-2] = -b_of(jmax) * g[-1] / ((jmax + 1) * a_hi)
     for i in range(npts - 3, i_match - 1, -1):
         j = jmin + i + 1
-        g[i] = -(j * a_of(j + 1) * g[i + 2] + b_of(j) * g[i + 1]) \
-            / ((j + 1) * a_of(j))
+        a_j = a_of(j)
+        g[i] = -(j * a_hi * g[i + 2] + b_of(j) * g[i + 1]) \
+            / ((j + 1) * a_j)
+        a_hi = a_j
         if abs(g[i]) > _RESCALE:
             g[i:] /= _RESCALE
     scale = f[i_match] / g[i_match]

@@ -19,6 +19,7 @@ from casphere.asymptotics import (
     expand_em_metal,
     expand_scalar,
 )
+from casphere.cli import _signmap_lmax
 from casphere.energy import (
     Geometry,
     QuadSpec,
@@ -185,7 +186,8 @@ def _ratio_curve(law1, law2, grid):
     case = amplitude_case(law1, law2)
     ratios = []
     for d in grid:
-        l_max = max(8, min(28, int(math.ceil(14.0 / (d - 2.0)))))
+        # the sign map's own rule, so the test sees the orders the CLI uses
+        l_max = _signmap_lmax(R, float(d), None)
         est = casimir_energy(pair(s1, s2, float(d)), "scalar-real", l_max)
         ratios.append(est.value / pfa_energy(R, float(d), case))
     return RatioCurve(d=tuple(grid), ratio=tuple(ratios),

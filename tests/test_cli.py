@@ -79,6 +79,18 @@ def test_energy_rejects_infinite_distance(capsys):
         "casphere: center 1 must be finite, got inf\n"
 
 
+def test_energy_rejects_an_infinite_radius(capsys):
+    # refused by the sphere spec, not as an overlap with a gap of -inf or
+    # a grid point below 2R = inf
+    for argv in (["energy", "--d", "3"], ["sweep", "--d-grid", "4:8:2"],
+                 ["pfa", "--d", "3"],
+                 ["signmap", "--zetas1", "0", "--zetas2", "1",
+                  "--d-grid", "4:8:8"]):
+        assert cli.main(argv + ["--radius", "inf"]) == 2
+        assert capsys.readouterr().err == \
+            "casphere: radius must be finite and > 0, got inf\n"
+
+
 def test_energy_rejects_an_infinite_tolerance(capsys):
     # refused like nan, 0 and -1, not run on the initial partition alone
     for qtol in ("inf", "nan", "0", "-1"):

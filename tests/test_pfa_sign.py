@@ -58,6 +58,12 @@ def test_pfa_energy_validation():
         pfa_energy(1.0, 1.5, "like")
     with pytest.raises(ValueError):
         pfa_energy(-1.0, 3.0, "like")
+    # refused for the radius, not as an overlap with 2R = inf
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            pfa_energy(radius, 3.0, "like")
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            pfa_energy_em(radius, 3.0)
     with pytest.raises(ValueError):
         pfa_energy(1.0, 3.0, "mixed")
     with pytest.raises(ValueError):

@@ -50,6 +50,10 @@ def test_spec_validation():
         SphereSpec(0.0, Dirichlet())
     with pytest.raises(ValueError):
         SphereSpec(-1.0, Neumann())
+    # infinity passes "> 0" alone, NaN no comparison at all
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            SphereSpec(radius, Dirichlet())
     with pytest.raises(ValueError, match="bound-state"):
         SphereSpec(1.0, Robin(-0.5))
     with pytest.raises(ValueError):
