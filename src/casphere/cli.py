@@ -131,6 +131,9 @@ def parse_grid(text):
         count = int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("bad grid numbers in %r" % text)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(
+            "grid bounds must be finite, got %r" % text)
     if count < 0:
         raise argparse.ArgumentTypeError("grid count must be >= 0")
     if count == 0:

@@ -43,11 +43,15 @@ points=...)` and the stopping test of QUADPACK's QAGP: it stops as soon
 as the summed error estimate is below the tolerance, before any
 refinement if the initial partition already meets it.  In t = 2 kappa L
 it starts from the dyadic partition 0, 1, 2, 4, ..., 32, 80, which
-already resolves the integrand's O(1) scale, so at the default tolerance
-most energies take its 105 nodes alone; those nodes are evaluated in one
-batch, and so is every node of each refinement round after it, whose
-GK15 sums over every interval are one reduction.  A quadrature that
-stops without meeting its tolerance warns with a QuadratureWarning.
+already resolves the integrand's O(1) scale.  The last interval, [32,
+80], holds about e^{-32} of the integral: it is evaluated only when an
+exponential extrapolation of the integrand from the end of [16, 32]
+says it can reach a thousandth of the tolerance, so at the default
+tolerance most energies take the 90 nodes of [0, 32] alone.  Those
+nodes are evaluated in one batch, and so is every node of each
+refinement round after them, whose GK15 sums over every interval are
+one reduction.  A quadrature that stops without meeting its tolerance
+warns with a QuadratureWarning.
 """
 
 import heapq
@@ -222,7 +226,9 @@ class Geometry:
 
 # the kappa integral runs over t = 2 kappa L in [0, _T_MAX]; the
 # integrand decays like e^{-t}, so 80 truncates far below relative 1e-16
-# of the peak
+# of the peak.  Its last dyadic interval [32, _T_MAX] holds about e^{-32}
+# of the integral and is evaluated only where its tail estimate may
+# matter (`_adaptive_gk15`)
 _T_MAX = 80.0
 
 
@@ -232,14 +238,15 @@ class QuadSpec:
 
     The integral runs over t = 2 kappa L with L the surface gap, on
     [0, 80]; the adaptive rule starts from the breakpoints t = 1, 2, 4,
-    ..., 32, the seven intervals [0, 1], [1, 2], ..., [16, 32], [32, 80].
-    rel_tol bounds the global Gauss-Kronrod error estimate relative to
-    the max-norm of the history integral: the rule stops, without
-    refining, as soon as the summed estimate is below it.  The estimate
-    is QUADPACK's, which overstates the true error of the smooth kappa
-    integrand by orders of magnitude.  rel_tol must be finite and > 0:
-    an infinite one would stop on the initial partition whatever its
-    error.
+    ..., 32, the seven intervals [0, 1], [1, 2], ..., [16, 32], [32, 80],
+    and evaluates the last one only where its tail estimate exceeds a
+    thousandth of the tolerance.  rel_tol bounds the global
+    Gauss-Kronrod error estimate relative to the max-norm of the history
+    integral: the rule stops, without refining, as soon as the summed
+    estimate is below it.  The estimate is QUADPACK's, which overstates
+    the true error of the smooth kappa integrand by orders of magnitude.
+    rel_tol must be finite and > 0: an infinite one would stop on the
+    initial partition whatever its error.
     """
 
     rel_tol: float = 1e-9
@@ -785,6 +792,11 @@ def _gk15_batch(a, b, fv):
 # gives up
 _GK_SPLITS = 128
 _GK_LIMIT = 10000
+# the last initial interval is skipped where its tail estimate is at most
+# this share of the tolerance: skipping at the tolerance itself moved the
+# dielectric pair's energy at d/R 1e3 by 6e-11, past its series bound of
+# 5e-11
+_TAIL_SHARE = 1e-3
 
 
 def _dyadic_points(b):
@@ -797,6 +809,24 @@ def _dyadic_points(b):
         points.append(p)
         p *= 2.0
     return points
+
+
+def _tail_estimate(t0, t1, f0, f1):
+    """Integral over [t0, inf) of f0 e^{-beta (t - t0)}, the exponential
+    through the max-norms f0 at t0 and f1 at t1 < t0: beta = ln(f1/f0) /
+    (t0 - t1).  Infinite where that is undefined or does not decay."""
+    if not 0.0 < f0 < f1 < math.inf:
+        return math.inf
+    beta = math.log(f1 / f0) / (t0 - t1)
+    return f0 / beta
+
+
+def _gk15_rules(f, intervals):
+    """f's values at the GK15 nodes of the intervals, in one call, and the
+    (interval, integral, error, rounding error) of each."""
+    values = f([t for lo, hi in intervals for t in _gk15_nodes(lo, hi)])
+    return values, list(zip(intervals, *_gk15_batch(*zip(*intervals),
+                                                    _by_interval(values))))
 
 
 def _adaptive_gk15(f, b, rel_tol):
@@ -815,24 +845,52 @@ def _adaptive_gk15(f, b, rel_tol):
     interval of the dyadic partition 0, 1, 2, 4, ..., b, whose integrals
     and errors are summed in interval order; the integrand's O(1) scale
     in t = 2 kappa L is then resolved from the start instead of by
-    bisecting [0, b].  Each round splits the intervals of largest error
-    (up to 128, until their errors exceed the global error less tol).
-    At `_GK_LIMIT` intervals, or on a non-finite error, it gives up with
-    a QuadratureWarning.  f maps a list of nodes to an array of values,
-    one row per node, and gets every node of the initial partition in
-    one call, then every node of a round in one call; the GK15 rule of
-    every interval of a call is one `_gk15_batch`.
+    bisecting [0, b].
+
+    The last interval [p, b] of a partition of two or more is evaluated
+    only where it can matter.  The rule first evaluates [0, p]; the two
+    GK15 nodes of [p/2, p] nearest p give `_tail_estimate`, which
+    overstates the decaying integrand's integral over [p, b] (by 7 % on
+    the kappa integrands tested).  Where that
+    estimate is at most `_TAIL_SHARE` * tol (tol from the integral over
+    [0, p]), the interval is never evaluated: the rule runs as quad_vec
+    on [0, p] with breakpoints 1, ..., p/2, and the estimate is added to
+    the returned error.  Otherwise, or where the estimate is not finite,
+    the K15 rule of [p, b] is evaluated at once and joins the sums in
+    interval order, so the result is the full partition's, byte for
+    byte.
+
+    Each round splits the intervals of largest error (up to 128, until
+    their errors exceed the global error less tol).  At `_GK_LIMIT`
+    intervals, or on a non-finite error, it gives up with a
+    QuadratureWarning.  f maps a list of nodes to an array of values,
+    one row per node, and gets every node of [0, p] in one call, then
+    those of [p, b] if it is kept, then every node of a round in one
+    call; the GK15 rule of every interval of a call is one `_gk15_batch`.
     """
     edges = [0.0] + _dyadic_points(b) + [b]
     initial = list(zip(edges[:-1], edges[1:]))
-    values = f([t for lo, hi in initial for t in _gk15_nodes(lo, hi)])
+    head = initial[:-1] or initial
+    values, rules = _gk15_rules(f, head)
     total = np.zeros(values.shape[1:])
+    for _, ig, _, _ in rules:
+        total += ig
+    tail_error = 0.0
+    if len(head) < len(initial):
+        t0, t1 = _gk15_nodes(*head[-1])[:2]
+        f0, f1 = np.amax(abs(_by_interval(values)[-1, :2]).reshape(2, -1),
+                         axis=1)
+        tail_error = _tail_estimate(t0, t1, float(f0), float(f1))
+        if not tail_error <= _TAIL_SHARE * max(
+                1e-280, rel_tol * np.amax(abs(total))):
+            tail_error = 0.0
+            tail = _gk15_rules(f, initial[-1:])[1]
+            total += tail[0][1]
+            rules += tail
     global_error = rounding_error = 0.0
     integrals = {}
     heap = []
-    for lo, hi, ig, err, round_err in zip(edges[:-1], edges[1:], *_gk15_batch(
-            edges[:-1], edges[1:], _by_interval(values))):
-        total += ig
+    for (lo, hi), ig, err, round_err in rules:
         global_error += err
         rounding_error += round_err
         integrals[(lo, hi)] = ig
@@ -864,20 +922,17 @@ def _adaptive_gk15(f, b, rel_tol):
         for _, lo, hi in split:
             mid = 0.5 * (lo + hi)
             halves += [(lo, mid), (mid, hi)]
-        values = f([t for x1, x2 in halves for t in _gk15_nodes(x1, x2)])
-        igs, errs, round_errs = _gk15_batch(*zip(*halves),
-                                            _by_interval(values))
+        rules = _gk15_rules(f, halves)[1]
         for i, (old_err, lo, hi) in enumerate(split):
-            two = slice(2 * i, 2 * i + 2)
-            (s1, s2), (err1, err2), (round1, round2) = (
-                igs[two], errs[two], round_errs[two])
+            two = rules[2 * i:2 * i + 2]
+            (_, s1, err1, round1), (_, s2, err2, round2) = two
             total += s1 + s2 - integrals.pop((lo, hi))
             global_error += err1 + err2 - old_err
             rounding_error += round1 + round2
-            for (x1, x2), ig, err in zip(halves[two], igs[two], errs[two]):
+            for (x1, x2), ig, err, _ in two:
                 integrals[(x1, x2)] = ig
                 heapq.heappush(heap, (-err, x1, x2))
-    return total, global_error + rounding_error
+    return total, global_error + rounding_error + tail_error
 
 
 def _integrate_history(geometry, fld, l_max, quad):

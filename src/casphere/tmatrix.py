@@ -24,7 +24,6 @@ large-distance expansions, dielectric spheres included.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -266,7 +265,9 @@ def _t_em_rows(spec, ch, kappas):
 
 
 # ---------------------------------------------------------------------------
-# exact low-frequency series (every constant law's bracket is rational)
+# exact low-frequency series (every constant law's bracket is rational);
+# `fractions`, which loads `decimal`, is imported inside the helpers that
+# build Fractions, so the energy path never loads it
 # ---------------------------------------------------------------------------
 
 def _fact(n):
@@ -294,6 +295,7 @@ def _series_mul(a, b, n):
 
 
 def _series_inv(a, n):
+    from fractions import Fraction
     if a[0] == 0:
         raise ZeroDivisionError("series has no constant term")
     inv = [Fraction(0)] * n
@@ -317,6 +319,7 @@ def _robin_bracket(zeta):
     """(alpha, beta) of the Robin law: alpha i_l - beta (z i_l)' is
     i_l - zeta z i_l' at (1 + zeta, zeta), and -z i_l' at the Neumann
     limit zeta None, (1, 1); zeta enters through its exact binary value."""
+    from fractions import Fraction
     if zeta is None:
         return [Fraction(1)], Fraction(1)
     zeta = Fraction(zeta)
@@ -327,6 +330,7 @@ def _i_kernels(l, n, n2=1):
     """i_l(w) and (w i_l(w))' over w^l as n Taylor coefficients in z,
     at w^2 = n2 z^2: i_l = w^l sum_j a_j w^{2j} and (w i_l)' =
     w^l sum_j (l + 1 + 2j) a_j w^{2j}."""
+    from fractions import Fraction
     a = [Fraction(0)] * n
     for j in range((n + 1) // 2):
         a[2 * j] = Fraction(n2) ** j / (
@@ -344,6 +348,7 @@ def mie_series_fractions(alpha, beta, l, n_terms):
     The series run on integer numerators over one denominator each, so
     only the n_terms coefficients returned are reduced Fractions.
     """
+    from fractions import Fraction
     n = max(n_terms, l + 2)  # room for the kernel polynomials of k_l
     a, b = _i_kernels(l, n)
     den_k, ab = _numerators(a + b)
@@ -382,6 +387,7 @@ def _series_brackets(law, l, n):
     """{channel: (alpha, beta)} of a law's exact brackets at order l,
     alpha to n Taylor coefficients in z: the one channel None of a
     Robin-family law, "M" and "E" of a perfect conductor or dielectric."""
+    from fractions import Fraction
     if isinstance(law, PerfectConductor):
         return {ch: _robin_bracket(zeta)
                 for ch, zeta in zip(("M", "E"), _PEC_ZETAS)}

@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import warnings
 
 import pytest
 
@@ -111,6 +112,21 @@ def test_parse_grid():
     for bad in ("4:6", "4:6:3:geo", "4:6:-1", "0:6:3:log"):
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_grid(bad)
+
+
+@pytest.mark.parametrize("grid", ["4:inf:2", "nan:8:2", "inf:8:1",
+                                  "4:-inf:0", "1:inf:3:log"])
+def test_grid_rejects_non_finite_bounds(grid, capsys):
+    # refused by the grid parser, before numpy spaces them or a geometry
+    # sees a non-finite center
+    for argv in (["sweep", "--d-grid", grid],
+                 ["signmap", "--zetas1", "0", "--zetas2", "1",
+                  "--d-grid", grid]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().err == \
+            "casphere: grid bounds must be finite, got %r\n" % grid
 
 
 # ---------------------------------------------------------------------------

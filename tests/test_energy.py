@@ -775,12 +775,12 @@ def test_pivot_fallback_hits_one_node_of_a_mirror_batch(monkeypatch):
             _history(g, REAL_SCALAR, kappas[j], 4).tobytes()
 
 
+PAIR_LAWS = [("scalar-real", Dirichlet()), ("scalar-real", Neumann()),
+             ("scalar-real", Robin(10.0)), ("em", PerfectConductor()),
+             ("em", Dielectric(4.0, 1.0))]
+
 QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)
-              for field, law in [("scalar-real", Dirichlet()),
-                                 ("scalar-real", Neumann()),
-                                 ("scalar-real", Robin(10.0)),
-                                 ("em", PerfectConductor()),
-                                 ("em", Dielectric(4.0, 1.0))]
+              for field, law in PAIR_LAWS
               for r2, d, tol in ((1.0, 2.1, 1e-9), (0.05, 3.0, 1e-9),
                                  (1.0, 100.0, 1e-7))] + [
     ("scalar-real", Geometry((DIR, NEU, DIR), (0.0, 3.0, 6.5)), 1e-9),
@@ -790,6 +790,10 @@ QUAD_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d), tol)
 # it stops the others on their initial dyadic partition
 QUAD_REFINES = [True, False, False] + [True, True, False] * 3 + [
     True, False, False, True, False]
+# whether it evaluates the last interval [32, 80] of each; it skips the
+# others on their tail estimate
+QUAD_KEEPS_TAIL = [False] * 3 + [False, True, False] + [False] * 3 + [
+    False, True, False] * 2 + [False, False]
 
 
 # the dyadic breakpoints of [0, 80]: every power of two p with 2p <= 80
@@ -798,65 +802,136 @@ DYADIC_80 = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
 def test_quad_cases_cover_both_branches():
     # the oracle below checks a refined result against quad_vec and an
-    # early stop against the summed one-interval rule: both must be seen
-    assert len(QUAD_REFINES) == len(QUAD_CASES)
-    assert set(QUAD_REFINES) == {True, False}
+    # early stop against the summed one-interval rule, each with the tail
+    # interval skipped and kept: all four must be seen
+    assert len(QUAD_REFINES) == len(QUAD_KEEPS_TAIL) == len(QUAD_CASES)
+    assert set(zip(QUAD_REFINES, QUAD_KEEPS_TAIL)) == {
+        (True, True), (True, False), (False, True), (False, False)}
+
+
+def _quad_integrand(geometry, fld, l_max):
+    """The history vectors at a list of t = 2 kappa L, memoized by node.
+
+    Rows do not depend on how nodes are batched, so a row computed for
+    one rule serves every other rule that evaluates the same node."""
+    gap = geometry.surface_gap
+    rows = {}
+
+    def f(ts):
+        new = list(dict.fromkeys(t for t in ts if t not in rows))
+        if new:
+            rows.update(zip(new, _histories(
+                geometry, fld, [t / (2.0 * gap) for t in new], l_max)))
+        return np.array([rows[t] for t in ts])
+    return f
+
+
+def _gk15_sum_ref(f, edges):
+    """(integral, error) of one `orc.gk15_ref` on each interval of the
+    partition `edges`, summed in interval order."""
+    ref = 0.0
+    ref_err = round_err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        ig, e, r = orc.gk15_ref(lo, hi, f(energy._gk15_nodes(lo, hi)))
+        ref = ref + ig
+        ref_err += e
+        round_err += r
+    return ref, ref_err + round_err
+
+
+def _tail_estimate_ref(f, lo, hi):
+    """f0/beta from the max-norms f0, f1 at the two GK15 nodes t0 > t1 of
+    [lo, hi] nearest hi, beta = ln(f1/f0)/(t0 - t1): the integral over
+    [t0, inf) of the exponential through them; inf where it does not
+    decay."""
+    t0, t1 = energy._gk15_nodes(lo, hi)[:2]
+    f0, f1 = (float(np.amax(np.abs(row))) for row in f([t0, t1]))
+    if not (f0 > 0.0 and f1 > f0 and math.isfinite(f1)):
+        return math.inf
+    return f0 / (math.log(f1 / f0) / (t0 - t1))
+
+
+def _tail_ref(f, rel_tol, edges):
+    """The oracle's own tail rule: (tail estimate, kept).  A partition of
+    two or more intervals skips its last one where the estimate from the
+    interval before is at most 1e-3 tol, tol from the integral over the
+    other intervals; the estimate then joins the error."""
+    if len(edges) < 3:
+        return 0.0, True
+    head = _gk15_sum_ref(f, edges[:-1])[0]
+    est = _tail_estimate_ref(f, *edges[-3:-1])
+    if est <= 1e-3 * max(1e-280, rel_tol * np.amax(np.abs(head))):
+        return est, False
+    return 0.0, True
+
+
+def _full_partition_ref(f, rel_tol, edges, refines):
+    """(integral, error) of the rule on every interval of `edges`: where
+    it runs a round, quad_vec at epsrel = 8 rel_tol (its tests use
+    tol/8), with its evaluation count; where it stops on the initial
+    partition, the summed `orc.gk15_ref` of that partition's
+    intervals."""
+    if not refines:
+        return _gk15_sum_ref(f, edges) + (None,)
+    ref, ref_err, info = quad_vec(
+        lambda t: f([t])[0], edges[0], edges[-1], epsabs=1e-280,
+        epsrel=8 * rel_tol, norm="max", quadrature="gk15", full_output=True,
+        points=edges[1:-1])
+    return ref, ref_err, info.neval
 
 
 def _assert_gk15_equals_quad_vec(field, geometry, rel_tol, t_max, points,
-                               refines):
+                                 refines, keeps_tail):
     """`_adaptive_gk15` against an independent rule, byte for byte.
 
-    Where it runs a round, the oracle is quad_vec at epsrel = 8 rel_tol
-    (its tests use tol/8); where it stops on the initial partition, the
-    summed `orc.gk15_ref` of that partition's intervals."""
+    The rule keeps or skips the last interval as `_tail_ref` does.  The
+    oracle is `_full_partition_ref` on the partition 0, points, t_max
+    where the tail is kept, and on 0, points where it is skipped, with
+    the oracle's tail estimate added to its error."""
     fld = FieldKind(field)
     l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
-    gap = geometry.surface_gap
+    rule_f = _quad_integrand(geometry, fld, l_max)
     rounds = []
 
     def batched(ts):
         rounds.append(len(ts))
-        return _histories(geometry, fld, [t / (2.0 * gap) for t in ts],
-                          l_max)
+        return rule_f(ts)
     res, err = energy._adaptive_gk15(batched, t_max, rel_tol)
-    # every node of a round in one call: the initial intervals, then
-    # both halves of every split interval
-    assert rounds[0] == 15 * (len(points) + 1)
-    assert all(k % 30 == 0 for k in rounds[1:])
-    assert (len(rounds) > 1) == refines, rounds
+    # the oracle's rows are its own, not the rule's batches
+    f = _quad_integrand(geometry, fld, l_max)
+    edges = [0.0] + points + [t_max]
+    est, kept = _tail_ref(f, rel_tol, edges)
+    assert kept == keeps_tail
+    # every node of a round in one call: the initial intervals but the
+    # last, then the last where it is kept, then both halves of every
+    # split interval
+    initial = [15 * max(len(edges) - 2, 1)]
+    if len(edges) > 2 and kept:
+        initial.append(15)
+    if not kept:
+        edges = edges[:-1]
+    assert rounds[:len(initial)] == initial
+    assert all(k % 30 == 0 for k in rounds[len(initial):])
+    assert (len(rounds) > len(initial)) == refines, rounds
+    ref, ref_err, neval = _full_partition_ref(f, rel_tol, edges, refines)
     if refines:
-        ref, ref_err, info = quad_vec(
-            lambda t: _history(geometry, fld, t / (2.0 * gap), l_max),
-            0.0, t_max, epsabs=1e-280, epsrel=8 * rel_tol, norm="max",
-            quadrature="gk15", full_output=True, points=points)
-        assert sum(rounds) == info.neval
-    else:
-        edges = [0.0] + points + [t_max]
-        ref = np.zeros(l_max + 1)
-        ref_err = round_err = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            ig, e, r = orc.gk15_ref(lo, hi, _histories(
-                geometry, fld, [t / (2.0 * gap)
-                                for t in energy._gk15_nodes(lo, hi)], l_max))
-            ref += ig
-            ref_err += e
-            round_err += r
-        ref_err += round_err
-    assert res.tobytes() == ref.tobytes() and err == ref_err
+        assert sum(rounds) == neval
+    assert res.tobytes() == ref.tobytes() and err == ref_err + est
 
 
 @pytest.mark.parametrize("field,geometry,rel_tol", QUAD_CASES)
 def test_adaptive_gk15_equals_quad_vec(field, geometry, rel_tol):
-    refines = QUAD_REFINES[QUAD_CASES.index((field, geometry, rel_tol))]
+    i = QUAD_CASES.index((field, geometry, rel_tol))
     _assert_gk15_equals_quad_vec(field, geometry, rel_tol, 80.0, DYADIC_80,
-                               refines)
+                                 QUAD_REFINES[i], QUAD_KEEPS_TAIL[i])
 
 
-# whether the rule refines each partition of the test below, by field
+# whether the rule refines each partition of the test below, by field,
+# and whether it keeps the last interval
 PARTITION_REFINES = {("scalar-real", 0.5): True, ("scalar-real", 3.0): False,
                      ("scalar-real", 80.0): False, ("em", 0.5): True,
                      ("em", 3.0): False, ("em", 80.0): True}
+PARTITION_KEEPS_TAIL = {("scalar-real", 80.0): False}
 
 
 @pytest.mark.parametrize("t_max,points",
@@ -867,9 +942,67 @@ PARTITION_REFINES = {("scalar-real", 0.5): True, ("scalar-real", 3.0): False,
 def test_adaptive_gk15_partition_equals_quad_vec(field, geometry, t_max,
                                                  points):
     # no breakpoint, one, six: parity holds on every partition; one
-    # interval is always split once, whatever its error
-    _assert_gk15_equals_quad_vec(field, geometry, 1e-9, t_max, points,
-                               PARTITION_REFINES[(field, t_max)])
+    # interval is always split once, whatever its error, and is never
+    # skipped
+    _assert_gk15_equals_quad_vec(
+        field, geometry, 1e-9, t_max, points,
+        PARTITION_REFINES[(field, t_max)],
+        PARTITION_KEEPS_TAIL.get((field, t_max), True))
+
+
+# every pair law at six separations, with equal radii and R2/R1 = 0.05,
+# and the two triples of QUAD_CASES
+TAIL_CASES = [(field, pair(SphereSpec(R, law), SphereSpec(r2, law), d))
+              for field, law in PAIR_LAWS
+              for d in (2.05, 2.1, 3.0, 6.0, 20.0, 100.0)
+              for r2 in (1.0, 0.05)] + [case[:2] for case in QUAD_CASES[-2:]]
+
+
+@pytest.mark.parametrize("field,geometry", TAIL_CASES)
+def test_tail_estimate_bounds_the_tail(field, geometry):
+    # the exponential through the two nodes of [16, 32] nearest 32
+    # overstates the integral over [32, 80], by at most half, against a
+    # composite of six K15 rules of width 8
+    fld = FieldKind(field)
+    l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
+    f = _quad_integrand(geometry, fld, l_max)
+    t0, t1 = energy._gk15_nodes(16.0, 32.0)[:2]
+    est = energy._tail_estimate(
+        t0, t1, *(float(np.amax(np.abs(row))) for row in f([t0, t1])))
+    tail = np.amax(np.abs(_gk15_sum_ref(f, [32.0 + 8.0 * i
+                                            for i in range(7)])[0]))
+    assert tail <= est <= 1.5 * tail
+
+
+@pytest.mark.parametrize("field,geometry", TAIL_CASES)
+def test_skipped_tail_stays_within_the_error(field, geometry, monkeypatch):
+    # a skipped tail moves the integral by less than the returned error
+    # and than 1e-3 tol; a kept one leaves the full partition's result,
+    # byte for byte.  The full-range rule is the one that keeps every tail
+    fld = FieldKind(field)
+    l_max = (2 if geometry.n_spheres > 2 else 4) if fld.is_em else 6
+    f = _quad_integrand(geometry, fld, l_max)
+    edges = [0.0] + DYADIC_80 + [80.0]
+    for rel_tol in (1e-9, 1e-7):
+        rounds = []
+
+        def counted(ts):
+            rounds.append(len(ts))
+            return f(ts)
+        res, err = energy._adaptive_gk15(counted, 80.0, rel_tol)
+        kept = _tail_ref(f, rel_tol, edges)[1]
+        assert (rounds[1:2] == [15]) == kept, rel_tol
+        if kept:
+            ref, ref_err, _ = _full_partition_ref(f, rel_tol, edges,
+                                                  len(rounds) > 2)
+            assert (res.tobytes(), err) == (ref.tobytes(), ref_err)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(energy, "_TAIL_SHARE", 0.0)
+                full = energy._adaptive_gk15(f, 80.0, rel_tol)[0]
+            moved = np.amax(np.abs(res - full))
+            assert moved <= err, rel_tol
+            assert moved <= 1e-3 * rel_tol * np.amax(np.abs(full)), rel_tol
 
 
 @settings(max_examples=60, deadline=None)
@@ -900,8 +1033,9 @@ def test_gk15_batch_equals_one_interval_rule(ends, width, seed, zero):
 
 
 def test_default_pair_stops_on_its_initial_partition():
-    # D-D at d/R 3: the dyadic start meets the tolerance at once, so the
-    # energy is its 105 nodes in one call
+    # D-D at d/R 3: the dyadic start meets the tolerance at once and its
+    # tail estimate is far below it, so the energy is the 90 nodes of
+    # [0, 32] in one call
     calls = []
 
     def counted(geometry, fld, kappas, l_max):
@@ -909,7 +1043,7 @@ def test_default_pair_stops_on_its_initial_partition():
         return _histories(geometry, fld, kappas, l_max)
     with mock.patch.object(energy, "_histories", counted):
         casimir_energy(pair(DIR, DIR, 3.0), "scalar-real", 8)
-    assert calls == [105]
+    assert calls == [90]
 
 
 @pytest.mark.parametrize("field,geometry", [
@@ -945,17 +1079,18 @@ def test_adaptive_gk15_error_bounds_the_error(field, geometry):
 
 def test_quadrature_warns_when_it_gives_up(monkeypatch):
     # at the interval limit, or on a non-finite error, the rule returns
-    # its last estimate with a QuadratureWarning.  D-D at d/R 2.1 splits
-    # one interval in its first round and needs a second
+    # its last estimate with a QuadratureWarning.  D-D at d/R 2.1 skips
+    # its tail, splits one of its six intervals in its first round and
+    # needs a second
     g = pair(DIR, DIR, 2.1)
 
     def f(ts):
         return _histories(g, REAL_SCALAR, [t / 0.2 for t in ts], 6)
-    monkeypatch.setattr(energy, "_GK_LIMIT", 8)
-    with pytest.warns(QuadratureWarning, match="gave up at 8 intervals"):
+    monkeypatch.setattr(energy, "_GK_LIMIT", 7)
+    with pytest.warns(QuadratureWarning, match="gave up at 7 intervals"):
         res, err = energy._adaptive_gk15(f, 80.0, 1e-9)
     assert np.all(np.isfinite(res)) and err > 1e-9 * np.amax(np.abs(res))
-    with pytest.warns(QuadratureWarning, match="at 8 intervals"):
+    with pytest.warns(QuadratureWarning, match="at 7 intervals"):
         casimir_energy(g, "scalar-real", 6)
     monkeypatch.undo()
 
@@ -968,8 +1103,9 @@ def test_quadrature_warns_when_it_gives_up(monkeypatch):
 
 
 def test_rounding_limited_stop_is_silent():
-    # at rel_tol 1e-15 the D-D d/R 3 estimate falls below the rounding
-    # error after one round, above the tolerance: no warning
+    # at rel_tol 1e-15 the D-D d/R 3 tail is kept, and the estimate falls
+    # below the rounding error after one round, above the tolerance: no
+    # warning
     g = pair(DIR, DIR, 3.0)
     rounds = []
 
@@ -979,7 +1115,8 @@ def test_rounding_limited_stop_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", QuadratureWarning)
         res, err = energy._adaptive_gk15(f, 80.0, 1e-15)
-    assert len(rounds) == 2 and err > 1e-15 * np.amax(np.abs(res))
+    assert rounds[:2] == [90, 15] and len(rounds) == 3
+    assert err > 1e-15 * np.amax(np.abs(res))
 
 
 @pytest.mark.parametrize("field,geometry", [
@@ -993,11 +1130,6 @@ def test_default_energies_do_not_warn(field, geometry):
     with warnings.catch_warnings():
         warnings.simplefilter("error", QuadratureWarning)
         casimir_energy_nbody(geometry, field, 8)
-
-
-PAIR_LAWS = [("scalar-real", Dirichlet()), ("scalar-real", Neumann()),
-             ("scalar-real", Robin(10.0)), ("em", PerfectConductor()),
-             ("em", Dielectric(4.0, 1.0))]
 
 
 @pytest.mark.parametrize("field,law", PAIR_LAWS)

@@ -7,9 +7,11 @@ likewise the CLI imports its process pool only when it makes one.
 `import casphere`, `import casphere.cli` and an energy leave
 `casphere.asymptotics` and `casphere.pfa_sign` unloaded: the package
 resolves their names on first access and the CLI imports them in the
-functions that use them.  The exact large-distance series run on
-`fractions` alone and load no sympy.  Each check runs in a fresh
-interpreter, since the test session itself has these modules loaded.
+functions that use them.  They leave `fractions` and `decimal` unloaded
+too: only the exact series helpers of `tmatrix` import them.  The exact
+large-distance series run on `fractions` alone and load no sympy.  Each
+check runs in a fresh interpreter, since the test session itself has
+these modules loaded.
 """
 
 import os
@@ -22,10 +24,6 @@ import casphere
 SCRIPT = textwrap.dedent("""
     import sys
 
-    import casphere
-    import casphere.cli
-    from casphere import energy
-
 
     def check(stage):
         mods = sorted(m for m in sys.modules
@@ -34,13 +32,19 @@ SCRIPT = textwrap.dedent("""
 
 
     def check_lazy(stage):
-        mods = [m for m in ("casphere.asymptotics", "casphere.pfa_sign")
+        mods = [m for m in ("casphere.asymptotics", "casphere.pfa_sign",
+                            "fractions", "decimal")
                 if m in sys.modules]
         assert not mods, (stage, mods)
 
 
-    check("import")
-    check_lazy("import")
+    import casphere
+    check("import casphere")
+    check_lazy("import casphere")
+    import casphere.cli
+    from casphere import energy
+    check("import casphere.cli")
+    check_lazy("import casphere.cli")
     # the process pool is imported only by a run with --workers > 1
     assert "concurrent.futures.process" not in sys.modules
 
