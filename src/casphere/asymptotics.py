@@ -23,10 +23,12 @@ numerators over one denominator per matrix.  Each T
 series is the exact Taylor series of its law's one `tmatrix` bracket,
 dielectric spheres included.  Every power of kappa R is >= 0, so
 truncating each product at the highest power kept commutes with the
-products and the result is exact.  One exact Wigner 3j, Racah's
-formula on surds c sqrt(r) (c a Fraction, r a squarefree integer),
-builds both the scalar translation factors and the
-electromagnetic recoupling weights.  Every translation entry is
+products and the result is exact.  The scalar translation factors
+come from the coaxial recurrences that `translation` runs in floats,
+here on rationals with the slot weights folded out (`_g_table`), and
+the electromagnetic blocks recouple them with squared closed-form
+Clebsch-Gordan weights, each term one exact rational root
+(`_em_block`); no 3j symbol is formed.  Every translation entry is
 sqrt(W_a W_b) times a rational Laurent series, W the integer weight of
 its slot a: w(l, m) = (2l+1)(l+m)!(l-m)! for a scalar partial wave and
 w(J, m) J(J+1) for a magnetic or electric multipole.  Around a closed
@@ -36,8 +38,9 @@ scalar and dielectric series is derived this way and no other; only
 the perfect-conductor c_0..c_9 also have a typed table, the default of
 `expand_em_metal` and the independent check of the derived ones.  Cold,
 in a fresh interpreter (the CI step "Cold series time"), a scalar
-series takes a few milliseconds and the derived c_0..c_9 about 0.05 to
-0.1 s.
+series takes a few milliseconds, the translation factors of every order
+up to 6 (the window of the perfect-conductor c_9) about 3 ms, and the
+derived c_0..c_9 about 0.04 to 0.08 s.
 
 Scalar boundary pairs fill the "scalar-b" form
 
@@ -56,15 +59,17 @@ stop shrinking.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .tmatrix import (
     Dielectric,
     PerfectConductor,
     Robin,
     _effective_zeta,
+    _k_kernel,
     _numerators,
     _series_brackets,
     is_scalar_law,
@@ -134,107 +139,77 @@ class SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# exact Wigner pieces on surds c sqrt(r): c a Fraction, r a squarefree integer
+# exact translation factors: the coaxial recurrences of `translation` on
+# rationals, with the slot weights folded out
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _surd(q):
-    """sqrt(q) of a rational q > 0 as (c, r): c a Fraction, r squarefree."""
-    n = q.numerator * q.denominator
-    c, r, p = 1, 1, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        c *= p ** (e // 2)
-        r *= p ** (e % 2)
-        p += 1
-    return Fraction(c, q.denominator), r * n
-
-
-def _surd_mul(a, b):
-    g = math.gcd(a[1], b[1])
-    return a[0] * b[0] * g, a[1] * b[1] // (g * g)
-
-
-@lru_cache(maxsize=None)
-def _threej(j1, j2, j3, m1, m2):
-    """Exact Wigner 3j (j1 j2 j3; m1 m2 -m1-m2) as a surd (Racah's formula)."""
-    f = math.factorial
-    m3 = -m1 - m2
-    if (abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3
-            or not abs(j1 - j2) <= j3 <= j1 + j2):
-        return Fraction(0), 1
-    s = sum(Fraction((-1) ** k, f(k) * f(j3 - j2 + k + m1)
-                     * f(j3 - j1 + k - m2) * f(j1 + j2 - j3 - k)
-                     * f(j1 - k - m1) * f(j2 - k + m2))
-            for k in range(max(0, j2 - j3 - m1, j1 - j3 + m2),
-                           min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1))
-    if s == 0:
-        return Fraction(0), 1
-    c, r = _surd(Fraction(
-        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(j2 + j3 - j1)
-        * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3)
-        * f(j3 - m3), f(j1 + j2 + j3 + 1)))
-    return (-s if (j1 - j2 - m3) % 2 else s) * c, r
-
-
-@lru_cache(maxsize=None)
-def _cg(j1, m1, jj, q):
-    """Exact <j1 m1; 1 q | jj m1+q> as a surd, from the 3j symbol."""
-    c, r = _threej(j1, 1, jj, m1, q)
-    if c == 0:
-        return Fraction(0), 1
-    sign = -1 if (j1 + 1 + m1 + q) % 2 else 1
-    return _surd_mul((sign * c, r), _surd(Fraction(2 * jj + 1)))
-
 
 def _w_int(l, m):
     """Slot weight (2l+1)(l+m)!(l-m)!, the squared chain radical."""
     return (2 * l + 1) * math.factorial(l + m) * math.factorial(l - m)
 
 
-@lru_cache(maxsize=None)
-def _ktilde_laurent(l3):
-    """Exact Laurent part of k~_l3: {-(i+1): p_i}, e^{-x} stripped."""
-    return {-(i + 1): Fraction(math.factorial(l3 + i),
-                               math.factorial(i) * math.factorial(l3 - i)
-                               * 2 ** i)
-            for i in range(l3 + 1)}
+def _combine(terms):
+    """sum of (a/b) G over the (a, b, G) of terms, each G a pair (den,
+    integer coefficient list) meaning the list over den; the sum as one
+    such pair in lowest terms."""
+    den = math.lcm(*(b * d for _, b, (d, _) in terms))
+    out = [0] * max(len(c) for _, _, (_, c) in terms)
+    for a, b, (d, c) in terms:
+        f = a * (den // (b * d))
+        for i, v in enumerate(c):
+            out[i] += f * v
+    g = math.gcd(den, *out)
+    return den // g, [v // g for v in out]
 
 
 @lru_cache(maxsize=None)
-def _g_series(l_out, l_in, m):
-    """Radical-free translation factor G as a Laurent dict {kpow: c}.
+def _g_table(top):
+    """Radical-free translation factors {(l_out, l_in, m): {kpow: c}}.
 
-    The full scaled translation entry in direction "12" is
-        U_{l_out,l_in}(m) = sqrt(w(l_out, m) w(l_in, m)) * G(x) e^{-x},
-    with x = kappa*d; direction "21" is (-1)^{l_out+l_in} times it.  Each l3
-    term carries 3j(l_in l_out l3; 000) 3j(l_in l_out l3; m -m 0), whose
-    radicals cancel against sqrt((l_in+m)!(l_in-m)!(l_out+m)!(l_out-m)!).
+    Every l_out, l_in <= top and m <= min(l_out, l_in) is present; the
+    scaled translation entry in direction "12" is U_{l_out,l_in}(m) =
+    sqrt(w(l_out, m) w(l_in, m)) G(x) e^{-x} at x = kappa d, and "21"
+    is (-1)^{l_out+l_in} times it.  G follows the coaxial recurrences of
+    `translation._s_blocks` with the weights folded out, where every
+    coefficient is rational (G[l', l] at order m, k~_l = e^x k_l the
+    Laurent polynomial of `_k_kernel`):
+
+        G[l', 0](0) = -k~_l' / l'!,
+        2m (2l'+1) G[l', m](m) = -G[l'-1, m-1](m-1)
+                                 + (l'-m+1)(l'-m+2) G[l'+1, m-1](m-1),
+        (l+1+m)(l+1-m)/(2l+1) G[l', l+1] = -(l'+1+m)(l'+1-m)/(2l'+1)
+            G[l'+1, l] - G[l'-1, l]/(2l'+1) - G[l', l-1]/(2l+1),
+
+    on integer lists over one denominator each (`_combine`).
     """
-    if m > min(l_out, l_in):
-        return {}
-    f = math.factorial
-    unfold = _surd(Fraction(1, f(l_in + m) * f(l_in - m) * f(l_out + m)
-                            * f(l_out - m)))
-    # -(-1)^(m + l_out), times (-1)^(l_out - l_in) for the 3j product
-    sign = -1 if (m + l_in) % 2 == 0 else 1
+    zero = (1, [])
+    # the column l = m of order m, rows l' = m..2 top - m: column l
+    # reads the rows up to 2 top - l of the columns before it
+    sect = {lp: (math.factorial(lp), [-c for c in _k_kernel(lp)])
+            for lp in range(2 * top + 1)}
     out = {}
-    for l3 in range(abs(l_out - l_in), l_out + l_in + 1, 2):
-        c, r = _surd_mul(_surd_mul(_threej(l_in, l_out, l3, 0, 0),
-                                   _threej(l_in, l_out, l3, m, -m)), unfold)
-        if c == 0:
-            continue
-        if r != 1:
-            raise ArithmeticError(
-                "translation factor G(%d, %d, m=%d) kept the radical "
-                "sqrt(%d)" % (l_out, l_in, m, r))
-        base = sign * (2 * l3 + 1) * c
-        for kp, v in _ktilde_laurent(l3).items():
-            out[kp] = out.get(kp, Fraction(0)) + base * v
-    return {k: v for k, v in out.items() if v != 0}
+    for m in range(top + 1):
+        if m:
+            sect = {lp: _combine(((-1, 2 * m * (2 * lp + 1), sect[lp - 1]),
+                                  ((lp - m + 1) * (lp - m + 2),
+                                   2 * m * (2 * lp + 1), sect[lp + 1])))
+                    for lp in range(m, 2 * top - m + 1)}
+        prev, col = {}, sect
+        for l in range(m, top + 1):
+            for lp in range(m, top + 1):
+                den, c = col[lp]
+                out[lp, l, m] = {-(i + 1): Fraction(v, den)
+                                 for i, v in enumerate(c) if v}
+            if l == top:
+                break
+            # the l step times (l+1+m)(l+1-m)/(2l+1)
+            a, b = 2 * l + 1, (l + 1 + m) * (l + 1 - m)
+            prev, col = col, {lp: _combine((
+                (-a * (lp + 1 + m) * (lp + 1 - m), b * (2 * lp + 1),
+                 col[lp + 1]),
+                (-a, b * (2 * lp + 1), col.get(lp - 1, zero)),
+                (-1, b, prev.get(lp, zero)))) for lp in range(m, 2 * top - l)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +350,21 @@ def _chain_traces(t1, t2, pair, p_max, r_cap):
             for p, mono in out.items()}
 
 
-def _folded(g12, g21, w1, w2, par):
-    """Chain entries U12[a, b] and U21[b, a], each slot's weight whole.
+def _pair(block, weight, a, b, m):
+    """Chain entries U12[a, b] and U21[b, a] of slots a, b = (l, channel).
 
-    U12[a, b] = sqrt(w1 w2) g12, and around a closed chain every slot
-    meets two entries, so each side takes its own slot weight whole.
-    U21[b, a] is the "12" entry of the reversed pair times the reversal
-    parity `par`.  None when the pair does not couple.
+    U12[a, b] = sqrt(W_a W_b) block(a, b, m) with W = weight(l, m); around
+    a closed chain each slot meets two entries, so each side takes its
+    own W whole.  U21[b, a] is the reversed pair's "12" entry times the
+    parity (-1)^{l_a+l_b}, negated on EM mixing entries; None when the
+    pair does not couple.
     """
+    g12, g21 = block(a, b, m), block(b, a, m)
     if not (g12 and g21):
         return None
-    return ({(0, k): w1 * c for k, c in g12.items()},
-            {(0, k): par * w2 * c for k, c in g21.items()})
-
-
-def _scalar_pair(a, b, m):
-    """Scalar U12[a, b] and U21[b, a]: G folded with the weights w(l, m)."""
-    la, lb = a[0], b[0]
-    return _folded(_g_series(la, lb, m), _g_series(lb, la, m),
-                   _w_int(la, m), _w_int(lb, m),
-                   -1 if (la + lb) % 2 else 1)
+    par = -1 if (a[0] + b[0] + (a[1] != b[1])) % 2 else 1
+    return ({(0, k): weight(a[0], m) * c for k, c in g12.items()},
+            {(0, k): par * weight(b[0], m) * c for k, c in g21.items()})
 
 
 def _integrate_traces(per_p, em_form):
@@ -416,6 +386,16 @@ def _integrate_traces(per_p, em_form):
             sgn = Fraction(1, 2 * p) if em_form else Fraction(-1, 2 * p)
             out[idx] = out.get(idx, Fraction(0)) + sgn * c * integ
     return out
+
+
+def _integer(name, value):
+    """value (None passes) as an int (`operator.index`), or a TypeError
+    naming it."""
+    try:
+        return None if value is None else operator.index(value)
+    except TypeError:
+        raise TypeError("%s must be an integer, got %r"
+                        % (name, value)) from None
 
 
 def _lead_power(law):
@@ -448,6 +428,7 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
         when neither dropped scattering orders nor dropped partial waves
         can contribute at order j.
     """
+    p_max, l_cut = _integer("p_max", p_max), _integer("l_cut", l_cut)
     for spec in (spec1, spec2):
         if not is_scalar_law(spec.law):
             raise TypeError("expand_scalar requires Robin-family laws, "
@@ -463,7 +444,10 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
     t1 = _t_slots(spec1.law, range(l_cut + 1), r_cap)
     t2 = _t_slots(spec2.law, range(l_cut + 1), r_cap)
     a1, a2 = _lead_power(spec1.law), _lead_power(spec2.law)
-    traces = _chain_traces(t1, t2, _scalar_pair, p_max, r_cap)
+    g = _g_table(l_cut)
+    traces = _chain_traces(
+        t1, t2, partial(_pair, lambda a, b, m: g.get((a[0], b[0], m)), _w_int),
+        p_max, r_cap)
     raw = _integrate_traces(traces, em_form=False)
     coeffs = {j: raw.get(j, Fraction(0)) for j in range(3, j_max + 1)}
     general_robin = any(
@@ -483,8 +467,8 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
 
 
 # ---------------------------------------------------------------------------
-# electromagnetic route: identical recoupling to the numerical translation
-# blocks, on exact surds, with the scalar route's fold.
+# electromagnetic route: the recoupling of `translation._em_recouple` on the
+# exact factors G, with the scalar route's fold
 # ---------------------------------------------------------------------------
 
 def _w_em(j, m):
@@ -492,58 +476,70 @@ def _w_em(j, m):
     return _w_int(j, m) * j * (j + 1)
 
 
-@lru_cache(maxsize=None)
-def _em_block(key, jr, jc, m):
-    """Exact EM translation block "12" at (J' = jr, J = jc) as {kpow: c}.
+def _cg_sq(dj, j, m, q):
+    """Signed square c|c| of c = <j+dj, m-q; 1 q | j m>, dj in (-1, 0, 1)
+    and j >= max(1, |m|): the closed forms of Edmonds (Table 2) that
+    `translation._em_weights` evaluates in floats, squared, signed."""
+    if dj == 0:
+        if q == 0:
+            return Fraction(m * abs(m), j * (j + 1))
+        return Fraction(-q * (j + q * m) * (j - q * m + 1), 2 * j * (j + 1))
+    if dj == -1:
+        if q == 0:
+            return Fraction((j - m) * (j + m), (2 * j - 1) * j)
+        return Fraction((j + q * m - 1) * (j + q * m), (2 * j - 1) * 2 * j)
+    if q == 0:
+        return Fraction(-(j - m + 1) * (j + m + 1), (j + 1) * (2 * j + 3))
+    return Fraction((j - q * m + 1) * (j - q * m + 2),
+                    (2 * j + 2) * (2 * j + 3))
 
-    key pairs the target and source polarizations, "M" or "E"; the block
-    is sqrt(W(J', m) W(J, m)) times the returned Laurent series, W the
-    slot weight `_w_em`.  A term that keeps a radical raises
+
+@lru_cache(maxsize=None)
+def _em_block(top, a, b, m):
+    """Exact EM block "12" from slot b = (J, pol) to a = (J', pol'), pol
+    "M" or "E", as {kpow: c}, reading G from `_g_table(top + 1)`, top >=
+    max(J', J).
+
+    The block is sqrt(W(J', m) W(J, m)) times the returned series, W the
+    slot weight `_w_em`.  Each term's Clebsch-Gordan and electric
+    constants times sqrt(w w / W W) fold into one rational square, whose
+    exact root is its coefficient; a square that is not perfect raises
     ArithmeticError.
     """
+    (jr, pr), (jc, pc) = a, b
+    g = _g_table(top + 1)
     w_pair = _w_em(jr, m) * _w_em(jc, m)
     total = {}
     for q in (-1, 0, 1):
-        mu = m - q
-        if key[0] == "M":
-            wrow, roff = _cg(jr, mu, jr, q), 0
+        amu = abs(m - q)
+        if pr == "M":
+            row, l_row = _cg_sq(0, jr, m, q), jr
         else:  # the J'-1 channel divided by aR(J')
-            wrow, roff = _surd_mul(_cg(jr - 1, mu, jr, q),
-                                   _surd(Fraction(2 * jr + 1, jr + 1))), -1
-        if wrow[0] == 0:
-            continue
-        if key[1] == "M":
-            parts = ((_cg(jc, mu, jc, q), 0),)
+            row = _cg_sq(-1, jr, m, q) * Fraction(2 * jr + 1, jr + 1)
+            l_row = jr - 1
+        if pc == "M":
+            parts = ((_cg_sq(0, jc, m, q), jc),)
         else:  # -aR(J) and -bR(J) times the J-1 and J+1 channels
-            a_c, a_r = _surd(Fraction(jc + 1, 2 * jc + 1))
-            b_c, b_r = _surd(Fraction(jc, 2 * jc + 1))
-            parts = ((_surd_mul((-a_c, a_r), _cg(jc - 1, mu, jc, q)), -1),
-                     (_surd_mul((-b_c, b_r), _cg(jc + 1, mu, jc, q)), +1))
-        for wcol, coff in parts:
-            l_row, l_col, amu = jr + roff, jc + coff, abs(mu)
-            g = _g_series(l_row, l_col, amu) if wcol[0] != 0 else {}
-            if not g:
+            parts = ((-_cg_sq(-1, jc, m, q) * Fraction(jc + 1, 2 * jc + 1),
+                      jc - 1),
+                     (-_cg_sq(1, jc, m, q) * Fraction(jc, 2 * jc + 1),
+                      jc + 1))
+        for col, l_col in parts:
+            gs = g.get((l_row, l_col, amu)) if row and col else None
+            if not gs:
                 continue
-            c, r = _surd_mul(_surd_mul(wrow, wcol), _surd(Fraction(
-                _w_int(l_row, amu) * _w_int(l_col, amu), w_pair)))
-            if r != 1:
+            sq = row * col * Fraction(
+                _w_int(l_row, amu) * _w_int(l_col, amu), w_pair)
+            root = Fraction(math.isqrt(abs(sq.numerator)),
+                            math.isqrt(sq.denominator))
+            if root * root != abs(sq):
                 raise ArithmeticError(
-                    "EM block %s(%d, %d, m=%d) kept the radical sqrt(%d)"
-                    % (key, jr, jc, m, r))
-            for kp, v in g.items():
+                    "EM block %s%s(%d, %d, m=%d) kept the radical sqrt(%s)"
+                    % (pr, pc, jr, jc, m, abs(sq)))
+            c = root if sq > 0 else -root
+            for kp, v in gs.items():
                 total[kp] = total.get(kp, 0) + c * v
     return {k: v for k, v in total.items() if v != 0}
-
-
-def _em_pair(a, b, m):
-    """EM U12[a, b] and U21[b, a]: blocks folded with the weights W(J, m).
-
-    The reversal parity (-1)^{J1+J2} is negated on the mixing entries.
-    """
-    (j1, p1), (j2, p2) = a, b
-    return _folded(_em_block(p1 + p2, j1, j2, m),
-                   _em_block(p2 + p1, j2, j1, m), _w_em(j1, m), _w_em(j2, m),
-                   -1 if (j1 + j2 + (p1 != p2)) % 2 else 1)
 
 
 def _em_chain_coeffs(tser1, tser2, n_max):
@@ -554,8 +550,10 @@ def _em_chain_coeffs(tser1, tser2, n_max):
     order p starts at (kappa R)^{6p}, i.e. at c_{6(p-1)}, so
     p <= 1 + n_max // 6 covers the window.
     """
-    traces = _chain_traces(tser1, tser2, _em_pair, 1 + n_max // 6,
-                           6 + n_max)
+    top = max((j for j, _ in (*tser1, *tser2)), default=1)
+    traces = _chain_traces(tser1, tser2,
+                           partial(_pair, partial(_em_block, top), _w_em),
+                           1 + n_max // 6, 6 + n_max)
     coeffs = _integrate_traces(traces, em_form=True)
     return {n: coeffs.get(n, Fraction(0)) for n in range(n_max + 1)}
 
@@ -586,7 +584,7 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
         "paper-table" returns the tabulated values; "computed" re-derives
         them with the exact trace engine on PEC Mie series, through
         every scattering order the window reaches (c_0..c_9 take about
-        0.05 to 0.1 s cold).
+        0.04 to 0.08 s cold).
     l_cut : int, optional
         Partial-wave cut (at least 1) of the computed route, refused with
         the table; defaults to the smallest window that certifies all
@@ -597,6 +595,7 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
     SeriesExpansion
         form "em-c": E = -(hbar c/pi)(R^6/d^7) sum c_n (R/d)^n.
     """
+    n_max, l_cut = _integer("n_max", n_max), _integer("l_cut", l_cut)
     if not 0 <= n_max <= 9:
         raise ValueError("the series is implemented for 0 <= n_max <= 9")
     if provenance == "paper-table":
@@ -680,6 +679,7 @@ def eval_series(series, radius, d, n_terms=None):
         (divide by R to compare against per-radius energy estimates),
         per-term contributions, and the first index whose term grew.
     """
+    n_terms = _integer("n_terms", n_terms)
     if not 0.0 < radius < math.inf:
         raise ValueError("series evaluation requires a finite radius > 0, "
                          "got %r" % (radius,))

@@ -9,8 +9,8 @@ quadrature node of a chunk), and the I continued fraction of every row
 runs in one downward sweep (`_chain_rows`); one argument is one row.
 The numeric translation layer needs no Wigner 3j symbols: its blocks
 come from recurrences in the orders and its EM recoupling from closed
-Clebsch-Gordan forms (the exact series in `asymptotics` keeps its own
-exact 3j).
+Clebsch-Gordan forms (the exact series in `asymptotics` runs the same
+recurrences and forms on rationals).
 
 Scaling convention: every stored Bessel log is of I_nu(z)*e^{-z} or
 K_nu(z)*e^{+z}.  Downstream products pair e^{+2z} growth against

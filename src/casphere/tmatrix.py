@@ -294,20 +294,6 @@ def _series_mul(a, b, n):
     return out
 
 
-def _series_inv(a, n):
-    from fractions import Fraction
-    if a[0] == 0:
-        raise ZeroDivisionError("series has no constant term")
-    inv = [Fraction(0)] * n
-    inv[0] = 1 / a[0]
-    for k in range(1, n):
-        s = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += a[j] * inv[k - j]
-        inv[k] = -s / a[0]
-    return inv
-
-
 def _numerators(xs):
     """(den, [x den for x in xs]): rationals as integers over their least
     common denominator den."""
@@ -316,14 +302,15 @@ def _numerators(xs):
 
 
 def _robin_bracket(zeta):
-    """(alpha, beta) of the Robin law: alpha i_l - beta (z i_l)' is
-    i_l - zeta z i_l' at (1 + zeta, zeta), and -z i_l' at the Neumann
-    limit zeta None, (1, 1); zeta enters through its exact binary value."""
+    """(alpha, beta) of the Robin law, alpha = B/A as (B, A) = ([1 + zeta],
+    [1]) and beta = zeta: alpha i_l - beta (z i_l)' is i_l - zeta z i_l',
+    and -z i_l' at the Neumann limit zeta None, ([1], [1]) and 1; zeta
+    enters through its exact binary value."""
     from fractions import Fraction
     if zeta is None:
-        return [Fraction(1)], Fraction(1)
+        return ([Fraction(1)], [Fraction(1)]), Fraction(1)
     zeta = Fraction(zeta)
-    return [1 + zeta], zeta
+    return ([1 + zeta], [Fraction(1)]), zeta
 
 
 def _i_kernels(l, n, n2=1):
@@ -338,36 +325,48 @@ def _i_kernels(l, n, n2=1):
     return a, [(l + 1 + k) * ak for k, ak in enumerate(a)]
 
 
+def _k_kernel(l):
+    """The integers (l+i)!/(i!(l-i)!2^i), i = 0..l, of the outgoing kernel
+    k_l(z) = e^{-z} sum_i c_i z^{-(i+1)}."""
+    return [_fact(l + i) // (_fact(i) * _fact(l - i) * 2 ** i)
+            for i in range(l + 1)]
+
+
 def mie_series_fractions(alpha, beta, l, n_terms):
     """Exact Taylor coefficients of the internal-sign bracket T_l(i kappa).
 
     Returns [c_0, c_1, ...] as Fractions, T_l = sum_k c_k z^{2l+1+k} =
     -(alpha i_l - beta (z i_l)')/(alpha k_l - beta (z k_l)') at z =
-    kappa R, with alpha a rational series in z (n_terms coefficients
-    suffice) and beta a rational; `_series_brackets` gives each law's.
-    The series run on integer numerators over one denominator each, so
-    only the n_terms coefficients returned are reduced Fractions.
+    kappa R, with alpha = B/A given as the pair (B, A) of rational series
+    in z (n_terms coefficients suffice) and beta a rational; so T_l =
+    -(B i_l - beta A (z i_l)')/(B k_l - beta A (z k_l)').
+    `_series_brackets` gives each law's.  The series run on integer
+    numerators over one denominator each, so only the n_terms
+    coefficients returned are reduced Fractions.
     """
     from fractions import Fraction
     n = max(n_terms, l + 2)  # room for the kernel polynomials of k_l
     a, b = _i_kernels(l, n)
     den_k, ab = _numerators(a + b)
     a, b = ab[:n], ab[n:]
-    den_a, alpha = _numerators(alpha)
+    big_b, big_a = alpha
+    _, ba = _numerators(big_b + big_a)
+    big_b, big_a = ba[:len(big_b)], ba[len(big_b):]
     beta = Fraction(beta)
-    bn, bd = beta.numerator * den_a, beta.denominator
+    bn, bd = beta.numerator, beta.denominator
     # outgoing kernel: k_l = e^{-z} z^{-(l+1)} P(z), P of degree l
-    p = [0] * n
-    for i in range(l + 1):
-        p[l - i] = _fact(l + i) // (_fact(i) * _fact(l - i) * 2 ** i)
+    p = _k_kernel(l)[::-1] + [0] * (n - l - 1)
     # (z k_l)' = e^{-z} z^{-(l+1)} [z P' - z P - l P]
     q = [0] * n
     for i in range(l + 1):
         q[i] += (i - l) * p[i]
         q[i + 1] -= p[i]
-    # num and den over den_k den_a bd and den_a bd
-    num = [bd * x - bn * y for x, y in zip(_series_mul(alpha, a, n), b)]
-    den = [bd * x - bn * y for x, y in zip(_series_mul(alpha, p, n), q)]
+    # num and den over den_k den_ab bd and den_ab bd, den_ab the common
+    # denominator of B and A
+    num = [bd * x - bn * y for x, y in zip(_series_mul(big_b, a, n),
+                                           _series_mul(big_a, b, n))]
+    den = [bd * x - bn * y for x, y in zip(_series_mul(big_b, p, n),
+                                           _series_mul(big_a, q, n))]
     if den[0] == 0:
         raise ZeroDivisionError("series has no constant term")
     # 1/den = sum_k inv_k z^k / den_0^(k+1), brought over den_0^n
@@ -385,8 +384,9 @@ def mie_series_fractions(alpha, beta, l, n_terms):
 
 def _series_brackets(law, l, n):
     """{channel: (alpha, beta)} of a law's exact brackets at order l,
-    alpha to n Taylor coefficients in z: the one channel None of a
-    Robin-family law, "M" and "E" of a perfect conductor or dielectric."""
+    alpha = B/A as the pair (B, A) of series to n Taylor coefficients in
+    z: the one channel None of a Robin-family law, "M" and "E" of a
+    perfect conductor or dielectric, whose alpha = (w i_l(w))'/i_l(w)."""
     from fractions import Fraction
     if isinstance(law, PerfectConductor):
         return {ch: _robin_bracket(zeta)
@@ -394,6 +394,5 @@ def _series_brackets(law, l, n):
     if isinstance(law, Dielectric):
         eps, mu = Fraction(law.eps), Fraction(law.mu)
         a, b = _i_kernels(l, n, eps * mu)
-        alpha = _series_mul(b, _series_inv(a, n), n)
-        return {"M": (alpha, mu), "E": (alpha, eps)}
+        return {"M": ((b, a), mu), "E": ((b, a), eps)}
     return {None: _robin_bracket(_effective_zeta(law))}

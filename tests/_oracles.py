@@ -10,13 +10,16 @@ one-order Bessel wrapper in the middle reads the production chain,
 likewise.  Both read one row of the batched production calls
 (`chain_row`, `t_log_row`).  The printed dielectric series at the very
 end, typed in from the paper's static response data, is the
-independent check of the derived one.  The row-batched 3j recursion,
-which production no longer uses, serves the one-symbol 3j wrappers and
-the W kernel of the 3j-sum translation oracle, and is itself checked
-against the one-family one.  The one-argument Bessel-I continued
-fractions and the one-interval Gauss-Kronrod rule, which production
-runs over many rows at once, are the arithmetic whose bytes each of
-those rows must reproduce.
+independent check of the derived one.  The exact translation factors
+and electromagnetic blocks of the large-distance series (`g_series_ref`,
+`em_block_ref`) come from the exact 3j squares, not from the production
+recurrences, and the slot-by-slot chain enumeration multiplies them.
+The row-batched 3j recursion, which production no longer uses, serves
+the one-symbol 3j wrappers and the W kernel of the 3j-sum translation
+oracle, and is itself checked against the one-family one.  The
+one-argument Bessel-I continued fractions and the one-interval
+Gauss-Kronrod rule, which production runs over many rows at once, are
+the arithmetic whose bytes each of those rows must reproduce.
 """
 
 import math
@@ -30,7 +33,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from casphere.asymptotics import SeriesExpansion, _g_series, _mono_mul, _w_int
+from casphere.asymptotics import SeriesExpansion, _mono_mul
 from casphere.specfun import BesselChain, _chain_rows, _log_i_half_scaled
 from casphere.tmatrix import (
     Dispersive,
@@ -40,7 +43,6 @@ from casphere.tmatrix import (
     _dfact,
     _effective_zeta,
     _robin_bracket,
-    _series_inv,
     _series_mul,
     _t_em_rows,
     _t_scalar_rows,
@@ -776,17 +778,25 @@ def _sph_basis():
     }
 
 
+def clebsch_exact_sq(j1, m1, j2, m2, J, M):
+    """Signed square c|c| of c = <j1 m1; j2 m2 | J M>, an exact Fraction,
+    from the exact 3j square."""
+    if m1 + m2 != M:
+        return Fraction(0)
+    sign, sq = threej_exact_sq(j1, j2, J, m1, m2, -M)
+    if (j1 - j2 + M) % 2:
+        sign = -sign
+    return sign * (2 * J + 1) * sq
+
+
 def clebsch(j1, m1, j2, m2, J, M):
     """<j1 m1; j2 m2 | J M> from the exact 3j square, correctly rounded."""
-    if m1 + m2 != M:
+    sq = clebsch_exact_sq(j1, m1, j2, m2, J, M)
+    if sq == 0:
         return 0.0
-    sign, sq = threej_exact_sq(j1, j2, J, m1, m2, -M)
-    if sign == 0:
-        return 0.0
-    sq *= 2 * J + 1
     with mp.workdps(40):
-        val = mp.sqrt(mp.mpf(sq.numerator) / sq.denominator)
-    return float(sign * (-1) ** (j1 - j2 + M) * val)
+        val = mp.sqrt(mp.mpf(abs(sq.numerator)) / sq.denominator)
+    return float(val if sq > 0 else -val)
 
 
 def vector_harmonic(J, L, m, th, ph):
@@ -1239,8 +1249,105 @@ def leading_lndets_mp(nmat, dps=50):
 
 
 # ---------------------------------------------------------------------------
-# large-distance series: the slot-by-slot chain enumeration
+# large-distance series: exact translation factors from the 3j sum, and the
+# slot-by-slot chain enumeration
 # ---------------------------------------------------------------------------
+
+def _exact_root(sq):
+    """sign(sq) sqrt(|sq|) of a rational sq whose |sq| is a perfect square."""
+    num, den = abs(sq.numerator), sq.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        raise ArithmeticError("sqrt(%s) is not rational" % abs(sq))
+    return Fraction(rn if sq > 0 else -rn, rd)
+
+
+def _w_ref(l, m):
+    """Scalar slot weight (2l+1)(l+m)!(l-m)!."""
+    return (2 * l + 1) * _fact(l + m) * _fact(l - m)
+
+
+def _w_em_ref(j, m):
+    """EM slot weight (2J+1)(J+m)!(J-m)! J(J+1)."""
+    return _w_ref(j, m) * j * (j + 1)
+
+
+@lru_cache(maxsize=None)
+def g_series_ref(l_out, l_in, m):
+    """Translation factor G as a Laurent dict {kpow: c}, from the 3j sum.
+
+    U_{l_out,l_in}(m) = sqrt(w(l_out, m) w(l_in, m)) G(x) e^{-x} with
+    w(l, m) = (2l+1)(l+m)!(l-m)!, and the 3j sum of the translation
+    notes gives
+
+        G = -(-1)^{l_in+m} sum_{l3} (2 l3 + 1) 3j(l_in l_out l3; 0 0 0)
+            3j(l_in l_out l3; m -m 0) k~_{l3}(x)
+            / sqrt((l_in+m)! (l_in-m)! (l_out+m)! (l_out-m)!),
+
+    k~_l(x) = sum_i (l+i)!/(i!(l-i)! 2^i) x^-(i+1) the Laurent part of
+    k_l.  Each term's coefficient is the exact root of the product of
+    the two exact 3j squares over the factorials.  Empty for m above
+    min(l_out, l_in).
+    """
+    if m > min(l_out, l_in):
+        return {}
+    unfold = Fraction(1, _fact(l_in + m) * _fact(l_in - m)
+                      * _fact(l_out + m) * _fact(l_out - m))
+    sign = -1 if (l_in + m) % 2 == 0 else 1
+    out = {}
+    for l3 in range(abs(l_out - l_in), l_out + l_in + 1, 2):
+        s0, q0 = threej_exact_sq(l_in, l_out, l3, 0, 0, 0)
+        s1, q1 = threej_exact_sq(l_in, l_out, l3, m, -m, 0)
+        if s0 * s1 == 0:
+            continue
+        c = sign * (2 * l3 + 1) * _exact_root(s0 * s1 * q0 * q1 * unfold)
+        for i in range(l3 + 1):
+            out[-(i + 1)] = out.get(-(i + 1), 0) + c * Fraction(
+                _fact(l3 + i), _fact(i) * _fact(l3 - i) * 2 ** i)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+@lru_cache(maxsize=None)
+def em_block_ref(key, jr, jc, m):
+    """EM translation block "12" at (J' = jr, J = jc) as {kpow: c}.
+
+    The recoupling of `translation._em_recouple` on `g_series_ref`, with
+    the Clebsch-Gordan weights from exact 3j squares
+    (`clebsch_exact_sq`): key pairs the target and source polarizations,
+    "M" or "E", and the block is sqrt(W(J', m) W(J, m)) times the
+    returned Laurent series, W(J, m) = w(J, m) J(J+1).  A magnetic row or
+    column reads the orbital J channel with weight <J m-q; 1 q | J m>; an
+    electric row the J'-1 channel over aR(J') = sqrt((J'+1)/(2J'+1)); an
+    electric column -aR(J) times the J-1 channel and -bR(J) =
+    -sqrt(J/(2J+1)) times the J+1 channel.
+    """
+    w_pair = _w_em_ref(jr, m) * _w_em_ref(jc, m)
+    total = {}
+    for q in (-1, 0, 1):
+        mu = m - q
+        if key[0] == "M":
+            row, l_row = clebsch_exact_sq(jr, mu, 1, q, jr, m), jr
+        else:
+            row = clebsch_exact_sq(jr - 1, mu, 1, q, jr, m) \
+                * Fraction(2 * jr + 1, jr + 1)
+            l_row = jr - 1
+        if key[1] == "M":
+            parts = ((clebsch_exact_sq(jc, mu, 1, q, jc, m), jc),)
+        else:
+            parts = ((-clebsch_exact_sq(jc - 1, mu, 1, q, jc, m)
+                      * Fraction(jc + 1, 2 * jc + 1), jc - 1),
+                     (-clebsch_exact_sq(jc + 1, mu, 1, q, jc, m)
+                      * Fraction(jc, 2 * jc + 1), jc + 1))
+        for col, l_col in parts:
+            g = g_series_ref(l_row, l_col, abs(mu))
+            if not (row and col and g):
+                continue
+            c = _exact_root(row * col * Fraction(
+                _w_ref(l_row, abs(mu)) * _w_ref(l_col, abs(mu)), w_pair))
+            for kp, v in g.items():
+                total[kp] = total.get(kp, 0) + c * v
+    return {k: v for k, v in total.items() if v != 0}
+
 
 def _t_slot_scalar_ref(law, l, r_cap):
     """Taylor monomials {(r, r): c} of one internal-sign scalar T entry."""
@@ -1256,12 +1363,13 @@ def chain_trace_scalar_ref(t1, t2, p, l_cut, r_cap):
 
     Enumerates every (l_cut+1)^(2p) slot tuple and, for each m up to the
     smallest slot, multiplies T1 U12 T2 U21 ... around the chain with the
-    radical-free G factors and the integer slot weights w.
+    radical-free factors G of `g_series_ref` and the integer slot weights
+    w.
     """
     lead1 = {l: min(r for r, _ in d) if d else None for l, d in t1.items()}
     lead2 = {l: min(r for r, _ in d) if d else None for l, d in t2.items()}
     g12 = lru_cache(maxsize=None)(lambda lo, li, m: {
-        (0, kp): c for kp, c in _g_series(lo, li, m).items()})
+        (0, kp): c for kp, c in g_series_ref(lo, li, m).items()})
     # U21 = (U12)^T, and the radical sqrt(w w) is symmetric
     g21 = lru_cache(maxsize=None)(lambda lo, li, m: g12(li, lo, m))
     acc = {}
@@ -1287,7 +1395,7 @@ def chain_trace_scalar_ref(t1, t2, p, l_cut, r_cap):
                 term = _mono_mul(term, g21(b, nxt, m), r_cap)
                 if not term:
                     break
-                wm *= _w_int(a, m) * _w_int(b, m)
+                wm *= _w_ref(a, m) * _w_ref(b, m)
             for key, c in term.items():
                 acc[key] = acc.get(key, Fraction(0)) + wm * c
     return acc
@@ -1498,6 +1606,20 @@ def gk15_ref(a, b, fv):
 # conductor's channels as its entries at zeta = 0 (M) and zeta = -1 (E):
 # independent of the production bracket series, in plain Fractions
 # ---------------------------------------------------------------------------
+
+def _series_inv(a, n):
+    """The first n Taylor coefficients of 1/a, Fraction by Fraction."""
+    if a[0] == 0:
+        raise ZeroDivisionError("series has no constant term")
+    inv = [Fraction(0)] * n
+    inv[0] = 1 / Fraction(a[0])
+    for k in range(1, n):
+        s = Fraction(0)
+        for j in range(1, min(k, len(a) - 1) + 1):
+            s += a[j] * inv[k - j]
+        inv[k] = -s / a[0]
+    return inv
+
 
 def robin_series_ref(zeta, l, n_terms):
     """Exact Taylor coefficients of a Robin sphere's internal-sign T_l.

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import casphere.asymptotics as asym
 from casphere.asymptotics import (
     _METAL_C,
-    _cg,
-    _g_series,
-    _threej,
+    _cg_sq,
+    _g_table,
     _w_em,
     _w_int,
     eval_series,
@@ -38,8 +37,11 @@ from _oracles import (
     _gamma14_hat,
     dielectric_series_printed,
     dipole_dipole_coefficient,
+    em_block_ref,
     em_weights_3j,
+    g_series_ref,
     scalar_series_ref,
+    threej_exact_sq,
     u_scalar_element,
     wigner3j,
 )
@@ -56,45 +58,48 @@ DN_TABLE = {3: F(0), 4: F(0), 5: F(17, 48), 6: F(11, 32), 7: F(663, 160),
 
 
 # ---------------------------------------------------------------------------
-# exact Wigner building blocks
+# exact translation factors
 # ---------------------------------------------------------------------------
 
-def test_threej_zero_split_matches_reference():
-    # the (0, 0, 0) symbols of the translation factor G
-    for l1 in range(6):
-        for l2 in range(6):
-            for l3 in range(abs(l1 - l2), l1 + l2 + 1):
-                c, r = _threej(l1, l2, l3, 0, 0)
-                built = float(c) * math.sqrt(r)
-                ref = wigner3j(ThreeJArgs(l1, l2, l3, 0, 0, 0))
-                assert built == pytest.approx(ref, abs=1e-14)
-
-
-def test_threej_m_split_matches_reference():
-    # the (m, -m, 0) symbols of the translation factor G
-    for l1 in range(5):
-        for l2 in range(5):
-            for m in range(-min(l1, l2), min(l1, l2) + 1):
-                for l3 in range(abs(l1 - l2), l1 + l2 + 1):
-                    c, r = _threej(l1, l2, l3, m, -m)
-                    built = float(c) * math.sqrt(r)
-                    ref = wigner3j(ThreeJArgs(l1, l2, l3, m, -m, 0))
-                    assert built == pytest.approx(ref, abs=1e-13)
-
-
 def test_exact_threej_matches_reference():
-    # every projection of every symbol with l1, l2 <= 5, both the
-    # (0, 0, 0) row of the translation factor and the (m, -m, 0) rows
+    # the exact 3j squares behind the translation-factor oracles, every
+    # projection with l1, l2 <= 5 (the (0, 0, 0) and (m, -m, 0) rows of
+    # G among them), against the 3j recursion
     for l1 in range(6):
         for l2 in range(6):
             for l3 in range(abs(l1 - l2), l1 + l2 + 1):
                 for m1 in range(-l1, l1 + 1):
                     for m2 in range(-l2, l2 + 1):
-                        c, r = _threej(l1, l2, l3, m1, m2)
-                        built = float(c) * math.sqrt(r)
+                        sign, sq = threej_exact_sq(l1, l2, l3, m1, m2,
+                                                   -m1 - m2)
+                        built = sign * math.sqrt(sq)
                         ref = wigner3j(ThreeJArgs(l1, l2, l3, m1, m2,
                                                   -m1 - m2))
                         assert built == pytest.approx(ref, abs=1e-14)
+
+
+def test_translation_factors_match_exact_3j_oracle():
+    # the coaxial recurrences on rationals against the 3j sum, Fraction
+    # for Fraction, at every (l_out, l_in, m) with l_out, l_in <= 10
+    table = _g_table.__wrapped__(10)
+    keys = [(lo, li, m) for lo in range(11) for li in range(11)
+            for m in range(min(lo, li) + 1)]
+    assert sorted(table) == sorted(keys)
+    for key in keys:
+        assert table[key] == g_series_ref(*key), key
+
+
+def test_em_blocks_match_exact_clebsch_oracle():
+    # the blocks on the squared closed-form weights against the exact
+    # Clebsch-Gordan squares, at every key and (J', J, m) with J', J <= 8
+    for key in ("MM", "ME", "EM", "EE"):
+        for jr in range(1, 9):
+            for jc in range(1, 9):
+                for m in range(min(jr, jc) + 1):
+                    block = asym._em_block.__wrapped__(
+                        8, (jr, key[0]), (jc, key[1]), m)
+                    assert block == em_block_ref(key, jr, jc, m), \
+                        (key, jr, jc, m)
 
 
 def test_translation_factor_matches_block():
@@ -107,7 +112,7 @@ def test_translation_factor_matches_block():
                     # l_out], and the radical sqrt(w w) is symmetric
                     for rc, direction in (((l_out, l_in), "12"),
                                           ((l_in, l_out), "21")):
-                        g = _g_series(*rc, m)
+                        g = _g_table(3)[(*rc, m)]
                         val = sum(float(c) * x ** k for k, c in g.items())
                         val *= math.sqrt(_w_int(l_out, m) * _w_int(l_in, m))
                         val *= math.exp(-x)
@@ -125,9 +130,9 @@ def test_translation_factor_transpose_is_parity():
         for l_in in range(7):
             par = -1 if (l_out + l_in) % 2 else 1
             for m in range(min(l_out, l_in) + 1):
-                g = _g_series(l_out, l_in, m)
+                g = _g_table(6)[l_out, l_in, m]
                 assert g
-                assert _g_series(l_in, l_out, m) == {
+                assert _g_table(6)[l_in, l_out, m] == {
                     k: par * c for k, c in g.items()}
 
 
@@ -332,19 +337,18 @@ def test_metal_uncertified_cut_is_flagged():
 
 
 def test_exact_clebsch_gordan_matches_recoupling_weights():
-    # the series route's exact CG and the energy route's closed-form
-    # weights, and the 3j-route weights of the translation oracle:
-    # <J m-q; 1 q | J m> and the J-1, J+1 channels, J <= 8
+    # the series route's signed CG squares and the energy route's
+    # closed-form weights, and the 3j-route weights of the translation
+    # oracle: <J m-q; 1 q | J m> and the J-1, J+1 channels, |m| <= J <= 8
     for m in range(-8, 9):
         for w0, wm, wp, _, _ in (_em_weights(7, m), em_weights_3j(7, m)):
             for iq, q in enumerate((-1, 0, 1)):
-                for jj in range(1, 9):
-                    for weights, j1 in ((w0, jj), (wm, jj - 1),
-                                        (wp, jj + 1)):
-                        c, r = _cg(j1, m - q, jj, q)
-                        exact = float(c) * math.sqrt(r)
+                for jj in range(max(1, abs(m)), 9):
+                    for weights, dj in ((w0, 0), (wm, -1), (wp, 1)):
+                        sq = _cg_sq(dj, jj, m, q)
+                        exact = math.copysign(math.sqrt(abs(sq)), sq)
                         assert abs(exact - weights[iq, jj]) <= 1e-15, \
-                            (j1, m - q, jj, q)
+                            (jj + dj, m - q, jj, q)
 
 
 @pytest.mark.parametrize("x", [0.05, 0.3, 1.7])
@@ -365,7 +369,8 @@ def test_em_blocks_are_rational_multiples_of_the_slot_weights(x):
                 pol = u[2 * jr:2 * jr + 2, 2 * jc:2 * jc + 2]
                 for ir, pr in enumerate("ME"):
                     for ic, pc in enumerate("ME"):
-                        g = asym._em_block.__wrapped__(pr + pc, jr, jc, m)
+                        g = asym._em_block.__wrapped__(6, (jr, pr),
+                                                       (jc, pc), m)
                         assert all(isinstance(c, F) for c in g.values())
                         # summed exactly: the Laurent terms cancel
                         val = float(sum(c * F(x) ** k for k, c in g.items()))
@@ -377,16 +382,16 @@ def test_em_blocks_are_rational_multiples_of_the_slot_weights(x):
 
 def test_em_radical_mismatch_raises(monkeypatch):
     # a block whose q terms keep a radical the slot weights cannot take:
-    # skew the magnetic source weight of q = +1 only
-    real_cg = asym._cg
+    # skew the squared magnetic source weight of q = +1 only
+    real_cg_sq = asym._cg_sq
 
-    def skewed_cg(j1, m1, jj, q):
-        c, r = real_cg(j1, m1, jj, q)
-        return c, (101 * r if q == 1 and j1 == jj else r)
+    def skewed_cg_sq(dj, j, m, q):
+        sq = real_cg_sq(dj, j, m, q)
+        return 101 * sq if q == 1 and dj == 0 else sq
 
-    monkeypatch.setattr(asym, "_cg", skewed_cg)
+    monkeypatch.setattr(asym, "_cg_sq", skewed_cg_sq)
     with pytest.raises(ArithmeticError, match="kept the radical"):
-        asym._em_block.__wrapped__("EM", 2, 2, 1)
+        asym._em_block.__wrapped__(2, (2, "E"), (2, "M"), 1)
     monkeypatch.undo()
     # a slot weight that is not the squared chain radical
     real_w = asym._w_em
@@ -394,7 +399,25 @@ def test_em_radical_mismatch_raises(monkeypatch):
                         lambda j, m: 2 * real_w(j, m) if j == 2 else
                         real_w(j, m))
     with pytest.raises(ArithmeticError, match="kept the radical"):
-        asym._em_block.__wrapped__("MM", 2, 1, 0)
+        asym._em_block.__wrapped__(2, (2, "M"), (1, "M"), 0)
+
+
+def test_non_integer_orders_are_refused():
+    # every order argument is refused at entry, naming itself, rather than
+    # failing deep inside; integer types other than int are taken
+    series = expand_scalar(D, D)
+    for call, name in (
+            (lambda: expand_scalar(D, D, p_max=2.0), "p_max"),
+            (lambda: expand_scalar(D, D, l_cut=1.5), "l_cut"),
+            (lambda: expand_em_metal(2.0), "n_max"),
+            (lambda: expand_em_metal(4, "computed", l_cut=2.5), "l_cut"),
+            (lambda: eval_series(series, 1.0, 10.0, n_terms=1.5),
+             "n_terms")):
+        with pytest.raises(TypeError, match=name):
+            call()
+    assert expand_scalar(D, D, p_max=np.int64(3)).coeffs == DD_TABLE
+    assert eval_series(series, 1.0, 10.0, n_terms=np.int64(6)) \
+        == eval_series(series, 1.0, 10.0)
 
 
 def test_metal_validation():
