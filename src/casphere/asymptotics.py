@@ -59,7 +59,6 @@ stop shrinking.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -69,6 +68,7 @@ from .tmatrix import (
     PerfectConductor,
     Robin,
     _effective_zeta,
+    _integer,
     _k_kernel,
     _numerators,
     _series_brackets,
@@ -388,16 +388,6 @@ def _integrate_traces(per_p, em_form):
     return out
 
 
-def _integer(name, value):
-    """value (None passes) as an int (`operator.index`), or a TypeError
-    naming it."""
-    try:
-        return None if value is None else operator.index(value)
-    except TypeError:
-        raise TypeError("%s must be an integer, got %r"
-                        % (name, value)) from None
-
-
 def _lead_power(law):
     """Smallest kappa power any partial wave of this law starts at."""
     return 3 if _effective_zeta(law) is None else 1  # Neumann-like
@@ -495,10 +485,12 @@ def _cg_sq(dj, j, m, q):
 
 
 @lru_cache(maxsize=None)
-def _em_block(top, a, b, m):
+def _em_block(a, b, m):
     """Exact EM block "12" from slot b = (J, pol) to a = (J', pol'), pol
-    "M" or "E", as {kpow: c}, reading G from `_g_table(top + 1)`, top >=
-    max(J', J).
+    "M" or "E", as {kpow: c}, reading G from `_g_table(max(J', J) + 1)`,
+    the smallest table that holds it (an entry of G is the same rational
+    in every table that holds it, so the block does not depend on which
+    one it reads).
 
     The block is sqrt(W(J', m) W(J, m)) times the returned series, W the
     slot weight `_w_em`.  Each term's Clebsch-Gordan and electric
@@ -507,7 +499,7 @@ def _em_block(top, a, b, m):
     ArithmeticError.
     """
     (jr, pr), (jc, pc) = a, b
-    g = _g_table(top + 1)
+    g = _g_table(max(jr, jc) + 1)
     w_pair = _w_em(jr, m) * _w_em(jc, m)
     total = {}
     for q in (-1, 0, 1):
@@ -550,9 +542,8 @@ def _em_chain_coeffs(tser1, tser2, n_max):
     order p starts at (kappa R)^{6p}, i.e. at c_{6(p-1)}, so
     p <= 1 + n_max // 6 covers the window.
     """
-    top = max((j for j, _ in (*tser1, *tser2)), default=1)
     traces = _chain_traces(tser1, tser2,
-                           partial(_pair, partial(_em_block, top), _w_em),
+                           partial(_pair, _em_block, _w_em),
                            1 + n_max // 6, 6 + n_max)
     coeffs = _integrate_traces(traces, em_form=True)
     return {n: coeffs.get(n, Fraction(0)) for n in range(n_max + 1)}
@@ -595,7 +586,8 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
     SeriesExpansion
         form "em-c": E = -(hbar c/pi)(R^6/d^7) sum c_n (R/d)^n.
     """
-    n_max, l_cut = _integer("n_max", n_max), _integer("l_cut", l_cut)
+    n_max = _integer("n_max", n_max)
+    l_cut = _integer("l_cut", l_cut, optional=True)
     if not 0 <= n_max <= 9:
         raise ValueError("the series is implemented for 0 <= n_max <= 9")
     if provenance == "paper-table":
@@ -679,7 +671,7 @@ def eval_series(series, radius, d, n_terms=None):
         (divide by R to compare against per-radius energy estimates),
         per-term contributions, and the first index whose term grew.
     """
-    n_terms = _integer("n_terms", n_terms)
+    n_terms = _integer("n_terms", n_terms, optional=True)
     if not 0.0 < radius < math.inf:
         raise ValueError("series evaluation requires a finite radius > 0, "
                          "got %r" % (radius,))

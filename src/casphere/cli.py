@@ -185,7 +185,10 @@ def _check_field_pair(field, law1, law2):
                          % (field, kind))
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="casphere",
         description="Casimir energies and forces between spheres "

@@ -20,7 +20,8 @@ one batch of translation kernels per sphere distance covers every node,
 spheres of one radius share one Bessel chain, each distinct sphere's
 T-matrix diagonals come from one batched call on it, and each (sphere
 pair, polarization, polarization) writes the m-blocks of every node with
-one multiply.
+one multiply (the one block of two equal spheres, below, takes one for
+all of them).
 
 The per-l cuts of every m-block are leading principal minors of 1 - N_m,
 and the m-blocks of many nodes are eliminated together, m-major and
@@ -66,6 +67,7 @@ from .specfun import _chain_rows
 from .tmatrix import (
     SphereSpec,
     _checked_kappas,
+    _integer,
     _t_em_rows,
     _t_scalar_rows,
     is_em_law,
@@ -279,10 +281,11 @@ def _l_min(fld):
 
 
 def _checked_field(geometry, field_kind, l_max):
-    """The FieldKind of an energy request, after the checks every entry
-    point shares: each sphere's law suits the field, and l_max reaches
-    the lowest orbital order."""
+    """(FieldKind, l_max as an int) of an energy request, after the
+    checks every entry point shares: each sphere's law suits the field,
+    and l_max is an integer that reaches the lowest orbital order."""
     fld = _as_field(field_kind)
+    l_max = _integer("l_max", l_max)
     for sp in geometry.spheres:
         if fld.is_em and not is_em_law(sp.law):
             raise TypeError("EM field requires dielectric/PEC spheres, "
@@ -292,7 +295,7 @@ def _checked_field(geometry, field_kind, l_max):
                             "got %r" % (sp.law,))
     if l_max < _l_min(fld):
         raise ValueError("l_max must be >= %d" % _l_min(fld))
-    return fld
+    return fld, l_max
 
 
 def _panels(sizes, stride):
@@ -334,9 +337,12 @@ def _shrinking_pivots(sizes, stride, write, comps=1):
     One panel of `stride` rows (one orbital order) at a time: rank-1
     steps confined to the panel's rows and columns, on a transposed copy
     of its columns so each sweeps contiguous rows, each pivot column
-    divided once by its pivot, then one batched matmul writes the next
-    windows B22 + (B21 / piv) @ B12 into the other buffer of a ping-pong
-    pair.  The buffers live only as long as this call.
+    divided once by its pivot in place (a split-complex one times the
+    inverse pivot a + j b as col a + (col, components swapped) b), then
+    one batched matmul writes the next windows B22 + (B21 / piv) @ B12
+    into the other buffer of a ping-pong pair; split-complex B12 enters
+    it stacked over its swapped components, so one product forms both.
+    The buffers live only as long as this call.
     """
     n = sizes[0]
     bufs = [np.empty(comps * size) for size in _buffer_sizes(sizes, stride)]
@@ -359,7 +365,9 @@ def _shrinking_pivots(sizes, stride, write, comps=1):
                 s, d = bk[:, :1], bk[:, 1:]
                 bk = s * (2.0 - s) + d * d
                 inv = np.concatenate((1.0 - s, d), axis=1) / (1.0 - bk)
-                col[:] = col * inv[:, :1] + col[:, ::-1] * inv[:, 1:]
+                flip = col[:, ::-1] * inv[:, 1:]
+                col *= inv[:, :1]
+                col += flip
             q[:nact, k0 + k] = bk[:, 0, 0]
             # the panel's last row leaves no panel column to update
             j = stride - k - 1
@@ -376,7 +384,7 @@ def _shrinking_pivots(sizes, stride, write, comps=1):
             if comps == 2:
                 # component k of B21 B12 is sum_i B21_i B12_(i ^ k): one
                 # matmul over the stacked (component, row) inner axis
-                b12 = b12[:, [[0, 1], [1, 0]]].reshape(nact, 2, 2 * stride, v)
+                b12 = np.concatenate((b12, b12[:, ::-1]), axis=2)
             np.matmul(cols[..., stride:].reshape(nact, 1, comps * stride, v)
                       .swapaxes(2, 3), b12, out=nxt)
             nxt += act[:, :, stride:, stride:]
@@ -498,15 +506,22 @@ def _write_blocks(out, pairs, pol, l0, m0):
     columns run l-major with (sphere, polarization) inside each order,
     so every sphere cut at order l is a leading principal submatrix.
     One strided multiply per (pair, polarization, polarization) writes
-    every m of every node and keeps the innermost runs long.
+    every m of every node and keeps the innermost runs long.  The mirror
+    form's one block already has u's interleaved (l, polarization)
+    layout, so one multiply writes it whole.
     """
     lo = pol * l0
     nm, nn, comps, nl, nsph = out.shape[:5]
     out[:, :, :-1] = 0.0  # S of the mirror form
     out = out[:, :, -1]
-    if comps == 1:
-        for a in range(nsph):
-            out[:, :, :, a, :, :, a] = 0.0
+    if comps == 2:
+        (_, _, scale, u), = pairs
+        np.multiply(scale[:, lo:, lo:],
+                    u[:, m0:m0 + nm, lo:, lo:].swapaxes(0, 1),
+                    out=out.reshape(nm, nn, pol * nl, pol * nl))
+        return
+    for a in range(nsph):
+        out[:, :, :, a, :, :, a] = 0.0
     for a, b, scale, u in pairs:
         s = scale[:, lo:, lo:].reshape(nn, nl, pol, nl, pol)
         blocks = u[:, m0:m0 + nm, lo:, lo:].reshape(
@@ -670,7 +685,7 @@ def integrand(geometry, field_kind, kappa, l_max):
     """
     if geometry.n_spheres != 2:
         raise ValueError("integrand is defined for two-sphere geometries")
-    fld = _checked_field(geometry, field_kind, l_max)
+    fld, l_max = _checked_field(geometry, field_kind, l_max)
     return float(_histories(geometry, fld, [kappa], l_max)[0, l_max])
 
 
@@ -976,7 +991,7 @@ def casimir_energy(geometry, field_kind, l_max, quad=QuadSpec()):
         raise ValueError("casimir_energy expects exactly two spheres; "
                          "use casimir_energy_nbody for more")
     return _integrate_history(
-        geometry, _checked_field(geometry, field_kind, l_max), l_max, quad)
+        geometry, *_checked_field(geometry, field_kind, l_max), quad)
 
 
 def casimir_energy_nbody(geometry, field_kind, l_max, quad=QuadSpec()):
@@ -988,7 +1003,7 @@ def casimir_energy_nbody(geometry, field_kind, l_max, quad=QuadSpec()):
     case, which `casimir_energy` computes with the same assembly.
     """
     return _integrate_history(
-        geometry, _checked_field(geometry, field_kind, l_max), l_max, quad)
+        geometry, *_checked_field(geometry, field_kind, l_max), quad)
 
 
 # suggest_l_max: the probe's order and quadrature, the residual it aims

@@ -23,6 +23,7 @@ large-distance expansions, dielectric spheres included.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,19 @@ def _robin_log(ch, zeta):
     if zeta is None:
         return _bracket_log(ch, -(lv + zrho), zsig_l)
     return _bracket_log(ch, 1.0 - zeta * (lv + zrho), 1.0 + zeta * zsig_l)
+
+
+def _integer(name, value, optional=False):
+    """value as an int (`operator.index`; a bool is not one), None
+    too when optional, or a TypeError naming it."""
+    if value is None and optional:
+        return None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError("%s must be an integer, got %r" % (name, value))
 
 
 def _checked_kappas(kv):

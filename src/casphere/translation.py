@@ -60,8 +60,9 @@ recouple the same S stack, with Clebsch-Gordan weights in closed form
 and k_{J'+J+1} factored out, so their ratios are again <= 1.  Order m
 of an EM block reads only the S orders m-1..m+1 and is zero in the rows
 and columns below max(1, m), so the recoupling fills only that live
-region: for the lower and the upper half of the orders, each with its
-own S orders and its own first live row.
+region: in parts of consecutive orders (two halves up to l_max 15,
+about eight orders each above), each with its own S orders and its own
+first live row.
 """
 
 import math
@@ -361,7 +362,7 @@ def _em_weight_stack(l_max):
     return out
 
 
-def _em_recouple(s, l_max, ratio):
+def _em_recouple(s, l_max, ratio, parts=None):
     """Interleaved EM blocks G[x, m] / k_{J'+J+1} for m = 0..l_max.
 
     s is the scalar S stack at order l_max+1, one row per node x.  A
@@ -371,17 +372,22 @@ def _em_recouple(s, l_max, ratio):
     order m reads mu = |m - q|.
 
     Rows and columns below max(1, m) are zero, so only the live region
-    is computed, into a zeroed G.  The orders run in two halves,
-    [0, n//2) and [n//2, n): the half from m0 to m1 reads the orders
-    mu = m0-1..m1 of S, and its rows and columns J', J >= max(1, m0),
-    each read scaled once (J-1 >= 0 there, so S needs no padding).
-    Every entry keeps the products and the q order of the whole-cube
-    sum, so its bytes do not depend on the split.
+    is computed, into a zeroed G.  The n = l_max + 1 orders run in
+    `parts` runs of consecutive orders, by default max(2, n // 8): two
+    halves up to l_max 15, then parts of about eight orders, which skip
+    most of the dead rows at a few dozen numpy calls each.  The part
+    from m0 to m1 reads the orders mu = m0-1..m1 of S, and its rows and
+    columns J', J >= max(1, m0), each read scaled once (J-1 >= 0 there,
+    so S needs no padding).  Every entry keeps the products and the q
+    order of the whole-cube sum, so its bytes do not depend on the
+    split.
     """
     nx = len(s)
     n = l_max + 1
+    parts = max(2, n // 8) if parts is None else parts
     g = np.zeros((nx, n, n, 2, n, 2))
-    for m0, m1 in ((0, n // 2), (n // 2, n)):
+    edges = [n * i // parts for i in range(parts + 1)]
+    for m0, m1 in zip(edges[:-1], edges[1:]):
         r0, b = max(1, m0), max(0, m0 - 1)
         t_m, t_e, c_lo, c_hi = (w[m0:m1, :, r0:]
                                 for w in _em_weight_stack(l_max))

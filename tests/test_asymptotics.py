@@ -97,7 +97,7 @@ def test_em_blocks_match_exact_clebsch_oracle():
             for jc in range(1, 9):
                 for m in range(min(jr, jc) + 1):
                     block = asym._em_block.__wrapped__(
-                        8, (jr, key[0]), (jc, key[1]), m)
+                        (jr, key[0]), (jc, key[1]), m)
                     assert block == em_block_ref(key, jr, jc, m), \
                         (key, jr, jc, m)
 
@@ -369,8 +369,8 @@ def test_em_blocks_are_rational_multiples_of_the_slot_weights(x):
                 pol = u[2 * jr:2 * jr + 2, 2 * jc:2 * jc + 2]
                 for ir, pr in enumerate("ME"):
                     for ic, pc in enumerate("ME"):
-                        g = asym._em_block.__wrapped__(6, (jr, pr),
-                                                       (jc, pc), m)
+                        g = asym._em_block.__wrapped__((jr, pr), (jc, pc),
+                                                       m)
                         assert all(isinstance(c, F) for c in g.values())
                         # summed exactly: the Laurent terms cancel
                         val = float(sum(c * F(x) ** k for k, c in g.items()))
@@ -378,6 +378,23 @@ def test_em_blocks_are_rational_multiples_of_the_slot_weights(x):
                         assert val == pytest.approx(
                             pol[ir, ic], rel=1e-12,
                             abs=1e-12 * np.abs(pol).max())
+
+
+def test_em_blocks_are_built_once_across_cuts():
+    # a block does not depend on the table order it reads, so a cut of 3
+    # after a cut of 2 rebuilds none of the blocks the first one built:
+    # together they miss the cache exactly as often as a cold cut of 3
+    def run(cuts):
+        asym._em_block.cache_clear()
+        series = [expand_em_metal(5, "computed", l_cut=c) for c in cuts]
+        return series, asym._em_block.cache_info()
+
+    (cold,), cold_info = run([3])
+    (two, three), info = run([2, 3])
+    assert info.misses == cold_info.misses
+    assert info.hits > cold_info.hits
+    assert three == cold
+    assert two == run([2])[0][0]
 
 
 def test_em_radical_mismatch_raises(monkeypatch):
@@ -391,7 +408,7 @@ def test_em_radical_mismatch_raises(monkeypatch):
 
     monkeypatch.setattr(asym, "_cg_sq", skewed_cg_sq)
     with pytest.raises(ArithmeticError, match="kept the radical"):
-        asym._em_block.__wrapped__(2, (2, "E"), (2, "M"), 1)
+        asym._em_block.__wrapped__((2, "E"), (2, "M"), 1)
     monkeypatch.undo()
     # a slot weight that is not the squared chain radical
     real_w = asym._w_em
@@ -399,7 +416,7 @@ def test_em_radical_mismatch_raises(monkeypatch):
                         lambda j, m: 2 * real_w(j, m) if j == 2 else
                         real_w(j, m))
     with pytest.raises(ArithmeticError, match="kept the radical"):
-        asym._em_block.__wrapped__(2, (2, "M"), (1, "M"), 0)
+        asym._em_block.__wrapped__((2, "M"), (1, "M"), 0)
 
 
 def test_non_integer_orders_are_refused():
@@ -412,6 +429,12 @@ def test_non_integer_orders_are_refused():
             (lambda: expand_em_metal(2.0), "n_max"),
             (lambda: expand_em_metal(4, "computed", l_cut=2.5), "l_cut"),
             (lambda: eval_series(series, 1.0, 10.0, n_terms=1.5),
+             "n_terms"),
+            # a bool is not an order, and only the optional orders take None
+            (lambda: expand_scalar(D, D, p_max=True), "p_max"),
+            (lambda: expand_scalar(D, D, l_cut=None), "l_cut"),
+            (lambda: expand_em_metal(None), "n_max"),
+            (lambda: eval_series(series, 1.0, 10.0, n_terms=False),
              "n_terms")):
         with pytest.raises(TypeError, match=name):
             call()

@@ -129,6 +129,31 @@ def test_field_law_mismatch():
         integrand(g_em, REAL_SCALAR, 1.0, 4)
 
 
+@pytest.mark.parametrize("l_max", [4.0, "4", None, True, 4.5])
+@pytest.mark.parametrize("call", [
+    lambda g, l_max: casimir_energy(g, "scalar-real", l_max),
+    lambda g, l_max: casimir_energy_nbody(g, "scalar-real", l_max),
+    lambda g, l_max: integrand(g, "scalar-real", 1.0, l_max)],
+    ids=["casimir_energy", "casimir_energy_nbody", "integrand"])
+def test_non_integer_l_max_is_refused(call, l_max):
+    # every energy entry point refuses a non-integer order at entry,
+    # naming it, rather than failing deep in numpy or on a comparison;
+    # a bool is not an order
+    with pytest.raises(TypeError, match="l_max must be an integer"):
+        call(pair(DIR, DIR, 4.0), l_max)
+
+
+def test_integer_types_give_the_int_l_max():
+    # integer types other than int are taken, and the estimate carries
+    # the plain int
+    g = pair(DIR, DIR, 4.0)
+    est = casimir_energy(g, "scalar-real", np.int64(4))
+    assert type(est.l_max) is int
+    assert est == casimir_energy(g, "scalar-real", 4)
+    assert integrand(g, "scalar-real", 1.0, np.int32(4)) \
+        == integrand(g, "scalar-real", 1.0, 4)
+
+
 def test_integrand_rejects_infinite_kappa():
     with pytest.raises(ValueError, match="finite and positive"):
         integrand(pair(DIR, DIR, 4.0), REAL_SCALAR, math.inf, 4)
@@ -607,6 +632,52 @@ def test_batched_stack_equals_per_node_stack(monkeypatch, field, geometry,
         ref = orc.node_stack_ref(_node(pairs, j), geometry.n_spheres, pol,
                                  l_min)
         assert stack[j::len(kappas)].tobytes() == \
+            np.where(own, ref, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("field,geometry,l_max", MIRROR_CASES)
+def test_mirror_stack_equals_per_node_stack(monkeypatch, field, geometry,
+                                            l_max):
+    # the mirror form's one multiply per write builds, node by node, S = 0
+    # and the D of one multiply per node (one row group per order); every
+    # window is filled with NaN before its write, so an entry the write
+    # skips shows
+    recorded = []
+    node_pairs = energy._node_pairs
+    monkeypatch.setattr(energy, "_node_pairs",
+                        lambda *args: recorded.append(node_pairs(*args))
+                        or recorded[-1])
+    stacks = []
+    shrinking_lndets = energy._shrinking_lndets
+
+    def padded(sizes, stride, write, comps):
+        assert comps == 2
+        stack = np.zeros((len(sizes), comps, sizes[0], sizes[0]))
+        stacks.append(stack)
+
+        def record(out, k, lo):
+            out[...] = np.nan
+            write(out, k, lo)
+            w = out.shape[-1]
+            stack[lo:lo + len(out) // comps, :, k:, k:] = out.reshape(
+                -1, comps, w, w)
+        return shrinking_lndets(sizes, stride, record, comps)
+    monkeypatch.setattr(energy, "_shrinking_lndets", padded)
+    fld = FieldKind(field)
+    kappas = [0.05, 0.8, 3.0]
+    _histories(geometry, fld, kappas, l_max)
+    (stack,) = stacks
+    pol, l_min = (2, 1) if fld.is_em else (1, 0)
+    (pairs,) = recorded
+    assert [(a, b) for a, b, _, _ in pairs] == [(0, 0)]
+    assert stack[:, 0].tobytes() == np.zeros_like(stack[:, 0]).tobytes()
+    first = pol * (np.maximum(np.arange(l_max + 1), l_min) - l_min)
+    rows = np.arange(stack.shape[2])
+    own = ((rows[None, :, None] >= first[:, None, None])
+           & (rows[None, None, :] >= first[:, None, None]))
+    for j in range(len(kappas)):
+        ref = orc.node_stack_ref(_node(pairs, j), 1, pol, l_min)
+        assert stack[j::len(kappas), 1].tobytes() == \
             np.where(own, ref, 0.0).tobytes()
 
 

@@ -348,6 +348,31 @@ def test_em_block_layout_and_m_parity():
     assert a[1, 0] == pytest.approx(-b[1, 0], rel=1e-13)
 
 
+@settings(max_examples=30, deadline=None)
+@given(l_max=st.integers(1, 12),
+       x=st.lists(st.floats(1e-2, 200.0), min_size=1, max_size=3))
+def test_em_recouple_bytes_do_not_depend_on_the_split(l_max, x):
+    # the recoupling runs its orders in parts, each from its own first
+    # live row; every split, from one part per order through two halves
+    # to the whole cube, gives the bytes of the kernel's own split
+    calls = []
+    recouple = tr._em_recouple
+
+    def recorded(*args):
+        calls.append(args)
+        return recouple(*args)
+    tr._em_recouple = recorded
+    try:
+        kern = tr._node_kernels(l_max, np.array(x), em=True)
+    finally:
+        tr._em_recouple = recouple
+    (args,) = calls
+    n = l_max + 1
+    for parts in range(1, n + 1):
+        assert recouple(*args, parts=parts).reshape(kern.blocks.shape) \
+            .tobytes() == kern.blocks.tobytes(), parts
+
+
 def test_em_validation_errors():
     with pytest.raises(ValueError):
         em_log_blocks(1, 0, 0.0)
