@@ -34,13 +34,11 @@ its slot a: w(l, m) = (2l+1)(l+m)!(l-m)! for a scalar partial wave and
 w(J, m) J(J+1) for a magnetic or electric multipole.  Around a closed
 chain each slot meets two entries, so each takes its own weight whole
 and every trace, at every scattering order p, is rational.  Every
-scalar and dielectric series is derived this way and no other; only
-the perfect-conductor c_0..c_9 also have a typed table, the default of
-`expand_em_metal` and the independent check of the derived ones.  Cold,
-in a fresh interpreter (the CI step "Cold series time"), a scalar
-series takes a few milliseconds, the translation factors of every order
-up to 6 (the window of the perfect-conductor c_9) about 3 ms, and the
-derived c_0..c_9 about 0.04 to 0.08 s.
+series is derived this way and no other.  Cold, in a fresh interpreter
+(the CI step "Cold series time"), a scalar series takes a few
+milliseconds, the translation factors of every order up to 6 (the
+window of the perfect-conductor c_9) about 3 ms, and the
+perfect-conductor c_0..c_9 about 0.05 s.
 
 Scalar boundary pairs fill the "scalar-b" form
 
@@ -106,9 +104,8 @@ class SeriesExpansion:
         Index -> exact Fraction, including exact zeros inside the
         computed window.
     provenance : str
-        "computed" when produced by the trace engine (every scalar and
-        dielectric series), "paper-table" when taken from the tabulated
-        perfect-conductor values (`expand_em_metal`'s default).
+        Always "computed": every series comes from the trace engine.  It
+        stays a field because the CLI's schema-1 output reports it.
     certified : dict
         Index -> bool; True when the truncation windows (scattering
         order, partial-wave cut, T-series depth) provably cover that
@@ -118,7 +115,7 @@ class SeriesExpansion:
     form: str
     prefactor_power: int
     coeffs: dict
-    provenance: str
+    provenance: str = "computed"
     certified: dict = field(default_factory=dict)
 
 
@@ -414,9 +411,9 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
     Returns
     -------
     SeriesExpansion
-        form "scalar-b", provenance "computed".  `certified[j]` is True
-        when neither dropped scattering orders nor dropped partial waves
-        can contribute at order j.
+        form "scalar-b".  `certified[j]` is True when neither dropped
+        scattering orders nor dropped partial waves can contribute at
+        order j.
     """
     p_max, l_cut = _integer("p_max", p_max), _integer("l_cut", l_cut)
     for spec in (spec1, spec2):
@@ -452,8 +449,7 @@ def expand_scalar(spec1, spec2, p_max=3, l_cut=2):
         certified[j] = ok
     lead = min((j for j, c in coeffs.items() if c != 0), default=3)
     return SeriesExpansion(form="scalar-b", prefactor_power=lead,
-                           coeffs=coeffs, provenance="computed",
-                           certified=certified)
+                           coeffs=coeffs, certified=certified)
 
 
 # ---------------------------------------------------------------------------
@@ -534,52 +530,39 @@ def _em_block(a, b, m):
     return {k: v for k, v in total.items() if v != 0}
 
 
-def _em_chain_coeffs(tser1, tser2, n_max):
-    """Exact c_0..c_n_max from the EM chains of every order they reach.
+def _em_series(law, n_max, l_cut):
+    """The "em-c" series c_0..c_n_max of two equal spheres of `law`.
 
-    `tser1`/`tser2` map (J, "M"/"E") to monomial dicts with exact
-    values; per m the slots are the (J, pol) with J >= max(1, m).  Each
-    order p starts at (kappa R)^{6p}, i.e. at c_{6(p-1)}, so
-    p <= 1 + n_max // 6 covers the window.
+    The slots are the (J, "M"/"E") with 1 <= J <= l_cut, per m those with
+    J >= max(1, m).  Each scattering order p starts at (kappa R)^{6p},
+    i.e. at c_{6(p-1)}, so p <= 1 + n_max // 6 covers the window; c_n is
+    certified when n < 2 l_cut, past which the waves cut off can enter.
     """
-    traces = _chain_traces(tser1, tser2,
-                           partial(_pair, _em_block, _w_em),
+    slots = _t_slots(law, range(1, l_cut + 1), 6 + n_max)
+    traces = _chain_traces(slots, slots, partial(_pair, _em_block, _w_em),
                            1 + n_max // 6, 6 + n_max)
-    coeffs = _integrate_traces(traces, em_form=True)
-    return {n: coeffs.get(n, Fraction(0)) for n in range(n_max + 1)}
+    raw = _integrate_traces(traces, em_form=True)
+    coeffs = {n: raw.get(n, Fraction(0)) for n in range(n_max + 1)}
+    lead = min((n for n, c in coeffs.items() if c != 0), default=0)
+    return SeriesExpansion(form="em-c", prefactor_power=7 + lead,
+                           coeffs=coeffs,
+                           certified={n: n < 2 * l_cut for n in coeffs})
 
 
-_METAL_C = {
-    0: Fraction(143, 16),
-    1: Fraction(0),
-    2: Fraction(7947, 160),
-    3: Fraction(2065, 32),
-    4: Fraction(27705347, 100800),
-    5: Fraction(-55251, 64),
-    6: Fraction(1373212550401, 144506880),
-    7: Fraction(-7583389, 320),
-    8: Fraction(-2516749144274023, 44508119040),
-    9: Fraction(274953589659739, 275251200),
-}
-
-
-def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
+def expand_em_metal(n_max=9, l_cut=None):
     """Large-distance coefficients c_n for two perfectly conducting spheres.
+
+    Derived with the exact trace engine on the perfect-conductor Mie
+    series, through every scattering order the window reaches (double
+    scattering first enters at c_6); c_0..c_9 take about 0.05 s cold.
 
     Parameters
     ----------
     n_max : int
-        Highest index returned, 0 <= n_max <= 9 on both routes (double
-        scattering first enters at c_6).
-    provenance : str
-        "paper-table" returns the tabulated values; "computed" re-derives
-        them with the exact trace engine on PEC Mie series, through
-        every scattering order the window reaches (c_0..c_9 take about
-        0.04 to 0.08 s cold).
+        Highest index returned, 0 <= n_max <= 9.
     l_cut : int, optional
-        Partial-wave cut (at least 1) of the computed route, refused with
-        the table; defaults to the smallest window that certifies all
-        requested orders.
+        Partial-wave cut, at least 1; defaults to the smallest window
+        that certifies all requested orders.
 
     Returns
     -------
@@ -590,25 +573,12 @@ def expand_em_metal(n_max=9, provenance="paper-table", l_cut=None):
     l_cut = _integer("l_cut", l_cut, optional=True)
     if not 0 <= n_max <= 9:
         raise ValueError("the series is implemented for 0 <= n_max <= 9")
-    if provenance == "paper-table":
-        if l_cut is not None:
-            raise ValueError("l_cut applies to the computed route only, "
-                             "got l_cut=%r with the paper table" % (l_cut,))
-        coeffs = {n: _METAL_C[n] for n in range(n_max + 1)}
-        certified = {n: True for n in coeffs}
-    elif provenance == "computed":
-        if l_cut is None:
-            l_cut = max(1, (n_max + 2) // 2)
-        elif l_cut < 1:
-            raise ValueError("EM partial waves start at l = 1, got "
-                             "l_cut=%r" % (l_cut,))
-        pec = _t_slots(PerfectConductor(), range(1, l_cut + 1), 6 + n_max)
-        coeffs = _em_chain_coeffs(pec, pec, n_max)
-        certified = {n: n < 2 * l_cut for n in coeffs}
-    else:
-        raise ValueError("provenance must be 'computed' or 'paper-table'")
-    return SeriesExpansion(form="em-c", prefactor_power=7, coeffs=coeffs,
-                           provenance=provenance, certified=certified)
+    if l_cut is None:
+        l_cut = max(1, (n_max + 2) // 2)
+    elif l_cut < 1:
+        raise ValueError("EM partial waves start at l = 1, got "
+                         "l_cut=%r" % (l_cut,))
+    return _em_series(PerfectConductor(), n_max, l_cut)
 
 
 def expand_em_dielectric(spec1, spec2):
@@ -630,9 +600,8 @@ def expand_em_dielectric(spec1, spec2):
     Returns
     -------
     SeriesExpansion
-        form "em-c" with coeffs {0, 1, 2, 3}, provenance "computed";
-        eps = mu = 1 yields all zeros (no scattering response at any
-        order).
+        form "em-c" with coeffs {0, 1, 2, 3}, all certified; eps = mu = 1
+        yields all zeros (no scattering response at any order).
     """
     for spec in (spec1, spec2):
         if not isinstance(spec.law, Dielectric):
@@ -641,13 +610,7 @@ def expand_em_dielectric(spec1, spec2):
     if spec1.radius != spec2.radius or spec1.law != spec2.law:
         raise ValueError("the dielectric expansion is implemented for "
                          "identical spheres only")
-    slots = _t_slots(spec1.law, range(1, 3), 9)
-    coeffs = _em_chain_coeffs(slots, slots, 3)
-    certified = {n: True for n in coeffs}
-    lead = min((n for n, c in coeffs.items() if c != 0), default=0)
-    return SeriesExpansion(form="em-c", prefactor_power=7 + lead,
-                           coeffs=coeffs, provenance="computed",
-                           certified=certified)
+    return _em_series(spec1.law, 3, 2)
 
 
 def eval_series(series, radius, d, n_terms=None):

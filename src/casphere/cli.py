@@ -157,6 +157,17 @@ def parse_lmax(text):
     return value
 
 
+def parse_workers(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "--workers must be an integer >= 1, got %r" % text)
+    return value
+
+
 def _parse_zetas(text):
     """(raw label, law) for each comma-separated Robin impedance."""
     return [(raw.strip(), parse_law("robin:" + raw))
@@ -201,7 +212,7 @@ def _build_parser():
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="csv for tables, json for records "
                              "(verb-dependent default)")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=parse_workers, default=1,
                         help="worker processes for grid dispatch")
 
     pair = argparse.ArgumentParser(add_help=False)
@@ -508,8 +519,9 @@ def cmd_series(args):
              "exact": str(series.coeffs[j]),
              "certified": series.certified[j]}
             for j in sorted(series.coeffs)]
-    extra = ["series: form=%s prefactor_power=%d provenance=%s"
-             % (series.form, series.prefactor_power, series.provenance)]
+    extra = ["series: " + " ".join(
+        "%s=%s" % (key, getattr(series, key))
+        for key in ("form", "prefactor_power", "provenance"))]
     evaluation = None
     if args.d is not None:
         sval = eval_series(series, args.radius, args.d)
@@ -599,9 +611,15 @@ def cmd_signmap(args):
         SphereSpec(args.radius, law)  # radius and negative-zeta rejection
     grid = None
     if args.d_grid is not None:
+        from .pfa_sign import MIN_SAMPLES
         grid = _checked_grid(args.d_grid, args.radius)
         if grid.size == 0:
             grid = None
+        elif grid.size < MIN_SAMPLES:
+            # refused before any cell computes an energy on it
+            raise ValueError("--d-grid needs at least %d distances for the "
+                             "zero-force search, got %d"
+                             % (MIN_SAMPLES, grid.size))
     params = [("zetas1", args.zetas1), ("zetas2", args.zetas2),
               ("radius", repr(args.radius))]
     if args.d_grid is not None:

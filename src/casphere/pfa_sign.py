@@ -174,6 +174,7 @@ def series_force_sign(spec1, spec2):
 # ---------------------------------------------------------------------------
 
 _SCAN_PER_INTERVAL = 32
+MIN_SAMPLES = 8  # fewest samples of a curve `find_zero_force` takes
 
 
 def find_zero_force(curve, radius):
@@ -188,7 +189,8 @@ def find_zero_force(curve, radius):
     Parameters
     ----------
     curve : RatioCurve
-        At least 8 samples on a strictly increasing d-grid, d > 2R.
+        At least MIN_SAMPLES (8) samples on a strictly increasing
+        d-grid, d > 2R.
     radius : float
         Common sphere radius R.
 
@@ -203,8 +205,9 @@ def find_zero_force(curve, radius):
 
     d = np.asarray(curve.d, dtype=float)
     ratio = np.asarray(curve.ratio, dtype=float)
-    if d.ndim != 1 or d.size < 8:
-        raise ValueError("need at least 8 samples, got %d" % d.size)
+    if d.ndim != 1 or d.size < MIN_SAMPLES:
+        raise ValueError("need at least %d samples, got %d"
+                         % (MIN_SAMPLES, d.size))
     if not np.all(np.diff(d) > 0.0):
         raise ValueError("d samples must be strictly increasing")
     if not np.all(np.isfinite(ratio)):

@@ -1847,12 +1847,28 @@ def t_low_kappa_series(spec, l, order):
 
 
 # ---------------------------------------------------------------------------
-# The printed dielectric series: the static response coefficients and the
-# bracket combinations of c_0..c_3, typed in from the paper, against which
-# the derived series (`asymptotics.expand_em_dielectric`) is checked.  x is
-# eps for the electric channel and mu for the magnetic one, y the other;
-# every formula is exact for Fraction arguments.
+# The printed series, typed in from the paper, against which the derived
+# ones are checked: the perfect-conductor c_0..c_9 (`asymptotics.
+# expand_em_metal`; double scattering enters at c_6), and the static
+# response coefficients and bracket combinations of the dielectric
+# c_0..c_3 (`asymptotics.expand_em_dielectric`).  x is eps for the
+# electric channel and mu for the magnetic one, y the other; every formula
+# is exact for Fraction arguments.
 # ---------------------------------------------------------------------------
+
+METAL_C_PRINTED = {
+    0: Fraction(143, 16),
+    1: Fraction(0),
+    2: Fraction(7947, 160),
+    3: Fraction(2065, 32),
+    4: Fraction(27705347, 100800),
+    5: Fraction(-55251, 64),
+    6: Fraction(1373212550401, 144506880),
+    7: Fraction(-7583389, 320),
+    8: Fraction(-2516749144274023, 44508119040),
+    9: Fraction(274953589659739, 275251200),
+}
+
 
 def _alpha_hat(x, l):
     """Static multipole response (x-1)/(x+(l+1)/l), radius scaled out."""

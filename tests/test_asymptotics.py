@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import casphere.asymptotics as asym
 from casphere.asymptotics import (
-    _METAL_C,
     _cg_sq,
     _g_table,
     _w_em,
@@ -31,6 +30,7 @@ from casphere.tmatrix import (
 )
 
 from _oracles import (
+    METAL_C_PRINTED,
     ThreeJArgs,
     _alpha_hat,
     _gamma13_hat,
@@ -293,28 +293,28 @@ def test_expand_scalar_validation():
 # ---------------------------------------------------------------------------
 
 def test_metal_table_and_computed_agree():
-    table = expand_em_metal()
-    assert table.coeffs == _METAL_C
-    assert table.form == "em-c"
-    assert table.prefactor_power == 7
-    assert table.provenance == "paper-table"
-    computed = expand_em_metal(n_max=2, provenance="computed")
-    for n, c in computed.coeffs.items():
-        assert c == _METAL_C[n]
-    assert all(computed.certified.values())
+    # every window n_max 0..9, at its default cut, is the printed table
+    # exactly, every entry certified
+    for n_max in range(10):
+        computed = expand_em_metal(n_max)
+        assert computed.coeffs == {n: METAL_C_PRINTED[n]
+                                   for n in range(n_max + 1)}
+        assert all(computed.certified.values())
+        assert computed.form == "em-c"
+        assert computed.prefactor_power == 7
 
 
 def test_metal_computed_through_c5():
-    computed = expand_em_metal(n_max=5, provenance="computed")
+    computed = expand_em_metal(n_max=5)
     for n in range(6):
-        assert computed.coeffs[n] == _METAL_C[n]
+        assert computed.coeffs[n] == METAL_C_PRINTED[n]
 
 
 def test_metal_computed_through_c9():
     # c_6..c_9 carry double scattering: the whole printed table is
-    # re-derived, every entry certified
-    computed = expand_em_metal(n_max=9, provenance="computed")
-    assert computed.coeffs == _METAL_C
+    # re-derived, every entry certified, and that is the default
+    computed = expand_em_metal()
+    assert computed.coeffs == METAL_C_PRINTED
     assert all(computed.certified.values())
     assert computed.provenance == "computed"
 
@@ -322,18 +322,18 @@ def test_metal_computed_through_c9():
 @pytest.mark.parametrize("l_cut", [4, 5])
 def test_metal_computed_wide_cuts(l_cut):
     # waves past the default cut change nothing through c_5
-    computed = expand_em_metal(n_max=5, provenance="computed", l_cut=l_cut)
-    assert computed.coeffs == {n: _METAL_C[n] for n in range(6)}
+    computed = expand_em_metal(n_max=5, l_cut=l_cut)
+    assert computed.coeffs == {n: METAL_C_PRINTED[n] for n in range(6)}
     assert all(computed.certified.values())
 
 
 def test_metal_uncertified_cut_is_flagged():
     # without the quadrupole wave c_2 is both wrong and flagged as such
-    narrow = expand_em_metal(n_max=2, provenance="computed", l_cut=1)
+    narrow = expand_em_metal(n_max=2, l_cut=1)
     assert narrow.certified[0] and narrow.certified[1]
     assert not narrow.certified[2]
-    assert narrow.coeffs[2] != _METAL_C[2]
-    assert narrow.coeffs[0] == _METAL_C[0]
+    assert narrow.coeffs[2] != METAL_C_PRINTED[2]
+    assert narrow.coeffs[0] == METAL_C_PRINTED[0]
 
 
 def test_exact_clebsch_gordan_matches_recoupling_weights():
@@ -386,7 +386,7 @@ def test_em_blocks_are_built_once_across_cuts():
     # together they miss the cache exactly as often as a cold cut of 3
     def run(cuts):
         asym._em_block.cache_clear()
-        series = [expand_em_metal(5, "computed", l_cut=c) for c in cuts]
+        series = [expand_em_metal(5, l_cut=c) for c in cuts]
         return series, asym._em_block.cache_info()
 
     (cold,), cold_info = run([3])
@@ -427,7 +427,7 @@ def test_non_integer_orders_are_refused():
             (lambda: expand_scalar(D, D, p_max=2.0), "p_max"),
             (lambda: expand_scalar(D, D, l_cut=1.5), "l_cut"),
             (lambda: expand_em_metal(2.0), "n_max"),
-            (lambda: expand_em_metal(4, "computed", l_cut=2.5), "l_cut"),
+            (lambda: expand_em_metal(4, l_cut=2.5), "l_cut"),
             (lambda: eval_series(series, 1.0, 10.0, n_terms=1.5),
              "n_terms"),
             # a bool is not an order, and only the optional orders take None
@@ -444,15 +444,23 @@ def test_non_integer_orders_are_refused():
 
 
 def test_metal_validation():
-    for provenance in ("paper-table", "computed"):
-        for n_max in (-1, 10):
-            with pytest.raises(ValueError):
-                expand_em_metal(n_max=n_max, provenance=provenance)
+    for n_max in (-1, 10):
+        with pytest.raises(ValueError):
+            expand_em_metal(n_max=n_max)
     # double scattering enters at c_6, inside the computed window
-    computed = expand_em_metal(n_max=6, provenance="computed")
-    assert computed.coeffs == {n: _METAL_C[n] for n in range(7)}
-    with pytest.raises(ValueError):
-        expand_em_metal(provenance="guessed")
+    computed = expand_em_metal(n_max=6)
+    assert computed.coeffs == {n: METAL_C_PRINTED[n] for n in range(7)}
+
+
+def test_metal_legacy_route_calls_fail_loudly():
+    # the second positional argument is the cut now, and there is no
+    # route to choose: a call written for the old keyword is refused, not
+    # run on a reading it did not mean
+    with pytest.raises(TypeError, match="l_cut"):
+        expand_em_metal(9, "computed")
+    for provenance in ("computed", "paper-table"):
+        with pytest.raises(TypeError, match="provenance"):
+            expand_em_metal(provenance=provenance)
 
 
 def test_metal_refuses_a_cut_below_the_dipole():
@@ -460,14 +468,7 @@ def test_metal_refuses_a_cut_below_the_dipole():
     # and return all-zero coefficients
     for l_cut in (0, -3):
         with pytest.raises(ValueError, match="l_cut"):
-            expand_em_metal(n_max=2, provenance="computed", l_cut=l_cut)
-    # the table has no cut to apply: any l_cut with it is refused, not
-    # ignored with every coefficient certified
-    for l_cut in (0, 1, 5):
-        with pytest.raises(ValueError, match="computed route only"):
-            expand_em_metal(n_max=2, provenance="paper-table", l_cut=l_cut)
-        with pytest.raises(ValueError, match="computed route only"):
-            expand_em_metal(l_cut=l_cut)
+            expand_em_metal(n_max=2, l_cut=l_cut)
 
 
 def test_dielectric_routes_agree_exactly():
@@ -562,7 +563,7 @@ def test_eval_series_growth_flag():
     far = eval_series(metal, 1.0, 100.0)
     assert far.first_growing is None
     assert far.value == pytest.approx(
-        -float(_METAL_C[0]) / math.pi * 1e-14, rel=1e-3)
+        -float(METAL_C_PRINTED[0]) / math.pi * 1e-14, rel=1e-3)
 
 
 def test_dd_two_vs_six_terms_far():

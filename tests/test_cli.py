@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from casphere import cli
+from casphere import cli, pfa_sign
 from casphere.asymptotics import eval_series, expand_em_metal
 from casphere.energy import DomainError, Geometry, suggest_l_max
 from casphere.tmatrix import Dielectric, Dirichlet, Neumann, Robin, SphereSpec
@@ -268,6 +268,19 @@ def test_map_tasks_caps_workers_at_tasks(monkeypatch):
     assert asked == [3, 2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_refused(workers, capsys, monkeypatch):
+    # refused while parsing, with the option named, on a verb that never
+    # dispatches; no pool may be started either way
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert cli.main(["pfa", "--d", "3", "--workers", workers]) == 2
+    assert "--workers must be an integer >= 1, got %r" % workers \
+        in capsys.readouterr().err
+
+
 def test_sweep_empty_grid(tmp_path):
     text = run_csv(tmp_path, [
         "sweep", "--bc1", "dirichlet", "--d-grid", "4:6:0"])
@@ -304,7 +317,7 @@ def test_series_em_eval_json(tmp_path):
         "--format", "json"])
     res = doc["result"]
     assert res["form"] == "em-c"
-    assert res["provenance"] == "paper-table"
+    assert res["provenance"] == "computed"
     assert res["coefficients"]["0"]["exact"] == "143/16"
     assert res["eval"]["first_growing"] == 6
     assert res["eval"]["value"] == pytest.approx(
@@ -358,6 +371,27 @@ def test_signmap_zero_search(tmp_path):
     zeros = [float(z.split(":")[0]) for z in row[5].split("|")]
     assert 3.4 < zeros[0] < 4.4
     assert 4.7 < zeros[1] < 5.7
+
+
+@pytest.mark.parametrize("grid", ["3:6:1", "3:6:5", "3:6:7"])
+def test_signmap_refuses_a_short_grid_before_any_energy(grid, capsys,
+                                                         monkeypatch):
+    # the zero search needs pfa_sign.MIN_SAMPLES distances: a shorter grid
+    # is refused before a single energy of any cell is computed
+    calls = []
+    real = cli.casimir_energy
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "casimir_energy", counting)
+    assert cli.main(["signmap", "--zetas1", "0,10", "--zetas2", "1",
+                     "--d-grid", grid]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "casphere: --d-grid needs at least %d distances for the zero-force "
+        "search, got %d\n" % (pfa_sign.MIN_SAMPLES, int(grid.split(":")[2])))
 
 
 def test_signmap_rejects_bound_state_zeta():

@@ -95,7 +95,7 @@ SERIES_SCRIPT = textwrap.dedent("""
     from casphere import Dielectric, SphereSpec
     from casphere.asymptotics import expand_em_dielectric, expand_em_metal
 
-    metal = expand_em_metal(n_max=5, provenance="computed")
+    metal = expand_em_metal(n_max=5)
     assert all(metal.certified.values())
     spec = SphereSpec(1.0, Dielectric(4.0, 1.0))
     expand_em_dielectric(spec, spec)

@@ -527,9 +527,10 @@ def test_cold_node_kernel_memory_peak():
 
 def test_cold_em_node_kernel_memory_peak():
     # the EM recoupling reads and scales only the live region of each
-    # half of the orders next to the zeroed (l_max+1)(2 l_max+2)^2 blocks
-    # it fills (8.8 MB at order 64; the whole-cube recoupling peaked at
-    # 3.3 times that, the live one at about 2.2)
+    # part of consecutive orders (about eight orders a part at l 64) next
+    # to the zeroed (l_max+1)(2 l_max+2)^2 blocks it fills (8.8 MB at
+    # order 64; the whole-cube recoupling peaked at 3.3 times that, the
+    # parts at a measured 1.58)
     tr._recurrence_coeffs.cache_clear()
     tr._em_weight_stack.cache_clear()
     tracemalloc.start()
