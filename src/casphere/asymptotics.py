@@ -26,8 +26,9 @@ truncating each product at the highest power kept commutes with the
 products and the result is exact.  The scalar translation factors
 come from the coaxial recurrences that `translation` runs in floats,
 here on rationals with the slot weights folded out (`_g_table`), and
-the electromagnetic blocks recouple them with squared closed-form
-Clebsch-Gordan weights, each term one exact rational root
+the electromagnetic blocks recouple them with the exact squares of the
+closed-form Clebsch-Gordan weights that the float kernel roots
+(`translation._em_weight_squares`), each term one exact rational root
 (`_em_block`); no 3j symbol is formed.  Every translation entry is
 sqrt(W_a W_b) times a rational Laurent series, W the integer weight of
 its slot a: w(l, m) = (2l+1)(l+m)!(l-m)! for a scalar partial wave and
@@ -73,6 +74,7 @@ from .tmatrix import (
     is_scalar_law,
     mie_series_fractions,
 )
+from .translation import _em_weight_squares
 
 __all__ = [
     "SeriesExpansion",
@@ -462,24 +464,6 @@ def _w_em(j, m):
     return _w_int(j, m) * j * (j + 1)
 
 
-def _cg_sq(dj, j, m, q):
-    """Signed square c|c| of c = <j+dj, m-q; 1 q | j m>, dj in (-1, 0, 1)
-    and j >= max(1, |m|): the closed forms of Edmonds (Table 2) that
-    `translation._em_weights` evaluates in floats, squared, signed."""
-    if dj == 0:
-        if q == 0:
-            return Fraction(m * abs(m), j * (j + 1))
-        return Fraction(-q * (j + q * m) * (j - q * m + 1), 2 * j * (j + 1))
-    if dj == -1:
-        if q == 0:
-            return Fraction((j - m) * (j + m), (2 * j - 1) * j)
-        return Fraction((j + q * m - 1) * (j + q * m), (2 * j - 1) * 2 * j)
-    if q == 0:
-        return Fraction(-(j - m + 1) * (j + m + 1), (j + 1) * (2 * j + 3))
-    return Fraction((j - q * m + 1) * (j - q * m + 2),
-                    (2 * j + 2) * (2 * j + 3))
-
-
 @lru_cache(maxsize=None)
 def _em_block(a, b, m):
     """Exact EM block "12" from slot b = (J, pol) to a = (J', pol'), pol
@@ -489,10 +473,10 @@ def _em_block(a, b, m):
     one it reads).
 
     The block is sqrt(W(J', m) W(J, m)) times the returned series, W the
-    slot weight `_w_em`.  Each term's Clebsch-Gordan and electric
-    constants times sqrt(w w / W W) fold into one rational square, whose
-    exact root is its coefficient; a square that is not perfect raises
-    ArithmeticError.
+    slot weight `_w_em`.  Each term's two recoupling weights (the signed
+    squares of `translation._em_weight_squares`) times w w / W W fold
+    into one rational square, whose exact root is its coefficient; a
+    square that is not perfect raises ArithmeticError.
     """
     (jr, pr), (jc, pc) = a, b
     g = _g_table(max(jr, jc) + 1)
@@ -500,24 +484,17 @@ def _em_block(a, b, m):
     total = {}
     for q in (-1, 0, 1):
         amu = abs(m - q)
-        if pr == "M":
-            row, l_row = _cg_sq(0, jr, m, q), jr
-        else:  # the J'-1 channel divided by aR(J')
-            row = _cg_sq(-1, jr, m, q) * Fraction(2 * jr + 1, jr + 1)
-            l_row = jr - 1
-        if pc == "M":
-            parts = ((_cg_sq(0, jc, m, q), jc),)
-        else:  # -aR(J) and -bR(J) times the J-1 and J+1 channels
-            parts = ((-_cg_sq(-1, jc, m, q) * Fraction(jc + 1, 2 * jc + 1),
-                      jc - 1),
-                     (-_cg_sq(1, jc, m, q) * Fraction(jc, 2 * jc + 1),
-                      jc + 1))
-        for col, l_col in parts:
-            gs = g.get((l_row, l_col, amu)) if row and col else None
+        # (t_m, t_e, c_lo, c_hi) of the target J' and of the source J
+        rw, cw = _em_weight_squares(jr, m, q), _em_weight_squares(jc, m, q)
+        (rn, rd), l_row = (rw[0], jr) if pr == "M" else (rw[1], jr - 1)
+        parts = (((cw[0], jc),) if pc == "M"
+                 else ((cw[2], jc - 1), (cw[3], jc + 1)))
+        for (cn, cd), l_col in parts:
+            gs = g.get((l_row, l_col, amu)) if rn and cn else None
             if not gs:
                 continue
-            sq = row * col * Fraction(
-                _w_int(l_row, amu) * _w_int(l_col, amu), w_pair)
+            sq = Fraction(rn * cn * _w_int(l_row, amu) * _w_int(l_col, amu),
+                          rd * cd * w_pair)
             root = Fraction(math.isqrt(abs(sq.numerator)),
                             math.isqrt(sq.denominator))
             if root * root != abs(sq):
@@ -622,7 +599,7 @@ def eval_series(series, radius, d, n_terms=None):
     radius : float
         Common sphere radius R, finite and > 0.
     d : float
-        Center-to-center distance, d > 2R.
+        Center-to-center distance, finite and > 2R.
     n_terms : int, optional
         Number of stored coefficients used, in ascending index order
         (zero coefficients count); defaults to all, 0 gives 0.0.
@@ -638,6 +615,9 @@ def eval_series(series, radius, d, n_terms=None):
     if not 0.0 < radius < math.inf:
         raise ValueError("series evaluation requires a finite radius > 0, "
                          "got %r" % (radius,))
+    if not math.isfinite(d):
+        raise ValueError("series evaluation requires a finite d, got %r"
+                         % (d,))
     if not d > 2 * radius:
         raise ValueError("series evaluation requires d > 2R")
     idx = sorted(series.coeffs)

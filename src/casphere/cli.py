@@ -611,15 +611,13 @@ def cmd_signmap(args):
         SphereSpec(args.radius, law)  # radius and negative-zeta rejection
     grid = None
     if args.d_grid is not None:
-        from .pfa_sign import MIN_SAMPLES
+        from .pfa_sign import _check_samples
         grid = _checked_grid(args.d_grid, args.radius)
         if grid.size == 0:
             grid = None
-        elif grid.size < MIN_SAMPLES:
+        else:
             # refused before any cell computes an energy on it
-            raise ValueError("--d-grid needs at least %d distances for the "
-                             "zero-force search, got %d"
-                             % (MIN_SAMPLES, grid.size))
+            _check_samples(grid, "--d-grid")
     params = [("zetas1", args.zetas1), ("zetas2", args.zetas2),
               ("radius", repr(args.radius))]
     if args.d_grid is not None:

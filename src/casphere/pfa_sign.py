@@ -112,6 +112,8 @@ class SignProfile:
 def _check_gap(radius, d):
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be finite and > 0, got %r" % (radius,))
+    if not math.isfinite(d):
+        raise ValueError("d must be finite, got %r" % (d,))
     if not d > 2.0 * radius:
         raise ValueError("spheres overlap: d=%r <= 2R=%r" % (d, 2.0 * radius))
 
@@ -124,7 +126,7 @@ def pfa_energy(radius, d, amplitude_case="like"):
     radius : float
         Common sphere radius.
     d : float
-        Center-to-center distance, d > 2R.
+        Center-to-center distance, finite and > 2R.
     amplitude_case : str
         "like" (both boundaries of the same kind, attractive plate
         amplitude -pi^2/1440) or "unlike" (exactly one Dirichlet plate,
@@ -177,6 +179,17 @@ _SCAN_PER_INTERVAL = 32
 MIN_SAMPLES = 8  # fewest samples of a curve `find_zero_force` takes
 
 
+def _check_samples(d, name="d"):
+    """Refuse a d-grid `find_zero_force` cannot take: not 1-D, fewer
+    than MIN_SAMPLES distances, or not strictly increasing.  `name`
+    labels the grid in the message."""
+    if d.ndim != 1 or d.size < MIN_SAMPLES:
+        raise ValueError("%s needs at least %d distances for the zero-force "
+                         "search, got %d" % (name, MIN_SAMPLES, d.size))
+    if not np.all(np.diff(d) > 0.0):
+        raise ValueError("%s must be strictly increasing" % (name,))
+
+
 def find_zero_force(curve, radius):
     """Locate force zeros of a sampled PFA-normalized energy curve.
 
@@ -205,11 +218,7 @@ def find_zero_force(curve, radius):
 
     d = np.asarray(curve.d, dtype=float)
     ratio = np.asarray(curve.ratio, dtype=float)
-    if d.ndim != 1 or d.size < MIN_SAMPLES:
-        raise ValueError("need at least %d samples, got %d"
-                         % (MIN_SAMPLES, d.size))
-    if not np.all(np.diff(d) > 0.0):
-        raise ValueError("d samples must be strictly increasing")
+    _check_samples(d)
     if not np.all(np.isfinite(ratio)):
         raise ValueError("ratio samples must be finite")
     _check_gap(radius, float(d[0]))

@@ -8,9 +8,10 @@ Chains are built in rows, one per argument of a vector (one per
 quadrature node of a chunk), and the I continued fraction of every row
 runs in one downward sweep (`_chain_rows`); one argument is one row.
 The numeric translation layer needs no Wigner 3j symbols: its blocks
-come from recurrences in the orders and its EM recoupling from closed
-Clebsch-Gordan forms (the exact series in `asymptotics` runs the same
-recurrences and forms on rationals).
+come from recurrences in the orders and its EM recoupling from the
+exact squares of closed-form Clebsch-Gordan weights
+(`translation._em_weight_squares`); the exact series in `asymptotics`
+runs the same recurrences on rationals and reads the same squares.
 
 Scaling convention: every stored Bessel log is of I_nu(z)*e^{-z} or
 K_nu(z)*e^{+z}.  Downstream products pair e^{+2z} growth against

@@ -56,13 +56,13 @@ absolute error is meaningful.
 `_node_kernels` does so for every x of an array in one batch (every
 quadrature node of a chunk, at one distance); every step is elementwise
 in x, so each row is byte-equal to its one-x kernel.  The EM blocks
-recouple the same S stack, with Clebsch-Gordan weights in closed form
-and k_{J'+J+1} factored out, so their ratios are again <= 1.  Order m
-of an EM block reads only the S orders m-1..m+1 and is zero in the rows
-and columns below max(1, m), so the recoupling fills only that live
-region: in parts of consecutive orders (two halves up to l_max 15,
-about eight orders each above), each with its own S orders and its own
-first live row.
+recouple the same S stack, with Clebsch-Gordan weights rooted from
+their exact squares (`_em_weight_squares`) and k_{J'+J+1} factored
+out, so their ratios are again <= 1.  Order m of an EM block reads only
+the S orders m-1..m+1 and is zero in the rows and columns below
+max(1, m), so the recoupling fills only that live region: in parts of
+consecutive orders (two halves up to l_max 15, about eight orders each
+above), each with its own S orders and its own first live row.
 """
 
 import math
@@ -298,65 +298,54 @@ def u_log_block(l_max, m, x, direction="12"):
 # the electric target amplitude be read off the orbital J'-1 channel alone.
 
 
-def _em_weights(l_max, m):
-    """Recoupling weight vectors for the four polarization blocks.
+def _em_weight_squares(j, m, q):
+    """Signed squares c|c|, as (numerator, denominator), of the four
+    recoupling weights at J = j, order m and q in (-1, 0, +1):
 
-    For q in (-1, 0, +1) and J = 0..l_max+1 returns
-    w0[q][J] = <J,   m-q; 1, q | J m>,
-    wm[q][J] = <J-1, m-q; 1, q | J m>,
-    wp[q][J] = <J+1, m-q; 1, q | J m>,
-    zero for J below max(1, |m|), plus the electric decomposition
-    constants aR, bR.  m is one order or an array of orders, whose shape
-    leads those of w0, wm and wp.  The coefficients with j2 = 1 are the
-    closed forms of Edmonds, Angular Momentum in Quantum Mechanics,
-    Table 2, each the square root of one rational number.
+    t_m  = <J, m-q; 1, q | J m>,
+    t_e  = <J-1, m-q; 1, q | J m> / aR(J),
+    c_lo = -aR(J) <J-1, m-q; 1, q | J m>,
+    c_hi = -bR(J) <J+1, m-q; 1, q | J m>,
+
+    the target weights of the magnetic and electric rows and the source
+    weights of the electric columns' J-1 and J+1 channels (the magnetic
+    columns share t_m).  The Clebsch-Gordan coefficients are the closed
+    forms of Edmonds, Angular Momentum in Quantum Mechanics, Table 2,
+    with aR^2 = (J+1)/(2J+1) and bR^2 = J/(2J+1) folded in.  Integer
+    arithmetic only, so j, m, q may be Python ints or broadcastable
+    numpy integer arrays; q selects between the q = 0 and q = +-1 forms
+    through q^2.  Valid for J >= max(1, |m|).
     """
-    n = l_max + 2
-    m = np.asarray(m)[..., None, None]
-    q = np.arange(-1, 2)[:, None]
-    jv = np.arange(n)
-    j = jv.astype(float)
-
-    def root(num, den):
-        return np.sqrt(np.maximum(num, 0.0) / den)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # j1 = J: -q sqrt((J+qm)(J-qm+1)/(2J(J+1))) at q = +-1,
-        # m/sqrt(J(J+1)) at q = 0
-        w0 = np.where(q == 0, m / np.sqrt(j * (j + 1.0)),
-                      -q * root((j + q * m) * (j - q * m + 1.0),
-                                2.0 * j * (j + 1.0)))
-        # j1 = J - 1: sqrt((J+qm-1)(J+qm)/((2J-1)2J)) at q = +-1,
-        # sqrt((J-m)(J+m)/((2J-1)J)) at q = 0
-        wm = np.where(q == 0, root((j - m) * (j + m), (2.0 * j - 1.0) * j),
-                      root((j + q * m - 1.0) * (j + q * m),
-                           (2.0 * j - 1.0) * 2.0 * j))
-        # j1 = J + 1: sqrt((J-qm+1)(J-qm+2)/((2J+2)(2J+3))) at q = +-1,
-        # -sqrt((J-m+1)(J+m+1)/((J+1)(2J+3))) at q = 0
-        wp = np.where(q == 0, -root((j - m + 1.0) * (j + m + 1.0),
-                                    (j + 1.0) * (2.0 * j + 3.0)),
-                      root((j - q * m + 1.0) * (j - q * m + 2.0),
-                           (2.0 * j + 2.0) * (2.0 * j + 3.0)))
-        live = jv >= np.maximum(1, np.abs(m))
-        w0, wm, wp = (np.where(live, w, 0.0) for w in (w0, wm, wp))
-        a_r = np.sqrt((j + 1.0) / (2.0 * j + 1.0))
-        b_r = np.sqrt(j / (2.0 * j + 1.0))
-    return w0, wm, wp, a_r, b_r
+    p = q * q
+    t_m = ((1 - p) * m * abs(m) - q * (j + q * m) * (j - q * m + 1),
+           (1 + p) * j * (j + 1))
+    # c|c| of <J-1, ...> is lo/den_lo, that of <J+1, ...> hi/den_hi
+    lo = 2 * (1 - p) * (j - m) * (j + m) + p * (j + q * m - 1) * (j + q * m)
+    hi = (p * (j - q * m + 1) * (j - q * m + 2)
+          - 2 * (1 - p) * (j - m + 1) * (j + m + 1))
+    den_lo, den_hi = 2 * j * (2 * j - 1), 2 * (j + 1) * (2 * j + 3)
+    return (t_m,
+            (lo * (2 * j + 1), den_lo * (j + 1)),
+            (-lo * (j + 1), den_lo * (2 * j + 1)),
+            (-hi * j, den_hi * (2 * j + 1)))
 
 
 @lru_cache(maxsize=8)
 def _em_weight_stack(l_max):
-    """`_em_weights` of m = 0..l_max stacked as (m, q, J) arrays, J <= l_max.
+    """The weights of `_em_weight_squares` for m = 0..l_max as (m, q, J)
+    arrays, J <= l_max, zero below max(1, m) (read-only).
 
-    Returns (t_m, t_e, c_lo, c_hi): target weights of the magnetic and
-    electric rows and source weights of the electric columns' J-1 and J+1
-    channels (the magnetic columns share t_m).
+    Returns (t_m, t_e, c_lo, c_hi), each sign(num) sqrt(|num|/den) of
+    its exact square: one correctly rounded division of exact integers
+    and one correctly rounded square root.
     """
     n = l_max + 1
-    w0, wm, wp, a_r, b_r = _em_weights(l_max, np.arange(n))
-    w0, wm, wp = (np.ascontiguousarray(w[..., :n]) for w in (w0, wm, wp))
-    a_r, b_r = a_r[:n], b_r[:n]
-    out = (w0, wm / a_r, -a_r * wm, -b_r * wp)
+    m, q, j = np.ogrid[:n, -1:2, :n]
+    live = j >= np.maximum(1, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = tuple(np.where(live, np.sign(num) * np.sqrt(np.abs(num) / den),
+                             0.0)
+                    for num, den in _em_weight_squares(j, m, q))
     for arr in out:
         arr.setflags(write=False)
     return out

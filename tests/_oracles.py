@@ -789,6 +789,24 @@ def clebsch_exact_sq(j1, m1, j2, m2, J, M):
     return sign * (2 * J + 1) * sq
 
 
+@lru_cache(maxsize=None)
+def em_weight_squares_ref(j, m, q):
+    """The four EM recoupling weights at J = j, order m and q, as exact
+    signed squares c|c| (Fractions) from `clebsch_exact_sq`:
+
+    t_m  = <J, m-q; 1 q | J m>,
+    t_e  = <J-1, m-q; 1 q | J m> / aR(J),
+    c_lo = -aR(J) <J-1, m-q; 1 q | J m>,
+    c_hi = -bR(J) <J+1, m-q; 1 q | J m>,
+
+    with aR = sqrt((J+1)/(2J+1)) and bR = sqrt(J/(2J+1)), J >= 1.
+    """
+    cg0, cgm, cgp = (clebsch_exact_sq(j + dj, m - q, 1, q, j, m)
+                     for dj in (0, -1, 1))
+    return (cg0, cgm * Fraction(2 * j + 1, j + 1),
+            -cgm * Fraction(j + 1, 2 * j + 1), -cgp * Fraction(j, 2 * j + 1))
+
+
 def clebsch(j1, m1, j2, m2, J, M):
     """<j1 m1; j2 m2 | J M> from the exact 3j square, correctly rounded."""
     sq = clebsch_exact_sq(j1, m1, j2, m2, J, M)
@@ -1006,7 +1024,13 @@ def _signed_log_sum(parts):
 
 
 def em_weights_3j(l_max, m):
-    """`translation._em_weights` from one batch of 3j families.
+    """The Clebsch-Gordan weights of the EM recoupling from one batch of
+    3j families: for q in (-1, 0, +1) and J = 0..l_max+1, w0[q][J] =
+    <J, m-q; 1 q | J m>, wm[q][J] = <J-1, ...> and wp[q][J] = <J+1, ...>,
+    zero below max(1, |m|), and the electric constants aR, bR.  m is one
+    order or an array of orders, whose shape leads those of w0, wm and
+    wp.  `translation._em_weight_squares` holds the same coefficients,
+    with aR and bR folded in, as exact squares.
 
     One family (J' 1 J; m-q, q, -m) per (m, q, J'): from the top it holds
     J = J'+1, J', J'-1, i.e. wm[J'+1], w0[J'] and wp[J'-1], with
@@ -1312,32 +1336,23 @@ def em_block_ref(key, jr, jc, m):
     """EM translation block "12" at (J' = jr, J = jc) as {kpow: c}.
 
     The recoupling of `translation._em_recouple` on `g_series_ref`, with
-    the Clebsch-Gordan weights from exact 3j squares
-    (`clebsch_exact_sq`): key pairs the target and source polarizations,
-    "M" or "E", and the block is sqrt(W(J', m) W(J, m)) times the
-    returned Laurent series, W(J, m) = w(J, m) J(J+1).  A magnetic row or
-    column reads the orbital J channel with weight <J m-q; 1 q | J m>; an
-    electric row the J'-1 channel over aR(J') = sqrt((J'+1)/(2J'+1)); an
-    electric column -aR(J) times the J-1 channel and -bR(J) =
-    -sqrt(J/(2J+1)) times the J+1 channel.
+    the weights from exact 3j squares (`em_weight_squares_ref`): key
+    pairs the target and source polarizations, "M" or "E", and the block
+    is sqrt(W(J', m) W(J, m)) times the returned Laurent series, W(J, m)
+    = w(J, m) J(J+1).  A magnetic row or column reads the orbital J
+    channel with weight t_m; an electric row the J'-1 channel with t_e;
+    an electric column the J-1 channel with c_lo and the J+1 channel
+    with c_hi.
     """
     w_pair = _w_em_ref(jr, m) * _w_em_ref(jc, m)
     total = {}
     for q in (-1, 0, 1):
         mu = m - q
-        if key[0] == "M":
-            row, l_row = clebsch_exact_sq(jr, mu, 1, q, jr, m), jr
-        else:
-            row = clebsch_exact_sq(jr - 1, mu, 1, q, jr, m) \
-                * Fraction(2 * jr + 1, jr + 1)
-            l_row = jr - 1
-        if key[1] == "M":
-            parts = ((clebsch_exact_sq(jc, mu, 1, q, jc, m), jc),)
-        else:
-            parts = ((-clebsch_exact_sq(jc - 1, mu, 1, q, jc, m)
-                      * Fraction(jc + 1, 2 * jc + 1), jc - 1),
-                     (-clebsch_exact_sq(jc + 1, mu, 1, q, jc, m)
-                      * Fraction(jc, 2 * jc + 1), jc + 1))
+        rw = em_weight_squares_ref(jr, m, q)
+        cw = em_weight_squares_ref(jc, m, q)
+        row, l_row = (rw[0], jr) if key[0] == "M" else (rw[1], jr - 1)
+        parts = (((cw[0], jc),) if key[1] == "M"
+                 else ((cw[2], jc - 1), (cw[3], jc + 1)))
         for col, l_col in parts:
             g = g_series_ref(l_row, l_col, abs(mu))
             if not (row and col and g):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import casphere.asymptotics as asym
 from casphere.asymptotics import (
-    _cg_sq,
     _g_table,
     _w_em,
     _w_int,
@@ -19,7 +18,11 @@ from casphere.asymptotics import (
     expand_scalar,
 )
 from casphere.energy import Geometry, casimir_energy, suggest_l_max
-from casphere.translation import _em_weights, node_kernel
+from casphere.translation import (
+    _em_weight_squares,
+    _em_weight_stack,
+    node_kernel,
+)
 from casphere.tmatrix import (
     Dielectric,
     Dirichlet,
@@ -337,18 +340,20 @@ def test_metal_uncertified_cut_is_flagged():
 
 
 def test_exact_clebsch_gordan_matches_recoupling_weights():
-    # the series route's signed CG squares and the energy route's
-    # closed-form weights, and the 3j-route weights of the translation
-    # oracle: <J m-q; 1 q | J m> and the J-1, J+1 channels, |m| <= J <= 8
-    for m in range(-8, 9):
-        for w0, wm, wp, _, _ in (_em_weights(7, m), em_weights_3j(7, m)):
-            for iq, q in enumerate((-1, 0, 1)):
-                for jj in range(max(1, abs(m)), 9):
-                    for weights, dj in ((w0, 0), (wm, -1), (wp, 1)):
-                        sq = _cg_sq(dj, jj, m, q)
-                        exact = math.copysign(math.sqrt(abs(sq)), sq)
-                        assert abs(exact - weights[iq, jj]) <= 1e-15, \
-                            (jj + dj, m - q, jj, q)
+    # the series route's exact squares, rooted, against the energy route's
+    # float weights and the 3j-route weights of the translation oracle
+    # folded with aR and bR: the four weights (t_m, t_e, c_lo, c_hi),
+    # max(1, m) <= J <= 8
+    w0, wm, wp, a_r, b_r = em_weights_3j(8, np.arange(9))
+    routes = (_em_weight_stack(8), (w0, wm / a_r, -a_r * wm, -b_r * wp))
+    for m in range(9):
+        for iq, q in enumerate((-1, 0, 1)):
+            for jj in range(max(1, m), 9):
+                for iw, (num, den) in enumerate(_em_weight_squares(jj, m, q)):
+                    exact = math.copysign(math.sqrt(abs(F(num, den))), num)
+                    for weights in routes:
+                        assert abs(exact - weights[iw][m, iq, jj]) <= 1e-15, \
+                            (iw, jj, m, q)
 
 
 @pytest.mark.parametrize("x", [0.05, 0.3, 1.7])
@@ -399,14 +404,14 @@ def test_em_blocks_are_built_once_across_cuts():
 
 def test_em_radical_mismatch_raises(monkeypatch):
     # a block whose q terms keep a radical the slot weights cannot take:
-    # skew the squared magnetic source weight of q = +1 only
-    real_cg_sq = asym._cg_sq
+    # skew the squared magnetic weight t_m of q = +1 only
+    real_squares = asym._em_weight_squares
 
-    def skewed_cg_sq(dj, j, m, q):
-        sq = real_cg_sq(dj, j, m, q)
-        return 101 * sq if q == 1 and dj == 0 else sq
+    def skewed_squares(j, m, q):
+        (num, den), *rest = real_squares(j, m, q)
+        return ((101 * num if q == 1 else num, den), *rest)
 
-    monkeypatch.setattr(asym, "_cg_sq", skewed_cg_sq)
+    monkeypatch.setattr(asym, "_em_weight_squares", skewed_squares)
     with pytest.raises(ArithmeticError, match="kept the radical"):
         asym._em_block.__wrapped__((2, "E"), (2, "M"), 1)
     monkeypatch.undo()
@@ -545,6 +550,14 @@ def test_eval_series_mechanics():
         eval_series(series, 1.0, 1.9)
     with pytest.raises(ValueError):
         eval_series(series, 1.0, 10.0, n_terms=7)
+
+
+def test_eval_series_refuses_a_non_finite_d():
+    # inf > 2R would pass the overlap check and give an energy of 0
+    for series in (expand_scalar(D, D), expand_em_metal()):
+        for d in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite d"):
+                eval_series(series, 1.0, d)
 
 
 def test_eval_series_refuses_a_bad_radius():

@@ -188,6 +188,23 @@ def test_pfa_record(tmp_path):
                                                   rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["pfa", "--d", "inf"],
+    ["pfa", "--field", "em", "--d", "inf"],
+    ["series", "--bc1", "dirichlet", "--d", "inf", "--format", "json"],
+    ["series", "--field", "em", "--bc1", "pec", "--d", "inf",
+     "--format", "json"],
+])
+def test_an_infinite_distance_is_refused(argv, tmp_path, capsys):
+    # the record would carry d = Infinity, which is not JSON, next to an
+    # energy of 0
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "finite d" in err or "d must be finite" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep tables
 # ---------------------------------------------------------------------------
@@ -373,11 +390,8 @@ def test_signmap_zero_search(tmp_path):
     assert 4.7 < zeros[1] < 5.7
 
 
-@pytest.mark.parametrize("grid", ["3:6:1", "3:6:5", "3:6:7"])
-def test_signmap_refuses_a_short_grid_before_any_energy(grid, capsys,
-                                                         monkeypatch):
-    # the zero search needs pfa_sign.MIN_SAMPLES distances: a shorter grid
-    # is refused before a single energy of any cell is computed
+def _count_signmap_energies(monkeypatch, grid):
+    """(exit code, calls of cli.casimir_energy) of a signmap on grid."""
     calls = []
     real = cli.casimir_energy
 
@@ -386,12 +400,29 @@ def test_signmap_refuses_a_short_grid_before_any_energy(grid, capsys,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "casimir_energy", counting)
-    assert cli.main(["signmap", "--zetas1", "0,10", "--zetas2", "1",
-                     "--d-grid", grid]) == 2
-    assert calls == []
+    return cli.main(["signmap", "--zetas1", "0,10", "--zetas2", "1",
+                     "--d-grid", grid]), calls
+
+
+@pytest.mark.parametrize("grid", ["3:6:1", "3:6:5", "3:6:7"])
+def test_signmap_refuses_a_short_grid_before_any_energy(grid, capsys,
+                                                         monkeypatch):
+    # the zero search needs pfa_sign.MIN_SAMPLES distances: a shorter grid
+    # is refused before a single energy of any cell is computed
+    assert _count_signmap_energies(monkeypatch, grid) == (2, [])
     assert capsys.readouterr().err == (
         "casphere: --d-grid needs at least %d distances for the zero-force "
         "search, got %d\n" % (pfa_sign.MIN_SAMPLES, int(grid.split(":")[2])))
+
+
+@pytest.mark.parametrize("grid", ["6:3:8", "3:3:8"])
+def test_signmap_refuses_an_unordered_grid_before_any_energy(grid, capsys,
+                                                             monkeypatch):
+    # descending or repeated distances fail the zero search's rule, taken
+    # from pfa_sign, before a single energy of any cell is computed
+    assert _count_signmap_energies(monkeypatch, grid) == (2, [])
+    assert capsys.readouterr().err == \
+        "casphere: --d-grid must be strictly increasing\n"
 
 
 def test_signmap_rejects_bound_state_zeta():

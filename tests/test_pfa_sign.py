@@ -70,6 +70,15 @@ def test_pfa_energy_validation():
         pfa_energy_em(1.0, 2.0)
 
 
+def test_pfa_energy_refuses_a_non_finite_d():
+    # inf > 2R would pass the overlap check and give an energy of 0
+    for d in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="d must be finite"):
+            pfa_energy(1.0, d, "like")
+        with pytest.raises(ValueError, match="d must be finite"):
+            pfa_energy_em(1.0, d)
+
+
 def test_amplitude_case_selection():
     # "unlike" iff exactly one boundary pins the field (zeta = 0)
     assert amplitude_case(D, D) == "like"
@@ -197,11 +206,11 @@ def test_monotone_curve_has_no_zeros():
 def test_find_zero_force_validation():
     good = np.arange(3.0, 8.01, 0.5)
     h = lambda x: np.ones_like(x)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 8 distances"):
         find_zero_force(_synthetic_curve(good[:7], h), 1.0)
     bad = good.copy()
     bad[3], bad[4] = bad[4], bad[3]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         find_zero_force(_synthetic_curve(bad, h), 1.0)
     with pytest.raises(ValueError):
         find_zero_force(_synthetic_curve(good, h), 1.6)

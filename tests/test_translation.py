@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -314,7 +315,7 @@ def test_em_electric_extraction_route_consistency():
     # J'+1 orbital channel; both must give the same block
     l_max, m, x = 7, 1, 2.3
     blocks = em_log_blocks(l_max, m, x, "12")
-    w0, wm, wp, a_r, b_r = tr._em_weights(l_max, m)
+    w0, wm, wp, a_r, b_r = orc.em_weights_3j(l_max, m)
     n = l_max + 1
     # rebuild NM via the J'+1 route
     s_ref, lg_ref = blocks["NM"]
@@ -387,43 +388,55 @@ def test_em_validation_errors():
 # ---------------------------------------------------------------------------
 
 def test_em_weights_match_exact_clebsch_gordan():
-    # every m, q and J <= 40 against the exact Racah oracle: each weight
-    # is the square root of one correctly rounded rational (or m over
-    # one), so it keeps full relative accuracy, the small ones included
-    # (at most 1.0 eps relative measured)
-    l_max = 39
-    for m in range(-l_max - 2, l_max + 3):
-        w0, wm, wp, _, _ = tr._em_weights(l_max, m)
-        for iq, q in enumerate((-1, 0, 1)):
-            for jj in range(l_max + 2):
-                for w, j1 in ((w0, jj), (wm, jj - 1), (wp, jj + 1)):
-                    ok = jj >= max(1, abs(m)) and j1 >= abs(m - q)
-                    ref = orc.clebsch(j1, m - q, 1, q, jj, m) if ok else 0.0
-                    assert abs(w[iq, jj] - ref) <= 2 * EPS * abs(ref), \
-                        (j1, m - q, q, jj)
+    # the exact signed squares of the four weights (t_m, t_e, c_lo, c_hi)
+    # on Python ints are the Racah oracle's, with aR^2 and bR^2 folded
+    # in, for every m, q and 1 <= J <= 40
+    for jj in range(1, 41):
+        for m in range(-jj, jj + 1):
+            for q in (-1, 0, 1):
+                got = tuple(Fraction(*w)
+                            for w in tr._em_weight_squares(jj, m, q))
+                assert got == orc.em_weight_squares_ref(jj, m, q), \
+                    (jj, m, q)
+
+
+def test_em_weight_stack_within_one_ulp_of_exact_roots():
+    # each float weight is one correctly rounded division of exact
+    # integers and one correctly rounded root: within 1 ulp of the
+    # correctly rounded root of the oracle's exact square at every order
+    # up to 64 (at most 0.84 ulp from the exact root measured), and zero
+    # exactly where that square is
+    ref = np.zeros((4, 65, 3, 65))
+    with mp.workdps(40):
+        for jj in range(1, 65):
+            for m in range(jj + 1):
+                for iq, q in enumerate((-1, 0, 1)):
+                    for iw, sq in enumerate(
+                            orc.em_weight_squares_ref(jj, m, q)):
+                        root = mp.sqrt(mp.mpf(abs(sq.numerator))
+                                       / sq.denominator)
+                        ref[iw, m, iq, jj] = math.copysign(float(root), sq)
+    for l_max in (1, 8, 32, 64):
+        n = l_max + 1
+        got = np.stack(tr._em_weight_stack(l_max))
+        want = ref[:, :n, :, :n]
+        assert got.shape == want.shape
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 def test_em_weights_match_threej_route():
     # the weights from one batch of 3j families, as the translation kernel
-    # took them before the closed forms: within 2 ulp of 1 (they differ by
-    # at most 3.3e-16 up to J = 33)
+    # took them before the closed forms, folded with aR and bR: within
+    # 2 ulp of 1
     for l_max in (1, 8, 32):
-        m = np.arange(-l_max - 1, l_max + 2)
-        for got, ref in zip(tr._em_weights(l_max, m),
-                            orc.em_weights_3j(l_max, m)):
+        n = l_max + 1
+        w0, wm, wp, a_r, b_r = (w[..., :n] for w in
+                                orc.em_weights_3j(l_max, np.arange(n)))
+        for got, ref in zip(tr._em_weight_stack(l_max),
+                            (w0, wm / a_r, -a_r * wm, -b_r * wp)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 2 * EPS
-
-
-def test_em_weight_stack_equals_per_m_weights():
-    # the weights of every m at once are byte-equal to those of each m
-    stack = tr._em_weight_stack.__wrapped__(32)
-    n = 33
-    per_m = [tr._em_weights(32, m) for m in range(n)]
-    w0, wm, wp = (np.stack([p[i][:, :n] for p in per_m]) for i in range(3))
-    a_r, b_r = per_m[0][3][:n], per_m[0][4][:n]
-    for got, ref in zip(stack, (w0, wm / a_r, -a_r * wm, -b_r * wp)):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
