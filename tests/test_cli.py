@@ -306,6 +306,61 @@ def test_sweep_empty_grid(tmp_path):
     assert "# config: d_grid=4:6:0" in text
 
 
+# (argv, the verb's default format, echoed (key, value) pairs before
+# "format"): non-default values, defaults that mirror other options, and
+# each optional key present and absent; --out and --workers are never
+# echoed
+CONFIG_ECHO = [
+    (["energy", "--field", "scalar-complex", "--bc1", "robin:2",
+      "--radius", "1", "--d", "4", "--lmax", "2", "--qtol", "1e-6",
+      "--workers", "2"], "json",
+     [("field", "scalar-complex"), ("bc1", "robin:2"), ("bc2", "robin:2"),
+      ("radius", "1.0"), ("d", "4.0"), ("lmax", "2"), ("qtol", "1e-06")]),
+    (["sweep", "--field", "em", "--d-grid", "4:6:0"], "csv",
+     [("field", "em"), ("bc1", "pec"), ("bc2", "pec"), ("radius", "1.0"),
+      ("d_grid", "4:6:0"), ("lmax", "auto"), ("qtol", "1e-09")]),
+    (["series", "--bc1", "dirichlet", "--bc2", "robin:10"], "csv",
+     [("field", "scalar-real"), ("bc1", "dirichlet"), ("bc2", "robin:10"),
+      ("radius", "1.0")]),
+    (["series", "--field", "em", "--d", "10"], "csv",
+     [("field", "em"), ("bc1", "pec"), ("bc2", "pec"), ("radius", "1.0"),
+      ("d", "10.0")]),
+    (["pfa", "--bc1", "neumann", "--bc2", "dirichlet", "--radius", "0.5",
+      "--d", "3", "--workers", "2"], "json",
+     [("field", "scalar-real"), ("bc1", "neumann"), ("bc2", "dirichlet"),
+      ("radius", "0.5"), ("d", "3.0")]),
+    (["signmap", "--zetas1", "0,inf", "--zetas2", "1"], "csv",
+     [("zetas1", "0,inf"), ("zetas2", "1"), ("radius", "1.0"),
+      ("lmax", "auto"), ("qtol", "1e-09")]),
+    (["signmap", "--zetas1", "0", "--zetas2", "inf", "--d-grid", "4:6:0",
+      "--lmax", "4", "--qtol", "1e-6"], "csv",
+     [("zetas1", "0"), ("zetas2", "inf"), ("radius", "1.0"),
+      ("d_grid", "4:6:0"), ("lmax", "4"), ("qtol", "1e-06")]),
+    (["nbody", "--sphere", "0:1:dirichlet", "--sphere", "3:1:neumann",
+      "--lmax", "2"], "json",
+     [("field", "scalar-real"), ("spheres", "0:1:dirichlet;3:1:neumann"),
+      ("lmax", "2"), ("qtol", "1e-09")]),
+]
+
+
+@pytest.mark.parametrize("argv, default, pairs", CONFIG_ECHO,
+                         ids=["-".join(c[0][:1] + c[0][-2:])
+                              for c in CONFIG_ECHO])
+def test_config_echo_of_every_verb(argv, default, pairs, tmp_path):
+    # the run of the verb's default format omits --format
+    for fmt in ("csv", "json"):
+        run = argv if fmt == default else argv + ["--format", fmt]
+        expected = pairs + [("format", fmt)]
+        if fmt == "csv":
+            text = run_csv(tmp_path, run)
+            assert [ln for ln in text.splitlines()
+                    if ln.startswith("# config: ")] == \
+                ["# config: %s=%s" % kv for kv in expected]
+        else:
+            doc = run_json(tmp_path, run)
+            assert list(doc["config"].items()) == expected
+
+
 def test_sweep_rejects_contact():
     assert cli.main(["sweep", "--bc1", "dirichlet",
                      "--d-grid", "2:6:3"]) == 2
