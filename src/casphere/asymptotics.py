@@ -632,8 +632,13 @@ def eval_series(series, radius, d, n_terms=None):
         if series.form == "scalar-b":
             terms.append(c / (math.pi * d) * (radius / d) ** (i - 1))
         else:
-            terms.append(-c / math.pi * radius ** 6 / d ** 7
-                         * (radius / d) ** i)
+            try:
+                terms.append(-c / math.pi * radius ** 6 / d ** 7
+                             * (radius / d) ** i)
+            except (OverflowError, ZeroDivisionError):
+                # R^6 or d^7 leaves the float range: the same term as
+                # powers of R/d < 1/2 alone, which can only underflow
+                terms.append(-c / math.pi / d * (radius / d) ** (6 + i))
     first_growing = None
     prev = None
     for pos, t in zip(use, terms):

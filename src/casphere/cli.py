@@ -5,11 +5,18 @@ Verbs: `energy` (single point), `sweep` (distance grid), `series`
 `signmap` (force-sign classification over Robin impedances), and
 `nbody` (N collinear spheres).
 
+Each option is declared once, in `OPTIONS`, and each verb in `VERBS`
+lists exactly the options it reads.  The parser, `--help` and the
+configuration echoed at the head of every output all come from that
+list, so a verb refuses an option it would not read (argparse's
+"unrecognized arguments", exit 2).
+
 Outputs are CSV tables or JSON records.  Every output starts with the
-parsed configuration echoed verbatim, so a file identifies the run that
-produced it; reruns with the same configuration are bitwise identical
-apart from the timestamp line, for any worker count.  Energies are
-reported dimensionless, in units of hbar c / R_1.
+parsed configuration, so a file identifies the run that produced it;
+reruns with the same configuration are bitwise identical apart from the
+timestamp line, for any worker count.  Energies are reported
+dimensionless, in units of hbar c / R_1.  `E_over_PFA` is nan (null in
+JSON) where E_PFA underflows to 0.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical domain error.
 """
@@ -21,7 +28,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 
@@ -54,27 +60,12 @@ SWEEP_COLUMNS = ("d_over_R", "L_over_R", "E", "E_over_PFA", "l_max_used",
                  "delta", "series_value", "abs_err_estimate")
 PFA_COLUMNS = ("d_over_R", "L_over_R", "amplitude_case", "E_pfa")
 SERIES_COLUMNS = ("index", "coefficient", "exact", "certified")
+NBODY_COLUMNS = ("n_spheres", "E", "l_max_used", "delta", "abs_err_estimate")
 SIGNMAP_COLUMNS = ("zeta1", "zeta2", "sign_small_L", "sign_large_L",
                    "n_zeros", "zeros", "summary")
 
 _BC_HELP = ("dirichlet | neumann | robin:<zeta> | dielectric:<eps>,<mu> | "
             "pec  (robin:0 and robin:inf canonicalize to dirichlet/neumann)")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Verb plus ordered (name, value-string) parameter pairs.
-
-    The pairs keep the exact command-line spellings and are echoed into
-    every output header; the output path and worker count are excluded
-    so that equivalent runs produce identical headers.
-    """
-
-    verb: str
-    params: tuple
-
-    def lines(self):
-        return ["%s=%s" % (k, v) for k, v in self.params]
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +125,14 @@ def parse_grid(text):
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise argparse.ArgumentTypeError(
             "grid bounds must be finite, got %r" % text)
+    if spaced is np.geomspace and start <= 0.0:
+        raise argparse.ArgumentTypeError("log grid requires start > 0")
     if count < 0:
         raise argparse.ArgumentTypeError("grid count must be >= 0")
     if count == 0:
         return np.empty(0)
     if count == 1:
         return np.array([start])
-    if spaced is np.geomspace and start <= 0.0:
-        raise argparse.ArgumentTypeError("log grid requires start > 0")
     return spaced(start, stop, count)
 
 
@@ -186,108 +177,69 @@ def _parse_sphere(text):
     return center, radius, parse_law(parts[2])
 
 
-def _check_field_pair(field, law1, law2):
-    scalar = field in ("scalar-real", "scalar-complex")
-    ok = (is_scalar_law(law1) and is_scalar_law(law2)) if scalar else \
-        (is_em_law(law1) and is_em_law(law2))
-    if not ok:
+def _check_field(field, laws):
+    """Refuse laws the field does not scatter: the scalar fields take
+    Robin-family laws, em takes materials."""
+    scalar = field != "em"
+    if not all(map(is_scalar_law if scalar else is_em_law, laws)):
         kind = "Robin-family" if scalar else "material (dielectric/pec)"
-        raise ValueError("field %r requires %s laws on both spheres"
+        raise ValueError("field %r requires %s laws on every sphere"
                          % (field, kind))
 
 
-@lru_cache(maxsize=None)
-def _build_parser():
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, so every `main` call shares it."""
-    parser = argparse.ArgumentParser(
-        prog="casphere",
-        description="Casimir energies and forces between spheres "
-                    "(multipole scattering determinants)")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="-",
-                        help="output path, - for stdout (default)")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="csv for tables, json for records "
-                             "(verb-dependent default)")
-    common.add_argument("--workers", type=parse_workers, default=1,
-                        help="worker processes for grid dispatch")
-
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--field",
-                      choices=("scalar-real", "scalar-complex", "em"),
-                      default="scalar-real")
-    pair.add_argument("--bc1", default=None, help=_BC_HELP)
-    pair.add_argument("--bc2", default=None,
-                      help="law of sphere 2 (defaults to --bc1)")
-    pair.add_argument("--radius", type=float, default=1.0,
-                      help="common sphere radius R")
-    pair.add_argument("--lmax", type=parse_lmax, default="auto",
-                      help="multipole truncation, integer or auto")
-    pair.add_argument("--qtol", type=float, default=1e-9,
-                      help="quadrature relative tolerance")
-
-    p = sub.add_parser("energy", parents=[pair, common],
-                       help="single-point energy record")
-    p.add_argument("--d", type=float, required=True,
-                   help="center-to-center distance")
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("sweep", parents=[pair, common],
-                       help="distance sweep table")
-    p.add_argument("--d-grid", required=True,
-                   help="start:stop:count[:log] center distances")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("series", parents=[pair, common],
-                       help="large-distance series coefficients")
-    p.add_argument("--d", type=float, default=None,
-                   help="optionally evaluate the series at this distance")
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("pfa", parents=[pair, common],
-                       help="proximity-force baseline energy")
-    p.add_argument("--d", type=float, required=True)
-    p.set_defaults(func=cmd_pfa)
-
-    p = sub.add_parser("signmap", parents=[pair, common],
-                       help="force-sign classification over (zeta1, zeta2)")
-    p.add_argument("--zetas1", required=True,
-                   help="comma list of zeta values for sphere 1 (inf ok)")
-    p.add_argument("--zetas2", required=True,
-                   help="comma list of zeta values for sphere 2")
-    p.add_argument("--d-grid", default=None,
-                   help="optional start:stop:count[:log] distances for the "
-                        "zero-force search")
-    p.set_defaults(func=cmd_signmap)
-
-    p = sub.add_parser("nbody", parents=[common],
-                       help="N collinear spheres")
-    p.add_argument("--field",
-                   choices=("scalar-real", "scalar-complex", "em"),
-                   default="scalar-real")
-    p.add_argument("--sphere", action="append", required=True,
-                   metavar="CENTER:RADIUS:BC",
-                   help="repeat once per sphere, centers increasing")
-    p.add_argument("--lmax", type=parse_lmax, default="auto")
-    p.add_argument("--qtol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_nbody)
-    return parser
+# Every option, declared once: flag -> (key in the echoed config, text of
+# the parsed value there, argparse keywords).  The output path and worker
+# count have no key: they are not echoed, so that equivalent runs produce
+# identical headers.
+OPTIONS = {
+    "--field": ("field", str, dict(
+        choices=("scalar-real", "scalar-complex", "em"),
+        default="scalar-real")),
+    "--bc1": ("bc1", str, dict(help=_BC_HELP)),
+    "--bc2": ("bc2", str, dict(help="law of sphere 2 (defaults to --bc1)")),
+    "--zetas1": ("zetas1", str, dict(
+        required=True,
+        help="comma list of zeta values for sphere 1 (inf ok)")),
+    "--zetas2": ("zetas2", str, dict(
+        required=True, help="comma list of zeta values for sphere 2")),
+    "--sphere": ("spheres", ";".join, dict(
+        action="append", required=True, metavar="CENTER:RADIUS:BC",
+        help="repeat once per sphere, centers increasing")),
+    "--radius": ("radius", repr, dict(
+        type=float, default=1.0, help="common sphere radius R")),
+    "--d": ("d", repr, dict(
+        type=float, required=True, help="center-to-center distance")),
+    "--d-grid": ("d_grid", str, dict(
+        required=True, help="start:stop:count[:log] center distances")),
+    "--lmax": ("lmax", lambda v: "auto" if v is None else str(v), dict(
+        type=parse_lmax, default="auto",
+        help="multipole truncation, integer or auto")),
+    "--qtol": ("qtol", repr, dict(
+        type=float, default=1e-9, help="quadrature relative tolerance")),
+    "--format": ("format", str, dict(
+        choices=("csv", "json"),
+        help="csv for tables, json for records (verb-dependent default)")),
+    "--out": (None, None, dict(
+        default="-", help="output path, - for stdout (default)")),
+    "--workers": (None, None, dict(
+        type=parse_workers, default=1,
+        help="worker processes for grid dispatch")),
+}
 
 
 def _resolve_bcs(args):
-    field = args.field
-    bc1 = args.bc1 if args.bc1 is not None else \
-        ("pec" if field == "em" else "dirichlet")
-    bc2 = args.bc2 if args.bc2 is not None else bc1
-    law1, law2 = parse_law(bc1), parse_law(bc2)
+    """(law1, law2) of a pair verb.  The default spellings are written
+    back to `args`, so the echoed config names the laws used."""
+    if args.bc1 is None:
+        args.bc1 = "pec" if args.field == "em" else "dirichlet"
+    if args.bc2 is None:
+        args.bc2 = args.bc1
+    laws = parse_law(args.bc1), parse_law(args.bc2)
     # run law validation (e.g. negative Robin) before any computation
-    SphereSpec(args.radius, law1)
-    SphereSpec(args.radius, law2)
-    _check_field_pair(field, law1, law2)
-    return bc1, bc2, law1, law2
+    for law in laws:
+        SphereSpec(args.radius, law)
+    _check_field(args.field, laws)
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +264,10 @@ def _jsonable(value):
     return value
 
 
-def _write_csv(out, config, columns, rows, extra_lines=()):
-    out.write("# casphere %s schema=%d\n" % (config.verb, SCHEMA_VERSION))
-    for line in config.lines():
-        out.write("# config: %s\n" % line)
+def _write_csv(out, verb, config, columns, rows, extra_lines):
+    out.write("# casphere %s schema=%d\n" % (verb, SCHEMA_VERSION))
+    for key, text in config:
+        out.write("# config: %s=%s\n" % (key, text))
     for line in extra_lines:
         out.write("# %s\n" % line)
     out.write("# timestamp: %s\n" % _utc_stamp())
@@ -325,31 +277,31 @@ def _write_csv(out, config, columns, rows, extra_lines=()):
         writer.writerow([_cell(row[c]) for c in columns])
 
 
-def _write_json(out, config, result=None, columns=None, rows=None):
+def _write_json(out, verb, config, columns, rows, record):
     doc = {"tool": "casphere", "schema": SCHEMA_VERSION,
-           "verb": config.verb, "config": dict(config.params),
+           "verb": verb, "config": dict(config),
            "timestamp": _utc_stamp()}
-    if result is not None:
-        doc["result"] = result
-    if columns is not None:
+    if record is not None:
+        doc["result"] = record
+    else:
         doc["columns"] = list(columns)
         doc["rows"] = [{c: _jsonable(r[c]) for c in columns} for r in rows]
     json.dump(doc, out, indent=2)
     out.write("\n")
 
 
-def _emit(args, config, fmt, columns, rows, record=None, extra_lines=()):
-    """Write a table or record in the requested format."""
+def _emit(args, columns, rows, record=None, extra_lines=()):
+    """Write a table, or in JSON the record when there is one, headed by
+    the verb's echoed config."""
+    config = _config(args)
     path = args.out
     stream = sys.stdout if path in (None, "-") else \
         open(path, "w", encoding="utf-8", newline="")
     try:
-        if fmt == "csv":
-            _write_csv(stream, config, columns, rows, extra_lines)
-        elif record is not None:
-            _write_json(stream, config, result=record)
+        if args.format == "csv":
+            _write_csv(stream, args.verb, config, columns, rows, extra_lines)
         else:
-            _write_json(stream, config, columns=columns, rows=rows)
+            _write_json(stream, args.verb, config, columns, rows, record)
     finally:
         if stream is not sys.stdout:
             stream.close()
@@ -405,12 +357,22 @@ def _pfa_dimensionless(field, law1, law2, radius, d):
     return case, pfa_energy(radius, d, case) * radius * _field_factor(field)
 
 
-def _abs_err(est):
-    """Quadrature error plus the extrapolation error, when there is one."""
+def _estimate_cells(est, l_max):
+    """The cells every energy row shares.  The error estimate is the
+    quadrature error plus the extrapolation error, when there is one."""
     err = est.quad_error
     if est.extrap_error == est.extrap_error:
         err += est.extrap_error
-    return err
+    return {"E": est.value, "l_max_used": l_max, "delta": est.delta_fit,
+            "abs_err_estimate": err}
+
+
+def _record(columns, row, est, **extra):
+    """JSON record of one energy: its row's cells, `extra`, then the
+    l_max history."""
+    record = {c: _jsonable(row[c]) for c in columns}
+    record.update(extra, history=[[l, e] for l, e in est.history])
+    return record
 
 
 def _checked_grid(text, radius):
@@ -431,15 +393,13 @@ def _point_row(field, law1, law2, radius, d, lmax_arg, qtol):
     l_max = suggest_l_max(geometry, field) if lmax_arg is None else lmax_arg
     est = casimir_energy(geometry, field, l_max, quad)
     pfa = _pfa_dimensionless(field, law1, law2, radius, d)
+    # E_PFA underflows to 0 at extreme scales, where the ratio means nothing
     row = {
         "d_over_R": d / radius,
         "L_over_R": (d - 2.0 * radius) / radius,
-        "E": est.value,
-        "E_over_PFA": est.value / pfa[1],
-        "l_max_used": l_max,
-        "delta": est.delta_fit,
+        "E_over_PFA": est.value / pfa[1] if pfa[1] else math.nan,
         "series_value": _series_value(field, law1, law2, radius, d),
-        "abs_err_estimate": _abs_err(est),
+        **_estimate_cells(est, l_max),
     }
     return row, est, pfa
 
@@ -465,55 +425,32 @@ def _map_tasks(fn, tasks, workers):
 # ---------------------------------------------------------------------------
 
 def cmd_energy(args):
-    bc1, bc2, law1, law2 = _resolve_bcs(args)
-    fmt = args.format or "json"
-    config = RunConfig("energy", (
-        ("field", args.field), ("bc1", bc1), ("bc2", bc2),
-        ("radius", repr(args.radius)), ("d", repr(args.d)),
-        ("lmax", "auto" if args.lmax is None else str(args.lmax)),
-        ("qtol", repr(args.qtol)), ("format", fmt)))
+    law1, law2 = _resolve_bcs(args)
     row, est, (case, e_pfa) = _point_row(args.field, law1, law2,
                                          args.radius, args.d, args.lmax,
                                          args.qtol)
-    record = {key: _jsonable(row[key]) for key in SWEEP_COLUMNS}
-    record.update({
-        "pfa_case": case, "E_pfa": e_pfa,
-        "quad_error": est.quad_error,
-        "extrap_error": _jsonable(est.extrap_error),
-        "history": [[l, e] for l, e in est.history],
-    })
-    return _emit(args, config, fmt, SWEEP_COLUMNS, [row], record=record)
+    record = _record(SWEEP_COLUMNS, row, est, pfa_case=case, E_pfa=e_pfa,
+                     quad_error=est.quad_error,
+                     extrap_error=_jsonable(est.extrap_error))
+    return _emit(args, SWEEP_COLUMNS, [row], record)
 
 
 def cmd_sweep(args):
-    bc1, bc2, law1, law2 = _resolve_bcs(args)
-    fmt = args.format or "csv"
+    law1, law2 = _resolve_bcs(args)
     grid = _checked_grid(args.d_grid, args.radius)
-    config = RunConfig("sweep", (
-        ("field", args.field), ("bc1", bc1), ("bc2", bc2),
-        ("radius", repr(args.radius)), ("d_grid", args.d_grid),
-        ("lmax", "auto" if args.lmax is None else str(args.lmax)),
-        ("qtol", repr(args.qtol)), ("format", fmt)))
     tasks = [(args.field, law1, law2, args.radius, float(d),
               args.lmax, args.qtol) for d in grid]
     rows = _map_tasks(_sweep_task, tasks, args.workers)
-    return _emit(args, config, fmt, SWEEP_COLUMNS, rows)
+    return _emit(args, SWEEP_COLUMNS, rows)
 
 
 def cmd_series(args):
     from .asymptotics import eval_series
-    bc1, bc2, law1, law2 = _resolve_bcs(args)
-    fmt = args.format or "csv"
+    law1, law2 = _resolve_bcs(args)
     series = _series_for(args.field, law1, law2)
     if series is None:
         raise ValueError("no large-distance series for this pair "
                          "(needs equal radii and matching material type)")
-    params = [("field", args.field), ("bc1", bc1), ("bc2", bc2),
-              ("radius", repr(args.radius))]
-    if args.d is not None:
-        params.append(("d", repr(args.d)))
-    params.append(("format", fmt))
-    config = RunConfig("series", tuple(params))
     rows = [{"index": j,
              "coefficient": float(series.coeffs[j]),
              "exact": str(series.coeffs[j]),
@@ -535,28 +472,22 @@ def cmd_series(args):
     record = {"form": series.form,
               "prefactor_power": series.prefactor_power,
               "provenance": series.provenance,
-              "coefficients": {str(j): {"value": float(series.coeffs[j]),
-                                        "exact": str(series.coeffs[j]),
-                                        "certified": series.certified[j]}
-                               for j in sorted(series.coeffs)},
+              "coefficients": {str(r["index"]): {"value": r["coefficient"],
+                                                 "exact": r["exact"],
+                                                 "certified": r["certified"]}
+                               for r in rows},
               "eval": evaluation}
-    return _emit(args, config, fmt, SERIES_COLUMNS, rows, record=record,
-                 extra_lines=extra)
+    return _emit(args, SERIES_COLUMNS, rows, record, extra)
 
 
 def cmd_pfa(args):
-    bc1, bc2, law1, law2 = _resolve_bcs(args)
-    fmt = args.format or "json"
-    config = RunConfig("pfa", (
-        ("field", args.field), ("bc1", bc1), ("bc2", bc2),
-        ("radius", repr(args.radius)), ("d", repr(args.d)),
-        ("format", fmt)))
+    law1, law2 = _resolve_bcs(args)
     case, e_pfa = _pfa_dimensionless(args.field, law1, law2,
                                      args.radius, args.d)
     row = {"d_over_R": args.d / args.radius,
            "L_over_R": (args.d - 2.0 * args.radius) / args.radius,
            "amplitude_case": case, "E_pfa": e_pfa}
-    return _emit(args, config, fmt, PFA_COLUMNS, [row], record=dict(row))
+    return _emit(args, PFA_COLUMNS, [row], dict(row))
 
 
 def _signmap_lmax(radius, d, lmax_arg):
@@ -601,10 +532,6 @@ def _signmap_row(task):
 
 
 def cmd_signmap(args):
-    if args.field != "scalar-real":
-        raise ValueError("sign map is defined for the scalar Robin family; "
-                         "use --field scalar-real")
-    fmt = args.format or "csv"
     pairs1 = _parse_zetas(args.zetas1)
     pairs2 = _parse_zetas(args.zetas2)
     for _, law in pairs1 + pairs2:
@@ -618,13 +545,6 @@ def cmd_signmap(args):
         else:
             # refused before any cell computes an energy on it
             _check_samples(grid, "--d-grid")
-    params = [("zetas1", args.zetas1), ("zetas2", args.zetas2),
-              ("radius", repr(args.radius))]
-    if args.d_grid is not None:
-        params.append(("d_grid", args.d_grid))
-    params += [("lmax", "auto" if args.lmax is None else str(args.lmax)),
-               ("qtol", repr(args.qtol)), ("format", fmt)]
-    config = RunConfig("signmap", tuple(params))
     tasks = []
     for raw1, law1 in pairs1:
         for raw2, law2 in pairs2:
@@ -634,34 +554,90 @@ def cmd_signmap(args):
     # rows without a grid are classification only, not worth a process
     rows = _map_tasks(_signmap_row, tasks,
                       1 if grid is None else args.workers)
-    return _emit(args, config, fmt, SIGNMAP_COLUMNS, rows)
+    return _emit(args, SIGNMAP_COLUMNS, rows)
 
 
 def cmd_nbody(args):
-    fmt = args.format or "json"
     spheres = [_parse_sphere(s) for s in args.sphere]
     if len(spheres) < 2:
         raise ValueError("need at least two --sphere arguments")
     geometry = Geometry(tuple(SphereSpec(r, law) for _, r, law in spheres),
                         tuple(c for c, _, _ in spheres))
-    for _, _, law in spheres:
-        _check_field_pair(args.field, law, law)
+    _check_field(args.field, [law for _, _, law in spheres])
     quad = QuadSpec(rel_tol=args.qtol)
     l_max = args.lmax
     if l_max is None:
         l_max = suggest_l_max(geometry, args.field)
-    config = RunConfig("nbody", (
-        ("field", args.field), ("spheres", ";".join(args.sphere)),
-        ("lmax", "auto" if args.lmax is None else str(args.lmax)),
-        ("qtol", repr(args.qtol)), ("format", fmt)))
     est = casimir_energy_nbody(geometry, args.field, l_max, quad)
-    record = {"n_spheres": geometry.n_spheres, "E": est.value,
-              "l_max_used": l_max, "delta": _jsonable(est.delta_fit),
-              "abs_err_estimate": _abs_err(est),
-              "history": [[l, e] for l, e in est.history]}
-    columns = ("n_spheres", "E", "l_max_used", "delta", "abs_err_estimate")
-    row = {c: record[c] for c in columns}
-    return _emit(args, config, fmt, columns, [row], record=record)
+    row = {"n_spheres": geometry.n_spheres, **_estimate_cells(est, l_max)}
+    return _emit(args, NBODY_COLUMNS, [row], _record(NBODY_COLUMNS, row, est))
+
+
+# The options every verb takes, after its own; --workers dispatches grid
+# points, which only sweep and signmap have today.
+_EVERY_VERB = ("--format", "--out", "--workers")
+_PAIR = ("--field", "--bc1", "--bc2", "--radius")
+
+# Each verb: (function, default format, help, the options it reads in the
+# order they are echoed).  A (flag, help) entry is optional for that verb:
+# it defaults to None, which is not echoed.
+VERBS = {
+    "energy": (cmd_energy, "json", "single-point energy record",
+               _PAIR + ("--d", "--lmax", "--qtol")),
+    "sweep": (cmd_sweep, "csv", "distance sweep table",
+              _PAIR + ("--d-grid", "--lmax", "--qtol")),
+    "series": (cmd_series, "csv", "large-distance series coefficients",
+               _PAIR + (("--d", "optionally evaluate the series at this "
+                                "distance"),)),
+    "pfa": (cmd_pfa, "json", "proximity-force baseline energy",
+            _PAIR + ("--d",)),
+    "signmap": (cmd_signmap, "csv",
+                "force-sign classification over (zeta1, zeta2)",
+                ("--zetas1", "--zetas2", "--radius",
+                 ("--d-grid", "optional start:stop:count[:log] distances "
+                              "for the zero-force search"),
+                 "--lmax", "--qtol")),
+    "nbody": (cmd_nbody, "json", "N collinear spheres",
+              ("--field", "--sphere", "--lmax", "--qtol")),
+}
+
+
+def _options_of(verb):
+    """(flag, help when optional for `verb`, else None) of each option
+    the verb reads, in echo order."""
+    for entry in VERBS[verb][3] + _EVERY_VERB:
+        yield (entry, None) if isinstance(entry, str) else entry
+
+
+def _config(args):
+    """(key, text) pairs echoed at the head of every output."""
+    config = []
+    for flag, optional in _options_of(args.verb):
+        key, show, _ = OPTIONS[flag]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if key is not None and not (optional and value is None):
+            config.append((key, show(value)))
+    return config
+
+
+@lru_cache(maxsize=None)
+def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
+    parser = argparse.ArgumentParser(
+        prog="casphere",
+        description="Casimir energies and forces between spheres "
+                    "(multipole scattering determinants)")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (func, fmt, text, _) in VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        for flag, optional in _options_of(verb):
+            kwargs = OPTIONS[flag][2]
+            if optional:
+                kwargs = dict(kwargs, required=False, help=optional)
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func, format=fmt)
+    return parser
 
 
 def main(argv=None):

@@ -118,6 +118,16 @@ def _check_gap(radius, d):
         raise ValueError("spheres overlap: d=%r <= 2R=%r" % (d, 2.0 * radius))
 
 
+def _over_gap_squared(num, radius, d):
+    """num / (d - 2R)**2.  Where the square leaves the float range, a gap
+    beyond 1e154 or below 1e-162, it divides by the gap twice instead."""
+    gap = d - 2.0 * radius
+    try:
+        return num / gap ** 2
+    except (OverflowError, ZeroDivisionError):
+        return num / gap / gap
+
+
 def pfa_energy(radius, d, amplitude_case="like"):
     """Scalar proximity-force energy Phi0 (pi/2) R/(d-2R)^2, hbar c = 1.
 
@@ -140,13 +150,13 @@ def pfa_energy(radius, d, amplitude_case="like"):
     else:
         raise ValueError("amplitude_case must be 'like' or 'unlike', got %r"
                          % (amplitude_case,))
-    return phi * (math.pi / 2.0) * radius / (d - 2.0 * radius) ** 2
+    return _over_gap_squared(phi * (math.pi / 2.0) * radius, radius, d)
 
 
 def pfa_energy_em(radius, d):
     """Electromagnetic proximity-force energy -(pi^3/1440) R/(d-2R)^2."""
     _check_gap(radius, d)
-    return -(math.pi ** 3 / 1440.0) * radius / (d - 2.0 * radius) ** 2
+    return _over_gap_squared(-(math.pi ** 3 / 1440.0) * radius, radius, d)
 
 
 def amplitude_case(law1, law2):

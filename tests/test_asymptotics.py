@@ -560,6 +560,18 @@ def test_eval_series_refuses_a_non_finite_d():
                 eval_series(series, 1.0, d)
 
 
+def test_eval_series_scales_past_the_float_range_of_its_powers():
+    # E(R, d) = E(1, d/R) / R, also where R**6 or d**7 overflows or
+    # underflows to 0; those raised OverflowError or ZeroDivisionError
+    metal = expand_em_metal()
+    assert eval_series(metal, 1.0, 1e50).value == 0.0
+    unit = eval_series(metal, 1.0, 3.0)
+    for radius in (1e60, 1e-200):
+        scaled = eval_series(metal, radius, 3.0 * radius)
+        assert scaled.value * radius == pytest.approx(unit.value, rel=1e-13)
+        assert scaled.first_growing == unit.first_growing
+
+
 def test_eval_series_refuses_a_bad_radius():
     # d > 2R alone passes a radius at or below zero, which would give a
     # sign-flipped or zero energy

@@ -109,7 +109,8 @@ def test_parse_grid():
     assert log == pytest.approx([1.0, 10.0, 100.0])
     assert cli.parse_grid("4:6:0").size == 0
     assert list(cli.parse_grid("4:6:1")) == [4.0]
-    for bad in ("4:6", "4:6:3:geo", "4:6:-1", "0:6:3:log"):
+    for bad in ("4:6", "4:6:3:geo", "4:6:-1", "0:6:3:log", "0:6:1:log",
+                "-5:6:1:log"):
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_grid(bad)
 
@@ -203,6 +204,40 @@ def test_an_infinite_distance_is_refused(argv, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "finite d" in err or "d must be finite" in err
+
+
+def _numbers(value):
+    """Every number in a JSON value, nested containers included."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@pytest.mark.parametrize("argv", [
+    ["pfa", "--d", "1e300"],
+    ["energy", "--d", "1e300", "--lmax", "4"],
+    ["energy", "--field", "em", "--bc1", "pec", "--d", "1e60", "--lmax", "2"],
+    ["series", "--field", "em", "--bc1", "pec", "--d", "1e100",
+     "--format", "json"],
+    ["energy", "--d", "3", "--lmax", "4", "--radius", "1e-200"],
+], ids=" ".join)
+def test_extreme_scales_give_finite_records(argv, tmp_path):
+    # the squared gap, d**7 in the EM series and E/E_PFA leave the float
+    # range here: each ended in a traceback instead of a record
+    res = run_json(tmp_path, argv)["result"]
+    assert all(math.isfinite(x) for x in _numbers(res))
+    if "E_over_PFA" in res:
+        assert (res["E_over_PFA"] is None) == (res["E_pfa"] == 0.0)
+
+
+def test_e_over_pfa_is_nan_where_e_pfa_underflows(tmp_path):
+    # E_PFA in units of hbar c / R is about 1e-402 here, which is 0.0
+    argv = ["energy", "--d", "3", "--lmax", "4", "--radius", "1e-200"]
+    assert run_json(tmp_path, argv)["result"]["E_over_PFA"] is None
+    header, row = csv_body(run_csv(tmp_path, argv + ["--format", "csv"]))
+    assert dict(zip(header.split(","), row.split(",")))["E_over_PFA"] == "nan"
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +544,15 @@ def test_nbody_auto_lmax_is_suggested_for_the_geometry(tmp_path):
     assert doc["result"]["l_max_used"] == suggest_l_max(pair, "scalar-real")
 
 
+def test_nbody_csv_writes_nan_for_a_missing_fit(tmp_path):
+    # two history points leave no extrapolation fit: nan, as in a sweep
+    header, row = csv_body(run_csv(tmp_path, [
+        "nbody", "--sphere", "0:1:dirichlet", "--sphere", "3:1:dirichlet",
+        "--lmax", "1", "--format", "csv"]))
+    assert header == ",".join(cli.NBODY_COLUMNS)
+    assert row.split(",")[3] == "nan"
+
+
 def test_nbody_rejects_overlap():
     assert cli.main(["nbody", "--sphere", "0:1:dirichlet",
                      "--sphere", "1.5:1:dirichlet", "--lmax", "4"]) == 2
@@ -517,6 +561,24 @@ def test_nbody_rejects_overlap():
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, option", [
+    (["series", "--bc1", "dirichlet"], ["--lmax", "4"]),
+    (["series", "--bc1", "dirichlet"], ["--qtol", "1e-6"]),
+    (["pfa", "--d", "3"], ["--lmax", "4"]),
+    (["pfa", "--d", "3"], ["--qtol", "1e-6"]),
+    (["signmap", "--zetas1", "0", "--zetas2", "1"], ["--bc1", "dirichlet"]),
+    (["signmap", "--zetas1", "0", "--zetas2", "1"], ["--bc2", "neumann"]),
+    (["signmap", "--zetas1", "0", "--zetas2", "1"],
+     ["--field", "scalar-real"]),
+], ids=lambda a: a[0])
+def test_options_a_verb_does_not_read_are_refused(argv, option, capsys):
+    # each verb takes only the options it reads: these were accepted and
+    # then ignored
+    assert cli.main(argv + option) == 2
+    assert "unrecognized arguments: %s" % " ".join(option) \
+        in capsys.readouterr().err
+
 
 def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["energy", "--bc1", "bogus", "--d", "3"]) == 2

@@ -79,6 +79,16 @@ def test_pfa_energy_refuses_a_non_finite_d():
             pfa_energy_em(1.0, d)
 
 
+def test_pfa_energy_scales_past_the_float_range_of_the_squared_gap():
+    # E(R, d) = E(1, d/R) / R, also where (d - 2R)**2 overflows or
+    # underflows to 0; those raised OverflowError or ZeroDivisionError
+    for energy in (lambda r, d: pfa_energy(r, d, "unlike"), pfa_energy_em):
+        assert energy(1.0, 1e300) == 0.0
+        for radius in (1e200, 1e-300):
+            assert energy(radius, 3.0 * radius) * radius == pytest.approx(
+                energy(1.0, 3.0), rel=1e-14)
+
+
 def test_amplitude_case_selection():
     # "unlike" iff exactly one boundary pins the field (zeta = 0)
     assert amplitude_case(D, D) == "like"
